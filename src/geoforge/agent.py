@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Corpus, QueryRecord, hashed_bag_of_tokens
+from .core import Corpus, QueryRecord, hashed_bag_of_tokens, read_jsonl, write_jsonl
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
 
@@ -224,21 +224,16 @@ def make_expand_query(taxonomy: list[tuple[str, str]]):
 def make_fetch_trends(trends_path: str | Path):
     def fetch_trends(region: str, timespan: str) -> list[TrendSignal]:
         out = []
-        with open(trends_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                signal = TrendSignal(
-                    term=obj["term"],
-                    region=obj.get("region", "US"),
-                    timespan=obj.get("timespan", "7d"),
-                    velocity=float(obj.get("velocity", 0.0)),
-                    category=obj.get("category", ""),
-                )
-                if signal.region == region and signal.timespan == timespan:
-                    out.append(signal)
+        for _, obj in read_jsonl(trends_path):
+            signal = TrendSignal(
+                term=obj["term"],
+                region=obj.get("region", "US"),
+                timespan=obj.get("timespan", "7d"),
+                velocity=float(obj.get("velocity", 0.0)),
+                category=obj.get("category", ""),
+            )
+            if signal.region == region and signal.timespan == timespan:
+                out.append(signal)
         return sorted(out, key=lambda s: s.term)
 
     return fetch_trends
@@ -384,20 +379,14 @@ def replay_trace(trace: list[dict], long_memory: dict[str, dict] | None = None) 
 
 
 def write_trace(trace: list[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, record in enumerate(trace):
-            fh.write(json.dumps({"step": i, **record}, separators=(",", ":")) + "\n")
+    write_jsonl(path, ({"step": i, **record} for i, record in enumerate(trace)))
 
 
 def load_trace(path: str | Path) -> list[dict]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                obj.pop("step", None)
-                out.append(obj)
+    for _, obj in read_jsonl(path):
+        obj.pop("step", None)
+        out.append(obj)
     return out
 
 

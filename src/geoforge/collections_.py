@@ -3,13 +3,12 @@ result set's intent-satisfying rate with a pluggable judge."""
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable
 
-from .core import Corpus, PinRecord, QueryRecord, cosine, f32
+from .core import Corpus, PinRecord, QueryRecord, cosine, f32, read_jsonl, write_jsonl
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
 
@@ -63,10 +62,6 @@ class JudgeVerdict:
 Judge = Callable[[PinRecord, QueryRecord], JudgeVerdict]
 
 
-class TopicEncoder(Protocol):
-    def encode(self, vector): ...
-
-
 def build_collection(
     topic: QueryRecord,
     text_encoder: EncoderModel,
@@ -109,15 +104,13 @@ def file_judge(verdicts_path: str | Path) -> Judge:
     """External-process judge adapter: reads precomputed verdicts keyed by
     (slugified topic, pin signature) from a JSONL file."""
     table: dict[tuple[str, int], JudgeVerdict] = {}
-    with open(verdicts_path, encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            key = (obj["topic_slug"], int(obj["pin_signature"]))
-            table[key] = JudgeVerdict(
-                pin_signature=int(obj["pin_signature"]),
-                satisfied=bool(obj["satisfied"]),
-                score=float(obj.get("score", 0.0)),
-            )
+    for _, obj in read_jsonl(verdicts_path):
+        key = (obj["topic_slug"], int(obj["pin_signature"]))
+        table[key] = JudgeVerdict(
+            pin_signature=int(obj["pin_signature"]),
+            satisfied=bool(obj["satisfied"]),
+            score=float(obj.get("score", 0.0)),
+        )
 
     def judge(pin: PinRecord, topic: QueryRecord) -> JudgeVerdict:
         key = (slugify(topic.text), pin.signature)
@@ -143,19 +136,11 @@ def intent_satisfying_rate(
 
 
 def write_collections(collections: list[Collection], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for coll in collections:
-            fh.write(json.dumps(coll.to_json(), separators=(",", ":")) + "\n")
+    write_jsonl(path, (coll.to_json() for coll in collections))
 
 
 def load_collections(path: str | Path) -> list[Collection]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(Collection.from_json(json.loads(line)))
-    return out
+    return [Collection.from_json(obj) for _, obj in read_jsonl(path)]
 
 
 def emit_pages(collections: list[Collection], corpus: Corpus, out_dir: str | Path) -> list[Path]:

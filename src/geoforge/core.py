@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,12 +54,18 @@ def rng_for(seed: int, stage: str) -> np.random.Generator:
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale v to unit L2 norm. Raises ZeroNormError on a zero vector."""
+    """Scale v to unit L2 norm. Raises ZeroNormError when the float64 norm
+    is zero: a zero vector, or one whose squares all underflow."""
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ZeroNormError("cannot normalize a zero vector")
+    if not 1e-150 < norm < 1e150:
+        # the squares lost bits to subnormals or overflowed: rescale first
+        v = v / np.max(np.abs(v))
+        norm = float(np.linalg.norm(v))
     return v / norm
+
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity; equals the dot product when both inputs are unit norm."""
@@ -347,7 +353,9 @@ class Corpus:
             raise CorpusError(f"unknown pin signature {signature}") from None
 
 
-def _read_jsonl(path: Path) -> Iterable[tuple[int, dict]]:
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) per non-blank line; a malformed line
+    raises CorpusError naming path:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -368,7 +376,7 @@ def write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
 def load_corpus(manifest: CorpusManifest) -> Corpus:
     """Load and validate all corpus files referenced by the manifest."""
     pins: dict[int, PinRecord] = {}
-    for lineno, obj in _read_jsonl(manifest.pins_path):
+    for lineno, obj in read_jsonl(manifest.pins_path):
         try:
             pin = PinRecord.from_json(obj)
             pin.validate(manifest.d_v, manifest.d_t)
@@ -381,7 +389,7 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
         pins[pin.signature] = pin
 
     queries: list[QueryRecord] = []
-    for lineno, obj in _read_jsonl(manifest.queries_path):
+    for lineno, obj in read_jsonl(manifest.queries_path):
         try:
             query = QueryRecord.from_json(obj)
             query.validate(manifest.d_t)
@@ -390,7 +398,7 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
         queries.append(query)
 
     engagement: list[EngagementRecord] = []
-    for lineno, obj in _read_jsonl(manifest.engagement_path):
+    for lineno, obj in read_jsonl(manifest.engagement_path):
         try:
             record = EngagementRecord.from_json(obj)
             record.validate()
@@ -400,7 +408,7 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
 
     labels: list[LabeledPair] = []
     if manifest.labels_path is not None:
-        for lineno, obj in _read_jsonl(manifest.labels_path):
+        for lineno, obj in read_jsonl(manifest.labels_path):
             try:
                 pair = LabeledPair.from_json(obj)
                 pair.validate()

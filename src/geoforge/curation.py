@@ -32,14 +32,7 @@ def retain(record: EngagementRecord) -> bool:
     impressions > 10 with average position <= 10. CTR is never evaluated
     for zero-impression records (the impressions gate fails first).
     """
-    if record.impressions > 1000:
-        return True
-    if record.impressions > 10:
-        if record.ctr() >= 0.8:
-            return True
-        if record.avg_position <= 10:
-            return True
-    return False
+    return bool(retention_branches(record))
 
 
 def retention_branches(record: EngagementRecord) -> list[str]:

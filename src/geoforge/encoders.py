@@ -347,19 +347,23 @@ def load_model(path: str | Path, magic: bytes = ENCODER_MAGIC) -> EncoderModel:
         header = fh.read(len(magic))
         if header != magic:
             raise EncoderError(f"bad checkpoint magic in {path}")
-        (n_layers,) = struct.unpack("<I", fh.read(4))
-        shapes = [struct.unpack("<II", fh.read(8)) for _ in range(n_layers)]
+        try:
+            (n_layers,) = struct.unpack("<I", fh.read(4))
+            shapes = [struct.unpack("<II", fh.read(8)) for _ in range(n_layers)]
+        except struct.error as exc:
+            raise EncoderError(f"truncated checkpoint {path}: {exc}") from exc
         weights, biases = [], []
         for rows, cols in shapes:
-            w = np.frombuffer(fh.read(rows * cols * 4), dtype="<f4")
-            if w.size != rows * cols:
-                raise EncoderError(f"truncated checkpoint {path}")
-            weights.append(w.reshape(rows, cols).astype(np.float64))
-            b = np.frombuffer(fh.read(rows * 4), dtype="<f4")
-            if b.size != rows:
-                raise EncoderError(f"truncated checkpoint {path}")
-            biases.append(b.astype(np.float64))
+            weights.append(_read_f32(fh, rows * cols, path).reshape(rows, cols))
+            biases.append(_read_f32(fh, rows, path))
     return EncoderModel(weights=weights, biases=biases)
+
+
+def _read_f32(fh, count: int, path: str | Path) -> np.ndarray:
+    raw = fh.read(4 * count)
+    if len(raw) != 4 * count:
+        raise EncoderError(f"truncated checkpoint {path}")
+    return np.frombuffer(raw, dtype="<f4").astype(np.float64)
 
 
 def write_train_log(log: list[tuple[int, float, float]], path: str | Path) -> None:

@@ -18,6 +18,7 @@ from urllib.parse import urlparse
 import numpy as np
 
 from .collections_ import Collection, slugify
+from .core import read_jsonl
 
 
 class LinkGraphError(ValueError):
@@ -206,14 +207,9 @@ def write_graph(graph: LinkGraph, path: str | Path) -> None:
 
 def load_graph(path: str | Path) -> LinkGraph:
     graph = LinkGraph()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "src" in obj:
-                graph.add_edge(obj["src"], obj["dst"])
-            else:
-                graph.add_node(obj["node"])
+    for _, obj in read_jsonl(path):
+        if "src" in obj:
+            graph.add_edge(obj["src"], obj["dst"])
+        else:
+            graph.add_node(obj["node"])
     return graph

@@ -1,14 +1,14 @@
 """Stage orchestration: every stage reads file artifacts, writes file
-artifacts plus checksums, and can be re-run in isolation."""
+artifacts plus checksums, and can be re-run in isolation. Within one
+run_pipeline call the corpus is loaded once and shared by every stage."""
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -22,20 +22,10 @@ from .core import (
     QueryRecord,
     file_checksum,
     load_corpus,
+    read_jsonl,
     subseed,
     write_jsonl,
 )
-
-def worker_count() -> int:
-    """Bounded worker pool size, capped by GEO_FORGE_THREADS."""
-    cap = os.cpu_count() or 1
-    raw = os.environ.get("GEO_FORGE_THREADS")
-    if raw is not None:
-        try:
-            cap = min(cap, max(1, int(raw)))
-        except ValueError:
-            raise ValueError(f"GEO_FORGE_THREADS must be an integer, got {raw!r}")
-    return cap
 
 
 STAGE_ORDER = [
@@ -137,10 +127,14 @@ class PipelineConfig:
 
 @dataclass
 class Workspace:
+    """Artifact paths under one output directory. The corpus is read from
+    disk on first use and kept, so a workspace loads it at most once."""
+
     out: Path
 
     def __post_init__(self) -> None:
         self.out = Path(self.out)
+        self.corpus: Corpus | None = None
 
     @property
     def corpus_dir(self) -> Path: return self.out / "corpus"
@@ -193,34 +187,25 @@ def _require(path: Path, stage: str, produced_by: str) -> None:
 
 
 def _load_corpus(ws: Workspace, stage: str) -> Corpus:
-    _require(ws.manifest, stage, "gen-corpus")
-    return load_corpus(CorpusManifest.load(ws.manifest))
+    if ws.corpus is None:
+        _require(ws.manifest, stage, "gen-corpus")
+        ws.corpus = load_corpus(CorpusManifest.load(ws.manifest))
+    return ws.corpus
 
 
 def _load_navboost(ws: Workspace) -> dict[tuple[str, int], float]:
     path = ws.corpus_dir / "navboost.jsonl"
-    table: dict[tuple[str, int], float] = {}
-    if path.exists():
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    obj = json.loads(line)
-                    table[(obj["query_text"], int(obj["pin_signature"]))] = float(
-                        obj["coverage"]
-                    )
-    return table
+    if not path.exists():
+        return {}
+    return {
+        (obj["query_text"], int(obj["pin_signature"])): float(obj["coverage"])
+        for _, obj in read_jsonl(path)
+    }
 
 
 def _load_labeled(ws: Workspace, stage: str) -> list[LabeledPair]:
     _require(ws.labeled_pairs, stage, "curate")
-    out = []
-    with open(ws.labeled_pairs, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(LabeledPair.from_json(json.loads(line)))
-    return out
+    return [LabeledPair.from_json(obj) for _, obj in read_jsonl(ws.labeled_pairs)]
 
 
 def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
@@ -232,7 +217,7 @@ def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
         seed=config.seed,
     )
     manifest = synth.write_corpus_bundle(ws.corpus_dir, synth_config)
-    corpus = load_corpus(manifest)
+    corpus = ws.corpus = load_corpus(manifest)
     return {
         "pins": len(corpus.pins),
         "queries": len(corpus.queries),
@@ -327,6 +312,30 @@ def _triplets_from_labels(
     return triplets
 
 
+def annotate_pins(
+    pin_embeddings: dict[int, np.ndarray],
+    queries: list[QueryRecord],
+    e_queries: np.ndarray,
+    per_pin: int,
+) -> list[dict]:
+    """Annotation records for the top-per_pin queries of every pin, in
+    signature order. A query scores e_queries @ e_pin; ties break on text."""
+    records = []
+    for signature in sorted(pin_embeddings):
+        scores = e_queries @ pin_embeddings[signature]
+        order = sorted(range(len(queries)), key=lambda i: (-scores[i], queries[i].text))
+        for rank_pos, i in enumerate(order[:per_pin], 1):
+            records.append(
+                {
+                    "pin_signature": signature,
+                    "query_text": queries[i].text,
+                    "score": float(scores[i]),
+                    "rank": rank_pos,
+                }
+            )
+    return records
+
+
 def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     corpus = _load_corpus(ws, "train-ranker")
     labeled = _load_labeled(ws, "train-ranker")
@@ -357,24 +366,15 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
 
     # annotate every pin with its top-scoring deduped queries
     deduped = curation.dedup_queries(corpus.queries)
-    feats_q = np.stack([ranker.query_features(q) for q in deduped])
-    e_queries = model.embed_query(feats_q)
-    annotations = []
-    for signature in sorted(corpus.pins):
-        e_pin = model.embed_pin(ranker.pin_features(corpus.pins[signature]))[0]
-        scores = e_queries @ e_pin
-        order = sorted(
-            range(len(deduped)), key=lambda i: (-scores[i], deduped[i].text)
-        )
-        for rank_pos, i in enumerate(order[: config.annotations_per_pin], 1):
-            annotations.append(
-                {
-                    "pin_signature": signature,
-                    "query_text": deduped[i].text,
-                    "score": float(scores[i]),
-                    "rank": rank_pos,
-                }
-            )
+    annotations = annotate_pins(
+        {
+            s: model.embed_pin(ranker.pin_features(pin))[0]
+            for s, pin in corpus.pins.items()
+        },
+        deduped,
+        model.embed_query(np.stack([ranker.query_features(q) for q in deduped])),
+        config.annotations_per_pin,
+    )
     write_jsonl(ws.annotations, annotations)
     return {
         "triplets": len(triplets),
@@ -386,13 +386,7 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
 
 def _load_annotations(ws: Workspace, stage: str) -> list[dict]:
     _require(ws.annotations, stage, "train-ranker")
-    out = []
-    with open(ws.annotations, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
+    return [obj for _, obj in read_jsonl(ws.annotations)]
 
 
 def annotation_map(
@@ -405,6 +399,34 @@ def annotation_map(
     return by_pin
 
 
+def build_collections(
+    config: PipelineConfig,
+    topic_texts: Iterable[str],
+    corpus: Corpus,
+    txt_encoder: encoders.EncoderModel,
+    index: hnsw.HnswIndex,
+) -> list[coll_mod.Collection]:
+    """One collection per distinct slug, in sorted topic-text order. Texts
+    that are not corpus queries with an embedding are skipped. Runs serially:
+    the search loop holds the GIL, so a thread pool only slowed it down."""
+    by_text = {q.text: q for q in corpus.queries}
+    collections = []
+    seen = set()
+    for text in sorted(topic_texts):
+        topic = by_text.get(text)
+        if topic is None or topic.embedding is None:
+            continue
+        collection = coll_mod.build_collection(
+            topic, txt_encoder, index, k=config.collection_k,
+            ef_search=config.ef_search,
+        )
+        if collection.slug in seen:
+            continue
+        seen.add(collection.slug)
+        collections.append(collection)
+    return collections
+
+
 def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
     corpus = _load_corpus(ws, "build-collections")
     _require(ws.index_file, "build-collections", "build-index")
@@ -412,32 +434,13 @@ def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
     index = hnsw.HnswIndex.load(ws.index_file)
     txt_encoder = encoders.load_model(ws.encoder_txt)
     records = _load_annotations(ws, "build-collections")
-    topics_wanted = sorted(
-        {r["query_text"] for r in records if r["score"] >= config.annotation_threshold}
+    collections = build_collections(
+        config,
+        {r["query_text"] for r in records if r["score"] >= config.annotation_threshold},
+        corpus,
+        txt_encoder,
+        index,
     )
-    by_text = {q.text: q for q in corpus.queries}
-    topics = [
-        by_text[text]
-        for text in topics_wanted
-        if text in by_text and by_text[text].embedding is not None
-    ]
-
-    def build_one(topic: QueryRecord) -> coll_mod.Collection:
-        return coll_mod.build_collection(
-            topic, txt_encoder, index, k=config.collection_k,
-            ef_search=config.ef_search,
-        )
-
-    # fixed topic ordering keeps results deterministic regardless of pool size
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        built = list(pool.map(build_one, topics))
-    collections = []
-    seen_slugs = set()
-    for collection in built:
-        if collection.slug in seen_slugs:
-            continue
-        seen_slugs.add(collection.slug)
-        collections.append(collection)
     coll_mod.write_collections(collections, ws.collections)
     coll_mod.emit_pages(collections, corpus, ws.pages_dir)
     return {"collections": len(collections)}
@@ -496,54 +499,30 @@ def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
     return {"emitted_queries": len(queries), "trace_steps": len(trace)}
 
 
-def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
+def ablation_study(
+    config: PipelineConfig,
+    ws: Workspace,
+    corpus: Corpus,
+    index: hnsw.HnswIndex,
+    img_encoder: encoders.EncoderModel,
+    txt_encoder: encoders.EncoderModel,
+) -> dict:
     """Directional link-equity comparison across the three linking modes.
 
     Enabled uses ranker-selected annotations; control selects annotations by
     raw encoder cosine between image- and text-tower outputs; ablation drops
     annotations entirely (base-topic collections only, no pin links).
     """
-    corpus = _load_corpus(ws, "eval")
-    index = hnsw.HnswIndex.load(ws.index_file)
-    img_encoder = encoders.load_model(ws.encoder_img)
-    txt_encoder = encoders.load_model(ws.encoder_txt)
     records = _load_annotations(ws, "eval")
     deduped = curation.dedup_queries(corpus.queries)
-    by_text = {q.text: q for q in corpus.queries}
 
     # control annotations: raw cross-tower cosine, same threshold and budget
-    e_queries = txt_encoder.encode_batch(np.stack([q.embedding for q in deduped]))
-    control_records = []
-    for signature in sorted(corpus.pins):
-        e_pin = img_encoder.encode(corpus.pins[signature].visual_embedding)
-        scores = e_queries @ e_pin
-        order = sorted(range(len(deduped)), key=lambda i: (-scores[i], deduped[i].text))
-        for rank_pos, i in enumerate(order[: config.annotations_per_pin], 1):
-            control_records.append(
-                {
-                    "pin_signature": signature,
-                    "query_text": deduped[i].text,
-                    "score": float(scores[i]),
-                    "rank": rank_pos,
-                }
-            )
-
-    def build_collections_for(topic_texts: list[str]) -> list[coll_mod.Collection]:
-        collections = []
-        seen = set()
-        for text in sorted(topic_texts):
-            topic = by_text.get(text)
-            if topic is None or topic.embedding is None:
-                continue
-            collection = coll_mod.build_collection(
-                topic, txt_encoder, index, k=config.collection_k,
-                ef_search=config.ef_search,
-            )
-            if collection.slug in seen:
-                continue
-            seen.add(collection.slug)
-            collections.append(collection)
-        return collections
+    control_records = annotate_pins(
+        {s: img_encoder.encode(pin.visual_embedding) for s, pin in corpus.pins.items()},
+        deduped,
+        txt_encoder.encode_batch(np.stack([q.embedding for q in deduped])),
+        config.annotations_per_pin,
+    )
 
     def build_mode(
         annots: dict[int, list[str]], collections: list[coll_mod.Collection]
@@ -567,16 +546,21 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
     control_map = annotation_map(control_records, config.annotation_threshold, config.annotations_per_pin)
     # enabled and control share one collection universe so mean authority
     # compares linking quality, not collection counts
-    shared_topics = sorted(
+    shared = build_collections(
+        config,
         {t for texts in enabled_map.values() for t in texts}
-        | {t for texts in control_map.values() for t in texts}
+        | {t for texts in control_map.values() for t in texts},
+        corpus,
+        txt_encoder,
+        index,
     )
-    shared = build_collections_for(shared_topics)
-    base_topics = [t for t in synth.CLUSTER_TERMS[: config.n_clusters] if t in by_text]
+    base = build_collections(
+        config, synth.CLUSTER_TERMS[: config.n_clusters], corpus, txt_encoder, index
+    )
     return {
         "enabled": build_mode(enabled_map, shared),
         "control": build_mode(control_map, shared),
-        "ablation": build_mode({}, build_collections_for(base_topics)),
+        "ablation": build_mode({}, base),
     }
 
 
@@ -640,7 +624,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         "encoder_loss": encoder_losses,
         "pagerank": link_summary["pagerank"],
         "orphan_pins": link_summary["orphan_pins"],
-        "ablation": ablation_study(config, ws),
+        "ablation": ablation_study(config, ws, corpus, index, img_encoder, txt_encoder),
     }
     return report
 

@@ -311,22 +311,6 @@ def correct_rank(
     return float(np.mean(pos_scores > neg_scores))
 
 
-def rank_annotations(
-    model: RankerModel,
-    pin: PinRecord,
-    candidates: list[QueryRecord],
-    top_k: int,
-) -> list[tuple[QueryRecord, float]]:
-    """Top-k candidates by descending score; ties break on candidate text."""
-    if not candidates:
-        return []
-    feats_pin = pin_features(pin)[None, :].repeat(len(candidates), axis=0)
-    feats_q = np.stack([query_features(q) for q in candidates])
-    scores = model.score_batch(feats_pin, feats_q)
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i].text))
-    return [(candidates[i], float(scores[i])) for i in order[:top_k]]
-
-
 def save_ranker(model: RankerModel, path: str | Path) -> None:
     arrays = model.pin_tower.parameters() + model.query_tower.parameters()
     with open(path, "wb") as fh:
@@ -361,22 +345,25 @@ def load_ranker(path: str | Path) -> RankerModel:
     with open(path, "rb") as fh:
         if fh.read(len(RANKER_MAGIC)) != RANKER_MAGIC:
             raise RankerError(f"bad ranker magic in {path}")
-        d_v, d_t, n_hidden, width_mult, n_arrays = struct.unpack("<IIIdI", fh.read(24))
-        hidden = [struct.unpack("<I", fh.read(4))[0] for _ in range(n_hidden)]
-        output_dim, dropout_rate, margin = struct.unpack("<Idd", fh.read(20))
-        config = TowerConfig(
-            d_v=d_v, d_t=d_t, hidden=hidden, output_dim=output_dim,
-            dropout_rate=dropout_rate, margin=margin, width_mult=width_mult,
-        )
-        arrays: list[np.ndarray] = []
-        for _ in range(n_arrays):
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(count * 4), dtype="<f4")
-            if data.size != count:
-                raise RankerError(f"truncated ranker checkpoint {path}")
-            arrays.append(data.reshape(shape).astype(np.float64))
+        try:
+            d_v, d_t, n_hidden, width_mult, n_arrays = struct.unpack("<IIIdI", fh.read(24))
+            hidden = [struct.unpack("<I", fh.read(4))[0] for _ in range(n_hidden)]
+            output_dim, dropout_rate, margin = struct.unpack("<Idd", fh.read(20))
+            arrays: list[np.ndarray] = []
+            for _ in range(n_arrays):
+                (ndim,) = struct.unpack("<I", fh.read(4))
+                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+                nbytes = 4 * int(np.prod(shape))
+                raw = fh.read(nbytes)
+                if len(raw) != nbytes:
+                    raise RankerError(f"truncated ranker checkpoint {path}")
+                arrays.append(np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64))
+        except struct.error as exc:
+            raise RankerError(f"truncated ranker checkpoint {path}: {exc}") from exc
+    config = TowerConfig(
+        d_v=d_v, d_t=d_t, hidden=hidden, output_dim=output_dim,
+        dropout_rate=dropout_rate, margin=margin, width_mult=width_mult,
+    )
 
     def rebuild(chunk: list[np.ndarray]) -> Tower:
         layers = []

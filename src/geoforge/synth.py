@@ -21,6 +21,7 @@ from .core import (
     QueryRecord,
     l2_normalize,
     rng_for,
+    save_corpus,
     write_jsonl,
 )
 
@@ -267,9 +268,7 @@ def write_corpus_bundle(out_dir: str | Path, config: SynthConfig) -> CorpusManif
         d_t=config.d_t,
         seed=config.seed,
     )
-    write_jsonl(manifest.pins_path, (p.to_json() for p in corpus.pins.values()))
-    write_jsonl(manifest.queries_path, (q.to_json() for q in corpus.queries))
-    write_jsonl(manifest.engagement_path, (e.to_json() for e in corpus.engagement))
+    save_corpus(corpus, manifest)
     write_jsonl(
         out / "navboost.jsonl",
         (

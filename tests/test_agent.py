@@ -28,6 +28,7 @@ from geoforge.agent import (
     transition,
     write_trace,
 )
+from geoforge.core import CorpusError
 from geoforge.encoders import EncoderModel
 
 
@@ -221,6 +222,12 @@ class TestPersistence:
         path = tmp_path / "trace.jsonl"
         write_trace(trace, path)
         assert load_trace(path) == trace
+
+    def test_malformed_trace_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"step": 0}\n\n{"step": 1\n')
+        with pytest.raises(CorpusError, match=r"trace\.jsonl:3:"):
+            load_trace(path)
 
     def test_long_memory_roundtrip(self, tmp_path):
         memory = {"term": {"accepted": 2, "rejected": 0, "last_velocity": 1.0,

@@ -21,7 +21,7 @@ from geoforge.collections_ import (
     write_collections,
     emit_pages,
 )
-from geoforge.core import QueryRecord
+from geoforge.core import CorpusError, QueryRecord
 from geoforge.encoders import EncoderModel
 from geoforge.hnsw import HnswIndex
 
@@ -109,7 +109,7 @@ class TestJudges:
                     "score": 0.9,
                 }
             )
-            + "\n"
+            + "\n\n"
         )
         judge = file_judge(path)
         verdict = judge(corpus.pins[sig], topic)
@@ -154,6 +154,15 @@ class TestPersistenceAndPages:
         assert [
             [sig for sig, _ in c.members] for c in loaded
         ] == [[sig for sig, _ in c.members] for c in collections]
+
+    def test_malformed_line_names_path_and_line(self, corpus_and_index, tmp_path):
+        corpus, encoder, index = corpus_and_index
+        path = tmp_path / "collections.jsonl"
+        write_collections([build_collection(corpus.queries[0], encoder, index, k=5)], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(CorpusError, match=r"collections\.jsonl:2:"):
+            load_collections(path)
 
     def test_emit_pages_links_members(self, corpus_and_index, tmp_path):
         corpus, encoder, index = corpus_and_index

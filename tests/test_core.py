@@ -21,6 +21,7 @@ from geoforge.core import (
     is_unit,
     l2_normalize,
     load_corpus,
+    read_jsonl,
     rng_for,
     save_corpus,
     subseed,
@@ -36,6 +37,24 @@ class TestVectorMath:
     def test_l2_normalize_zero_vector(self):
         with pytest.raises(ZeroNormError):
             l2_normalize(np.zeros(4))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "values, direction",
+        [([2.42e-160], [1.0]), ([1e-151, -3e-151], [1.0, -3.0]),
+         ([1e200], [1.0]), ([1e200, -2e200], [1.0, -2.0])],
+    )
+    def test_l2_normalize_extreme_magnitudes(self, values, direction):
+        v = l2_normalize(np.array(values))
+        assert abs(float(np.linalg.norm(v)) - 1.0) <= 1e-15
+        assert np.allclose(v, np.array(direction) / np.linalg.norm(direction), rtol=0, atol=1e-15)
+
+    def test_l2_normalize_underflowing_squares_count_as_zero(self):
+        # its float64 norm is 0.0, which test_l2_normalize_property treats
+        # as a zero vector
+        assert np.linalg.norm([1e-170, 3e-170]) == 0.0
+        with pytest.raises(ZeroNormError):
+            l2_normalize(np.array([1e-170, 3e-170]))
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
     def test_l2_normalize_property(self, values):
@@ -190,6 +209,14 @@ class TestCorpusIO:
         )
         with pytest.raises(CorpusError, match="duplicate signature"):
             load_corpus(CorpusManifest.load(tmp_path / "manifest.txt"))
+
+    def test_read_jsonl_skips_blank_lines_and_names_bad_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"a": 2}\n')
+        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"a": 2})]
+        path.write_text('{"a": 1}\n{"a": \n')
+        with pytest.raises(CorpusError, match=r"rows\.jsonl:2: malformed JSON"):
+            list(read_jsonl(path))
 
     def test_unknown_pin_lookup(self, small_synth):
         corpus, _, _ = small_synth

@@ -163,3 +163,17 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(EncoderError, match="truncated"):
             load_model(path)
+
+    def test_truncated_at_every_offset(self, tmp_path):
+        model = EncoderModel.init(4, [3], 2, np.random.default_rng(0))
+        path = tmp_path / "enc.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(EncoderError):
+                load_model(path)
+        # a header cut inside the layer shapes
+        path.write_bytes(b"GEOENC01\x01\x00")
+        with pytest.raises(EncoderError, match="truncated"):
+            load_model(path)

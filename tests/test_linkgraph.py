@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from geoforge.collections_ import Collection
-from geoforge.core import QueryRecord
+from geoforge.core import CorpusError, QueryRecord
 from geoforge.linkgraph import (
     LinkGraph,
     LinkGraphError,
@@ -163,3 +163,9 @@ class TestPersistence:
         loaded = load_graph(path)
         assert loaded.nodes == graph.nodes
         assert loaded.edges == graph.edges
+
+    def test_malformed_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "graph.jsonl"
+        path.write_text('{"src": "a", "dst": "b"}\n{"node": \n')
+        with pytest.raises(CorpusError, match=r"graph\.jsonl:2:"):
+            load_graph(path)

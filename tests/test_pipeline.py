@@ -1,10 +1,13 @@
-"""Stage orchestration: config parsing, dependency handling, worker pool
-sizing, and artifact/report integrity of a full run."""
+"""Stage orchestration: config parsing, dependency handling, corpus
+loading, shared builders, and artifact/report integrity of a full run."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from geoforge import pipeline
+from geoforge.core import QueryRecord
 from geoforge.pipeline import (
     STAGE_ARTIFACTS,
     STAGE_DEPS,
@@ -12,29 +15,10 @@ from geoforge.pipeline import (
     PipelineConfig,
     PipelineError,
     Workspace,
+    annotate_pins,
     annotation_map,
     run_pipeline,
-    worker_count,
 )
-
-
-class TestWorkerCount:
-    def test_env_cap_honored(self, monkeypatch):
-        monkeypatch.setenv("GEO_FORGE_THREADS", "1")
-        assert worker_count() == 1
-
-    def test_env_floor_is_one(self, monkeypatch):
-        monkeypatch.setenv("GEO_FORGE_THREADS", "0")
-        assert worker_count() == 1
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("GEO_FORGE_THREADS", "many")
-        with pytest.raises(ValueError, match="GEO_FORGE_THREADS"):
-            worker_count()
-
-    def test_unset_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("GEO_FORGE_THREADS", raising=False)
-        assert worker_count() >= 1
 
 
 class TestConfigFile:
@@ -77,6 +61,7 @@ class TestStageGraph:
         assert not ok
         result = report["stages"]["build-index"]
         assert result["status"] == "failed"
+        assert "'build-index'" in result["error"]
         assert "gen-corpus" in result["error"]
 
     def test_failure_blocks_dependents_only(self, tmp_path):
@@ -108,6 +93,51 @@ class TestAnnotationMap:
     def test_permissive_settings_keep_all(self):
         mapped = annotation_map(self.RECORDS, threshold=0.0, per_pin=4)
         assert mapped == {1: ["a", "b"], 2: ["c"]}
+
+
+class TestAnnotatePins:
+    EMB = np.array([0.5, 0.1, -0.2])
+    QUERIES = [
+        QueryRecord("b query", "UseCase", embedding=EMB),
+        QueryRecord("a query", "UseCase", embedding=EMB),
+        QueryRecord("c other", "UseCase", embedding=-EMB),
+    ]
+
+    def test_ordering_and_tie_break(self):
+        e_queries = np.stack([q.embedding for q in self.QUERIES])
+        pin = np.array([1.0, 0.0, 0.0])
+        records = annotate_pins({2: pin, 1: pin}, self.QUERIES, e_queries, per_pin=3)
+        assert [r["pin_signature"] for r in records] == [1, 1, 1, 2, 2, 2]
+        scores = [r["score"] for r in records[:3]]
+        assert scores == sorted(scores, reverse=True)
+        # identical embeddings tie; tie breaks on text
+        assert [r["query_text"] for r in records[:3]] == ["a query", "b query", "c other"]
+        assert [r["rank"] for r in records[:3]] == [1, 2, 3]
+
+    def test_budget_and_empty_candidates(self):
+        e_queries = np.stack([q.embedding for q in self.QUERIES])
+        records = annotate_pins({1: np.ones(3)}, self.QUERIES, e_queries, per_pin=1)
+        assert [r["query_text"] for r in records] == ["a query"]
+        assert annotate_pins({1: np.ones(3)}, [], np.zeros((0, 3)), per_pin=5) == []
+
+
+class TestCorpusLoad:
+    def test_one_load_per_run_and_stages_still_run_alone(self, tmp_path, monkeypatch):
+        calls = []
+        load = pipeline.load_corpus
+        monkeypatch.setattr(
+            pipeline, "load_corpus", lambda manifest: calls.append(1) or load(manifest)
+        )
+        config = PipelineConfig(
+            out_dir=tmp_path, n_pins=40, n_clusters=4, encoder_steps=20, ranker_steps=50
+        )
+        report, ok = run_pipeline(config)
+        assert ok, report["stages"]
+        assert len(calls) == 1
+        # a fresh run of one stage reads the corpus from disk again
+        rerun, ok = run_pipeline(config, stages=["build-collections"])
+        assert ok and len(calls) == 2
+        assert rerun["checksums"]["collections.jsonl"] == report["checksums"]["collections.jsonl"]
 
 
 class TestFullRun:

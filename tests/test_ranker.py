@@ -1,5 +1,4 @@
-"""Two-tower ranker: tower math, margin loss, training, annotation
-ranking, and checkpoint IO."""
+"""Two-tower ranker: tower math, margin loss, training, and checkpoint IO."""
 
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ from geoforge.ranker import (
     margin_loss_batch,
     pin_features,
     query_features,
-    rank_annotations,
     save_ranker,
     tower_backward,
     tower_forward,
@@ -188,34 +186,6 @@ class TestTraining:
             correct_rank(RankerModel.init(SMALL, seed=0), [])
 
 
-class TestAnnotations:
-    def test_rank_annotations_ordering_and_tie_break(self):
-        model = RankerModel.init(SMALL, seed=1)
-        pin = PinRecord(
-            signature=1,
-            visual_embedding=np.ones(4),
-            text_embedding=np.ones(3),
-            perception_score=0.5,
-        )
-        emb = np.array([0.5, 0.1, -0.2])
-        candidates = [
-            QueryRecord("b query", "UseCase", embedding=emb),
-            QueryRecord("a query", "UseCase", embedding=emb),
-            QueryRecord("c other", "UseCase", embedding=-emb),
-        ]
-        ranked = rank_annotations(model, pin, candidates, top_k=3)
-        scores = [s for _, s in ranked]
-        assert scores == sorted(scores, reverse=True)
-        # identical embeddings tie; tie breaks on text
-        tied = [q.text for q, s in ranked if abs(s - scores[0]) <= 1e-12]
-        assert tied == sorted(tied)
-
-    def test_empty_candidates(self):
-        model = RankerModel.init(SMALL, seed=1)
-        pin = PinRecord(1, np.ones(4), np.ones(3), 0.5)
-        assert rank_annotations(model, pin, [], top_k=5) == []
-
-
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         model, _ = train_ranker(
@@ -234,3 +204,12 @@ class TestPersistence:
         path.write_bytes(b"NOTRANKR" + b"\x00" * 64)
         with pytest.raises(RankerError, match="magic"):
             load_ranker(path)
+
+    def test_truncated_at_every_offset(self, tmp_path):
+        path = tmp_path / "ranker.bin"
+        save_ranker(RankerModel.init(SMALL, seed=0), path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(RankerError):
+                load_ranker(path)
