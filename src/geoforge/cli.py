@@ -11,7 +11,6 @@ import click
 from .pipeline import (
     STAGE_ORDER,
     PipelineConfig,
-    PipelineError,
     Workspace,
     run_pipeline,
 )

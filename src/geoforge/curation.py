@@ -8,13 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    EngagementRecord,
-    LabeledPair,
-    QueryRecord,
-    cosine,
-    rng_for,
-)
+from .core import EngagementRecord, LabeledPair, QueryRecord
+from .core import cosine  # noqa: F401  re-exported: perfbench's tracer test looks it up here
 
 NAVBOOST_PROMOTION = 0.54  # strictly-greater promotion threshold
 RELATEDNESS_CEILING = 0.5  # hard negatives must be below this cosine
@@ -136,6 +131,16 @@ def stratify_sample(
     return out, report
 
 
+def _unit_rows(queries: list[QueryRecord]) -> np.ndarray:
+    """Embeddings as a matrix of unit rows; a zero-norm embedding is fatal."""
+    matrix = np.array([q.embedding for q in queries], dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    zero = np.flatnonzero(norms[:, 0] == 0.0)
+    if zero.size:
+        raise CurationError(f"query {queries[zero[0]].text!r} has a zero-norm embedding")
+    return matrix / norms
+
+
 def label_pairs(
     positives: list[LabeledPair],
     pool: list[QueryRecord],
@@ -146,10 +151,20 @@ def label_pairs(
     """Assign ranker labels: positives stay +1 (navboost > 0.54 promotes),
     and each positive draws `neg_per_pos` unrelated hard negatives.
 
-    A pool query qualifies as a negative only when its embedding cosine to
-    the positive query is below the relatedness ceiling.
+    A pool query with an embedding and another text qualifies as a negative
+    when its cosine to the positive, clipped to [-1, 1] as in `core.cosine`,
+    is strictly below RELATEDNESS_CEILING. The pool is fixed, so the
+    qualifying list depends only on the positive's text: it is built once per
+    distinct text from one product of unit-normalised pool rows against the
+    unit positive, and keeps pool order. The RNG draws one index set per
+    positive in input order. The output equals that of one `core.cosine`
+    call per pair unless a cosine lies within rounding (about 1e-15) of the
+    ceiling, where the two roundings may disagree.
     """
     rng = np.random.default_rng(seed)
+    embedded = [q for q in pool if q.embedding is not None]
+    pool_units = _unit_rows(embedded) if embedded else None
+    unrelated_by_text: dict[str, list[QueryRecord]] = {}
     out: list[LabeledPair] = []
     starved: list[str] = []
     for positive in positives:
@@ -168,15 +183,19 @@ def label_pairs(
         )
         if positive.query.embedding is None:
             raise CurationError(f"positive {positive.query.text!r} lacks an embedding")
-        unrelated = [
-            q
-            for q in pool
-            if q.embedding is not None
-            and q.text != positive.query.text
-            and cosine(q.embedding, positive.query.embedding) < RELATEDNESS_CEILING
-        ]
+        text = positive.query.text
+        unrelated = unrelated_by_text.get(text)
+        if unrelated is None:
+            unrelated = []
+            if pool_units is not None:
+                sims = np.clip(pool_units @ _unit_rows([positive.query])[0], -1.0, 1.0)
+                unrelated = [
+                    q for q, sim in zip(embedded, sims.tolist())
+                    if q.text != text and sim < RELATEDNESS_CEILING
+                ]
+            unrelated_by_text[text] = unrelated
         if len(unrelated) < neg_per_pos:
-            starved.append(positive.query.text)
+            starved.append(text)
             continue
         idx = rng.choice(len(unrelated), size=neg_per_pos, replace=False)
         for i in idx:
@@ -201,15 +220,24 @@ def label_pairs(
 def dedup_queries(
     queries: list[QueryRecord], threshold: float = DEDUP_THRESHOLD
 ) -> list[QueryRecord]:
-    """Greedy single-pass merge: drop a query whose cosine to any already
-    retained query reaches the threshold. Retained order is input order."""
-    retained: list[QueryRecord] = []
+    """Greedy single-pass merge over input order: a query is retained iff its
+    clipped cosine to every already retained query is strictly below the
+    threshold, so a query at or above it merges into the earliest retained
+    neighbour. The cosines come from one Gram matrix of unit rows, which
+    matches `core.cosine` up to rounding (about 1e-15); the greedy pass
+    reads its rows in input order. Retained order is input order."""
     for query in queries:
         if query.embedding is None:
             raise CurationError(f"query {query.text!r} lacks an embedding")
-        if all(cosine(query.embedding, kept.embedding) < threshold for kept in retained):
-            retained.append(query)
-    return retained
+    if not queries:
+        return []
+    units = _unit_rows(queries)
+    gram = np.clip(units @ units.T, -1.0, 1.0)
+    kept: list[int] = []
+    for i in range(len(queries)):
+        if not kept or bool((gram[i, kept] < threshold).all()):
+            kept.append(i)
+    return [queries[i] for i in kept]
 
 
 def curate(

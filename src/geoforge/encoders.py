@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Corpus, rng_for
+from .core import Corpus
 
 ENCODER_MAGIC = b"GEOENC01"
 DEFAULT_TEMPERATURE = 0.07

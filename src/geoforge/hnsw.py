@@ -111,7 +111,8 @@ class HnswIndex:
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dim,):
             raise HnswError(f"vector dim {vector.shape} does not match index dim {self.dim}")
-        if abs(float(np.linalg.norm(vector)) - 1.0) > 1e-4:
+        # written so that a NaN norm fails the test too
+        if not abs(float(np.linalg.norm(vector)) - 1.0) <= 1e-4:
             raise HnswError("vectors must be unit norm")
         return vector
 
@@ -344,41 +345,57 @@ class HnswIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> "HnswIndex":
-        with open(path, "rb") as fh:
-            magic = fh.read(len(INDEX_MAGIC))
-            if magic != INDEX_MAGIC:
-                raise HnswError(f"bad index magic in {path}")
-            try:
-                dim, count, m, ef_c, ef_s, entry = struct.unpack("<IIIIIq", fh.read(28))
-                (n_layers,) = struct.unpack("<I", fh.read(4))
-                index = cls(dim, HnswParams(M=m, ef_construction=ef_c, ef_search=ef_s))
-                index._ids = [
-                    struct.unpack("<q", fh.read(8))[0] for _ in range(count)
-                ]
-                raw = fh.read(count * dim * 4)
-                vectors = np.frombuffer(raw, dtype="<f4")
-                if vectors.size != count * dim:
-                    raise HnswError(f"truncated index file {path}")
-                index._store = vectors.reshape(count, dim).astype(np.float64)
-                # re-normalize: f32 rounding perturbs norms slightly
-                norms = np.linalg.norm(index._store, axis=1, keepdims=True)
-                np.divide(index._store, norms, out=index._store, where=norms > 0)
-                for l in range(n_layers):
-                    (n_nodes,) = struct.unpack("<I", fh.read(4))
-                    lay = _Layer(index._m_max(l))
-                    for _ in range(n_nodes):
-                        idx, deg = struct.unpack("<II", fh.read(8))
-                        lay.add_node(idx)
-                        lay.set_neighbors(
-                            idx, list(struct.unpack(f"<{deg}I", fh.read(deg * 4)))
-                        )
-                    index._layers.append(lay)
-            except struct.error as exc:
-                raise HnswError(f"truncated index file {path}: {exc}") from exc
-        index._id_to_idx = {eid: i for i, eid in enumerate(index._ids)}
-        index._entry = None if entry < 0 else entry
+        """Read an index written by `save`. A cut or inconsistent file raises
+        HnswError: every read is checked against the bytes left, and the
+        entry point and every node and neighbour id are checked against the
+        element count and the layer memberships."""
+        data = Path(path).read_bytes()
+        if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
+            raise HnswError(f"bad index magic in {path}")
+        try:
+            dim, count, m, ef_c, ef_s, entry = struct.unpack_from("<IIIIIq", data, 8)
+            (n_layers,) = struct.unpack_from("<I", data, 36)
+            params = HnswParams(M=m, ef_construction=ef_c, ef_search=ef_s)
+            ids = list(struct.unpack_from(f"<{count}q", data, 40))
+            pos = 40 + 8 * count
+            if pos + 4 * count * dim > len(data):
+                raise HnswError(f"truncated index file {path}")
+            vectors = np.frombuffer(data[pos : pos + 4 * count * dim], dtype="<f4")
+            pos += 4 * count * dim
+            index = cls(dim, params)
+            index._ids = ids
+            index._store = vectors.reshape(count, dim).astype(np.float64)
+            # re-normalize: f32 rounding perturbs norms slightly
+            norms = np.linalg.norm(index._store, axis=1, keepdims=True)
+            np.divide(index._store, norms, out=index._store, where=norms > 0)
+            for l in range(n_layers):
+                (n_nodes,) = struct.unpack_from("<I", data, pos)
+                pos += 4
+                lay = _Layer(index._m_max(l))
+                above = index._layers[-1].members if l > 0 else None
+                for _ in range(n_nodes):
+                    idx, deg = struct.unpack_from("<II", data, pos)
+                    # signed, so a corrupt id cannot overflow the int32 rows
+                    neighbors = struct.unpack_from(f"<{deg}i", data, pos + 8)
+                    pos += 8 + 4 * deg
+                    if idx >= count or (above is not None and idx not in above):
+                        raise HnswError(f"node {idx} out of range at layer {l} in {path}")
+                    lay.add_node(idx)
+                    lay.set_neighbors(idx, neighbors)
+                nodes = np.fromiter(lay.members, dtype=np.int64, count=len(lay.members))
+                linked = lay.adj[nodes][np.arange(lay.m_max) < lay.deg[nodes, None]]
+                if not np.isin(linked, nodes).all():
+                    raise HnswError(f"edge to a node outside layer {l} in {path}")
+                index._layers.append(lay)
+        except struct.error as exc:
+            raise HnswError(f"truncated index file {path}: {exc}") from exc
+        if count == 0 and entry == -1 and n_layers == 0:
+            return index
+        if not (0 <= entry < count and n_layers > 0 and entry in index._layers[-1].members):
+            raise HnswError(f"entry point {entry} outside the top layer in {path}")
+        index._id_to_idx = {eid: i for i, eid in enumerate(ids)}
+        index._entry = entry
         return index
-
 
 def build(
     vectors: dict[int, np.ndarray], params: HnswParams | None = None, seed: int = 0

@@ -48,12 +48,6 @@ class LinkGraph:
         self.nodes.add(dst)
         self.edges.add((src, dst))
 
-    def out_neighbors(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for src, dst in sorted(self.edges):
-            adj[src].append(dst)
-        return adj
-
     def in_degree(self) -> dict[str, int]:
         deg = {n: 0 for n in self.nodes}
         for _, dst in self.edges:
@@ -103,7 +97,14 @@ def pagerank(
     max_iter: int = 200,
 ) -> AuthorityScores:
     """Power iteration with uniform teleport; dangling mass is redistributed
-    uniformly. Stops when the L1 residual drops below tol."""
+    uniformly. Stops when the L1 residual drops below tol.
+
+    Each iteration is one `np.bincount` over a flat index array: first every
+    node once with its base term (teleport plus dangling share), then every
+    edge's target, with edges sorted by source. bincount adds in array order,
+    so node j's new score is its base term plus its in-edge contributions in
+    ascending source order, the order of a per-source `np.add.at` sweep.
+    """
     if not graph.nodes:
         raise LinkGraphError("pagerank needs a non-empty graph")
     if not 0.0 < damping < 1.0:
@@ -111,20 +112,21 @@ def pagerank(
     nodes = sorted(graph.nodes)
     idx = {n: i for i, n in enumerate(nodes)}
     n = len(nodes)
-    out_lists = graph.out_neighbors()
-    targets = [np.array([idx[d] for d in out_lists[node]], dtype=np.int64) for node in nodes]
-    out_deg = np.array([len(t) for t in targets], dtype=np.float64)
+    edges = np.array(
+        sorted((idx[src], idx[dst]) for src, dst in graph.edges), dtype=np.int64
+    ).reshape(-1, 2)
+    sources = edges[:, 0]
+    slots = np.concatenate([np.arange(n), edges[:, 1]])
+    out_deg = np.bincount(sources, minlength=n).astype(np.float64)
+    dangling = out_deg == 0
     rank = np.full(n, 1.0 / n)
     residual = 0.0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new = np.full(n, (1.0 - damping) / n)
-        dangling_mass = rank[out_deg == 0].sum()
-        new += damping * dangling_mass / n
-        contrib = np.divide(rank, out_deg, out=np.zeros_like(rank), where=out_deg > 0)
-        for i, t in enumerate(targets):
-            if t.size:
-                np.add.at(new, t, damping * contrib[i])
+        base = (1.0 - damping) / n + damping * rank[dangling].sum() / n
+        contrib = np.divide(rank, out_deg, out=np.zeros_like(rank), where=~dangling)
+        weights = np.concatenate([np.full(n, base), damping * contrib[sources]])
+        new = np.bincount(slots, weights=weights, minlength=n)
         residual = float(np.abs(new - rank).sum())
         rank = new
         if residual < tol:

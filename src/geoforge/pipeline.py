@@ -320,11 +320,12 @@ def annotate_pins(
 ) -> list[dict]:
     """Annotation records for the top-per_pin queries of every pin, in
     signature order. A query scores e_queries @ e_pin; ties break on text."""
+    text_rank = np.argsort(sorted(range(len(queries)), key=lambda i: queries[i].text))
     records = []
     for signature in sorted(pin_embeddings):
         scores = e_queries @ pin_embeddings[signature]
-        order = sorted(range(len(queries)), key=lambda i: (-scores[i], queries[i].text))
-        for rank_pos, i in enumerate(order[:per_pin], 1):
+        order = np.lexsort((text_rank, -scores))[:per_pin].tolist()
+        for rank_pos, i in enumerate(order, 1):
             records.append(
                 {
                     "pin_signature": signature,
@@ -662,7 +663,8 @@ def run_pipeline(
 ) -> tuple[dict, bool]:
     """Run the requested stages in dependency order.
 
-    A stage failure halts its dependents but independent stages continue.
+    A stage failure halts its dependents but independent stages continue;
+    the report records its message, exception type and traceback.
     Returns (report, ok).
     """
     requested = stages or STAGE_ORDER
@@ -686,7 +688,14 @@ def run_pipeline(
         try:
             metrics = STAGE_FUNCS[stage](config, ws)
         except Exception as exc:
-            report["stages"][stage] = {"status": "failed", "error": str(exc)}
+            import traceback  # only a failed run pays for this import
+
+            report["stages"][stage] = {
+                "status": "failed",
+                "error": str(exc),
+                "error_type": type(exc).__name__,
+                "traceback": traceback.format_exc(),
+            }
             failed.add(stage)
             ok = False
             continue

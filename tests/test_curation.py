@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoforge.core import EngagementRecord, LabeledPair, QueryRecord
+from geoforge.core import EngagementRecord, LabeledPair, QueryRecord, cosine
 from geoforge.curation import (
+    DEDUP_THRESHOLD,
+    RELATEDNESS_CEILING,
     CategoryMix,
     CurationError,
     category_counts,
@@ -162,6 +164,15 @@ class TestLabeling:
         assert all(p.source == "HardNegative" for p in negatives)
         assert all(p.query.text.startswith("neg") for p in negatives)
 
+    def test_positive_text_never_its_own_negative(self):
+        base = self._query("pos", [1.0, 0.0])
+        same_text = self._query("pos", [0.0, 1.0])  # unrelated embedding
+        others = [self._query(f"neg {i}", [0.0, 1.0]) for i in range(2)]
+        positives = [LabeledPair(pin_signature=1, query=base, label=+1)]
+        for seed in range(5):
+            out = label_pairs(positives, [same_text] + others, {}, neg_per_pos=2, seed=seed)
+            assert sorted(p.query.text for p in out[1:]) == ["neg 0", "neg 1"]
+
     def test_starved_negatives_fatal(self):
         base = self._query("pos", [1.0, 0.0])
         positives = [LabeledPair(pin_signature=1, query=base, label=+1)]
@@ -186,6 +197,165 @@ class TestDedup:
     def test_missing_embedding_fatal(self):
         with pytest.raises(CurationError, match="lacks an embedding"):
             dedup_queries([QueryRecord("a", "UseCase")])
+
+    def test_zero_norm_embedding_fatal(self):
+        zero = QueryRecord("z", "UseCase", embedding=np.zeros(2))
+        with pytest.raises(CurationError, match="zero-norm"):
+            dedup_queries([zero])
+
+    def test_empty(self):
+        assert dedup_queries([]) == []
+
+
+# --- equivalence of the vectorised rules with the per-pair scalar rule ---
+#
+# Pairs are drawn either at random or at a cosine within 1e-12 of a
+# threshold (but at least 1e-14 from it).  Both rules round the cosine
+# differently at the last few ulps (~1e-16), so closer pairs are not
+# decided by the data and are left out.
+
+DIM = st.integers(min_value=2, max_value=12)
+
+
+def _unit(rng, dim):
+    v = rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def _at_cosine(rng, anchor, cos):
+    """A unit vector whose cosine to the unit `anchor` is `cos` up to rounding."""
+    w = rng.standard_normal(anchor.size)
+    w -= (w @ anchor) * anchor
+    w /= np.linalg.norm(w)
+    return cos * anchor + np.sqrt(1.0 - cos * cos) * w
+
+
+def _near(threshold):
+    """Cosines 1e-14 to 1e-12 either side of `threshold`."""
+    return st.tuples(st.floats(1e-14, 1e-12), st.sampled_from([-1.0, 1.0])).map(
+        lambda t: threshold + t[0] * t[1]
+    )
+
+
+@st.composite
+def pairs(draw, threshold):
+    """(a, b) unit embeddings: random, or within 1e-12 of `threshold`."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = _unit(rng, draw(DIM))
+    if draw(st.booleans()):
+        return a, _unit(rng, a.size)
+    return a, _at_cosine(rng, a, draw(_near(threshold)))
+
+
+@st.composite
+def query_lists(draw, threshold, min_size=1):
+    """Queries whose embeddings mix random rows with rows sitting within
+    1e-12 of `threshold` to an earlier row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(DIM)
+    rows = []
+    for _ in range(draw(st.integers(min_size, 14))):
+        if rows and draw(st.booleans()):
+            anchor = rows[draw(st.integers(0, len(rows) - 1))]
+            rows.append(_at_cosine(rng, anchor, draw(_near(threshold))))
+        else:
+            rows.append(_unit(rng, dim))
+    return [QueryRecord(f"q{i}", "UseCase", embedding=r) for i, r in enumerate(rows)]
+
+
+def _scalar_label_pairs(positives, pool, navboost, neg_per_pos, seed):
+    """Per-pair reference: one `core.cosine` call per (positive, pool) pair."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for positive in positives:
+        coverage = navboost.get(
+            (positive.query.text, positive.pin_signature), positive.navboost_coverage
+        )
+        label = +1 if (positive.label == +1 or coverage > 0.54) else positive.label
+        out.append(LabeledPair(positive.pin_signature, positive.query, label, coverage, positive.source))
+        unrelated = [
+            q for q in pool
+            if q.embedding is not None
+            and q.text != positive.query.text
+            and cosine(q.embedding, positive.query.embedding) < RELATEDNESS_CEILING
+        ]
+        if len(unrelated) < neg_per_pos:
+            raise CurationError("starved")
+        for i in rng.choice(len(unrelated), size=neg_per_pos, replace=False):
+            out.append(LabeledPair(positive.pin_signature, unrelated[int(i)], -1, 0.0, "HardNegative"))
+    return out
+
+
+def _scalar_dedup(queries, threshold):
+    retained = []
+    for query in queries:
+        if all(cosine(query.embedding, kept.embedding) < threshold for kept in retained):
+            retained.append(query)
+    return retained
+
+
+class TestVectorisedEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs(RELATEDNESS_CEILING))
+    def test_label_pairs_decision_matches_scalar_cosine(self, pair):
+        a, b = pair
+        positive = LabeledPair(1, QueryRecord("pos", "UseCase", embedding=a), +1)
+        candidate = QueryRecord("cand", "UseCase", embedding=b)
+        related = not cosine(b, a) < RELATEDNESS_CEILING
+        try:
+            out = label_pairs([positive], [candidate], {}, neg_per_pos=1, seed=0)
+        except CurationError:
+            kept = False
+        else:
+            kept = [p.query.text for p in out] == ["pos", "cand"]
+        assert kept == (not related)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        query_lists(RELATEDNESS_CEILING, min_size=3),
+        st.data(),
+    )
+    def test_label_pairs_output_matches_scalar_reference(self, pool, data):
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+        positives = [
+            LabeledPair(pin_signature=k, query=pool[i], label=data.draw(st.sampled_from([1, -1])))
+            for k, i in enumerate(picks)
+        ]
+        navboost = {(positives[0].query.text, 0): 0.6}
+        neg_per_pos = data.draw(st.integers(0, 2))
+        seed = data.draw(st.integers(0, 1000))
+        try:
+            want = _scalar_label_pairs(positives, pool, navboost, neg_per_pos, seed)
+        except CurationError:
+            with pytest.raises(CurationError, match="not enough unrelated"):
+                label_pairs(positives, pool, navboost, neg_per_pos, seed)
+            return
+        assert label_pairs(positives, pool, navboost, neg_per_pos, seed) == want
+
+    def test_label_pairs_empty_pool_starves(self):
+        positive = LabeledPair(1, QueryRecord("pos", "UseCase", embedding=np.array([1.0, 0.0])), +1)
+        with pytest.raises(CurationError, match="not enough unrelated"):
+            label_pairs([positive], [], {}, neg_per_pos=1, seed=0)
+        bare = [QueryRecord("bare", "UseCase")]
+        with pytest.raises(CurationError, match="not enough unrelated"):
+            label_pairs([positive], bare, {}, neg_per_pos=1, seed=0)
+        assert len(label_pairs([positive], [], {}, neg_per_pos=0, seed=0)) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs(DEDUP_THRESHOLD))
+    def test_dedup_decision_matches_scalar_cosine(self, pair):
+        a, b = pair
+        queries = [
+            QueryRecord("a", "UseCase", embedding=a),
+            QueryRecord("b", "UseCase", embedding=b),
+        ]
+        merged = not cosine(b, a) < DEDUP_THRESHOLD
+        assert [q.text for q in dedup_queries(queries)] == (["a"] if merged else ["a", "b"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(query_lists(DEDUP_THRESHOLD))
+    def test_dedup_output_matches_scalar_reference(self, queries):
+        assert dedup_queries(queries) == _scalar_dedup(queries, DEDUP_THRESHOLD)
 
 
 class TestCurate:

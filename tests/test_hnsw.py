@@ -3,6 +3,8 @@ structural invariants, construction equivalence, and persistence."""
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,90 @@ class TestPersistence:
         index.save(path)
         path.write_bytes(path.read_bytes()[:200])
         with pytest.raises(HnswError, match="truncated"):
+            HnswIndex.load(path)
+
+
+class TestBoundary:
+    """Bad vectors and damaged files raise HnswError and nothing else."""
+
+    @pytest.fixture
+    def small(self, tmp_path):
+        rng = np.random.default_rng(5)
+        vecs = unit_rows(rng, 6, 8)
+        index = build({i: vecs[i] for i in range(6)}, HnswParams(M=2, ef_construction=4), seed=3)
+        path = tmp_path / "index.bin"
+        index.save(path)
+        return index, path
+
+    def test_nan_insert_rejected(self, small):
+        index, _ = small
+        bad = np.full(8, np.nan)
+        with pytest.raises(HnswError, match="unit norm"):
+            index.insert(99, bad)
+        half = np.zeros(8)
+        half[0], half[1] = 1.0, np.nan
+        with pytest.raises(HnswError, match="unit norm"):
+            index.insert(99, half)
+        assert len(index) == 6
+        index.check_invariants()
+
+    def test_nan_and_inf_search_rejected(self, small):
+        index, _ = small
+        for value in (np.nan, np.inf):
+            query = np.zeros(8)
+            query[3] = value
+            with pytest.raises(HnswError, match="unit norm"):
+                index.search(query, 3)
+
+    def test_cut_at_every_byte(self, small):
+        _, path = small
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(HnswError):
+                HnswIndex.load(path)
+        path.write_bytes(data)
+        assert len(HnswIndex.load(path)) == 6
+
+    def test_bit_flip_anywhere(self, small):
+        """Every single-bit flip either loads an index that can be searched
+        or raises HnswError."""
+        _, path = small
+        data = path.read_bytes()
+        query = unit_rows(np.random.default_rng(6), 1, 8)[0]
+        for pos in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[pos] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                try:
+                    HnswIndex.load(path).search(query, 3)
+                except HnswError:
+                    pass
+
+    def _patch(self, path, offset, fmt, value):
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, offset, value)
+        path.write_bytes(bytes(data))
+
+    def test_entry_point_out_of_range(self, small):
+        _, path = small
+        self._patch(path, 8 + 20, "<q", 6)  # magic, five uint32, then the entry
+        with pytest.raises(HnswError, match="entry point"):
+            HnswIndex.load(path)
+
+    def test_neighbour_id_out_of_range(self, small):
+        index, path = small
+        # header, layer count, ids, vectors, then layer 0: count, (idx, deg), ids
+        first_neighbour = 8 + 28 + 4 + 6 * 8 + 6 * 8 * 4 + 4 + 8
+        self._patch(path, first_neighbour, "<I", 6)
+        with pytest.raises(HnswError, match="outside layer"):
+            HnswIndex.load(path)
+
+    def test_node_id_out_of_range(self, small):
+        _, path = small
+        self._patch(path, 8 + 28 + 4 + 6 * 8 + 6 * 8 * 4 + 4, "<I", 1 << 30)
+        with pytest.raises(HnswError, match="out of range"):
             HnswIndex.load(path)
 
 

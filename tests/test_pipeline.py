@@ -3,6 +3,8 @@ loading, shared builders, and artifact/report integrity of a full run."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,12 @@ class TestStageGraph:
         assert result["status"] == "failed"
         assert "'build-index'" in result["error"]
         assert "gen-corpus" in result["error"]
+        assert result["error_type"] == "DependencyError"
+        assert result["traceback"].startswith("Traceback (most recent call last):")
+        assert "stage_build_index" in result["traceback"]
+        assert result["traceback"].rstrip().endswith(f"DependencyError: {result['error']}")
+        saved = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert saved["stages"]["build-index"] == result
 
     def test_failure_blocks_dependents_only(self, tmp_path):
         config = PipelineConfig(out_dir=tmp_path, n_pins=40, n_clusters=4)
