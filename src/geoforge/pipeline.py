@@ -367,11 +367,12 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
 
     # annotate every pin with its top-scoring deduped queries
     deduped = curation.dedup_queries(corpus.queries)
+    signatures = sorted(corpus.pins)
+    e_pins = model.embed_pin(
+        np.stack([ranker.pin_features(corpus.pins[s]) for s in signatures])
+    )
     annotations = annotate_pins(
-        {
-            s: model.embed_pin(ranker.pin_features(pin))[0]
-            for s, pin in corpus.pins.items()
-        },
+        dict(zip(signatures, e_pins)),
         deduped,
         model.embed_query(np.stack([ranker.query_features(q) for q in deduped])),
         config.annotations_per_pin,

@@ -256,7 +256,12 @@ def train_ranker(
     train: RankerTrainConfig | None = None,
 ) -> tuple[RankerModel, list[tuple[int, float]]]:
     """SGD over triplets (pin features, positive query feats, negative query
-    feats); returns the model and a (step, loss) log."""
+    feats); returns the model and a (step, loss) log.
+
+    Each step runs the query tower once, forward and backward, on the
+    positive rows stacked over the negative rows: LayerNorm and dropout act
+    per row and weight gradients sum over rows, so this is the gradient of
+    separate positive and negative passes."""
     if not triplets:
         raise RankerError("at least one training triplet required")
     train = train or RankerTrainConfig()
@@ -273,24 +278,20 @@ def train_ranker(
             model.pin_tower, b_pin, train=True,
             dropout_rate=config.dropout_rate, rng=rng,
         )
-        e_pos, cache_pos = tower_forward(
-            model.query_tower, b_pos, train=True,
+        e_query, cache_query = tower_forward(
+            model.query_tower, np.concatenate([b_pos, b_neg]), train=True,
             dropout_rate=config.dropout_rate, rng=rng,
         )
-        e_neg, cache_neg = tower_forward(
-            model.query_tower, b_neg, train=True,
-            dropout_rate=config.dropout_rate, rng=rng,
-        )
+        e_pos, e_neg = np.split(e_query, 2)
         loss, d_pin, d_pos, d_neg = margin_loss_batch(e_pin, e_pos, e_neg, config.margin)
         if not np.isfinite(loss):
             raise RankerError(f"non-finite loss at step {step}")
         g_pin = tower_backward(model.pin_tower, cache_pin, d_pin)
-        g_pos = tower_backward(model.query_tower, cache_pos, d_pos)
-        g_neg = tower_backward(model.query_tower, cache_neg, d_neg)
+        g_query = tower_backward(model.query_tower, cache_query, np.concatenate([d_pos, d_neg]))
         for param, grad in zip(model.pin_tower.parameters(), g_pin):
             param -= train.learning_rate * grad
-        for param, gp, gn in zip(model.query_tower.parameters(), g_pos, g_neg):
-            param -= train.learning_rate * (gp + gn)
+        for param, grad in zip(model.query_tower.parameters(), g_query):
+            param -= train.learning_rate * grad
         log.append((step, loss))
     return model, log
 

@@ -175,6 +175,36 @@ class TestTraining:
         _, log_b = train_ranker(triplets, SMALL, config)
         assert log_a == log_b
 
+    def test_fused_query_pass_matches_separate_passes(self):
+        """One query-tower pass over positives stacked on negatives gives
+        the update of separate positive and negative passes (no dropout)."""
+        triplets = _separable_triplets(30, seed=9)
+        train = RankerTrainConfig(steps=5, batch_size=8, learning_rate=0.05, seed=4)
+        fused, _ = train_ranker(triplets, SMALL, train)
+
+        model = RankerModel.init(SMALL, seed=train.seed)
+        rng = np.random.default_rng(train.seed + 1)
+        pins, pos, neg = (np.stack(col) for col in zip(*triplets))
+        for _ in range(train.steps):
+            idx = rng.choice(len(triplets), size=train.batch_size, replace=False)
+            e_pin, c_pin = tower_forward(model.pin_tower, pins[idx])
+            e_pos, c_pos = tower_forward(model.query_tower, pos[idx])
+            e_neg, c_neg = tower_forward(model.query_tower, neg[idx])
+            _, d_pin, d_pos, d_neg = margin_loss_batch(e_pin, e_pos, e_neg, SMALL.margin)
+            g_pin = tower_backward(model.pin_tower, c_pin, d_pin)
+            g_pos = tower_backward(model.query_tower, c_pos, d_pos)
+            g_neg = tower_backward(model.query_tower, c_neg, d_neg)
+            for param, grad in zip(model.pin_tower.parameters(), g_pin):
+                param -= train.learning_rate * grad
+            for param, gp, gn in zip(model.query_tower.parameters(), g_pos, g_neg):
+                param -= train.learning_rate * (gp + gn)
+
+        for tower in ("pin_tower", "query_tower"):
+            for got, want in zip(
+                getattr(fused, tower).parameters(), getattr(model, tower).parameters()
+            ):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_correct_rank_ties_fail(self):
         model = RankerModel.init(SMALL, seed=0)
         feats_pin = np.ones(SMALL.pin_input_dim)
