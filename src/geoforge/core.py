@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -367,10 +369,99 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
 
 
+@contextmanager
+def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
+    """Yield a temporary file beside ``path`` and move it into place when the
+    block ends; an exception removes it, so ``path`` is never half written."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+# little-endian only, so a file's bytes do not depend on the host
+ARRAY_DTYPES = ("<f4", "<i4", "<i8")
+_ARRAY_SPEC = {"dtype": str, "name": str, "shape": [int]}
+
+
+def save_arrays(
+    path: str | Path, magic: bytes, meta: dict, arrays: dict[str, np.ndarray]
+) -> None:
+    """Write arrays of ARRAY_DTYPES atomically: ``magic``, the header length
+    (uint64 LE), a sorted-key JSON header of ``meta`` and each array's name,
+    dtype and shape, then the arrays' bytes in that order."""
+    specs = [{"dtype": a.dtype.str, "name": n, "shape": list(a.shape)} for n, a in arrays.items()]
+    header = json.dumps(
+        {"arrays": specs, "meta": meta}, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    with _atomic_open(path, "wb") as fh:
+        fh.write(magic + len(header).to_bytes(8, "little") + header)
+        for a in arrays.values():
+            fh.write(a.tobytes())
+
+
+def _json_is(value, kind) -> bool:
+    """JSON type test: a dict kind needs exactly its keys, ``[kind]`` is a
+    list; an int fits int64 and is no bool; a float is finite or an int."""
+    if isinstance(kind, dict):
+        return (type(value) is dict and value.keys() == kind.keys()
+                and all(_json_is(value[k], t) for k, t in kind.items()))
+    if isinstance(kind, list):
+        return type(value) is list and all(_json_is(v, kind[0]) for v in value)
+    if kind is int or (kind is float and type(value) is int):
+        return type(value) is int and -(2**63) <= value < 2**63
+    if kind is float:
+        return type(value) is float and math.isfinite(value)
+    return type(value) is kind
+
+
+def load_arrays(
+    path: str | Path, magic: bytes, error: type[Exception], meta_types: dict
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a `save_arrays` file as (meta, read-only arrays by name); any
+    damage, or a meta not of ``meta_types`` (see `_json_is`), raises ``error``."""
+    data = Path(path).read_bytes()
+    if data[: len(magic)] != magic:
+        raise error(f"bad magic in {path}")
+    pos = len(magic) + 8
+    end = pos + int.from_bytes(data[len(magic) : pos], "little")
+    if len(data) < pos or end > len(data):
+        raise error(f"truncated header in {path}")
+    try:
+        header = json.loads(data[pos:end].decode("utf-8"))
+    except ValueError as exc:
+        raise error(f"corrupt header in {path}: {exc}") from exc
+    if not _json_is(header, {"arrays": [_ARRAY_SPEC], "meta": meta_types}):
+        raise error(f"header key missing or ill-typed in {path}")
+    arrays: dict[str, np.ndarray] = {}
+    for spec in header["arrays"]:
+        name, dtype, shape = spec["name"], spec["dtype"], spec["shape"]
+        if dtype not in ARRAY_DTYPES or any(n < 0 for n in shape) or name in arrays:
+            raise error(f"array {name!r} in {path}: repeated, negative shape {shape} "
+                        f"or dtype {dtype!r} not in {ARRAY_DTYPES}")
+        count = math.prod(shape)
+        if end + count * np.dtype(dtype).itemsize > len(data):
+            raise error(f"truncated array {name!r} in {path}")
+        try:
+            arrays[name] = np.frombuffer(data, dtype, count, end).reshape(shape)
+        except ValueError as exc:  # a zero-size shape too large for numpy
+            raise error(f"array {name!r} has shape {shape} in {path}: {exc}") from exc
+        end += arrays[name].nbytes
+        if arrays[name].dtype.kind == "f" and not np.isfinite(arrays[name]).all():
+            raise error(f"array {name!r} has non-finite values in {path}")
+    if end != len(data):
+        raise error(f"{len(data) - end} trailing bytes in {path}")
+    return header["meta"], arrays
 
 
 def load_corpus(manifest: CorpusManifest) -> Corpus:

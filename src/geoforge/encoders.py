@@ -9,15 +9,14 @@ checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import Corpus
+from .core import Corpus, load_arrays, save_arrays
 
-ENCODER_MAGIC = b"GEOENC01"
+ENCODER_MAGIC = b"GEOENC02"
 DEFAULT_TEMPERATURE = 0.07
 
 
@@ -247,123 +246,118 @@ def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainR
     co-board pin-pin pairs; ``searchsage`` trains a query tower and an
     entity tower on retained engagement pairs.
     """
-    rng = np.random.default_rng(config.seed)
-    if loss_kind == "pinclip":
-        encoders = {
-            "img": EncoderModel.init(corpus.d_v, config.hidden_dims, config.output_dim, rng),
-            "txt": EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng),
-        }
-        signatures = sorted(corpus.pins)
-        coboard = _coboard_pairs(corpus)
-        if not coboard:
-            raise EncoderError("pinclip training needs board co-save pairs")
-    elif loss_kind == "searchsage":
-        encoders = {
-            "qry": EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng),
-            "ent": EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng),
-        }
-        engaged = _engagement_pairs(corpus)
-        if not engaged:
-            raise EncoderError("searchsage training needs retained engagement pairs")
-        by_text = {q.text: q for q in corpus.queries}
-    else:
+    trainers = {"pinclip": _train_pinclip, "searchsage": _train_searchsage}
+    if loss_kind not in trainers:
         raise EncoderError(f"unknown loss kind {loss_kind!r}")
+    return trainers[loss_kind](corpus, config)
+
+
+def _train_pinclip(corpus: Corpus, config: TrainConfig) -> TrainResult:
+    rng = np.random.default_rng(config.seed)
+    img = EncoderModel.init(corpus.d_v, config.hidden_dims, config.output_dim, rng)
+    txt = EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng)
+    encoders = {"img": img, "txt": txt}
+    signatures = sorted(corpus.pins)
+    coboard = _coboard_pairs(corpus)
+    if not coboard:
+        raise EncoderError("pinclip training needs board co-save pairs")
 
     log: list[tuple[int, float, float]] = []
     for step in range(config.steps):
-        if loss_kind == "pinclip":
-            idx = rng.choice(len(signatures), size=min(config.batch_size, len(signatures)), replace=False)
-        elif loss_kind == "searchsage":
-            idx = rng.choice(len(engaged), size=min(config.batch_size, len(engaged)), replace=False)
-        if loss_kind == "pinclip":
-            sigs = [signatures[int(i)] for i in idx]
-            vis = np.stack([corpus.pins[s].visual_embedding for s in sigs])
-            txt = np.stack([corpus.pins[s].text_embedding for s in sigs])
-            pp_idx = rng.choice(len(coboard), size=min(config.batch_size, len(coboard)), replace=False)
-            pp = [coboard[int(i)] for i in pp_idx]
-            vis_a = np.stack([corpus.pins[a].visual_embedding for a, _ in pp])
-            vis_b = np.stack([corpus.pins[b].visual_embedding for _, b in pp])
+        idx = rng.choice(len(signatures), size=min(config.batch_size, len(signatures)), replace=False)
+        sigs = [signatures[int(i)] for i in idx]
+        vis = np.stack([corpus.pins[s].visual_embedding for s in sigs])
+        txt_in = np.stack([corpus.pins[s].text_embedding for s in sigs])
+        pp_idx = rng.choice(len(coboard), size=min(config.batch_size, len(coboard)), replace=False)
+        pp = [coboard[int(i)] for i in pp_idx]
+        vis_a = np.stack([corpus.pins[a].visual_embedding for a, _ in pp])
+        vis_b = np.stack([corpus.pins[b].visual_embedding for _, b in pp])
 
-            enc_vis, cache_vis = encoders["img"].forward(vis)
-            enc_txt, cache_txt = encoders["txt"].forward(txt)
-            enc_a, cache_a = encoders["img"].forward(vis_a)
-            enc_b, cache_b = encoders["img"].forward(vis_b)
-            loss, grads = pinclip_loss(
-                ContrastiveBatch(enc_vis, enc_txt, config.temperature),
-                ContrastiveBatch(enc_a, enc_b, config.temperature),
-            )
-            dw_img, db_img = encoders["img"].backward(cache_vis, grads["img_txt_anchors"])
-            dw_a, db_a = encoders["img"].backward(cache_a, grads["pin_pin_anchors"])
-            dw_b, db_b = encoders["img"].backward(cache_b, grads["pin_pin_positives"])
-            for i in range(len(dw_img)):
-                dw_img[i] += dw_a[i] + dw_b[i]
-                db_img[i] += db_a[i] + db_b[i]
-            dw_txt, db_txt = encoders["txt"].backward(cache_txt, grads["img_txt_positives"])
-            grad_norm = float(
-                np.sqrt(sum(float(np.sum(g * g)) for g in dw_img + dw_txt + db_img + db_txt))
-            )
-            encoders["img"].apply_gradients(dw_img, db_img, config.learning_rate)
-            encoders["txt"].apply_gradients(dw_txt, db_txt, config.learning_rate)
-        else:
-            chosen = [engaged[int(i)] for i in idx]
-            q_emb = np.stack([by_text[q].embedding for q, _ in chosen])
-            e_emb = np.stack([corpus.pins[s].text_embedding for _, s in chosen])
-            enc_q, cache_q = encoders["qry"].forward(q_emb)
-            enc_e, cache_e = encoders["ent"].forward(e_emb)
-            loss, grads = searchsage_loss(
-                {"QueryPin": ContrastiveBatch(enc_q, enc_e, config.temperature)}
-            )
-            d_q, d_e = grads["QueryPin"]
-            dw_q, db_q = encoders["qry"].backward(cache_q, d_q)
-            dw_e, db_e = encoders["ent"].backward(cache_e, d_e)
-            grad_norm = float(
-                np.sqrt(sum(float(np.sum(g * g)) for g in dw_q + dw_e + db_q + db_e))
-            )
-            encoders["qry"].apply_gradients(dw_q, db_q, config.learning_rate)
-            encoders["ent"].apply_gradients(dw_e, db_e, config.learning_rate)
-
-        if not np.isfinite(loss):
-            norms = {k: float(np.linalg.norm(m.weights[0])) for k, m in encoders.items()}
-            raise EncoderError(f"NaN loss at step {step}; parameter norms {norms}")
-        log.append((step, float(loss), grad_norm))
-
+        enc_vis, cache_vis = img.forward(vis)
+        enc_txt, cache_txt = txt.forward(txt_in)
+        enc_a, cache_a = img.forward(vis_a)
+        enc_b, cache_b = img.forward(vis_b)
+        loss, grads = pinclip_loss(
+            ContrastiveBatch(enc_vis, enc_txt, config.temperature),
+            ContrastiveBatch(enc_a, enc_b, config.temperature),
+        )
+        dw_img, db_img = img.backward(cache_vis, grads["img_txt_anchors"])
+        dw_a, db_a = img.backward(cache_a, grads["pin_pin_anchors"])
+        dw_b, db_b = img.backward(cache_b, grads["pin_pin_positives"])
+        for i in range(len(dw_img)):
+            dw_img[i] += dw_a[i] + dw_b[i]
+            db_img[i] += db_a[i] + db_b[i]
+        dw_txt, db_txt = txt.backward(cache_txt, grads["img_txt_positives"])
+        img.apply_gradients(dw_img, db_img, config.learning_rate)
+        txt.apply_gradients(dw_txt, db_txt, config.learning_rate)
+        _log_step(log, step, loss, dw_img + dw_txt + db_img + db_txt, encoders)
     return TrainResult(encoders=encoders, log=log)
 
 
-def save_model(model: EncoderModel, path: str | Path, magic: bytes = ENCODER_MAGIC) -> None:
-    """Checkpoint envelope: magic, layer count, per-layer dims, f32 weights."""
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(struct.pack("<I", len(model.weights)))
-        for w in model.weights:
-            fh.write(struct.pack("<II", *w.shape))
-        for w, b in zip(model.weights, model.biases):
-            fh.write(w.astype("<f4").tobytes())
-            fh.write(b.astype("<f4").tobytes())
+def _train_searchsage(corpus: Corpus, config: TrainConfig) -> TrainResult:
+    rng = np.random.default_rng(config.seed)
+    qry = EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng)
+    ent = EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng)
+    encoders = {"qry": qry, "ent": ent}
+    engaged = _engagement_pairs(corpus)
+    if not engaged:
+        raise EncoderError("searchsage training needs retained engagement pairs")
+    by_text = {q.text: q for q in corpus.queries}
+
+    log: list[tuple[int, float, float]] = []
+    for step in range(config.steps):
+        idx = rng.choice(len(engaged), size=min(config.batch_size, len(engaged)), replace=False)
+        chosen = [engaged[int(i)] for i in idx]
+        q_emb = np.stack([by_text[q].embedding for q, _ in chosen])
+        e_emb = np.stack([corpus.pins[s].text_embedding for _, s in chosen])
+        enc_q, cache_q = qry.forward(q_emb)
+        enc_e, cache_e = ent.forward(e_emb)
+        loss, grads = searchsage_loss(
+            {"QueryPin": ContrastiveBatch(enc_q, enc_e, config.temperature)}
+        )
+        d_q, d_e = grads["QueryPin"]
+        dw_q, db_q = qry.backward(cache_q, d_q)
+        dw_e, db_e = ent.backward(cache_e, d_e)
+        qry.apply_gradients(dw_q, db_q, config.learning_rate)
+        ent.apply_gradients(dw_e, db_e, config.learning_rate)
+        _log_step(log, step, loss, dw_q + dw_e + db_q + db_e, encoders)
+    return TrainResult(encoders=encoders, log=log)
 
 
-def load_model(path: str | Path, magic: bytes = ENCODER_MAGIC) -> EncoderModel:
-    with open(path, "rb") as fh:
-        header = fh.read(len(magic))
-        if header != magic:
-            raise EncoderError(f"bad checkpoint magic in {path}")
-        try:
-            (n_layers,) = struct.unpack("<I", fh.read(4))
-            shapes = [struct.unpack("<II", fh.read(8)) for _ in range(n_layers)]
-        except struct.error as exc:
-            raise EncoderError(f"truncated checkpoint {path}: {exc}") from exc
-        weights, biases = [], []
-        for rows, cols in shapes:
-            weights.append(_read_f32(fh, rows * cols, path).reshape(rows, cols))
-            biases.append(_read_f32(fh, rows, path))
+def _log_step(
+    log: list[tuple[int, float, float]], step: int, loss: float,
+    grads: list[np.ndarray], encoders: dict[str, EncoderModel],
+) -> None:
+    """Append (step, loss, gradient norm) to the log; a non-finite loss raises."""
+    if not np.isfinite(loss):
+        norms = {k: float(np.linalg.norm(m.weights[0])) for k, m in encoders.items()}
+        raise EncoderError(f"NaN loss at step {step}; parameter norms {norms}")
+    log.append((step, float(loss), float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))))
+
+
+def save_model(model: EncoderModel, path: str | Path) -> None:
+    """Save each layer's weights and biases as float32 ``w{i}`` and ``b{i}``."""
+    arrays = {}
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        arrays[f"w{i}"] = w.astype("<f4")
+        arrays[f"b{i}"] = b.astype("<f4")
+    save_arrays(path, ENCODER_MAGIC, {}, arrays)
+
+
+def load_model(path: str | Path) -> EncoderModel:
+    """Read a `save_model` checkpoint; damage or unchained shapes raise EncoderError."""
+    _, arrays = load_arrays(path, ENCODER_MAGIC, EncoderError, {})
+    n_layers = len(arrays) // 2
+    names = [f"{kind}{i}" for i in range(n_layers) for kind in "wb"]
+    if n_layers == 0 or {n: a.dtype.str for n, a in arrays.items()} != dict.fromkeys(names, "<f4"):
+        raise EncoderError(f"unexpected array names or dtypes in {path}")
+    weights = [arrays[f"w{i}"].astype(np.float64) for i in range(n_layers)]
+    biases = [arrays[f"b{i}"].astype(np.float64) for i in range(n_layers)]
+    if any(w.ndim != 2 or b.shape != w.shape[:1] for w, b in zip(weights, biases)) or any(
+        w.shape[0] != nxt.shape[1] for w, nxt in zip(weights, weights[1:])
+    ):
+        raise EncoderError(f"layer shapes do not chain in {path}")
     return EncoderModel(weights=weights, biases=biases)
-
-
-def _read_f32(fh, count: int, path: str | Path) -> np.ndarray:
-    raw = fh.read(4 * count)
-    if len(raw) != 4 * count:
-        raise EncoderError(f"truncated checkpoint {path}")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64)
 
 
 def write_train_log(log: list[tuple[int, float, float]], path: str | Path) -> None:

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import heapq
 import math
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-INDEX_MAGIC = b"GEOHNSW1"
+from .core import load_arrays, save_arrays
+
+INDEX_MAGIC = b"GEOHNSW2"
+INDEX_META = {"dim": int, "entry": int, "params": {"M": int, "ef_construction": int, "ef_search": int}}
+PAD = -1  # the value of a saved row's slots past its degree
 
 
 class HnswError(ValueError):
@@ -46,26 +49,15 @@ class HnswParams:
 
 
 class _Layer:
-    """Adjacency for one layer: padded row per member node."""
+    """Adjacency for one layer: a padded row per row of the vector store.
+    Nodes whose level is below the layer keep degree 0."""
 
-    __slots__ = ("m_max", "adj", "deg", "members")
+    __slots__ = ("m_max", "adj", "deg")
 
-    def __init__(self, m_max: int):
+    def __init__(self, m_max: int, capacity: int):
         self.m_max = m_max
-        self.adj = np.empty((16, m_max), dtype=np.int32)
-        self.deg = np.zeros(16, dtype=np.int32)
-        self.members: set[int] = set()
-
-    def add_node(self, idx: int) -> None:
-        if idx >= self.adj.shape[0]:
-            cap = max(32, self.adj.shape[0] * 2, idx + 1)
-            adj = np.empty((cap, self.m_max), dtype=np.int32)
-            adj[: self.adj.shape[0]] = self.adj
-            deg = np.zeros(cap, dtype=np.int32)
-            deg[: self.deg.shape[0]] = self.deg
-            self.adj, self.deg = adj, deg
-        self.deg[idx] = 0
-        self.members.add(idx)
+        self.adj = np.empty((capacity, m_max), dtype=np.int32)
+        self.deg = np.zeros(capacity, dtype=np.int32)
 
     def neighbors(self, idx: int) -> np.ndarray:
         return self.adj[idx, : self.deg[idx]]
@@ -76,9 +68,6 @@ class _Layer:
         self.adj[idx, : len(neighbors)] = neighbors
         self.deg[idx] = len(neighbors)
 
-    def to_dict(self) -> dict[int, list[int]]:
-        return {i: self.neighbors(i).tolist() for i in sorted(self.members)}
-
 
 class HnswIndex:
     def __init__(self, dim: int, params: HnswParams | None = None, seed: int = 0):
@@ -88,6 +77,7 @@ class HnswIndex:
         self._rng = np.random.default_rng(seed)
         self._store = np.empty((16, dim), dtype=np.float64)
         self._ids: list[int] = []
+        self._levels: list[int] = []  # each node's top layer
         self._id_to_idx: dict[int, int] = {}
         self._layers: list[_Layer] = []
         self._entry: int | None = None
@@ -225,18 +215,18 @@ class HnswIndex:
 
         idx = len(self._ids)
         if idx >= self._store.shape[0]:
-            grown = np.empty((max(32, self._store.shape[0] * 2), self.dim))
-            grown[:idx] = self._store[:idx]
-            self._store = grown
+            cap = max(32, 2 * idx)
+            self._store = _grown(self._store, cap)
+            for lay in self._layers:
+                lay.adj, lay.deg = _grown(lay.adj, cap), _grown(lay.deg, cap)
         self._store[idx] = vector
         self._ids.append(element_id)
+        self._levels.append(level)
         self._id_to_idx[element_id] = idx
 
         old_max = self.max_level
         while self.max_level < level:
-            self._layers.append(_Layer(self._m_max(len(self._layers))))
-        for l in range(level + 1):
-            self._layers[l].add_node(idx)
+            self._layers.append(_Layer(self._m_max(len(self._layers)), self._store.shape[0]))
 
         if self._entry is None:
             self._entry = idx
@@ -299,114 +289,96 @@ class HnswIndex:
         return [(self._ids[idx], 1.0 - dist) for dist, idx in results[:k]]
 
     def check_invariants(self) -> None:
-        """Full structural sweep; raises on any violated graph invariant."""
+        """Full structural sweep, whole-array per layer: each degree within
+        [0, m_max], each neighbour a node of the layer, no edge twice."""
+        levels = np.asarray(self._levels, dtype=np.int64)
         for l, lay in enumerate(self._layers):
-            if lay.m_max != self._m_max(l):
-                raise HnswError(f"layer {l} degree cap {lay.m_max} != {self._m_max(l)}")
-            for idx in lay.members:
-                neighbors = lay.neighbors(idx).tolist()
-                if len(neighbors) > lay.m_max:
-                    raise HnswError(
-                        f"degree {len(neighbors)} exceeds {lay.m_max} at layer {l}"
-                    )
-                if len(set(neighbors)) != len(neighbors):
-                    raise HnswError(f"duplicate edges at node {idx} layer {l}")
-                for n in neighbors:
-                    if n not in lay.members:
-                        raise HnswError(f"edge to absent node {n} at layer {l}")
-                if l > 0 and idx not in self._layers[l - 1].members:
-                    raise HnswError(f"node {idx} at layer {l} missing from layer {l - 1}")
+            members = np.flatnonzero(levels >= l)
+            rows, deg = lay.adj[members], lay.deg[members]
+            if ((deg < 0) | (deg > lay.m_max)).any():
+                raise HnswError(f"degree outside [0, {lay.m_max}] at layer {l}")
+            linked = np.arange(lay.m_max) < deg[:, None]
+            nbrs = rows[linked]
+            if ((nbrs < 0) | (nbrs >= levels.size)).any() or (levels[nbrs] < l).any():
+                raise HnswError(f"edge to a node outside layer {l}")
+            # unlinked slots get distinct negatives so only real edges can repeat
+            marked = np.sort(np.where(linked, rows, -1 - np.arange(lay.m_max)), axis=1)
+            if (marked[:, 1:] == marked[:, :-1]).any():
+                raise HnswError(f"duplicate edges at layer {l}")
 
     def save(self, path: str | Path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(INDEX_MAGIC)
-            fh.write(
-                struct.pack(
-                    "<IIIIIq",
-                    self.dim,
-                    len(self._ids),
-                    self.params.M,
-                    self.params.ef_construction,
-                    self.params.ef_search,
-                    -1 if self._entry is None else self._entry,
-                )
-            )
-            fh.write(struct.pack("<I", len(self._layers)))
-            for element_id in self._ids:
-                fh.write(struct.pack("<q", element_id))
-            fh.write(self._vectors.astype("<f4").tobytes())
-            for lay in self._layers:
-                graph = lay.to_dict()
-                fh.write(struct.pack("<I", len(graph)))
-                for idx in sorted(graph):
-                    neighbors = graph[idx]
-                    fh.write(struct.pack("<II", idx, len(neighbors)))
-                    fh.write(struct.pack(f"<{len(neighbors)}I", *neighbors))
+        """Save ids, float32 vectors, each node's top layer, and per layer l
+        the padded rows ``adj{l}`` and degrees ``deg{l}`` of its members."""
+        levels = np.asarray(self._levels, dtype="<i4")
+        arrays = {
+            "ids": np.asarray(self._ids, dtype="<i8"),
+            "vectors": self._vectors.astype("<f4"),
+            "levels": levels,
+        }
+        for l, lay in enumerate(self._layers):
+            members = np.flatnonzero(levels >= l)
+            deg = lay.deg[members]
+            linked = np.arange(lay.m_max) < deg[:, None]
+            arrays[f"adj{l}"] = np.where(linked, lay.adj[members], PAD).astype("<i4")
+            arrays[f"deg{l}"] = deg.astype("<i4")
+        entry = -1 if self._entry is None else self._entry
+        meta = {"dim": self.dim, "entry": entry, "params": asdict(self.params)}
+        save_arrays(path, INDEX_MAGIC, meta, arrays)
 
     @classmethod
     def load(cls, path: str | Path) -> "HnswIndex":
-        """Read an index written by `save`. A cut or inconsistent file raises
-        HnswError: every read is checked against the bytes left, and the
-        entry point and every node and neighbour id are checked against the
-        element count and the layer memberships."""
-        data = Path(path).read_bytes()
-        if data[: len(INDEX_MAGIC)] != INDEX_MAGIC:
-            raise HnswError(f"bad index magic in {path}")
-        try:
-            dim, count, m, ef_c, ef_s, entry = struct.unpack_from("<IIIIIq", data, 8)
-            (n_layers,) = struct.unpack_from("<I", data, 36)
-            params = HnswParams(M=m, ef_construction=ef_c, ef_search=ef_s)
-            ids = list(struct.unpack_from(f"<{count}q", data, 40))
-            pos = 40 + 8 * count
-            if pos + 4 * count * dim > len(data):
-                raise HnswError(f"truncated index file {path}")
-            vectors = np.frombuffer(data[pos : pos + 4 * count * dim], dtype="<f4")
-            pos += 4 * count * dim
-            index = cls(dim, params)
-            index._ids = ids
-            index._store = vectors.reshape(count, dim).astype(np.float64)
-            # re-normalize: f32 rounding perturbs norms slightly
-            norms = np.linalg.norm(index._store, axis=1, keepdims=True)
-            np.divide(index._store, norms, out=index._store, where=norms > 0)
-            for l in range(n_layers):
-                (n_nodes,) = struct.unpack_from("<I", data, pos)
-                pos += 4
-                lay = _Layer(index._m_max(l))
-                above = index._layers[-1].members if l > 0 else None
-                for _ in range(n_nodes):
-                    idx, deg = struct.unpack_from("<II", data, pos)
-                    # signed, so a corrupt id cannot overflow the int32 rows
-                    neighbors = struct.unpack_from(f"<{deg}i", data, pos + 8)
-                    pos += 8 + 4 * deg
-                    if idx >= count or (above is not None and idx not in above):
-                        raise HnswError(f"node {idx} out of range at layer {l} in {path}")
-                    lay.add_node(idx)
-                    lay.set_neighbors(idx, neighbors)
-                nodes = np.fromiter(lay.members, dtype=np.int64, count=len(lay.members))
-                linked = lay.adj[nodes][np.arange(lay.m_max) < lay.deg[nodes, None]]
-                if not np.isin(linked, nodes).all():
-                    raise HnswError(f"edge to a node outside layer {l} in {path}")
-                index._layers.append(lay)
-        except struct.error as exc:
-            raise HnswError(f"truncated index file {path}: {exc}") from exc
-        if count == 0 and entry == -1 and n_layers == 0:
-            return index
-        if not (0 <= entry < count and n_layers > 0 and entry in index._layers[-1].members):
+        """Read an index written by `save`; whole-array checks of levels,
+        degrees, neighbours and entry point raise HnswError on any fault."""
+        meta, arrays = load_arrays(path, INDEX_MAGIC, HnswError, INDEX_META)
+        n_layers = (len(arrays) - 3) // 2
+        expected = {"ids": "<i8", "vectors": "<f4", "levels": "<i4"}
+        for l in range(n_layers):
+            expected |= {f"adj{l}": "<i4", f"deg{l}": "<i4"}
+        if {name: a.dtype.str for name, a in arrays.items()} != expected:
+            raise HnswError(f"unexpected array names or dtypes in {path}")
+        ids, vectors, levels = arrays["ids"], arrays["vectors"], arrays["levels"]
+        count, dim, entry = ids.size, meta["dim"], meta["entry"]
+        if (ids.shape != (count,) or vectors.shape != (count, dim) or levels.shape != (count,)
+                or len(np.unique(ids)) != count):
+            raise HnswError(f"ids repeat or disagree with vectors and levels on shape in {path}")
+        if (levels < 0).any() or int(levels.max(initial=-1)) + 1 != n_layers:
+            raise HnswError(f"node level out of range for {n_layers} layers in {path}")
+        index = cls(dim, HnswParams(**meta["params"]))
+        for l in range(n_layers):
+            m_max = index._m_max(l)
+            members = np.flatnonzero(levels >= l)
+            adj, deg = arrays[f"adj{l}"], arrays[f"deg{l}"]
+            if adj.shape != (members.size, m_max) or deg.shape != (members.size,):
+                raise HnswError(f"layer {l} arrays do not match its members in {path}")
+            lay = _Layer(m_max, count)
+            lay.adj[members] = adj
+            lay.deg[members] = deg
+            index._layers.append(lay)
+        if not (entry == -1 == count - 1 or 0 <= entry < count and levels[entry] == n_layers - 1):
             raise HnswError(f"entry point {entry} outside the top layer in {path}")
-        index._id_to_idx = {eid: i for i, eid in enumerate(ids)}
-        index._entry = entry
+        index._levels = levels.tolist()
+        index.check_invariants()
+        index._ids = ids.tolist()
+        index._store = vectors.astype(np.float64)
+        # re-normalize: f32 rounding perturbs norms slightly
+        norms = np.linalg.norm(index._store, axis=1, keepdims=True)
+        np.divide(index._store, norms, out=index._store, where=norms > 0)
+        index._id_to_idx = {eid: i for i, eid in enumerate(index._ids)}
+        index._entry = None if count == 0 else entry
         return index
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` with zero rows appended up to ``rows``."""
+    return np.concatenate([a, np.zeros((rows - len(a), *a.shape[1:]), a.dtype)])
+
 
 def build(
     vectors: dict[int, np.ndarray], params: HnswParams | None = None, seed: int = 0
 ) -> HnswIndex:
     """Batch build by sequential insertion in sorted-id order (deterministic)."""
     items = sorted(vectors.items())
-    if not items:
-        return HnswIndex(dim=0 if not vectors else len(next(iter(vectors.values()))),
-                         params=params, seed=seed)
-    dim = len(items[0][1])
-    index = HnswIndex(dim=dim, params=params, seed=seed)
+    index = HnswIndex(dim=len(items[0][1]) if items else 0, params=params, seed=seed)
     for element_id, vector in items:
         index.insert(element_id, vector)
     return index

@@ -272,17 +272,10 @@ def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
     matrix = img_encoder.encode_batch(
         np.stack([corpus.pins[s].visual_embedding for s in signatures])
     )
-    index = hnsw.HnswIndex(
-        dim=matrix.shape[1],
-        params=hnsw.HnswParams(
-            M=config.hnsw_m,
-            ef_construction=config.ef_construction,
-            ef_search=config.ef_search,
-        ),
-        seed=subseed(config.seed, "index"),
+    params = hnsw.HnswParams(
+        M=config.hnsw_m, ef_construction=config.ef_construction, ef_search=config.ef_search
     )
-    for signature, row in zip(signatures, matrix):
-        index.insert(signature, row)
+    index = hnsw.build(dict(zip(signatures, matrix)), params, seed=subseed(config.seed, "index"))
     index.check_invariants()
     index.save(ws.index_file)
     return {"elements": len(index), "layers": index.max_level + 1}

@@ -8,15 +8,16 @@ gradients; scoring is the cosine of the two tower outputs.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import PinRecord, QueryRecord
+from .core import PinRecord, QueryRecord, load_arrays, save_arrays
 
-RANKER_MAGIC = b"GEORNK01"
+RANKER_MAGIC = b"GEORNK02"
+RANKER_META = {"d_v": int, "d_t": int, "hidden": [int], "output_dim": int,
+               "dropout_rate": float, "margin": float, "width_mult": float}
 LN_EPS = 1e-5
 
 
@@ -212,14 +213,6 @@ class RankerModel:
         out, _ = tower_forward(self.query_tower, features)
         return out
 
-    def score(self, pin_feats: np.ndarray, query_feats: np.ndarray) -> float:
-        return float(np.dot(self.embed_pin(pin_feats)[0], self.embed_query(query_feats)[0]))
-
-    def score_batch(self, pin_feats: np.ndarray, query_feats: np.ndarray) -> np.ndarray:
-        e_pin = self.embed_pin(pin_feats)
-        e_query = self.embed_query(query_feats)
-        return np.sum(e_pin * e_query, axis=1)
-
 
 def margin_loss(
     e_pin: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray, m: float = 0.95
@@ -304,81 +297,48 @@ def correct_rank(
     Ties count as failures."""
     if not triplets:
         raise RankerError("empty evaluation set")
-    pins = np.stack([t[0] for t in triplets])
-    positives = np.stack([t[1] for t in triplets])
-    negatives = np.stack([t[2] for t in triplets])
-    pos_scores = model.score_batch(pins, positives)
-    neg_scores = model.score_batch(pins, negatives)
+    pins, positives, negatives = (np.stack(column) for column in zip(*triplets))
+    e_pin = model.embed_pin(pins)
+    pos_scores = np.sum(e_pin * model.embed_query(positives), axis=1)
+    neg_scores = np.sum(e_pin * model.embed_query(negatives), axis=1)
     return float(np.mean(pos_scores > neg_scores))
 
 
 def save_ranker(model: RankerModel, path: str | Path) -> None:
-    arrays = model.pin_tower.parameters() + model.query_tower.parameters()
-    with open(path, "wb") as fh:
-        fh.write(RANKER_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIdI",
-                model.config.d_v,
-                model.config.d_t,
-                len(model.config.hidden),
-                model.config.width_mult,
-                len(arrays),
-            )
-        )
-        for h in model.config.hidden:
-            fh.write(struct.pack("<I", h))
-        fh.write(
-            struct.pack(
-                "<Idd",
-                model.config.output_dim,
-                model.config.dropout_rate,
-                model.config.margin,
-            )
-        )
-        for arr in arrays:
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4").tobytes())
+    """Save the TowerConfig as meta and each tower's `Tower.parameters` as
+    float32 arrays ``pin{i}`` and ``query{i}``."""
+    arrays = {}
+    for prefix, tower in (("pin", model.pin_tower), ("query", model.query_tower)):
+        for i, param in enumerate(tower.parameters()):
+            arrays[f"{prefix}{i}"] = param.astype("<f4")
+    save_arrays(path, RANKER_MAGIC, asdict(model.config), arrays)
+
+
+def _parameter_shapes(input_dim: int, hidden: list[int], output_dim: int) -> list[tuple]:
+    """Shapes of `Tower.parameters`, in order."""
+    shapes: list[tuple] = []
+    for width in hidden:
+        shapes += [(width, input_dim), (width,), (width,), (width,)]
+        input_dim = width
+    return shapes + [(output_dim, input_dim), (output_dim,)]
 
 
 def load_ranker(path: str | Path) -> RankerModel:
-    with open(path, "rb") as fh:
-        if fh.read(len(RANKER_MAGIC)) != RANKER_MAGIC:
-            raise RankerError(f"bad ranker magic in {path}")
-        try:
-            d_v, d_t, n_hidden, width_mult, n_arrays = struct.unpack("<IIIdI", fh.read(24))
-            hidden = [struct.unpack("<I", fh.read(4))[0] for _ in range(n_hidden)]
-            output_dim, dropout_rate, margin = struct.unpack("<Idd", fh.read(20))
-            arrays: list[np.ndarray] = []
-            for _ in range(n_arrays):
-                (ndim,) = struct.unpack("<I", fh.read(4))
-                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                nbytes = 4 * int(np.prod(shape))
-                raw = fh.read(nbytes)
-                if len(raw) != nbytes:
-                    raise RankerError(f"truncated ranker checkpoint {path}")
-                arrays.append(np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64))
-        except struct.error as exc:
-            raise RankerError(f"truncated ranker checkpoint {path}: {exc}") from exc
-    config = TowerConfig(
-        d_v=d_v, d_t=d_t, hidden=hidden, output_dim=output_dim,
-        dropout_rate=dropout_rate, margin=margin, width_mult=width_mult,
-    )
+    """Read a `save_ranker` checkpoint; damage or a shape misfit raises RankerError."""
+    meta, arrays = load_arrays(path, RANKER_MAGIC, RankerError, RANKER_META)
+    config = TowerConfig(**meta)
+    expected = {}
+    for prefix, input_dim in (("pin", config.pin_input_dim), ("query", config.query_input_dim)):
+        shapes = _parameter_shapes(input_dim, config.scaled_hidden(), config.scaled_output())
+        expected |= {f"{prefix}{i}": ("<f4", shape) for i, shape in enumerate(shapes)}
+    if {name: (a.dtype.str, a.shape) for name, a in arrays.items()} != expected:
+        raise RankerError(f"parameters do not match the tower config in {path}")
 
-    def rebuild(chunk: list[np.ndarray]) -> Tower:
-        layers = []
-        i = 0
-        for _ in hidden:
-            layers.append((chunk[i], chunk[i + 1], chunk[i + 2], chunk[i + 3]))
-            i += 4
-        return Tower(hidden=layers, final_w=chunk[i], final_b=chunk[i + 1])
+    def rebuild(prefix: str) -> Tower:
+        params = [
+            arrays[f"{prefix}{i}"].astype(np.float64) for i in range(len(expected) // 2)
+        ]
+        hidden = [tuple(params[i : i + 4]) for i in range(0, len(params) - 2, 4)]
+        return Tower(hidden=hidden, final_w=params[-2], final_b=params[-1])
 
-    per_tower = len(hidden) * 4 + 2
-    if len(arrays) != 2 * per_tower:
-        raise RankerError(f"unexpected array count in {path}")
-    return RankerModel(
-        pin_tower=rebuild(arrays[:per_tower]),
-        query_tower=rebuild(arrays[per_tower:]),
-        config=config,
-    )
+    return RankerModel(pin_tower=rebuild("pin"), query_tower=rebuild("query"), config=config)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import geoforge
 from geoforge.core import (
     SEED_OFFSETS,
     CorpusError,
@@ -20,11 +25,14 @@ from geoforge.core import (
     hashed_bag_of_tokens,
     is_unit,
     l2_normalize,
+    load_arrays,
     load_corpus,
     read_jsonl,
     rng_for,
+    save_arrays,
     save_corpus,
     subseed,
+    write_jsonl,
 )
 
 
@@ -242,3 +250,131 @@ class TestHashing:
         assert file_checksum(a) == file_checksum(b)
         b.write_bytes(b"abd" * 1000)
         assert file_checksum(a) != file_checksum(b)
+
+
+MAGIC = b"TESTBOX1"
+
+
+class BoxError(ValueError):
+    pass
+
+
+def _box(header, payload: bytes = b"", magic: bytes = MAGIC) -> bytes:
+    """A container file assembled by hand, so a test can damage any part."""
+    blob = json.dumps(header).encode("utf-8")
+    return magic + len(blob).to_bytes(8, "little") + blob + payload
+
+
+def _spec(name="a", dtype="<f4", shape=(2,)):
+    return {"dtype": dtype, "name": name, "shape": list(shape)}
+
+
+ONE_F4 = np.ones(1, dtype="<f4").tobytes()
+
+
+class TestArrayContainer:
+    def test_roundtrip(self, tmp_path):
+        arrays = {
+            "w": np.arange(6, dtype="<f4").reshape(2, 3),
+            "ids": np.array([-5, 2**40], dtype="<i8"),
+            "adj": np.array([[1, -1]], dtype="<i4"),
+            "none": np.zeros((0, 4), dtype="<f4"),
+        }
+        meta = {"n": 3, "x": 0.25, "name": "box", "dims": [4, 2]}
+        path = tmp_path / "box.bin"
+        save_arrays(path, MAGIC, meta, arrays)
+        got_meta, got = load_arrays(
+            path, MAGIC, BoxError, {"n": int, "x": float, "name": str, "dims": [int]}
+        )
+        assert got_meta == meta
+        assert list(got) == list(arrays)
+        for name, a in arrays.items():
+            assert got[name].dtype == a.dtype and np.array_equal(got[name], a)
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (_box({"arrays": [], "meta": {"n": 1}}, magic=b"OTHERBOX"), "magic"),
+            (MAGIC + b"\x05\x00", "truncated"),
+            (MAGIC + (999).to_bytes(8, "little") + b"{}", "truncated"),
+            (MAGIC + (9).to_bytes(8, "little") + b"{not json", "corrupt"),
+            (_box({"arrays": []}), "missing or ill-typed"),
+            (_box({"arrays": [], "meta": {"n": "1"}}), "missing or ill-typed"),
+            (_box({"arrays": [], "meta": {"n": True}}), "missing or ill-typed"),
+            (_box({"arrays": [], "meta": {"n": 1, "m": 2}}), "missing or ill-typed"),
+            (_box({"arrays": [{"name": "a", "dtype": "<f4"}], "meta": {"n": 1}}),
+             "missing or ill-typed"),
+            (_box({"arrays": [_spec(shape=(1.5,))], "meta": {"n": 1}}), "missing or ill-typed"),
+            (_box({"arrays": [_spec(dtype="<f8")], "meta": {"n": 1}}, ONE_F4 * 4), "dtype"),
+            (_box({"arrays": [_spec(shape=(-1,))], "meta": {"n": 1}}), "negative"),
+            (_box({"arrays": [_spec(), _spec()], "meta": {"n": 1}}, ONE_F4 * 4), "repeated"),
+            (_box({"arrays": [], "meta": {"n": 1}}, b"\x00"), "trailing"),
+            (_box({"arrays": [_spec()], "meta": {"n": 1}}, ONE_F4), "truncated"),
+            (_box({"arrays": [_spec()], "meta": {"n": 1}}, ONE_F4 * 3), "trailing"),
+            (_box({"arrays": [_spec(shape=(1,))], "meta": {"n": 1}},
+                  np.array([np.nan], dtype="<f4").tobytes()), "non-finite"),
+        ],
+    )
+    def test_damage_raises_callers_error(self, tmp_path, data, match):
+        path = tmp_path / "box.bin"
+        path.write_bytes(data)
+        with pytest.raises(BoxError, match=match):
+            load_arrays(path, MAGIC, BoxError, {"n": int})
+
+    def test_int_is_a_float_but_not_infinite(self, tmp_path):
+        path = tmp_path / "box.bin"
+        path.write_bytes(_box({"arrays": [], "meta": {"x": 2}}))
+        assert load_arrays(path, MAGIC, BoxError, {"x": float})[0] == {"x": 2}
+        path.write_bytes(_box({"arrays": [], "meta": {"x": float("inf")}}))
+        with pytest.raises(BoxError, match="ill-typed"):
+            load_arrays(path, MAGIC, BoxError, {"x": float})
+
+
+class TestAtomicWrites:
+    """A write that fails partway leaves the old bytes, or no file, and no
+    temporary file."""
+
+    def test_write_jsonl(self, tmp_path):
+        def killed():
+            yield {"a": 2}
+            raise RuntimeError("killed")
+
+        path = tmp_path / "x.jsonl"
+        with pytest.raises(RuntimeError):
+            write_jsonl(path, killed())
+        assert list(tmp_path.iterdir()) == []
+        write_jsonl(path, [{"a": 1}])
+        with pytest.raises(RuntimeError):
+            write_jsonl(path, killed())
+        assert path.read_bytes() == b'{"a":1}\n'
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_save_arrays(self, tmp_path):
+        class Killed(np.ndarray):
+            def tobytes(self, order="C"):
+                raise RuntimeError("killed")
+
+        path = tmp_path / "box.bin"
+        save_arrays(path, MAGIC, {}, {"a": np.ones(2, dtype="<f4")})
+        before = path.read_bytes()
+        arrays = {"a": np.zeros(2, dtype="<f4"), "b": np.zeros(3, dtype="<f4").view(Killed)}
+        with pytest.raises(RuntimeError):
+            save_arrays(path, MAGIC, {}, arrays)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
+def test_only_core_imports_struct():
+    """Binary layouts live behind core's array container."""
+    importers = set()
+    for path in Path(geoforge.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "struct" in names:
+                importers.add(path.stem)
+    assert importers <= {"core"}

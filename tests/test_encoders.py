@@ -164,6 +164,40 @@ class TestCheckpoints:
         with pytest.raises(EncoderError, match="truncated"):
             load_model(path)
 
+    def test_bit_flip_anywhere(self, tmp_path):
+        """Every single-bit flip either loads a model that can encode or
+        raises EncoderError."""
+        model = EncoderModel.init(4, [3], 2, np.random.default_rng(0))
+        path = tmp_path / "enc.bin"
+        save_model(model, path)
+        data = path.read_bytes()
+        probe = np.random.default_rng(1).standard_normal(4)
+        for pos in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[pos] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                try:
+                    load_model(path).encode(probe)
+                except EncoderError:
+                    pass
+
+    def test_unchained_layers_rejected(self, tmp_path):
+        model = EncoderModel(
+            weights=[np.ones((3, 4)), np.ones((2, 5))], biases=[np.zeros(3), np.zeros(2)]
+        )
+        path = tmp_path / "enc.bin"
+        save_model(model, path)
+        with pytest.raises(EncoderError, match="chain"):
+            load_model(path)
+
+    def test_save_load_save_identical_bytes(self, tmp_path):
+        model = EncoderModel.init(6, [5], 4, np.random.default_rng(3))
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_truncated_at_every_offset(self, tmp_path):
         model = EncoderModel.init(4, [3], 2, np.random.default_rng(0))
         path = tmp_path / "enc.bin"
@@ -173,7 +207,7 @@ class TestCheckpoints:
             path.write_bytes(data[:cut])
             with pytest.raises(EncoderError):
                 load_model(path)
-        # a header cut inside the layer shapes
-        path.write_bytes(b"GEOENC01\x01\x00")
+        # a cut inside the header length
+        path.write_bytes(b"GEOENC02\x01\x00")
         with pytest.raises(EncoderError, match="truncated"):
             load_model(path)

@@ -3,12 +3,13 @@ structural invariants, construction equivalence, and persistence."""
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 import pytest
 
+from geoforge.core import load_arrays, save_arrays
 from geoforge.hnsw import (
+    INDEX_MAGIC,
+    INDEX_META,
     HnswError,
     HnswIndex,
     HnswParams,
@@ -139,6 +140,16 @@ class TestPersistence:
                 [s for _, s in got], [s for _, s in want], atol=1e-6
             )
 
+    def test_save_load_save_identical_bytes(self, corpus_300, tmp_path):
+        """A re-save writes the bytes it loaded. The loader renormalises the
+        float32 rows, so this holds while each renormalised row rounds back
+        to the float32 row it came from, as every row here does."""
+        index = build(corpus_300[0], seed=1)
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        index.save(first)
+        HnswIndex.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "index.bin"
         path.write_bytes(b"NOTINDEX" + b"\x00" * 64)
@@ -213,28 +224,63 @@ class TestBoundary:
                 except HnswError:
                     pass
 
-    def _patch(self, path, offset, fmt, value):
-        data = bytearray(path.read_bytes())
-        struct.pack_into(fmt, data, offset, value)
-        path.write_bytes(bytes(data))
+    @staticmethod
+    def _arrays(path):
+        meta, arrays = load_arrays(path, INDEX_MAGIC, HnswError, INDEX_META)
+        return meta, {name: a.copy() for name, a in arrays.items()}
 
     def test_entry_point_out_of_range(self, small):
         _, path = small
-        self._patch(path, 8 + 20, "<q", 6)  # magic, five uint32, then the entry
+        meta, arrays = self._arrays(path)
+        meta["entry"] = 6
+        save_arrays(path, INDEX_MAGIC, meta, arrays)
         with pytest.raises(HnswError, match="entry point"):
             HnswIndex.load(path)
 
+    def test_entry_point_below_top_layer(self, small):
+        _, path = small
+        meta, arrays = self._arrays(path)
+        levels = arrays["levels"]
+        meta["entry"] = int(np.flatnonzero(levels < levels.max())[0])
+        save_arrays(path, INDEX_MAGIC, meta, arrays)
+        with pytest.raises(HnswError, match="entry point"):
+            HnswIndex.load(path)
+
+    def test_duplicate_ids(self, small):
+        _, path = small
+        meta, arrays = self._arrays(path)
+        arrays["ids"][1] = arrays["ids"][0]
+        save_arrays(path, INDEX_MAGIC, meta, arrays)
+        with pytest.raises(HnswError, match="ids repeat"):
+            HnswIndex.load(path)
+
+    @pytest.mark.parametrize("damage, match", [("degree", "degree"), ("repeat", "duplicate edges")])
+    def test_damaged_layer_rows(self, small, damage, match):
+        _, path = small
+        meta, arrays = self._arrays(path)
+        adj, deg = arrays["adj0"], arrays["deg0"]
+        node = int(np.flatnonzero(deg >= 2)[0])
+        if damage == "degree":
+            deg[node] = adj.shape[1] + 1
+        else:
+            adj[node, 1] = adj[node, 0]
+        save_arrays(path, INDEX_MAGIC, meta, arrays)
+        with pytest.raises(HnswError, match=match):
+            HnswIndex.load(path)
+
     def test_neighbour_id_out_of_range(self, small):
-        index, path = small
-        # header, layer count, ids, vectors, then layer 0: count, (idx, deg), ids
-        first_neighbour = 8 + 28 + 4 + 6 * 8 + 6 * 8 * 4 + 4 + 8
-        self._patch(path, first_neighbour, "<I", 6)
+        _, path = small
+        meta, arrays = self._arrays(path)
+        arrays["adj0"][0, 0] = 6
+        save_arrays(path, INDEX_MAGIC, meta, arrays)
         with pytest.raises(HnswError, match="outside layer"):
             HnswIndex.load(path)
 
     def test_node_id_out_of_range(self, small):
         _, path = small
-        self._patch(path, 8 + 28 + 4 + 6 * 8 + 6 * 8 * 4 + 4, "<I", 1 << 30)
+        meta, arrays = self._arrays(path)
+        arrays["levels"][0] = 1 << 30
+        save_arrays(path, INDEX_MAGIC, meta, arrays)
         with pytest.raises(HnswError, match="out of range"):
             HnswIndex.load(path)
 

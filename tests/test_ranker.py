@@ -224,10 +224,24 @@ class TestPersistence:
         path = tmp_path / "ranker.bin"
         save_ranker(model, path)
         loaded = load_ranker(path)
-        assert loaded.config.margin == SMALL.margin
+        assert loaded.config == model.config
         feats_pin = np.ones(SMALL.pin_input_dim)
         feats_q = np.ones(SMALL.query_input_dim)
-        assert abs(model.score(feats_pin, feats_q) - loaded.score(feats_pin, feats_q)) <= 1e-5
+        np.testing.assert_allclose(
+            loaded.embed_pin(feats_pin), model.embed_pin(feats_pin), rtol=0, atol=1e-5
+        )
+        np.testing.assert_allclose(
+            loaded.embed_query(feats_q), model.embed_query(feats_q), rtol=0, atol=1e-5
+        )
+
+    def test_save_load_save_identical_bytes(self, tmp_path):
+        model, _ = train_ranker(
+            _separable_triplets(40, seed=5), SMALL, RankerTrainConfig(steps=10)
+        )
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_ranker(model, first)
+        save_ranker(load_ranker(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "ranker.bin"
@@ -243,3 +257,23 @@ class TestPersistence:
             path.write_bytes(data[:cut])
             with pytest.raises(RankerError):
                 load_ranker(path)
+
+    def test_bit_flip_anywhere(self, tmp_path):
+        """Every single-bit flip either loads a model that can embed or
+        raises RankerError."""
+        path = tmp_path / "ranker.bin"
+        save_ranker(RankerModel.init(SMALL, seed=0), path)
+        data = path.read_bytes()
+        feats_pin = np.ones(SMALL.pin_input_dim)
+        feats_q = np.ones(SMALL.query_input_dim)
+        for pos in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[pos] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                try:
+                    loaded = load_ranker(path)
+                    loaded.embed_pin(feats_pin)
+                    loaded.embed_query(feats_q)
+                except RankerError:
+                    pass
