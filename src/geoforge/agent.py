@@ -367,7 +367,8 @@ def run_episode(
 
 
 def replay_trace(trace: list[dict], long_memory: dict[str, dict] | None = None) -> AgentState:
-    """Re-apply every traced transition from the initial state."""
+    """Re-apply every traced transition from the initial state. Other record
+    keys, such as the ``step`` that `write_trace` adds, are ignored."""
     state = AgentState(long_memory=copy.deepcopy(long_memory or {}))
     for record in trace:
         if record["node"] != state.cursor:
@@ -380,14 +381,6 @@ def replay_trace(trace: list[dict], long_memory: dict[str, dict] | None = None) 
 
 def write_trace(trace: list[dict], path: str | Path) -> None:
     write_jsonl(path, ({"step": i, **record} for i, record in enumerate(trace)))
-
-
-def load_trace(path: str | Path) -> list[dict]:
-    out = []
-    for _, obj in read_jsonl(path):
-        obj.pop("step", None)
-        out.append(obj)
-    return out
 
 
 def save_long_memory(memory: dict[str, dict], path: str | Path) -> None:

@@ -1,5 +1,5 @@
 """Topic collection pages: encode a topic, probe the index, and judge the
-result set's intent-satisfying rate with a pluggable judge."""
+result set's intent-satisfying rate with an embedding judge."""
 
 from __future__ import annotations
 
@@ -96,27 +96,6 @@ def embedding_judge(
         topic_vec = text_encoder.encode(topic.embedding)
         score = cosine(pin_vec, topic_vec)
         return JudgeVerdict(pin_signature=pin.signature, satisfied=score >= threshold, score=score)
-
-    return judge
-
-
-def file_judge(verdicts_path: str | Path) -> Judge:
-    """External-process judge adapter: reads precomputed verdicts keyed by
-    (slugified topic, pin signature) from a JSONL file."""
-    table: dict[tuple[str, int], JudgeVerdict] = {}
-    for _, obj in read_jsonl(verdicts_path):
-        key = (obj["topic_slug"], int(obj["pin_signature"]))
-        table[key] = JudgeVerdict(
-            pin_signature=int(obj["pin_signature"]),
-            satisfied=bool(obj["satisfied"]),
-            score=float(obj.get("score", 0.0)),
-        )
-
-    def judge(pin: PinRecord, topic: QueryRecord) -> JudgeVerdict:
-        key = (slugify(topic.text), pin.signature)
-        if key not in table:
-            raise CollectionError(f"no external verdict for {key}")
-        return table[key]
 
     return judge
 

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -20,6 +20,7 @@ import numpy as np
 
 QUERY_CATEGORIES = ("Description", "StyleDetail", "UseCase")
 PAIR_SOURCES = ("SearchConsole", "Synthetic", "HardNegative")
+MANIFEST_KEYS = ("pins", "queries", "engagement", "d_v", "d_t", "seed")
 
 # Fixed offsets off the corpus-wide seed, one per stage, so every module
 # draws from its own deterministic stream.
@@ -80,10 +81,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         raise ZeroNormError("cosine undefined for zero vectors")
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
-def is_unit(v: np.ndarray, tol: float = 1e-6) -> bool:
-    return abs(float(np.linalg.norm(v)) - 1.0) <= tol
 
 
 def f32(values: Iterable[float]) -> list[float]:
@@ -276,15 +273,14 @@ class CorpusManifest:
     pins_path: Path
     queries_path: Path
     engagement_path: Path
-    labels_path: Path | None
     d_v: int = 1028
     d_t: int = 768
-    ranker_dim: int = 128
     seed: int = 0
 
     @classmethod
     def load(cls, path: str | Path) -> "CorpusManifest":
-        """Parse a key=value manifest; relative paths resolve against its directory."""
+        """Parse a key=value manifest; relative paths resolve against its
+        directory, and an unknown key raises CorpusError naming path:line."""
         path = Path(path)
         base = path.parent
         kv: dict[str, str] = {}
@@ -295,27 +291,26 @@ class CorpusManifest:
             if "=" not in line:
                 raise CorpusError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in MANIFEST_KEYS:
+                raise CorpusError(f"{path}:{lineno}: unknown manifest key {key!r}")
+            kv[key] = value.strip()
         try:
             manifest = cls(
                 pins_path=base / kv["pins"],
                 queries_path=base / kv["queries"],
                 engagement_path=base / kv["engagement"],
-                labels_path=(base / kv["labels"]) if kv.get("labels") else None,
                 d_v=int(kv.get("d_v", 1028)),
                 d_t=int(kv.get("d_t", 768)),
-                ranker_dim=int(kv.get("ranker_dim", 128)),
                 seed=int(kv.get("seed", 0)),
             )
         except KeyError as exc:
             raise CorpusError(f"{path}: missing manifest key {exc.args[0]!r}") from exc
-        if manifest.d_v <= 0 or manifest.d_t <= 0 or manifest.ranker_dim <= 0:
+        if manifest.d_v <= 0 or manifest.d_t <= 0:
             raise CorpusError(f"{path}: dimensions must be positive")
         for p in (manifest.pins_path, manifest.queries_path, manifest.engagement_path):
             if not p.exists():
                 raise CorpusError(f"{path}: referenced file {p} does not exist")
-        if manifest.labels_path is not None and not manifest.labels_path.exists():
-            raise CorpusError(f"{path}: referenced file {manifest.labels_path} does not exist")
         return manifest
 
     def save(self, path: str | Path) -> None:
@@ -325,13 +320,8 @@ class CorpusManifest:
             f"pins={os.path.relpath(self.pins_path, base)}",
             f"queries={os.path.relpath(self.queries_path, base)}",
             f"engagement={os.path.relpath(self.engagement_path, base)}",
-        ]
-        if self.labels_path is not None:
-            lines.append(f"labels={os.path.relpath(self.labels_path, base)}")
-        lines += [
             f"d_v={self.d_v}",
             f"d_t={self.d_t}",
-            f"ranker_dim={self.ranker_dim}",
             f"seed={self.seed}",
         ]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -342,10 +332,8 @@ class Corpus:
     pins: dict[int, PinRecord]
     queries: list[QueryRecord]
     engagement: list[EngagementRecord]
-    labels: list[LabeledPair] = field(default_factory=list)
     d_v: int = 1028
     d_t: int = 768
-    ranker_dim: int = 128
     seed: int = 0
 
     def pin(self, signature: int) -> PinRecord:
@@ -497,24 +485,12 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
             raise CorpusError(f"{manifest.engagement_path}:{lineno}: {exc}") from None
         engagement.append(record)
 
-    labels: list[LabeledPair] = []
-    if manifest.labels_path is not None:
-        for lineno, obj in read_jsonl(manifest.labels_path):
-            try:
-                pair = LabeledPair.from_json(obj)
-                pair.validate()
-            except CorpusError as exc:
-                raise CorpusError(f"{manifest.labels_path}:{lineno}: {exc}") from None
-            labels.append(pair)
-
     return Corpus(
         pins=pins,
         queries=queries,
         engagement=engagement,
-        labels=labels,
         d_v=manifest.d_v,
         d_t=manifest.d_t,
-        ranker_dim=manifest.ranker_dim,
         seed=manifest.seed,
     )
 
@@ -523,8 +499,6 @@ def save_corpus(corpus: Corpus, manifest: CorpusManifest) -> None:
     write_jsonl(manifest.pins_path, (p.to_json() for p in corpus.pins.values()))
     write_jsonl(manifest.queries_path, (q.to_json() for q in corpus.queries))
     write_jsonl(manifest.engagement_path, (e.to_json() for e in corpus.engagement))
-    if manifest.labels_path is not None:
-        write_jsonl(manifest.labels_path, (p.to_json() for p in corpus.labels))
 
 
 def hashed_bag_of_tokens(text: str, dim: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Three losses share one softmax core: the temperature-scaled in-batch
 softmax loss, the two-term sum used for multimodal pin embeddings
-(image-text plus board-co-save pin-pin), and the per-task sum used for
-engagement-trained query/entity encoders. All gradients are analytic and
+(image-text plus board-co-save pin-pin), and the per-task sum for
+query/entity encoders. Only the pin pair is trained; the per-task sum is
+kept as the checked query/entity objective. All gradients are analytic and
 checked against central finite differences in the test suite.
 """
 
@@ -217,22 +218,6 @@ def _coboard_pairs(corpus: Corpus) -> list[tuple[int, int]]:
     return pairs
 
 
-def _engagement_pairs(corpus: Corpus) -> list[tuple[str, int]]:
-    from .curation import retain
-
-    seen = set()
-    pairs = []
-    by_text = {q.text: q for q in corpus.queries}
-    for record in corpus.engagement:
-        key = (record.query_text, record.pin_signature)
-        if key in seen or record.query_text not in by_text:
-            continue
-        if retain(record):
-            seen.add(key)
-            pairs.append(key)
-    return pairs
-
-
 @dataclass
 class TrainResult:
     encoders: dict[str, EncoderModel]
@@ -242,17 +227,11 @@ class TrainResult:
 def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainResult:
     """Train the encoder pair for one embedding family with plain SGD.
 
-    ``pinclip`` trains an image tower and a text tower on image-text plus
-    co-board pin-pin pairs; ``searchsage`` trains a query tower and an
-    entity tower on retained engagement pairs.
+    Only ``pinclip`` is trained: an image tower and a text tower on
+    image-text plus co-board pin-pin pairs.
     """
-    trainers = {"pinclip": _train_pinclip, "searchsage": _train_searchsage}
-    if loss_kind not in trainers:
+    if loss_kind != "pinclip":
         raise EncoderError(f"unknown loss kind {loss_kind!r}")
-    return trainers[loss_kind](corpus, config)
-
-
-def _train_pinclip(corpus: Corpus, config: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(config.seed)
     img = EncoderModel.init(corpus.d_v, config.hidden_dims, config.output_dim, rng)
     txt = EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng)
@@ -291,36 +270,6 @@ def _train_pinclip(corpus: Corpus, config: TrainConfig) -> TrainResult:
         img.apply_gradients(dw_img, db_img, config.learning_rate)
         txt.apply_gradients(dw_txt, db_txt, config.learning_rate)
         _log_step(log, step, loss, dw_img + dw_txt + db_img + db_txt, encoders)
-    return TrainResult(encoders=encoders, log=log)
-
-
-def _train_searchsage(corpus: Corpus, config: TrainConfig) -> TrainResult:
-    rng = np.random.default_rng(config.seed)
-    qry = EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng)
-    ent = EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng)
-    encoders = {"qry": qry, "ent": ent}
-    engaged = _engagement_pairs(corpus)
-    if not engaged:
-        raise EncoderError("searchsage training needs retained engagement pairs")
-    by_text = {q.text: q for q in corpus.queries}
-
-    log: list[tuple[int, float, float]] = []
-    for step in range(config.steps):
-        idx = rng.choice(len(engaged), size=min(config.batch_size, len(engaged)), replace=False)
-        chosen = [engaged[int(i)] for i in idx]
-        q_emb = np.stack([by_text[q].embedding for q, _ in chosen])
-        e_emb = np.stack([corpus.pins[s].text_embedding for _, s in chosen])
-        enc_q, cache_q = qry.forward(q_emb)
-        enc_e, cache_e = ent.forward(e_emb)
-        loss, grads = searchsage_loss(
-            {"QueryPin": ContrastiveBatch(enc_q, enc_e, config.temperature)}
-        )
-        d_q, d_e = grads["QueryPin"]
-        dw_q, db_q = qry.backward(cache_q, d_q)
-        dw_e, db_e = ent.backward(cache_e, d_e)
-        qry.apply_gradients(dw_q, db_q, config.learning_rate)
-        ent.apply_gradients(dw_e, db_e, config.learning_rate)
-        _log_step(log, step, loss, dw_q + dw_e + db_q + db_e, encoders)
     return TrainResult(encoders=encoders, log=log)
 
 

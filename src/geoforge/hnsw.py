@@ -164,10 +164,11 @@ class HnswIndex:
     def _select_neighbors(
         self, candidates: list[tuple[float, int]], m: int, backfill_to: int | None = None
     ) -> list[int]:
-        """Diversity heuristic: keep a candidate only if it is closer to the
-        query than to every already selected neighbor.  With ``backfill_to``,
-        remaining slots are filled by the closest discarded candidates so
-        layer-0 nodes keep enough links for the beam search to route through."""
+        """Diversity heuristic: prefer a candidate that is closer to the query
+        than to every already selected neighbor, up to ``m`` of them.  The
+        closest discarded candidates then fill the remaining slots up to
+        ``backfill_to`` (default ``m``), so the heuristic orders a node's
+        links but never gives it fewer than min(len(candidates), m)."""
         target = m if backfill_to is None else backfill_to
         order = sorted(candidates)
         idxs = [idx for _, idx in order]

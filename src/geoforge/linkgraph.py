@@ -8,7 +8,6 @@ sitemap are the export surfaces.
 
 from __future__ import annotations
 
-import json
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from urllib.parse import urlparse
 import numpy as np
 
 from .collections_ import Collection, slugify
-from .core import read_jsonl
+from .core import write_jsonl
 
 
 class LinkGraphError(ValueError):
@@ -199,19 +198,7 @@ def export_sitemap(graph: LinkGraph, base_url: str) -> str:
 
 
 def write_graph(graph: LinkGraph, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for src, dst in sorted(graph.edges):
-            fh.write(json.dumps({"src": src, "dst": dst}) + "\n")
-        linked = {n for edge in graph.edges for n in edge}
-        for node in sorted(graph.nodes - linked):
-            fh.write(json.dumps({"node": node}) + "\n")
-
-
-def load_graph(path: str | Path) -> LinkGraph:
-    graph = LinkGraph()
-    for _, obj in read_jsonl(path):
-        if "src" in obj:
-            graph.add_edge(obj["src"], obj["dst"])
-        else:
-            graph.add_node(obj["node"])
-    return graph
+    """Edges sorted as (src, dst) records, then unlinked nodes as node records."""
+    edges = [{"src": src, "dst": dst} for src, dst in sorted(graph.edges)]
+    linked = {n for edge in graph.edges for n in edge}
+    write_jsonl(path, edges + [{"node": node} for node in sorted(graph.nodes - linked)])

@@ -114,8 +114,6 @@ class PipelineConfig:
             current = getattr(config, key)
             if isinstance(current, Path):
                 setattr(config, key, Path(raw))
-            elif isinstance(current, bool):
-                setattr(config, key, raw.lower() in ("1", "true", "yes"))
             elif isinstance(current, int):
                 setattr(config, key, int(raw))
             elif isinstance(current, float):
@@ -140,6 +138,8 @@ class Workspace:
     def corpus_dir(self) -> Path: return self.out / "corpus"
     @property
     def manifest(self) -> Path: return self.corpus_dir / "manifest.txt"
+    @property
+    def navboost(self) -> Path: return self.corpus_dir / "navboost.jsonl"
     @property
     def labeled_pairs(self) -> Path: return self.out / "labeled_pairs.jsonl"
     @property
@@ -193,13 +193,11 @@ def _load_corpus(ws: Workspace, stage: str) -> Corpus:
     return ws.corpus
 
 
-def _load_navboost(ws: Workspace) -> dict[tuple[str, int], float]:
-    path = ws.corpus_dir / "navboost.jsonl"
-    if not path.exists():
-        return {}
+def _load_navboost(ws: Workspace, stage: str) -> dict[tuple[str, int], float]:
+    _require(ws.navboost, stage, "gen-corpus")
     return {
         (obj["query_text"], int(obj["pin_signature"])): float(obj["coverage"])
-        for _, obj in read_jsonl(path)
+        for _, obj in read_jsonl(ws.navboost)
     }
 
 
@@ -230,7 +228,7 @@ def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
     labeled, report = curation.curate(
         corpus.queries,
         corpus.engagement,
-        _load_navboost(ws),
+        _load_navboost(ws, "curate"),
         neg_per_pos=config.neg_per_pos,
         seed=subseed(config.seed, "curation"),
     )
@@ -562,6 +560,10 @@ def ablation_study(
 def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     corpus = _load_corpus(ws, "eval")
     for path, producer in [
+        (ws.curation_report, "curate"),
+        (ws.encoder_img, "train-encoder"),
+        (ws.encoder_txt, "train-encoder"),
+        (ws.encoder_log, "train-encoder"),
         (ws.index_file, "build-index"),
         (ws.ranker_file, "train-ranker"),
         (ws.collections, "build-collections"),
@@ -599,24 +601,17 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         coll_mod.intent_satisfying_rate(c, corpus, judge)[0] for c in collections
     ]
     link_summary = json.loads(ws.link_report.read_text(encoding="utf-8"))
-    curation_summary = (
-        json.loads(ws.curation_report.read_text(encoding="utf-8"))
-        if ws.curation_report.exists()
-        else None
-    )
-    encoder_losses = None
-    if ws.encoder_log.exists():
-        rows = ws.encoder_log.read_text(encoding="utf-8").strip().splitlines()[1:]
-        encoder_losses = {
-            "initial": float(rows[0].split(",")[1]),
-            "final": float(rows[-1].split(",")[1]),
-        }
+    curation_summary = json.loads(ws.curation_report.read_text(encoding="utf-8"))
+    rows = ws.encoder_log.read_text(encoding="utf-8").strip().splitlines()[1:]
     report = {
         "recall_at_10": recall_at_10,
         "correct_rank": rank_metric,
         "intent_satisfying_rate_mean": float(np.mean(rates)) if rates else None,
-        "retention_branches": curation_summary["retention_branches"] if curation_summary else None,
-        "encoder_loss": encoder_losses,
+        "retention_branches": curation_summary["retention_branches"],
+        "encoder_loss": {
+            "initial": float(rows[0].split(",")[1]),
+            "final": float(rows[-1].split(",")[1]),
+        },
         "pagerank": link_summary["pagerank"],
         "orphan_pins": link_summary["orphan_pins"],
         "ablation": ablation_study(config, ws, corpus, index, img_encoder, txt_encoder),
@@ -640,7 +635,7 @@ STAGE_ARTIFACTS = {
     "gen-corpus": lambda ws: [ws.manifest, ws.corpus_dir / "pins.jsonl",
                               ws.corpus_dir / "queries.jsonl",
                               ws.corpus_dir / "engagement.jsonl",
-                              ws.corpus_dir / "trends.jsonl"],
+                              ws.corpus_dir / "trends.jsonl", ws.navboost],
     "curate": lambda ws: [ws.labeled_pairs, ws.curation_report],
     "train-encoder": lambda ws: [ws.encoder_img, ws.encoder_txt, ws.encoder_log],
     "build-index": lambda ws: [ws.index_file],

@@ -89,7 +89,8 @@ def _jitter(centroid: np.ndarray, noise: float, rng: np.random.Generator) -> np.
 
 
 def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
-    """Build a clustered corpus plus sidecar data (cluster map, navboost, trends)."""
+    """Build a clustered corpus plus sidecar data: the pin and query cluster
+    maps and the navboost coverage of (query text, pin signature) pairs."""
     if config.n_clusters > len(CLUSTER_TERMS):
         raise ValueError(f"at most {len(CLUSTER_TERMS)} clusters supported")
     rng = rng_for(config.seed, "corpus")
@@ -208,7 +209,6 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
         pins=pins,
         queries=queries,
         engagement=engagement,
-        labels=[],
         d_v=config.d_v,
         d_t=config.d_t,
         seed=config.seed,
@@ -216,10 +216,7 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
     sidecar = {
         "pin_cluster": pin_cluster,
         "query_cluster": query_cluster,
-        "centroids_v": centroids_v,
-        "centroids_t": centroids_t,
         "navboost": navboost,
-        "terms": CLUSTER_TERMS[: config.n_clusters],
     }
     return corpus, sidecar
 
@@ -263,7 +260,6 @@ def write_corpus_bundle(out_dir: str | Path, config: SynthConfig) -> CorpusManif
         pins_path=out / "pins.jsonl",
         queries_path=out / "queries.jsonl",
         engagement_path=out / "engagement.jsonl",
-        labels_path=None,
         d_v=config.d_v,
         d_t=config.d_t,
         seed=config.seed,
@@ -274,13 +270,6 @@ def write_corpus_bundle(out_dir: str | Path, config: SynthConfig) -> CorpusManif
         (
             {"query_text": q, "pin_signature": s, "coverage": c}
             for (q, s), c in sidecar["navboost"].items()
-        ),
-    )
-    write_jsonl(
-        out / "clusters.jsonl",
-        (
-            {"pin_signature": s, "cluster": c, "term": CLUSTER_TERMS[c]}
-            for s, c in sidecar["pin_cluster"].items()
         ),
     )
     write_jsonl(out / "trends.jsonl", generate_trends(config))

@@ -18,7 +18,6 @@ from geoforge.agent import (
     TrendSignal,
     default_tools,
     load_long_memory,
-    load_trace,
     make_expand_query,
     make_fetch_trends,
     make_semantic_filter,
@@ -28,7 +27,7 @@ from geoforge.agent import (
     transition,
     write_trace,
 )
-from geoforge.core import CorpusError
+from geoforge.core import read_jsonl
 from geoforge.encoders import EncoderModel
 
 
@@ -218,16 +217,16 @@ class TestEpisode:
 class TestPersistence:
     def test_trace_roundtrip(self, episode_setup, tmp_path):
         agent_config, tools = episode_setup
-        _, trace, _ = run_episode(agent_config, tools, {}, seed=0)
-        path = tmp_path / "trace.jsonl"
+        _, trace, state = run_episode(agent_config, tools, {}, seed=0)
+        path = tmp_path / "agent_trace.jsonl"
         write_trace(trace, path)
-        assert load_trace(path) == trace
-
-    def test_malformed_trace_line_names_path_and_line(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"step": 0}\n\n{"step": 1\n')
-        with pytest.raises(CorpusError, match=r"trace\.jsonl:3:"):
-            load_trace(path)
+        replayed = replay_trace([obj for _, obj in read_jsonl(path)], {})
+        assert replayed.cursor == state.cursor == "validation"
+        assert replayed.long_memory == state.long_memory
+        assert [q.to_json() for q in replayed.emitted] == [q.to_json() for q in state.emitted]
+        assert json.dumps(replayed.short_memory, sort_keys=True) == json.dumps(
+            state.short_memory, sort_keys=True
+        )
 
     def test_long_memory_roundtrip(self, tmp_path):
         memory = {"term": {"accepted": 2, "rejected": 0, "last_velocity": 1.0,

@@ -3,8 +3,6 @@ page emission."""
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from geoforge.collections_ import (
     CollectionError,
     build_collection,
     embedding_judge,
-    file_judge,
     intent_satisfying_rate,
     load_collections,
     slugify,
@@ -94,29 +91,6 @@ class TestJudges:
         pin = corpus.pins[sorted(corpus.pins)[0]]
         with pytest.raises(CollectionError, match="lacks an embedding"):
             embedding_judge(encoder)(pin, QueryRecord("bare", "UseCase"))
-
-    def test_file_judge(self, corpus_and_index, tmp_path):
-        corpus, _, _ = corpus_and_index
-        topic = corpus.queries[0]
-        sig = sorted(corpus.pins)[0]
-        path = tmp_path / "verdicts.jsonl"
-        path.write_text(
-            json.dumps(
-                {
-                    "topic_slug": slugify(topic.text),
-                    "pin_signature": sig,
-                    "satisfied": True,
-                    "score": 0.9,
-                }
-            )
-            + "\n\n"
-        )
-        judge = file_judge(path)
-        verdict = judge(corpus.pins[sig], topic)
-        assert verdict.satisfied and verdict.score == 0.9
-        other = sorted(corpus.pins)[1]
-        with pytest.raises(CollectionError, match="no external verdict"):
-            judge(corpus.pins[other], topic)
 
 
 class TestIntentRate:

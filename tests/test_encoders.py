@@ -112,7 +112,6 @@ class TestContrastiveLoss:
 class TestTraining:
     @pytest.mark.parametrize("loss_kind,towers", [
         ("pinclip", {"img", "txt"}),
-        ("searchsage", {"qry", "ent"}),
     ])
     def test_training_reduces_loss(self, small_synth, loss_kind, towers):
         corpus, _, _ = small_synth

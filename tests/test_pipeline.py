@@ -3,7 +3,9 @@ loading, shared builders, and artifact/report integrity of a full run."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -71,6 +73,25 @@ class TestStageGraph:
         assert result["traceback"].rstrip().endswith(f"DependencyError: {result['error']}")
         saved = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert saved["stages"]["build-index"] == result
+
+    @pytest.mark.parametrize("stage, missing, producer", [
+        ("curate", "corpus/navboost.jsonl", "gen-corpus"),
+        ("eval", "encoder_img.bin", "train-encoder"),
+        ("eval", "encoder_txt.bin", "train-encoder"),
+        ("eval", "encoder_train_log.csv", "train-encoder"),
+        ("eval", "curation_report.json", "curate"),
+    ])
+    def test_always_written_input_is_required(
+        self, pipeline_run, tmp_path, stage, missing, producer
+    ):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        (tmp_path / missing).unlink()
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=[stage])
+        result = report["stages"][stage]
+        assert not ok and result["error_type"] == "DependencyError"
+        assert str(tmp_path / missing) in result["error"]
+        assert f"(produced by stage {producer!r})" in result["error"]
 
     def test_failure_blocks_dependents_only(self, tmp_path):
         config = PipelineConfig(out_dir=tmp_path, n_pins=40, n_clusters=4)
