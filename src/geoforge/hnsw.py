@@ -5,8 +5,10 @@ beam search at layer 0, and diversity-preferring neighbor selection.
 Similarity is the dot product on unit vectors (distance = 1 - cosine).
 A brute-force scan is kept alongside as the recall oracle.
 
-Layer adjacency lives in fixed-width int arrays (one row per node, padded
-to the layer's degree cap) so the inner search loop stays in numpy.
+Layer adjacency lives in plain Python lists, one per node: a row holds at
+most 2*M links, too few for numpy calls on it to pay for themselves.  Rows
+become fixed-width int arrays (padded to the layer's degree cap) only to be
+checked or saved.
 """
 
 from __future__ import annotations
@@ -49,24 +51,28 @@ class HnswParams:
 
 
 class _Layer:
-    """Adjacency for one layer: a padded row per row of the vector store.
-    Nodes whose level is below the layer keep degree 0."""
+    """Adjacency for one layer: a list of neighbor indices per row of the
+    vector store.  Nodes whose level is below the layer keep an empty list."""
 
-    __slots__ = ("m_max", "adj", "deg")
+    __slots__ = ("m_max", "links")
 
-    def __init__(self, m_max: int, capacity: int):
+    def __init__(self, m_max: int, size: int):
         self.m_max = m_max
-        self.adj = np.empty((capacity, m_max), dtype=np.int32)
-        self.deg = np.zeros(capacity, dtype=np.int32)
-
-    def neighbors(self, idx: int) -> np.ndarray:
-        return self.adj[idx, : self.deg[idx]]
+        self.links: list[list[int]] = [[] for _ in range(size)]
 
     def set_neighbors(self, idx: int, neighbors: list[int]) -> None:
         if len(neighbors) > self.m_max:
             raise HnswError(f"degree {len(neighbors)} exceeds {self.m_max}")
-        self.adj[idx, : len(neighbors)] = neighbors
-        self.deg[idx] = len(neighbors)
+        self.links[idx] = neighbors
+
+    def padded(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of ``members`` as an (n, m_max) array with PAD past each
+        degree (links beyond m_max are cut), and the degrees themselves."""
+        rows = [self.links[i] for i in members.tolist()]
+        deg = np.array([len(row) for row in rows], dtype=np.int64)
+        adj = np.full((len(rows), self.m_max), PAD, dtype=np.int64)
+        adj[np.arange(self.m_max) < deg[:, None]] = [n for row in rows for n in row[: self.m_max]]
+        return adj, deg
 
 
 class HnswIndex:
@@ -112,8 +118,7 @@ class HnswIndex:
         entries: list[tuple[float, int]],
         ef: int,
         layer: int,
-        visited: np.ndarray,
-        all_dists: np.ndarray | None = None,
+        all_dists: list[float] | None = None,
     ) -> list[tuple[float, int]]:
         """ef-bounded best-first search in one layer; returns (dist, idx) sorted.
 
@@ -121,44 +126,44 @@ class HnswIndex:
         insertion, where one gemv against the whole store is cheaper than many
         small products); searches stay lazy so their cost tracks the number of
         nodes actually visited."""
-        lay = self._layers[layer]
-        adj, degrees = lay.adj, lay.deg
+        push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
+        links = self._layers[layer].links
         vectors = self._vectors
-        for _, idx in entries:
-            visited[idx] = True
+        visited = {idx for _, idx in entries}
         candidates = list(entries)  # min-heap by distance
         heapq.heapify(candidates)
         results = [(-d, idx) for d, idx in entries]  # max-heap via negation
         heapq.heapify(results)
+        worst = -results[0][0]
+        full = len(results) >= ef
+        scanned = 0  # edges scanned, for benchmarks
         while candidates:
-            dist, idx = heapq.heappop(candidates)
-            worst = -results[0][0]
+            dist, idx = pop(candidates)
             if dist > worst:
                 break
-            row = adj[idx, : degrees[idx]]
-            self.distance_count += row.size  # per scanned edge, for benchmarks
-            row = row[~visited[row]]
-            if row.size == 0:
+            row = links[idx]
+            scanned += len(row)
+            row = [n for n in row if n not in visited]
+            if not row:
                 continue
-            visited[row] = True
+            visited.update(row)
             if all_dists is None:
-                dists = 1.0 - vectors[row] @ query
+                dists = (1.0 - vectors[row] @ query).tolist()
             else:
-                dists = all_dists[row]
-            full = len(results) >= ef
-            if full:
-                # the beam's worst bound only tightens, so anything at or
-                # beyond it now can never enter the beam later
-                keep = dists < worst
-                row, dists = row[keep], dists[keep]
-            for d, n in zip(dists.tolist(), row.tolist()):
-                if not full or d < worst:
-                    heapq.heappush(candidates, (d, n))
-                    heapq.heappush(results, (-d, n))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-                    worst = -results[0][0]
+                dists = [all_dists[n] for n in row]
+            for d, n in zip(dists, row):
+                if full:
+                    # the beam's worst bound only tightens, so a node at or
+                    # beyond it now can never enter the beam later
+                    if d >= worst:
+                        continue
+                    replace(results, (-d, n))
+                else:
+                    push(results, (-d, n))
                     full = len(results) >= ef
+                push(candidates, (d, n))
+                worst = -results[0][0]
+        self.distance_count += scanned
         return sorted((-nd, idx) for nd, idx in results)
 
     def _select_neighbors(
@@ -173,35 +178,36 @@ class HnswIndex:
         order = sorted(candidates)
         idxs = [idx for _, idx in order]
         cand_vecs = self._vectors[idxs]
-        # pairwise products over a growing prefix: selection almost always
-        # stops within ~target candidates, so the full gram matrix is wasted
-        limit = min(len(order), max(2 * target, 48))
-        sims = cand_vecs[:limit] @ cand_vecs[:limit].T
+        thresholds = 1.0 - np.array([dist for dist, _ in order])
+        # bit s of conflicts[pos] is set when candidate s is closer to candidate
+        # pos than the query is.  Built over a growing prefix: selection almost
+        # always stops within ~target candidates, so the full gram matrix is wasted
+        limit = checks = n_selected = 0
+        conflicts: list[int] = []
         selected: list[int] = []
-        sel_pos: list[int] = []
+        sel_mask = 0  # bit pos set for each selected candidate
         discarded: list[int] = []
-        for pos, (dist, idx) in enumerate(order):
-            if len(selected) >= m:
-                if backfill_to is None or len(selected) + len(discarded) >= target:
+        for pos, idx in enumerate(idxs):
+            if n_selected >= m:
+                if backfill_to is None or n_selected + len(discarded) >= target:
                     break
                 discarded.append(idx)
                 continue
             if pos >= limit:
-                limit = min(len(order), max(2 * limit, pos + 1))
+                limit = min(len(order), max(2 * limit, pos + 1, 2 * target, 48))
                 sims = cand_vecs[:limit] @ cand_vecs[:limit].T
-            row = sims[pos].tolist()
-            threshold = 1.0 - dist
-            keep = True
-            for s in sel_pos:
-                self.distance_count += 1
-                if row[s] > threshold:
-                    keep = False
-                    break
-            if keep:
-                selected.append(idx)
-                sel_pos.append(pos)
-            else:
+                conflicts = _bit_rows(sims > thresholds[:limit, None])
+            hit = conflicts[pos] & sel_mask
+            if hit:
+                # selected neighbours are checked in order up to the first conflict
+                checks += (sel_mask & ((hit & -hit) - 1)).bit_count() + 1
                 discarded.append(idx)
+            else:
+                checks += n_selected
+                n_selected += 1
+                selected.append(idx)
+                sel_mask |= 1 << pos
+        self.distance_count += checks
         for idx in discarded:
             if len(selected) >= target:
                 break
@@ -218,48 +224,43 @@ class HnswIndex:
         if idx >= self._store.shape[0]:
             cap = max(32, 2 * idx)
             self._store = _grown(self._store, cap)
-            for lay in self._layers:
-                lay.adj, lay.deg = _grown(lay.adj, cap), _grown(lay.deg, cap)
         self._store[idx] = vector
         self._ids.append(element_id)
         self._levels.append(level)
         self._id_to_idx[element_id] = idx
+        for lay in self._layers:
+            lay.links.append([])
 
         old_max = self.max_level
         while self.max_level < level:
-            self._layers.append(_Layer(self._m_max(len(self._layers)), self._store.shape[0]))
+            self._layers.append(_Layer(self._m_max(len(self._layers)), idx + 1))
 
         if self._entry is None:
             self._entry = idx
             return
 
-        all_dists = 1.0 - self._vectors @ vector
+        all_dists = (1.0 - self._vectors @ vector).tolist()
         self.distance_count += 1
-        entry_dist = float(all_dists[self._entry])
+        entry_dist = all_dists[self._entry]
         current = [(entry_dist, self._entry)]
-        n = len(self._ids)
         # greedy descent through layers above the new node's level
         for l in range(old_max, level, -1):
-            current = self._search_layer(
-                vector, current, 1, l, np.zeros(n, dtype=bool), all_dists
-            )[:1]
+            current = self._search_layer(vector, current, 1, l, all_dists)[:1]
         # full construction search from min(level, old max) down to 0
         for l in range(min(level, old_max), -1, -1):
             found = self._search_layer(
-                vector, current, self.params.ef_construction, l,
-                np.zeros(n, dtype=bool), all_dists,
+                vector, current, self.params.ef_construction, l, all_dists
             )
             lay = self._layers[l]
             backfill = lay.m_max if l == 0 else None
             neighbors = self._select_neighbors(found, self.params.M, backfill_to=backfill)
             lay.set_neighbors(idx, neighbors)
             for nbr in neighbors:
-                deg = int(lay.deg[nbr])
-                if deg < lay.m_max:
-                    lay.adj[nbr, deg] = idx
-                    lay.deg[nbr] = deg + 1
+                links = lay.links[nbr]
+                if len(links) < lay.m_max:
+                    links.append(idx)
                 else:
-                    links = lay.neighbors(nbr).tolist() + [idx]
+                    links = links + [idx]
                     self.distance_count += len(links)
                     dists = 1.0 - self._vectors[links] @ self._vectors[nbr]
                     # evict several links at once so overflow pruning stays rare
@@ -283,10 +284,9 @@ class HnswIndex:
         self.distance_count += 1
         entry_dist = 1.0 - float(self._vectors[self._entry] @ query)
         current = [(entry_dist, self._entry)]
-        n = len(self._ids)
         for l in range(self.max_level, 0, -1):
-            current = self._search_layer(query, current, 1, l, np.zeros(n, dtype=bool))[:1]
-        results = self._search_layer(query, current, ef, 0, np.zeros(n, dtype=bool))
+            current = self._search_layer(query, current, 1, l)[:1]
+        results = self._search_layer(query, current, ef, 0)
         return [(self._ids[idx], 1.0 - dist) for dist, idx in results[:k]]
 
     def check_invariants(self) -> None:
@@ -294,18 +294,7 @@ class HnswIndex:
         [0, m_max], each neighbour a node of the layer, no edge twice."""
         levels = np.asarray(self._levels, dtype=np.int64)
         for l, lay in enumerate(self._layers):
-            members = np.flatnonzero(levels >= l)
-            rows, deg = lay.adj[members], lay.deg[members]
-            if ((deg < 0) | (deg > lay.m_max)).any():
-                raise HnswError(f"degree outside [0, {lay.m_max}] at layer {l}")
-            linked = np.arange(lay.m_max) < deg[:, None]
-            nbrs = rows[linked]
-            if ((nbrs < 0) | (nbrs >= levels.size)).any() or (levels[nbrs] < l).any():
-                raise HnswError(f"edge to a node outside layer {l}")
-            # unlinked slots get distinct negatives so only real edges can repeat
-            marked = np.sort(np.where(linked, rows, -1 - np.arange(lay.m_max)), axis=1)
-            if (marked[:, 1:] == marked[:, :-1]).any():
-                raise HnswError(f"duplicate edges at layer {l}")
+            _check_rows(l, lay.m_max, levels, *lay.padded(np.flatnonzero(levels >= l)))
 
     def save(self, path: str | Path) -> None:
         """Save ids, float32 vectors, each node's top layer, and per layer l
@@ -317,10 +306,8 @@ class HnswIndex:
             "levels": levels,
         }
         for l, lay in enumerate(self._layers):
-            members = np.flatnonzero(levels >= l)
-            deg = lay.deg[members]
-            linked = np.arange(lay.m_max) < deg[:, None]
-            arrays[f"adj{l}"] = np.where(linked, lay.adj[members], PAD).astype("<i4")
+            adj, deg = lay.padded(np.flatnonzero(levels >= l))
+            arrays[f"adj{l}"] = adj.astype("<i4")
             arrays[f"deg{l}"] = deg.astype("<i4")
         entry = -1 if self._entry is None else self._entry
         meta = {"dim": self.dim, "entry": entry, "params": asdict(self.params)}
@@ -351,14 +338,14 @@ class HnswIndex:
             adj, deg = arrays[f"adj{l}"], arrays[f"deg{l}"]
             if adj.shape != (members.size, m_max) or deg.shape != (members.size,):
                 raise HnswError(f"layer {l} arrays do not match its members in {path}")
+            _check_rows(l, m_max, levels, adj, deg)
             lay = _Layer(m_max, count)
-            lay.adj[members] = adj
-            lay.deg[members] = deg
+            for idx, row, d in zip(members.tolist(), adj.tolist(), deg.tolist()):
+                lay.links[idx] = row[:d]
             index._layers.append(lay)
         if not (entry == -1 == count - 1 or 0 <= entry < count and levels[entry] == n_layers - 1):
             raise HnswError(f"entry point {entry} outside the top layer in {path}")
         index._levels = levels.tolist()
-        index.check_invariants()
         index._ids = ids.tolist()
         index._store = vectors.astype(np.float64)
         # re-normalize: f32 rounding perturbs norms slightly
@@ -367,6 +354,35 @@ class HnswIndex:
         index._id_to_idx = {eid: i for i, eid in enumerate(index._ids)}
         index._entry = None if count == 0 else entry
         return index
+
+
+def _bit_rows(mask: np.ndarray) -> list[int]:
+    """Each row of a 2-d boolean array as an int whose bit j is ``mask[row, j]``."""
+    rows, cols = mask.shape
+    packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    words = packed.view("<u8").T.tolist()  # one list of row words per 64 columns
+    out = words[0]
+    for k, word in enumerate(words[1:], 1):
+        out = [low | high << 64 * k for low, high in zip(out, word)]
+    return out
+
+
+def _check_rows(
+    layer: int, m_max: int, levels: np.ndarray, adj: np.ndarray, deg: np.ndarray
+) -> None:
+    """Raise HnswError unless each degree of a layer's padded rows is within
+    [0, m_max], each neighbor is a node of the layer, and no edge repeats."""
+    if ((deg < 0) | (deg > m_max)).any():
+        raise HnswError(f"degree outside [0, {m_max}] at layer {layer}")
+    linked = np.arange(m_max) < deg[:, None]
+    nbrs = adj[linked]
+    if ((nbrs < 0) | (nbrs >= levels.size)).any() or (levels[nbrs] < layer).any():
+        raise HnswError(f"edge to a node outside layer {layer}")
+    # unlinked slots get distinct negatives so only real edges can repeat
+    marked = np.sort(np.where(linked, adj, -1 - np.arange(m_max)), axis=1)
+    if (marked[:, 1:] == marked[:, :-1]).any():
+        raise HnswError(f"duplicate edges at layer {layer}")
 
 
 def _grown(a: np.ndarray, rows: int) -> np.ndarray:
@@ -399,5 +415,6 @@ def brute_force_search(
             f"query dim {query.shape[0]} does not match vectors dim {matrix.shape[1]}"
         )
     sims = matrix @ query
-    order = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
-    return [(ids[i], float(sims[i])) for i in order[:k]]
+    # a stable sort leaves equal similarities in ascending id order
+    order = np.argsort(-sims, kind="stable")[:k]
+    return [(ids[i], float(sims[i])) for i in order.tolist()]

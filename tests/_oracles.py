@@ -88,3 +88,31 @@ def retention_oracle(impressions: int, clicks: int, avg_position: float) -> bool
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     rows = rng.standard_normal((n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def diversity_select(
+    vectors: np.ndarray, candidates: list[tuple[float, int]], m: int, backfill_to: int | None
+) -> tuple[list[int], int]:
+    """The HNSW neighbor heuristic one pair at a time: walk candidates by
+    (distance, index) and keep one unless it is closer to an already kept
+    candidate than to the query; keep at most ``m``, then fill up to
+    ``backfill_to`` (default ``m``) with the closest discarded ones.
+    Returns the kept indices and the number of pair comparisons made."""
+    target = m if backfill_to is None else backfill_to
+    kept: list[int] = []
+    discarded: list[int] = []
+    comparisons = 0
+    for dist, idx in sorted(candidates):
+        if len(kept) >= m:
+            if backfill_to is None or len(kept) + len(discarded) >= target:
+                break
+            discarded.append(idx)
+            continue
+        for other in kept:
+            comparisons += 1
+            if float(vectors[idx] @ vectors[other]) > 1.0 - dist:
+                discarded.append(idx)
+                break
+        else:
+            kept.append(idx)
+    return kept + discarded[: max(0, target - len(kept))], comparisons

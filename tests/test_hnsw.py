@@ -17,7 +17,7 @@ from geoforge.hnsw import (
     build,
 )
 
-from _oracles import unit_rows
+from _oracles import diversity_select, unit_rows
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +114,36 @@ class TestConstruction:
         b = build(vectors, seed=4)
         for query in queries[:5]:
             assert a.search(query, 10) == b.search(query, 10)
+
+    @staticmethod
+    def _selection_inputs(kind: str) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(71)
+        if kind == "random":
+            return unit_rows(rng, 150, 8), unit_rows(rng, 1, 8)[0]
+        # 15 tight clusters of 10 on mutually orthogonal directions, each
+        # farther from the query than the last: one member per cluster is
+        # kept, so the walk reads all 150 and the kept positions pass 64
+        angles = 0.6 + 0.04 * np.arange(15)
+        centers = np.zeros((15, 16))
+        centers[:, 0] = np.cos(angles)
+        centers[np.arange(15), 1 + np.arange(15)] = np.sin(angles)
+        rows = np.repeat(centers, 10, axis=0) + 1e-4 * rng.standard_normal((150, 16))
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True), np.eye(16)[0]
+
+    @pytest.mark.parametrize(
+        "kind, m, backfill_to",
+        [("random", 4, None), ("random", 30, None), ("random", 16, 32),
+         ("clusters", 30, None), ("clusters", 16, 32)],
+    )
+    def test_neighbor_selection_matches_pairwise_reference(self, kind, m, backfill_to):
+        vectors, query = self._selection_inputs(kind)
+        index = build(dict(enumerate(vectors)), seed=1)
+        candidates = [(1.0 - float(index._vectors[i] @ query), i) for i in range(len(vectors))]
+        before = index.distance_count
+        selected = index._select_neighbors(candidates, m, backfill_to=backfill_to)
+        expected, comparisons = diversity_select(index._vectors, candidates, m, backfill_to)
+        assert selected == expected
+        assert index.distance_count - before == comparisons
 
     def test_distance_count_increases(self, corpus_300):
         vectors, queries = corpus_300
