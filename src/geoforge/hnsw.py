@@ -1,14 +1,20 @@
 """Hierarchical navigable small-world index over unit vectors.
 
-Built from scratch: layered proximity graph, greedy descent, ef-bounded
-beam search at layer 0, and diversity-preferring neighbor selection.
+Built from scratch: layered proximity graph, diversity-preferring neighbor
+selection, and for search a greedy descent then an ef-bounded beam at
+layer 0.  An insert needs no search: one product gives its distance to
+every stored node, and each layer's ``ef_construction`` nearest members in
+that row are its exact construction candidates (Malkov & Yashunin,
+arXiv:1603.09320, take them from a beam search instead).  Neighbors whose
+rows overflow are pruned together, from one stacked product.
 Similarity is the dot product on unit vectors (distance = 1 - cosine).
 A brute-force scan is kept alongside as the recall oracle.
 
 Layer adjacency lives in plain Python lists, one per node: a row holds at
-most 2*M links, too few for numpy calls on it to pay for themselves.  Rows
-become fixed-width int arrays (padded to the layer's degree cap) only to be
-checked or saved.
+most 2*M links, too few for numpy calls on it to pay for themselves.  Every
+row refers to a node by the same int object, so a search touches one object
+per node rather than one per link.  Rows become fixed-width int arrays
+(padded to the layer's degree cap) only to be checked or saved.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import heapq
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -83,11 +90,16 @@ class HnswIndex:
         self._rng = np.random.default_rng(seed)
         self._store = np.empty((16, dim), dtype=np.float64)
         self._ids: list[int] = []
+        # _nodes[i] is i: every link row holds these shared int objects
+        self._nodes: list[int] = []
         self._levels: list[int] = []  # each node's top layer
         self._id_to_idx: dict[int, int] = {}
         self._layers: list[_Layer] = []
         self._entry: int | None = None
-        self.distance_count = 0  # dot products performed, for benchmarks
+        # dot products performed, for benchmarks: a search counts the edges
+        # it scans; an insert counts its distance row (one per stored node),
+        # then the pair comparisons of neighbor selection and pruning
+        self.distance_count = 0
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -113,19 +125,12 @@ class HnswIndex:
         return vector
 
     def _search_layer(
-        self,
-        query: np.ndarray,
-        entries: list[tuple[float, int]],
-        ef: int,
-        layer: int,
-        all_dists: list[float] | None = None,
+        self, query: np.ndarray, entries: list[tuple[float, int]], ef: int, layer: int
     ) -> list[tuple[float, int]]:
         """ef-bounded best-first search in one layer; returns (dist, idx) sorted.
 
-        ``all_dists`` is an optional precomputed distance table (used during
-        insertion, where one gemv against the whole store is cheaper than many
-        small products); searches stay lazy so their cost tracks the number of
-        nodes actually visited."""
+        Distances are computed lazily, one product per expanded row, so a
+        search's cost tracks the number of nodes it actually visits."""
         push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
         links = self._layers[layer].links
         vectors = self._vectors
@@ -147,10 +152,7 @@ class HnswIndex:
             if not row:
                 continue
             visited.update(row)
-            if all_dists is None:
-                dists = (1.0 - vectors[row] @ query).tolist()
-            else:
-                dists = [all_dists[n] for n in row]
+            dists = (1.0 - vectors[row] @ query).tolist()
             for d, n in zip(dists, row):
                 if full:
                     # the beam's worst bound only tightens, so a node at or
@@ -179,40 +181,40 @@ class HnswIndex:
         idxs = [idx for _, idx in order]
         cand_vecs = self._vectors[idxs]
         thresholds = 1.0 - np.array([dist for dist, _ in order])
-        # bit s of conflicts[pos] is set when candidate s is closer to candidate
-        # pos than the query is.  Built over a growing prefix: selection almost
-        # always stops within ~target candidates, so the full gram matrix is wasted
-        limit = checks = n_selected = 0
-        conflicts: list[int] = []
-        selected: list[int] = []
-        sel_mask = 0  # bit pos set for each selected candidate
-        discarded: list[int] = []
-        for pos, idx in enumerate(idxs):
-            if n_selected >= m:
-                if backfill_to is None or n_selected + len(discarded) >= target:
-                    break
-                discarded.append(idx)
-                continue
-            if pos >= limit:
-                limit = min(len(order), max(2 * limit, pos + 1, 2 * target, 48))
-                sims = cand_vecs[:limit] @ cand_vecs[:limit].T
-                conflicts = _bit_rows(sims > thresholds[:limit, None])
-            hit = conflicts[pos] & sel_mask
-            if hit:
-                # selected neighbours are checked in order up to the first conflict
-                checks += (sel_mask & ((hit & -hit) - 1)).bit_count() + 1
-                discarded.append(idx)
-            else:
-                checks += n_selected
-                n_selected += 1
-                selected.append(idx)
-                sel_mask |= 1 << pos
+
+        def conflicts_from(pos: int) -> list[int]:
+            # built over a growing prefix: selection almost always stops
+            # within ~target candidates, so the full gram matrix is wasted
+            limit = min(len(order), max(2 * pos, pos + 1, 2 * target, 48))
+            sims = cand_vecs[:limit] @ cand_vecs[:limit].T
+            return _bit_rows(sims > thresholds[:limit, None])
+
+        kept, checks = _diversity_walk(conflicts_from, len(order), m, backfill_to)
         self.distance_count += checks
-        for idx in discarded:
-            if len(selected) >= target:
-                break
-            selected.append(idx)
-        return selected
+        return [idxs[pos] for pos in kept]
+
+    def _prune(self, layer: _Layer, owners: list[int], idx: int, keep: int) -> None:
+        """Cut the row of each of ``owners``, full before ``idx`` joins it, back
+        to ``keep`` links with the diversity heuristic.  One gather and one
+        stacked product give every row's distances and gram matrix; only the
+        greedy walk runs row by row."""
+        rows = [[owner, *layer.links[owner], idx] for owner in owners]
+        grid = np.array(rows)
+        vecs = self._vectors[grid]
+        prods = np.matmul(vecs, vecs.transpose(0, 2, 1))
+        dists = 1.0 - prods[:, 0, 1:]  # column 0 of a row is its owner
+        order = np.lexsort((grid[:, 1:], dists))  # each row by (distance, index)
+        n_rows, width = order.shape
+        cols = order + 1
+        sims = prods[np.arange(n_rows)[:, None, None], cols[:, :, None], cols[:, None, :]]
+        thresholds = 1.0 - np.take_along_axis(dists, order, axis=1)
+        bits = _bit_rows((sims > thresholds[:, :, None]).reshape(n_rows * width, width))
+        self.distance_count += n_rows * width
+        for r, (row, row_order) in enumerate(zip(rows, cols.tolist())):
+            conflicts = bits[r * width : (r + 1) * width]
+            kept, checks = _diversity_walk(lambda _pos: conflicts, width, keep, None)
+            self.distance_count += checks
+            layer.set_neighbors(row[0], [row[row_order[pos]] for pos in kept])
 
     def insert(self, element_id: int, vector: np.ndarray) -> None:
         if element_id in self._id_to_idx:
@@ -226,6 +228,7 @@ class HnswIndex:
             self._store = _grown(self._store, cap)
         self._store[idx] = vector
         self._ids.append(element_id)
+        self._nodes.append(idx)
         self._levels.append(level)
         self._id_to_idx[element_id] = idx
         for lay in self._layers:
@@ -239,37 +242,34 @@ class HnswIndex:
             self._entry = idx
             return
 
-        all_dists = (1.0 - self._vectors @ vector).tolist()
-        self.distance_count += 1
-        entry_dist = all_dists[self._entry]
-        current = [(entry_dist, self._entry)]
-        # greedy descent through layers above the new node's level
-        for l in range(old_max, level, -1):
-            current = self._search_layer(vector, current, 1, l, all_dists)[:1]
-        # full construction search from min(level, old max) down to 0
-        for l in range(min(level, old_max), -1, -1):
-            found = self._search_layer(
-                vector, current, self.params.ef_construction, l, all_dists
-            )
+        # one row of distances to every stored node holds each layer's
+        # construction candidates: its ef_construction nearest members
+        dists = 1.0 - self._store[:idx] @ vector
+        self.distance_count += idx
+        top = min(level, old_max)
+        levels = np.asarray(self._levels[:idx]) if top else None
+        ef = self.params.ef_construction
+        for l in range(top, -1, -1):
+            near = np.flatnonzero(levels >= l) if l else np.arange(idx)
+            if near.size > ef:
+                near = near[np.argpartition(dists[near], ef - 1)[:ef]]
             lay = self._layers[l]
-            backfill = lay.m_max if l == 0 else None
-            neighbors = self._select_neighbors(found, self.params.M, backfill_to=backfill)
-            lay.set_neighbors(idx, neighbors)
+            neighbors = self._select_neighbors(
+                list(zip(dists[near].tolist(), near.tolist())),
+                self.params.M,
+                backfill_to=lay.m_max if l == 0 else None,
+            )
+            lay.set_neighbors(idx, [self._nodes[n] for n in neighbors])
+            full = []
             for nbr in neighbors:
                 links = lay.links[nbr]
                 if len(links) < lay.m_max:
                     links.append(idx)
                 else:
-                    links = links + [idx]
-                    self.distance_count += len(links)
-                    dists = 1.0 - self._vectors[links] @ self._vectors[nbr]
-                    # evict several links at once so overflow pruning stays rare
-                    prune_to = lay.m_max - 2 if l == 0 else lay.m_max
-                    pruned = self._select_neighbors(
-                        list(zip(dists.tolist(), links)), prune_to
-                    )
-                    lay.set_neighbors(nbr, pruned)
-            current = found
+                    full.append(nbr)
+            if full:
+                # evict several links at once so overflow pruning stays rare
+                self._prune(lay, full, idx, lay.m_max - 2 if l == 0 else lay.m_max)
         if level > old_max:
             self._entry = idx
 
@@ -332,6 +332,7 @@ class HnswIndex:
         if (levels < 0).any() or int(levels.max(initial=-1)) + 1 != n_layers:
             raise HnswError(f"node level out of range for {n_layers} layers in {path}")
         index = cls(dim, HnswParams(**meta["params"]))
+        index._nodes = nodes = list(range(count))
         for l in range(n_layers):
             m_max = index._m_max(l)
             members = np.flatnonzero(levels >= l)
@@ -341,7 +342,7 @@ class HnswIndex:
             _check_rows(l, m_max, levels, adj, deg)
             lay = _Layer(m_max, count)
             for idx, row, d in zip(members.tolist(), adj.tolist(), deg.tolist()):
-                lay.links[idx] = row[:d]
+                lay.links[idx] = [nodes[n] for n in row[:d]]
             index._layers.append(lay)
         if not (entry == -1 == count - 1 or 0 <= entry < count and levels[entry] == n_layers - 1):
             raise HnswError(f"entry point {entry} outside the top layer in {path}")
@@ -366,6 +367,41 @@ def _bit_rows(mask: np.ndarray) -> list[int]:
     for k, word in enumerate(words[1:], 1):
         out = [low | high << 64 * k for low, high in zip(out, word)]
     return out
+
+
+def _diversity_walk(
+    conflicts_from: Callable[[int], list[int]], count: int, m: int, backfill_to: int | None
+) -> tuple[list[int], int]:
+    """The greedy walk of the diversity heuristic over ``count`` candidates in
+    (distance, index) order.  Bit s of conflict row pos is set when candidate
+    s is closer to candidate pos than the query is; ``conflicts_from(pos)``
+    returns rows that cover position pos.  Returns the kept positions and the
+    pair comparisons made."""
+    target = m if backfill_to is None else backfill_to
+    conflicts: list[int] = []
+    checks = n_selected = 0
+    sel_mask = 0  # bit pos set for each selected candidate
+    selected: list[int] = []
+    discarded: list[int] = []
+    for pos in range(count):
+        if n_selected >= m:
+            if backfill_to is None or n_selected + len(discarded) >= target:
+                break
+            discarded.append(pos)
+            continue
+        if pos >= len(conflicts):
+            conflicts = conflicts_from(pos)
+        hit = conflicts[pos] & sel_mask
+        if hit:
+            # selected neighbours are checked in order up to the first conflict
+            checks += (sel_mask & ((hit & -hit) - 1)).bit_count() + 1
+            discarded.append(pos)
+        else:
+            checks += n_selected
+            n_selected += 1
+            selected.append(pos)
+            sel_mask |= 1 << pos
+    return selected + discarded[: max(0, target - len(selected))], checks
 
 
 def _check_rows(

@@ -581,13 +581,14 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     matrix = img_encoder.encode_batch(
         np.stack([corpus.pins[s].visual_embedding for s in signatures])
     )
-    vectors = {s: row for s, row in zip(signatures, matrix)}
     rng = np.random.default_rng(subseed(config.seed, "eval"))
     probes = rng.choice(len(signatures), size=min(50, len(signatures)), replace=False)
     recalls = []
     for i in probes:
         query = matrix[int(i)]
-        exact = {s for s, _ in hnsw.brute_force_search(vectors, query, 10)}
+        # a stable sort leaves equal similarities in signature order
+        top = np.argsort(-(matrix @ query), kind="stable")[:10]
+        exact = {signatures[j] for j in top.tolist()}
         approx = {s for s, _ in index.search(query, 10)}
         recalls.append(len(exact & approx) / len(exact))
     recall_at_10 = float(np.mean(recalls))

@@ -116,3 +116,42 @@ def diversity_select(
         else:
             kept.append(idx)
     return kept + discarded[: max(0, target - len(kept))], comparisons
+
+
+def hnsw_reference_links(
+    vectors: np.ndarray, levels: list[int], M: int, ef_construction: int
+) -> tuple[list[list[list[int]]], int, int]:
+    """HNSW construction one pair at a time, for nodes inserted in row order
+    at the given levels.  Each layer's candidates are its ``ef_construction``
+    nearest members by brute force; the new node keeps ``diversity_select``
+    of them (backfilled to 2*M at layer 0), and a neighbour whose row then
+    overflows is cut back with ``diversity_select`` to 2*M - 2 links at layer
+    0 and M above.  Returns the link rows per layer, the dot products made
+    (distance rows, selection and prune comparisons) and the prune count."""
+    n_layers = max(levels) + 1
+    links: list[list[list[int]]] = [[[] for _ in levels] for _ in range(n_layers)]
+    count = prunes = 0
+    for idx in range(1, len(levels)):
+        dists = [1.0 - float(vectors[j] @ vectors[idx]) for j in range(idx)]
+        count += idx
+        for layer in range(min(levels[idx], max(levels[:idx])), -1, -1):
+            m_max = 2 * M if layer == 0 else M
+            members = [j for j in range(idx) if levels[j] >= layer]
+            near = sorted((dists[j], j) for j in members)[:ef_construction]
+            kept, comparisons = diversity_select(
+                vectors, near, M, m_max if layer == 0 else None
+            )
+            count += comparisons
+            links[layer][idx] = kept
+            for nbr in kept:
+                row = links[layer][nbr] + [idx]
+                if len(row) <= m_max:
+                    links[layer][nbr] = row
+                    continue
+                prunes += 1
+                count += len(row)
+                scored = [(1.0 - float(vectors[j] @ vectors[nbr]), j) for j in row]
+                keep = m_max - 2 if layer == 0 else m_max
+                links[layer][nbr], comparisons = diversity_select(vectors, scored, keep, None)
+                count += comparisons
+    return links, count, prunes

@@ -11,7 +11,6 @@ import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
-import pytest
 
 from geoforge import curation, encoders, hnsw, ranker, synth
 from geoforge.agent import (

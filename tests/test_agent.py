@@ -14,7 +14,6 @@ from geoforge.agent import (
     AgentConfig,
     AgentError,
     AgentState,
-    ToolSuite,
     TrendSignal,
     default_tools,
     load_long_memory,

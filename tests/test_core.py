@@ -388,6 +388,29 @@ def test_only_core_imports_struct():
     assert importers <= {"core"}
 
 
+# imported names a module keeps without using them, each with its reason
+UNUSED_IMPORTS = {
+    "curation.cosine": "the benchmark's tracer test looks it up on curation",
+}
+
+
+def test_no_unused_imports():
+    """Every name a package or test module imports is used in that module."""
+    tests_dir = Path(__file__).parent
+    unused = set()
+    for path in [*Path(geoforge.__file__).parent.glob("*.py"), *tests_dir.glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {f"{path.stem}.{name}" for name in imported - used}
+    assert sorted(unused) == sorted(UNUSED_IMPORTS)
+
+
 # public names no program code calls, each kept for the acceptance
 # criterion that checks it
 TEST_ONLY_PUBLIC = {
@@ -395,6 +418,7 @@ TEST_ONLY_PUBLIC = {
     "ranker.margin_loss": "criterion 06: margin loss",
     "curation.stratify_sample": "criterion 08: stratified sampling",
     "agent.replay_trace": "criterion 12: trace replay",
+    "hnsw.brute_force_search": "criterion 04: exact top-10 as the recall oracle",
 }
 
 

@@ -17,7 +17,7 @@ from geoforge.hnsw import (
     build,
 )
 
-from _oracles import diversity_select, unit_rows
+from _oracles import diversity_select, hnsw_reference_links, unit_rows
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +144,30 @@ class TestConstruction:
         expected, comparisons = diversity_select(index._vectors, candidates, m, backfill_to)
         assert selected == expected
         assert index.distance_count - before == comparisons
+
+    @pytest.mark.parametrize("M, ef_construction", [(3, 6), (4, 400)])
+    def test_build_matches_pairwise_reference(self, M, ef_construction):
+        """Every link row and the dot-product count equal a build made one
+        pair at a time.  Clusters of 30 keep rows overflowing; with ef 400
+        every layer has no more than ef members."""
+        rng = np.random.default_rng(81)
+        centers = unit_rows(rng, 10, 12)
+        rows = np.repeat(centers, 30, axis=0) + 0.15 * rng.standard_normal((300, 12))
+        vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        index = build(dict(enumerate(vectors)), HnswParams(M, ef_construction, 10), seed=2)
+        links, count, prunes = hnsw_reference_links(
+            index._vectors, index._levels, M, ef_construction
+        )
+        assert [lay.links for lay in index._layers] == links
+        assert index.distance_count == count
+        assert prunes > 100 and index.max_level >= 2
+
+    def test_link_rows_share_one_int_per_node(self, corpus_300, tmp_path):
+        index = build(corpus_300[0], seed=1)
+        index.save(tmp_path / "index.bin")
+        for built in (index, HnswIndex.load(tmp_path / "index.bin")):
+            nodes = built._nodes
+            assert all(n is nodes[n] for lay in built._layers for row in lay.links for n in row)
 
     def test_distance_count_increases(self, corpus_300):
         vectors, queries = corpus_300

@@ -18,7 +18,6 @@ from geoforge.pipeline import (
     STAGE_ORDER,
     PipelineConfig,
     PipelineError,
-    Workspace,
     annotate_pins,
     annotation_map,
     run_pipeline,
