@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Corpus, QueryRecord, hashed_bag_of_tokens, read_jsonl, write_jsonl
+from .core import Corpus, QueryRecord, hashed_bag_of_tokens, read_jsonl, write_jsonl, write_text
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
 
@@ -384,7 +384,7 @@ def write_trace(trace: list[dict], path: str | Path) -> None:
 
 
 def save_long_memory(memory: dict[str, dict], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(memory, indent=2, sort_keys=True), encoding="utf-8")
+    write_text(path, json.dumps(memory, indent=2, sort_keys=True))
 
 
 def load_long_memory(path: str | Path) -> dict[str, dict]:

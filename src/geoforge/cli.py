@@ -8,6 +8,7 @@ from pathlib import Path
 
 import click
 
+from .core import write_text
 from .pipeline import (
     STAGE_ORDER,
     PipelineConfig,
@@ -148,7 +149,7 @@ def eval_cmd(config_path, out, seed):
         click.echo(f"{key:<32} {metrics[key]}")
     ws = Workspace(config.out_dir)
     eval_path = ws.out / "eval_report.json"
-    eval_path.write_text(json.dumps(metrics, indent=2, sort_keys=True), encoding="utf-8")
+    write_text(eval_path, json.dumps(metrics, indent=2, sort_keys=True))
     click.echo(f"written: {eval_path}")
 
 

@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .core import Corpus, PinRecord, QueryRecord, cosine, f32, read_jsonl, write_jsonl
+from .core import (
+    Corpus, PinRecord, QueryRecord, cosine, f32, read_jsonl, write_jsonl, write_text,
+)
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
 
@@ -139,6 +141,6 @@ def emit_pages(collections: list[Collection], corpus: Corpus, out_dir: str | Pat
             "</body>\n</html>\n"
         )
         path = out / f"{coll.slug}.html"
-        path.write_text(html, encoding="utf-8")
+        write_text(path, html)
         paths.append(path)
     return paths

@@ -324,7 +324,7 @@ class CorpusManifest:
             f"d_t={self.d_t}",
             f"seed={self.seed}",
         ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -369,6 +369,19 @@ def _atomic_open(path: str | Path, mode: str, **kwargs) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with _atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def write_train_log(path: str | Path, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """A training log as CSV: the column names, then per row the step and
+    each later value to 10 significant digits."""
+    lines = [",".join(columns)]
+    lines += [",".join([str(step), *(f"{v:.10g}" for v in values)]) for step, *values in rows]
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Corpus, load_arrays, save_arrays
+from .mlp import Mlp
 
 ENCODER_MAGIC = b"GEOENC02"
 DEFAULT_TEMPERATURE = 0.07
@@ -27,93 +28,22 @@ class EncoderError(ValueError):
 
 @dataclass
 class EncoderModel:
-    """MLP with ReLU hidden layers and an L2-normalized linear output."""
+    """An encoder tower: ReLU hidden layers and an L2-normalized linear
+    output (`mlp.Mlp` without LayerNorm)."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[1]
+    net: Mlp
 
     @property
     def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @classmethod
-    def init(
-        cls,
-        input_dim: int,
-        hidden_dims: list[int],
-        output_dim: int,
-        rng: np.random.Generator,
-    ) -> "EncoderModel":
-        dims = [input_dim, *hidden_dims, output_dim]
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            weights.append(rng.standard_normal((fan_out, fan_in)) * scale)
-            biases.append(np.zeros(fan_out))
-        return cls(weights=weights, biases=biases)
-
-    def forward(self, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Batch forward pass (rows are inputs); returns unit-norm rows and
-        the cache needed for backprop."""
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        if x.shape[1] != self.input_dim:
-            raise EncoderError(
-                f"input dim {x.shape[1]} does not match model dim {self.input_dim}"
-            )
-        cache: dict = {"inputs": [x], "pre": []}
-        h = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w.T + b
-            cache["pre"].append(z)
-            if i < len(self.weights) - 1:
-                h = np.maximum(z, 0.0)
-                cache["inputs"].append(h)
-            else:
-                h = z
-        if not np.all(np.isfinite(h)):
-            raise EncoderError("non-finite activations in forward pass")
-        norms = np.linalg.norm(h, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise EncoderError("zero-norm output before normalization")
-        cache["raw"] = h
-        cache["norms"] = norms
-        return h / norms, cache
-
-    def backward(self, cache: dict, d_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Gradients of the loss w.r.t. weights and biases given d(loss)/d(output)."""
-        raw, norms = cache["raw"], cache["norms"]
-        unit = raw / norms
-        # through L2 normalization: dz = (du - u (u . du)) / ||z||
-        dz = (d_out - unit * np.sum(unit * d_out, axis=1, keepdims=True)) / norms
-        d_weights = [np.zeros_like(w) for w in self.weights]
-        d_biases = [np.zeros_like(b) for b in self.biases]
-        grad = dz
-        for i in reversed(range(len(self.weights))):
-            if i < len(self.weights) - 1:
-                grad = grad * (cache["pre"][i] > 0.0)
-            d_weights[i] = grad.T @ cache["inputs"][i]
-            d_biases[i] = grad.sum(axis=0)
-            if i > 0:
-                grad = grad @ self.weights[i]
-        return d_weights, d_biases
+        return self.net.output_dim
 
     def encode(self, vector: np.ndarray) -> np.ndarray:
-        out, _ = self.forward(vector)
+        out, _ = self.net.forward(vector, EncoderError)
         return out[0]
 
     def encode_batch(self, matrix: np.ndarray) -> np.ndarray:
-        out, _ = self.forward(matrix)
+        out, _ = self.net.forward(matrix, EncoderError)
         return out
-
-    def apply_gradients(self, d_weights, d_biases, lr: float) -> None:
-        for w, dw in zip(self.weights, d_weights):
-            w -= lr * dw
-        for b, db in zip(self.biases, d_biases):
-            b -= lr * db
 
 
 @dataclass
@@ -233,9 +163,9 @@ def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainR
     if loss_kind != "pinclip":
         raise EncoderError(f"unknown loss kind {loss_kind!r}")
     rng = np.random.default_rng(config.seed)
-    img = EncoderModel.init(corpus.d_v, config.hidden_dims, config.output_dim, rng)
-    txt = EncoderModel.init(corpus.d_t, config.hidden_dims, config.output_dim, rng)
-    encoders = {"img": img, "txt": txt}
+    img = Mlp.init([corpus.d_v, *config.hidden_dims, config.output_dim], rng)
+    txt = Mlp.init([corpus.d_t, *config.hidden_dims, config.output_dim], rng)
+    encoders = {"img": EncoderModel(img), "txt": EncoderModel(txt)}
     signatures = sorted(corpus.pins)
     coboard = _coboard_pairs(corpus)
     if not coboard:
@@ -252,24 +182,23 @@ def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainR
         vis_a = np.stack([corpus.pins[a].visual_embedding for a, _ in pp])
         vis_b = np.stack([corpus.pins[b].visual_embedding for _, b in pp])
 
-        enc_vis, cache_vis = img.forward(vis)
-        enc_txt, cache_txt = txt.forward(txt_in)
-        enc_a, cache_a = img.forward(vis_a)
-        enc_b, cache_b = img.forward(vis_b)
+        enc_vis, cache_vis = img.forward(vis, EncoderError)
+        enc_txt, cache_txt = txt.forward(txt_in, EncoderError)
+        enc_a, cache_a = img.forward(vis_a, EncoderError)
+        enc_b, cache_b = img.forward(vis_b, EncoderError)
         loss, grads = pinclip_loss(
             ContrastiveBatch(enc_vis, enc_txt, config.temperature),
             ContrastiveBatch(enc_a, enc_b, config.temperature),
         )
-        dw_img, db_img = img.backward(cache_vis, grads["img_txt_anchors"])
-        dw_a, db_a = img.backward(cache_a, grads["pin_pin_anchors"])
-        dw_b, db_b = img.backward(cache_b, grads["pin_pin_positives"])
-        for i in range(len(dw_img)):
-            dw_img[i] += dw_a[i] + dw_b[i]
-            db_img[i] += db_a[i] + db_b[i]
-        dw_txt, db_txt = txt.backward(cache_txt, grads["img_txt_positives"])
-        img.apply_gradients(dw_img, db_img, config.learning_rate)
-        txt.apply_gradients(dw_txt, db_txt, config.learning_rate)
-        _log_step(log, step, loss, dw_img + dw_txt + db_img + db_txt, encoders)
+        g_img = img.backward(cache_vis, grads["img_txt_anchors"])
+        g_a = img.backward(cache_a, grads["pin_pin_anchors"])
+        g_b = img.backward(cache_b, grads["pin_pin_positives"])
+        g_img = [g + (a + b) for g, a, b in zip(g_img, g_a, g_b)]
+        g_txt = txt.backward(cache_txt, grads["img_txt_positives"])
+        img.sgd_step(g_img, config.learning_rate)
+        txt.sgd_step(g_txt, config.learning_rate)
+        # all weights, then all biases: the order the logged norm has always summed in
+        _log_step(log, step, loss, g_img[::2] + g_txt[::2] + g_img[1::2] + g_txt[1::2], encoders)
     return TrainResult(encoders=encoders, log=log)
 
 
@@ -279,7 +208,7 @@ def _log_step(
 ) -> None:
     """Append (step, loss, gradient norm) to the log; a non-finite loss raises."""
     if not np.isfinite(loss):
-        norms = {k: float(np.linalg.norm(m.weights[0])) for k, m in encoders.items()}
+        norms = {k: float(np.linalg.norm(m.net.layers[0][0])) for k, m in encoders.items()}
         raise EncoderError(f"NaN loss at step {step}; parameter norms {norms}")
     log.append((step, float(loss), float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))))
 
@@ -287,7 +216,7 @@ def _log_step(
 def save_model(model: EncoderModel, path: str | Path) -> None:
     """Save each layer's weights and biases as float32 ``w{i}`` and ``b{i}``."""
     arrays = {}
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for i, (w, b) in enumerate(model.net.layers):
         arrays[f"w{i}"] = w.astype("<f4")
         arrays[f"b{i}"] = b.astype("<f4")
     save_arrays(path, ENCODER_MAGIC, {}, arrays)
@@ -300,17 +229,7 @@ def load_model(path: str | Path) -> EncoderModel:
     names = [f"{kind}{i}" for i in range(n_layers) for kind in "wb"]
     if n_layers == 0 or {n: a.dtype.str for n, a in arrays.items()} != dict.fromkeys(names, "<f4"):
         raise EncoderError(f"unexpected array names or dtypes in {path}")
-    weights = [arrays[f"w{i}"].astype(np.float64) for i in range(n_layers)]
-    biases = [arrays[f"b{i}"].astype(np.float64) for i in range(n_layers)]
-    if any(w.ndim != 2 or b.shape != w.shape[:1] for w, b in zip(weights, biases)) or any(
-        w.shape[0] != nxt.shape[1] for w, nxt in zip(weights, weights[1:])
-    ):
-        raise EncoderError(f"layer shapes do not chain in {path}")
-    return EncoderModel(weights=weights, biases=biases)
-
-
-def write_train_log(log: list[tuple[int, float, float]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,loss,grad_norm\n")
-        for step, loss, grad_norm in log:
-            fh.write(f"{step},{loss:.10g},{grad_norm:.10g}\n")
+    params = [arrays[name] for name in names]
+    # layer sizes: the first weight's fan-in, then each bias's length
+    dims = [*params[0].shape[1:2], *(b.size for b in params[1::2])]
+    return EncoderModel(Mlp.from_parameters(params, dims, False, EncoderError, path))

@@ -25,6 +25,8 @@ from .core import (
     read_jsonl,
     subseed,
     write_jsonl,
+    write_text,
+    write_train_log,
 )
 
 
@@ -233,7 +235,7 @@ def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
         seed=subseed(config.seed, "curation"),
     )
     write_jsonl(ws.labeled_pairs, (p.to_json() for p in labeled))
-    ws.curation_report.write_text(json.dumps(report, indent=2), encoding="utf-8")
+    write_text(ws.curation_report, json.dumps(report, indent=2))
     return report
 
 
@@ -254,7 +256,7 @@ def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
     )
     encoders.save_model(result.encoders["img"], ws.encoder_img)
     encoders.save_model(result.encoders["txt"], ws.encoder_txt)
-    encoders.write_train_log(result.log, ws.encoder_log)
+    write_train_log(ws.encoder_log, ("step", "loss", "grad_norm"), result.log)
     return {
         "initial_loss": result.log[0][1],
         "final_loss": result.log[-1][1],
@@ -351,10 +353,7 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
         ),
     )
     ranker.save_ranker(model, ws.ranker_file)
-    with open(ws.ranker_log, "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        for step, loss in log:
-            fh.write(f"{step},{loss:.10g}\n")
+    write_train_log(ws.ranker_log, ("step", "loss"), log)
 
     # annotate every pin with its top-scoring deduped queries
     deduped = curation.dedup_queries(corpus.queries)
@@ -451,10 +450,8 @@ def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
     report = linkgraph.link_report(graph, scores)
     report["dangling_annotations"] = len(dangling)
     linkgraph.write_graph(graph, ws.graph_file)
-    ws.link_report.write_text(json.dumps(report, indent=2), encoding="utf-8")
-    ws.sitemap.write_text(
-        linkgraph.export_sitemap(graph, config.base_url), encoding="utf-8"
-    )
+    write_text(ws.link_report, json.dumps(report, indent=2))
+    write_text(ws.sitemap, linkgraph.export_sitemap(graph, config.base_url))
     return {
         "nodes": report["nodes"],
         "edges": report["edges"],
@@ -700,5 +697,5 @@ def run_pipeline(
                 report["checksums"][str(artifact.relative_to(ws.out))] = file_checksum(
                     artifact
                 )
-    ws.report.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+    write_text(ws.report, json.dumps(report, indent=2, sort_keys=True))
     return report, ok

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import PinRecord, QueryRecord, load_arrays, save_arrays
+from .mlp import Mlp
 
 RANKER_MAGIC = b"GEORNK02"
 RANKER_META = {"d_v": int, "d_t": int, "hidden": [int], "output_dim": int,
                "dropout_rate": float, "margin": float, "width_mult": float}
-LN_EPS = 1e-5
 
 
 class RankerError(ValueError):
@@ -72,146 +72,34 @@ def query_features(query: QueryRecord) -> np.ndarray:
 
 
 @dataclass
-class Tower:
-    """Parameters for one tower: hidden (W, b, gamma, beta) plus final (W, b)."""
-
-    hidden: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    final_w: np.ndarray
-    final_b: np.ndarray
-
-    @classmethod
-    def init(
-        cls, input_dim: int, hidden_dims: list[int], output_dim: int,
-        rng: np.random.Generator,
-    ) -> "Tower":
-        layers = []
-        fan_in = input_dim
-        for width in hidden_dims:
-            scale = np.sqrt(2.0 / fan_in)
-            layers.append(
-                (
-                    rng.standard_normal((width, fan_in)) * scale,
-                    np.zeros(width),
-                    np.ones(width),
-                    np.zeros(width),
-                )
-            )
-            fan_in = width
-        final_w = rng.standard_normal((output_dim, fan_in)) * np.sqrt(1.0 / fan_in)
-        return cls(hidden=layers, final_w=final_w, final_b=np.zeros(output_dim))
-
-    def parameters(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b, gamma, beta in self.hidden:
-            out.extend([w, b, gamma, beta])
-        out.extend([self.final_w, self.final_b])
-        return out
-
-
-def tower_forward(
-    tower: Tower,
-    inputs: np.ndarray,
-    train: bool = False,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict]:
-    """Forward pass; Train mode applies a seeded inverted-scaling dropout mask."""
-    x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    expected = tower.hidden[0][0].shape[1]
-    if x.shape[1] != expected:
-        raise RankerError(f"input dim {x.shape[1]} does not match tower dim {expected}")
-    cache: dict = {"inputs": [x], "layers": []}
-    h = x
-    for w, b, gamma, beta in tower.hidden:
-        z = h @ w.T + b
-        a = np.maximum(z, 0.0)
-        mu = a.mean(axis=1, keepdims=True)
-        var = a.var(axis=1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + LN_EPS)
-        xhat = (a - mu) * inv_std
-        ln = gamma * xhat + beta
-        if train and dropout_rate > 0.0:
-            if rng is None:
-                raise RankerError("Train-mode dropout needs an RNG")
-            mask = (rng.random(ln.shape) >= dropout_rate) / (1.0 - dropout_rate)
-        else:
-            mask = np.ones_like(ln)
-        out = ln * mask
-        cache["layers"].append(
-            {"z": z, "a": a, "inv_std": inv_std, "xhat": xhat, "mask": mask}
-        )
-        cache["inputs"].append(out)
-        h = out
-    raw = h @ tower.final_w.T + tower.final_b
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise RankerError("zero-norm tower output before normalization")
-    cache["raw"] = raw
-    cache["norms"] = norms
-    return raw / norms, cache
-
-
-def tower_backward(tower: Tower, cache: dict, d_out: np.ndarray) -> list[np.ndarray]:
-    """Gradients in the same order as tower.parameters()."""
-    raw, norms = cache["raw"], cache["norms"]
-    unit = raw / norms
-    d_raw = (d_out - unit * np.sum(unit * d_out, axis=1, keepdims=True)) / norms
-    grads: list[np.ndarray] = []
-    d_final_w = d_raw.T @ cache["inputs"][-1]
-    d_final_b = d_raw.sum(axis=0)
-    grad = d_raw @ tower.final_w
-    hidden_grads: list[list[np.ndarray]] = []
-    for i in reversed(range(len(tower.hidden))):
-        w, b, gamma, beta = tower.hidden[i]
-        layer = cache["layers"][i]
-        d_ln = grad * layer["mask"]
-        d_gamma = (d_ln * layer["xhat"]).sum(axis=0)
-        d_beta = d_ln.sum(axis=0)
-        d_xhat = d_ln * gamma
-        # LayerNorm backward over the feature axis
-        dim = d_xhat.shape[1]
-        a_centered = layer["xhat"] / layer["inv_std"]
-        d_var = np.sum(d_xhat * a_centered * -0.5 * layer["inv_std"] ** 3, axis=1, keepdims=True)
-        d_mu = (
-            np.sum(-d_xhat * layer["inv_std"], axis=1, keepdims=True)
-            + d_var * np.mean(-2.0 * a_centered, axis=1, keepdims=True)
-        )
-        d_a = d_xhat * layer["inv_std"] + d_var * 2.0 * a_centered / dim + d_mu / dim
-        d_z = d_a * (layer["z"] > 0.0)
-        d_w = d_z.T @ cache["inputs"][i]
-        d_b = d_z.sum(axis=0)
-        hidden_grads.append([d_w, d_b, d_gamma, d_beta])
-        grad = d_z @ w
-    for layer_grads in reversed(hidden_grads):
-        grads.extend(layer_grads)
-    grads.extend([d_final_w, d_final_b])
-    return grads
-
-
-@dataclass
 class RankerModel:
-    pin_tower: Tower
-    query_tower: Tower
+    """Pin and query towers: `mlp.Mlp` with LayerNorm hidden layers."""
+
+    pin_tower: Mlp
+    query_tower: Mlp
     config: TowerConfig
 
     @classmethod
     def init(cls, config: TowerConfig, seed: int = 0) -> "RankerModel":
         rng = np.random.default_rng(seed)
-        hidden = config.scaled_hidden()
-        out = config.scaled_output()
-        return cls(
-            pin_tower=Tower.init(config.pin_input_dim, hidden, out, rng),
-            query_tower=Tower.init(config.query_input_dim, hidden, out, rng),
-            config=config,
+        pin, query = (
+            Mlp.init(dims, rng, layer_norm=True, last_gain=1.0) for dims in _tower_dims(config)
         )
+        return cls(pin_tower=pin, query_tower=query, config=config)
 
     def embed_pin(self, features: np.ndarray) -> np.ndarray:
-        out, _ = tower_forward(self.pin_tower, features)
+        out, _ = self.pin_tower.forward(features, RankerError)
         return out
 
     def embed_query(self, features: np.ndarray) -> np.ndarray:
-        out, _ = tower_forward(self.query_tower, features)
+        out, _ = self.query_tower.forward(features, RankerError)
         return out
+
+
+def _tower_dims(config: TowerConfig) -> list[list[int]]:
+    """Layer sizes of the pin tower and of the query tower."""
+    hidden, out = config.scaled_hidden(), config.scaled_output()
+    return [[config.pin_input_dim, *hidden, out], [config.query_input_dim, *hidden, out]]
 
 
 def margin_loss(
@@ -267,24 +155,18 @@ def train_ranker(
     for step in range(train.steps):
         idx = rng.choice(len(triplets), size=min(train.batch_size, len(triplets)), replace=False)
         b_pin, b_pos, b_neg = pins[idx], positives[idx], negatives[idx]
-        e_pin, cache_pin = tower_forward(
-            model.pin_tower, b_pin, train=True,
-            dropout_rate=config.dropout_rate, rng=rng,
-        )
-        e_query, cache_query = tower_forward(
-            model.query_tower, np.concatenate([b_pos, b_neg]), train=True,
-            dropout_rate=config.dropout_rate, rng=rng,
+        e_pin, cache_pin = model.pin_tower.forward(b_pin, RankerError, config.dropout_rate, rng)
+        e_query, cache_query = model.query_tower.forward(
+            np.concatenate([b_pos, b_neg]), RankerError, config.dropout_rate, rng
         )
         e_pos, e_neg = np.split(e_query, 2)
         loss, d_pin, d_pos, d_neg = margin_loss_batch(e_pin, e_pos, e_neg, config.margin)
         if not np.isfinite(loss):
             raise RankerError(f"non-finite loss at step {step}")
-        g_pin = tower_backward(model.pin_tower, cache_pin, d_pin)
-        g_query = tower_backward(model.query_tower, cache_query, np.concatenate([d_pos, d_neg]))
-        for param, grad in zip(model.pin_tower.parameters(), g_pin):
-            param -= train.learning_rate * grad
-        for param, grad in zip(model.query_tower.parameters(), g_query):
-            param -= train.learning_rate * grad
+        g_pin = model.pin_tower.backward(cache_pin, d_pin)
+        g_query = model.query_tower.backward(cache_query, np.concatenate([d_pos, d_neg]))
+        model.pin_tower.sgd_step(g_pin, train.learning_rate)
+        model.query_tower.sgd_step(g_query, train.learning_rate)
         log.append((step, loss))
     return model, log
 
@@ -305,7 +187,7 @@ def correct_rank(
 
 
 def save_ranker(model: RankerModel, path: str | Path) -> None:
-    """Save the TowerConfig as meta and each tower's `Tower.parameters` as
+    """Save the TowerConfig as meta and each tower's `Mlp.parameters` as
     float32 arrays ``pin{i}`` and ``query{i}``."""
     arrays = {}
     for prefix, tower in (("pin", model.pin_tower), ("query", model.query_tower)):
@@ -314,31 +196,18 @@ def save_ranker(model: RankerModel, path: str | Path) -> None:
     save_arrays(path, RANKER_MAGIC, asdict(model.config), arrays)
 
 
-def _parameter_shapes(input_dim: int, hidden: list[int], output_dim: int) -> list[tuple]:
-    """Shapes of `Tower.parameters`, in order."""
-    shapes: list[tuple] = []
-    for width in hidden:
-        shapes += [(width, input_dim), (width,), (width,), (width,)]
-        input_dim = width
-    return shapes + [(output_dim, input_dim), (output_dim,)]
-
-
 def load_ranker(path: str | Path) -> RankerModel:
     """Read a `save_ranker` checkpoint; damage or a shape misfit raises RankerError."""
     meta, arrays = load_arrays(path, RANKER_MAGIC, RankerError, RANKER_META)
     config = TowerConfig(**meta)
-    expected = {}
-    for prefix, input_dim in (("pin", config.pin_input_dim), ("query", config.query_input_dim)):
-        shapes = _parameter_shapes(input_dim, config.scaled_hidden(), config.scaled_output())
-        expected |= {f"{prefix}{i}": ("<f4", shape) for i, shape in enumerate(shapes)}
-    if {name: (a.dtype.str, a.shape) for name, a in arrays.items()} != expected:
-        raise RankerError(f"parameters do not match the tower config in {path}")
-
-    def rebuild(prefix: str) -> Tower:
-        params = [
-            arrays[f"{prefix}{i}"].astype(np.float64) for i in range(len(expected) // 2)
-        ]
-        hidden = [tuple(params[i : i + 4]) for i in range(0, len(params) - 2, 4)]
-        return Tower(hidden=hidden, final_w=params[-2], final_b=params[-1])
-
-    return RankerModel(pin_tower=rebuild("pin"), query_tower=rebuild("query"), config=config)
+    n_params = len(arrays) // 2
+    names = [f"{prefix}{i}" for prefix in ("pin", "query") for i in range(n_params)]
+    if {name: a.dtype.str for name, a in arrays.items()} != dict.fromkeys(names, "<f4"):
+        raise RankerError(f"unexpected array names or dtypes in {path}")
+    pin, query = (
+        Mlp.from_parameters(
+            [arrays[f"{prefix}{i}"] for i in range(n_params)], dims, True, RankerError, path
+        )
+        for prefix, dims in zip(("pin", "query"), _tower_dims(config))
+    )
+    return RankerModel(pin_tower=pin, query_tower=query, config=config)

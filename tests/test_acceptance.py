@@ -132,9 +132,9 @@ def _ranker_end_to_end_errors(seed: int) -> list[float] | None:
     b_neg = rng.standard_normal((3, config.query_input_dim))
 
     def forward():
-        e_pin, c_pin = ranker.tower_forward(model.pin_tower, b_pin)
-        e_pos, c_pos = ranker.tower_forward(model.query_tower, b_pos)
-        e_neg, c_neg = ranker.tower_forward(model.query_tower, b_neg)
+        e_pin, c_pin = model.pin_tower.forward(b_pin, ranker.RankerError)
+        e_pos, c_pos = model.query_tower.forward(b_pos, ranker.RankerError)
+        e_neg, c_neg = model.query_tower.forward(b_neg, ranker.RankerError)
         return e_pin, e_pos, e_neg, c_pin, c_pos, c_neg
 
     try:
@@ -145,24 +145,24 @@ def _ranker_end_to_end_errors(seed: int) -> list[float] | None:
         return None
     gaps = np.sum(e_pin * e_neg, axis=1) - np.sum(e_pin * e_pos, axis=1) + config.margin
     for cache in (c_pin, c_pos, c_neg):
-        for layer in cache["layers"]:
+        for layer in cache["layers"][:-1]:
             if float(np.min(np.abs(layer["z"]))) < 1e-4:
                 return None
     if float(np.min(np.abs(gaps))) < 1e-4:
         return None
 
     _, d_pin, d_pos, d_neg = ranker.margin_loss_batch(e_pin, e_pos, e_neg, config.margin)
-    g_pin = ranker.tower_backward(model.pin_tower, c_pin, d_pin)
-    g_pos = ranker.tower_backward(model.query_tower, c_pos, d_pos)
-    g_neg = ranker.tower_backward(model.query_tower, c_neg, d_neg)
+    g_pin = model.pin_tower.backward(c_pin, d_pin)
+    g_pos = model.query_tower.backward(c_pos, d_pos)
+    g_neg = model.query_tower.backward(c_neg, d_neg)
     g_query = [gp + gn for gp, gn in zip(g_pos, g_neg)]
 
     params = model.pin_tower.parameters() + model.query_tower.parameters()
 
     def loss():
-        e1, _ = ranker.tower_forward(model.pin_tower, b_pin)
-        e2, _ = ranker.tower_forward(model.query_tower, b_pos)
-        e3, _ = ranker.tower_forward(model.query_tower, b_neg)
+        e1, _ = model.pin_tower.forward(b_pin, ranker.RankerError)
+        e2, _ = model.query_tower.forward(b_pos, ranker.RankerError)
+        e3, _ = model.query_tower.forward(b_neg, ranker.RankerError)
         return ranker.margin_loss_batch(e1, e2, e3, config.margin)[0]
 
     try:

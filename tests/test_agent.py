@@ -28,6 +28,7 @@ from geoforge.agent import (
 )
 from geoforge.core import read_jsonl
 from geoforge.encoders import EncoderModel
+from geoforge.mlp import Mlp
 
 
 TAXONOMY = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[:4]
@@ -137,7 +138,7 @@ class TestTools:
 @pytest.fixture(scope="module")
 def episode_setup(request, tmp_path_factory):
     corpus, _, config = request.getfixturevalue("small_synth")
-    encoder = EncoderModel(weights=[np.eye(config.d_t)], biases=[np.zeros(config.d_t)])
+    encoder = EncoderModel(Mlp([(np.eye(config.d_t), np.zeros(config.d_t))]))
     vectors = {
         sig: encoder.encode(pin.text_embedding) for sig, pin in corpus.pins.items()
     }

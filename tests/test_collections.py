@@ -21,10 +21,11 @@ from geoforge.collections_ import (
 from geoforge.core import CorpusError, QueryRecord
 from geoforge.encoders import EncoderModel
 from geoforge.hnsw import HnswIndex
+from geoforge.mlp import Mlp
 
 
 def _identity_encoder(dim: int) -> EncoderModel:
-    return EncoderModel(weights=[np.eye(dim)], biases=[np.zeros(dim)])
+    return EncoderModel(Mlp([(np.eye(dim), np.zeros(dim))]))
 
 
 @pytest.fixture(scope="module")

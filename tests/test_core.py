@@ -388,6 +388,31 @@ def test_only_core_imports_struct():
     assert importers <= {"core"}
 
 
+def test_only_core_opens_files_for_writing():
+    """Artifacts are written through core's atomic writers: no other module
+    calls `open` with a writing mode, `.write_text` or `.write_bytes`."""
+    writers = set()
+    for path in Path(geoforge.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+                writers.add(path.stem)
+            elif (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr == "open"
+            ):
+                # builtin open(path, mode) or Path.open(mode)
+                modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+                if any(
+                    not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                    for m in modes
+                ):
+                    writers.add(path.stem)
+    assert writers <= {"core"}
+
+
 # imported names a module keeps without using them, each with its reason
 UNUSED_IMPORTS = {
     "curation.cosine": "the benchmark's tracer test looks it up on curation",

@@ -20,6 +20,7 @@ from geoforge.encoders import (
     softmax_contrastive_loss,
     train_encoder,
 )
+from geoforge.mlp import Mlp
 
 from _oracles import finite_difference, rel_error
 
@@ -27,15 +28,27 @@ from _oracles import finite_difference, rel_error
 class TestEncoderModel:
     def test_forward_unit_rows(self):
         rng = np.random.default_rng(1)
-        model = EncoderModel.init(6, [5], 4, rng)
-        out, _ = model.forward(0.1 + np.abs(rng.standard_normal((8, 6))))
+        model = EncoderModel(Mlp.init([6, 5, 4], rng))
+        out = model.encode_batch(0.1 + np.abs(rng.standard_normal((8, 6))))
         assert out.shape == (8, 4)
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
 
     def test_dim_mismatch(self):
-        model = EncoderModel.init(6, [], 4, np.random.default_rng(0))
+        model = EncoderModel(Mlp.init([6, 4], np.random.default_rng(0)))
         with pytest.raises(EncoderError, match="input dim"):
-            model.forward(np.ones((2, 5)))
+            model.encode_batch(np.ones((2, 5)))
+
+    def test_non_finite_input(self):
+        model = EncoderModel(Mlp.init([6, 5, 4], np.random.default_rng(0)))
+        row = np.ones(6)
+        row[2] = np.nan
+        with pytest.raises(EncoderError, match="non-finite"):
+            model.encode(row)
+
+    def test_dropout_requires_rng(self):
+        net = Mlp.init([6, 4], np.random.default_rng(0))
+        with pytest.raises(EncoderError, match="RNG"):
+            net.forward(np.ones((2, 6)), EncoderError, dropout_rate=0.5)
 
     def test_backward_matches_finite_differences(self):
         # end-to-end through ReLU hidden layer and L2 normalization,
@@ -45,21 +58,19 @@ class TestEncoderModel:
         while checked < 5:
             rng = np.random.default_rng(seed)
             seed += 1
-            model = EncoderModel.init(4, [5], 3, rng)
+            net = Mlp.init([4, 5, 3], rng)
             x = rng.standard_normal((3, 4))
             target = rng.standard_normal((3, 3))
 
             def loss():
-                out, _ = model.forward(x)
+                out, _ = net.forward(x, EncoderError)
                 return float(np.sum(out * target))
 
-            out, cache = model.forward(x)
-            if float(np.min(np.abs(cache["pre"][0]))) < 1e-4:
+            out, cache = net.forward(x, EncoderError)
+            if float(np.min(np.abs(cache["layers"][0]["z"]))) < 1e-4:
                 continue
-            d_weights, d_biases = model.backward(cache, target)
-            params = model.weights + model.biases
-            numeric = finite_difference(loss, params)
-            analytic = d_weights + d_biases
+            numeric = finite_difference(loss, net.parameters())
+            analytic = net.backward(cache, target)
             assert max(
                 rel_error(a, n) for a, n in zip(analytic, numeric)
             ) <= 1e-3
@@ -133,18 +144,18 @@ class TestTraining:
         b = train_encoder(corpus, "pinclip", config)
         assert a.log == b.log
         for key in a.encoders:
-            for wa, wb in zip(a.encoders[key].weights, b.encoders[key].weights):
+            for wa, wb in zip(a.encoders[key].net.parameters(), b.encoders[key].net.parameters()):
                 assert np.array_equal(wa, wb)
 
 
 class TestCheckpoints:
     def test_roundtrip_through_f32(self, tmp_path):
         rng = np.random.default_rng(3)
-        model = EncoderModel.init(6, [5], 4, rng)
+        model = EncoderModel(Mlp.init([6, 5, 4], rng))
         path = tmp_path / "enc.bin"
         save_model(model, path)
         loaded = load_model(path)
-        for w, lw in zip(model.weights, loaded.weights):
+        for w, lw in zip(model.net.parameters(), loaded.net.parameters()):
             assert np.allclose(w, lw, atol=1e-6)
         probe = rng.standard_normal(6)
         assert np.allclose(model.encode(probe), loaded.encode(probe), atol=1e-5)
@@ -156,7 +167,7 @@ class TestCheckpoints:
             load_model(path)
 
     def test_truncated(self, tmp_path):
-        model = EncoderModel.init(4, [], 3, np.random.default_rng(0))
+        model = EncoderModel(Mlp.init([4, 3], np.random.default_rng(0)))
         path = tmp_path / "enc.bin"
         save_model(model, path)
         path.write_bytes(path.read_bytes()[:-8])
@@ -166,7 +177,7 @@ class TestCheckpoints:
     def test_bit_flip_anywhere(self, tmp_path):
         """Every single-bit flip either loads a model that can encode or
         raises EncoderError."""
-        model = EncoderModel.init(4, [3], 2, np.random.default_rng(0))
+        model = EncoderModel(Mlp.init([4, 3, 2], np.random.default_rng(0)))
         path = tmp_path / "enc.bin"
         save_model(model, path)
         data = path.read_bytes()
@@ -182,23 +193,21 @@ class TestCheckpoints:
                     pass
 
     def test_unchained_layers_rejected(self, tmp_path):
-        model = EncoderModel(
-            weights=[np.ones((3, 4)), np.ones((2, 5))], biases=[np.zeros(3), np.zeros(2)]
-        )
+        model = EncoderModel(Mlp([(np.ones((3, 4)), np.zeros(3)), (np.ones((2, 5)), np.zeros(2))]))
         path = tmp_path / "enc.bin"
         save_model(model, path)
         with pytest.raises(EncoderError, match="chain"):
             load_model(path)
 
     def test_save_load_save_identical_bytes(self, tmp_path):
-        model = EncoderModel.init(6, [5], 4, np.random.default_rng(3))
+        model = EncoderModel(Mlp.init([6, 5, 4], np.random.default_rng(3)))
         first, second = tmp_path / "first.bin", tmp_path / "second.bin"
         save_model(model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
 
     def test_truncated_at_every_offset(self, tmp_path):
-        model = EncoderModel.init(4, [3], 2, np.random.default_rng(0))
+        model = EncoderModel(Mlp.init([4, 3, 2], np.random.default_rng(0)))
         path = tmp_path / "enc.bin"
         save_model(model, path)
         data = path.read_bytes()

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoforge.core import PinRecord, QueryRecord
+from geoforge.mlp import Mlp
 from geoforge.ranker import (
     RankerError,
     RankerModel,
     RankerTrainConfig,
-    Tower,
     TowerConfig,
     correct_rank,
     load_ranker,
@@ -20,8 +20,6 @@ from geoforge.ranker import (
     pin_features,
     query_features,
     save_ranker,
-    tower_backward,
-    tower_forward,
     train_ranker,
 )
 
@@ -90,6 +88,10 @@ class TestMarginLoss:
         assert abs(batch_loss - scalar_mean) <= 1e-12
 
 
+def _tower(dims: list[int], rng: np.random.Generator) -> Mlp:
+    return Mlp.init(dims, rng, layer_norm=True, last_gain=1.0)
+
+
 class TestTowerGradients:
     def test_backward_matches_finite_differences(self):
         # kink-avoided: skip probes close to a ReLU boundary
@@ -98,22 +100,60 @@ class TestTowerGradients:
         while checked < 5:
             rng = np.random.default_rng(seed)
             seed += 1
-            tower = Tower.init(6, [5], 3, rng)
+            tower = _tower([6, 5, 3], rng)
             x = rng.standard_normal((3, 6))
             target = rng.standard_normal((3, 3))
 
-            out, cache = tower_forward(tower, x)
+            out, cache = tower.forward(x, RankerError)
             if any(
                 float(np.min(np.abs(layer["z"]))) < 1e-4
-                for layer in cache["layers"]
+                for layer in cache["layers"][:-1]
             ):
                 continue
 
             def loss():
-                o, _ = tower_forward(tower, x)
+                o, _ = tower.forward(x, RankerError)
                 return float(np.sum(o * target))
 
-            analytic = tower_backward(tower, cache, target)
+            analytic = tower.backward(cache, target)
+            numeric = finite_difference(loss, tower.parameters())
+            assert max(
+                rel_error(a, n) for a, n in zip(analytic, numeric)
+            ) <= 1e-3
+            checked += 1
+
+    def test_backward_with_dropout_matches_finite_differences(self):
+        # every forward pass re-seeds the RNG, so each draws the same mask;
+        # kink-avoided as above, and a probe whose mask empties a row (zero
+        # output norm) is skipped
+        checked = 0
+        seed = 200
+        while checked < 5:
+            rng = np.random.default_rng(seed)
+            seed += 1
+            tower = _tower([6, 5, 3], rng)
+            x = rng.standard_normal((3, 6))
+            target = rng.standard_normal((3, 3))
+
+            def forward():
+                return tower.forward(x, RankerError, 0.5, np.random.default_rng(seed))
+
+            try:
+                out, cache = forward()
+            except RankerError:
+                continue
+            if any(
+                float(np.min(np.abs(layer["z"]))) < 1e-4
+                for layer in cache["layers"][:-1]
+            ):
+                continue
+            assert (cache["layers"][0]["mask"] == 0.0).any()
+
+            def loss():
+                o, _ = forward()
+                return float(np.sum(o * target))
+
+            analytic = tower.backward(cache, target)
             numeric = finite_difference(loss, tower.parameters())
             assert max(
                 rel_error(a, n) for a, n in zip(analytic, numeric)
@@ -121,14 +161,23 @@ class TestTowerGradients:
             checked += 1
 
     def test_dropout_requires_rng(self):
-        tower = Tower.init(4, [3], 2, np.random.default_rng(0))
+        tower = _tower([4, 3, 2], np.random.default_rng(0))
         with pytest.raises(RankerError, match="RNG"):
-            tower_forward(tower, np.ones((1, 4)), train=True, dropout_rate=0.5)
+            tower.forward(np.ones((1, 4)), RankerError, dropout_rate=0.5)
 
     def test_input_dim_mismatch(self):
-        tower = Tower.init(4, [3], 2, np.random.default_rng(0))
+        tower = _tower([4, 3, 2], np.random.default_rng(0))
         with pytest.raises(RankerError, match="input dim"):
-            tower_forward(tower, np.ones((1, 5)))
+            tower.forward(np.ones((1, 5)), RankerError)
+
+    @pytest.mark.parametrize("tower", ["pin", "query"])
+    def test_non_finite_input(self, tower):
+        model = RankerModel.init(SMALL, seed=0)
+        dim = SMALL.pin_input_dim if tower == "pin" else SMALL.query_input_dim
+        row = np.ones(dim)
+        row[1] = np.nan
+        with pytest.raises(RankerError, match="non-finite"):
+            getattr(model, f"embed_{tower}")(row)
 
 
 def _separable_triplets(n: int, seed: int):
@@ -187,13 +236,13 @@ class TestTraining:
         pins, pos, neg = (np.stack(col) for col in zip(*triplets))
         for _ in range(train.steps):
             idx = rng.choice(len(triplets), size=train.batch_size, replace=False)
-            e_pin, c_pin = tower_forward(model.pin_tower, pins[idx])
-            e_pos, c_pos = tower_forward(model.query_tower, pos[idx])
-            e_neg, c_neg = tower_forward(model.query_tower, neg[idx])
+            e_pin, c_pin = model.pin_tower.forward(pins[idx], RankerError)
+            e_pos, c_pos = model.query_tower.forward(pos[idx], RankerError)
+            e_neg, c_neg = model.query_tower.forward(neg[idx], RankerError)
             _, d_pin, d_pos, d_neg = margin_loss_batch(e_pin, e_pos, e_neg, SMALL.margin)
-            g_pin = tower_backward(model.pin_tower, c_pin, d_pin)
-            g_pos = tower_backward(model.query_tower, c_pos, d_pos)
-            g_neg = tower_backward(model.query_tower, c_neg, d_neg)
+            g_pin = model.pin_tower.backward(c_pin, d_pin)
+            g_pos = model.query_tower.backward(c_pos, d_pos)
+            g_neg = model.query_tower.backward(c_neg, d_neg)
             for param, grad in zip(model.pin_tower.parameters(), g_pin):
                 param -= train.learning_rate * grad
             for param, gp, gn in zip(model.query_tower.parameters(), g_pos, g_neg):
