@@ -388,7 +388,15 @@ def save_long_memory(memory: dict[str, dict], path: str | Path) -> None:
 
 
 def load_long_memory(path: str | Path) -> dict[str, dict]:
+    """The saved memory, {} when there is none. A file that is not JSON or
+    not an object of objects raises AgentError naming it."""
     p = Path(path)
     if not p.exists():
         return {}
-    return json.loads(p.read_text(encoding="utf-8"))
+    try:
+        memory = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise AgentError(f"{p}: malformed long memory: {exc}") from exc
+    if not isinstance(memory, dict) or not all(isinstance(v, dict) for v in memory.values()):
+        raise AgentError(f"{p}: long memory must be an object of objects")
+    return memory

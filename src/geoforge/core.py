@@ -20,7 +20,9 @@ import numpy as np
 
 QUERY_CATEGORIES = ("Description", "StyleDetail", "UseCase")
 PAIR_SOURCES = ("SearchConsole", "Synthetic", "HardNegative")
-MANIFEST_KEYS = ("pins", "queries", "engagement", "d_v", "d_t", "seed")
+MANIFEST_KEYS = {
+    "pins": str, "queries": str, "engagement": str, "d_v": int, "d_t": int, "seed": int
+}
 
 # Fixed offsets off the corpus-wide seed, one per stage, so every module
 # draws from its own deterministic stream.
@@ -280,29 +282,18 @@ class CorpusManifest:
     @classmethod
     def load(cls, path: str | Path) -> "CorpusManifest":
         """Parse a key=value manifest; relative paths resolve against its
-        directory, and an unknown key raises CorpusError naming path:line."""
+        directory, and an unknown key or an unparsable value raises
+        CorpusError naming path:line."""
         path = Path(path)
-        base = path.parent
-        kv: dict[str, str] = {}
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CorpusError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in MANIFEST_KEYS:
-                raise CorpusError(f"{path}:{lineno}: unknown manifest key {key!r}")
-            kv[key] = value.strip()
+        kv = read_key_values(path, MANIFEST_KEYS, "manifest", CorpusError)
         try:
             manifest = cls(
-                pins_path=base / kv["pins"],
-                queries_path=base / kv["queries"],
-                engagement_path=base / kv["engagement"],
-                d_v=int(kv.get("d_v", 1028)),
-                d_t=int(kv.get("d_t", 768)),
-                seed=int(kv.get("seed", 0)),
+                pins_path=path.parent / kv["pins"],
+                queries_path=path.parent / kv["queries"],
+                engagement_path=path.parent / kv["engagement"],
+                d_v=kv.get("d_v", 1028),
+                d_t=kv.get("d_t", 768),
+                seed=kv.get("seed", 0),
             )
         except KeyError as exc:
             raise CorpusError(f"{path}: missing manifest key {exc.args[0]!r}") from exc
@@ -341,6 +332,33 @@ class Corpus:
             return self.pins[signature]
         except KeyError:
             raise CorpusError(f"unknown pin signature {signature}") from None
+
+
+def read_key_values(
+    path: str | Path, kinds: dict[str, type], what: str, error: type[Exception]
+) -> dict[str, object]:
+    """Parse a key=value text file into {key: kinds[key](value)}. Blank lines
+    and # comments are skipped and dashes in a key read as underscores. A
+    line without '=', a key not in kinds or a value its kind cannot parse
+    raises `error` naming path:line; a repeated key keeps its last value."""
+    values: dict[str, object] = {}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if not sep:
+            raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in kinds:
+            raise error(f"{path}:{lineno}: unknown {what} key {key!r}")
+        try:
+            values[key] = kinds[key](value)
+        except ValueError:
+            raise error(
+                f"{path}:{lineno}: {key} must be {kinds[key].__name__}, got {value!r}"
+            ) from None
+    return values
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

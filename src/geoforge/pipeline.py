@@ -23,36 +23,12 @@ from .core import (
     file_checksum,
     load_corpus,
     read_jsonl,
+    read_key_values,
     subseed,
     write_jsonl,
     write_text,
     write_train_log,
 )
-
-
-STAGE_ORDER = [
-    "gen-corpus",
-    "curate",
-    "train-encoder",
-    "build-index",
-    "train-ranker",
-    "build-collections",
-    "link",
-    "agent-run",
-    "eval",
-]
-
-STAGE_DEPS = {
-    "gen-corpus": [],
-    "curate": ["gen-corpus"],
-    "train-encoder": ["gen-corpus"],
-    "build-index": ["train-encoder"],
-    "train-ranker": ["curate"],
-    "build-collections": ["build-index", "train-ranker"],
-    "link": ["build-collections"],
-    "agent-run": ["build-index"],
-    "eval": ["link"],
-}
 
 
 class PipelineError(RuntimeError):
@@ -95,34 +71,11 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
-        """key=value config file; unknown keys are rejected."""
-        known = {f.name: f.type for f in fields(cls)}
-        kv: dict[str, str] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if not sep:
-                raise PipelineError(f"{path}:{lineno}: expected key=value")
-            if key not in known:
-                raise PipelineError(f"{path}:{lineno}: unknown config key {key!r}")
-            kv[key] = value.strip()
-        config = cls(**overrides)
-        for key, raw in kv.items():
-            if key in overrides:
-                continue
-            current = getattr(config, key)
-            if isinstance(current, Path):
-                setattr(config, key, Path(raw))
-            elif isinstance(current, int):
-                setattr(config, key, int(raw))
-            elif isinstance(current, float):
-                setattr(config, key, float(raw))
-            else:
-                setattr(config, key, raw)
-        return config
+        """key=value config file; an unknown key or an unparsable value
+        raises PipelineError naming path:line."""
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        values = read_key_values(path, kinds, "config", PipelineError)
+        return cls(**{**values, **overrides})
 
 
 @dataclass
@@ -140,6 +93,14 @@ class Workspace:
     def corpus_dir(self) -> Path: return self.out / "corpus"
     @property
     def manifest(self) -> Path: return self.corpus_dir / "manifest.txt"
+    @property
+    def pins(self) -> Path: return self.corpus_dir / "pins.jsonl"
+    @property
+    def queries(self) -> Path: return self.corpus_dir / "queries.jsonl"
+    @property
+    def engagement(self) -> Path: return self.corpus_dir / "engagement.jsonl"
+    @property
+    def trends(self) -> Path: return self.corpus_dir / "trends.jsonl"
     @property
     def navboost(self) -> Path: return self.corpus_dir / "navboost.jsonl"
     @property
@@ -180,31 +141,61 @@ class Workspace:
     def report(self) -> Path: return self.out / "report.json"
 
 
-def _require(path: Path, stage: str, produced_by: str) -> None:
-    if not path.exists():
-        raise DependencyError(
-            f"stage {stage!r} needs missing artifact {path} "
-            f"(produced by stage {produced_by!r})"
-        )
+# What every stage writes and reads, as Workspace attribute names. Each
+# artifact's producer is the one stage that lists it as an output, and
+# run_pipeline checks a stage's inputs before it calls the stage.
+STAGE_OUTPUTS = {
+    "gen-corpus": ["manifest", "pins", "queries", "engagement", "trends", "navboost"],
+    "curate": ["labeled_pairs", "curation_report"],
+    "train-encoder": ["encoder_img", "encoder_txt", "encoder_log"],
+    "build-index": ["index_file"],
+    "train-ranker": ["ranker_file", "ranker_log", "annotations"],
+    "build-collections": ["collections"],
+    "link": ["graph_file", "link_report", "sitemap"],
+    # the next agent-run reads long_memory back when it is there
+    "agent-run": ["trace", "trend_queries", "long_memory"],
+    "eval": [],
+}
+STAGE_INPUTS = {
+    "gen-corpus": [],
+    "curate": ["manifest", "navboost"],
+    "train-encoder": ["manifest"],
+    "build-index": ["manifest", "encoder_img"],
+    "train-ranker": ["manifest", "labeled_pairs"],
+    "build-collections": ["manifest", "index_file", "encoder_txt", "annotations"],
+    "link": ["collections", "annotations"],
+    "agent-run": ["manifest", "index_file", "encoder_txt", "trends"],
+    "eval": ["manifest", "curation_report", "encoder_img", "encoder_txt", "encoder_log",
+             "index_file", "ranker_file", "collections", "link_report", "labeled_pairs",
+             "annotations"],
+}
+PRODUCERS = {name: stage for stage, names in STAGE_OUTPUTS.items() for name in names}
 
 
-def _load_corpus(ws: Workspace, stage: str) -> Corpus:
+def _check_inputs(stage: str, ws: Workspace) -> None:
+    for name in STAGE_INPUTS[stage]:
+        path = getattr(ws, name)
+        if not path.exists():
+            raise DependencyError(
+                f"stage {stage!r} needs missing artifact {path} "
+                f"(produced by stage {PRODUCERS[name]!r})"
+            )
+
+
+def _load_corpus(ws: Workspace) -> Corpus:
     if ws.corpus is None:
-        _require(ws.manifest, stage, "gen-corpus")
         ws.corpus = load_corpus(CorpusManifest.load(ws.manifest))
     return ws.corpus
 
 
-def _load_navboost(ws: Workspace, stage: str) -> dict[tuple[str, int], float]:
-    _require(ws.navboost, stage, "gen-corpus")
+def _load_navboost(ws: Workspace) -> dict[tuple[str, int], float]:
     return {
         (obj["query_text"], int(obj["pin_signature"])): float(obj["coverage"])
         for _, obj in read_jsonl(ws.navboost)
     }
 
 
-def _load_labeled(ws: Workspace, stage: str) -> list[LabeledPair]:
-    _require(ws.labeled_pairs, stage, "curate")
+def _load_labeled(ws: Workspace) -> list[LabeledPair]:
     return [LabeledPair.from_json(obj) for _, obj in read_jsonl(ws.labeled_pairs)]
 
 
@@ -226,11 +217,11 @@ def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws, "curate")
+    corpus = _load_corpus(ws)
     labeled, report = curation.curate(
         corpus.queries,
         corpus.engagement,
-        _load_navboost(ws, "curate"),
+        _load_navboost(ws),
         neg_per_pos=config.neg_per_pos,
         seed=subseed(config.seed, "curation"),
     )
@@ -240,7 +231,7 @@ def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws, "train-encoder")
+    corpus = _load_corpus(ws)
     result = encoders.train_encoder(
         corpus,
         "pinclip",
@@ -264,14 +255,19 @@ def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
     }
 
 
-def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws, "build-index")
-    _require(ws.encoder_img, "build-index", "train-encoder")
-    img_encoder = encoders.load_model(ws.encoder_img)
+def _encode_pins(
+    corpus: Corpus, img_encoder: encoders.EncoderModel
+) -> tuple[list[int], np.ndarray]:
+    """Sorted pin signatures and the image-tower embedding of each, row by row."""
     signatures = sorted(corpus.pins)
-    matrix = img_encoder.encode_batch(
+    return signatures, img_encoder.encode_batch(
         np.stack([corpus.pins[s].visual_embedding for s in signatures])
     )
+
+
+def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
+    corpus = _load_corpus(ws)
+    signatures, matrix = _encode_pins(corpus, encoders.load_model(ws.encoder_img))
     params = hnsw.HnswParams(
         M=config.hnsw_m, ef_construction=config.ef_construction, ef_search=config.ef_search
     )
@@ -296,11 +292,7 @@ def _triplets_from_labels(
         feats_pin = ranker.pin_features(corpus.pins[signature])
         for i in range(min(len(pos), len(neg))):
             triplets.append(
-                (
-                    feats_pin,
-                    ranker.query_features(pos[i]),
-                    ranker.query_features(neg[i]),
-                )
+                (feats_pin, ranker.query_features(pos[i]), ranker.query_features(neg[i]))
             )
     return triplets
 
@@ -331,9 +323,8 @@ def annotate_pins(
 
 
 def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws, "train-ranker")
-    labeled = _load_labeled(ws, "train-ranker")
-    triplets = _triplets_from_labels(corpus, labeled)
+    corpus = _load_corpus(ws)
+    triplets = _triplets_from_labels(corpus, _load_labeled(ws))
     if not triplets:
         raise PipelineError("no training triplets derivable from labeled pairs")
     tower_config = ranker.TowerConfig(
@@ -376,8 +367,7 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     }
 
 
-def _load_annotations(ws: Workspace, stage: str) -> list[dict]:
-    _require(ws.annotations, stage, "train-ranker")
+def _load_annotations(ws: Workspace) -> list[dict]:
     return [obj for _, obj in read_jsonl(ws.annotations)]
 
 
@@ -420,12 +410,10 @@ def build_collections(
 
 
 def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws, "build-collections")
-    _require(ws.index_file, "build-collections", "build-index")
-    _require(ws.encoder_txt, "build-collections", "train-encoder")
+    corpus = _load_corpus(ws)
     index = hnsw.HnswIndex.load(ws.index_file)
     txt_encoder = encoders.load_model(ws.encoder_txt)
-    records = _load_annotations(ws, "build-collections")
+    records = _load_annotations(ws)
     collections = build_collections(
         config,
         {r["query_text"] for r in records if r["score"] >= config.annotation_threshold},
@@ -439,11 +427,9 @@ def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
-    _require(ws.collections, "link", "build-collections")
     collections = coll_mod.load_collections(ws.collections)
-    records = _load_annotations(ws, "link")
     annotations = annotation_map(
-        records, config.annotation_threshold, config.annotations_per_pin
+        _load_annotations(ws), config.annotation_threshold, config.annotations_per_pin
     )
     graph, dangling = linkgraph.build_link_graph(annotations, collections)
     scores = linkgraph.pagerank(graph)
@@ -461,11 +447,7 @@ def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws, "agent-run")
-    _require(ws.index_file, "agent-run", "build-index")
-    _require(ws.encoder_txt, "agent-run", "train-encoder")
-    trends_path = ws.corpus_dir / "trends.jsonl"
-    _require(trends_path, "agent-run", "gen-corpus")
+    corpus = _load_corpus(ws)
     index = hnsw.HnswIndex.load(ws.index_file)
     txt_encoder = encoders.load_model(ws.encoder_txt)
     taxonomy = [
@@ -477,7 +459,7 @@ def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
         velocity_floor=config.agent_velocity_floor,
     )
     tools = agent_mod.default_tools(
-        corpus, index, txt_encoder, taxonomy, trends_path, agent_config
+        corpus, index, txt_encoder, taxonomy, ws.trends, agent_config
     )
     memory = agent_mod.load_long_memory(ws.long_memory)
     queries, trace, state = agent_mod.run_episode(
@@ -494,21 +476,22 @@ def ablation_study(
     ws: Workspace,
     corpus: Corpus,
     index: hnsw.HnswIndex,
-    img_encoder: encoders.EncoderModel,
+    pin_embeddings: dict[int, np.ndarray],
     txt_encoder: encoders.EncoderModel,
 ) -> dict:
     """Directional link-equity comparison across the three linking modes.
 
     Enabled uses ranker-selected annotations; control selects annotations by
-    raw encoder cosine between image- and text-tower outputs; ablation drops
-    annotations entirely (base-topic collections only, no pin links).
+    raw cosine between pin_embeddings (image tower) and text-tower query
+    outputs; ablation drops annotations entirely (base-topic collections
+    only, no pin links).
     """
-    records = _load_annotations(ws, "eval")
+    records = _load_annotations(ws)
     deduped = curation.dedup_queries(corpus.queries)
 
     # control annotations: raw cross-tower cosine, same threshold and budget
     control_records = annotate_pins(
-        {s: img_encoder.encode(pin.visual_embedding) for s, pin in corpus.pins.items()},
+        pin_embeddings,
         deduped,
         txt_encoder.encode_batch(np.stack([q.embedding for q in deduped])),
         config.annotations_per_pin,
@@ -555,29 +538,13 @@ def ablation_study(
 
 
 def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws, "eval")
-    for path, producer in [
-        (ws.curation_report, "curate"),
-        (ws.encoder_img, "train-encoder"),
-        (ws.encoder_txt, "train-encoder"),
-        (ws.encoder_log, "train-encoder"),
-        (ws.index_file, "build-index"),
-        (ws.ranker_file, "train-ranker"),
-        (ws.collections, "build-collections"),
-        (ws.link_report, "link"),
-    ]:
-        _require(path, "eval", producer)
+    corpus = _load_corpus(ws)
     index = hnsw.HnswIndex.load(ws.index_file)
-    img_encoder = encoders.load_model(ws.encoder_img)
     txt_encoder = encoders.load_model(ws.encoder_txt)
     model = ranker.load_ranker(ws.ranker_file)
-    labeled = _load_labeled(ws, "eval")
 
     # recall@10 vs brute force over the indexed embeddings
-    signatures = sorted(corpus.pins)
-    matrix = img_encoder.encode_batch(
-        np.stack([corpus.pins[s].visual_embedding for s in signatures])
-    )
+    signatures, matrix = _encode_pins(corpus, encoders.load_model(ws.encoder_img))
     rng = np.random.default_rng(subseed(config.seed, "eval"))
     probes = rng.choice(len(signatures), size=min(50, len(signatures)), replace=False)
     recalls = []
@@ -590,7 +557,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         recalls.append(len(exact & approx) / len(exact))
     recall_at_10 = float(np.mean(recalls))
 
-    triplets = _triplets_from_labels(corpus, labeled)
+    triplets = _triplets_from_labels(corpus, _load_labeled(ws))
     rank_metric = ranker.correct_rank(model, triplets) if triplets else None
 
     collections = coll_mod.load_collections(ws.collections)
@@ -612,7 +579,9 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         },
         "pagerank": link_summary["pagerank"],
         "orphan_pins": link_summary["orphan_pins"],
-        "ablation": ablation_study(config, ws, corpus, index, img_encoder, txt_encoder),
+        "ablation": ablation_study(
+            config, ws, corpus, index, dict(zip(signatures, matrix)), txt_encoder
+        ),
     }
     return report
 
@@ -629,29 +598,18 @@ STAGE_FUNCS = {
     "eval": stage_eval,
 }
 
-STAGE_ARTIFACTS = {
-    "gen-corpus": lambda ws: [ws.manifest, ws.corpus_dir / "pins.jsonl",
-                              ws.corpus_dir / "queries.jsonl",
-                              ws.corpus_dir / "engagement.jsonl",
-                              ws.corpus_dir / "trends.jsonl", ws.navboost],
-    "curate": lambda ws: [ws.labeled_pairs, ws.curation_report],
-    "train-encoder": lambda ws: [ws.encoder_img, ws.encoder_txt, ws.encoder_log],
-    "build-index": lambda ws: [ws.index_file],
-    "train-ranker": lambda ws: [ws.ranker_file, ws.annotations],
-    "build-collections": lambda ws: [ws.collections],
-    "link": lambda ws: [ws.graph_file, ws.link_report, ws.sitemap],
-    "agent-run": lambda ws: [ws.trace, ws.trend_queries, ws.long_memory],
-    "eval": lambda ws: [],
-}
+STAGE_ORDER = list(STAGE_FUNCS)
 
 
 def run_pipeline(
     config: PipelineConfig, stages: list[str] | None = None
 ) -> tuple[dict, bool]:
-    """Run the requested stages in dependency order.
+    """Run the requested stages in STAGE_ORDER.
 
-    A stage failure halts its dependents but independent stages continue;
-    the report records its message, exception type and traceback.
+    A stage is skipped when a producer of one of its inputs failed or was
+    skipped, and fails with DependencyError when an input is missing; other
+    stages continue. The report records a failure's message, exception type
+    and traceback.
     Returns (report, ok).
     """
     requested = stages or STAGE_ORDER
@@ -665,7 +623,8 @@ def run_pipeline(
     failed: set[str] = set()
     ok = True
     for stage in requested:
-        blocked = [d for d in STAGE_DEPS[stage] if d in failed]
+        producers = {PRODUCERS[name] for name in STAGE_INPUTS[stage]}
+        blocked = [s for s in STAGE_ORDER if s in failed & producers]
         if blocked:
             report["stages"][stage] = {"status": "skipped", "blocked_by": blocked}
             failed.add(stage)
@@ -673,6 +632,7 @@ def run_pipeline(
             continue
         start = time.perf_counter()
         try:
+            _check_inputs(stage, ws)
             metrics = STAGE_FUNCS[stage](config, ws)
         except Exception as exc:
             import traceback  # only a failed run pays for this import
@@ -692,10 +652,10 @@ def run_pipeline(
             "seconds": round(elapsed, 3),
             "metrics": metrics,
         }
-        for artifact in STAGE_ARTIFACTS[stage](ws):
+        for name in STAGE_OUTPUTS[stage]:
+            artifact = getattr(ws, name)
             if artifact.exists():
-                report["checksums"][str(artifact.relative_to(ws.out))] = file_checksum(
-                    artifact
-                )
+                key = str(artifact.relative_to(ws.out))
+                report["checksums"][key] = file_checksum(artifact)
     write_text(ws.report, json.dumps(report, indent=2, sort_keys=True))
     return report, ok

@@ -482,7 +482,7 @@ def test_criterion_12_agent_determinism(announce, pipeline_run, tmp_path):
         : pipeline_run["config"].n_clusters
     ]
     agent_config = AgentConfig()
-    trends_path = ws.corpus_dir / "trends.jsonl"
+    trends_path = ws.trends
     tools = default_tools(corpus, index, txt_encoder, taxonomy, trends_path, agent_config)
 
     emitted_1, trace_1, state_1 = run_episode(agent_config, tools, {}, seed=0)

@@ -237,3 +237,10 @@ class TestPersistence:
 
     def test_missing_long_memory_empty(self, tmp_path):
         assert load_long_memory(tmp_path / "absent.json") == {}
+
+    @pytest.mark.parametrize("text", ['{"a": ', "[1, 2]", '{"a": 1}'])
+    def test_bad_long_memory_names_file(self, tmp_path, text):
+        path = tmp_path / "memory.json"
+        path.write_text(text)
+        with pytest.raises(AgentError, match="memory.json"):
+            load_long_memory(path)

@@ -93,6 +93,23 @@ class TestStages:
         assert result.exit_code == 1
         assert "build-collections" in result.output
 
+    def test_pipeline_stage_needs_only_its_own_inputs(self, runner, tiny_config, tmp_path):
+        out = tmp_path / "run"
+        for command in ("gen-corpus", "curate"):
+            result = runner.invoke(
+                main, [command, "--config", str(tiny_config), "--out", str(out), "--seed", "3"]
+            )
+            assert result.exit_code == 0, result.output
+        # train-ranker reads the labeled pairs, not curate's report
+        (out / "curation_report.json").unlink()
+        result = runner.invoke(
+            main,
+            ["pipeline", "--config", str(tiny_config), "--out", str(out),
+             "--seed", "3", "--stages", "train-ranker"],
+        )
+        assert result.exit_code == 0, result.output
+        assert (out / "annotations.jsonl").exists()
+
     def test_eval_prints_table_and_writes_json(self, runner, pipeline_run):
         out = str(pipeline_run["ws"].out)
         result = runner.invoke(main, ["eval", "--out", out, "--seed", "7"])

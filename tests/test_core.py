@@ -206,6 +206,12 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="key=value"):
             CorpusManifest.load(path)
 
+    def test_manifest_non_numeric_value_names_line(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("pins=p.jsonl\nqueries=q.jsonl\nengagement=e.jsonl\nd_v=abc\n")
+        with pytest.raises(CorpusError, match=r"manifest\.txt:4: d_v must be int, got 'abc'"):
+            CorpusManifest.load(path)
+
     def test_duplicate_signature(self, tmp_path):
         pin = PinRecord(
             signature=1,

@@ -13,11 +13,13 @@ import pytest
 from geoforge import pipeline
 from geoforge.core import QueryRecord
 from geoforge.pipeline import (
-    STAGE_ARTIFACTS,
-    STAGE_DEPS,
+    PRODUCERS,
+    STAGE_INPUTS,
     STAGE_ORDER,
+    STAGE_OUTPUTS,
     PipelineConfig,
     PipelineError,
+    Workspace,
     annotate_pins,
     annotation_map,
     run_pipeline,
@@ -51,6 +53,12 @@ class TestConfigFile:
         with pytest.raises(PipelineError, match="key=value"):
             PipelineConfig.from_file(path)
 
+    def test_non_numeric_value_names_line(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("seed=3\nn_pins=abc\n")
+        with pytest.raises(PipelineError, match=r"config\.txt:2: n_pins must be int, got 'abc'"):
+            PipelineConfig.from_file(path)
+
 
 class TestStageGraph:
     def test_unknown_stage_rejected(self, tmp_path):
@@ -68,7 +76,7 @@ class TestStageGraph:
         assert "gen-corpus" in result["error"]
         assert result["error_type"] == "DependencyError"
         assert result["traceback"].startswith("Traceback (most recent call last):")
-        assert "stage_build_index" in result["traceback"]
+        assert "_check_inputs" in result["traceback"]
         assert result["traceback"].rstrip().endswith(f"DependencyError: {result['error']}")
         saved = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert saved["stages"]["build-index"] == result
@@ -102,9 +110,31 @@ class TestStageGraph:
         assert report["stages"]["build-index"]["status"] == "skipped"
         assert report["stages"]["build-index"]["blocked_by"] == ["train-encoder"]
 
-    def test_every_stage_has_deps_and_artifacts(self):
-        assert set(STAGE_DEPS) == set(STAGE_ORDER)
-        assert set(STAGE_ARTIFACTS) == set(STAGE_ORDER)
+    def test_failed_stage_blocks_every_reader_of_its_outputs(self, pipeline_run, tmp_path):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        navboost = tmp_path / "corpus" / "navboost.jsonl"
+        lines = navboost.read_text(encoding="utf-8").splitlines(keepends=True)
+        navboost.write_text("".join([*lines[:3], '{"query_text": \n', *lines[3:]]))
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["curate", "eval"])
+        assert not ok
+        curate = report["stages"]["curate"]
+        assert curate["status"] == "failed" and curate["error_type"] == "CorpusError"
+        assert "navboost.jsonl:4" in curate["error"]
+        assert "stage_curate" in curate["traceback"]
+        assert report["stages"]["eval"] == {"status": "skipped", "blocked_by": ["curate"]}
+
+    def test_stage_table(self):
+        attributes = {name for name, value in vars(Workspace).items() if isinstance(value, property)}
+        assert set(STAGE_INPUTS) == set(STAGE_OUTPUTS) == set(STAGE_ORDER)
+        outputs = [name for stage in STAGE_ORDER for name in STAGE_OUTPUTS[stage]]
+        assert len(outputs) == len(set(outputs)), "an artifact has two producers"
+        assert set(outputs) <= attributes
+        for stage, inputs in STAGE_INPUTS.items():
+            for name in inputs:
+                assert name in attributes
+                assert name in PRODUCERS, f"{stage} reads {name}, which no stage writes"
+                assert STAGE_ORDER.index(PRODUCERS[name]) < STAGE_ORDER.index(stage)
 
 
 class TestAnnotationMap:
@@ -176,11 +206,30 @@ class TestFullRun:
         for stage, result in report["stages"].items():
             assert result["status"] == "ok", f"{stage}: {result}"
         for stage in STAGE_ORDER:
-            for artifact in STAGE_ARTIFACTS[stage](ws):
+            for name in STAGE_OUTPUTS[stage]:
+                artifact = getattr(ws, name)
                 assert artifact.exists(), f"{stage} artifact missing: {artifact}"
                 key = str(artifact.relative_to(ws.out))
                 assert key in report["checksums"]
         assert ws.report.exists()
+
+    def test_every_written_file_is_a_checksummed_output(self, tmp_path):
+        config = PipelineConfig(
+            out_dir=tmp_path, n_pins=40, n_clusters=4, encoder_steps=20, ranker_steps=50
+        )
+        report, ok = run_pipeline(config)
+        assert ok, report["stages"]
+        ws = Workspace(tmp_path)
+        written = {
+            str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+            if p.is_file() and p != ws.report and ws.pages_dir not in p.parents
+        }
+        declared = {
+            str(getattr(ws, name).relative_to(tmp_path))
+            for names in STAGE_OUTPUTS.values() for name in names
+        }
+        assert written == declared
+        assert set(report["checksums"]) == written
 
     def test_eval_metrics_sane(self, pipeline_run):
         metrics = pipeline_run["report"]["stages"]["eval"]["metrics"]
