@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .core import Corpus, QueryRecord, hashed_bag_of_tokens, read_jsonl, write_jsonl, write_text
+from .core import Corpus, QueryRecord, hashed_bag_of_tokens, read_records, write_jsonl, write_text
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
 
@@ -222,19 +222,15 @@ def make_expand_query(taxonomy: list[tuple[str, str]]):
 
 
 def make_fetch_trends(trends_path: str | Path):
+    """The trends of one region and timespan from a JSONL file of TrendSignal
+    fields, by term; a bad record raises AgentError naming path:line."""
+
     def fetch_trends(region: str, timespan: str) -> list[TrendSignal]:
-        out = []
-        for _, obj in read_jsonl(trends_path):
-            signal = TrendSignal(
-                term=obj["term"],
-                region=obj.get("region", "US"),
-                timespan=obj.get("timespan", "7d"),
-                velocity=float(obj.get("velocity", 0.0)),
-                category=obj.get("category", ""),
-            )
-            if signal.region == region and signal.timespan == timespan:
-                out.append(signal)
-        return sorted(out, key=lambda s: s.term)
+        signals = read_records(trends_path, lambda obj: TrendSignal(**obj), AgentError)
+        return sorted(
+            (s for s in signals if s.region == region and s.timespan == timespan),
+            key=lambda s: s.term,
+        )
 
     return fetch_trends
 
@@ -255,16 +251,6 @@ def default_tools(
         ),
         expand_query=make_expand_query(taxonomy),
     )
-
-
-def _trend_json(trend: TrendSignal) -> dict:
-    return {
-        "term": trend.term,
-        "region": trend.region,
-        "timespan": trend.timespan,
-        "velocity": trend.velocity,
-        "category": trend.category,
-    }
 
 
 def run_episode(
@@ -297,7 +283,7 @@ def run_episode(
     for region in plan["regions"]:
         try:
             fetched = tools.fetch_trends(region, config.timespan)
-            observation = {"region": region, "trends": [_trend_json(t) for t in fetched]}
+            observation = {"region": region, "trends": [asdict(t) for t in fetched]}
             trends.extend(fetched)
         except Exception as exc:  # fail-soft per tool call
             observation = {"region": region, "error": str(exc)}

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Callable
 
 from .core import (
-    Corpus, PinRecord, QueryRecord, cosine, f32, read_jsonl, write_jsonl, write_text,
+    Corpus, PinRecord, QueryRecord, cosine, f32, read_records, write_jsonl, write_text,
 )
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
@@ -121,7 +121,7 @@ def write_collections(collections: list[Collection], path: str | Path) -> None:
 
 
 def load_collections(path: str | Path) -> list[Collection]:
-    return [Collection.from_json(obj) for _, obj in read_jsonl(path)]
+    return read_records(path, Collection.from_json, CollectionError)
 
 
 def emit_pages(collections: list[Collection], corpus: Corpus, out_dir: str | Path) -> list[Path]:

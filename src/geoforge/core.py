@@ -12,9 +12,9 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -23,6 +23,7 @@ PAIR_SOURCES = ("SearchConsole", "Synthetic", "HardNegative")
 MANIFEST_KEYS = {
     "pins": str, "queries": str, "engagement": str, "d_v": int, "d_t": int, "seed": int
 }
+T = TypeVar("T")
 
 # Fixed offsets off the corpus-wide seed, one per stage, so every module
 # draws from its own deterministic stream.
@@ -90,8 +91,23 @@ def f32(values: Iterable[float]) -> list[float]:
     return [float(x) for x in np.asarray(list(values), dtype=np.float32)]
 
 
+class _Record:
+    def to_json(self) -> dict:
+        """Every field in declaration order, arrays and floats rounded
+        through float32 for persistence."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = f32(value)
+            elif isinstance(value, float):
+                value = float(np.float32(value))
+            out[f.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class PinRecord:
+class PinRecord(_Record):
     signature: int
     visual_embedding: np.ndarray
     text_embedding: np.ndarray
@@ -119,36 +135,20 @@ class PinRecord:
                 "outside [0, 1]"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "signature": self.signature,
-            "visual_embedding": f32(self.visual_embedding),
-            "text_embedding": f32(self.text_embedding),
-            "perception_score": float(np.float32(self.perception_score)),
-            "title": self.title,
-            "description": self.description,
-            "board_id": self.board_id,
-            "category": self.category,
-            "language": self.language,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "PinRecord":
-        return cls(
-            signature=int(obj["signature"]),
-            visual_embedding=np.asarray(obj["visual_embedding"], dtype=np.float64),
-            text_embedding=np.asarray(obj["text_embedding"], dtype=np.float64),
-            perception_score=float(obj["perception_score"]),
-            title=obj.get("title", ""),
-            description=obj.get("description", ""),
-            board_id=obj.get("board_id"),
-            category=obj.get("category", ""),
-            language=obj.get("language", "en"),
-        )
+        """A pin from its fields; an absent optional field takes its default."""
+        return cls(**{
+            **obj,
+            "signature": int(obj["signature"]),
+            "visual_embedding": np.asarray(obj["visual_embedding"], dtype=np.float64),
+            "text_embedding": np.asarray(obj["text_embedding"], dtype=np.float64),
+            "perception_score": float(obj["perception_score"]),
+        })
 
 
 @dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(_Record):
     text: str
     category: str
     language: str = "en"
@@ -169,27 +169,15 @@ class QueryRecord:
                     f"{self.embedding.shape[0]}, expected {d_t}"
                 )
 
-    def to_json(self) -> dict:
-        return {
-            "text": self.text,
-            "category": self.category,
-            "language": self.language,
-            "embedding": None if self.embedding is None else f32(self.embedding),
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "QueryRecord":
+        """A query from its fields; an absent optional field takes its default."""
         emb = obj.get("embedding")
-        return cls(
-            text=obj["text"],
-            category=obj["category"],
-            language=obj.get("language", "en"),
-            embedding=None if emb is None else np.asarray(emb, dtype=np.float64),
-        )
+        return cls(**{**obj, "embedding": None if emb is None else np.asarray(emb, dtype=np.float64)})
 
 
 @dataclass(frozen=True)
-class EngagementRecord:
+class EngagementRecord(_Record):
     query_text: str
     pin_signature: int
     impressions: int
@@ -211,15 +199,6 @@ class EngagementRecord:
         if self.impressions == 0:
             raise ValueError("ctr undefined with zero impressions")
         return self.clicks / self.impressions
-
-    def to_json(self) -> dict:
-        return {
-            "query_text": self.query_text,
-            "pin_signature": self.pin_signature,
-            "impressions": self.impressions,
-            "clicks": self.clicks,
-            "avg_position": float(np.float32(self.avg_position)),
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "EngagementRecord":
@@ -251,23 +230,31 @@ class LabeledPair:
             raise CorpusError(f"unknown pair source {self.source!r}")
 
     def to_json(self) -> dict:
+        """The pair with its query by text; `from_json` joins it back."""
         return {
             "pin_signature": self.pin_signature,
-            "query": self.query.to_json(),
+            "query_text": self.query.text,
             "label": self.label,
             "navboost_coverage": float(np.float32(self.navboost_coverage)),
             "source": self.source,
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "LabeledPair":
-        return cls(
+    def from_json(cls, obj: dict, queries: dict[str, QueryRecord]) -> "LabeledPair":
+        """A validated pair whose query is ``queries[obj["query_text"]]``; a
+        text not in ``queries`` raises CorpusError."""
+        query = queries.get(obj["query_text"])
+        if query is None:
+            raise CorpusError(f"unknown query text {obj['query_text']!r}")
+        pair = cls(
             pin_signature=int(obj["pin_signature"]),
-            query=QueryRecord.from_json(obj["query"]),
+            query=query,
             label=int(obj["label"]),
-            navboost_coverage=float(obj.get("navboost_coverage", 0.0)),
-            source=obj.get("source", "SearchConsole"),
+            navboost_coverage=float(obj["navboost_coverage"]),
+            source=obj["source"],
         )
+        pair.validate()
+        return pair
 
 
 @dataclass
@@ -373,6 +360,24 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+
+
+def read_records(path: str | Path, parse: Callable[[dict], T], error: type[Exception]) -> list[T]:
+    """``parse`` of each object in a JSONL file, in file order. A line that
+    is not a JSON object, a missing key, or a value that ``parse`` rejects
+    with TypeError or ValueError raises ``error`` naming path:line;
+    malformed JSON raises CorpusError as in `read_jsonl`."""
+    records = []
+    for lineno, obj in read_jsonl(path):
+        if type(obj) is not dict:
+            raise error(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
+        try:
+            records.append(parse(obj))
+        except KeyError as exc:
+            raise error(f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise error(f"{path}:{lineno}: {exc}") from exc
+    return records
 
 
 @contextmanager
@@ -484,42 +489,37 @@ def load_arrays(
 
 
 def load_corpus(manifest: CorpusManifest) -> Corpus:
-    """Load and validate all corpus files referenced by the manifest."""
-    pins: dict[int, PinRecord] = {}
-    for lineno, obj in read_jsonl(manifest.pins_path):
-        try:
-            pin = PinRecord.from_json(obj)
-            pin.validate(manifest.d_v, manifest.d_t)
-        except CorpusError as exc:
-            raise CorpusError(f"{manifest.pins_path}:{lineno}: {exc}") from None
-        if pin.signature in pins:
-            raise CorpusError(
-                f"{manifest.pins_path}:{lineno}: duplicate signature {pin.signature}"
-            )
-        pins[pin.signature] = pin
+    """Load and validate all corpus files referenced by the manifest. A bad
+    record, a repeated pin signature or a repeated query text raises
+    CorpusError naming path:line."""
+    signatures: set[int] = set()
+    texts: set[str] = set()
 
-    queries: list[QueryRecord] = []
-    for lineno, obj in read_jsonl(manifest.queries_path):
-        try:
-            query = QueryRecord.from_json(obj)
-            query.validate(manifest.d_t)
-        except CorpusError as exc:
-            raise CorpusError(f"{manifest.queries_path}:{lineno}: {exc}") from None
-        queries.append(query)
+    def pin(obj: dict) -> PinRecord:
+        record = PinRecord.from_json(obj)
+        record.validate(manifest.d_v, manifest.d_t)
+        if record.signature in signatures:
+            raise CorpusError(f"duplicate signature {record.signature}")
+        signatures.add(record.signature)
+        return record
 
-    engagement: list[EngagementRecord] = []
-    for lineno, obj in read_jsonl(manifest.engagement_path):
-        try:
-            record = EngagementRecord.from_json(obj)
-            record.validate()
-        except CorpusError as exc:
-            raise CorpusError(f"{manifest.engagement_path}:{lineno}: {exc}") from None
-        engagement.append(record)
+    def query(obj: dict) -> QueryRecord:
+        record = QueryRecord.from_json(obj)
+        record.validate(manifest.d_t)
+        if record.text in texts:
+            raise CorpusError(f"duplicate query text {record.text!r}")
+        texts.add(record.text)
+        return record
+
+    def engagement(obj: dict) -> EngagementRecord:
+        record = EngagementRecord.from_json(obj)
+        record.validate()
+        return record
 
     return Corpus(
-        pins=pins,
-        queries=queries,
-        engagement=engagement,
+        pins={p.signature: p for p in read_records(manifest.pins_path, pin, CorpusError)},
+        queries=read_records(manifest.queries_path, query, CorpusError),
+        engagement=read_records(manifest.engagement_path, engagement, CorpusError),
         d_v=manifest.d_v,
         d_t=manifest.d_t,
         seed=manifest.seed,

@@ -277,6 +277,8 @@ class HnswIndex:
         self, query: np.ndarray, k: int, ef_search: int | None = None
     ) -> list[tuple[int, float]]:
         """Top-k by descending cosine similarity."""
+        if k < 1:
+            raise HnswError(f"k must be >= 1, got {k}")
         if self._entry is None:
             return []
         query = self._check_vector(query)

@@ -17,13 +17,14 @@ from . import collections_ as coll_mod
 from . import curation, encoders, hnsw, linkgraph, ranker, synth
 from .core import (
     Corpus,
+    CorpusError,
     CorpusManifest,
     LabeledPair,
     QueryRecord,
     file_checksum,
     load_corpus,
-    read_jsonl,
     read_key_values,
+    read_records,
     subseed,
     write_jsonl,
     write_text,
@@ -188,15 +189,11 @@ def _load_corpus(ws: Workspace) -> Corpus:
     return ws.corpus
 
 
-def _load_navboost(ws: Workspace) -> dict[tuple[str, int], float]:
-    return {
-        (obj["query_text"], int(obj["pin_signature"])): float(obj["coverage"])
-        for _, obj in read_jsonl(ws.navboost)
-    }
-
-
-def _load_labeled(ws: Workspace) -> list[LabeledPair]:
-    return [LabeledPair.from_json(obj) for _, obj in read_jsonl(ws.labeled_pairs)]
+def _load_labeled(ws: Workspace, corpus: Corpus) -> list[LabeledPair]:
+    by_text = {q.text: q for q in corpus.queries}
+    return read_records(
+        ws.labeled_pairs, lambda obj: LabeledPair.from_json(obj, by_text), CorpusError
+    )
 
 
 def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
@@ -218,10 +215,15 @@ def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
 
 def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
     corpus = _load_corpus(ws)
+    navboost = read_records(
+        ws.navboost,
+        lambda obj: ((obj["query_text"], int(obj["pin_signature"])), float(obj["coverage"])),
+        CorpusError,
+    )
     labeled, report = curation.curate(
         corpus.queries,
         corpus.engagement,
-        _load_navboost(ws),
+        dict(navboost),
         neg_per_pos=config.neg_per_pos,
         seed=subseed(config.seed, "curation"),
     )
@@ -324,7 +326,7 @@ def annotate_pins(
 
 def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     corpus = _load_corpus(ws)
-    triplets = _triplets_from_labels(corpus, _load_labeled(ws))
+    triplets = _triplets_from_labels(corpus, _load_labeled(ws, corpus))
     if not triplets:
         raise PipelineError("no training triplets derivable from labeled pairs")
     tower_config = ranker.TowerConfig(
@@ -368,7 +370,11 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def _load_annotations(ws: Workspace) -> list[dict]:
-    return [obj for _, obj in read_jsonl(ws.annotations)]
+    def annotation(obj: dict) -> dict:
+        return {"pin_signature": int(obj["pin_signature"]), "query_text": obj["query_text"],
+                "score": float(obj["score"]), "rank": int(obj["rank"])}
+
+    return read_records(ws.annotations, annotation, PipelineError)
 
 
 def annotation_map(
@@ -377,7 +383,7 @@ def annotation_map(
     by_pin: dict[int, list[str]] = {}
     for obj in records:
         if obj["score"] >= threshold and obj["rank"] <= per_pin:
-            by_pin.setdefault(int(obj["pin_signature"]), []).append(obj["query_text"])
+            by_pin.setdefault(obj["pin_signature"], []).append(obj["query_text"])
     return by_pin
 
 
@@ -538,6 +544,12 @@ def ablation_study(
 
 
 def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
+    rows = ws.encoder_log.read_text(encoding="utf-8").strip().splitlines()[1:]
+    try:
+        encoder_loss = {"initial": float(rows[0].split(",")[1]),
+                        "final": float(rows[-1].split(",")[1])}
+    except (IndexError, ValueError):
+        raise PipelineError(f"{ws.encoder_log}: no readable training rows") from None
     corpus = _load_corpus(ws)
     index = hnsw.HnswIndex.load(ws.index_file)
     txt_encoder = encoders.load_model(ws.encoder_txt)
@@ -557,7 +569,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         recalls.append(len(exact & approx) / len(exact))
     recall_at_10 = float(np.mean(recalls))
 
-    triplets = _triplets_from_labels(corpus, _load_labeled(ws))
+    triplets = _triplets_from_labels(corpus, _load_labeled(ws, corpus))
     rank_metric = ranker.correct_rank(model, triplets) if triplets else None
 
     collections = coll_mod.load_collections(ws.collections)
@@ -567,16 +579,12 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     ]
     link_summary = json.loads(ws.link_report.read_text(encoding="utf-8"))
     curation_summary = json.loads(ws.curation_report.read_text(encoding="utf-8"))
-    rows = ws.encoder_log.read_text(encoding="utf-8").strip().splitlines()[1:]
     report = {
         "recall_at_10": recall_at_10,
         "correct_rank": rank_metric,
         "intent_satisfying_rate_mean": float(np.mean(rates)) if rates else None,
         "retention_branches": curation_summary["retention_branches"],
-        "encoder_loss": {
-            "initial": float(rows[0].split(",")[1]),
-            "final": float(rows[-1].split(",")[1]),
-        },
+        "encoder_loss": encoder_loss,
         "pagerank": link_summary["pagerank"],
         "orphan_pins": link_summary["orphan_pins"],
         "ablation": ablation_study(

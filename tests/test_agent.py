@@ -134,6 +134,13 @@ class TestTools:
         fetched = make_fetch_trends(path)("US", "7d")
         assert [t.term for t in fetched] == ["aaa", "zzz"]
 
+    def test_fetch_trends_record_without_term_names_line(self, tmp_path):
+        path = tmp_path / "trends.jsonl"
+        rows = [{"term": "aaa", "region": "US"}, {"region": "US", "velocity": 1.0}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(AgentError, match=r"trends\.jsonl:2: .*missing 1 required positional argument: 'term'"):
+            make_fetch_trends(path)("US", "7d")
+
 
 @pytest.fixture(scope="module")
 def episode_setup(request, tmp_path_factory):

@@ -27,6 +27,7 @@ from geoforge.core import (
     load_arrays,
     load_corpus,
     read_jsonl,
+    read_records,
     rng_for,
     save_arrays,
     save_corpus,
@@ -176,6 +177,30 @@ class TestCorpusIO:
             atol=1e-6,
         )
 
+    @pytest.mark.parametrize("name, edit, match", [
+        ("pins.jsonl", {"signature": None}, "missing key 'signature'"),
+        ("pins.jsonl", {"colour": "red"}, "unexpected keyword argument 'colour'"),
+        ("queries.jsonl", {"category": None}, "missing 1 required positional argument: 'category'"),
+        ("engagement.jsonl", {"clicks": "many"}, "invalid literal for int"),
+    ])
+    def test_bad_record_names_path_and_line(self, small_synth, tmp_path, name, edit, match):
+        """A key set to None in `edit` is dropped from the second record."""
+        corpus, _, config = small_synth
+        manifest = CorpusManifest(
+            pins_path=tmp_path / "pins.jsonl",
+            queries_path=tmp_path / "queries.jsonl",
+            engagement_path=tmp_path / "engagement.jsonl",
+            d_v=config.d_v,
+            d_t=config.d_t,
+        )
+        save_corpus(corpus, manifest)
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        record = {**json.loads(lines[1]), **edit}
+        lines[1] = json.dumps({k: v for k, v in record.items() if v is not None})
+        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"{name}:2: .*{match}"):
+            load_corpus(manifest)
+
     def test_manifest_missing_key(self, tmp_path):
         path = tmp_path / "manifest.txt"
         path.write_text("pins=pins.jsonl\n")
@@ -232,6 +257,18 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="duplicate signature"):
             load_corpus(CorpusManifest.load(tmp_path / "manifest.txt"))
 
+    def test_duplicate_query_text(self, tmp_path):
+        query = QueryRecord(text="sage green", category="Description", embedding=np.ones(2))
+        other = QueryRecord(text="fall nails", category="UseCase", embedding=np.ones(2))
+        write_jsonl(tmp_path / "q.jsonl", [q.to_json() for q in (query, other, query)])
+        (tmp_path / "pins.jsonl").write_text("")
+        (tmp_path / "e.jsonl").write_text("")
+        (tmp_path / "manifest.txt").write_text(
+            "pins=pins.jsonl\nqueries=q.jsonl\nengagement=e.jsonl\nd_v=2\nd_t=2\n"
+        )
+        with pytest.raises(CorpusError, match=r"q\.jsonl:3: duplicate query text 'sage green'"):
+            load_corpus(CorpusManifest.load(tmp_path / "manifest.txt"))
+
     def test_read_jsonl_skips_blank_lines_and_names_bad_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n  \n{"a": 2}\n')
@@ -239,6 +276,22 @@ class TestCorpusIO:
         path.write_text('{"a": 1}\n{"a": \n')
         with pytest.raises(CorpusError, match=r"rows\.jsonl:2: malformed JSON"):
             list(read_jsonl(path))
+
+    @pytest.mark.parametrize("line, match", [
+        ("[1, 2]", r"expected a JSON object, got \[1, 2\]"),
+        ('{"b": 1}', "missing key 'a'"),
+        ('{"a": "x"}', "invalid literal for int"),
+    ])
+    def test_read_records_names_bad_record(self, tmp_path, line, match):
+        class RecordError(Exception):
+            pass
+
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 2}\n\n{"a": 1}\n')
+        assert read_records(path, lambda obj: int(obj["a"]), RecordError) == [2, 1]
+        path.write_text(f'{{"a": 2}}\n\n{line}\n')
+        with pytest.raises(RecordError, match=rf"rows\.jsonl:3: {match}"):
+            read_records(path, lambda obj: int(obj["a"]), RecordError)
 
     def test_unknown_pin_lookup(self, small_synth):
         corpus, _, _ = small_synth
@@ -417,6 +470,19 @@ def test_only_core_opens_files_for_writing():
                 ):
                     writers.add(path.stem)
     assert writers <= {"core"}
+
+
+def test_only_core_reads_jsonl():
+    """JSONL artifacts are parsed through `core.read_records`: no other
+    module calls `read_jsonl`."""
+    readers = set()
+    for path in Path(geoforge.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "read_jsonl" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                readers.add(path.stem)
+    assert readers <= {"core"}
 
 
 # imported names a module keeps without using them, each with its reason

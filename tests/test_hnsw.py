@@ -58,6 +58,13 @@ class TestSearch:
         index.insert(7, np.array([1.0, 0.0]))
         assert index.search(np.array([1.0, 0.0]), 3) == [(7, 1.0)]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, corpus_300, k):
+        vectors, queries = corpus_300
+        for index in (HnswIndex(dim=16), build(vectors, HnswParams(ef_search=8), seed=1)):
+            with pytest.raises(HnswError, match=f"k must be >= 1, got {k}"):
+                index.search(queries[0], k)
+
     def test_non_unit_vector_rejected(self):
         index = HnswIndex(dim=2)
         with pytest.raises(HnswError, match="unit norm"):

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from geoforge import pipeline
-from geoforge.core import QueryRecord
+from geoforge import curation, pipeline
+from geoforge.core import QueryRecord, write_jsonl
 from geoforge.pipeline import (
     PRODUCERS,
     STAGE_INPUTS,
@@ -124,6 +125,41 @@ class TestStageGraph:
         assert "stage_curate" in curate["traceback"]
         assert report["stages"]["eval"] == {"status": "skipped", "blocked_by": ["curate"]}
 
+    @pytest.mark.parametrize("stage, artifact, edit, error_type, match", [
+        ("curate", "corpus/navboost.jsonl", {"coverage": None},
+         "CorpusError", "missing key 'coverage'"),
+        ("train-ranker", "labeled_pairs.jsonl", {"query_text": "no such query"},
+         "CorpusError", "unknown query text 'no such query'"),
+        ("train-ranker", "labeled_pairs.jsonl", {"label": 7},
+         "CorpusError", "label must be \\+1 or -1, got 7"),
+        ("link", "annotations.jsonl", {"score": None}, "PipelineError", "missing key 'score'"),
+        ("link", "collections.jsonl", {"slug": None}, "CollectionError", "missing key 'slug'"),
+    ])
+    def test_bad_record_fails_its_reader_naming_path_and_line(
+        self, pipeline_run, tmp_path, stage, artifact, edit, error_type, match
+    ):
+        """A key set to None in `edit` is dropped from the second record."""
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / artifact
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = {**json.loads(lines[1]), **edit}
+        lines[1] = json.dumps({k: v for k, v in record.items() if v is not None}) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=[stage])
+        result = report["stages"][stage]
+        assert not ok and result["error_type"] == error_type
+        assert re.match(rf"{re.escape(str(path))}:2: {match}$", result["error"])
+
+    def test_header_only_encoder_log_fails_eval(self, pipeline_run, tmp_path):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        (tmp_path / "encoder_train_log.csv").write_text("step,loss,grad_norm\n")
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["eval"])
+        result = report["stages"]["eval"]
+        assert not ok and result["error_type"] == "PipelineError"
+        assert "encoder_train_log.csv" in result["error"]
+
     def test_stage_table(self):
         attributes = {name for name, value in vars(Workspace).items() if isinstance(value, property)}
         assert set(STAGE_INPUTS) == set(STAGE_OUTPUTS) == set(STAGE_ORDER)
@@ -177,6 +213,24 @@ class TestAnnotatePins:
         records = annotate_pins({1: np.ones(3)}, self.QUERIES, e_queries, per_pin=1)
         assert [r["query_text"] for r in records] == ["a query"]
         assert annotate_pins({1: np.ones(3)}, [], np.zeros((0, 3)), per_pin=5) == []
+
+
+class TestLabeledPairs:
+    def test_round_trip(self, small_synth, tmp_path):
+        corpus, sidecar, _ = small_synth
+        labeled, _ = curation.curate(corpus.queries, corpus.engagement, sidecar["navboost"])
+        ws = Workspace(tmp_path)
+        write_jsonl(ws.labeled_pairs, (p.to_json() for p in labeled))
+        loaded = pipeline._load_labeled(ws, corpus)
+        assert [p.to_json() for p in loaded] == [p.to_json() for p in labeled]
+        assert all(a.query is b.query for a, b in zip(loaded, labeled))
+
+    def test_written_by_query_text(self, pipeline_run):
+        ws = pipeline_run["ws"]
+        line = ws.labeled_pairs.read_text(encoding="utf-8").splitlines()[0]
+        assert list(json.loads(line)) == [
+            "pin_signature", "query_text", "label", "navboost_coverage", "source"
+        ]
 
 
 class TestCorpusLoad:
