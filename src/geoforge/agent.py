@@ -17,7 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Corpus, QueryRecord, hashed_bag_of_tokens, read_records, write_jsonl, write_text
+from .core import (
+    Corpus, QueryRecord, hashed_bag_of_tokens, read_json, read_records, write_jsonl, write_text,
+)
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
 
@@ -379,10 +381,7 @@ def load_long_memory(path: str | Path) -> dict[str, dict]:
     p = Path(path)
     if not p.exists():
         return {}
-    try:
-        memory = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise AgentError(f"{p}: malformed long memory: {exc}") from exc
-    if not isinstance(memory, dict) or not all(isinstance(v, dict) for v in memory.values()):
+    memory = read_json(p, AgentError)
+    if not all(isinstance(v, dict) for v in memory.values()):
         raise AgentError(f"{p}: long memory must be an object of objects")
     return memory

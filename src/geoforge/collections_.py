@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .core import (
     Corpus, PinRecord, QueryRecord, cosine, f32, read_records, write_jsonl, write_text,
 )
@@ -60,8 +62,8 @@ class JudgeVerdict:
     score: float
 
 
-# A judge maps (pin, topic) to a verdict.
-Judge = Callable[[PinRecord, QueryRecord], JudgeVerdict]
+# A judge maps a collection's member pins and its topic to one verdict per pin.
+Judge = Callable[[list[PinRecord], QueryRecord], list[JudgeVerdict]]
 
 
 def build_collection(
@@ -89,15 +91,19 @@ def build_collection(
 def embedding_judge(
     text_encoder: EncoderModel, threshold: float = 0.5
 ) -> Judge:
-    """Default judge: cosine of encoded pin text vs encoded topic text."""
+    """Default judge: cosine of each encoded pin text vs the encoded topic
+    text, with the pin texts encoded as one batch."""
 
-    def judge(pin: PinRecord, topic: QueryRecord) -> JudgeVerdict:
+    def judge(pins: list[PinRecord], topic: QueryRecord) -> list[JudgeVerdict]:
         if topic.embedding is None:
             raise CollectionError(f"topic {topic.text!r} lacks an embedding")
-        pin_vec = text_encoder.encode(pin.text_embedding)
         topic_vec = text_encoder.encode(topic.embedding)
-        score = cosine(pin_vec, topic_vec)
-        return JudgeVerdict(pin_signature=pin.signature, satisfied=score >= threshold, score=score)
+        pin_vecs = text_encoder.encode_batch(np.stack([pin.text_embedding for pin in pins]))
+        verdicts = []
+        for pin, pin_vec in zip(pins, pin_vecs):
+            score = cosine(pin_vec, topic_vec)
+            verdicts.append(JudgeVerdict(pin.signature, satisfied=score >= threshold, score=score))
+        return verdicts
 
     return judge
 
@@ -108,10 +114,9 @@ def intent_satisfying_rate(
     """Fraction of members the judge deems relevant to the topic."""
     if not collection.members:
         return 0.0, []
-    verdicts = [
-        judge(corpus.pin(signature), collection.topic)
-        for signature, _ in collection.members
-    ]
+    verdicts = judge(
+        [corpus.pin(signature) for signature, _ in collection.members], collection.topic
+    )
     rate = sum(v.satisfied for v in verdicts) / len(verdicts)
     return rate, verdicts
 

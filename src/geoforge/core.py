@@ -348,9 +348,11 @@ def read_key_values(
     return values
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+def read_jsonl(
+    path: str | Path, error: type[Exception] = CorpusError
+) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per non-blank line; a malformed line
-    raises CorpusError naming path:line."""
+    raises ``error`` naming path:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -359,16 +361,16 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+                raise error(f"{path}:{lineno}: malformed JSON: {exc}") from exc
 
 
 def read_records(path: str | Path, parse: Callable[[dict], T], error: type[Exception]) -> list[T]:
     """``parse`` of each object in a JSONL file, in file order. A line that
-    is not a JSON object, a missing key, or a value that ``parse`` rejects
-    with TypeError or ValueError raises ``error`` naming path:line;
-    malformed JSON raises CorpusError as in `read_jsonl`."""
+    is not JSON or not a JSON object, a missing key, or a value that
+    ``parse`` rejects with TypeError or ValueError raises ``error`` naming
+    path:line."""
     records = []
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in read_jsonl(path, error):
         if type(obj) is not dict:
             raise error(f"{path}:{lineno}: expected a JSON object, got {obj!r}")
         try:
@@ -378,6 +380,21 @@ def read_records(path: str | Path, parse: Callable[[dict], T], error: type[Excep
         except (TypeError, ValueError) as exc:
             raise error(f"{path}:{lineno}: {exc}") from exc
     return records
+
+
+def read_json(path: str | Path, error: type[Exception], keys: Iterable[str] = ()) -> dict:
+    """The JSON object in a file. A file that is not JSON, holds no object
+    or lacks one of ``keys`` raises ``error`` naming the path."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise error(f"{path}: malformed JSON: {exc}") from exc
+    if type(obj) is not dict:
+        raise error(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise error(f"{path}: missing key {key!r}")
+    return obj
 
 
 @contextmanager

@@ -1,12 +1,13 @@
 """Stage orchestration: every stage reads file artifacts, writes file
 artifacts plus checksums, and can be re-run in isolation. Within one
-run_pipeline call the corpus is loaded once and shared by every stage."""
+run_pipeline call each input that several stages read is parsed once."""
 
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -23,6 +24,7 @@ from .core import (
     QueryRecord,
     file_checksum,
     load_corpus,
+    read_json,
     read_key_values,
     read_records,
     subseed,
@@ -81,14 +83,38 @@ class PipelineConfig:
 
 @dataclass
 class Workspace:
-    """Artifact paths under one output directory. The corpus is read from
-    disk on first use and kept, so a workspace loads it at most once."""
+    """Artifact paths under one output directory, and the inputs several
+    stages read, each parsed from disk on first use and kept: a workspace
+    parses an input at most once, and its readers must not mutate it."""
 
     out: Path
 
     def __post_init__(self) -> None:
         self.out = Path(self.out)
-        self.corpus: Corpus | None = None
+
+    @cached_property
+    def corpus(self) -> Corpus:
+        return load_corpus(CorpusManifest.load(self.manifest))
+
+    @cached_property
+    def index(self) -> hnsw.HnswIndex:
+        return hnsw.HnswIndex.load(self.index_file)
+
+    @cached_property
+    def txt_encoder(self) -> encoders.EncoderModel:
+        return encoders.load_model(self.encoder_txt)
+
+    @cached_property
+    def img_encoder(self) -> encoders.EncoderModel:
+        return encoders.load_model(self.encoder_img)
+
+    @cached_property
+    def annotation_records(self) -> list[dict]:
+        return read_records(self.annotations, _annotation, PipelineError)
+
+    @cached_property
+    def triplets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        return _triplets_from_labels(self.corpus, _load_labeled(self, self.corpus))
 
     @property
     def corpus_dir(self) -> Path: return self.out / "corpus"
@@ -183,12 +209,6 @@ def _check_inputs(stage: str, ws: Workspace) -> None:
             )
 
 
-def _load_corpus(ws: Workspace) -> Corpus:
-    if ws.corpus is None:
-        ws.corpus = load_corpus(CorpusManifest.load(ws.manifest))
-    return ws.corpus
-
-
 def _load_labeled(ws: Workspace, corpus: Corpus) -> list[LabeledPair]:
     by_text = {q.text: q for q in corpus.queries}
     return read_records(
@@ -204,8 +224,8 @@ def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
         d_t=config.d_t,
         seed=config.seed,
     )
-    manifest = synth.write_corpus_bundle(ws.corpus_dir, synth_config)
-    corpus = ws.corpus = load_corpus(manifest)
+    synth.write_corpus_bundle(ws.corpus_dir, synth_config)
+    corpus = ws.corpus
     return {
         "pins": len(corpus.pins),
         "queries": len(corpus.queries),
@@ -214,7 +234,7 @@ def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws)
+    corpus = ws.corpus
     navboost = read_records(
         ws.navboost,
         lambda obj: ((obj["query_text"], int(obj["pin_signature"])), float(obj["coverage"])),
@@ -233,9 +253,8 @@ def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws)
     result = encoders.train_encoder(
-        corpus,
+        ws.corpus,
         "pinclip",
         encoders.TrainConfig(
             hidden_dims=[],
@@ -268,8 +287,7 @@ def _encode_pins(
 
 
 def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws)
-    signatures, matrix = _encode_pins(corpus, encoders.load_model(ws.encoder_img))
+    signatures, matrix = _encode_pins(ws.corpus, ws.img_encoder)
     params = hnsw.HnswParams(
         M=config.hnsw_m, ef_construction=config.ef_construction, ef_search=config.ef_search
     )
@@ -325,8 +343,7 @@ def annotate_pins(
 
 
 def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws)
-    triplets = _triplets_from_labels(corpus, _load_labeled(ws, corpus))
+    corpus, triplets = ws.corpus, ws.triplets
     if not triplets:
         raise PipelineError("no training triplets derivable from labeled pairs")
     tower_config = ranker.TowerConfig(
@@ -364,17 +381,13 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     return {
         "triplets": len(triplets),
         "final_loss": log[-1][1],
-        "correct_rank": ranker.correct_rank(model, triplets),
         "annotations": len(annotations),
     }
 
 
-def _load_annotations(ws: Workspace) -> list[dict]:
-    def annotation(obj: dict) -> dict:
-        return {"pin_signature": int(obj["pin_signature"]), "query_text": obj["query_text"],
-                "score": float(obj["score"]), "rank": int(obj["rank"])}
-
-    return read_records(ws.annotations, annotation, PipelineError)
+def _annotation(obj: dict) -> dict:
+    return {"pin_signature": int(obj["pin_signature"]), "query_text": obj["query_text"],
+            "score": float(obj["score"]), "rank": int(obj["rank"])}
 
 
 def annotation_map(
@@ -388,16 +401,12 @@ def annotation_map(
 
 
 def build_collections(
-    config: PipelineConfig,
-    topic_texts: Iterable[str],
-    corpus: Corpus,
-    txt_encoder: encoders.EncoderModel,
-    index: hnsw.HnswIndex,
+    config: PipelineConfig, ws: Workspace, topic_texts: Iterable[str]
 ) -> list[coll_mod.Collection]:
     """One collection per distinct slug, in sorted topic-text order. Texts
     that are not corpus queries with an embedding are skipped. Runs serially:
     the search loop holds the GIL, so a thread pool only slowed it down."""
-    by_text = {q.text: q for q in corpus.queries}
+    by_text = {q.text: q for q in ws.corpus.queries}
     collections = []
     seen = set()
     for text in sorted(topic_texts):
@@ -405,7 +414,7 @@ def build_collections(
         if topic is None or topic.embedding is None:
             continue
         collection = coll_mod.build_collection(
-            topic, txt_encoder, index, k=config.collection_k,
+            topic, ws.txt_encoder, ws.index, k=config.collection_k,
             ef_search=config.ef_search,
         )
         if collection.slug in seen:
@@ -416,26 +425,21 @@ def build_collections(
 
 
 def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws)
-    index = hnsw.HnswIndex.load(ws.index_file)
-    txt_encoder = encoders.load_model(ws.encoder_txt)
-    records = _load_annotations(ws)
+    records = ws.annotation_records
     collections = build_collections(
         config,
+        ws,
         {r["query_text"] for r in records if r["score"] >= config.annotation_threshold},
-        corpus,
-        txt_encoder,
-        index,
     )
     coll_mod.write_collections(collections, ws.collections)
-    coll_mod.emit_pages(collections, corpus, ws.pages_dir)
+    coll_mod.emit_pages(collections, ws.corpus, ws.pages_dir)
     return {"collections": len(collections)}
 
 
 def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
     collections = coll_mod.load_collections(ws.collections)
     annotations = annotation_map(
-        _load_annotations(ws), config.annotation_threshold, config.annotations_per_pin
+        ws.annotation_records, config.annotation_threshold, config.annotations_per_pin
     )
     graph, dangling = linkgraph.build_link_graph(annotations, collections)
     scores = linkgraph.pagerank(graph)
@@ -453,9 +457,6 @@ def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
-    corpus = _load_corpus(ws)
-    index = hnsw.HnswIndex.load(ws.index_file)
-    txt_encoder = encoders.load_model(ws.encoder_txt)
     taxonomy = [
         (term, cat)
         for term, cat in zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES)
@@ -465,7 +466,7 @@ def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
         velocity_floor=config.agent_velocity_floor,
     )
     tools = agent_mod.default_tools(
-        corpus, index, txt_encoder, taxonomy, ws.trends, agent_config
+        ws.corpus, ws.index, ws.txt_encoder, taxonomy, ws.trends, agent_config
     )
     memory = agent_mod.load_long_memory(ws.long_memory)
     queries, trace, state = agent_mod.run_episode(
@@ -478,12 +479,7 @@ def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def ablation_study(
-    config: PipelineConfig,
-    ws: Workspace,
-    corpus: Corpus,
-    index: hnsw.HnswIndex,
-    pin_embeddings: dict[int, np.ndarray],
-    txt_encoder: encoders.EncoderModel,
+    config: PipelineConfig, ws: Workspace, pin_embeddings: dict[int, np.ndarray]
 ) -> dict:
     """Directional link-equity comparison across the three linking modes.
 
@@ -492,14 +488,14 @@ def ablation_study(
     outputs; ablation drops annotations entirely (base-topic collections
     only, no pin links).
     """
-    records = _load_annotations(ws)
-    deduped = curation.dedup_queries(corpus.queries)
+    records = ws.annotation_records
+    deduped = curation.dedup_queries(ws.corpus.queries)
 
     # control annotations: raw cross-tower cosine, same threshold and budget
     control_records = annotate_pins(
         pin_embeddings,
         deduped,
-        txt_encoder.encode_batch(np.stack([q.embedding for q in deduped])),
+        ws.txt_encoder.encode_batch(np.stack([q.embedding for q in deduped])),
         config.annotations_per_pin,
     )
 
@@ -508,7 +504,7 @@ def ablation_study(
     ) -> dict:
         # every pin participates even when unlinked
         graph, _ = linkgraph.build_link_graph(
-            {sig: annots.get(sig, []) for sig in corpus.pins}, collections
+            {sig: annots.get(sig, []) for sig in ws.corpus.pins}, collections
         )
         scores = linkgraph.pagerank(graph)
         coll_scores = [
@@ -527,15 +523,11 @@ def ablation_study(
     # compares linking quality, not collection counts
     shared = build_collections(
         config,
+        ws,
         {t for texts in enabled_map.values() for t in texts}
         | {t for texts in control_map.values() for t in texts},
-        corpus,
-        txt_encoder,
-        index,
     )
-    base = build_collections(
-        config, synth.CLUSTER_TERMS[: config.n_clusters], corpus, txt_encoder, index
-    )
+    base = build_collections(config, ws, synth.CLUSTER_TERMS[: config.n_clusters])
     return {
         "enabled": build_mode(enabled_map, shared),
         "control": build_mode(control_map, shared),
@@ -550,13 +542,10 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
                         "final": float(rows[-1].split(",")[1])}
     except (IndexError, ValueError):
         raise PipelineError(f"{ws.encoder_log}: no readable training rows") from None
-    corpus = _load_corpus(ws)
-    index = hnsw.HnswIndex.load(ws.index_file)
-    txt_encoder = encoders.load_model(ws.encoder_txt)
     model = ranker.load_ranker(ws.ranker_file)
 
     # recall@10 vs brute force over the indexed embeddings
-    signatures, matrix = _encode_pins(corpus, encoders.load_model(ws.encoder_img))
+    signatures, matrix = _encode_pins(ws.corpus, ws.img_encoder)
     rng = np.random.default_rng(subseed(config.seed, "eval"))
     probes = rng.choice(len(signatures), size=min(50, len(signatures)), replace=False)
     recalls = []
@@ -565,31 +554,26 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         # a stable sort leaves equal similarities in signature order
         top = np.argsort(-(matrix @ query), kind="stable")[:10]
         exact = {signatures[j] for j in top.tolist()}
-        approx = {s for s, _ in index.search(query, 10)}
+        approx = {s for s, _ in ws.index.search(query, 10)}
         recalls.append(len(exact & approx) / len(exact))
     recall_at_10 = float(np.mean(recalls))
 
-    triplets = _triplets_from_labels(corpus, _load_labeled(ws, corpus))
-    rank_metric = ranker.correct_rank(model, triplets) if triplets else None
-
     collections = coll_mod.load_collections(ws.collections)
-    judge = coll_mod.embedding_judge(txt_encoder, threshold=config.judge_threshold)
+    judge = coll_mod.embedding_judge(ws.txt_encoder, threshold=config.judge_threshold)
     rates = [
-        coll_mod.intent_satisfying_rate(c, corpus, judge)[0] for c in collections
+        coll_mod.intent_satisfying_rate(c, ws.corpus, judge)[0] for c in collections
     ]
-    link_summary = json.loads(ws.link_report.read_text(encoding="utf-8"))
-    curation_summary = json.loads(ws.curation_report.read_text(encoding="utf-8"))
+    link_summary = read_json(ws.link_report, PipelineError, ("pagerank", "orphan_pins"))
+    curation_summary = read_json(ws.curation_report, PipelineError, ("retention_branches",))
     report = {
         "recall_at_10": recall_at_10,
-        "correct_rank": rank_metric,
+        "correct_rank": ranker.correct_rank(model, ws.triplets) if ws.triplets else None,
         "intent_satisfying_rate_mean": float(np.mean(rates)) if rates else None,
         "retention_branches": curation_summary["retention_branches"],
         "encoder_loss": encoder_loss,
         "pagerank": link_summary["pagerank"],
         "orphan_pins": link_summary["orphan_pins"],
-        "ablation": ablation_study(
-            config, ws, corpus, index, dict(zip(signatures, matrix)), txt_encoder
-        ),
+        "ablation": ablation_study(config, ws, dict(zip(signatures, matrix))),
     }
     return report
 

@@ -141,6 +141,12 @@ class TestTools:
         with pytest.raises(AgentError, match=r"trends\.jsonl:2: .*missing 1 required positional argument: 'term'"):
             make_fetch_trends(path)("US", "7d")
 
+    def test_fetch_trends_malformed_line_names_line(self, tmp_path):
+        path = tmp_path / "trends.jsonl"
+        path.write_text('{"term": "aaa", "region": "US"}\n[1, 2\n')
+        with pytest.raises(AgentError, match=r"trends\.jsonl:2: malformed JSON"):
+            make_fetch_trends(path)("US", "7d")
+
 
 @pytest.fixture(scope="module")
 def episode_setup(request, tmp_path_factory):

@@ -18,7 +18,7 @@ from geoforge.collections_ import (
     write_collections,
     emit_pages,
 )
-from geoforge.core import CorpusError, QueryRecord
+from geoforge.core import QueryRecord, cosine
 from geoforge.encoders import EncoderModel
 from geoforge.hnsw import HnswIndex
 from geoforge.mlp import Mlp
@@ -82,8 +82,8 @@ class TestJudges:
         corpus, encoder, _ = corpus_and_index
         topic = corpus.queries[0]
         pin = corpus.pins[sorted(corpus.pins)[0]]
-        always = embedding_judge(encoder, threshold=-1.0)(pin, topic)
-        never = embedding_judge(encoder, threshold=1.01)(pin, topic)
+        always = embedding_judge(encoder, threshold=-1.0)([pin], topic)[0]
+        never = embedding_judge(encoder, threshold=1.01)([pin], topic)[0]
         assert always.satisfied and not never.satisfied
         assert always.score == never.score
 
@@ -91,7 +91,7 @@ class TestJudges:
         corpus, encoder, _ = corpus_and_index
         pin = corpus.pins[sorted(corpus.pins)[0]]
         with pytest.raises(CollectionError, match="lacks an embedding"):
-            embedding_judge(encoder)(pin, QueryRecord("bare", "UseCase"))
+            embedding_judge(encoder)([pin], QueryRecord("bare", "UseCase"))
 
 
 class TestIntentRate:
@@ -115,6 +115,31 @@ class TestIntentRate:
         assert len(verdicts) == len(collection.members)
         assert rate == sum(v.satisfied for v in verdicts) / len(verdicts)
 
+    def test_one_batch_per_collection_matches_single_row_cosines(
+        self, corpus_and_index, monkeypatch
+    ):
+        corpus, encoder, index = corpus_and_index
+        topic = corpus.queries[0]
+        collection = build_collection(topic, encoder, index, k=10)
+        assert len(collection.members) == 10
+        judge_encoder = EncoderModel(Mlp.init([encoder.output_dim, 16, 8], np.random.default_rng(4)))
+        calls = []
+        for method in ("encode", "encode_batch"):
+            fn = getattr(judge_encoder, method)
+            monkeypatch.setattr(
+                judge_encoder, method, lambda x, fn=fn, method=method: calls.append(method) or fn(x)
+            )
+        _, verdicts = intent_satisfying_rate(
+            collection, corpus, embedding_judge(judge_encoder, threshold=0.5)
+        )
+        assert sorted(calls) == ["encode", "encode_batch"]
+        topic_vec = judge_encoder.encode(topic.embedding)
+        for (signature, _), verdict in zip(collection.members, verdicts):
+            expected = cosine(judge_encoder.encode(corpus.pins[signature].text_embedding), topic_vec)
+            assert verdict.pin_signature == signature
+            assert abs(verdict.score - expected) <= 1e-12
+            assert verdict.satisfied == (verdict.score >= 0.5)
+
 
 class TestPersistenceAndPages:
     def test_collections_roundtrip(self, corpus_and_index, tmp_path):
@@ -136,7 +161,7 @@ class TestPersistenceAndPages:
         write_collections([build_collection(corpus.queries[0], encoder, index, k=5)], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{not json\n")
-        with pytest.raises(CorpusError, match=r"collections\.jsonl:2:"):
+        with pytest.raises(CollectionError, match=r"collections\.jsonl:2: malformed JSON"):
             load_collections(path)
 
     def test_emit_pages_links_members(self, corpus_and_index, tmp_path):

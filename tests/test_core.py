@@ -281,6 +281,7 @@ class TestCorpusIO:
         ("[1, 2]", r"expected a JSON object, got \[1, 2\]"),
         ('{"b": 1}', "missing key 'a'"),
         ('{"a": "x"}', "invalid literal for int"),
+        ('{"a": ', "malformed JSON"),
     ])
     def test_read_records_names_bad_record(self, tmp_path, line, match):
         class RecordError(Exception):
@@ -483,6 +484,25 @@ def test_only_core_reads_jsonl():
             ):
                 readers.add(path.stem)
     assert readers <= {"core"}
+
+
+def test_only_the_workspace_loads_stage_inputs():
+    """In `pipeline`, the corpus, index and encoders are loaded only by
+    `Workspace`, which keeps each for the rest of the run."""
+    loaders = {"load_corpus", "load_model", "HnswIndex.load"}
+
+    def loads(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func).rsplit(".", 2)
+                if ".".join(name[-2:]) in loaders or name[-1] in loaders:
+                    yield node
+
+    tree = ast.parse((Path(geoforge.__file__).parent / "pipeline.py").read_text(encoding="utf-8"))
+    (workspace,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Workspace"]
+    inside = list(loads(workspace))
+    assert len(inside) == 4
+    assert set(map(id, loads(tree))) == set(map(id, inside))
 
 
 # imported names a module keeps without using them, each with its reason

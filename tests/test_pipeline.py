@@ -7,11 +7,13 @@ import dataclasses
 import json
 import re
 import shutil
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from geoforge import curation, pipeline
+from geoforge import curation, encoders, hnsw, pipeline, ranker
 from geoforge.core import QueryRecord, write_jsonl
 from geoforge.pipeline import (
     PRODUCERS,
@@ -134,22 +136,46 @@ class TestStageGraph:
          "CorpusError", "label must be \\+1 or -1, got 7"),
         ("link", "annotations.jsonl", {"score": None}, "PipelineError", "missing key 'score'"),
         ("link", "collections.jsonl", {"slug": None}, "CollectionError", "missing key 'slug'"),
+        ("link", "annotations.jsonl", '{"pin_signature": ', "PipelineError", "malformed JSON: .+"),
+        ("link", "collections.jsonl", "{not json", "CollectionError", "malformed JSON: .+"),
     ])
     def test_bad_record_fails_its_reader_naming_path_and_line(
         self, pipeline_run, tmp_path, stage, artifact, edit, error_type, match
     ):
-        """A key set to None in `edit` is dropped from the second record."""
+        """A dict `edit` is merged into the second record, where a key set
+        to None is dropped; a str `edit` replaces the second line."""
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
         path = tmp_path / artifact
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        record = {**json.loads(lines[1]), **edit}
-        lines[1] = json.dumps({k: v for k, v in record.items() if v is not None}) + "\n"
+        if isinstance(edit, str):
+            lines[1] = edit + "\n"
+        else:
+            record = {**json.loads(lines[1]), **edit}
+            lines[1] = json.dumps({k: v for k, v in record.items() if v is not None}) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
         report, ok = run_pipeline(config, stages=[stage])
         result = report["stages"][stage]
         assert not ok and result["error_type"] == error_type
         assert re.match(rf"{re.escape(str(path))}:2: {match}$", result["error"])
+
+    @pytest.mark.parametrize("artifact, text, match", [
+        ("link_report.json", '{"nodes": 3, "pagerank": ', "malformed JSON"),
+        ("link_report.json", "[1, 2]", "expected a JSON object, got list"),
+        ("link_report.json", '{"orphan_pins": 0}', "missing key 'pagerank'"),
+        ("link_report.json", '{"pagerank": {}}', "missing key 'orphan_pins'"),
+        ("curation_report.json", "", "malformed JSON"),
+        ("curation_report.json", '"retention_branches"', "expected a JSON object, got str"),
+        ("curation_report.json", "{}", "missing key 'retention_branches'"),
+    ])
+    def test_bad_report_fails_eval_naming_path(self, pipeline_run, tmp_path, artifact, text, match):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        (tmp_path / artifact).write_text(text, encoding="utf-8")
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["eval"])
+        result = report["stages"]["eval"]
+        assert not ok and result["error_type"] == "PipelineError"
+        assert result["error"].startswith(f"{tmp_path / artifact}: {match}")
 
     def test_header_only_encoder_log_fails_eval(self, pipeline_run, tmp_path):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
@@ -235,20 +261,44 @@ class TestLabeledPairs:
 
 class TestCorpusLoad:
     def test_one_load_per_run_and_stages_still_run_alone(self, tmp_path, monkeypatch):
-        calls = []
-        load = pipeline.load_corpus
+        """Each input several stages read is parsed once per run, and eval
+        alone scores correct_rank."""
+        calls = Counter()
+
+        def counted(fn, key):
+            def wrapper(*args):
+                calls[key(*args)] += 1
+                return fn(*args)
+            return wrapper
+
+        def name(path, *_):
+            return Path(path).name
+
+        monkeypatch.setattr(pipeline, "load_corpus", counted(pipeline.load_corpus, lambda _: "corpus"))
+        monkeypatch.setattr(hnsw.HnswIndex, "load", classmethod(
+            counted(hnsw.HnswIndex.load.__func__, lambda _, path: name(path))
+        ))
+        monkeypatch.setattr(encoders, "load_model", counted(encoders.load_model, name))
+        monkeypatch.setattr(pipeline, "read_records", counted(pipeline.read_records, name))
         monkeypatch.setattr(
-            pipeline, "load_corpus", lambda manifest: calls.append(1) or load(manifest)
+            ranker, "correct_rank", counted(ranker.correct_rank, lambda *_: "correct_rank")
         )
         config = PipelineConfig(
             out_dir=tmp_path, n_pins=40, n_clusters=4, encoder_steps=20, ranker_steps=50
         )
         report, ok = run_pipeline(config)
         assert ok, report["stages"]
-        assert len(calls) == 1
-        # a fresh run of one stage reads the corpus from disk again
+        assert calls == Counter([
+            "corpus", "navboost.jsonl", "encoder_img.bin", "encoder_txt.bin", "index.bin",
+            "labeled_pairs.jsonl", "annotations.jsonl", "correct_rank",
+        ])
+        assert "correct_rank" not in report["stages"]["train-ranker"]["metrics"]
+        # a fresh run of one stage reads its inputs from disk again
+        calls.clear()
         rerun, ok = run_pipeline(config, stages=["build-collections"])
-        assert ok and len(calls) == 2
+        assert ok and calls == Counter(
+            ["corpus", "encoder_txt.bin", "index.bin", "annotations.jsonl"]
+        )
         assert rerun["checksums"]["collections.jsonl"] == report["checksums"]["collections.jsonl"]
 
 
