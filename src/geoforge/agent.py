@@ -225,10 +225,11 @@ def make_expand_query(taxonomy: list[tuple[str, str]]):
 
 def make_fetch_trends(trends_path: str | Path):
     """The trends of one region and timespan from a JSONL file of TrendSignal
-    fields, by term; a bad record raises AgentError naming path:line."""
+    fields, by term. The file is parsed here, once: a bad record raises
+    AgentError naming path:line when the tools are built."""
+    signals = read_records(trends_path, lambda obj: TrendSignal(**obj), AgentError)
 
     def fetch_trends(region: str, timespan: str) -> list[TrendSignal]:
-        signals = read_records(trends_path, lambda obj: TrendSignal(**obj), AgentError)
         return sorted(
             (s for s in signals if s.region == region and s.timespan == timespan),
             key=lambda s: s.term,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Corpus, load_arrays, save_arrays
-from .mlp import Mlp
+from .mlp import Mlp, backward_blocks, forward_blocks
 
 ENCODER_MAGIC = b"GEOENC02"
 DEFAULT_TEMPERATURE = 0.07
@@ -170,31 +170,29 @@ def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainR
     coboard = _coboard_pairs(corpus)
     if not coboard:
         raise EncoderError("pinclip training needs board co-save pairs")
+    visual = np.stack([corpus.pins[s].visual_embedding for s in signatures])
+    text = np.stack([corpus.pins[s].text_embedding for s in signatures])
+    row = {sig: i for i, sig in enumerate(signatures)}
+    pair_rows = np.array([[row[a], row[b]] for a, b in coboard])
 
     log: list[tuple[int, float, float]] = []
     for step in range(config.steps):
         idx = rng.choice(len(signatures), size=min(config.batch_size, len(signatures)), replace=False)
-        sigs = [signatures[int(i)] for i in idx]
-        vis = np.stack([corpus.pins[s].visual_embedding for s in sigs])
-        txt_in = np.stack([corpus.pins[s].text_embedding for s in sigs])
         pp_idx = rng.choice(len(coboard), size=min(config.batch_size, len(coboard)), replace=False)
-        pp = [coboard[int(i)] for i in pp_idx]
-        vis_a = np.stack([corpus.pins[a].visual_embedding for a, _ in pp])
-        vis_b = np.stack([corpus.pins[b].visual_embedding for _, b in pp])
-
-        enc_vis, cache_vis = img.forward(vis, EncoderError)
-        enc_txt, cache_txt = txt.forward(txt_in, EncoderError)
-        enc_a, cache_a = img.forward(vis_a, EncoderError)
-        enc_b, cache_b = img.forward(vis_b, EncoderError)
+        rows_a, rows_b = pair_rows[pp_idx].T
+        (enc_vis, enc_a, enc_b, enc_txt), cache = forward_blocks(
+            [(img, visual[idx]), (img, visual[rows_a]), (img, visual[rows_b]), (txt, text[idx])],
+            EncoderError,
+        )
         loss, grads = pinclip_loss(
             ContrastiveBatch(enc_vis, enc_txt, config.temperature),
             ContrastiveBatch(enc_a, enc_b, config.temperature),
         )
-        g_img = img.backward(cache_vis, grads["img_txt_anchors"])
-        g_a = img.backward(cache_a, grads["pin_pin_anchors"])
-        g_b = img.backward(cache_b, grads["pin_pin_positives"])
+        g_img, g_a, g_b, g_txt = backward_blocks(
+            cache,
+            [grads[k] for k in ("img_txt_anchors", "pin_pin_anchors", "pin_pin_positives", "img_txt_positives")],
+        )
         g_img = [g + (a + b) for g, a, b in zip(g_img, g_a, g_b)]
-        g_txt = txt.backward(cache_txt, grads["img_txt_positives"])
         img.sgd_step(g_img, config.learning_rate)
         txt.sgd_step(g_txt, config.learning_rate)
         # all weights, then all biases: the order the logged norm has always summed in

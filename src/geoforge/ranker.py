@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import PinRecord, QueryRecord, load_arrays, save_arrays
-from .mlp import Mlp
+from .mlp import Mlp, backward_blocks, forward_blocks
 
 RANKER_MAGIC = b"GEORNK02"
 RANKER_META = {"d_v": int, "d_t": int, "hidden": [int], "output_dim": int,
@@ -139,32 +139,32 @@ def train_ranker(
     """SGD over triplets (pin features, positive query feats, negative query
     feats); returns the model and a (step, loss) log.
 
-    Each step runs the query tower once, forward and backward, on the
-    positive rows stacked over the negative rows: LayerNorm and dropout act
-    per row and weight gradients sum over rows, so this is the gradient of
-    separate positive and negative passes."""
+    Each step runs both towers in one `mlp.forward_blocks` pass, forward and
+    backward: the pin rows are one block and the positive rows stacked over
+    the negative rows are the other. LayerNorm and dropout act per row and
+    weight gradients sum over rows, so this is the gradient of separate
+    pin, positive and negative passes."""
     if not triplets:
         raise RankerError("at least one training triplet required")
     train = train or RankerTrainConfig()
     model = RankerModel.init(config, seed=train.seed)
     rng = np.random.default_rng(train.seed + 1)
+    n = len(triplets)
     pins = np.stack([t[0] for t in triplets])
-    positives = np.stack([t[1] for t in triplets])
-    negatives = np.stack([t[2] for t in triplets])
+    # positives in rows [0, n), negatives in rows [n, 2n)
+    queries = np.stack([t[1] for t in triplets] + [t[2] for t in triplets])
     log: list[tuple[int, float]] = []
     for step in range(train.steps):
-        idx = rng.choice(len(triplets), size=min(train.batch_size, len(triplets)), replace=False)
-        b_pin, b_pos, b_neg = pins[idx], positives[idx], negatives[idx]
-        e_pin, cache_pin = model.pin_tower.forward(b_pin, RankerError, config.dropout_rate, rng)
-        e_query, cache_query = model.query_tower.forward(
-            np.concatenate([b_pos, b_neg]), RankerError, config.dropout_rate, rng
+        idx = rng.choice(n, size=min(train.batch_size, n), replace=False)
+        (e_pin, e_query), cache = forward_blocks(
+            [(model.pin_tower, pins[idx]), (model.query_tower, queries[np.concatenate([idx, idx + n])])],
+            RankerError, config.dropout_rate, rng,
         )
         e_pos, e_neg = np.split(e_query, 2)
         loss, d_pin, d_pos, d_neg = margin_loss_batch(e_pin, e_pos, e_neg, config.margin)
         if not np.isfinite(loss):
             raise RankerError(f"non-finite loss at step {step}")
-        g_pin = model.pin_tower.backward(cache_pin, d_pin)
-        g_query = model.query_tower.backward(cache_query, np.concatenate([d_pos, d_neg]))
+        g_pin, g_query = backward_blocks(cache, [d_pin, np.concatenate([d_pos, d_neg])])
         model.pin_tower.sgd_step(g_pin, train.learning_rate)
         model.query_tower.sgd_step(g_query, train.learning_rate)
         log.append((step, loss))

@@ -505,6 +505,20 @@ def test_only_the_workspace_loads_stage_inputs():
     assert set(map(id, loads(tree))) == set(map(id, inside))
 
 
+def test_only_mlp_does_network_arithmetic():
+    """LayerNorm and dropout live in `mlp`: no other module names `LN_EPS`
+    or a forward cache's ``"xhat"``, ``"inv_std"`` or ``"mask"`` key."""
+    users = set()
+    for path in Path(geoforge.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            if "LN_EPS" in names or (
+                isinstance(node, ast.Constant) and node.value in ("xhat", "inv_std", "mask")
+            ):
+                users.add(path.stem)
+    assert users <= {"mlp"}
+
+
 # imported names a module keeps without using them, each with its reason
 UNUSED_IMPORTS = {
     "curation.cosine": "the benchmark's tracer test looks it up on curation",

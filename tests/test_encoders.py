@@ -45,6 +45,14 @@ class TestEncoderModel:
         with pytest.raises(EncoderError, match="non-finite"):
             model.encode(row)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_output_norm(self):
+        """Finite output rows whose squared norm overflows raise, rather
+        than normalising to zero rows."""
+        model = EncoderModel(Mlp([(np.eye(2), np.zeros(2))]))
+        with pytest.raises(EncoderError, match="non-finite"):
+            model.encode(np.array([1e155, 1e155]))
+
     def test_dropout_requires_rng(self):
         net = Mlp.init([6, 4], np.random.default_rng(0))
         with pytest.raises(EncoderError, match="RNG"):

@@ -138,6 +138,7 @@ class TestStageGraph:
         ("link", "collections.jsonl", {"slug": None}, "CollectionError", "missing key 'slug'"),
         ("link", "annotations.jsonl", '{"pin_signature": ', "PipelineError", "malformed JSON: .+"),
         ("link", "collections.jsonl", "{not json", "CollectionError", "malformed JSON: .+"),
+        ("agent-run", "corpus/trends.jsonl", "[1, 2", "AgentError", "malformed JSON: .+"),
     ])
     def test_bad_record_fails_its_reader_naming_path_and_line(
         self, pipeline_run, tmp_path, stage, artifact, edit, error_type, match

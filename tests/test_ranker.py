@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoforge.core import PinRecord, QueryRecord
-from geoforge.mlp import Mlp
+from geoforge.mlp import Mlp, backward_blocks, forward_blocks
 from geoforge.ranker import (
     RankerError,
     RankerModel,
@@ -179,6 +181,53 @@ class TestTowerGradients:
         with pytest.raises(RankerError, match="non-finite"):
             getattr(model, f"embed_{tower}")(row)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("tower", ["pin", "query"])
+    def test_overflowing_output_norm(self, tower):
+        """Finite output rows whose squared norm overflows raise, rather
+        than normalising to zero rows."""
+        model = RankerModel.init(SMALL, seed=0)
+        getattr(model, f"{tower}_tower").layers[-1][0][...] *= 1e200
+        dim = SMALL.pin_input_dim if tower == "pin" else SMALL.query_input_dim
+        with pytest.raises(RankerError, match="non-finite"):
+            getattr(model, f"embed_{tower}")(np.ones(dim))
+
+
+class TestBlockKernel:
+    def test_two_block_pass_equals_one_block_passes(self):
+        """Two nets of equal widths but different input widths: the stacked
+        pass gives each block exactly its one-block pass, and the masks are
+        drawn block after block, layer after layer."""
+        rng = np.random.default_rng(0)
+        nets = [_tower([6, 5, 4, 3], rng), _tower([4, 5, 4, 3], rng)]
+        inputs = [rng.standard_normal((3, 6)), rng.standard_normal((5, 4))]
+        d_outs = [rng.standard_normal((3, 3)), rng.standard_normal((5, 3))]
+        outs, cache = forward_blocks(list(zip(nets, inputs)), RankerError, 0.3, np.random.default_rng(1))
+        grads = backward_blocks(cache, d_outs)
+
+        one_block_rng, reference, start = np.random.default_rng(1), np.random.default_rng(1), 0
+        for net, x, d_out, out, grad in zip(nets, inputs, d_outs, outs, grads):
+            single_out, single = net.forward(x, RankerError, 0.3, one_block_rng)
+            rows = slice(start, start + len(x))
+            start += len(x)
+            np.testing.assert_array_equal(out, single_out)
+            for i, layer in enumerate(single["layers"]):
+                np.testing.assert_array_equal(cache["layers"][i]["z"][rows], layer["z"])
+            for i, layer in enumerate(single["layers"][:-1]):
+                drawn = (reference.random(layer["z"].shape) >= 0.3) / 0.7
+                np.testing.assert_array_equal(layer["mask"], drawn)
+                np.testing.assert_array_equal(cache["layers"][i]["mask"][rows], drawn)
+            single_grad = net.backward(single, d_out)
+            assert len(grad) == len(single_grad) == len(net.parameters())
+            for got, want in zip(grad, single_grad):
+                np.testing.assert_array_equal(got, want)
+
+    def test_blocks_need_equal_widths(self):
+        rng = np.random.default_rng(0)
+        blocks = [(_tower([4, 5, 3], rng), np.ones((2, 4))), (_tower([4, 6, 3], rng), np.ones((2, 4)))]
+        with pytest.raises(RankerError, match="equal layer widths"):
+            forward_blocks(blocks, RankerError)
+
 
 def _separable_triplets(n: int, seed: int):
     """Pins near one direction; positives aligned, negatives orthogonal."""
@@ -251,6 +300,39 @@ class TestTraining:
         for tower in ("pin_tower", "query_tower"):
             for got, want in zip(
                 getattr(fused, tower).parameters(), getattr(model, tower).parameters()
+            ):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_dropout_training_matches_per_tower_passes(self):
+        """With dropout over two LayerNorm layers, training equals a loop of
+        per-tower passes that draw from one RNG: the batch choice, then the
+        pin tower's masks, then the query tower's."""
+        config = dataclasses.replace(SMALL, hidden=[6, 5], dropout_rate=0.2)
+        triplets = _separable_triplets(30, seed=9)
+        train = RankerTrainConfig(steps=5, batch_size=8, learning_rate=0.05, seed=4)
+        trained, log = train_ranker(triplets, config, train)
+
+        model = RankerModel.init(config, seed=train.seed)
+        rng = np.random.default_rng(train.seed + 1)
+        pins, pos, neg = (np.stack(col) for col in zip(*triplets))
+        for step in range(train.steps):
+            idx = rng.choice(len(triplets), size=train.batch_size, replace=False)
+            e_pin, c_pin = model.pin_tower.forward(pins[idx], RankerError, 0.2, rng)
+            e_query, c_query = model.query_tower.forward(
+                np.concatenate([pos[idx], neg[idx]]), RankerError, 0.2, rng
+            )
+            loss, d_pin, d_pos, d_neg = margin_loss_batch(e_pin, *np.split(e_query, 2), config.margin)
+            assert log[step][1] == pytest.approx(loss, rel=0, abs=1e-12)
+            g_pin = model.pin_tower.backward(c_pin, d_pin)
+            g_query = model.query_tower.backward(c_query, np.concatenate([d_pos, d_neg]))
+            for param, grad in zip(model.pin_tower.parameters(), g_pin):
+                param -= train.learning_rate * grad
+            for param, grad in zip(model.query_tower.parameters(), g_query):
+                param -= train.learning_rate * grad
+
+        for tower in ("pin_tower", "query_tower"):
+            for got, want in zip(
+                getattr(trained, tower).parameters(), getattr(model, tower).parameters()
             ):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
