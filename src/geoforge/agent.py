@@ -263,13 +263,11 @@ def run_episode(
     seed: int = 0,
 ) -> tuple[list[QueryRecord], list[dict], AgentState]:
     """One pass through the five-node plan. Returns the validated queries,
-    a replayable trace, and the final state."""
+    a replayable trace (the final state's short memory), and the final state."""
     state = AgentState(long_memory=copy.deepcopy(long_memory or {}))
-    trace: list[dict] = []
 
     def step(action: dict, observation: dict) -> None:
         nonlocal state
-        trace.append({"node": state.cursor, "action": action, "observation": observation})
         state = transition(state, action, observation)
 
     # planning: fixed strategy over configured regions (fatal on failure)
@@ -352,7 +350,7 @@ def run_episode(
         {"kind": "tool", "tool": "validate"},
         {"outcomes": outcomes, "emitted": emitted},
     )
-    return list(state.emitted), trace, state
+    return list(state.emitted), state.short_memory, state
 
 
 def replay_trace(trace: list[dict], long_memory: dict[str, dict] | None = None) -> AgentState:

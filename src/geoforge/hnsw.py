@@ -86,7 +86,6 @@ class HnswIndex:
     def __init__(self, dim: int, params: HnswParams | None = None, seed: int = 0):
         self.dim = dim
         self.params = params or HnswParams()
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._store = np.empty((16, dim), dtype=np.float64)
         self._ids: list[int] = []
@@ -351,9 +350,6 @@ class HnswIndex:
         index._levels = levels.tolist()
         index._ids = ids.tolist()
         index._store = vectors.astype(np.float64)
-        # re-normalize: f32 rounding perturbs norms slightly
-        norms = np.linalg.norm(index._store, axis=1, keepdims=True)
-        np.divide(index._store, norms, out=index._store, where=norms > 0)
         index._id_to_idx = {eid: i for i, eid in enumerate(index._ids)}
         index._entry = None if count == 0 else entry
         return index

@@ -76,16 +76,20 @@ class PipelineConfig:
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
         """key=value config file; an unknown key or an unparsable value
         raises PipelineError naming path:line."""
-        kinds = {f.name: type(f.default) for f in fields(cls)}
-        values = read_key_values(path, kinds, "config", PipelineError)
+        values = read_key_values(path, CONFIG_KINDS, "config", PipelineError)
         return cls(**{**values, **overrides})
+
+
+# each config key's type, for the config file and the command-line flags
+CONFIG_KINDS = {f.name: type(f.default) for f in fields(PipelineConfig)}
 
 
 @dataclass
 class Workspace:
-    """Artifact paths under one output directory, and the inputs several
-    stages read, each parsed from disk on first use and kept: a workspace
-    parses an input at most once, and its readers must not mutate it."""
+    """Artifact paths under one output directory, one attribute per
+    ARTIFACTS name, and the inputs several stages read, each parsed from
+    disk on first use and kept: a workspace parses an input at most once,
+    and its readers must not mutate it."""
 
     out: Path
 
@@ -116,73 +120,48 @@ class Workspace:
     def triplets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         return _triplets_from_labels(self.corpus, _load_labeled(self, self.corpus))
 
-    @property
-    def corpus_dir(self) -> Path: return self.out / "corpus"
-    @property
-    def manifest(self) -> Path: return self.corpus_dir / "manifest.txt"
-    @property
-    def pins(self) -> Path: return self.corpus_dir / "pins.jsonl"
-    @property
-    def queries(self) -> Path: return self.corpus_dir / "queries.jsonl"
-    @property
-    def engagement(self) -> Path: return self.corpus_dir / "engagement.jsonl"
-    @property
-    def trends(self) -> Path: return self.corpus_dir / "trends.jsonl"
-    @property
-    def navboost(self) -> Path: return self.corpus_dir / "navboost.jsonl"
-    @property
-    def labeled_pairs(self) -> Path: return self.out / "labeled_pairs.jsonl"
-    @property
-    def curation_report(self) -> Path: return self.out / "curation_report.json"
-    @property
-    def encoder_img(self) -> Path: return self.out / "encoder_img.bin"
-    @property
-    def encoder_txt(self) -> Path: return self.out / "encoder_txt.bin"
-    @property
-    def encoder_log(self) -> Path: return self.out / "encoder_train_log.csv"
-    @property
-    def index_file(self) -> Path: return self.out / "index.bin"
-    @property
-    def ranker_file(self) -> Path: return self.out / "ranker.bin"
-    @property
-    def ranker_log(self) -> Path: return self.out / "ranker_train_log.csv"
-    @property
-    def annotations(self) -> Path: return self.out / "annotations.jsonl"
-    @property
-    def collections(self) -> Path: return self.out / "collections.jsonl"
-    @property
-    def pages_dir(self) -> Path: return self.out / "pages"
-    @property
-    def graph_file(self) -> Path: return self.out / "graph.jsonl"
-    @property
-    def link_report(self) -> Path: return self.out / "link_report.json"
-    @property
-    def sitemap(self) -> Path: return self.out / "sitemap.xml"
-    @property
-    def trace(self) -> Path: return self.out / "agent_trace.jsonl"
-    @property
-    def trend_queries(self) -> Path: return self.out / "trend_queries.jsonl"
-    @property
-    def long_memory(self) -> Path: return self.out / "long_memory.json"
-    @property
-    def report(self) -> Path: return self.out / "report.json"
+    def __getattr__(self, name: str) -> Path:
+        try:
+            return self.out / ARTIFACTS[name][1]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
-# What every stage writes and reads, as Workspace attribute names. Each
-# artifact's producer is the one stage that lists it as an output, and
-# run_pipeline checks a stage's inputs before it calls the stage.
-STAGE_OUTPUTS = {
-    "gen-corpus": ["manifest", "pins", "queries", "engagement", "trends", "navboost"],
-    "curate": ["labeled_pairs", "curation_report"],
-    "train-encoder": ["encoder_img", "encoder_txt", "encoder_log"],
-    "build-index": ["index_file"],
-    "train-ranker": ["ranker_file", "ranker_log", "annotations"],
-    "build-collections": ["collections"],
-    "link": ["graph_file", "link_report", "sitemap"],
+# Every artifact a workspace names: its producing stage and its path under
+# the output directory. A stage's outputs are the artifacts it produces, and
+# run_pipeline checksums them after the stage; corpus_dir, pages_dir and
+# report have no producer and are never checksummed.
+ARTIFACTS = {
+    "corpus_dir": (None, "corpus"),
+    "manifest": ("gen-corpus", "corpus/manifest.txt"),
+    "pins": ("gen-corpus", "corpus/pins.jsonl"),
+    "queries": ("gen-corpus", "corpus/queries.jsonl"),
+    "engagement": ("gen-corpus", "corpus/engagement.jsonl"),
+    "trends": ("gen-corpus", "corpus/trends.jsonl"),
+    "navboost": ("gen-corpus", "corpus/navboost.jsonl"),
+    "labeled_pairs": ("curate", "labeled_pairs.jsonl"),
+    "curation_report": ("curate", "curation_report.json"),
+    "encoder_img": ("train-encoder", "encoder_img.bin"),
+    "encoder_txt": ("train-encoder", "encoder_txt.bin"),
+    "encoder_log": ("train-encoder", "encoder_train_log.csv"),
+    "index_file": ("build-index", "index.bin"),
+    "ranker_file": ("train-ranker", "ranker.bin"),
+    "ranker_log": ("train-ranker", "ranker_train_log.csv"),
+    "annotations": ("train-ranker", "annotations.jsonl"),
+    "collections": ("build-collections", "collections.jsonl"),
+    "pages_dir": (None, "pages"),
+    "graph_file": ("link", "graph.jsonl"),
+    "link_report": ("link", "link_report.json"),
+    "sitemap": ("link", "sitemap.xml"),
+    "trace": ("agent-run", "agent_trace.jsonl"),
+    "trend_queries": ("agent-run", "trend_queries.jsonl"),
     # the next agent-run reads long_memory back when it is there
-    "agent-run": ["trace", "trend_queries", "long_memory"],
-    "eval": [],
+    "long_memory": ("agent-run", "long_memory.json"),
+    "eval_report": ("eval", "eval_report.json"),
+    "report": (None, "report.json"),
 }
+# What every stage reads, as ARTIFACTS names; run_pipeline checks a stage's
+# inputs before it calls the stage.
 STAGE_INPUTS = {
     "gen-corpus": [],
     "curate": ["manifest", "navboost"],
@@ -196,7 +175,11 @@ STAGE_INPUTS = {
              "index_file", "ranker_file", "collections", "link_report", "labeled_pairs",
              "annotations"],
 }
-PRODUCERS = {name: stage for stage, names in STAGE_OUTPUTS.items() for name in names}
+STAGE_OUTPUTS = {
+    stage: [name for name, (producer, _) in ARTIFACTS.items() if producer == stage]
+    for stage in STAGE_INPUTS
+}
+PRODUCERS = {name: stage for name, (stage, _) in ARTIFACTS.items() if stage}
 
 
 def _check_inputs(stage: str, ws: Workspace) -> None:
@@ -217,6 +200,7 @@ def _load_labeled(ws: Workspace, corpus: Corpus) -> list[LabeledPair]:
 
 
 def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
+    """Generate the bundled synthetic corpus."""
     synth_config = synth.SynthConfig(
         n_pins=config.n_pins,
         n_clusters=config.n_clusters,
@@ -234,6 +218,7 @@ def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
+    """Filter engagement, label pairs, and deduplicate queries."""
     corpus = ws.corpus
     navboost = read_records(
         ws.navboost,
@@ -253,6 +238,7 @@ def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
+    """Train the contrastive embedding towers."""
     result = encoders.train_encoder(
         ws.corpus,
         "pinclip",
@@ -287,6 +273,7 @@ def _encode_pins(
 
 
 def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
+    """Build the ANN index over encoded pins."""
     signatures, matrix = _encode_pins(ws.corpus, ws.img_encoder)
     params = hnsw.HnswParams(
         M=config.hnsw_m, ef_construction=config.ef_construction, ef_search=config.ef_search
@@ -343,6 +330,7 @@ def annotate_pins(
 
 
 def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
+    """Train the two-tower annotation ranker and emit annotations."""
     corpus, triplets = ws.corpus, ws.triplets
     if not triplets:
         raise PipelineError("no training triplets derivable from labeled pairs")
@@ -425,6 +413,7 @@ def build_collections(
 
 
 def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
+    """Build topic collection pages from annotations and the index."""
     records = ws.annotation_records
     collections = build_collections(
         config,
@@ -437,6 +426,7 @@ def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
+    """Construct the link graph, PageRank scores, report, and sitemap."""
     collections = coll_mod.load_collections(ws.collections)
     annotations = annotation_map(
         ws.annotation_records, config.annotation_threshold, config.annotations_per_pin
@@ -457,10 +447,8 @@ def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
-    taxonomy = [
-        (term, cat)
-        for term, cat in zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES)
-    ][: config.n_clusters]
+    """Run one trend-mining agent episode."""
+    taxonomy = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[: config.n_clusters]
     agent_config = agent_mod.AgentConfig(
         min_count=config.agent_min_count,
         velocity_floor=config.agent_velocity_floor,
@@ -536,6 +524,7 @@ def ablation_study(
 
 
 def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
+    """Aggregate metrics across finished stages and write them as the eval report."""
     rows = ws.encoder_log.read_text(encoding="utf-8").strip().splitlines()[1:]
     try:
         encoder_loss = {"initial": float(rows[0].split(",")[1]),
@@ -575,6 +564,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         "orphan_pins": link_summary["orphan_pins"],
         "ablation": ablation_study(config, ws, dict(zip(signatures, matrix))),
     }
+    write_text(ws.eval_report, json.dumps(report, indent=2, sort_keys=True))
     return report
 
 

@@ -4,11 +4,33 @@ dependency errors."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
+from geoforge import cli
 from geoforge.cli import main
+from geoforge.pipeline import STAGE_ORDER, PipelineConfig
+
+# Every stage command's own flags, as (command, flag, PipelineConfig field).
+FLAG_SURFACE = [
+    ("gen-corpus", "--n-pins", "n_pins"),
+    ("gen-corpus", "--n-clusters", "n_clusters"),
+    ("curate", "--neg-per-pos", "neg_per_pos"),
+    ("train-encoder", "--steps", "encoder_steps"),
+    ("train-encoder", "--temperature", "temperature"),
+    ("build-index", "--ef-search", "ef_search"),
+    ("build-index", "--ef-construction", "ef_construction"),
+    ("build-index", "--m", "hnsw_m"),
+    ("train-ranker", "--steps", "ranker_steps"),
+    ("train-ranker", "--margin", "margin"),
+    ("build-collections", "--k", "collection_k"),
+    ("link", "--base-url", "base_url"),
+    ("agent-run", "--min-count", "agent_min_count"),
+]
+# a command-line value for each field type, unequal to every field's default
+FLAG_VALUES = {int: "7", float: "0.25", str: "https://geo.test"}
 
 
 @pytest.fixture()
@@ -43,6 +65,36 @@ class TestHelp:
         assert result.exit_code == 0
         for flag in ("--seed", "--config", "--out"):
             assert flag in result.output
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", STAGE_ORDER)
+    def test_stage_command_has_exactly_its_flags(self, command):
+        options = {opt for param in main.commands[command].params for opt in param.opts}
+        own = {flag for c, flag, _ in FLAG_SURFACE if c == command}
+        assert options == {"--seed", "--config", "--out"} | own
+
+    @pytest.mark.parametrize("command,flag,field", FLAG_SURFACE)
+    def test_help_lists_flag(self, runner, command, flag, field):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert re.search(rf"^\s+{re.escape(flag)}\s", result.output, re.M), result.output
+
+    @pytest.mark.parametrize("command,flag,field", FLAG_SURFACE)
+    def test_flag_reaches_config(self, runner, monkeypatch, tmp_path, command, flag, field):
+        calls = []
+
+        def fake_run_pipeline(config, stages=None):
+            calls.append((config, stages))
+            return {"stages": {command: {"status": "ok", "seconds": 0.0, "metrics": {}}}}, True
+
+        monkeypatch.setattr(cli, "run_pipeline", fake_run_pipeline)
+        kind = type(getattr(PipelineConfig(), field))
+        result = runner.invoke(main, [command, "--out", str(tmp_path), flag, FLAG_VALUES[kind]])
+        assert result.exit_code == 0, result.output
+        [(config, stages)] = calls
+        assert stages == [command]
+        assert getattr(config, field) == kind(FLAG_VALUES[kind])
 
 
 class TestExitCodes:

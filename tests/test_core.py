@@ -505,6 +505,27 @@ def test_only_the_workspace_loads_stage_inputs():
     assert set(map(id, loads(tree))) == set(map(id, inside))
 
 
+def test_artifact_paths_are_named_only_in_the_artifact_table():
+    """`pipeline` and `cli` write an artifact's file name only in
+    `pipeline.ARTIFACTS`: no other string literal there ends in an artifact
+    suffix."""
+    suffixes = (".jsonl", ".json", ".bin", ".csv", ".xml")
+    named = []
+    for stem in ("pipeline", "cli"):
+        tree = ast.parse((Path(geoforge.__file__).parent / f"{stem}.py").read_text(encoding="utf-8"))
+        table = {
+            id(n) for node in tree.body
+            if isinstance(node, ast.Assign) and "ARTIFACTS" in [ast.unparse(t) for t in node.targets]
+            for n in ast.walk(node)
+        }
+        named += [
+            f"{stem}:{node.lineno}: {node.value}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.endswith(suffixes) and id(node) not in table
+        ]
+    assert named == []
+
+
 def test_only_mlp_does_network_arithmetic():
     """LayerNorm and dropout live in `mlp`: no other module names `LN_EPS`
     or a forward cache's ``"xhat"``, ``"inv_std"`` or ``"mask"`` key."""

@@ -202,10 +202,18 @@ class TestPersistence:
             )
 
     def test_save_load_save_identical_bytes(self, corpus_300, tmp_path):
-        """A re-save writes the bytes it loaded. The loader renormalises the
-        float32 rows, so this holds while each renormalised row rounds back
-        to the float32 row it came from, as every row here does."""
+        """A re-save writes the bytes it loaded."""
         index = build(corpus_300[0], seed=1)
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        index.save(first)
+        HnswIndex.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_save_load_save_identical_bytes_at_dim_8(self, tmp_path):
+        """The loader keeps each float32 row as read. Renormalised rows of
+        dimension 8 often fail to round back to the row they came from."""
+        vecs = unit_rows(np.random.default_rng(52), 500, 8)
+        index = build(dict(enumerate(vecs)), HnswParams(M=4, ef_construction=16), seed=1)
         first, second = tmp_path / "first.bin", tmp_path / "second.bin"
         index.save(first)
         HnswIndex.load(first).save(second)

@@ -16,6 +16,7 @@ import pytest
 from geoforge import curation, encoders, hnsw, pipeline, ranker
 from geoforge.core import QueryRecord, write_jsonl
 from geoforge.pipeline import (
+    ARTIFACTS,
     PRODUCERS,
     STAGE_INPUTS,
     STAGE_ORDER,
@@ -188,14 +189,13 @@ class TestStageGraph:
         assert "encoder_train_log.csv" in result["error"]
 
     def test_stage_table(self):
-        attributes = {name for name, value in vars(Workspace).items() if isinstance(value, property)}
         assert set(STAGE_INPUTS) == set(STAGE_OUTPUTS) == set(STAGE_ORDER)
         outputs = [name for stage in STAGE_ORDER for name in STAGE_OUTPUTS[stage]]
         assert len(outputs) == len(set(outputs)), "an artifact has two producers"
-        assert set(outputs) <= attributes
+        assert set(outputs) <= set(ARTIFACTS)
         for stage, inputs in STAGE_INPUTS.items():
             for name in inputs:
-                assert name in attributes
+                assert name in ARTIFACTS
                 assert name in PRODUCERS, f"{stage} reads {name}, which no stage writes"
                 assert STAGE_ORDER.index(PRODUCERS[name]) < STAGE_ORDER.index(stage)
 
@@ -335,6 +335,11 @@ class TestFullRun:
         }
         assert written == declared
         assert set(report["checksums"]) == written
+
+    def test_eval_report_holds_the_eval_metrics(self, pipeline_run):
+        metrics = pipeline_run["report"]["stages"]["eval"]["metrics"]
+        text = pipeline_run["ws"].eval_report.read_text(encoding="utf-8")
+        assert text == json.dumps(metrics, indent=2, sort_keys=True)
 
     def test_eval_metrics_sane(self, pipeline_run):
         metrics = pipeline_run["report"]["stages"]["eval"]["metrics"]
