@@ -24,13 +24,7 @@ from .encoders import EncoderModel
 from .hnsw import HnswIndex
 
 NODES = ("planning", "retrieval", "filtering", "expansion", "validation")
-DAG_EDGES = {
-    "planning": "retrieval",
-    "retrieval": "filtering",
-    "filtering": "expansion",
-    "expansion": "validation",
-    "validation": None,
-}
+DAG_EDGES = dict(zip(NODES, NODES[1:] + (None,)))
 PERMITTED_ACTIONS = {
     "planning": {"plan"},
     "retrieval": {"fetch_trends"},
@@ -193,32 +187,23 @@ def make_content_lookup(
 def make_expand_query(taxonomy: list[tuple[str, str]]):
     """Deterministic template expander; reuses accepted patterns from long
     memory as few-shot exemplars when available."""
-    categories = {term: cat for term, cat in taxonomy}
 
     def expand_query(
         trend: TrendSignal, long_memory: dict[str, dict], n: int
     ) -> list[tuple[QueryRecord, str]]:
         if not taxonomy:
             raise AgentError("taxonomy is empty")
-        templates = list(EXPANSION_TEMPLATES)
-        record = long_memory.get(trend.term, {})
-        exemplars = record.get("patterns", [])
-        for pattern in reversed(exemplars):
-            matched = next((t for t in templates if t[1] == pattern), None)
-            if matched:
-                templates.remove(matched)
-                templates.insert(0, matched)
-        out: list[tuple[QueryRecord, str]] = []
-        seen = set()
-        for category, pattern in templates:
-            if len(out) >= n:
-                break
-            text = pattern.format(term=trend.term, cat=categories.get(trend.term, trend.category))
-            if text in seen:
-                continue
-            seen.add(text)
-            out.append((QueryRecord(text=text, category=category), pattern))
-        return out
+        exemplars = long_memory.get(trend.term, {}).get("patterns", [])
+        # remembered patterns first, in memory order; the rest keep theirs
+        templates = sorted(
+            EXPANSION_TEMPLATES,
+            key=lambda t: exemplars.index(t[1]) if t[1] in exemplars else len(exemplars),
+        )
+        # each template's fixed text differs, so no two variants collide
+        return [
+            (QueryRecord(text=pattern.format(term=trend.term), category=category), pattern)
+            for category, pattern in templates[: max(0, n)]
+        ]
 
     return expand_query
 
@@ -260,7 +245,6 @@ def run_episode(
     config: AgentConfig,
     tools: ToolSuite,
     long_memory: dict[str, dict] | None = None,
-    seed: int = 0,
 ) -> tuple[list[QueryRecord], list[dict], AgentState]:
     """One pass through the five-node plan. Returns the validated queries,
     a replayable trace (the final state's short memory), and the final state."""
@@ -270,86 +254,66 @@ def run_episode(
         nonlocal state
         state = transition(state, action, observation)
 
+    def tool_step(tool: str, key: str, value, observe: Callable[[object], dict], *args):
+        """Call one tool fail-soft and record it, keyed by ``key: value``: the
+        observation is ``observe(result)``, or the error when the tool raises.
+        Returns the result, or None after an error."""
+        try:
+            result = getattr(tools, tool)(*args)
+            observation = {key: value, **observe(result)}
+        except Exception as exc:
+            result, observation = None, {key: value, "error": str(exc)}
+        step({"kind": "tool", "tool": tool, key: value}, observation)
+        return result
+
     # planning: fixed strategy over configured regions (fatal on failure)
-    plan = {
-        "regions": sorted(config.regions),
-        "timespan": config.timespan,
-        "nodes": list(NODES),
-    }
+    plan = {"regions": sorted(config.regions), "timespan": config.timespan, "nodes": list(NODES)}
     step({"kind": "tool", "tool": "plan"}, {"plan": plan})
     step({"kind": "move", "to": "retrieval"}, {})
 
     # retrieval: one fetch per region; observations merge in sorted key order
     trends: list[TrendSignal] = []
     for region in plan["regions"]:
-        try:
-            fetched = tools.fetch_trends(region, config.timespan)
-            observation = {"region": region, "trends": [asdict(t) for t in fetched]}
-            trends.extend(fetched)
-        except Exception as exc:  # fail-soft per tool call
-            observation = {"region": region, "error": str(exc)}
-        step({"kind": "tool", "tool": "fetch_trends", "region": region}, observation)
+        trends += tool_step(
+            "fetch_trends", "region", region, lambda r: {"trends": [asdict(t) for t in r]},
+            region, config.timespan,
+        ) or []
     step({"kind": "move", "to": "filtering"}, {})
 
     kept: list[TrendSignal] = []
     for trend in trends:
-        try:
-            p, keep = tools.semantic_filter(trend, config.filter_threshold)
-            observation = {"term": trend.term, "p": p, "keep": keep}
-            if keep:
-                kept.append(trend)
-        except Exception as exc:
-            observation = {"term": trend.term, "error": str(exc)}
-        step({"kind": "tool", "tool": "semantic_filter", "term": trend.term}, observation)
+        verdict = tool_step(
+            "semantic_filter", "term", trend.term,
+            lambda r: dict(zip(("p", "keep"), r, strict=True)), trend, config.filter_threshold,
+        )
+        if verdict and verdict[1]:
+            kept.append(trend)
     step({"kind": "move", "to": "expansion"}, {})
 
     expansions: list[tuple[TrendSignal, QueryRecord, str]] = []
     for trend in kept:
-        try:
-            variants = tools.expand_query(trend, state.long_memory, config.expansions_per_trend)
-            observation = {
-                "term": trend.term,
-                "variants": [
-                    {"query": q.to_json(), "pattern": pattern} for q, pattern in variants
-                ],
-            }
-            expansions.extend((trend, q, pattern) for q, pattern in variants)
-        except Exception as exc:
-            observation = {"term": trend.term, "error": str(exc)}
-        step({"kind": "tool", "tool": "expand_query", "term": trend.term}, observation)
+        variants = tool_step(
+            "expand_query", "term", trend.term,
+            lambda r: {"variants": [{"query": q.to_json(), "pattern": p} for q, p in r]},
+            trend, state.long_memory, config.expansions_per_trend,
+        )
+        expansions += [(trend, q, pattern) for q, pattern in variants or []]
     step({"kind": "move", "to": "validation"}, {})
 
     outcomes: list[dict] = []
     emitted: list[dict] = []
     for trend, query, pattern in expansions:
-        try:
-            count, mean_quality, sufficient = tools.content_lookup(query.text)
-            lookup_obs = {
-                "query": query.text,
-                "count": count,
-                "mean_quality": mean_quality,
-                "sufficient": sufficient,
-            }
-        except Exception as exc:
-            lookup_obs = {"query": query.text, "error": str(exc)}
-            sufficient = False
-        step({"kind": "tool", "tool": "content_lookup", "query": query.text}, lookup_obs)
-        accepted = bool(sufficient and trend.velocity >= config.velocity_floor)
-        outcomes.append(
-            {
-                "term": trend.term,
-                "query": query.text,
-                "pattern": pattern,
-                "velocity": trend.velocity,
-                "accepted": accepted,
-            }
+        found = tool_step(
+            "content_lookup", "query", query.text,
+            lambda r: dict(zip(("count", "mean_quality", "sufficient"), r, strict=True)),
+            query.text,
         )
+        accepted = bool(found and found[2] and trend.velocity >= config.velocity_floor)
+        outcomes.append({"term": trend.term, "query": query.text, "pattern": pattern,
+                         "velocity": trend.velocity, "accepted": accepted})
         if accepted:
             emitted.append(query.to_json())
-    step(
-        {"kind": "tool", "tool": "validate"},
-        {"outcomes": outcomes, "emitted": emitted},
-    )
+    step({"kind": "tool", "tool": "validate"}, {"outcomes": outcomes, "emitted": emitted})
     return list(state.emitted), state.short_memory, state
 
 

@@ -87,9 +87,9 @@ CONFIG_KINDS = {f.name: type(f.default) for f in fields(PipelineConfig)}
 @dataclass
 class Workspace:
     """Artifact paths under one output directory, one attribute per
-    ARTIFACTS name, and the inputs several stages read, each parsed from
-    disk on first use and kept: a workspace parses an input at most once,
-    and its readers must not mutate it."""
+    ARTIFACTS name, and the stage inputs, each parsed from disk on first
+    use and kept: a workspace parses an input at most once, and its
+    readers must not mutate it."""
 
     out: Path
 
@@ -171,9 +171,8 @@ STAGE_INPUTS = {
     "build-collections": ["manifest", "index_file", "encoder_txt", "annotations"],
     "link": ["collections", "annotations"],
     "agent-run": ["manifest", "index_file", "encoder_txt", "trends"],
-    "eval": ["manifest", "curation_report", "encoder_img", "encoder_txt", "encoder_log",
-             "index_file", "ranker_file", "collections", "link_report", "labeled_pairs",
-             "annotations"],
+    "eval": ["manifest", "curation_report", "encoder_txt", "encoder_log", "index_file",
+             "ranker_file", "collections", "link_report", "labeled_pairs", "annotations"],
 }
 STAGE_OUTPUTS = {
     stage: [name for name, (producer, _) in ARTIFACTS.items() if producer == stage]
@@ -262,19 +261,12 @@ def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
     }
 
 
-def _encode_pins(
-    corpus: Corpus, img_encoder: encoders.EncoderModel
-) -> tuple[list[int], np.ndarray]:
-    """Sorted pin signatures and the image-tower embedding of each, row by row."""
-    signatures = sorted(corpus.pins)
-    return signatures, img_encoder.encode_batch(
-        np.stack([corpus.pins[s].visual_embedding for s in signatures])
-    )
-
-
 def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
     """Build the ANN index over encoded pins."""
-    signatures, matrix = _encode_pins(ws.corpus, ws.img_encoder)
+    signatures = sorted(ws.corpus.pins)
+    matrix = ws.img_encoder.encode_batch(
+        np.stack([ws.corpus.pins[s].visual_embedding for s in signatures])
+    )
     params = hnsw.HnswParams(
         M=config.hnsw_m, ef_construction=config.ef_construction, ef_search=config.ef_search
     )
@@ -457,31 +449,27 @@ def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
         ws.corpus, ws.index, ws.txt_encoder, taxonomy, ws.trends, agent_config
     )
     memory = agent_mod.load_long_memory(ws.long_memory)
-    queries, trace, state = agent_mod.run_episode(
-        agent_config, tools, memory, seed=subseed(config.seed, "agent")
-    )
+    queries, trace, state = agent_mod.run_episode(agent_config, tools, memory)
     agent_mod.write_trace(trace, ws.trace)
     write_jsonl(ws.trend_queries, (q.to_json() for q in queries))
     agent_mod.save_long_memory(state.long_memory, ws.long_memory)
     return {"emitted_queries": len(queries), "trace_steps": len(trace)}
 
 
-def ablation_study(
-    config: PipelineConfig, ws: Workspace, pin_embeddings: dict[int, np.ndarray]
-) -> dict:
+def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
     """Directional link-equity comparison across the three linking modes.
 
     Enabled uses ranker-selected annotations; control selects annotations by
-    raw cosine between pin_embeddings (image tower) and text-tower query
-    outputs; ablation drops annotations entirely (base-topic collections
-    only, no pin links).
+    raw cosine between the index's pin vectors (image tower) and text-tower
+    query outputs; ablation drops annotations entirely (base-topic
+    collections only, no pin links).
     """
     records = ws.annotation_records
     deduped = curation.dedup_queries(ws.corpus.queries)
 
     # control annotations: raw cross-tower cosine, same threshold and budget
     control_records = annotate_pins(
-        pin_embeddings,
+        ws.index.stored_vectors(),
         deduped,
         ws.txt_encoder.encode_batch(np.stack([q.embedding for q in deduped])),
         config.annotations_per_pin,
@@ -533,16 +521,15 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         raise PipelineError(f"{ws.encoder_log}: no readable training rows") from None
     model = ranker.load_ranker(ws.ranker_file)
 
-    # recall@10 vs brute force over the indexed embeddings
-    signatures, matrix = _encode_pins(ws.corpus, ws.img_encoder)
+    # recall@10 of the index's search against brute force over its own rows
+    stored = ws.index.stored_vectors()
+    signatures = sorted(stored)
     rng = np.random.default_rng(subseed(config.seed, "eval"))
     probes = rng.choice(len(signatures), size=min(50, len(signatures)), replace=False)
     recalls = []
-    for i in probes:
-        query = matrix[int(i)]
-        # a stable sort leaves equal similarities in signature order
-        top = np.argsort(-(matrix @ query), kind="stable")[:10]
-        exact = {signatures[j] for j in top.tolist()}
+    for i in probes.tolist():
+        query = stored[signatures[i]]
+        exact = {s for s, _ in hnsw.brute_force_search(stored, query, 10)}
         approx = {s for s, _ in ws.index.search(query, 10)}
         recalls.append(len(exact & approx) / len(exact))
     recall_at_10 = float(np.mean(recalls))
@@ -562,7 +549,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         "encoder_loss": encoder_loss,
         "pagerank": link_summary["pagerank"],
         "orphan_pins": link_summary["orphan_pins"],
-        "ablation": ablation_study(config, ws, dict(zip(signatures, matrix))),
+        "ablation": ablation_study(config, ws),
     }
     write_text(ws.eval_report, json.dumps(report, indent=2, sort_keys=True))
     return report

@@ -485,8 +485,8 @@ def test_criterion_12_agent_determinism(announce, pipeline_run, tmp_path):
     trends_path = ws.trends
     tools = default_tools(corpus, index, txt_encoder, taxonomy, trends_path, agent_config)
 
-    emitted_1, trace_1, state_1 = run_episode(agent_config, tools, {}, seed=0)
-    emitted_2, trace_2, _ = run_episode(agent_config, tools, {}, seed=0)
+    emitted_1, trace_1, state_1 = run_episode(agent_config, tools, {})
+    emitted_2, trace_2, _ = run_episode(agent_config, tools, {})
     bytes_1 = json.dumps(trace_1, sort_keys=True).encode()
     bytes_2 = json.dumps(trace_2, sort_keys=True).encode()
     deterministic = bytes_1 == bytes_2 and [q.to_json() for q in emitted_1] == [

@@ -3,6 +3,7 @@ determinism, trace replay, and memory persistence."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -176,7 +177,7 @@ def episode_setup(request, tmp_path_factory):
 class TestEpisode:
     def test_emits_only_validated_queries(self, episode_setup):
         agent_config, tools = episode_setup
-        emitted, trace, state = run_episode(agent_config, tools, {}, seed=0)
+        emitted, trace, state = run_episode(agent_config, tools, {})
         assert emitted, "expected at least one validated query"
         outcomes = next(
             step["observation"]["outcomes"]
@@ -191,7 +192,7 @@ class TestEpisode:
 
     def test_low_fit_never_reaches_expansion(self, episode_setup):
         agent_config, tools = episode_setup
-        _, trace, _ = run_episode(agent_config, tools, {}, seed=0)
+        _, trace, _ = run_episode(agent_config, tools, {})
         expanded = {
             step["action"]["term"]
             for step in trace
@@ -202,8 +203,8 @@ class TestEpisode:
 
     def test_deterministic_and_replayable(self, episode_setup):
         agent_config, tools = episode_setup
-        emitted_a, trace_a, state_a = run_episode(agent_config, tools, {}, seed=1)
-        emitted_b, trace_b, _ = run_episode(agent_config, tools, {}, seed=1)
+        emitted_a, trace_a, state_a = run_episode(agent_config, tools, {})
+        emitted_b, trace_b, _ = run_episode(agent_config, tools, {})
         assert json.dumps(trace_a, sort_keys=True) == json.dumps(trace_b, sort_keys=True)
         replayed = replay_trace(trace_a, {})
         assert replayed.cursor == state_a.cursor
@@ -214,15 +215,40 @@ class TestEpisode:
 
     def test_replay_rejects_diverged_trace(self, episode_setup):
         agent_config, tools = episode_setup
-        _, trace, _ = run_episode(agent_config, tools, {}, seed=0)
+        _, trace, _ = run_episode(agent_config, tools, {})
         trace[0]["node"] = "validation"
         with pytest.raises(AgentError, match="diverges"):
             replay_trace(trace, {})
 
+    @pytest.mark.parametrize("tool, key", [
+        ("fetch_trends", "region"),
+        ("semantic_filter", "term"),
+        ("expand_query", "term"),
+        ("content_lookup", "query"),
+    ])
+    def test_failing_tool_is_recorded_and_the_episode_goes_on(self, episode_setup, tool, key):
+        agent_config, tools = episode_setup
+
+        def broken(*args):
+            raise RuntimeError(f"{tool} is down")
+
+        _, trace, state = run_episode(agent_config, dataclasses.replace(tools, **{tool: broken}), {})
+        calls = [step for step in trace if step["action"].get("tool") == tool]
+        assert calls
+        for step in calls:
+            assert step["action"] == {"kind": "tool", "tool": tool, key: step["action"][key]}
+            assert step["observation"] == {key: step["action"][key], "error": f"{tool} is down"}
+        assert state.cursor == "validation"
+        assert trace[-1]["action"] == {"kind": "tool", "tool": "validate"}
+        if tool == "content_lookup":
+            outcomes = trace[-1]["observation"]["outcomes"]
+            assert outcomes and not any(o["accepted"] for o in outcomes)
+            assert state.emitted == []
+
     def test_long_memory_feeds_next_episode(self, episode_setup):
         agent_config, tools = episode_setup
-        _, _, state = run_episode(agent_config, tools, {}, seed=0)
-        _, _, second = run_episode(agent_config, tools, state.long_memory, seed=0)
+        _, _, state = run_episode(agent_config, tools, {})
+        _, _, second = run_episode(agent_config, tools, state.long_memory)
         term = TAXONOMY[0][0]
         assert second.long_memory[term]["accepted"] >= state.long_memory[term]["accepted"]
 
@@ -230,7 +256,7 @@ class TestEpisode:
 class TestPersistence:
     def test_trace_roundtrip(self, episode_setup, tmp_path):
         agent_config, tools = episode_setup
-        _, trace, state = run_episode(agent_config, tools, {}, seed=0)
+        _, trace, state = run_episode(agent_config, tools, {})
         path = tmp_path / "agent_trace.jsonl"
         write_trace(trace, path)
         replayed = replay_trace([obj for _, obj in read_jsonl(path)], {})

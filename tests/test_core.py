@@ -570,7 +570,6 @@ TEST_ONLY_PUBLIC = {
     "ranker.margin_loss": "criterion 06: margin loss",
     "curation.stratify_sample": "criterion 08: stratified sampling",
     "agent.replay_trace": "criterion 12: trace replay",
-    "hnsw.brute_force_search": "criterion 04: exact top-10 as the recall oracle",
 }
 
 

@@ -87,7 +87,7 @@ class TestStageGraph:
 
     @pytest.mark.parametrize("stage, missing, producer", [
         ("curate", "corpus/navboost.jsonl", "gen-corpus"),
-        ("eval", "encoder_img.bin", "train-encoder"),
+        ("build-index", "encoder_img.bin", "train-encoder"),
         ("eval", "encoder_txt.bin", "train-encoder"),
         ("eval", "encoder_train_log.csv", "train-encoder"),
         ("eval", "curation_report.json", "curate"),
@@ -103,6 +103,16 @@ class TestStageGraph:
         assert not ok and result["error_type"] == "DependencyError"
         assert str(tmp_path / missing) in result["error"]
         assert f"(produced by stage {producer!r})" in result["error"]
+
+    def test_eval_reads_pin_vectors_from_the_index(self, pipeline_run, tmp_path):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        (tmp_path / "encoder_img.bin").unlink()
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["eval"])
+        assert ok and report["stages"]["eval"]["status"] == "ok"
+        assert (tmp_path / "eval_report.json").read_bytes() == (
+            pipeline_run["ws"].eval_report.read_bytes()
+        )
 
     def test_failure_blocks_dependents_only(self, tmp_path):
         config = PipelineConfig(out_dir=tmp_path, n_pins=40, n_clusters=4)
