@@ -184,15 +184,13 @@ def make_content_lookup(
     return content_lookup
 
 
-def make_expand_query(taxonomy: list[tuple[str, str]]):
+def make_expand_query():
     """Deterministic template expander; reuses accepted patterns from long
     memory as few-shot exemplars when available."""
 
     def expand_query(
         trend: TrendSignal, long_memory: dict[str, dict], n: int
     ) -> list[tuple[QueryRecord, str]]:
-        if not taxonomy:
-            raise AgentError("taxonomy is empty")
         exemplars = long_memory.get(trend.term, {}).get("patterns", [])
         # remembered patterns first, in memory order; the rest keep theirs
         templates = sorted(
@@ -231,13 +229,17 @@ def default_tools(
     trends_path: str | Path,
     config: AgentConfig,
 ) -> ToolSuite:
+    """The four tools over one corpus, index and taxonomy; an empty taxonomy
+    raises AgentError before any tool is built."""
+    if not taxonomy:
+        raise AgentError("taxonomy is empty")
     return ToolSuite(
         fetch_trends=make_fetch_trends(trends_path),
         semantic_filter=make_semantic_filter(taxonomy),
         content_lookup=make_content_lookup(
             corpus, index, text_encoder, config.min_count, config.relevance_floor
         ),
-        expand_query=make_expand_query(taxonomy),
+        expand_query=make_expand_query(),
     )
 
 

@@ -5,8 +5,10 @@ selection, and for search a greedy descent then an ef-bounded beam at
 layer 0.  An insert needs no search: one product gives its distance to
 every stored node, and each layer's ``ef_construction`` nearest members in
 that row are its exact construction candidates (Malkov & Yashunin,
-arXiv:1603.09320, take them from a beam search instead).  Neighbors whose
-rows overflow are pruned together, from one stacked product.
+arXiv:1603.09320, take them from a beam search instead).  Neighbor
+selection makes one product per selected neighbor, against the candidates
+after it.  Neighbors whose rows overflow are pruned together, each row
+sorted before one stacked product gives every gram matrix.
 Similarity is the dot product on unit vectors (distance = 1 - cosine).
 A brute-force scan is kept alongside as the recall oracle.
 
@@ -23,7 +25,6 @@ import heapq
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -174,52 +175,61 @@ class HnswIndex:
         return sorted((-nd, idx) for nd, idx in results)
 
     def _select_neighbors(
-        self, candidates: list[tuple[float, int]], m: int, backfill_to: int | None = None
+        self, dists: np.ndarray, near: np.ndarray, m: int, backfill_to: int | None = None
     ) -> list[int]:
-        """Diversity heuristic: prefer a candidate that is closer to the query
-        than to every already selected neighbor, up to ``m`` of them.  The
-        closest discarded candidates then fill the remaining slots up to
-        ``backfill_to`` (default ``m``), so the heuristic orders a node's
-        links but never gives it fewer than min(len(candidates), m)."""
+        """Diversity heuristic over the candidates ``near`` at ``dists`` from
+        the query: prefer one closer to the query than to every selected
+        neighbor, up to ``m`` of them.  The closest unselected candidates
+        then fill the slots left up to ``backfill_to`` (default ``m``), so a
+        node never gets fewer than min(len(near), m) links.  The walk goes
+        by selection: ``first[pos]`` is the number of the first selected
+        neighbor that candidate pos conflicts with, or -1, marked from one
+        product per selection with the candidates after it."""
         target = m if backfill_to is None else backfill_to
-        order = sorted(candidates)
-        idxs = [idx for _, idx in order]
-        cand_vecs = self._vectors[idxs]
-        thresholds = 1.0 - np.array([dist for dist, _ in order])
-
-        def conflicts_from(pos: int) -> list[int]:
-            # built over a growing prefix: selection almost always stops
-            # within ~target candidates, so the full gram matrix is wasted
-            limit = min(len(order), max(2 * pos, pos + 1, 2 * target, 48))
-            sims = cand_vecs[:limit] @ cand_vecs[:limit].T
-            return _bit_rows(sims > thresholds[:limit, None])
-
-        kept, checks = _diversity_walk(conflicts_from, len(order), m, backfill_to)
-        self.distance_count += checks
-        return [idxs[pos] for pos in kept]
+        order = np.lexsort((near, dists))  # by (distance, index)
+        count, cands = order.size, near[order]
+        vecs, thresholds = self._vectors[cands], 1.0 - dists[order]
+        first = np.full(count, -1)
+        selected: list[int] = []
+        pos = 0  # where the walk stands; it stops after the m-th selection
+        while pos < count and len(selected) < m:
+            pos += int(first[pos:].argmin())
+            if first[pos] >= 0:  # every candidate left conflicts
+                pos = count
+                break
+            selected.append(pos)
+            pos += 1
+            if len(selected) < m:
+                tail = first[pos:]
+                hit = vecs[pos:] @ vecs[pos - 1] > thresholds[pos:]
+                tail[hit & (tail < 0)] = len(selected) - 1
+        # selection j met the j before it; a discard met those up to its first conflict
+        n = len(selected)
+        self.distance_count += n * (n - 1) // 2 + int(first[:pos].sum()) + pos
+        spare = np.delete(np.arange(count), selected)[: max(0, target - n)].tolist()
+        return cands[selected + spare].tolist()
 
     def _prune(self, layer: _Layer, owners: list[int], idx: int, keep: int) -> None:
         """Cut the row of each of ``owners``, full before ``idx`` joins it, back
-        to ``keep`` links with the diversity heuristic.  One gather and one
-        stacked product give every row's distances and gram matrix; only the
-        greedy walk runs row by row."""
-        rows = [[owner, *layer.links[owner], idx] for owner in owners]
-        grid = np.array(rows)
-        vecs = self._vectors[grid]
-        prods = np.matmul(vecs, vecs.transpose(0, 2, 1))
-        dists = 1.0 - prods[:, 0, 1:]  # column 0 of a row is its owner
-        order = np.lexsort((grid[:, 1:], dists))  # each row by (distance, index)
-        n_rows, width = order.shape
-        cols = order + 1
-        sims = prods[np.arange(n_rows)[:, None, None], cols[:, :, None], cols[:, None, :]]
+        to ``keep`` links with the diversity heuristic.  Rows are sorted by
+        distance to their owner before one stacked product gives every gram
+        matrix; only the greedy walk runs row by row."""
+        grid = np.array([[owner, *layer.links[owner], idx] for owner in owners])
+        cands = grid[:, 1:]  # column 0 of a row is its owner
+        vecs = self._vectors
+        dists = 1.0 - np.matmul(vecs[cands], vecs[grid[:, :1]].transpose(0, 2, 1))[:, :, 0]
+        order = np.lexsort((cands, dists))  # each row by (distance, index)
+        walk = np.take_along_axis(cands, order, axis=1)
+        walk_vecs = vecs[walk]
+        sims = np.matmul(walk_vecs, walk_vecs.transpose(0, 2, 1))
         thresholds = 1.0 - np.take_along_axis(dists, order, axis=1)
+        n_rows, width = walk.shape
         bits = _bit_rows((sims > thresholds[:, :, None]).reshape(n_rows * width, width))
         self.distance_count += n_rows * width
-        for r, (row, row_order) in enumerate(zip(rows, cols.tolist())):
-            conflicts = bits[r * width : (r + 1) * width]
-            kept, checks = _diversity_walk(lambda _pos: conflicts, width, keep, None)
+        for r, (owner, row) in enumerate(zip(owners, walk.tolist())):
+            kept, checks = _diversity_walk(bits[r * width : (r + 1) * width], keep)
             self.distance_count += checks
-            layer.set_neighbors(row[0], [row[row_order[pos]] for pos in kept])
+            layer.set_neighbors(owner, [self._nodes[row[pos]] for pos in kept])
 
     def insert(self, element_id: int, vector: np.ndarray) -> None:
         if element_id in self._id_to_idx:
@@ -229,8 +239,7 @@ class HnswIndex:
 
         idx = len(self._ids)
         if idx >= self._store.shape[0]:
-            cap = max(32, 2 * idx)
-            self._store = _grown(self._store, cap)
+            self._store = _grown(self._store, max(32, 2 * idx))
         self._store[idx] = vector
         self._ids.append(element_id)
         self._nodes.append(idx)
@@ -260,9 +269,7 @@ class HnswIndex:
                 near = near[np.argpartition(dists[near], ef - 1)[:ef]]
             lay = self._layers[l]
             neighbors = self._select_neighbors(
-                list(zip(dists[near].tolist(), near.tolist())),
-                self.params.M,
-                backfill_to=lay.m_max if l == 0 else None,
+                dists[near], near, self.params.M, lay.m_max if l == 0 else None
             )
             lay.set_neighbors(idx, [self._nodes[n] for n in neighbors])
             full = []
@@ -284,6 +291,8 @@ class HnswIndex:
         """Top-k by descending cosine similarity."""
         if k < 1:
             raise HnswError(f"k must be >= 1, got {k}")
+        if ef_search is not None and ef_search < 1:
+            raise HnswError(f"ef_search must be >= 1, got {ef_search}")
         if self._entry is None:
             return []
         query = self._check_vector(query)
@@ -373,29 +382,16 @@ def _bit_rows(mask: np.ndarray) -> list[int]:
     return out
 
 
-def _diversity_walk(
-    conflicts_from: Callable[[int], list[int]], count: int, m: int, backfill_to: int | None
-) -> tuple[list[int], int]:
-    """The greedy walk of the diversity heuristic over ``count`` candidates in
-    (distance, index) order.  Bit s of conflict row pos is set when candidate
-    s is closer to candidate pos than the query is; ``conflicts_from(pos)``
-    returns rows that cover position pos.  Returns the kept positions and the
-    pair comparisons made."""
-    target = m if backfill_to is None else backfill_to
-    conflicts: list[int] = []
-    checks = n_selected = 0
-    sel_mask = 0  # bit pos set for each selected candidate
+def _diversity_walk(conflicts: list[int], keep: int) -> tuple[list[int], int]:
+    """The diversity heuristic's greedy walk over candidates in (distance,
+    index) order, as in `_select_neighbors` with ``m = keep``.  Bit s of
+    ``conflicts[pos]`` is set when candidate s is closer to candidate pos
+    than the query is.  Returns the kept positions and pair comparisons."""
+    checks = n_selected = sel_mask = 0  # sel_mask has bit pos set once pos is selected
     selected: list[int] = []
     discarded: list[int] = []
-    for pos in range(count):
-        if n_selected >= m:
-            if backfill_to is None or n_selected + len(discarded) >= target:
-                break
-            discarded.append(pos)
-            continue
-        if pos >= len(conflicts):
-            conflicts = conflicts_from(pos)
-        hit = conflicts[pos] & sel_mask
+    for pos, row in enumerate(conflicts):
+        hit = row & sel_mask
         if hit:
             # selected neighbours are checked in order up to the first conflict
             checks += (sel_mask & ((hit & -hit) - 1)).bit_count() + 1
@@ -404,8 +400,10 @@ def _diversity_walk(
             checks += n_selected
             n_selected += 1
             selected.append(pos)
+            if n_selected == keep:
+                break
             sel_mask |= 1 << pos
-    return selected + discarded[: max(0, target - len(selected))], checks
+    return selected + discarded[: keep - n_selected], checks
 
 
 def _check_rows(
@@ -445,6 +443,8 @@ def brute_force_search(
     vectors: dict[int, np.ndarray], query: np.ndarray, k: int
 ) -> list[tuple[int, float]]:
     """Exact top-k by cosine; ties break toward the lower id."""
+    if k < 1:
+        raise HnswError(f"k must be >= 1, got {k}")
     if not vectors:
         return []
     ids = sorted(vectors)

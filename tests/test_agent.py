@@ -107,21 +107,27 @@ class TestTools:
             semantic_filter(TrendSignal(term="x"), 1.5)
 
     def test_expand_query_deduplicates_and_bounds(self):
-        expand = make_expand_query(TAXONOMY)
+        expand = make_expand_query()
         variants = expand(TrendSignal(term="fall nails"), {}, 3)
         texts = [q.text for q, _ in variants]
         assert len(texts) == 3 and len(set(texts)) == 3
 
     def test_expand_query_prefers_remembered_patterns(self):
-        expand = make_expand_query(TAXONOMY)
+        expand = make_expand_query()
         memory = {"fall nails": {"patterns": ["{term} color palette"]}}
         variants = expand(TrendSignal(term="fall nails"), memory, 2)
         assert variants[0][1] == "{term} color palette"
 
-    def test_expand_query_empty_taxonomy(self):
-        expand = make_expand_query([])
-        with pytest.raises(AgentError, match="taxonomy"):
-            expand(TrendSignal(term="x"), {}, 1)
+    def test_expand_query_empty_taxonomy(self, small_synth, tmp_path):
+        """`default_tools` refuses an empty taxonomy before it builds a tool:
+        the trends file, which building `fetch_trends` would read, is absent."""
+        corpus, _, config = small_synth
+        encoder = EncoderModel(Mlp([(np.eye(config.d_t), np.zeros(config.d_t))]))
+        with pytest.raises(AgentError, match="taxonomy is empty"):
+            default_tools(
+                corpus, hnsw.HnswIndex(dim=config.d_t), encoder, [],
+                tmp_path / "absent.jsonl", AgentConfig(),
+            )
 
     def test_fetch_trends_filters_and_sorts(self, tmp_path):
         path = tmp_path / "trends.jsonl"

@@ -65,6 +65,13 @@ class TestSearch:
             with pytest.raises(HnswError, match=f"k must be >= 1, got {k}"):
                 index.search(queries[0], k)
 
+    @pytest.mark.parametrize("ef_search", [0, -5])
+    def test_ef_search_below_one_rejected(self, corpus_300, ef_search):
+        vectors, queries = corpus_300
+        for index in (HnswIndex(dim=16), build(vectors, HnswParams(ef_search=8), seed=1)):
+            with pytest.raises(HnswError, match=f"ef_search must be >= 1, got {ef_search}"):
+                index.search(queries[0], 2, ef_search=ef_search)
+
     def test_non_unit_vector_rejected(self):
         index = HnswIndex(dim=2)
         with pytest.raises(HnswError, match="unit norm"):
@@ -125,8 +132,9 @@ class TestConstruction:
     @staticmethod
     def _selection_inputs(kind: str) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(71)
-        if kind == "random":
-            return unit_rows(rng, 150, 8), unit_rows(rng, 1, 8)[0]
+        if kind in ("random", "few", "single"):
+            rows, query = unit_rows(rng, 150, 8), unit_rows(rng, 1, 8)[0]
+            return rows[: {"random": 150, "few": 5, "single": 1}[kind]], query
         # 15 tight clusters of 10 on mutually orthogonal directions, each
         # farther from the query than the last: one member per cluster is
         # kept, so the walk reads all 150 and the kept positions pass 64
@@ -135,22 +143,30 @@ class TestConstruction:
         centers[:, 0] = np.cos(angles)
         centers[np.arange(15), 1 + np.arange(15)] = np.sin(angles)
         rows = np.repeat(centers, 10, axis=0) + 1e-4 * rng.standard_normal((150, 16))
-        return rows / np.linalg.norm(rows, axis=1, keepdims=True), np.eye(16)[0]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        # "last": the first 14 clusters and one row of the 15th, which is
+        # then the last candidate and the 15th selection
+        return rows[: 141 if kind == "last" else 150], np.eye(16)[0]
 
     @pytest.mark.parametrize(
         "kind, m, backfill_to",
         [("random", 4, None), ("random", 30, None), ("random", 16, 32),
-         ("clusters", 30, None), ("clusters", 16, 32)],
+         ("clusters", 30, None), ("clusters", 16, 32),
+         ("few", 16, None), ("few", 16, 32), ("single", 4, None), ("single", 4, 8),
+         ("last", 15, None), ("last", 15, 32)],
     )
     def test_neighbor_selection_matches_pairwise_reference(self, kind, m, backfill_to):
         vectors, query = self._selection_inputs(kind)
         index = build(dict(enumerate(vectors)), seed=1)
         candidates = [(1.0 - float(index._vectors[i] @ query), i) for i in range(len(vectors))]
+        dists, near = (np.array(column) for column in zip(*candidates))
         before = index.distance_count
-        selected = index._select_neighbors(candidates, m, backfill_to=backfill_to)
+        selected = index._select_neighbors(dists, near, m, backfill_to=backfill_to)
         expected, comparisons = diversity_select(index._vectors, candidates, m, backfill_to)
         assert selected == expected
         assert index.distance_count - before == comparisons
+        if kind == "last":
+            assert selected[m - 1] == len(vectors) - 1
 
     @pytest.mark.parametrize("M, ef_construction", [(3, 6), (4, 400)])
     def test_build_matches_pairwise_reference(self, M, ef_construction):
@@ -168,6 +184,22 @@ class TestConstruction:
         assert [lay.links for lay in index._layers] == links
         assert index.distance_count == count
         assert prunes > 100 and index.max_level >= 2
+
+    def test_build_with_wide_rows_matches_pairwise_reference(self):
+        """At M=32 a layer-0 row holds 64 links, so a pruned row is 65 wide
+        and `_bit_rows` packs its conflict masks into two 64-bit words.  Only
+        layer 0 can overflow here: layer 1 has too few members to fill a row
+        of 32."""
+        rng = np.random.default_rng(81)
+        centers = unit_rows(rng, 5, 12)
+        rows = np.repeat(centers, 30, axis=0) + 0.15 * rng.standard_normal((150, 12))
+        vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        index = build(dict(enumerate(vectors)), HnswParams(32, 80, 10), seed=2)
+        links, count, prunes = hnsw_reference_links(index._vectors, index._levels, 32, 80)
+        assert [lay.links for lay in index._layers] == links
+        assert index.distance_count == count
+        assert prunes > 1000
+        assert sum(level >= 1 for level in index._levels) <= 33
 
     def test_link_rows_share_one_int_per_node(self, corpus_300, tmp_path):
         index = build(corpus_300[0], seed=1)
@@ -366,3 +398,10 @@ class TestBruteForce:
     def test_dim_mismatch(self):
         with pytest.raises(HnswError, match="dim"):
             brute_force_search({1: np.ones(3)}, np.ones(2), 1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        v = np.array([1.0, 0.0])
+        for vectors in ({}, {1: v, 2: v}):
+            with pytest.raises(HnswError, match=f"k must be >= 1, got {k}"):
+                brute_force_search(vectors, v, k)
