@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from html import escape
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .core import (
-    Corpus, PinRecord, QueryRecord, cosine, f32, read_records, write_jsonl, write_text,
-)
+from .core import Corpus, PinRecord, QueryRecord, f32, read_records, write_jsonl, write_text
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
 
@@ -66,44 +65,48 @@ class JudgeVerdict:
 Judge = Callable[[list[PinRecord], QueryRecord], list[JudgeVerdict]]
 
 
-def build_collection(
-    topic: QueryRecord,
-    text_encoder: EncoderModel,
-    index: HnswIndex,
-    k: int = 10,
-    ef_search: int | None = None,
-) -> Collection:
-    """Encode the topic through the text pathway and take the index top-k."""
+def build_collections(
+    topics: list[QueryRecord], text_encoder: EncoderModel, index: HnswIndex,
+    k: int = 10, ef_search: int | None = None,
+) -> list[Collection]:
+    """Encode the topics through the text pathway as one batch and take each
+    topic's index top-k, one collection per topic in order."""
+    if not topics:
+        return []
     if len(index) == 0:
         raise CollectionError("cannot build a collection from an empty index")
-    if topic.embedding is None:
-        raise CollectionError(f"topic {topic.text!r} lacks an embedding")
-    probe = text_encoder.encode(topic.embedding)
-    hits = index.search(probe, k=k, ef_search=ef_search)
-    return Collection(
-        topic=topic,
-        slug=slugify(topic.text),
-        embedding_kind="pinclip",
-        members=list(hits),
-    )
+    for topic in topics:
+        if topic.embedding is None:
+            raise CollectionError(f"topic {topic.text!r} lacks an embedding")
+    probes = text_encoder.encode_batch(np.stack([topic.embedding for topic in topics]))
+    return [
+        Collection(topic, slugify(topic.text), "pinclip", index.search(probe, k, ef_search))
+        for topic, probe in zip(topics, probes)
+    ]
+
+
+def build_collection(
+    topic: QueryRecord, text_encoder: EncoderModel, index: HnswIndex,
+    k: int = 10, ef_search: int | None = None,
+) -> Collection:
+    """The one-topic case of `build_collections`."""
+    return build_collections([topic], text_encoder, index, k, ef_search)[0]
 
 
 def embedding_judge(
     text_encoder: EncoderModel, threshold: float = 0.5
 ) -> Judge:
     """Default judge: cosine of each encoded pin text vs the encoded topic
-    text, with the pin texts encoded as one batch."""
+    text, as one product of the batch-encoded unit pin rows with the topic."""
 
     def judge(pins: list[PinRecord], topic: QueryRecord) -> list[JudgeVerdict]:
         if topic.embedding is None:
             raise CollectionError(f"topic {topic.text!r} lacks an embedding")
         topic_vec = text_encoder.encode(topic.embedding)
         pin_vecs = text_encoder.encode_batch(np.stack([pin.text_embedding for pin in pins]))
-        verdicts = []
-        for pin, pin_vec in zip(pins, pin_vecs):
-            score = cosine(pin_vec, topic_vec)
-            verdicts.append(JudgeVerdict(pin.signature, satisfied=score >= threshold, score=score))
-        return verdicts
+        scores = np.clip(pin_vecs @ topic_vec, -1.0, 1.0).tolist()
+        return [JudgeVerdict(pin.signature, score >= threshold, score)
+                for pin, score in zip(pins, scores)]
 
     return judge
 
@@ -130,19 +133,21 @@ def load_collections(path: str | Path) -> list[Collection]:
 
 
 def emit_pages(collections: list[Collection], corpus: Corpus, out_dir: str | Path) -> list[Path]:
-    """One static HTML page per collection, linking to member pin pages."""
+    """One static HTML page per collection, linking to member pin pages;
+    topic text and pin titles are HTML-escaped."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for coll in collections:
         items = "\n".join(
-            f'    <li><a href="/pin/{sig}">{corpus.pin(sig).title}</a></li>'
+            f'    <li><a href="/pin/{sig}">{escape(corpus.pin(sig).title, quote=False)}</a></li>'
             for sig, _ in coll.members
         )
+        text = escape(coll.topic.text, quote=False)
         html = (
             "<!DOCTYPE html>\n<html>\n<head>\n"
-            f"  <title>{coll.topic.text}</title>\n</head>\n<body>\n"
-            f"  <h1>{coll.topic.text}</h1>\n  <ul>\n{items}\n  </ul>\n"
+            f"  <title>{text}</title>\n</head>\n<body>\n"
+            f"  <h1>{text}</h1>\n  <ul>\n{items}\n  </ul>\n"
             "</body>\n</html>\n"
         )
         path = out / f"{coll.slug}.html"

@@ -73,19 +73,6 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; equals the dot product when both inputs are unit norm."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormError("cosine undefined for zero vectors")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
 def f32(values: Iterable[float]) -> list[float]:
     """Round floats through 32-bit for persistence."""
     return [float(x) for x in np.asarray(list(values), dtype=np.float32)]

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EngagementRecord, LabeledPair, QueryRecord
-from .core import cosine  # noqa: F401  re-exported: perfbench's tracer test looks it up here
 
 NAVBOOST_PROMOTION = 0.54  # strictly-greater promotion threshold
 RELATEDNESS_CEILING = 0.5  # hard negatives must be below this cosine
@@ -152,13 +151,13 @@ def label_pairs(
     and each positive draws `neg_per_pos` unrelated hard negatives.
 
     A pool query with an embedding and another text qualifies as a negative
-    when its cosine to the positive, clipped to [-1, 1] as in `core.cosine`,
+    when its cosine to the positive, clipped to [-1, 1],
     is strictly below RELATEDNESS_CEILING. The pool is fixed, so the
     qualifying list depends only on the positive's text: it is built once per
     distinct text from one product of unit-normalised pool rows against the
     unit positive, and keeps pool order. The RNG draws one index set per
-    positive in input order. The output equals that of one `core.cosine`
-    call per pair unless a cosine lies within rounding (about 1e-15) of the
+    positive in input order. The output equals that of a cosine computed
+    for each pair alone unless a cosine lies within rounding (about 1e-15) of the
     ceiling, where the two roundings may disagree.
     """
     rng = np.random.default_rng(seed)
@@ -224,7 +223,7 @@ def dedup_queries(
     clipped cosine to every already retained query is strictly below the
     threshold, so a query at or above it merges into the earliest retained
     neighbour. The cosines come from one Gram matrix of unit rows, which
-    matches `core.cosine` up to rounding (about 1e-15); the greedy pass
+    matches per-pair cosines up to rounding (about 1e-15); the greedy pass
     reads its rows in input order. Retained order is input order."""
     for query in queries:
         if query.embedding is None:

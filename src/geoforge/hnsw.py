@@ -443,18 +443,24 @@ def brute_force_search(
     vectors: dict[int, np.ndarray], query: np.ndarray, k: int
 ) -> list[tuple[int, float]]:
     """Exact top-k by cosine; ties break toward the lower id."""
+    ids = sorted(vectors)
+    return exact_top_k(ids, np.array([vectors[i] for i in ids]), query, k)
+
+
+def exact_top_k(
+    ids: list[int], matrix: np.ndarray, query: np.ndarray, k: int
+) -> list[tuple[int, float]]:
+    """Exact top-k of ``matrix @ query`` for rows stacked once in ascending
+    id order (row r holds ids[r]): a stable sort breaks ties toward the lower id."""
     if k < 1:
         raise HnswError(f"k must be >= 1, got {k}")
-    if not vectors:
+    if not ids:
         return []
-    ids = sorted(vectors)
-    matrix = np.stack([vectors[i] for i in ids])
     query = np.asarray(query, dtype=np.float64)
     if matrix.shape[1] != query.shape[0]:
         raise HnswError(
             f"query dim {query.shape[0]} does not match vectors dim {matrix.shape[1]}"
         )
     sims = matrix @ query
-    # a stable sort leaves equal similarities in ascending id order
     order = np.argsort(-sims, kind="stable")[:k]
     return [(ids[i], float(sims[i])) for i in order.tolist()]

@@ -117,6 +117,10 @@ class Workspace:
         return read_records(self.annotations, _annotation, PipelineError)
 
     @cached_property
+    def published_collections(self) -> list[coll_mod.Collection]:
+        return coll_mod.load_collections(self.collections)
+
+    @cached_property
     def triplets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         return _triplets_from_labels(self.corpus, _load_labeled(self, self.corpus))
 
@@ -381,27 +385,24 @@ def annotation_map(
 
 
 def build_collections(
-    config: PipelineConfig, ws: Workspace, topic_texts: Iterable[str]
+    config: PipelineConfig, ws: Workspace, topic_texts: Iterable[str],
+    published: Iterable[coll_mod.Collection] = (),
 ) -> list[coll_mod.Collection]:
-    """One collection per distinct slug, in sorted topic-text order. Texts
-    that are not corpus queries with an embedding are skipped. Runs serially:
-    the search loop holds the GIL, so a thread pool only slowed it down."""
+    """One collection per distinct slug, in sorted topic-text order: the
+    first text wins each slug. Texts that are not corpus queries with an
+    embedding are skipped. A text with a collection in `published` takes it
+    as published; the others are built in one `build_collections` batch."""
     by_text = {q.text: q for q in ws.corpus.queries}
-    collections = []
-    seen = set()
+    reuse = {c.topic.text: c for c in published}
+    winners: dict[str, QueryRecord] = {}
     for text in sorted(topic_texts):
         topic = by_text.get(text)
-        if topic is None or topic.embedding is None:
-            continue
-        collection = coll_mod.build_collection(
-            topic, ws.txt_encoder, ws.index, k=config.collection_k,
-            ef_search=config.ef_search,
-        )
-        if collection.slug in seen:
-            continue
-        seen.add(collection.slug)
-        collections.append(collection)
-    return collections
+        if topic is not None and topic.embedding is not None:
+            winners.setdefault(coll_mod.slugify(text), topic)
+    built = iter(coll_mod.build_collections(
+        [t for t in winners.values() if t.text not in reuse],
+        ws.txt_encoder, ws.index, config.collection_k, config.ef_search))
+    return [reuse[t.text] if t.text in reuse else next(built) for t in winners.values()]
 
 
 def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
@@ -413,17 +414,18 @@ def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
         {r["query_text"] for r in records if r["score"] >= config.annotation_threshold},
     )
     coll_mod.write_collections(collections, ws.collections)
+    for stale in ws.pages_dir.glob("*.html"):
+        stale.unlink()
     coll_mod.emit_pages(collections, ws.corpus, ws.pages_dir)
     return {"collections": len(collections)}
 
 
 def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
     """Construct the link graph, PageRank scores, report, and sitemap."""
-    collections = coll_mod.load_collections(ws.collections)
     annotations = annotation_map(
         ws.annotation_records, config.annotation_threshold, config.annotations_per_pin
     )
-    graph, dangling = linkgraph.build_link_graph(annotations, collections)
+    graph, dangling = linkgraph.build_link_graph(annotations, ws.published_collections)
     scores = linkgraph.pagerank(graph)
     report = linkgraph.link_report(graph, scores)
     report["dangling_annotations"] = len(dangling)
@@ -462,7 +464,8 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
     Enabled uses ranker-selected annotations; control selects annotations by
     raw cosine between the index's pin vectors (image tower) and text-tower
     query outputs; ablation drops annotations entirely (base-topic
-    collections only, no pin links).
+    collections only, no pin links). A topic build-collections published
+    takes its collection from `ws.published_collections`, not a rebuild.
     """
     records = ws.annotation_records
     deduped = curation.dedup_queries(ws.corpus.queries)
@@ -502,8 +505,11 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
         ws,
         {t for texts in enabled_map.values() for t in texts}
         | {t for texts in control_map.values() for t in texts},
+        ws.published_collections,
     )
-    base = build_collections(config, ws, synth.CLUSTER_TERMS[: config.n_clusters])
+    base = build_collections(
+        config, ws, synth.CLUSTER_TERMS[: config.n_clusters], ws.published_collections
+    )
     return {
         "enabled": build_mode(enabled_map, shared),
         "control": build_mode(control_map, shared),
@@ -524,21 +530,19 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     # recall@10 of the index's search against brute force over its own rows
     stored = ws.index.stored_vectors()
     signatures = sorted(stored)
+    matrix = np.array([stored[s] for s in signatures])
     rng = np.random.default_rng(subseed(config.seed, "eval"))
     probes = rng.choice(len(signatures), size=min(50, len(signatures)), replace=False)
     recalls = []
     for i in probes.tolist():
-        query = stored[signatures[i]]
-        exact = {s for s, _ in hnsw.brute_force_search(stored, query, 10)}
-        approx = {s for s, _ in ws.index.search(query, 10)}
+        exact = {s for s, _ in hnsw.exact_top_k(signatures, matrix, matrix[i], 10)}
+        approx = {s for s, _ in ws.index.search(matrix[i], 10)}
         recalls.append(len(exact & approx) / len(exact))
     recall_at_10 = float(np.mean(recalls))
 
-    collections = coll_mod.load_collections(ws.collections)
     judge = coll_mod.embedding_judge(ws.txt_encoder, threshold=config.judge_threshold)
-    rates = [
-        coll_mod.intent_satisfying_rate(c, ws.corpus, judge)[0] for c in collections
-    ]
+    rates = [coll_mod.intent_satisfying_rate(c, ws.corpus, judge)[0]
+             for c in ws.published_collections]
     link_summary = read_json(ws.link_report, PipelineError, ("pagerank", "orphan_pins"))
     curation_summary = read_json(ws.curation_report, PipelineError, ("retention_branches",))
     report = {

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from geoforge.core import ZeroNormError
+
 FD_STEP = 1e-5
 
 
@@ -40,6 +42,21 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Norm-relative gradient error, guarded against vanishing gradients."""
     scale = max(float(np.linalg.norm(numeric)), float(np.linalg.norm(analytic)), 1e-12)
     return float(np.linalg.norm(np.asarray(analytic) - np.asarray(numeric))) / scale
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Per-pair cosine similarity in float64, clipped to [-1, 1]: the
+    reference for the library's batched cosines (judge scores, curation's
+    Gram products)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ZeroNormError("cosine undefined for zero vectors")
+    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
 def dense_pagerank(

@@ -3,6 +3,8 @@ page emission."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from geoforge.collections_ import (
     Collection,
     CollectionError,
     build_collection,
+    build_collections,
     embedding_judge,
     intent_satisfying_rate,
     load_collections,
@@ -18,10 +21,12 @@ from geoforge.collections_ import (
     write_collections,
     emit_pages,
 )
-from geoforge.core import QueryRecord, cosine
+from geoforge.core import QueryRecord
 from geoforge.encoders import EncoderModel
 from geoforge.hnsw import HnswIndex
 from geoforge.mlp import Mlp
+
+from _oracles import cosine
 
 
 def _identity_encoder(dim: int) -> EncoderModel:
@@ -75,6 +80,34 @@ class TestBuildCollection:
         bare = QueryRecord("bare topic", "UseCase")
         with pytest.raises(CollectionError, match="lacks an embedding"):
             build_collection(bare, encoder, index)
+
+
+class TestBuildCollections:
+    def test_batch_equals_one_topic_builds(self, corpus_and_index):
+        """One batch encode gives every topic the members and f32
+        similarities that building it alone gives."""
+        corpus, encoder, index = corpus_and_index
+        topics = corpus.queries[:12]
+        batch = build_collections(topics, encoder, index, k=10, ef_search=40)
+        single = [build_collection(t, encoder, index, k=10, ef_search=40) for t in topics]
+        assert [c.topic for c in batch] == topics
+        assert [c.to_json() for c in batch] == [c.to_json() for c in single]
+
+    def test_empty_topic_list(self, corpus_and_index):
+        corpus, encoder, index = corpus_and_index
+        assert build_collections([], encoder, index) == []
+        assert build_collections([], encoder, HnswIndex(dim=corpus.d_t)) == []
+
+    def test_empty_index_rejected(self, corpus_and_index):
+        corpus, encoder, _ = corpus_and_index
+        with pytest.raises(CollectionError, match="empty index"):
+            build_collections(corpus.queries[:2], encoder, HnswIndex(dim=corpus.d_t))
+
+    def test_topic_without_embedding_rejected(self, corpus_and_index):
+        corpus, encoder, index = corpus_and_index
+        topics = [corpus.queries[0], QueryRecord("bare topic", "UseCase")]
+        with pytest.raises(CollectionError, match="'bare topic' lacks an embedding"):
+            build_collections(topics, encoder, index)
 
 
 class TestJudges:
@@ -172,3 +205,15 @@ class TestPersistenceAndPages:
         html = paths[0].read_text(encoding="utf-8")
         for sig, _ in collection.members:
             assert f'href="/pin/{sig}"' in html
+
+    def test_emit_pages_escapes_topic_and_titles(self, tmp_path):
+        topic = QueryRecord("<b>& co", "UseCase")
+        corpus = SimpleNamespace(pin=lambda sig: SimpleNamespace(title=f"Tea & <cakes> {sig}"))
+        collection = Collection(topic, slugify(topic.text), "pinclip", [(3, 0.9)])
+        (path,) = emit_pages([collection], corpus, tmp_path)
+        html = path.read_text(encoding="utf-8")
+        assert path.name == "b-co.html"
+        assert "<title>&lt;b&gt;&amp; co</title>" in html
+        assert "<h1>&lt;b&gt;&amp; co</h1>" in html
+        assert '<a href="/pin/3">Tea &amp; &lt;cakes&gt; 3</a>' in html
+        assert "<b>" not in html and "<cakes>" not in html

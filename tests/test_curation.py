@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoforge.core import EngagementRecord, LabeledPair, QueryRecord, cosine
+from geoforge.core import EngagementRecord, LabeledPair, QueryRecord
 from geoforge.curation import (
     DEDUP_THRESHOLD,
     RELATEDNESS_CEILING,
@@ -23,7 +23,7 @@ from geoforge.curation import (
     stratify_sample,
 )
 
-from _oracles import retention_oracle
+from _oracles import cosine, retention_oracle
 
 
 def _record(impressions: int, clicks: int, position: float, pin: int = 1, query: str = "q"):
@@ -264,7 +264,7 @@ def query_lists(draw, threshold, min_size=1):
 
 
 def _scalar_label_pairs(positives, pool, navboost, neg_per_pos, seed):
-    """Per-pair reference: one `core.cosine` call per (positive, pool) pair."""
+    """Per-pair reference: one oracle `cosine` call per (positive, pool) pair."""
     rng = np.random.default_rng(seed)
     out = []
     for positive in positives:

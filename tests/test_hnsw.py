@@ -13,6 +13,7 @@ from geoforge.hnsw import (
     HnswError,
     HnswIndex,
     HnswParams,
+    _bit_rows,
     brute_force_search,
     build,
 )
@@ -200,6 +201,24 @@ class TestConstruction:
         assert index.distance_count == count
         assert prunes > 1000
         assert sum(level >= 1 for level in index._levels) <= 33
+
+    def test_build_with_three_word_rows_matches_pairwise_reference(self):
+        """At M=64 a pruned layer-0 row is 129 wide, so its conflict masks
+        span three 64-bit words, and some walks select past position 64:
+        bits 64-127 decide their later discards."""
+        rng = np.random.default_rng(81)
+        rows = unit_rows(rng, 1, 4) + rng.standard_normal((150, 4))
+        vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        index = build(dict(enumerate(vectors)), HnswParams(64, 150, 10), seed=2)
+        links, count, prunes = hnsw_reference_links(index._vectors, index._levels, 64, 150)
+        assert [lay.links for lay in index._layers] == links
+        assert index.distance_count == count
+        assert prunes > 900
+
+    def test_bit_rows_packs_every_word(self):
+        mask = np.random.default_rng(5).random((20, 129)) < 0.5
+        expected = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in mask]
+        assert _bit_rows(mask) == expected
 
     def test_link_rows_share_one_int_per_node(self, corpus_300, tmp_path):
         index = build(corpus_300[0], seed=1)

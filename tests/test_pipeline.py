@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoforge import curation, encoders, hnsw, pipeline, ranker
+from geoforge import collections_, curation, encoders, hnsw, pipeline, ranker
 from geoforge.core import QueryRecord, write_jsonl
 from geoforge.pipeline import (
     ARTIFACTS,
@@ -292,6 +292,9 @@ class TestCorpusLoad:
         monkeypatch.setattr(encoders, "load_model", counted(encoders.load_model, name))
         monkeypatch.setattr(pipeline, "read_records", counted(pipeline.read_records, name))
         monkeypatch.setattr(
+            collections_, "load_collections", counted(collections_.load_collections, name)
+        )
+        monkeypatch.setattr(
             ranker, "correct_rank", counted(ranker.correct_rank, lambda *_: "correct_rank")
         )
         config = PipelineConfig(
@@ -301,7 +304,7 @@ class TestCorpusLoad:
         assert ok, report["stages"]
         assert calls == Counter([
             "corpus", "navboost.jsonl", "encoder_img.bin", "encoder_txt.bin", "index.bin",
-            "labeled_pairs.jsonl", "annotations.jsonl", "correct_rank",
+            "labeled_pairs.jsonl", "annotations.jsonl", "collections.jsonl", "correct_rank",
         ])
         assert "correct_rank" not in report["stages"]["train-ranker"]["metrics"]
         # a fresh run of one stage reads its inputs from disk again
@@ -311,6 +314,60 @@ class TestCorpusLoad:
             ["corpus", "encoder_txt.bin", "index.bin", "annotations.jsonl"]
         )
         assert rerun["checksums"]["collections.jsonl"] == report["checksums"]["collections.jsonl"]
+
+
+class TestCollections:
+    def test_published_topic_is_taken_and_first_text_wins_its_slug(self, pipeline_run):
+        ws = Workspace(pipeline_run["ws"].out)
+        config = pipeline_run["config"]
+        texts = sorted(q.text for q in ws.corpus.queries)[:5]
+        fresh = pipeline.build_collections(config, ws, texts)
+        assert [c.topic.text for c in fresh] == texts
+        # an upper-case twin sorts first and takes the slug of texts[1]
+        twin = dataclasses.replace(ws.corpus.queries[-1], text=texts[1].upper())
+        ws.corpus = dataclasses.replace(ws.corpus, queries=[*ws.corpus.queries, twin])
+        marker = dataclasses.replace(fresh[2], members=[(-1, 0.0)])
+        built = pipeline.build_collections(config, ws, [*texts, twin.text, "no such query"], [marker])
+        assert [c.topic.text for c in built] == [twin.text, texts[0], texts[2], texts[3], texts[4]]
+        assert built[2] is marker
+        assert built[1].to_json() == fresh[0].to_json()
+
+    def test_ablation_from_published_collections_equals_a_full_rebuild(
+        self, pipeline_run, monkeypatch
+    ):
+        """The ablation takes every collection build-collections published
+        instead of rebuilding it, and its figures do not move."""
+        ws = Workspace(pipeline_run["ws"].out)
+        config = pipeline_run["config"]
+        built = []
+        batch = collections_.build_collections
+
+        def counted(topics, *args):
+            built.append(len(topics))
+            return batch(topics, *args)
+
+        monkeypatch.setattr(collections_, "build_collections", counted)
+        reused = pipeline.ablation_study(config, ws)
+        reused_topics = sum(built)
+        built.clear()
+        bare = Workspace(ws.out)
+        bare.published_collections = []
+        rebuilt = pipeline.ablation_study(config, bare)
+        assert reused == rebuilt
+        assert reused == pipeline_run["report"]["stages"]["eval"]["metrics"]["ablation"]
+        assert sum(built) - reused_topics >= len(ws.published_collections) > 0
+
+    def test_build_collections_replaces_stale_pages(self, pipeline_run, tmp_path):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        (tmp_path / "pages" / "stale-topic.html").write_text("old", encoding="utf-8")
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["build-collections"])
+        assert ok
+        pages = sorted(p.name for p in (tmp_path / "pages").iterdir())
+        assert pages == sorted(f"{c.slug}.html" for c in Workspace(tmp_path).published_collections)
+        for name in pages:
+            original = pipeline_run["ws"].out / "pages" / name
+            assert (tmp_path / "pages" / name).read_bytes() == original.read_bytes()
 
 
 class TestFullRun:
