@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -56,10 +56,25 @@ class TrendSignal:
     category: str = ""
 
     def __post_init__(self) -> None:
+        for name in ("term", "region", "timespan", "category"):
+            if not isinstance(getattr(self, name), str):
+                raise AgentError(f"trend {name} must be a string, got {getattr(self, name)!r}")
+        if isinstance(self.velocity, bool) or not isinstance(self.velocity, (int, float)):
+            raise AgentError(f"velocity for {self.term!r} must be a number, got {self.velocity!r}")
         if not self.term.strip():
             raise AgentError("trend term is empty")
-        if not np.isfinite(self.velocity):
+        if not -float("inf") < self.velocity < float("inf"):  # exact for ints of any size
             raise AgentError(f"velocity for {self.term!r} is not finite")
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "TrendSignal":
+        """A trend from its fields; an unknown key or an absent term raises AgentError."""
+        unknown = sorted(obj.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise AgentError(f"unknown key {unknown[0]!r}")
+        if "term" not in obj:
+            raise AgentError("missing key 'term'")
+        return cls(**obj)
 
 
 @dataclass
@@ -209,8 +224,11 @@ def make_expand_query():
 def make_fetch_trends(trends_path: str | Path):
     """The trends of one region and timespan from a JSONL file of TrendSignal
     fields, by term. The file is parsed here, once: a bad record raises
-    AgentError naming path:line when the tools are built."""
-    signals = read_records(trends_path, lambda obj: TrendSignal(**obj), AgentError)
+    AgentError naming path:line, and a file with no record AgentError naming
+    the path, when the tools are built."""
+    signals = read_records(trends_path, TrendSignal.from_json, AgentError)
+    if not signals:
+        raise AgentError(f"{trends_path}: no trend records")
 
     def fetch_trends(region: str, timespan: str) -> list[TrendSignal]:
         return sorted(

@@ -92,7 +92,9 @@ def pipeline(config_path, out, seed, stages):
         if stage not in STAGE_ORDER:
             raise click.UsageError(f"unknown stage {stage!r}")
     report, ok = run_pipeline(config, stages=stage_list)
-    for stage, result in report["stages"].items():
+    # a merged report also holds stages of earlier runs: print this run's
+    for stage in [s for s in STAGE_ORDER if s in (stage_list or STAGE_ORDER)]:
+        result = report["stages"][stage]
         line = f"{stage}: {result['status']}"
         if result["status"] == "ok":
             line += f" ({result['seconds']}s)"

@@ -16,7 +16,10 @@ Layer adjacency lives in plain Python lists, one per node: a row holds at
 most 2*M links, too few for numpy calls on it to pay for themselves.  Every
 row refers to a node by the same int object, so a search touches one object
 per node rather than one per link.  Rows become fixed-width int arrays
-(padded to the layer's degree cap) only to be checked or saved.
+(padded to the layer's degree cap) only to be checked or saved.  Likewise a
+search hop gathers its 1-32 unvisited rows with ``take``, multiplies with
+``dot`` and subtracts in Python floats: numpy's dispatch outweighs that
+arithmetic, and the bits equal those of ``1.0 - vectors[row] @ query``.
 """
 
 from __future__ import annotations
@@ -158,8 +161,8 @@ class HnswIndex:
             if not row:
                 continue
             visited.update(row)
-            dists = (1.0 - vectors[row] @ query).tolist()
-            for d, n in zip(dists, row):
+            for s, n in zip(vectors.take(row, 0).dot(query).tolist(), row):
+                d = 1.0 - s
                 if full:
                     # the beam's worst bound only tightens, so a node at or
                     # beyond it now can never enter the beam later
@@ -188,7 +191,7 @@ class HnswIndex:
         target = m if backfill_to is None else backfill_to
         order = np.lexsort((near, dists))  # by (distance, index)
         count, cands = order.size, near[order]
-        vecs, thresholds = self._vectors[cands], 1.0 - dists[order]
+        vecs, thresholds = self._vectors.take(cands, 0), 1.0 - dists[order]
         first = np.full(count, -1)
         selected: list[int] = []
         pos = 0  # where the walk stands; it stops after the m-th selection
@@ -201,7 +204,7 @@ class HnswIndex:
             pos += 1
             if len(selected) < m:
                 tail = first[pos:]
-                hit = vecs[pos:] @ vecs[pos - 1] > thresholds[pos:]
+                hit = vecs[pos:].dot(vecs[pos - 1]) > thresholds[pos:]
                 tail[hit & (tail < 0)] = len(selected) - 1
         # selection j met the j before it; a discard met those up to its first conflict
         n = len(selected)
@@ -216,11 +219,11 @@ class HnswIndex:
         matrix; only the greedy walk runs row by row."""
         grid = np.array([[owner, *layer.links[owner], idx] for owner in owners])
         cands = grid[:, 1:]  # column 0 of a row is its owner
-        vecs = self._vectors
-        dists = 1.0 - np.matmul(vecs[cands], vecs[grid[:, :1]].transpose(0, 2, 1))[:, :, 0]
+        take = self._vectors.take
+        dists = 1.0 - np.matmul(take(cands, 0), take(grid[:, :1], 0).transpose(0, 2, 1))[:, :, 0]
         order = np.lexsort((cands, dists))  # each row by (distance, index)
         walk = np.take_along_axis(cands, order, axis=1)
-        walk_vecs = vecs[walk]
+        walk_vecs = take(walk, 0)
         sims = np.matmul(walk_vecs, walk_vecs.transpose(0, 2, 1))
         thresholds = 1.0 - np.take_along_axis(dists, order, axis=1)
         n_rows, width = walk.shape
@@ -258,7 +261,7 @@ class HnswIndex:
 
         # one row of distances to every stored node holds each layer's
         # construction candidates: its ef_construction nearest members
-        dists = 1.0 - self._store[:idx] @ vector
+        dists = 1.0 - self._store[:idx].dot(vector)
         self.distance_count += idx
         top = min(level, old_max)
         levels = np.asarray(self._levels[:idx]) if top else None

@@ -582,8 +582,10 @@ def run_pipeline(
     A stage is skipped when a producer of one of its inputs failed or was
     skipped, and fails with DependencyError when an input is missing; other
     stages continue. The report records a failure's message, exception type
-    and traceback.
-    Returns (report, ok).
+    and traceback. A report.json of the same seed keeps the entries and
+    checksums of the stages this run does not run; an unreadable one raises
+    PipelineError naming its path.
+    Returns (report, ok), where ok covers this run's stages.
     """
     requested = stages or STAGE_ORDER
     for stage in requested:
@@ -593,9 +595,17 @@ def run_pipeline(
     ws = Workspace(config.out_dir)
     ws.out.mkdir(parents=True, exist_ok=True)
     report: dict = {"seed": config.seed, "stages": {}, "checksums": {}}
+    if ws.report.exists():
+        earlier = read_json(ws.report, PipelineError, ("seed", "stages", "checksums"))
+        if type(earlier["stages"]) is not dict or type(earlier["checksums"]) is not dict:
+            raise PipelineError(f"{ws.report}: stages and checksums must be JSON objects")
+        if earlier["seed"] == config.seed:
+            report = earlier
     failed: set[str] = set()
     ok = True
     for stage in requested:
+        for name in STAGE_OUTPUTS[stage]:
+            report["checksums"].pop(ARTIFACTS[name][1], None)
         producers = {PRODUCERS[name] for name in STAGE_INPUTS[stage]}
         blocked = [s for s in STAGE_ORDER if s in failed & producers]
         if blocked:

@@ -3,10 +3,14 @@
 Everything in here recomputes the quantity under test from first
 principles (central finite differences, dense power iteration) so the
 library implementations are checked against code that shares none of
-their structure.
+their structure.  The one exception is `hnsw_reference_search`: it keeps
+the index's beam loop but computes each hop's distances as a numpy vector,
+so a change to how a hop computes them is checked bit for bit.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -172,3 +176,62 @@ def hnsw_reference_links(
                 links[layer][nbr], comparisons = diversity_select(vectors, scored, keep, None)
                 count += comparisons
     return links, count, prunes
+
+
+def hnsw_reference_search(
+    index, query: np.ndarray, k: int, ef_search: int | None = None
+) -> tuple[list[tuple[int, float]], int]:
+    """`HnswIndex.search` with each expanded row's distances taken as one
+    numpy vector, ``1.0 - vectors[row] @ query``: a greedy descent, then the
+    ef-bounded beam at layer 0.  Reads the index and changes nothing; returns
+    the top-k as (id, similarity) and the distances the search counts."""
+    query = np.asarray(query, dtype=np.float64)
+    ef = max(ef_search or index.params.ef_search, k)
+    count = 1
+    entry_dist = 1.0 - float(index._vectors[index._entry] @ query)
+    current = [(entry_dist, index._entry)]
+    for layer in range(index.max_level, 0, -1):
+        found, scanned = _reference_search_layer(index, query, current, 1, layer)
+        current, count = found[:1], count + scanned
+    results, scanned = _reference_search_layer(index, query, current, ef, 0)
+    return [(index._ids[idx], 1.0 - dist) for dist, idx in results[:k]], count + scanned
+
+
+def _reference_search_layer(
+    index, query: np.ndarray, entries: list[tuple[float, int]], ef: int, layer: int
+) -> tuple[list[tuple[float, int]], int]:
+    """One layer's best-first beam, one vector of distances per expanded
+    row; returns (dist, idx) sorted and the edges scanned."""
+    push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
+    links = index._layers[layer].links
+    vectors = index._vectors
+    visited = {idx for _, idx in entries}
+    candidates = list(entries)  # min-heap by distance
+    heapq.heapify(candidates)
+    results = [(-d, idx) for d, idx in entries]  # max-heap via negation
+    heapq.heapify(results)
+    worst = -results[0][0]
+    full = len(results) >= ef
+    scanned = 0
+    while candidates:
+        dist, idx = pop(candidates)
+        if dist > worst:
+            break
+        row = links[idx]
+        scanned += len(row)
+        row = [n for n in row if n not in visited]
+        if not row:
+            continue
+        visited.update(row)
+        dists = (1.0 - vectors[row] @ query).tolist()
+        for d, n in zip(dists, row):
+            if full:
+                if d >= worst:
+                    continue
+                replace(results, (-d, n))
+            else:
+                push(results, (-d, n))
+                full = len(results) >= ef
+            push(candidates, (d, n))
+            worst = -results[0][0]
+    return sorted((-nd, idx) for nd, idx in results), scanned

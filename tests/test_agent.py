@@ -145,8 +145,33 @@ class TestTools:
         path = tmp_path / "trends.jsonl"
         rows = [{"term": "aaa", "region": "US"}, {"region": "US", "velocity": 1.0}]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        with pytest.raises(AgentError, match=r"trends\.jsonl:2: .*missing 1 required positional argument: 'term'"):
+        with pytest.raises(AgentError, match=r"trends\.jsonl:2: missing key 'term'$"):
             make_fetch_trends(path)("US", "7d")
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"term": 5}, r"trend term must be a string, got 5"),
+            ({"term": "aaa", "region": None}, r"trend region must be a string, got None"),
+            ({"term": "aaa", "velocity": "fast"},
+             r"velocity for 'aaa' must be a number, got 'fast'"),
+            ({"term": "aaa", "velocity": True}, r"velocity for 'aaa' must be a number, got True"),
+            ({"term": "aaa", "velocity": float("nan")}, r"velocity for 'aaa' is not finite"),
+            ({"term": "aaa", "speed": 1.0}, r"unknown key 'speed'"),
+        ],
+    )
+    def test_fetch_trends_ill_typed_record_names_line(self, tmp_path, record, message):
+        path = tmp_path / "trends.jsonl"
+        rows = [{"term": "zzz", "velocity": 2}, record]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(AgentError, match=rf"trends\.jsonl:2: {message}$"):
+            make_fetch_trends(path)
+
+    def test_fetch_trends_empty_file_names_path(self, tmp_path):
+        path = tmp_path / "trends.jsonl"
+        path.write_text("\n")
+        with pytest.raises(AgentError, match=r"trends\.jsonl: no trend records"):
+            make_fetch_trends(path)
 
     def test_fetch_trends_malformed_line_names_line(self, tmp_path):
         path = tmp_path / "trends.jsonl"

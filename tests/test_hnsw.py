@@ -18,7 +18,7 @@ from geoforge.hnsw import (
     build,
 )
 
-from _oracles import diversity_select, hnsw_reference_links, unit_rows
+from _oracles import diversity_select, hnsw_reference_links, hnsw_reference_search, unit_rows
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,21 @@ def corpus_300():
     vectors = {i: vecs[i] for i in range(len(vecs))}
     queries = unit_rows(rng, 30, 16)
     return vectors, queries
+
+
+@pytest.fixture(scope="module")
+def clustered_2000():
+    """A 2,000-node index over 16 tight 48-d clusters, and 200 queries drawn
+    around the same centres."""
+    rng = np.random.default_rng(17)
+    centres = unit_rows(rng, 16, 48)
+
+    def around(n: int) -> np.ndarray:
+        rows = centres[rng.integers(0, 16, n)] + 0.08 * rng.standard_normal((n, 48))
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    index = build(dict(enumerate(around(2000))), seed=5)
+    return index, around(200)
 
 
 def _recall(index: HnswIndex, vectors, queries, k=10, ef_search=None) -> float:
@@ -87,6 +102,30 @@ class TestSearch:
         vectors, queries = corpus_300
         index = build(vectors, seed=1)
         assert _recall(index, vectors, queries, ef_search=len(vectors)) == 1.0
+
+    @pytest.mark.parametrize("ef_search", [1, 10, 100])
+    def test_search_equals_reference_bit_for_bit(self, clustered_2000, ef_search):
+        index, queries = clustered_2000
+        for query in queries:
+            before = index.distance_count
+            found = index.search(query, 10, ef_search=ef_search)
+            expected, count = hnsw_reference_search(index, query, 10, ef_search)
+            assert [(i, s.hex()) for i, s in found] == [(i, s.hex()) for i, s in expected]
+            assert index.distance_count - before == count
+
+    @pytest.mark.parametrize("dim", [4, 48, 128])
+    def test_hop_distances_equal_vector_distances_bit_for_bit(self, dim):
+        # a hop takes its rows and dots them, then subtracts in Python floats
+        rng = np.random.default_rng(dim)
+        store = np.zeros((96, dim))
+        store[:80] = unit_rows(rng, 80, dim)
+        vectors = store[:80]
+        for n in range(1, 66):
+            row = rng.choice(80, n, replace=False).tolist()
+            query = unit_rows(rng, 1, dim)[0]
+            hop = [1.0 - s for s in vectors.take(row, 0).dot(query).tolist()]
+            reference = (1.0 - vectors[row] @ query).tolist()
+            assert [d.hex() for d in hop] == [d.hex() for d in reference]
 
     def test_results_sorted_by_similarity(self, corpus_300):
         vectors, queries = corpus_300

@@ -422,3 +422,45 @@ class TestFullRun:
         report, ok = run_pipeline(pipeline_run["config"], stages=["link"])
         assert ok
         assert report["checksums"]["link_report.json"] == before
+
+    def test_stage_run_merges_into_the_report(self, pipeline_run, tmp_path):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["eval"])
+        assert ok
+        saved = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert saved == report
+        assert set(saved["stages"]) == set(STAGE_ORDER)
+        assert all(result["status"] == "ok" for result in saved["stages"].values())
+        assert saved["checksums"] == pipeline_run["report"]["checksums"]
+
+    def test_failed_stage_run_drops_only_its_own_checksums(self, pipeline_run, tmp_path):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        (tmp_path / "encoder_txt.bin").unlink()
+        before = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["eval"])
+        assert not ok and report["stages"]["eval"]["error_type"] == "DependencyError"
+        del before["checksums"]["eval_report.json"]
+        assert report["checksums"] == before["checksums"]
+        del before["stages"]["eval"], report["stages"]["eval"]
+        assert report["stages"] == before["stages"]
+
+    def test_report_of_another_seed_is_replaced(self, pipeline_run, tmp_path):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path, seed=8)
+        report, _ = run_pipeline(config, stages=["link"])
+        assert report["seed"] == 8 and set(report["stages"]) == {"link"}
+        assert set(report["checksums"]) == {"graph.jsonl", "link_report.json", "sitemap.xml"}
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"seed": 7, "stages": {', "malformed JSON"),
+        ('{"seed": 7, "stages": {}}', "missing key 'checksums'"),
+        ('{"seed": 7, "stages": [], "checksums": {}}', "must be JSON objects"),
+    ])
+    def test_unreadable_report_fails_naming_path(self, tmp_path, text, match):
+        (tmp_path / "report.json").write_text(text)
+        config = PipelineConfig(out_dir=tmp_path, seed=7)
+        path = re.escape(str(tmp_path / "report.json"))
+        with pytest.raises(PipelineError, match=rf"{path}: .*{match}"):
+            run_pipeline(config, stages=["gen-corpus"])
