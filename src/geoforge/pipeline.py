@@ -5,6 +5,7 @@ run_pipeline call each input that several stages read is parsed once."""
 from __future__ import annotations
 
 import json
+import resource
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -122,7 +123,10 @@ class Workspace:
 
     @cached_property
     def triplets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        return _triplets_from_labels(self.corpus, _load_labeled(self, self.corpus))
+        triplets = _triplets_from_labels(self.corpus, _load_labeled(self, self.corpus))
+        if not triplets:
+            raise PipelineError(f"{self.labeled_pairs}: no ranker triplets derivable from its pairs")
+        return triplets
 
     def __getattr__(self, name: str) -> Path:
         try:
@@ -196,10 +200,16 @@ def _check_inputs(stage: str, ws: Workspace) -> None:
 
 
 def _load_labeled(ws: Workspace, corpus: Corpus) -> list[LabeledPair]:
+    """The labeled pairs; an unknown query or pin raises CorpusError naming path:line."""
     by_text = {q.text: q for q in corpus.queries}
-    return read_records(
-        ws.labeled_pairs, lambda obj: LabeledPair.from_json(obj, by_text), CorpusError
-    )
+
+    def parse(obj: dict) -> LabeledPair:
+        pair = LabeledPair.from_json(obj, by_text)
+        if pair.pin_signature not in corpus.pins:
+            raise CorpusError(f"unknown pin signature {pair.pin_signature}")
+        return pair
+
+    return read_records(ws.labeled_pairs, parse, CorpusError)
 
 
 def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
@@ -283,20 +293,25 @@ def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
 def _triplets_from_labels(
     corpus: Corpus, labeled: list[LabeledPair]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each pin's i-th positive and i-th negative as one feature triplet, pins
+    in signature order; triplets share one array per pin and per query text."""
     by_pin: dict[int, tuple[list[QueryRecord], list[QueryRecord]]] = {}
     for pair in labeled:
         pos, neg = by_pin.setdefault(pair.pin_signature, ([], []))
         (pos if pair.label == 1 else neg).append(pair.query)
+    query_rows: dict[str, np.ndarray] = {}
+
+    def query_row(query: QueryRecord) -> np.ndarray:
+        if query.text not in query_rows:
+            query_rows[query.text] = ranker.query_features(query)
+        return query_rows[query.text]
+
     triplets = []
     for signature in sorted(by_pin):
-        pos, neg = by_pin[signature]
-        if signature not in corpus.pins:
-            continue
         feats_pin = ranker.pin_features(corpus.pins[signature])
-        for i in range(min(len(pos), len(neg))):
-            triplets.append(
-                (feats_pin, ranker.query_features(pos[i]), ranker.query_features(neg[i]))
-            )
+        triplets.extend(
+            (feats_pin, query_row(p), query_row(n)) for p, n in zip(*by_pin[signature])
+        )
     return triplets
 
 
@@ -328,8 +343,6 @@ def annotate_pins(
 def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     """Train the two-tower annotation ranker and emit annotations."""
     corpus, triplets = ws.corpus, ws.triplets
-    if not triplets:
-        raise PipelineError("no training triplets derivable from labeled pairs")
     tower_config = ranker.TowerConfig(
         d_v=corpus.d_v,
         d_t=corpus.d_t,
@@ -547,7 +560,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     curation_summary = read_json(ws.curation_report, PipelineError, ("retention_branches",))
     report = {
         "recall_at_10": recall_at_10,
-        "correct_rank": ranker.correct_rank(model, ws.triplets) if ws.triplets else None,
+        "correct_rank": ranker.correct_rank(model, ws.triplets),
         "intent_satisfying_rate_mean": float(np.mean(rates)) if rates else None,
         "retention_branches": curation_summary["retention_branches"],
         "encoder_loss": encoder_loss,
@@ -633,6 +646,8 @@ def run_pipeline(
         report["stages"][stage] = {
             "status": "ok",
             "seconds": round(elapsed, 3),
+            # the process's high-water mark so far (ru_maxrss is in KiB)
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "metrics": metrics,
         }
         for name in STAGE_OUTPUTS[stage]:

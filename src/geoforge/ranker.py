@@ -21,6 +21,10 @@ RANKER_META = {"d_v": int, "d_t": int, "hidden": [int], "output_dim": int,
                "dropout_rate": float, "margin": float, "width_mult": float}
 
 
+# Triplets per tower pass in correct_rank; 64-row passes shifted embeddings' last bits.
+_SCORE_BLOCK = 256
+
+
 class RankerError(ValueError):
     pass
 
@@ -176,14 +180,19 @@ def correct_rank(
     triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> float:
     """Fraction of triplets where the positive outscores the negative.
-    Ties count as failures."""
+    Ties count as failures. The towers run on blocks of _SCORE_BLOCK
+    triplets, so memory does not grow with the evaluation set."""
     if not triplets:
         raise RankerError("empty evaluation set")
-    pins, positives, negatives = (np.stack(column) for column in zip(*triplets))
-    e_pin = model.embed_pin(pins)
-    pos_scores = np.sum(e_pin * model.embed_query(positives), axis=1)
-    neg_scores = np.sum(e_pin * model.embed_query(negatives), axis=1)
-    return float(np.mean(pos_scores > neg_scores))
+    correct = 0
+    for start in range(0, len(triplets), _SCORE_BLOCK):
+        block = triplets[start:start + _SCORE_BLOCK]
+        pins, positives, negatives = (np.stack(column) for column in zip(*block))
+        e_pin = model.embed_pin(pins)
+        pos_scores = np.sum(e_pin * model.embed_query(positives), axis=1)
+        neg_scores = np.sum(e_pin * model.embed_query(negatives), axis=1)
+        correct += int(np.count_nonzero(pos_scores > neg_scores))
+    return correct / len(triplets)
 
 
 def save_ranker(model: RankerModel, path: str | Path) -> None:

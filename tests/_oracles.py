@@ -106,6 +106,17 @@ def retention_oracle(impressions: int, clicks: int, avg_position: float) -> bool
     return high_ctr or good_position
 
 
+def whole_batch_correct_rank(model, triplets) -> float:
+    """The ranker's correct-rank ratio from one pass of each tower over the
+    whole set: the reference for the library's blocked scoring. Ties count
+    as failures."""
+    pins, positives, negatives = (np.stack(column) for column in zip(*triplets))
+    e_pin = model.embed_pin(pins)
+    pos_scores = np.sum(e_pin * model.embed_query(positives), axis=1)
+    neg_scores = np.sum(e_pin * model.embed_query(negatives), axis=1)
+    return float(np.mean(pos_scores > neg_scores))
+
+
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     rows = rng.standard_normal((n, dim))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)

@@ -145,6 +145,8 @@ class TestStageGraph:
          "CorpusError", "unknown query text 'no such query'"),
         ("train-ranker", "labeled_pairs.jsonl", {"label": 7},
          "CorpusError", "label must be \\+1 or -1, got 7"),
+        ("train-ranker", "labeled_pairs.jsonl", {"pin_signature": -1},
+         "CorpusError", "unknown pin signature -1"),
         ("link", "annotations.jsonl", {"score": None}, "PipelineError", "missing key 'score'"),
         ("link", "collections.jsonl", {"slug": None}, "CollectionError", "missing key 'slug'"),
         ("link", "annotations.jsonl", '{"pin_signature": ', "PipelineError", "malformed JSON: .+"),
@@ -188,6 +190,18 @@ class TestStageGraph:
         result = report["stages"]["eval"]
         assert not ok and result["error_type"] == "PipelineError"
         assert result["error"].startswith(f"{tmp_path / artifact}: {match}")
+
+    @pytest.mark.parametrize("stage", ["train-ranker", "eval"])
+    def test_no_triplets_fails_naming_labeled_pairs(self, pipeline_run, tmp_path, stage):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        (tmp_path / "labeled_pairs.jsonl").write_text("")
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=[stage])
+        result = report["stages"][stage]
+        assert not ok and result["error_type"] == "PipelineError"
+        assert result["error"] == (
+            f"{tmp_path / 'labeled_pairs.jsonl'}: no ranker triplets derivable from its pairs"
+        )
 
     def test_header_only_encoder_log_fails_eval(self, pipeline_run, tmp_path):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
@@ -261,6 +275,27 @@ class TestLabeledPairs:
         loaded = pipeline._load_labeled(ws, corpus)
         assert [p.to_json() for p in loaded] == [p.to_json() for p in labeled]
         assert all(a.query is b.query for a, b in zip(loaded, labeled))
+
+    def test_triplets_share_one_row_per_pin_and_query_text(self, pipeline_run):
+        ws = pipeline_run["ws"]
+        labeled = pipeline._load_labeled(ws, ws.corpus)
+        triplets = pipeline._triplets_from_labels(ws.corpus, labeled)
+        by_pin: dict[int, tuple[list, list]] = {}
+        for pair in labeled:
+            by_pin.setdefault(pair.pin_signature, ([], []))[pair.label == -1].append(pair.query)
+        named = [(s, pos, neg) for s in sorted(by_pin) for pos, neg in zip(*by_pin[s])]
+        assert len(named) == len(triplets)
+        rows: dict[int | str, np.ndarray] = {}
+        for (signature, pos, neg), triplet in zip(named, triplets):
+            for key, row, want in [
+                (signature, triplet[0], ranker.pin_features(ws.corpus.pins[signature])),
+                (pos.text, triplet[1], ranker.query_features(pos)),
+                (neg.text, triplet[2], ranker.query_features(neg)),
+            ]:
+                assert rows.setdefault(key, row) is row
+                np.testing.assert_array_equal(row, want)
+        assert len({id(row) for row in rows.values()}) == len(rows)
+        assert len(rows) < len(triplets)
 
     def test_written_by_query_text(self, pipeline_run):
         ws = pipeline_run["ws"]
@@ -384,6 +419,13 @@ class TestFullRun:
                 key = str(artifact.relative_to(ws.out))
                 assert key in report["checksums"]
         assert ws.report.exists()
+
+    def test_each_stage_records_the_high_water_mark(self, pipeline_run):
+        """peak_rss_mb is the process's peak RSS so far, so it never falls
+        from one stage to the next."""
+        peaks = [pipeline_run["report"]["stages"][s]["peak_rss_mb"] for s in STAGE_ORDER]
+        assert all(type(p) is float and p > 0 for p in peaks)
+        assert peaks == sorted(peaks)
 
     def test_every_written_file_is_a_checksummed_output(self, tmp_path):
         config = PipelineConfig(

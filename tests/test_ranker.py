@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from geoforge.ranker import (
     train_ranker,
 )
 
-from _oracles import finite_difference, rel_error, unit_rows
+from _oracles import finite_difference, rel_error, unit_rows, whole_batch_correct_rank
 
 
 SMALL = TowerConfig(d_v=4, d_t=3, hidden=[5], output_dim=3, dropout_rate=0.0)
+# the towers of a default pipeline run
+PIPELINE_TOWERS = TowerConfig(d_v=64, d_t=48, width_mult=0.125)
 
 
 class TestConfig:
@@ -345,6 +348,38 @@ class TestTraining:
     def test_correct_rank_empty(self):
         with pytest.raises(RankerError, match="empty"):
             correct_rank(RankerModel.init(SMALL, seed=0), [])
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_blocked_correct_rank_equals_whole_batch(self, n):
+        """Block edges change nothing: the ratio equals one whole-set pass,
+        a tie (positive == negative) still counting as a failure."""
+        model = RankerModel.init(PIPELINE_TOWERS, seed=1)
+        rng = np.random.default_rng(n)
+        pins = rng.standard_normal((n, PIPELINE_TOWERS.pin_input_dim))
+        positives, negatives = rng.standard_normal((2, n, PIPELINE_TOWERS.query_input_dim))
+        negatives[n // 2] = positives[n // 2]
+        triplets = list(zip(pins, positives, negatives))
+        got = correct_rank(model, triplets)
+        assert got == whole_batch_correct_rank(model, triplets)
+        assert 0.0 < got < 1.0 or n == 1
+
+    def test_correct_rank_memory_does_not_grow_with_the_set(self):
+        """Scoring 4,096 triplets peaks at most 2x scoring 256."""
+        model = RankerModel.init(PIPELINE_TOWERS, seed=0)
+        rng = np.random.default_rng(0)
+        pins = rng.standard_normal((4096, PIPELINE_TOWERS.pin_input_dim))
+        queries = rng.standard_normal((2, 4096, PIPELINE_TOWERS.query_input_dim))
+        triplets = list(zip(pins, *queries))
+
+        def peak(subset) -> int:
+            tracemalloc.start()
+            try:
+                correct_rank(model, subset)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(triplets) <= 2 * peak(triplets[:256])
 
 
 class TestPersistence:
