@@ -192,11 +192,12 @@ def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainR
             cache,
             [grads[k] for k in ("img_txt_anchors", "pin_pin_anchors", "pin_pin_positives", "img_txt_positives")],
         )
-        g_img = [g + (a + b) for g, a, b in zip(g_img, g_a, g_b)]
-        img.sgd_step(g_img, config.learning_rate)
-        txt.sgd_step(g_txt, config.learning_rate)
+        g_img += g_a + g_b
+        img.flat -= config.learning_rate * g_img
+        txt.flat -= config.learning_rate * g_txt
         # all weights, then all biases: the order the logged norm has always summed in
-        _log_step(log, step, loss, g_img[::2] + g_txt[::2] + g_img[1::2] + g_txt[1::2], encoders)
+        (w_img, b_img), (w_txt, b_txt) = zip(*img.layered(g_img)), zip(*txt.layered(g_txt))
+        _log_step(log, step, loss, [*w_img, *w_txt, *b_img, *b_txt], encoders)
     return TrainResult(encoders=encoders, log=log)
 
 

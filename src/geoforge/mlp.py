@@ -3,7 +3,8 @@
 Hidden layers are linear -> ReLU, followed by LayerNorm and inverted
 dropout when the layer carries ``(gamma, beta)``. The last layer is linear
 and its output rows are L2-normalised. Gradients are analytic and come
-back in `Mlp.parameters` order; bad input raises the caller's error type.
+back laid out like `Mlp.flat`, so an SGD step is one subtraction; bad input
+raises the caller's error type.
 
 One pass runs over blocks ``(net, rows)`` of nets with equal hidden and
 output widths: each block's matmuls and per-feature steps (bias, LayerNorm
@@ -35,14 +36,19 @@ class Mlp:
 
     def __post_init__(self) -> None:
         self.flat = np.concatenate([p.ravel() for p in self.parameters()], dtype=np.float64)
+        self.layers = self.layered(self.flat)
+
+    def layered(self, buffer: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Views of a buffer laid out like `flat` (the parameters, or a
+        gradient from `backward_blocks`), grouped and shaped as `layers`."""
         start, layers = 0, []
         for layer in self.layers:
             views = []
             for p in layer:
-                views.append(self.flat[start:start + p.size].reshape(p.shape))
+                views.append(buffer[start:start + p.size].reshape(p.shape))
                 start += p.size
             layers.append(tuple(views))
-        self.layers = layers
+        return layers
 
     @property
     def input_dim(self) -> int:
@@ -101,12 +107,8 @@ class Mlp:
 
     def backward(self, cache: dict, d_out: np.ndarray) -> list[np.ndarray]:
         """Gradients of the loss w.r.t. `parameters`, in that order, given
-        d(loss)/d(output rows)."""
-        return backward_blocks(cache, [d_out])[0]
-
-    def sgd_step(self, grads: list[np.ndarray], learning_rate: float) -> None:
-        """Plain SGD, in place: each parameter moves by -learning_rate * grad."""
-        self.flat -= learning_rate * np.concatenate([g.ravel() for g in grads])
+        d(loss)/d(output rows): views of one buffer laid out like `flat`."""
+        return [g for layer in self.layered(backward_blocks(cache, [d_out])[0]) for g in layer]
 
 
 def forward_blocks(
@@ -115,8 +117,8 @@ def forward_blocks(
 ) -> tuple[list[np.ndarray], dict]:
     """Each block's unit-norm output rows, and the cache `backward_blocks`
     reads. With ``dropout_rate`` > 0, each LayerNorm layer's output is
-    multiplied by an inverted dropout mask; each block draws all its masks
-    from ``rng`` in one call, blocks in order, layer after layer."""
+    multiplied by an inverted dropout mask, drawn from ``rng`` straight into
+    that layer's rows, block after block, layer after layer."""
     nets = [net for net, _ in blocks]
     inputs = [np.atleast_2d(np.asarray(rows, dtype=np.float64)) for _, rows in blocks]
     for net, x in zip(nets, inputs):
@@ -134,7 +136,13 @@ def forward_blocks(
         n += len(x)
     top = nets[0].layers
     normed = {i: layer[0].shape[0] for i, layer in enumerate(top[:-1]) if len(layer) == 4}
-    masks = _dropout_masks([len(x) for x in inputs], normed, dropout_rate, rng) if dropout_rate > 0.0 else {}
+    masks = {i: np.empty((n, width)) for i, width in normed.items()} if dropout_rate > 0.0 else {}
+    for sl in slices:
+        for mask in masks.values():
+            rng.random(out=mask[sl])
+    for mask in masks.values():
+        np.greater_equal(mask, dropout_rate, out=mask)
+        mask *= 1.0 / (1.0 - dropout_rate)
     cache: dict = {"nets": nets, "slices": slices, "layers": []}
     for i in range(len(top)):
         z = np.empty((n, top[i][0].shape[0]))
@@ -181,48 +189,28 @@ def _mean_column(width: int) -> np.ndarray:
     return np.full((width, 1), 1.0 / width)
 
 
-def _dropout_masks(
-    rows: list[int], widths: dict[int, int], rate: float, rng: np.random.Generator,
-) -> dict[int, np.ndarray]:
-    """Inverted dropout masks over the stacked rows of the layers in
-    ``widths`` (layer index -> width). One ``rng.random`` call per block
-    draws that block's masks, layer after layer, as per-layer draws would."""
-    per_row = sum(widths.values())
-    keep = np.empty(sum(rows) * per_row)
-    start = 0
-    for n in rows:
-        rng.random(out=keep[start:start + n * per_row])
-        start += n * per_row
-    np.greater_equal(keep, rate, out=keep)
-    keep *= 1.0 / (1.0 - rate)
-    pieces: dict[int, list[np.ndarray]] = {i: [] for i in widths}
-    start = 0
-    for n in rows:
-        for i, width in widths.items():
-            pieces[i].append(keep[start:start + n * width].reshape(n, width))
-            start += n * width
-    return {i: p[0] if len(p) == 1 else np.concatenate(p) for i, p in pieces.items()}
-
-
-def backward_blocks(cache: dict, d_outs: list[np.ndarray]) -> list[list[np.ndarray]]:
-    """Per block, the gradients of the loss w.r.t. that block's net's
-    `parameters`, given each block's d(loss)/d(output rows)."""
+def backward_blocks(cache: dict, d_outs: list[np.ndarray]) -> list[np.ndarray]:
+    """Per block, the gradient of the loss w.r.t. that block's net's
+    parameters, given each block's d(loss)/d(output rows). Each is one
+    fresh array laid out like the net's `Mlp.flat`, filled in place through
+    the views `Mlp.layered` gives."""
     nets, slices, layers = cache["nets"], cache["slices"], cache["layers"]
     d_out = d_outs[0] if len(d_outs) == 1 else np.concatenate(d_outs)
     unit, norms = cache["unit"], cache["norms"]
     # through L2 normalization: dz = (du - u (u . du)) / ||z||
     grad = (d_out - unit * _add(unit * d_out, axis=1, keepdims=True)) / norms
-    grads: list[list[np.ndarray]] = [[] for _ in nets]
+    flats = [np.empty_like(net.flat) for net in nets]
+    views = [net.layered(flat) for net, flat in zip(nets, flats)]
     for i in reversed(range(len(layers))):
         layer = layers[i]
-        norm_grads: list[list[np.ndarray]] = [[] for _ in nets]
         if "xhat" in layer:
             xhat = layer["xhat"]
             if "mask" in layer:
                 grad *= layer["mask"]
             d_gamma = grad * xhat
-            for k, (net, sl) in enumerate(zip(nets, slices)):
-                norm_grads[k] = [_add(d_gamma[sl], axis=0), _add(grad[sl], axis=0)]
+            for net, view, sl in zip(nets, views, slices):
+                _add(d_gamma[sl], axis=0, out=view[i][2])
+                _add(grad[sl], axis=0, out=view[i][3])
                 grad[sl] *= net.layers[i][2]
             d_xhat = grad
             # LayerNorm backward over the feature axis:
@@ -235,10 +223,11 @@ def backward_blocks(cache: dict, d_outs: list[np.ndarray]) -> list[list[np.ndarr
         if i < len(layers) - 1:
             grad *= layer["z"] > 0.0
         below = np.empty((len(grad), layer["x"][0].shape[1])) if i > 0 else None
-        for k, (net, x, sl) in enumerate(zip(nets, layer["x"], slices)):
+        for net, view, x, sl in zip(nets, views, layer["x"], slices):
             g = grad[sl]
-            grads[k][:0] = [g.T @ x, _add(g, axis=0), *norm_grads[k]]
+            np.matmul(g.T, x, out=view[i][0])
+            _add(g, axis=0, out=view[i][1])
             if below is not None:
                 np.matmul(g, net.layers[i][0], out=below[sl])
         grad = below
-    return grads
+    return flats

@@ -115,7 +115,10 @@ class Workspace:
 
     @cached_property
     def annotation_records(self) -> list[dict]:
-        return read_records(self.annotations, _annotation, PipelineError)
+        records = read_records(self.annotations, _annotation, PipelineError)
+        if not records:
+            raise PipelineError(f"{self.annotations}: no annotation records")
+        return records
 
     @cached_property
     def published_collections(self) -> list[coll_mod.Collection]:
@@ -238,6 +241,8 @@ def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
         lambda obj: ((obj["query_text"], int(obj["pin_signature"])), float(obj["coverage"])),
         CorpusError,
     )
+    if not navboost:
+        raise CorpusError(f"{ws.navboost}: no navboost records")
     labeled, report = curation.curate(
         corpus.queries,
         corpus.engagement,
@@ -341,7 +346,10 @@ def annotate_pins(
 
 
 def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
-    """Train the two-tower annotation ranker and emit annotations."""
+    """Train the two-tower annotation ranker and annotate every pin with
+    its top queries, at least one each."""
+    if config.annotations_per_pin < 1:
+        raise PipelineError(f"annotations_per_pin must be at least 1, got {config.annotations_per_pin}")
     corpus, triplets = ws.corpus, ws.triplets
     tower_config = ranker.TowerConfig(
         d_v=corpus.d_v,

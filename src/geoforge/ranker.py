@@ -169,8 +169,8 @@ def train_ranker(
         if not np.isfinite(loss):
             raise RankerError(f"non-finite loss at step {step}")
         g_pin, g_query = backward_blocks(cache, [d_pin, np.concatenate([d_pos, d_neg])])
-        model.pin_tower.sgd_step(g_pin, train.learning_rate)
-        model.query_tower.sgd_step(g_query, train.learning_rate)
+        model.pin_tower.flat -= train.learning_rate * g_pin
+        model.query_tower.flat -= train.learning_rate * g_query
         log.append((step, loss))
     return model, log
 

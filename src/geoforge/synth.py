@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     Corpus,
+    CorpusError,
     CorpusManifest,
     EngagementRecord,
     PinRecord,
@@ -80,6 +81,13 @@ class SynthConfig:
     engagement_per_pin: int = 4
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("n_pins", "d_v", "d_t", "queries_per_cluster"):
+            if getattr(self, name) < 1:
+                raise CorpusError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 1 <= self.n_clusters <= len(CLUSTER_TERMS):
+            raise CorpusError(f"n_clusters must be in [1, {len(CLUSTER_TERMS)}], got {self.n_clusters}")
+
 
 def _jitter(centroid: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
     # scale per-dimension so the expected noise norm equals `noise` regardless
@@ -91,8 +99,6 @@ def _jitter(centroid: np.ndarray, noise: float, rng: np.random.Generator) -> np.
 def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
     """Build a clustered corpus plus sidecar data: the pin and query cluster
     maps and the navboost coverage of (query text, pin signature) pairs."""
-    if config.n_clusters > len(CLUSTER_TERMS):
-        raise ValueError(f"at most {len(CLUSTER_TERMS)} clusters supported")
     rng = rng_for(config.seed, "corpus")
 
     centroids_v = [

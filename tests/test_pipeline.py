@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geoforge import collections_, curation, encoders, hnsw, pipeline, ranker
-from geoforge.core import QueryRecord, write_jsonl
+from geoforge import collections_, curation, encoders, hnsw, pipeline, ranker, synth
+from geoforge.core import CorpusError, QueryRecord, write_jsonl
 from geoforge.pipeline import (
     ARTIFACTS,
     PRODUCERS,
@@ -202,6 +202,45 @@ class TestStageGraph:
         assert result["error"] == (
             f"{tmp_path / 'labeled_pairs.jsonl'}: no ranker triplets derivable from its pairs"
         )
+
+    @pytest.mark.parametrize("stage, artifact, error_type, match", [
+        ("build-collections", "annotations.jsonl", "PipelineError", "no annotation records"),
+        ("link", "annotations.jsonl", "PipelineError", "no annotation records"),
+        ("eval", "annotations.jsonl", "PipelineError", "no annotation records"),
+        ("curate", "corpus/navboost.jsonl", "CorpusError", "no navboost records"),
+    ])
+    def test_empty_input_fails_naming_it(
+        self, pipeline_run, tmp_path, stage, artifact, error_type, match
+    ):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        (tmp_path / artifact).write_text("")
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=[stage])
+        result = report["stages"][stage]
+        assert not ok and result["error_type"] == error_type
+        assert result["error"] == f"{tmp_path / artifact}: {match}"
+
+    def test_no_annotations_per_pin_fails_train_ranker(self, pipeline_run, tmp_path):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path, annotations_per_pin=0)
+        report, ok = run_pipeline(config, stages=["train-ranker"])
+        result = report["stages"]["train-ranker"]
+        assert not ok and result["error_type"] == "PipelineError"
+        assert result["error"] == "annotations_per_pin must be at least 1, got 0"
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_pins", 0), ("n_pins", -5), ("d_v", 0), ("d_t", 0), ("queries_per_cluster", 0),
+        ("n_clusters", 0), ("n_clusters", len(synth.CLUSTER_TERMS) + 1),
+    ])
+    def test_synth_config_rejects_sizes_it_cannot_generate(self, field, value):
+        with pytest.raises(CorpusError, match=rf"^{field} must be .*, got {value}$"):
+            synth.SynthConfig(**{field: value})
+
+    def test_zero_clusters_fail_gen_corpus_typed(self, tmp_path):
+        report, ok = run_pipeline(PipelineConfig(out_dir=tmp_path, n_clusters=0), stages=["gen-corpus"])
+        result = report["stages"]["gen-corpus"]
+        assert not ok and result["error_type"] == "CorpusError"
+        assert result["error"] == "n_clusters must be in [1, 10], got 0"
 
     def test_header_only_encoder_log_fails_eval(self, pipeline_run, tmp_path):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)

@@ -221,9 +221,42 @@ class TestBlockKernel:
                 np.testing.assert_array_equal(layer["mask"], drawn)
                 np.testing.assert_array_equal(cache["layers"][i]["mask"][rows], drawn)
             single_grad = net.backward(single, d_out)
-            assert len(grad) == len(single_grad) == len(net.parameters())
-            for got, want in zip(grad, single_grad):
+            views = [g for layer in net.layered(grad) for g in layer]
+            assert len(views) == len(single_grad) == len(net.parameters())
+            for got, want in zip(views, single_grad):
                 np.testing.assert_array_equal(got, want)
+
+    def test_gradient_is_laid_out_like_flat(self):
+        """Each block's gradient has the shape of its net's `flat`, and its
+        `layered` views are exactly `Mlp.backward`'s per-parameter list."""
+        rng = np.random.default_rng(2)
+        net = _tower([6, 8, 8, 3], rng)
+        x, d_out = rng.standard_normal((4, 6)), rng.standard_normal((4, 3))
+        _, cache = net.forward(x, RankerError, 0.3, np.random.default_rng(3))
+        (grad,) = backward_blocks(cache, [d_out])
+        assert grad.shape == net.flat.shape and grad.dtype == net.flat.dtype
+        want = net.backward(cache, d_out)
+        got = [g for layer in net.layered(grad) for g in layer]
+        assert [g.shape for g in got] == [p.shape for p in net.parameters()]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_gradients_share_no_memory(self):
+        """Two blocks of one net, and two calls on one cache, each get a
+        fresh gradient array: none aliases another or the parameters."""
+        rng = np.random.default_rng(4)
+        net = _tower([4, 5, 3], rng)
+        blocks = [(net, rng.standard_normal((2, 4))), (net, rng.standard_normal((3, 4)))]
+        d_outs = [rng.standard_normal((2, 3)), rng.standard_normal((3, 3))]
+        _, cache = forward_blocks(blocks, RankerError)
+        first = backward_blocks(cache, d_outs)
+        second = backward_blocks(cache, d_outs)
+        grads = [*first, *second, net.flat]
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
 
     def test_blocks_need_equal_widths(self):
         rng = np.random.default_rng(0)
