@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .core import (
-    Corpus, QueryRecord, hashed_bag_of_tokens, read_json, read_records, write_jsonl, write_text,
+    Corpus, QueryRecord, _Record, hashed_bag_of_tokens, read_json, read_records, write_jsonl,
+    write_text,
 )
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
@@ -33,6 +34,8 @@ PERMITTED_ACTIONS = {
     "validation": {"content_lookup", "validate"},
 }
 LOW_FIT_CATEGORIES = {"news", "sports", "politics"}
+# one long-memory record, per term
+MEMORY_KINDS = {"accepted": int, "rejected": int, "last_velocity": float, "patterns": [str]}
 
 EXPANSION_TEMPLATES = [
     ("Description", "{term} ideas"),
@@ -48,7 +51,7 @@ class AgentError(ValueError):
 
 
 @dataclass(frozen=True)
-class TrendSignal:
+class TrendSignal(_Record):
     term: str
     region: str = "US"
     timespan: str = "7d"
@@ -56,25 +59,10 @@ class TrendSignal:
     category: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("term", "region", "timespan", "category"):
-            if not isinstance(getattr(self, name), str):
-                raise AgentError(f"trend {name} must be a string, got {getattr(self, name)!r}")
-        if isinstance(self.velocity, bool) or not isinstance(self.velocity, (int, float)):
-            raise AgentError(f"velocity for {self.term!r} must be a number, got {self.velocity!r}")
         if not self.term.strip():
             raise AgentError("trend term is empty")
         if not -float("inf") < self.velocity < float("inf"):  # exact for ints of any size
             raise AgentError(f"velocity for {self.term!r} is not finite")
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrendSignal":
-        """A trend from its fields; an unknown key or an absent term raises AgentError."""
-        unknown = sorted(obj.keys() - {f.name for f in fields(cls)})
-        if unknown:
-            raise AgentError(f"unknown key {unknown[0]!r}")
-        if "term" not in obj:
-            raise AgentError("missing key 'term'")
-        return cls(**obj)
 
 
 @dataclass
@@ -359,12 +347,8 @@ def save_long_memory(memory: dict[str, dict], path: str | Path) -> None:
 
 
 def load_long_memory(path: str | Path) -> dict[str, dict]:
-    """The saved memory, {} when there is none. A file that is not JSON or
-    not an object of objects raises AgentError naming it."""
+    """The saved memory, {} when there is none. A file that is not JSON, or
+    not an object of MEMORY_KINDS records by term, raises AgentError naming
+    it and the first bad term."""
     p = Path(path)
-    if not p.exists():
-        return {}
-    memory = read_json(p, AgentError)
-    if not all(isinstance(v, dict) for v in memory.values()):
-        raise AgentError(f"{p}: long memory must be an object of objects")
-    return memory
+    return read_json(p, AgentError, {str: MEMORY_KINDS}) if p.exists() else {}

@@ -11,7 +11,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Corpus, PinRecord, QueryRecord, f32, read_records, write_jsonl, write_text
+from .core import (
+    Corpus, PinRecord, QueryRecord, check_json, f32, read_records, write_jsonl, write_text,
+)
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
 
@@ -46,11 +48,14 @@ class Collection:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Collection":
+        """The collection `to_json` wrote, checked by `check_json`."""
+        check_json(obj, {"slug": str, "topic": dict, "embedding_kind": str,
+                         "members": [{"signature": int, "similarity": float}]})
         return cls(
             topic=QueryRecord.from_json(obj["topic"]),
             slug=obj["slug"],
             embedding_kind=obj["embedding_kind"],
-            members=[(m["signature"], m["similarity"]) for m in obj["members"]],
+            members=[(m["signature"], float(m["similarity"])) for m in obj["members"]],
         )
 
 

@@ -7,12 +7,16 @@ after load and safe for concurrent readers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
+import reprlib
+import types
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
@@ -92,6 +96,33 @@ class _Record:
             out[f.name] = value
         return out
 
+    @classmethod
+    def from_json(cls, obj: dict):
+        """The record from a JSON object of its fields, each of the kind its
+        annotation names (see `check_json`); a defaulted field may be
+        absent. An int in a float field reads as a float, and a list (a
+        vector) as a float64 array."""
+        kinds, defaulted = _record_kinds(cls)
+        check_json(obj, kinds, defaulted)
+        return cls(**{k: float(v) if kinds[k] is float else np.asarray(v, dtype=np.float64)
+                      if type(v) is list else v for k, v in obj.items()})
+
+
+@functools.cache
+def _record_kinds(cls: type) -> tuple[dict, set[str]]:
+    """A record class's JSON kind per field, from its annotation, and its
+    defaulted fields. ``np.ndarray`` is a list of floats and ``X | None``
+    the tuple of both kinds."""
+    hints = typing.get_type_hints(cls)
+
+    def kind(hint):
+        if isinstance(hint, types.UnionType):
+            return tuple(map(kind, hint.__args__))
+        return [float] if hint is np.ndarray else hint
+
+    return ({f.name: kind(hints[f.name]) for f in fields(cls)},
+            {f.name for f in fields(cls) if f.default is not MISSING})
+
 
 @dataclass(frozen=True)
 class PinRecord(_Record):
@@ -122,17 +153,6 @@ class PinRecord(_Record):
                 "outside [0, 1]"
             )
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PinRecord":
-        """A pin from its fields; an absent optional field takes its default."""
-        return cls(**{
-            **obj,
-            "signature": int(obj["signature"]),
-            "visual_embedding": np.asarray(obj["visual_embedding"], dtype=np.float64),
-            "text_embedding": np.asarray(obj["text_embedding"], dtype=np.float64),
-            "perception_score": float(obj["perception_score"]),
-        })
-
 
 @dataclass(frozen=True)
 class QueryRecord(_Record):
@@ -155,12 +175,6 @@ class QueryRecord(_Record):
                     f"query {self.text!r}: embedding has dim "
                     f"{self.embedding.shape[0]}, expected {d_t}"
                 )
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QueryRecord":
-        """A query from its fields; an absent optional field takes its default."""
-        emb = obj.get("embedding")
-        return cls(**{**obj, "embedding": None if emb is None else np.asarray(emb, dtype=np.float64)})
 
 
 @dataclass(frozen=True)
@@ -186,16 +200,6 @@ class EngagementRecord(_Record):
         if self.impressions == 0:
             raise ValueError("ctr undefined with zero impressions")
         return self.clicks / self.impressions
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EngagementRecord":
-        return cls(
-            query_text=obj["query_text"],
-            pin_signature=int(obj["pin_signature"]),
-            impressions=int(obj["impressions"]),
-            clicks=int(obj["clicks"]),
-            avg_position=float(obj["avg_position"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -228,18 +232,16 @@ class LabeledPair:
 
     @classmethod
     def from_json(cls, obj: dict, queries: dict[str, QueryRecord]) -> "LabeledPair":
-        """A validated pair whose query is ``queries[obj["query_text"]]``; a
-        text not in ``queries`` raises CorpusError."""
+        """A validated pair of the JSON kinds `to_json` writes, whose query is
+        ``queries[obj["query_text"]]``; a text not in ``queries`` raises
+        CorpusError."""
+        check_json(obj, {"pin_signature": int, "query_text": str, "label": int,
+                         "navboost_coverage": float, "source": str})
         query = queries.get(obj["query_text"])
         if query is None:
             raise CorpusError(f"unknown query text {obj['query_text']!r}")
-        pair = cls(
-            pin_signature=int(obj["pin_signature"]),
-            query=query,
-            label=int(obj["label"]),
-            navboost_coverage=float(obj["navboost_coverage"]),
-            source=obj["source"],
-        )
+        pair = cls(obj["pin_signature"], query, obj["label"],
+                   float(obj["navboost_coverage"]), obj["source"])
         pair.validate()
         return pair
 
@@ -338,16 +340,16 @@ def read_key_values(
 def read_jsonl(
     path: str | Path, error: type[Exception] = CorpusError
 ) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) per non-blank line; a malformed line
-    raises ``error`` naming path:line."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield (line number, object) per non-blank line; a line that is not
+    UTF-8 JSON raises ``error`` naming path:line."""
+    with open(path, "rb") as fh:  # decoded per line, so a bad byte names its line
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
+                yield lineno, json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise error(f"{path}:{lineno}: malformed JSON: {exc}") from exc
 
 
@@ -369,18 +371,35 @@ def read_records(path: str | Path, parse: Callable[[dict], T], error: type[Excep
     return records
 
 
-def read_json(path: str | Path, error: type[Exception], keys: Iterable[str] = ()) -> dict:
-    """The JSON object in a file. A file that is not JSON, holds no object
-    or lacks one of ``keys`` raises ``error`` naming the path."""
+def read_json(path: str | Path, error: type[Exception], kinds: dict) -> dict:
+    """The JSON object in a file, of ``kinds`` (see `check_json`). A file
+    that is not JSON or fails the check raises ``error`` naming the path."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+        return check_json(json.loads(Path(path).read_text(encoding="utf-8")), kinds)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise error(f"{path}: malformed JSON: {exc}") from exc
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
+def check_json(obj, kinds: dict, optional: Iterable[str] = ()) -> dict:
+    """``obj``, when it is a JSON object with the keys of ``kinds``, each
+    holding a value of its kind (see `_json_is`); a key in ``optional`` may
+    be absent. ``{str: kind}`` takes any keys, each with a value of kind.
+    Else raises ValueError naming an unknown key, else the first missing
+    key, else the first key with an ill-typed value."""
     if type(obj) is not dict:
-        raise error(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    for key in keys:
-        if key not in obj:
-            raise error(f"{path}: missing key {key!r}")
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    if str in kinds:
+        kinds = dict.fromkeys(obj, kinds[str])
+    if not obj.keys() <= kinds.keys():
+        raise ValueError(f"unknown key {min(obj.keys() - kinds.keys())!r}")
+    for key in kinds if len(obj) < len(kinds) else ():
+        if key not in obj and key not in optional:
+            raise ValueError(f"missing key {key!r}")
+    for key, value in obj.items():
+        if not _json_is(value, kinds[key]):
+            raise ValueError(f"key {key!r} has ill-typed value {reprlib.repr(value)}")
     return obj
 
 
@@ -439,18 +458,24 @@ def save_arrays(
 
 
 def _json_is(value, kind) -> bool:
-    """JSON type test: a dict kind needs exactly its keys, ``[kind]`` is a
-    list; an int fits int64 and is no bool; a float is finite or an int."""
+    """JSON type test. A dict kind is an object that passes `check_json`,
+    ``[kind]`` a list of values of kind and a tuple any of its kinds. An int
+    fits int64 and is no bool; a float is finite, or an int."""
+    if type(kind) is type:  # int, float, str, bool, dict (any object) or NoneType
+        if type(value) is int and kind in (int, float):
+            return -(2**63) <= value < 2**63
+        return type(value) is kind and (kind is not float or math.isfinite(value))
+    if isinstance(kind, tuple):
+        return any(_json_is(value, k) for k in kind)
     if isinstance(kind, dict):
-        return (type(value) is dict and value.keys() == kind.keys()
-                and all(_json_is(value[k], t) for k, t in kind.items()))
-    if isinstance(kind, list):
-        return type(value) is list and all(_json_is(v, kind[0]) for v in value)
-    if kind is int or (kind is float and type(value) is int):
-        return type(value) is int and -(2**63) <= value < 2**63
-    if kind is float:
-        return type(value) is float and math.isfinite(value)
-    return type(value) is kind
+        try:
+            check_json(value, kind)
+        except ValueError:
+            return False
+        return True
+    if type(value) is list and kind[0] is float and set(map(type, value)) <= {float}:
+        return all(map(math.isfinite, value))  # a vector, with no call per element
+    return type(value) is list and all(_json_is(v, kind[0]) for v in value)
 
 
 def load_arrays(

@@ -8,7 +8,7 @@ import json
 import resource
 import time
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable
 
@@ -23,6 +23,7 @@ from .core import (
     CorpusManifest,
     LabeledPair,
     QueryRecord,
+    check_json,
     file_checksum,
     load_corpus,
     read_json,
@@ -87,7 +88,7 @@ CONFIG_KINDS = {f.name: type(f.default) for f in fields(PipelineConfig)}
 
 @dataclass
 class Workspace:
-    """Artifact paths under one output directory, one attribute per
+    """Artifact paths under one output directory, one property per
     ARTIFACTS name, and the stage inputs, each parsed from disk on first
     use and kept: a workspace parses an input at most once, and its
     readers must not mutate it."""
@@ -115,7 +116,9 @@ class Workspace:
 
     @cached_property
     def annotation_records(self) -> list[dict]:
-        records = read_records(self.annotations, _annotation, PipelineError)
+        records = read_records(
+            self.annotations, partial(check_json, kinds=ANNOTATION_KINDS), PipelineError
+        )
         if not records:
             raise PipelineError(f"{self.annotations}: no annotation records")
         return records
@@ -130,12 +133,6 @@ class Workspace:
         if not triplets:
             raise PipelineError(f"{self.labeled_pairs}: no ranker triplets derivable from its pairs")
         return triplets
-
-    def __getattr__(self, name: str) -> Path:
-        try:
-            return self.out / ARTIFACTS[name][1]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 # Every artifact a workspace names: its producing stage and its path under
@@ -171,6 +168,8 @@ ARTIFACTS = {
     "eval_report": ("eval", "eval_report.json"),
     "report": (None, "report.json"),
 }
+for _name, (_, _relpath) in ARTIFACTS.items():
+    setattr(Workspace, _name, property(lambda ws, relpath=_relpath: ws.out / relpath))
 # What every stage reads, as ARTIFACTS names; run_pipeline checks a stage's
 # inputs before it calls the stage.
 STAGE_INPUTS = {
@@ -190,6 +189,23 @@ STAGE_OUTPUTS = {
     for stage in STAGE_INPUTS
 }
 PRODUCERS = {name: stage for name, (stage, _) in ARTIFACTS.items() if stage}
+
+ANNOTATION_KINDS = {"pin_signature": int, "query_text": str, "score": float, "rank": int}
+NAVBOOST_KINDS = {"query_text": str, "pin_signature": int, "coverage": float}
+# The JSON files read whole, as stage_link, curate and run_pipeline write
+# them; the keys eval copies come first, so a file lacking them names them.
+REPORT_KINDS = {
+    "link_report": {
+        "pagerank": {"damping": float, "iterations": int, "residual": float, "converged": bool},
+        "orphan_pins": int, "nodes": int, "edges": int,
+        "crawl_order": [{"node": str, "authority": float}],
+        "in_degree_histogram": {str: int}, "out_degree_histogram": {str: int},
+        "dangling_annotations": int,
+    },
+    "curation_report": {"retention_branches": {str: int}, "category_histogram": {str: int},
+                        "dedup_merged": int, "positives": int, "negatives": int},
+    "report": {"seed": int, "stages": {str: dict}, "checksums": {str: str}},
+}
 
 
 def _check_inputs(stage: str, ws: Workspace) -> None:
@@ -217,14 +233,10 @@ def _load_labeled(ws: Workspace, corpus: Corpus) -> list[LabeledPair]:
 
 def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
     """Generate the bundled synthetic corpus."""
-    synth_config = synth.SynthConfig(
-        n_pins=config.n_pins,
-        n_clusters=config.n_clusters,
-        d_v=config.d_v,
-        d_t=config.d_t,
+    synth.write_corpus_bundle(ws.corpus_dir, synth.SynthConfig(
+        n_pins=config.n_pins, n_clusters=config.n_clusters, d_v=config.d_v, d_t=config.d_t,
         seed=config.seed,
-    )
-    synth.write_corpus_bundle(ws.corpus_dir, synth_config)
+    ))
     corpus = ws.corpus
     return {
         "pins": len(corpus.pins),
@@ -236,17 +248,13 @@ def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
 def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
     """Filter engagement, label pairs, and deduplicate queries."""
     corpus = ws.corpus
-    navboost = read_records(
-        ws.navboost,
-        lambda obj: ((obj["query_text"], int(obj["pin_signature"])), float(obj["coverage"])),
-        CorpusError,
-    )
+    navboost = read_records(ws.navboost, partial(check_json, kinds=NAVBOOST_KINDS), CorpusError)
     if not navboost:
         raise CorpusError(f"{ws.navboost}: no navboost records")
     labeled, report = curation.curate(
         corpus.queries,
         corpus.engagement,
-        dict(navboost),
+        {(o["query_text"], o["pin_signature"]): float(o["coverage"]) for o in navboost},
         neg_per_pos=config.neg_per_pos,
         seed=subseed(config.seed, "curation"),
     )
@@ -333,15 +341,8 @@ def annotate_pins(
     for signature in sorted(pin_embeddings):
         scores = e_queries @ pin_embeddings[signature]
         order = np.lexsort((text_rank, -scores))[:per_pin].tolist()
-        for rank_pos, i in enumerate(order, 1):
-            records.append(
-                {
-                    "pin_signature": signature,
-                    "query_text": queries[i].text,
-                    "score": float(scores[i]),
-                    "rank": rank_pos,
-                }
-            )
+        records += [{"pin_signature": signature, "query_text": queries[i].text,
+                     "score": float(scores[i]), "rank": rank} for rank, i in enumerate(order, 1)]
     return records
 
 
@@ -390,17 +391,12 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     }
 
 
-def _annotation(obj: dict) -> dict:
-    return {"pin_signature": int(obj["pin_signature"]), "query_text": obj["query_text"],
-            "score": float(obj["score"]), "rank": int(obj["rank"])}
-
-
-def annotation_map(
-    records: list[dict], threshold: float, per_pin: int
-) -> dict[int, list[str]]:
+def annotation_map(records: list[dict], threshold: float) -> dict[int, list[str]]:
+    """Each pin's annotated query texts that score at least ``threshold``;
+    the records hold the budget train-ranker annotated with."""
     by_pin: dict[int, list[str]] = {}
     for obj in records:
-        if obj["score"] >= threshold and obj["rank"] <= per_pin:
+        if obj["score"] >= threshold:
             by_pin.setdefault(obj["pin_signature"], []).append(obj["query_text"])
     return by_pin
 
@@ -427,13 +423,13 @@ def build_collections(
 
 
 def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
-    """Build topic collection pages from annotations and the index."""
-    records = ws.annotation_records
-    collections = build_collections(
-        config,
-        ws,
-        {r["query_text"] for r in records if r["score"] >= config.annotation_threshold},
-    )
+    """Build topic collection pages from annotations and the index; no
+    collection fails the stage before it writes."""
+    topics = annotation_map(ws.annotation_records, config.annotation_threshold)
+    collections = build_collections(config, ws, {t for texts in topics.values() for t in texts})
+    if not collections:
+        raise PipelineError(f"{ws.annotations}: no annotated corpus query scores at least "
+                            f"annotation_threshold {config.annotation_threshold}")
     coll_mod.write_collections(collections, ws.collections)
     for stale in ws.pages_dir.glob("*.html"):
         stale.unlink()
@@ -443,9 +439,7 @@ def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
 
 def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
     """Construct the link graph, PageRank scores, report, and sitemap."""
-    annotations = annotation_map(
-        ws.annotation_records, config.annotation_threshold, config.annotations_per_pin
-    )
+    annotations = annotation_map(ws.annotation_records, config.annotation_threshold)
     graph, dangling = linkgraph.build_link_graph(annotations, ws.published_collections)
     scores = linkgraph.pagerank(graph)
     report = linkgraph.link_report(graph, scores)
@@ -453,12 +447,7 @@ def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
     linkgraph.write_graph(graph, ws.graph_file)
     write_text(ws.link_report, json.dumps(report, indent=2))
     write_text(ws.sitemap, linkgraph.export_sitemap(graph, config.base_url))
-    return {
-        "nodes": report["nodes"],
-        "edges": report["edges"],
-        "orphan_pins": report["orphan_pins"],
-        "dangling_annotations": len(dangling),
-    }
+    return {key: report[key] for key in ("nodes", "edges", "orphan_pins", "dangling_annotations")}
 
 
 def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
@@ -496,7 +485,7 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
         ws.index.stored_vectors(),
         deduped,
         ws.txt_encoder.encode_batch(np.stack([q.embedding for q in deduped])),
-        config.annotations_per_pin,
+        max(r["rank"] for r in records),
     )
 
     def build_mode(
@@ -517,8 +506,8 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
             "orphan_pins": report["orphan_pins"],
         }
 
-    enabled_map = annotation_map(records, config.annotation_threshold, config.annotations_per_pin)
-    control_map = annotation_map(control_records, config.annotation_threshold, config.annotations_per_pin)
+    enabled_map = annotation_map(records, config.annotation_threshold)
+    control_map = annotation_map(control_records, config.annotation_threshold)
     # enabled and control share one collection universe so mean authority
     # compares linking quality, not collection counts
     shared = build_collections(
@@ -564,8 +553,8 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     judge = coll_mod.embedding_judge(ws.txt_encoder, threshold=config.judge_threshold)
     rates = [coll_mod.intent_satisfying_rate(c, ws.corpus, judge)[0]
              for c in ws.published_collections]
-    link_summary = read_json(ws.link_report, PipelineError, ("pagerank", "orphan_pins"))
-    curation_summary = read_json(ws.curation_report, PipelineError, ("retention_branches",))
+    link_summary = read_json(ws.link_report, PipelineError, REPORT_KINDS["link_report"])
+    curation_summary = read_json(ws.curation_report, PipelineError, REPORT_KINDS["curation_report"])
     report = {
         "recall_at_10": recall_at_10,
         "correct_rank": ranker.correct_rank(model, ws.triplets),
@@ -617,9 +606,7 @@ def run_pipeline(
     ws.out.mkdir(parents=True, exist_ok=True)
     report: dict = {"seed": config.seed, "stages": {}, "checksums": {}}
     if ws.report.exists():
-        earlier = read_json(ws.report, PipelineError, ("seed", "stages", "checksums"))
-        if type(earlier["stages"]) is not dict or type(earlier["checksums"]) is not dict:
-            raise PipelineError(f"{ws.report}: stages and checksums must be JSON objects")
+        earlier = read_json(ws.report, PipelineError, REPORT_KINDS["report"])
         if earlier["seed"] == config.seed:
             report = earlier
     failed: set[str] = set()

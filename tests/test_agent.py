@@ -151,12 +151,11 @@ class TestTools:
     @pytest.mark.parametrize(
         "record, message",
         [
-            ({"term": 5}, r"trend term must be a string, got 5"),
-            ({"term": "aaa", "region": None}, r"trend region must be a string, got None"),
-            ({"term": "aaa", "velocity": "fast"},
-             r"velocity for 'aaa' must be a number, got 'fast'"),
-            ({"term": "aaa", "velocity": True}, r"velocity for 'aaa' must be a number, got True"),
-            ({"term": "aaa", "velocity": float("nan")}, r"velocity for 'aaa' is not finite"),
+            ({"term": 5}, r"key 'term' has ill-typed value 5"),
+            ({"term": "aaa", "region": None}, r"key 'region' has ill-typed value None"),
+            ({"term": "aaa", "velocity": "fast"}, r"key 'velocity' has ill-typed value 'fast'"),
+            ({"term": "aaa", "velocity": True}, r"key 'velocity' has ill-typed value True"),
+            ({"term": "aaa", "velocity": float("nan")}, r"key 'velocity' has ill-typed value nan"),
             ({"term": "aaa", "speed": 1.0}, r"unknown key 'speed'"),
         ],
     )
@@ -308,9 +307,14 @@ class TestPersistence:
     def test_missing_long_memory_empty(self, tmp_path):
         assert load_long_memory(tmp_path / "absent.json") == {}
 
-    @pytest.mark.parametrize("text", ['{"a": ', "[1, 2]", '{"a": 1}'])
+    @pytest.mark.parametrize("text", [
+        '{"a": ', "[1, 2]", '{"a": 1}',
+        '{"fall nails": {"accepted": "x", "rejected": 0, "last_velocity": 1.0, "patterns": []}}',
+    ])
     def test_bad_long_memory_names_file(self, tmp_path, text):
+        """A bad record names its term."""
         path = tmp_path / "memory.json"
         path.write_text(text)
-        with pytest.raises(AgentError, match="memory.json"):
+        with pytest.raises(AgentError, match=r"memory\.json: (malformed JSON|expected a JSON "
+                           r"object|key '(a|fall nails)' has ill-typed value)"):
             load_long_memory(path)

@@ -180,9 +180,9 @@ class TestCorpusIO:
 
     @pytest.mark.parametrize("name, edit, match", [
         ("pins.jsonl", {"signature": None}, "missing key 'signature'"),
-        ("pins.jsonl", {"colour": "red"}, "unexpected keyword argument 'colour'"),
-        ("queries.jsonl", {"category": None}, "missing 1 required positional argument: 'category'"),
-        ("engagement.jsonl", {"clicks": "many"}, "invalid literal for int"),
+        ("pins.jsonl", {"colour": "red"}, "unknown key 'colour'"),
+        ("queries.jsonl", {"category": None}, "missing key 'category'"),
+        ("engagement.jsonl", {"clicks": "many"}, "key 'clicks' has ill-typed value 'many'"),
     ])
     def test_bad_record_names_path_and_line(self, small_synth, tmp_path, name, edit, match):
         """A key set to None in `edit` is dropped from the second record."""
@@ -274,9 +274,10 @@ class TestCorpusIO:
         path = tmp_path / "rows.jsonl"
         path.write_text('{"a": 1}\n\n  \n{"a": 2}\n')
         assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"a": 2})]
-        path.write_text('{"a": 1}\n{"a": \n')
-        with pytest.raises(CorpusError, match=r"rows\.jsonl:2: malformed JSON"):
-            list(read_jsonl(path))
+        for bad in [b'{"a": \n', b'{"a": "\xff"}\n']:
+            path.write_bytes(b'{"a": 1}\n' + bad)
+            with pytest.raises(CorpusError, match=r"rows\.jsonl:2: malformed JSON"):
+                list(read_jsonl(path))
 
     @pytest.mark.parametrize("line, match", [
         ("[1, 2]", r"expected a JSON object, got \[1, 2\]"),

@@ -152,6 +152,68 @@ class TestStageGraph:
         ("link", "annotations.jsonl", '{"pin_signature": ', "PipelineError", "malformed JSON: .+"),
         ("link", "collections.jsonl", "{not json", "CollectionError", "malformed JSON: .+"),
         ("agent-run", "corpus/trends.jsonl", "[1, 2", "AgentError", "malformed JSON: .+"),
+        # every JSONL input: an unknown key, a missing key, and where the
+        # record has such a field, true or a float for an int, a string for
+        # a float, a vector that is no list or holds NaN
+        *[("curate", "corpus/pins.jsonl", edit, "CorpusError", match) for edit, match in [
+            ({"colour": "red"}, "unknown key 'colour'"),
+            ({"signature": None}, "missing key 'signature'"),
+            ({"signature": True}, "key 'signature' has ill-typed value True"),
+            ({"signature": 1000001.7}, "key 'signature' has ill-typed value 1000001.7"),
+            ({"perception_score": "0.5"}, "key 'perception_score' has ill-typed value '0.5'"),
+            ({"visual_embedding": 5}, "key 'visual_embedding' has ill-typed value 5"),
+            ({"text_embedding": [0.5, float("nan")]},
+             r"key 'text_embedding' has ill-typed value \[0.5, nan\]"),
+        ]],
+        *[("curate", "corpus/queries.jsonl", edit, "CorpusError", match) for edit, match in [
+            ({"colour": "red"}, "unknown key 'colour'"),
+            ({"text": None}, "missing key 'text'"),
+            ({"text": 5}, "key 'text' has ill-typed value 5"),
+            ({"embedding": "x"}, "key 'embedding' has ill-typed value 'x'"),
+            ({"embedding": [float("nan")]}, r"key 'embedding' has ill-typed value \[nan\]"),
+        ]],
+        *[("curate", "corpus/engagement.jsonl", edit, "CorpusError", match) for edit, match in [
+            ({"colour": "red"}, "unknown key 'colour'"),
+            ({"clicks": None}, "missing key 'clicks'"),
+            ({"pin_signature": True}, "key 'pin_signature' has ill-typed value True"),
+            ({"impressions": 2.5}, "key 'impressions' has ill-typed value 2.5"),
+            ({"avg_position": "2"}, "key 'avg_position' has ill-typed value '2'"),
+        ]],
+        *[("curate", "corpus/navboost.jsonl", edit, "CorpusError", match) for edit, match in [
+            ({"colour": "red"}, "unknown key 'colour'"),
+            ({"pin_signature": True}, "key 'pin_signature' has ill-typed value True"),
+            ({"pin_signature": 2.5}, "key 'pin_signature' has ill-typed value 2.5"),
+            ({"coverage": "0.5"}, "key 'coverage' has ill-typed value '0.5'"),
+        ]],
+        *[("train-ranker", "labeled_pairs.jsonl", edit, "CorpusError", match) for edit, match in [
+            ({"colour": "red"}, "unknown key 'colour'"),
+            ({"source": None}, "missing key 'source'"),
+            ({"label": True}, "key 'label' has ill-typed value True"),
+            ({"pin_signature": 1.5}, "key 'pin_signature' has ill-typed value 1.5"),
+            ({"navboost_coverage": "x"}, "key 'navboost_coverage' has ill-typed value 'x'"),
+        ]],
+        *[("link", "annotations.jsonl", edit, "PipelineError", match) for edit, match in [
+            ({"colour": "red"}, "unknown key 'colour'"),
+            ({"rank": True}, "key 'rank' has ill-typed value True"),
+            ({"rank": 1.5}, "key 'rank' has ill-typed value 1.5"),
+            ({"score": "0.5"}, "key 'score' has ill-typed value '0.5'"),
+        ]],
+        *[("link", "collections.jsonl", edit, "CollectionError", match) for edit, match in [
+            ({"colour": "red"}, "unknown key 'colour'"),
+            ({"slug": 5}, "key 'slug' has ill-typed value 5"),
+            ({"members": [{"signature": True, "similarity": 0.5}]},
+             "key 'members' has ill-typed value .+"),
+            ({"members": [{"signature": 1.5, "similarity": 0.5}]},
+             "key 'members' has ill-typed value .+"),
+            ({"members": [{"signature": 1, "similarity": "0.5"}]},
+             "key 'members' has ill-typed value .+"),
+            ({"topic": {"text": "t"}}, "missing key 'category'"),
+        ]],
+        *[("agent-run", "corpus/trends.jsonl", edit, "AgentError", match) for edit, match in [
+            ({"colour": "red"}, "unknown key 'colour'"),
+            ({"term": None}, "missing key 'term'"),
+            ({"velocity": "fast"}, "key 'velocity' has ill-typed value 'fast'"),
+        ]],
     ])
     def test_bad_record_fails_its_reader_naming_path_and_line(
         self, pipeline_run, tmp_path, stage, artifact, edit, error_type, match
@@ -174,6 +236,10 @@ class TestStageGraph:
         assert re.match(rf"{re.escape(str(path))}:2: {match}$", result["error"])
 
     @pytest.mark.parametrize("artifact, text, match", [
+        ("link_report.json", {"orphan_pins": "x"}, "key 'orphan_pins' has ill-typed value 'x'"),
+        ("link_report.json", {"pagerank": {"damping": 0.85}}, "key 'pagerank' has ill-typed value"),
+        ("curation_report.json", {"retention_branches": {"ctr": "x"}},
+         "key 'retention_branches' has ill-typed value"),
         ("link_report.json", '{"nodes": 3, "pagerank": ', "malformed JSON"),
         ("link_report.json", "[1, 2]", "expected a JSON object, got list"),
         ("link_report.json", '{"orphan_pins": 0}', "missing key 'pagerank'"),
@@ -183,8 +249,12 @@ class TestStageGraph:
         ("curation_report.json", "{}", "missing key 'retention_branches'"),
     ])
     def test_bad_report_fails_eval_naming_path(self, pipeline_run, tmp_path, artifact, text, match):
+        """A str `text` replaces the report; a dict is merged into it."""
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        (tmp_path / artifact).write_text(text, encoding="utf-8")
+        path = tmp_path / artifact
+        if isinstance(text, dict):
+            text = json.dumps({**json.loads(path.read_text(encoding="utf-8")), **text})
+        path.write_text(text, encoding="utf-8")
         config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
         report, ok = run_pipeline(config, stages=["eval"])
         result = report["stages"]["eval"]
@@ -227,6 +297,46 @@ class TestStageGraph:
         result = report["stages"]["train-ranker"]
         assert not ok and result["error_type"] == "PipelineError"
         assert result["error"] == "annotations_per_pin must be at least 1, got 0"
+
+    @pytest.mark.parametrize("per_pin", [0, 1])
+    def test_annotation_budget_is_train_rankers_alone(self, pipeline_run, tmp_path, per_pin):
+        """Link and eval read the budget from annotations.jsonl, not the config."""
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        config = dataclasses.replace(
+            pipeline_run["config"], out_dir=tmp_path, annotations_per_pin=per_pin
+        )
+        report, ok = run_pipeline(config, stages=["link", "eval"])
+        assert ok, report["stages"]
+        for name in ["graph.jsonl", "link_report.json", "sitemap.xml", "eval_report.json"]:
+            assert (tmp_path / name).read_bytes() == (pipeline_run["ws"].out / name).read_bytes()
+
+    def test_no_collection_fails_build_collections_before_it_writes(self, pipeline_run, tmp_path):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        before = {p: p.read_bytes() for p in [tmp_path / "collections.jsonl",
+                                               *(tmp_path / "pages").iterdir()]}
+        config = dataclasses.replace(
+            pipeline_run["config"], out_dir=tmp_path, annotation_threshold=2.0
+        )
+        report, ok = run_pipeline(config, stages=["build-collections", "link"])
+        result = report["stages"]["build-collections"]
+        assert not ok and result["error_type"] == "PipelineError"
+        assert result["error"] == (f"{tmp_path / 'annotations.jsonl'}: no annotated corpus query "
+                                   "scores at least annotation_threshold 2.0")
+        assert report["stages"]["link"] == {"status": "skipped", "blocked_by": ["build-collections"]}
+        assert {p: p.read_bytes() for p in [tmp_path / "collections.jsonl",
+                                            *(tmp_path / "pages").iterdir()]} == before
+
+    def test_attribute_error_of_an_input_keeps_its_cause(self, pipeline_run, tmp_path, monkeypatch):
+        def broken_load(manifest):
+            raise AttributeError("boom")
+
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        monkeypatch.setattr(pipeline, "load_corpus", broken_load)
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["curate"])
+        result = report["stages"]["curate"]
+        assert not ok and result["error_type"] == "AttributeError" and result["error"] == "boom"
+        assert "in broken_load" in result["traceback"]
 
     @pytest.mark.parametrize("field, value", [
         ("n_pins", 0), ("n_pins", -5), ("d_v", 0), ("d_t", 0), ("queries_per_cluster", 0),
@@ -271,11 +381,13 @@ class TestAnnotationMap:
     ]
 
     def test_threshold_and_rank_filtering(self):
-        mapped = annotation_map(self.RECORDS, threshold=0.6, per_pin=3)
-        assert mapped == {1: ["a"]}
+        """The threshold filters; the rank does not, since the records
+        already hold the budget train-ranker annotated with."""
+        mapped = annotation_map(self.RECORDS, threshold=0.6)
+        assert mapped == {1: ["a"], 2: ["c"]}
 
     def test_permissive_settings_keep_all(self):
-        mapped = annotation_map(self.RECORDS, threshold=0.0, per_pin=4)
+        mapped = annotation_map(self.RECORDS, threshold=0.0)
         assert mapped == {1: ["a", "b"], 2: ["c"]}
 
 
@@ -537,7 +649,7 @@ class TestFullRun:
     @pytest.mark.parametrize("text, match", [
         ('{"seed": 7, "stages": {', "malformed JSON"),
         ('{"seed": 7, "stages": {}}', "missing key 'checksums'"),
-        ('{"seed": 7, "stages": [], "checksums": {}}', "must be JSON objects"),
+        ('{"seed": 7, "stages": [], "checksums": {}}', r"key 'stages' has ill-typed value \[\]"),
     ])
     def test_unreadable_report_fails_naming_path(self, tmp_path, text, match):
         (tmp_path / "report.json").write_text(text)
