@@ -50,7 +50,7 @@ class AgentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrendSignal(_Record):
     term: str
     region: str = "US"
@@ -214,9 +214,7 @@ def make_fetch_trends(trends_path: str | Path):
     fields, by term. The file is parsed here, once: a bad record raises
     AgentError naming path:line, and a file with no record AgentError naming
     the path, when the tools are built."""
-    signals = read_records(trends_path, TrendSignal.from_json, AgentError)
-    if not signals:
-        raise AgentError(f"{trends_path}: no trend records")
+    signals = read_records(trends_path, TrendSignal.from_json, AgentError, "trend")
 
     def fetch_trends(region: str, timespan: str) -> list[TrendSignal]:
         return sorted(

@@ -134,7 +134,7 @@ def write_collections(collections: list[Collection], path: str | Path) -> None:
 
 
 def load_collections(path: str | Path) -> list[Collection]:
-    return read_records(path, Collection.from_json, CollectionError)
+    return read_records(path, Collection.from_json, CollectionError, "collection")
 
 
 def emit_pages(collections: list[Collection], corpus: Corpus, out_dir: str | Path) -> list[Path]:

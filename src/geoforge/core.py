@@ -83,6 +83,8 @@ def f32(values: Iterable[float]) -> list[float]:
 
 
 class _Record:
+    __slots__ = ()  # so that a slotted record keeps no __dict__
+
     def to_json(self) -> dict:
         """Every field in declaration order, arrays and floats rounded
         through float32 for persistence."""
@@ -124,7 +126,7 @@ def _record_kinds(cls: type) -> tuple[dict, set[str]]:
             {f.name for f in fields(cls) if f.default is not MISSING})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PinRecord(_Record):
     signature: int
     visual_embedding: np.ndarray
@@ -154,7 +156,7 @@ class PinRecord(_Record):
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord(_Record):
     text: str
     category: str
@@ -177,7 +179,7 @@ class QueryRecord(_Record):
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EngagementRecord(_Record):
     query_text: str
     pin_signature: int
@@ -202,7 +204,7 @@ class EngagementRecord(_Record):
         return self.clicks / self.impressions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledPair:
     pin_signature: int
     query: QueryRecord
@@ -353,11 +355,14 @@ def read_jsonl(
                 raise error(f"{path}:{lineno}: malformed JSON: {exc}") from exc
 
 
-def read_records(path: str | Path, parse: Callable[[dict], T], error: type[Exception]) -> list[T]:
+def read_records(
+    path: str | Path, parse: Callable[[dict], T], error: type[Exception], what: str | None = None
+) -> list[T]:
     """``parse`` of each object in a JSONL file, in file order. A line that
     is not JSON or not a JSON object, a missing key, or a value that
     ``parse`` rejects with TypeError or ValueError raises ``error`` naming
-    path:line."""
+    path:line; unless ``what`` is None, a file with no record raises
+    ``error`` "<path>: no <what> records"."""
     records = []
     for lineno, obj in read_jsonl(path, error):
         if type(obj) is not dict:
@@ -368,6 +373,8 @@ def read_records(path: str | Path, parse: Callable[[dict], T], error: type[Excep
             raise error(f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
         except (TypeError, ValueError) as exc:
             raise error(f"{path}:{lineno}: {exc}") from exc
+    if not records and what is not None:
+        raise error(f"{path}: no {what} records")
     return records
 
 
@@ -520,7 +527,8 @@ def load_arrays(
 def load_corpus(manifest: CorpusManifest) -> Corpus:
     """Load and validate all corpus files referenced by the manifest. A bad
     record, a repeated pin signature or a repeated query text raises
-    CorpusError naming path:line."""
+    CorpusError naming path:line, and a file with no record CorpusError
+    naming the path."""
     signatures: set[int] = set()
     texts: set[str] = set()
 
@@ -546,9 +554,9 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
         return record
 
     return Corpus(
-        pins={p.signature: p for p in read_records(manifest.pins_path, pin, CorpusError)},
-        queries=read_records(manifest.queries_path, query, CorpusError),
-        engagement=read_records(manifest.engagement_path, engagement, CorpusError),
+        pins={p.signature: p for p in read_records(manifest.pins_path, pin, CorpusError, "pin")},
+        queries=read_records(manifest.queries_path, query, CorpusError, "query"),
+        engagement=read_records(manifest.engagement_path, engagement, CorpusError, "engagement"),
         d_v=manifest.d_v,
         d_t=manifest.d_t,
         seed=manifest.seed,

@@ -346,7 +346,7 @@ class HnswIndex:
         ids, vectors, levels = arrays["ids"], arrays["vectors"], arrays["levels"]
         count, dim, entry = ids.size, meta["dim"], meta["entry"]
         if (ids.shape != (count,) or vectors.shape != (count, dim) or levels.shape != (count,)
-                or len(np.unique(ids)) != count):
+                or len(set(ids.tolist())) != count):
             raise HnswError(f"ids repeat or disagree with vectors and levels on shape in {path}")
         if (levels < 0).any() or int(levels.max(initial=-1)) + 1 != n_layers:
             raise HnswError(f"node level out of range for {n_layers} layers in {path}")

@@ -23,6 +23,7 @@ from .core import (
     CorpusManifest,
     LabeledPair,
     QueryRecord,
+    _Record,
     check_json,
     file_checksum,
     load_corpus,
@@ -86,6 +87,19 @@ class PipelineConfig:
 CONFIG_KINDS = {f.name: type(f.default) for f in fields(PipelineConfig)}
 
 
+@dataclass(frozen=True, slots=True)
+class Annotation(_Record):
+    """One line of annotations.jsonl: a pin's rank-th query and its score."""
+
+    pin_signature: int
+    query_text: str
+    score: float
+    rank: int
+
+    def to_json(self) -> dict:  # the score at full precision, not through float32
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass
 class Workspace:
     """Artifact paths under one output directory, one property per
@@ -115,22 +129,17 @@ class Workspace:
         return encoders.load_model(self.encoder_img)
 
     @cached_property
-    def annotation_records(self) -> list[dict]:
-        records = read_records(
-            self.annotations, partial(check_json, kinds=ANNOTATION_KINDS), PipelineError
-        )
-        if not records:
-            raise PipelineError(f"{self.annotations}: no annotation records")
-        return records
+    def annotation_records(self) -> list[Annotation]:
+        return read_records(self.annotations, Annotation.from_json, PipelineError, "annotation")
 
     @cached_property
     def published_collections(self) -> list[coll_mod.Collection]:
         return coll_mod.load_collections(self.collections)
 
     @cached_property
-    def triplets(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def triplets(self) -> ranker.Triplets:
         triplets = _triplets_from_labels(self.corpus, _load_labeled(self, self.corpus))
-        if not triplets:
+        if not len(triplets):
             raise PipelineError(f"{self.labeled_pairs}: no ranker triplets derivable from its pairs")
         return triplets
 
@@ -190,7 +199,6 @@ STAGE_OUTPUTS = {
 }
 PRODUCERS = {name: stage for name, (stage, _) in ARTIFACTS.items() if stage}
 
-ANNOTATION_KINDS = {"pin_signature": int, "query_text": str, "score": float, "rank": int}
 NAVBOOST_KINDS = {"query_text": str, "pin_signature": int, "coverage": float}
 # The JSON files read whole, as stage_link, curate and run_pipeline write
 # them; the keys eval copies come first, so a file lacking them names them.
@@ -248,9 +256,9 @@ def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
 def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
     """Filter engagement, label pairs, and deduplicate queries."""
     corpus = ws.corpus
-    navboost = read_records(ws.navboost, partial(check_json, kinds=NAVBOOST_KINDS), CorpusError)
-    if not navboost:
-        raise CorpusError(f"{ws.navboost}: no navboost records")
+    navboost = read_records(
+        ws.navboost, partial(check_json, kinds=NAVBOOST_KINDS), CorpusError, "navboost"
+    )
     labeled, report = curation.curate(
         corpus.queries,
         corpus.engagement,
@@ -303,29 +311,24 @@ def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
     return {"elements": len(index), "layers": index.max_level + 1}
 
 
-def _triplets_from_labels(
-    corpus: Corpus, labeled: list[LabeledPair]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each pin's i-th positive and i-th negative as one feature triplet, pins
-    in signature order; triplets share one array per pin and per query text."""
+def _triplets_from_labels(corpus: Corpus, labeled: list[LabeledPair]) -> ranker.Triplets:
+    """Each pin's i-th positive and i-th negative as one triplet, pins in
+    signature order, over one feature row per labeled pin, in signature
+    order, and one per query text, in order of first use."""
     by_pin: dict[int, tuple[list[QueryRecord], list[QueryRecord]]] = {}
     for pair in labeled:
         pos, neg = by_pin.setdefault(pair.pin_signature, ([], []))
         (pos if pair.label == 1 else neg).append(pair.query)
-    query_rows: dict[str, np.ndarray] = {}
-
-    def query_row(query: QueryRecord) -> np.ndarray:
-        if query.text not in query_rows:
-            query_rows[query.text] = ranker.query_features(query)
-        return query_rows[query.text]
-
-    triplets = []
-    for signature in sorted(by_pin):
-        feats_pin = ranker.pin_features(corpus.pins[signature])
-        triplets.extend(
-            (feats_pin, query_row(p), query_row(n)) for p, n in zip(*by_pin[signature])
-        )
-    return triplets
+    signatures = sorted(by_pin)
+    pairs = [(row, p, n) for row, s in enumerate(signatures) for p, n in zip(*by_pin[s])]
+    queries = {q.text: q for _, p, n in pairs for q in (p, n)}
+    rows = {text: row for row, text in enumerate(queries)}
+    index = np.array([(row, rows[p.text], rows[n.text]) for row, p, n in pairs], dtype=np.intp)
+    return ranker.Triplets(
+        np.array([ranker.pin_features(corpus.pins[s]) for s in signatures]),
+        np.array([ranker.query_features(q) for q in queries.values()]),
+        *index.reshape(-1, 3).T,
+    )
 
 
 def annotate_pins(
@@ -333,16 +336,16 @@ def annotate_pins(
     queries: list[QueryRecord],
     e_queries: np.ndarray,
     per_pin: int,
-) -> list[dict]:
-    """Annotation records for the top-per_pin queries of every pin, in
-    signature order. A query scores e_queries @ e_pin; ties break on text."""
+) -> list[Annotation]:
+    """Annotations of the top-per_pin queries of every pin, in signature
+    order. A query scores e_queries @ e_pin; ties break on text."""
     text_rank = np.argsort(sorted(range(len(queries)), key=lambda i: queries[i].text))
     records = []
     for signature in sorted(pin_embeddings):
         scores = e_queries @ pin_embeddings[signature]
         order = np.lexsort((text_rank, -scores))[:per_pin].tolist()
-        records += [{"pin_signature": signature, "query_text": queries[i].text,
-                     "score": float(scores[i]), "rank": rank} for rank, i in enumerate(order, 1)]
+        records += [Annotation(signature, queries[i].text, float(scores[i]), rank)
+                    for rank, i in enumerate(order, 1)]
     return records
 
 
@@ -352,21 +355,12 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     if config.annotations_per_pin < 1:
         raise PipelineError(f"annotations_per_pin must be at least 1, got {config.annotations_per_pin}")
     corpus, triplets = ws.corpus, ws.triplets
-    tower_config = ranker.TowerConfig(
-        d_v=corpus.d_v,
-        d_t=corpus.d_t,
-        margin=config.margin,
-        width_mult=config.ranker_width_mult,
-    )
     model, log = ranker.train_ranker(
         triplets,
-        tower_config,
-        ranker.RankerTrainConfig(
-            steps=config.ranker_steps,
-            batch_size=config.ranker_batch,
-            learning_rate=config.ranker_lr,
-            seed=subseed(config.seed, "ranker"),
-        ),
+        ranker.TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t, margin=config.margin,
+                           width_mult=config.ranker_width_mult),
+        ranker.RankerTrainConfig(steps=config.ranker_steps, batch_size=config.ranker_batch,
+                                 learning_rate=config.ranker_lr, seed=subseed(config.seed, "ranker")),
     )
     ranker.save_ranker(model, ws.ranker_file)
     write_train_log(ws.ranker_log, ("step", "loss"), log)
@@ -374,16 +368,16 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     # annotate every pin with its top-scoring deduped queries
     deduped = curation.dedup_queries(corpus.queries)
     signatures = sorted(corpus.pins)
-    e_pins = model.embed_pin(
-        np.stack([ranker.pin_features(corpus.pins[s]) for s in signatures])
-    )
+    e_pins = ranker.in_blocks(len(signatures), lambda block: model.embed_pin(
+        np.stack([ranker.pin_features(corpus.pins[s]) for s in signatures[block]])
+    ))
     annotations = annotate_pins(
         dict(zip(signatures, e_pins)),
         deduped,
         model.embed_query(np.stack([ranker.query_features(q) for q in deduped])),
         config.annotations_per_pin,
     )
-    write_jsonl(ws.annotations, annotations)
+    write_jsonl(ws.annotations, (a.to_json() for a in annotations))
     return {
         "triplets": len(triplets),
         "final_loss": log[-1][1],
@@ -391,13 +385,13 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     }
 
 
-def annotation_map(records: list[dict], threshold: float) -> dict[int, list[str]]:
+def annotation_map(records: list[Annotation], threshold: float) -> dict[int, list[str]]:
     """Each pin's annotated query texts that score at least ``threshold``;
     the records hold the budget train-ranker annotated with."""
     by_pin: dict[int, list[str]] = {}
-    for obj in records:
-        if obj["score"] >= threshold:
-            by_pin.setdefault(obj["pin_signature"], []).append(obj["query_text"])
+    for record in records:
+        if record.score >= threshold:
+            by_pin.setdefault(record.pin_signature, []).append(record.query_text)
     return by_pin
 
 
@@ -485,7 +479,7 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
         ws.index.stored_vectors(),
         deduped,
         ws.txt_encoder.encode_batch(np.stack([q.embedding for q in deduped])),
-        max(r["rank"] for r in records),
+        max(r.rank for r in records),
     )
 
     def build_mode(

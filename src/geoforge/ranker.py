@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -21,8 +22,10 @@ RANKER_META = {"d_v": int, "d_t": int, "hidden": [int], "output_dim": int,
                "dropout_rate": float, "margin": float, "width_mult": float}
 
 
-# Triplets per tower pass in correct_rank; 64-row passes shifted embeddings' last bits.
-_SCORE_BLOCK = 256
+# Rows per tower pass in `in_blocks`. A pass over 128 rows or more gives each
+# row the bits of one whole pass; blocks below 128 rows change them (1, 32 and
+# 64 rows did).
+_SCORE_BLOCK = 128
 
 
 class RankerError(ValueError):
@@ -135,33 +138,59 @@ class RankerTrainConfig:
     seed: int = 0
 
 
+@dataclass(frozen=True, eq=False)
+class Triplets:
+    """(pin, positive query, negative query) feature triplets over rows kept
+    once: triplet i is ``pins[pin[i]]``, ``queries[pos[i]]`` and
+    ``queries[neg[i]]``."""
+
+    pins: np.ndarray
+    queries: np.ndarray
+    pin: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pin)
+
+    def __getitem__(self, index) -> "Triplets":
+        """The triplets at ``index`` (a slice or an index array), over the same rows."""
+        return Triplets(self.pins, self.queries, self.pin[index], self.pos[index], self.neg[index])
+
+
+def in_blocks(n: int, fn: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """``fn`` of consecutive slices of range(n), concatenated: blocks of
+    _SCORE_BLOCK rows, the last taking the rest, so a block has 128 to 255
+    rows unless n is smaller and tower passes keep one whole pass's bits."""
+    bounds = [*range(0, max(n // _SCORE_BLOCK, 1) * _SCORE_BLOCK, _SCORE_BLOCK), n]
+    return np.concatenate([fn(slice(start, end)) for start, end in zip(bounds, bounds[1:])])
+
+
 def train_ranker(
-    triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    triplets: Triplets,
     config: TowerConfig,
     train: RankerTrainConfig | None = None,
 ) -> tuple[RankerModel, list[tuple[int, float]]]:
-    """SGD over triplets (pin features, positive query feats, negative query
-    feats); returns the model and a (step, loss) log.
+    """SGD over the triplets; returns the model and a (step, loss) log.
 
-    Each step runs both towers in one `mlp.forward_blocks` pass, forward and
-    backward: the pin rows are one block and the positive rows stacked over
-    the negative rows are the other. LayerNorm and dropout act per row and
-    weight gradients sum over rows, so this is the gradient of separate
-    pin, positive and negative passes."""
-    if not triplets:
+    Each step gathers its batch's rows from the triplets' matrices, so memory
+    does not grow with the number of triplets, and runs both towers in one
+    `mlp.forward_blocks` pass, forward and backward: the pin rows are one
+    block and the positive rows over the negative rows the other. LayerNorm
+    and dropout act per row and weight gradients sum over rows, so this is
+    the gradient of separate pin, positive and negative passes."""
+    if not len(triplets):
         raise RankerError("at least one training triplet required")
     train = train or RankerTrainConfig()
     model = RankerModel.init(config, seed=train.seed)
     rng = np.random.default_rng(train.seed + 1)
     n = len(triplets)
-    pins = np.stack([t[0] for t in triplets])
-    # positives in rows [0, n), negatives in rows [n, 2n)
-    queries = np.stack([t[1] for t in triplets] + [t[2] for t in triplets])
     log: list[tuple[int, float]] = []
     for step in range(train.steps):
         idx = rng.choice(n, size=min(train.batch_size, n), replace=False)
+        queries = triplets.queries[np.concatenate([triplets.pos[idx], triplets.neg[idx]])]
         (e_pin, e_query), cache = forward_blocks(
-            [(model.pin_tower, pins[idx]), (model.query_tower, queries[np.concatenate([idx, idx + n])])],
+            [(model.pin_tower, triplets.pins[triplets.pin[idx]]), (model.query_tower, queries)],
             RankerError, config.dropout_rate, rng,
         )
         e_pos, e_neg = np.split(e_query, 2)
@@ -175,24 +204,21 @@ def train_ranker(
     return model, log
 
 
-def correct_rank(
-    model: RankerModel,
-    triplets: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> float:
+def correct_rank(model: RankerModel, triplets: Triplets) -> float:
     """Fraction of triplets where the positive outscores the negative.
-    Ties count as failures. The towers run on blocks of _SCORE_BLOCK
+    Ties count as failures. The towers run on `in_blocks` blocks of
     triplets, so memory does not grow with the evaluation set."""
-    if not triplets:
+    if not len(triplets):
         raise RankerError("empty evaluation set")
-    correct = 0
-    for start in range(0, len(triplets), _SCORE_BLOCK):
-        block = triplets[start:start + _SCORE_BLOCK]
-        pins, positives, negatives = (np.stack(column) for column in zip(*block))
-        e_pin = model.embed_pin(pins)
-        pos_scores = np.sum(e_pin * model.embed_query(positives), axis=1)
-        neg_scores = np.sum(e_pin * model.embed_query(negatives), axis=1)
-        correct += int(np.count_nonzero(pos_scores > neg_scores))
-    return correct / len(triplets)
+
+    def wins(block: slice) -> np.ndarray:
+        t = triplets[block]
+        e_pin = model.embed_pin(t.pins[t.pin])
+        pos_scores = np.sum(e_pin * model.embed_query(t.queries[t.pos]), axis=1)
+        neg_scores = np.sum(e_pin * model.embed_query(t.queries[t.neg]), axis=1)
+        return pos_scores > neg_scores
+
+    return int(np.count_nonzero(in_blocks(len(triplets), wins))) / len(triplets)
 
 
 def save_ranker(model: RankerModel, path: str | Path) -> None:

@@ -110,11 +110,18 @@ def whole_batch_correct_rank(model, triplets) -> float:
     """The ranker's correct-rank ratio from one pass of each tower over the
     whole set: the reference for the library's blocked scoring. Ties count
     as failures."""
-    pins, positives, negatives = (np.stack(column) for column in zip(*triplets))
+    pins = triplets.pins[triplets.pin]
+    positives, negatives = triplets.queries[triplets.pos], triplets.queries[triplets.neg]
     e_pin = model.embed_pin(pins)
     pos_scores = np.sum(e_pin * model.embed_query(positives), axis=1)
     neg_scores = np.sum(e_pin * model.embed_query(negatives), axis=1)
     return float(np.mean(pos_scores > neg_scores))
+
+
+def whole_batch_embeddings(embed, rows: np.ndarray) -> np.ndarray:
+    """A tower's output rows from one pass over all ``rows``: the reference,
+    bit for bit, for the library's blocked embedding."""
+    return embed(rows)
 
 
 def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

@@ -307,8 +307,7 @@ def test_criterion_07_ranker_training(announce):
     triplets = _triplets_from_labels(corpus, labeled)
     perm = np.random.default_rng(3).permutation(len(triplets))
     half = len(triplets) // 2
-    train_set = [triplets[int(i)] for i in perm[:half]]
-    eval_set = [triplets[int(i)] for i in perm[half:]]
+    train_set, eval_set = triplets[perm[:half]], triplets[perm[half:]]
     assert len(eval_set) >= 2000, f"only {len(eval_set)} eval triplets"
 
     tower = ranker.TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t, width_mult=0.125)

@@ -262,7 +262,9 @@ class TestCorpusIO:
         query = QueryRecord(text="sage green", category="Description", embedding=np.ones(2))
         other = QueryRecord(text="fall nails", category="UseCase", embedding=np.ones(2))
         write_jsonl(tmp_path / "q.jsonl", [q.to_json() for q in (query, other, query)])
-        (tmp_path / "pins.jsonl").write_text("")
+        pin = PinRecord(signature=1, visual_embedding=np.ones(2), text_embedding=np.ones(2),
+                        perception_score=0.5)
+        write_jsonl(tmp_path / "pins.jsonl", [pin.to_json()])
         (tmp_path / "e.jsonl").write_text("")
         (tmp_path / "manifest.txt").write_text(
             "pins=pins.jsonl\nqueries=q.jsonl\nengagement=e.jsonl\nd_v=2\nd_t=2\n"

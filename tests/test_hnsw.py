@@ -3,6 +3,11 @@ structural invariants, construction equivalence, and persistence."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -308,6 +313,24 @@ class TestPersistence:
         index.save(first)
         HnswIndex.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_build_save_load_leave_numpy_ma_unimported(self, tmp_path):
+        """`np.unique` imports numpy.ma on its first call, about 1.3 MB of
+        resident memory that a pipeline pass has no other use for."""
+        script = textwrap.dedent(f"""
+            import sys
+            import numpy as np
+            from geoforge.hnsw import HnswIndex, build
+            rows = np.random.default_rng(0).standard_normal((50, 8))
+            build(dict(enumerate(rows / np.linalg.norm(rows, axis=1, keepdims=True))),
+                  seed=1).save({str(tmp_path / "index.bin")!r})
+            HnswIndex.load({str(tmp_path / "index.bin")!r}).check_invariants()
+            print("numpy.ma" in sys.modules)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "index.bin"

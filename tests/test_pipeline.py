@@ -21,6 +21,7 @@ from geoforge.pipeline import (
     STAGE_INPUTS,
     STAGE_ORDER,
     STAGE_OUTPUTS,
+    Annotation,
     PipelineConfig,
     PipelineError,
     Workspace,
@@ -278,6 +279,12 @@ class TestStageGraph:
         ("link", "annotations.jsonl", "PipelineError", "no annotation records"),
         ("eval", "annotations.jsonl", "PipelineError", "no annotation records"),
         ("curate", "corpus/navboost.jsonl", "CorpusError", "no navboost records"),
+        ("curate", "corpus/pins.jsonl", "CorpusError", "no pin records"),
+        ("build-index", "corpus/pins.jsonl", "CorpusError", "no pin records"),
+        ("curate", "corpus/queries.jsonl", "CorpusError", "no query records"),
+        ("curate", "corpus/engagement.jsonl", "CorpusError", "no engagement records"),
+        ("link", "collections.jsonl", "CollectionError", "no collection records"),
+        ("eval", "collections.jsonl", "CollectionError", "no collection records"),
     ])
     def test_empty_input_fails_naming_it(
         self, pipeline_run, tmp_path, stage, artifact, error_type, match
@@ -374,11 +381,7 @@ class TestStageGraph:
 
 
 class TestAnnotationMap:
-    RECORDS = [
-        {"pin_signature": 1, "query_text": "a", "score": 0.9, "rank": 1},
-        {"pin_signature": 1, "query_text": "b", "score": 0.4, "rank": 2},
-        {"pin_signature": 2, "query_text": "c", "score": 0.8, "rank": 4},
-    ]
+    RECORDS = [Annotation(1, "a", 0.9, 1), Annotation(1, "b", 0.4, 2), Annotation(2, "c", 0.8, 4)]
 
     def test_threshold_and_rank_filtering(self):
         """The threshold filters; the rank does not, since the records
@@ -403,17 +406,17 @@ class TestAnnotatePins:
         e_queries = np.stack([q.embedding for q in self.QUERIES])
         pin = np.array([1.0, 0.0, 0.0])
         records = annotate_pins({2: pin, 1: pin}, self.QUERIES, e_queries, per_pin=3)
-        assert [r["pin_signature"] for r in records] == [1, 1, 1, 2, 2, 2]
-        scores = [r["score"] for r in records[:3]]
+        assert [r.pin_signature for r in records] == [1, 1, 1, 2, 2, 2]
+        scores = [r.score for r in records[:3]]
         assert scores == sorted(scores, reverse=True)
         # identical embeddings tie; tie breaks on text
-        assert [r["query_text"] for r in records[:3]] == ["a query", "b query", "c other"]
-        assert [r["rank"] for r in records[:3]] == [1, 2, 3]
+        assert [r.query_text for r in records[:3]] == ["a query", "b query", "c other"]
+        assert [r.rank for r in records[:3]] == [1, 2, 3]
 
     def test_budget_and_empty_candidates(self):
         e_queries = np.stack([q.embedding for q in self.QUERIES])
         records = annotate_pins({1: np.ones(3)}, self.QUERIES, e_queries, per_pin=1)
-        assert [r["query_text"] for r in records] == ["a query"]
+        assert [r.query_text for r in records] == ["a query"]
         assert annotate_pins({1: np.ones(3)}, [], np.zeros((0, 3)), per_pin=5) == []
 
 
@@ -436,17 +439,20 @@ class TestLabeledPairs:
             by_pin.setdefault(pair.pin_signature, ([], []))[pair.label == -1].append(pair.query)
         named = [(s, pos, neg) for s in sorted(by_pin) for pos, neg in zip(*by_pin[s])]
         assert len(named) == len(triplets)
-        rows: dict[int | str, np.ndarray] = {}
-        for (signature, pos, neg), triplet in zip(named, triplets):
-            for key, row, want in [
-                (signature, triplet[0], ranker.pin_features(ws.corpus.pins[signature])),
-                (pos.text, triplet[1], ranker.query_features(pos)),
-                (neg.text, triplet[2], ranker.query_features(neg)),
-            ]:
-                assert rows.setdefault(key, row) is row
-                np.testing.assert_array_equal(row, want)
-        assert len({id(row) for row in rows.values()}) == len(rows)
-        assert len(rows) < len(triplets)
+        # one row per labeled pin, in signature order, and one per query text
+        signatures = sorted(by_pin)
+        np.testing.assert_array_equal(
+            triplets.pins, [ranker.pin_features(ws.corpus.pins[s]) for s in signatures]
+        )
+        pin_rows = {signature: row for row, signature in enumerate(signatures)}
+        query_rows: dict[str, int] = {}
+        for i, (signature, pos, neg) in enumerate(named):
+            assert triplets.pin[i] == pin_rows[signature]
+            for query, row in [(pos, triplets.pos[i]), (neg, triplets.neg[i])]:
+                assert query_rows.setdefault(query.text, row) == row
+                np.testing.assert_array_equal(triplets.queries[row], ranker.query_features(query))
+        assert sorted(query_rows.values()) == list(range(len(triplets.queries)))
+        assert len(triplets.pins) + len(triplets.queries) < len(triplets)
 
     def test_written_by_query_text(self, pipeline_run):
         ws = pipeline_run["ws"]

@@ -16,7 +16,9 @@ from geoforge.ranker import (
     RankerModel,
     RankerTrainConfig,
     TowerConfig,
+    Triplets,
     correct_rank,
+    in_blocks,
     load_ranker,
     margin_loss,
     margin_loss_batch,
@@ -26,7 +28,9 @@ from geoforge.ranker import (
     train_ranker,
 )
 
-from _oracles import finite_difference, rel_error, unit_rows, whole_batch_correct_rank
+from _oracles import (
+    finite_difference, rel_error, unit_rows, whole_batch_correct_rank, whole_batch_embeddings,
+)
 
 
 SMALL = TowerConfig(d_v=4, d_t=3, hidden=[5], output_dim=3, dropout_rate=0.0)
@@ -265,7 +269,14 @@ class TestBlockKernel:
             forward_blocks(blocks, RankerError)
 
 
-def _separable_triplets(n: int, seed: int):
+def _triplets(pins: np.ndarray, positives: np.ndarray, negatives: np.ndarray) -> Triplets:
+    """Triplet i as row i of each matrix."""
+    n = len(pins)
+    return Triplets(pins, np.concatenate([positives, negatives]),
+                    np.arange(n), np.arange(n), np.arange(n, 2 * n))
+
+
+def _separable_triplets(n: int, seed: int) -> Triplets:
     """Pins near one direction; positives aligned, negatives orthogonal."""
     rng = np.random.default_rng(seed)
     axis_pin = np.zeros(SMALL.pin_input_dim)
@@ -283,13 +294,13 @@ def _separable_triplets(n: int, seed: int):
                 axis_neg + 0.1 * rng.standard_normal(SMALL.query_input_dim),
             )
         )
-    return triplets
+    return _triplets(*(np.stack(column) for column in zip(*triplets)))
 
 
 class TestTraining:
     def test_empty_triplets(self):
         with pytest.raises(RankerError, match="at least one"):
-            train_ranker([], SMALL)
+            train_ranker(_triplets(*np.empty((3, 0, SMALL.pin_input_dim))), SMALL)
 
     def test_training_improves_correct_rank(self):
         triplets = _separable_triplets(200, seed=5)
@@ -318,7 +329,9 @@ class TestTraining:
 
         model = RankerModel.init(SMALL, seed=train.seed)
         rng = np.random.default_rng(train.seed + 1)
-        pins, pos, neg = (np.stack(col) for col in zip(*triplets))
+        pins, pos, neg = (
+            triplets.pins[triplets.pin], triplets.queries[triplets.pos], triplets.queries[triplets.neg]
+        )
         for _ in range(train.steps):
             idx = rng.choice(len(triplets), size=train.batch_size, replace=False)
             e_pin, c_pin = model.pin_tower.forward(pins[idx], RankerError)
@@ -350,7 +363,9 @@ class TestTraining:
 
         model = RankerModel.init(config, seed=train.seed)
         rng = np.random.default_rng(train.seed + 1)
-        pins, pos, neg = (np.stack(col) for col in zip(*triplets))
+        pins, pos, neg = (
+            triplets.pins[triplets.pin], triplets.queries[triplets.pos], triplets.queries[triplets.neg]
+        )
         for step in range(train.steps):
             idx = rng.choice(len(triplets), size=train.batch_size, replace=False)
             e_pin, c_pin = model.pin_tower.forward(pins[idx], RankerError, 0.2, rng)
@@ -376,11 +391,11 @@ class TestTraining:
         model = RankerModel.init(SMALL, seed=0)
         feats_pin = np.ones(SMALL.pin_input_dim)
         feats_q = np.ones(SMALL.query_input_dim)
-        assert correct_rank(model, [(feats_pin, feats_q, feats_q)]) == 0.0
+        assert correct_rank(model, _triplets(feats_pin[None], feats_q[None], feats_q[None])) == 0.0
 
     def test_correct_rank_empty(self):
         with pytest.raises(RankerError, match="empty"):
-            correct_rank(RankerModel.init(SMALL, seed=0), [])
+            correct_rank(RankerModel.init(SMALL, seed=0), _triplets(*np.empty((3, 0, 4))))
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
     def test_blocked_correct_rank_equals_whole_batch(self, n):
@@ -391,7 +406,7 @@ class TestTraining:
         pins = rng.standard_normal((n, PIPELINE_TOWERS.pin_input_dim))
         positives, negatives = rng.standard_normal((2, n, PIPELINE_TOWERS.query_input_dim))
         negatives[n // 2] = positives[n // 2]
-        triplets = list(zip(pins, positives, negatives))
+        triplets = _triplets(pins, positives, negatives)
         got = correct_rank(model, triplets)
         assert got == whole_batch_correct_rank(model, triplets)
         assert 0.0 < got < 1.0 or n == 1
@@ -402,7 +417,7 @@ class TestTraining:
         rng = np.random.default_rng(0)
         pins = rng.standard_normal((4096, PIPELINE_TOWERS.pin_input_dim))
         queries = rng.standard_normal((2, 4096, PIPELINE_TOWERS.query_input_dim))
-        triplets = list(zip(pins, *queries))
+        triplets = _triplets(pins, *queries)
 
         def peak(subset) -> int:
             tracemalloc.start()
@@ -413,6 +428,36 @@ class TestTraining:
                 tracemalloc.stop()
 
         assert peak(triplets) <= 2 * peak(triplets[:256])
+
+    def test_training_memory_does_not_grow_with_the_triplets(self):
+        """Training on 4,096 triplets peaks at most 1.5x training on 256
+        triplets over the same 256 pin rows and 64 query rows."""
+        rng = np.random.default_rng(0)
+        pins = rng.standard_normal((256, PIPELINE_TOWERS.pin_input_dim))
+        queries = rng.standard_normal((64, PIPELINE_TOWERS.query_input_dim))
+        index = rng.integers(0, [256, 64, 64], size=(4096, 3)).T
+        triplets = Triplets(pins, queries, *index)
+
+        def peak(subset) -> int:
+            tracemalloc.start()
+            try:
+                train_ranker(subset, PIPELINE_TOWERS, RankerTrainConfig(steps=3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(triplets) <= 1.5 * peak(triplets[:256])
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_blocked_embeddings_equal_one_pass_bit_for_bit(self, n):
+        model = RankerModel.init(PIPELINE_TOWERS, seed=1)
+        rng = np.random.default_rng(n)
+        for embed, dim in [(model.embed_pin, PIPELINE_TOWERS.pin_input_dim),
+                           (model.embed_query, PIPELINE_TOWERS.query_input_dim)]:
+            rows = rng.standard_normal((n, dim))
+            np.testing.assert_array_equal(
+                in_blocks(n, lambda block: embed(rows[block])), whole_batch_embeddings(embed, rows)
+            )
 
 
 class TestPersistence:
