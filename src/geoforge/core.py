@@ -24,9 +24,8 @@ import numpy as np
 
 QUERY_CATEGORIES = ("Description", "StyleDetail", "UseCase")
 PAIR_SOURCES = ("SearchConsole", "Synthetic", "HardNegative")
-MANIFEST_KEYS = {
-    "pins": str, "queries": str, "engagement": str, "d_v": int, "d_t": int, "seed": int
-}
+# The corpus files in a corpus directory, each under its artifact name.
+CORPUS_FILES = {"pins": "pins.jsonl", "queries": "queries.jsonl", "engagement": "engagement.jsonl"}
 T = TypeVar("T")
 
 # Fixed offsets off the corpus-wide seed, one per stage, so every module
@@ -45,7 +44,7 @@ SEED_OFFSETS = {
 
 
 class CorpusError(ValueError):
-    """Malformed corpus file, manifest, or record invariant violation."""
+    """Malformed corpus file or record invariant violation."""
 
 
 class ZeroNormError(ValueError):
@@ -249,61 +248,12 @@ class LabeledPair:
 
 
 @dataclass
-class CorpusManifest:
-    pins_path: Path
-    queries_path: Path
-    engagement_path: Path
-    d_v: int = 1028
-    d_t: int = 768
-    seed: int = 0
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CorpusManifest":
-        """Parse a key=value manifest; relative paths resolve against its
-        directory, and an unknown key or an unparsable value raises
-        CorpusError naming path:line."""
-        path = Path(path)
-        kv = read_key_values(path, MANIFEST_KEYS, "manifest", CorpusError)
-        try:
-            manifest = cls(
-                pins_path=path.parent / kv["pins"],
-                queries_path=path.parent / kv["queries"],
-                engagement_path=path.parent / kv["engagement"],
-                d_v=kv.get("d_v", 1028),
-                d_t=kv.get("d_t", 768),
-                seed=kv.get("seed", 0),
-            )
-        except KeyError as exc:
-            raise CorpusError(f"{path}: missing manifest key {exc.args[0]!r}") from exc
-        if manifest.d_v <= 0 or manifest.d_t <= 0:
-            raise CorpusError(f"{path}: dimensions must be positive")
-        for p in (manifest.pins_path, manifest.queries_path, manifest.engagement_path):
-            if not p.exists():
-                raise CorpusError(f"{path}: referenced file {p} does not exist")
-        return manifest
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        base = path.parent
-        lines = [
-            f"pins={os.path.relpath(self.pins_path, base)}",
-            f"queries={os.path.relpath(self.queries_path, base)}",
-            f"engagement={os.path.relpath(self.engagement_path, base)}",
-            f"d_v={self.d_v}",
-            f"d_t={self.d_t}",
-            f"seed={self.seed}",
-        ]
-        write_text(path, "\n".join(lines) + "\n")
-
-
-@dataclass
 class Corpus:
     pins: dict[int, PinRecord]
     queries: list[QueryRecord]
     engagement: list[EngagementRecord]
-    d_v: int = 1028
-    d_t: int = 768
-    seed: int = 0
+    d_v: int
+    d_t: int
 
     def pin(self, signature: int) -> PinRecord:
         try:
@@ -524,17 +474,24 @@ def load_arrays(
     return header["meta"], arrays
 
 
-def load_corpus(manifest: CorpusManifest) -> Corpus:
-    """Load and validate all corpus files referenced by the manifest. A bad
-    record, a repeated pin signature or a repeated query text raises
+def load_corpus(directory: str | Path) -> Corpus:
+    """Load and validate the CORPUS_FILES in ``directory``. The first pin's
+    vectors set d_v and d_t. A bad record, an empty embedding, a vector of
+    another length, a repeated pin signature or a repeated query text raises
     CorpusError naming path:line, and a file with no record CorpusError
     naming the path."""
+    directory = Path(directory)
+    dims: list[int] = []  # d_v and d_t, once the first pin is read
     signatures: set[int] = set()
     texts: set[str] = set()
 
     def pin(obj: dict) -> PinRecord:
         record = PinRecord.from_json(obj)
-        record.validate(manifest.d_v, manifest.d_t)
+        if not dims:
+            dims.extend((record.visual_embedding.size, record.text_embedding.size))
+            if not all(dims):
+                raise CorpusError(f"pin {record.signature}: empty embedding")
+        record.validate(*dims)
         if record.signature in signatures:
             raise CorpusError(f"duplicate signature {record.signature}")
         signatures.add(record.signature)
@@ -542,7 +499,7 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
 
     def query(obj: dict) -> QueryRecord:
         record = QueryRecord.from_json(obj)
-        record.validate(manifest.d_t)
+        record.validate(dims[1])
         if record.text in texts:
             raise CorpusError(f"duplicate query text {record.text!r}")
         texts.add(record.text)
@@ -553,20 +510,23 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
         record.validate()
         return record
 
+    pins = read_records(directory / CORPUS_FILES["pins"], pin, CorpusError, "pin")
     return Corpus(
-        pins={p.signature: p for p in read_records(manifest.pins_path, pin, CorpusError, "pin")},
-        queries=read_records(manifest.queries_path, query, CorpusError, "query"),
-        engagement=read_records(manifest.engagement_path, engagement, CorpusError, "engagement"),
-        d_v=manifest.d_v,
-        d_t=manifest.d_t,
-        seed=manifest.seed,
+        pins={p.signature: p for p in pins},
+        queries=read_records(directory / CORPUS_FILES["queries"], query, CorpusError, "query"),
+        engagement=read_records(
+            directory / CORPUS_FILES["engagement"], engagement, CorpusError, "engagement"
+        ),
+        d_v=dims[0],
+        d_t=dims[1],
     )
 
 
-def save_corpus(corpus: Corpus, manifest: CorpusManifest) -> None:
-    write_jsonl(manifest.pins_path, (p.to_json() for p in corpus.pins.values()))
-    write_jsonl(manifest.queries_path, (q.to_json() for q in corpus.queries))
-    write_jsonl(manifest.engagement_path, (e.to_json() for e in corpus.engagement))
+def save_corpus(corpus: Corpus, directory: str | Path) -> None:
+    records = {"pins": corpus.pins.values(), "queries": corpus.queries,
+               "engagement": corpus.engagement}
+    for name, file in CORPUS_FILES.items():
+        write_jsonl(Path(directory) / file, (r.to_json() for r in records[name]))
 
 
 def hashed_bag_of_tokens(text: str, dim: int) -> np.ndarray:

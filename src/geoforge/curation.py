@@ -244,14 +244,12 @@ def curate(
     engagement: list[EngagementRecord],
     navboost: dict[tuple[str, int], float],
     neg_per_pos: int = 2,
-    top_n: int = 30,
-    dedup_threshold: float = DEDUP_THRESHOLD,
     seed: int = 0,
 ) -> tuple[list[LabeledPair], dict]:
     """Full curation pass: filter engagement, pick top queries per pin,
     label with hard negatives, and report per-branch counts."""
     by_query = {q.text: q for q in corpus_queries}
-    deduped = dedup_queries(corpus_queries, dedup_threshold)
+    deduped = dedup_queries(corpus_queries)
 
     branch_counts = {"impressions": 0, "ctr": 0, "position": 0, "rejected": 0}
     by_pin: dict[int, list[EngagementRecord]] = {}
@@ -266,7 +264,7 @@ def curate(
 
     positives: list[LabeledPair] = []
     for signature in sorted(by_pin):
-        for record in select_top_queries(by_pin[signature], n=top_n):
+        for record in select_top_queries(by_pin[signature]):
             query = by_query.get(record.query_text)
             if query is None:
                 continue

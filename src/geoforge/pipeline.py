@@ -18,9 +18,9 @@ from . import agent as agent_mod
 from . import collections_ as coll_mod
 from . import curation, encoders, hnsw, linkgraph, ranker, synth
 from .core import (
+    CORPUS_FILES,
     Corpus,
     CorpusError,
-    CorpusManifest,
     LabeledPair,
     QueryRecord,
     _Record,
@@ -103,9 +103,9 @@ class Annotation(_Record):
 @dataclass
 class Workspace:
     """Artifact paths under one output directory, one property per
-    ARTIFACTS name, and the stage inputs, each parsed from disk on first
-    use and kept: a workspace parses an input at most once, and its
-    readers must not mutate it."""
+    ARTIFACTS name, and the stage inputs, each parsed from disk (or derived
+    from one) on first use and kept: a workspace parses an input at most
+    once, and its readers must not mutate it."""
 
     out: Path
 
@@ -114,7 +114,11 @@ class Workspace:
 
     @cached_property
     def corpus(self) -> Corpus:
-        return load_corpus(CorpusManifest.load(self.manifest))
+        return load_corpus(self.corpus_dir)
+
+    @cached_property
+    def deduped_queries(self) -> list[QueryRecord]:
+        return curation.dedup_queries(self.corpus.queries)
 
     @cached_property
     def index(self) -> hnsw.HnswIndex:
@@ -150,10 +154,7 @@ class Workspace:
 # report have no producer and are never checksummed.
 ARTIFACTS = {
     "corpus_dir": (None, "corpus"),
-    "manifest": ("gen-corpus", "corpus/manifest.txt"),
-    "pins": ("gen-corpus", "corpus/pins.jsonl"),
-    "queries": ("gen-corpus", "corpus/queries.jsonl"),
-    "engagement": ("gen-corpus", "corpus/engagement.jsonl"),
+    **{name: ("gen-corpus", f"corpus/{file}") for name, file in CORPUS_FILES.items()},
     "trends": ("gen-corpus", "corpus/trends.jsonl"),
     "navboost": ("gen-corpus", "corpus/navboost.jsonl"),
     "labeled_pairs": ("curate", "labeled_pairs.jsonl"),
@@ -183,14 +184,14 @@ for _name, (_, _relpath) in ARTIFACTS.items():
 # inputs before it calls the stage.
 STAGE_INPUTS = {
     "gen-corpus": [],
-    "curate": ["manifest", "navboost"],
-    "train-encoder": ["manifest"],
-    "build-index": ["manifest", "encoder_img"],
-    "train-ranker": ["manifest", "labeled_pairs"],
-    "build-collections": ["manifest", "index_file", "encoder_txt", "annotations"],
+    "curate": [*CORPUS_FILES, "navboost"],
+    "train-encoder": [*CORPUS_FILES],
+    "build-index": [*CORPUS_FILES, "encoder_img"],
+    "train-ranker": [*CORPUS_FILES, "labeled_pairs"],
+    "build-collections": [*CORPUS_FILES, "index_file", "encoder_txt", "annotations"],
     "link": ["collections", "annotations"],
-    "agent-run": ["manifest", "index_file", "encoder_txt", "trends"],
-    "eval": ["manifest", "curation_report", "encoder_txt", "encoder_log", "index_file",
+    "agent-run": [*CORPUS_FILES, "index_file", "encoder_txt", "trends"],
+    "eval": [*CORPUS_FILES, "curation_report", "encoder_txt", "encoder_log", "index_file",
              "ranker_file", "collections", "link_report", "labeled_pairs", "annotations"],
 }
 STAGE_OUTPUTS = {
@@ -366,7 +367,7 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     write_train_log(ws.ranker_log, ("step", "loss"), log)
 
     # annotate every pin with its top-scoring deduped queries
-    deduped = curation.dedup_queries(corpus.queries)
+    deduped = ws.deduped_queries
     signatures = sorted(corpus.pins)
     e_pins = ranker.in_blocks(len(signatures), lambda block: model.embed_pin(
         np.stack([ranker.pin_features(corpus.pins[s]) for s in signatures[block]])
@@ -471,8 +472,7 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
     collections only, no pin links). A topic build-collections published
     takes its collection from `ws.published_collections`, not a rebuild.
     """
-    records = ws.annotation_records
-    deduped = curation.dedup_queries(ws.corpus.queries)
+    records, deduped = ws.annotation_records, ws.deduped_queries
 
     # control annotations: raw cross-tower cosine, same threshold and budget
     control_records = annotate_pins(

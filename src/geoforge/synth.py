@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     Corpus,
     CorpusError,
-    CorpusManifest,
     EngagementRecord,
     PinRecord,
     QueryRecord,
@@ -63,6 +62,7 @@ QUERY_TEMPLATES = {
     ],
 }
 
+TRENDS_PER_CLUSTER = 2
 OFF_TOPIC_TRENDS = [
     ("election results", "news"),
     ("playoff scores", "sports"),
@@ -87,6 +87,10 @@ class SynthConfig:
                 raise CorpusError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 1 <= self.n_clusters <= len(CLUSTER_TERMS):
             raise CorpusError(f"n_clusters must be in [1, {len(CLUSTER_TERMS)}], got {self.n_clusters}")
+        if self.engagement_per_pin < 0:
+            raise CorpusError(f"engagement_per_pin must be at least 0, got {self.engagement_per_pin}")
+        if not np.isfinite(self.noise):
+            raise CorpusError(f"noise must be finite, got {self.noise}")
 
 
 def _jitter(centroid: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
@@ -217,7 +221,6 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
         engagement=engagement,
         d_v=config.d_v,
         d_t=config.d_t,
-        seed=config.seed,
     )
     sidecar = {
         "pin_cluster": pin_cluster,
@@ -227,13 +230,14 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
     return corpus, sidecar
 
 
-def generate_trends(config: SynthConfig, n_per_cluster: int = 2) -> list[dict]:
-    """Trend feed mixing on-taxonomy terms with always-rejected categories."""
+def generate_trends(config: SynthConfig) -> list[dict]:
+    """Trend feed mixing on-taxonomy terms, TRENDS_PER_CLUSTER each, with
+    always-rejected categories."""
     rng = rng_for(config.seed, "agent")
     trends: list[dict] = []
     for cluster in range(config.n_clusters):
         term = CLUSTER_TERMS[cluster]
-        for k in range(n_per_cluster):
+        for k in range(TRENDS_PER_CLUSTER):
             trends.append(
                 {
                     "term": term if k == 0 else f"{term} trend {k}",
@@ -256,21 +260,12 @@ def generate_trends(config: SynthConfig, n_per_cluster: int = 2) -> list[dict]:
     return trends
 
 
-def write_corpus_bundle(out_dir: str | Path, config: SynthConfig) -> CorpusManifest:
-    """Generate and persist the full synthetic bundle; returns its manifest."""
+def write_corpus_bundle(out_dir: str | Path, config: SynthConfig) -> None:
+    """Generate the full synthetic bundle and write it to ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus, sidecar = generate_corpus(config)
-
-    manifest = CorpusManifest(
-        pins_path=out / "pins.jsonl",
-        queries_path=out / "queries.jsonl",
-        engagement_path=out / "engagement.jsonl",
-        d_v=config.d_v,
-        d_t=config.d_t,
-        seed=config.seed,
-    )
-    save_corpus(corpus, manifest)
+    save_corpus(corpus, out)
     write_jsonl(
         out / "navboost.jsonl",
         (
@@ -279,5 +274,3 @@ def write_corpus_bundle(out_dir: str | Path, config: SynthConfig) -> CorpusManif
         ),
     )
     write_jsonl(out / "trends.jsonl", generate_trends(config))
-    manifest.save(out / "manifest.txt")
-    return manifest

@@ -21,7 +21,7 @@ from geoforge.agent import (
     run_episode,
 )
 from geoforge.collections_ import build_collection, embedding_judge, intent_satisfying_rate, load_collections
-from geoforge.core import CorpusManifest, EngagementRecord, LabeledPair, QueryRecord, load_corpus
+from geoforge.core import EngagementRecord, LabeledPair, QueryRecord, load_corpus
 from geoforge.encoders import ContrastiveBatch, pinclip_loss, searchsage_loss, softmax_contrastive_loss
 from geoforge.hnsw import HnswIndex
 from geoforge.linkgraph import LinkGraph, pagerank
@@ -437,7 +437,7 @@ def test_criterion_10_ablation_direction(announce, pipeline_run):
 def test_criterion_11_intent_satisfying_rate(announce, pipeline_run):
     ws = pipeline_run["ws"]
     config = pipeline_run["config"]
-    corpus = load_corpus(CorpusManifest.load(ws.manifest))
+    corpus = load_corpus(ws.corpus_dir)
     index = HnswIndex.load(ws.index_file)
     txt_encoder = encoders.load_model(ws.encoder_txt)
     judge = embedding_judge(txt_encoder, threshold=config.judge_threshold)
@@ -474,7 +474,7 @@ def test_criterion_11_intent_satisfying_rate(announce, pipeline_run):
 
 def test_criterion_12_agent_determinism(announce, pipeline_run, tmp_path):
     ws = pipeline_run["ws"]
-    corpus = load_corpus(CorpusManifest.load(ws.manifest))
+    corpus = load_corpus(ws.corpus_dir)
     index = HnswIndex.load(ws.index_file)
     txt_encoder = encoders.load_model(ws.encoder_txt)
     taxonomy = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[

@@ -12,9 +12,9 @@ from hypothesis import given, strategies as st
 
 import geoforge
 from geoforge.core import (
+    CORPUS_FILES,
     SEED_OFFSETS,
     CorpusError,
-    CorpusManifest,
     EngagementRecord,
     LabeledPair,
     PinRecord,
@@ -153,23 +153,27 @@ class TestRecordValidation:
             LabeledPair(1, query, label=1, source="Mystery").validate()
 
 
+def _save_edited(corpus, directory, name, index, edit):
+    """Save ``corpus`` to ``directory`` with ``edit`` merged into record
+    ``index`` of file ``name``; a key set to None is dropped."""
+    save_corpus(corpus, directory)
+    lines = (directory / name).read_text(encoding="utf-8").splitlines()
+    record = {**json.loads(lines[index]), **edit}
+    lines[index] = json.dumps({k: v for k, v in record.items() if v is not None})
+    (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestCorpusIO:
     def test_roundtrip(self, small_synth, tmp_path):
         corpus, _, config = small_synth
-        manifest = CorpusManifest(
-            pins_path=tmp_path / "pins.jsonl",
-            queries_path=tmp_path / "queries.jsonl",
-            engagement_path=tmp_path / "engagement.jsonl",
-            d_v=config.d_v,
-            d_t=config.d_t,
-            seed=config.seed,
-        )
-        save_corpus(corpus, manifest)
-        manifest.save(tmp_path / "manifest.txt")
-        loaded = load_corpus(CorpusManifest.load(tmp_path / "manifest.txt"))
+        save_corpus(corpus, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CORPUS_FILES.values())
+        loaded = load_corpus(tmp_path)
         assert sorted(loaded.pins) == sorted(corpus.pins)
         assert len(loaded.queries) == len(corpus.queries)
         assert len(loaded.engagement) == len(corpus.engagement)
+        # the dimensions come from the vectors
+        assert (loaded.d_v, loaded.d_t) == (config.d_v, config.d_t)
         # persistence rounds through f32
         sig = sorted(corpus.pins)[0]
         assert np.allclose(
@@ -183,60 +187,26 @@ class TestCorpusIO:
         ("pins.jsonl", {"colour": "red"}, "unknown key 'colour'"),
         ("queries.jsonl", {"category": None}, "missing key 'category'"),
         ("engagement.jsonl", {"clicks": "many"}, "key 'clicks' has ill-typed value 'many'"),
+        # a vector whose length differs from the first pin's
+        ("pins.jsonl", {"visual_embedding": [0.5] * 17}, "visual_embedding has dim 17, expected 16"),
+        ("pins.jsonl", {"text_embedding": [0.5] * 11}, "text_embedding has dim 11, expected 12"),
+        ("queries.jsonl", {"embedding": [0.5] * 16}, "embedding has dim 16, expected 12"),
     ])
     def test_bad_record_names_path_and_line(self, small_synth, tmp_path, name, edit, match):
-        """A key set to None in `edit` is dropped from the second record."""
-        corpus, _, config = small_synth
-        manifest = CorpusManifest(
-            pins_path=tmp_path / "pins.jsonl",
-            queries_path=tmp_path / "queries.jsonl",
-            engagement_path=tmp_path / "engagement.jsonl",
-            d_v=config.d_v,
-            d_t=config.d_t,
-        )
-        save_corpus(corpus, manifest)
-        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines()
-        record = {**json.loads(lines[1]), **edit}
-        lines[1] = json.dumps({k: v for k, v in record.items() if v is not None})
-        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _save_edited(small_synth[0], tmp_path, name, 1, edit)
         with pytest.raises(CorpusError, match=rf"{name}:2: .*{match}"):
-            load_corpus(manifest)
+            load_corpus(tmp_path)
 
-    def test_manifest_missing_key(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        path.write_text("pins=pins.jsonl\n")
-        with pytest.raises(CorpusError, match="missing manifest key"):
-            CorpusManifest.load(path)
-
-    def test_manifest_missing_file(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        path.write_text(
-            "pins=pins.jsonl\nqueries=q.jsonl\nengagement=e.jsonl\n"
-        )
-        with pytest.raises(CorpusError, match="does not exist"):
-            CorpusManifest.load(path)
-
-    def test_manifest_unknown_key(self, tmp_path):
-        # a manifest as written before ranker_dim was dropped
-        path = tmp_path / "manifest.txt"
-        path.write_text(
-            "pins=pins.jsonl\nqueries=queries.jsonl\nengagement=engagement.jsonl\n"
-            "d_v=64\nd_t=48\nranker_dim=128\nseed=3\n"
-        )
-        with pytest.raises(CorpusError, match=r"manifest\.txt:6: unknown manifest key 'ranker_dim'"):
-            CorpusManifest.load(path)
-
-    def test_manifest_malformed_line(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        path.write_text("pins\n")
-        with pytest.raises(CorpusError, match="key=value"):
-            CorpusManifest.load(path)
-
-    def test_manifest_non_numeric_value_names_line(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        path.write_text("pins=p.jsonl\nqueries=q.jsonl\nengagement=e.jsonl\nd_v=abc\n")
-        with pytest.raises(CorpusError, match=r"manifest\.txt:4: d_v must be int, got 'abc'"):
-            CorpusManifest.load(path)
+    @pytest.mark.parametrize("name, index, key, match", [
+        ("pins.jsonl", 0, "visual_embedding", "pin 1000000: empty embedding"),
+        ("pins.jsonl", 0, "text_embedding", "pin 1000000: empty embedding"),
+        ("pins.jsonl", 1, "text_embedding", "text_embedding has dim 0, expected 12"),
+        ("queries.jsonl", 0, "embedding", "embedding has dim 0, expected 12"),
+    ])
+    def test_empty_embedding_fails_typed(self, small_synth, tmp_path, name, index, key, match):
+        _save_edited(small_synth[0], tmp_path, name, index, {key: []})
+        with pytest.raises(CorpusError, match=rf"{name}:{index + 1}: .*{match}"):
+            load_corpus(tmp_path)
 
     def test_duplicate_signature(self, tmp_path):
         pin = PinRecord(
@@ -245,32 +215,19 @@ class TestCorpusIO:
             text_embedding=np.ones(2),
             perception_score=0.5,
         )
-        import json
-
-        (tmp_path / "pins.jsonl").write_text(
-            json.dumps(pin.to_json()) + "\n" + json.dumps(pin.to_json()) + "\n"
-        )
-        (tmp_path / "q.jsonl").write_text("")
-        (tmp_path / "e.jsonl").write_text("")
-        (tmp_path / "manifest.txt").write_text(
-            "pins=pins.jsonl\nqueries=q.jsonl\nengagement=e.jsonl\nd_v=2\nd_t=2\n"
-        )
-        with pytest.raises(CorpusError, match="duplicate signature"):
-            load_corpus(CorpusManifest.load(tmp_path / "manifest.txt"))
+        write_jsonl(tmp_path / "pins.jsonl", [pin.to_json(), pin.to_json()])
+        with pytest.raises(CorpusError, match=r"pins\.jsonl:2: duplicate signature"):
+            load_corpus(tmp_path)
 
     def test_duplicate_query_text(self, tmp_path):
         query = QueryRecord(text="sage green", category="Description", embedding=np.ones(2))
         other = QueryRecord(text="fall nails", category="UseCase", embedding=np.ones(2))
-        write_jsonl(tmp_path / "q.jsonl", [q.to_json() for q in (query, other, query)])
+        write_jsonl(tmp_path / "queries.jsonl", [q.to_json() for q in (query, other, query)])
         pin = PinRecord(signature=1, visual_embedding=np.ones(2), text_embedding=np.ones(2),
                         perception_score=0.5)
         write_jsonl(tmp_path / "pins.jsonl", [pin.to_json()])
-        (tmp_path / "e.jsonl").write_text("")
-        (tmp_path / "manifest.txt").write_text(
-            "pins=pins.jsonl\nqueries=q.jsonl\nengagement=e.jsonl\nd_v=2\nd_t=2\n"
-        )
-        with pytest.raises(CorpusError, match=r"q\.jsonl:3: duplicate query text 'sage green'"):
-            load_corpus(CorpusManifest.load(tmp_path / "manifest.txt"))
+        with pytest.raises(CorpusError, match=r"queries\.jsonl:3: duplicate query text 'sage green'"):
+            load_corpus(tmp_path)
 
     def test_read_jsonl_skips_blank_lines_and_names_bad_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -488,6 +445,23 @@ def test_only_core_reads_jsonl():
             ):
                 readers.add(path.stem)
     assert readers <= {"core"}
+
+
+def test_every_import_is_used():
+    """No module imports a name that its code never reads."""
+    unused = []
+    for path in sorted(Path(geoforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}: {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.split(".")[0]) not in read
+        ]
+    assert unused == []
 
 
 def test_only_the_workspace_loads_stage_inputs():

@@ -92,6 +92,9 @@ class TestStageGraph:
         ("eval", "encoder_txt.bin", "train-encoder"),
         ("eval", "encoder_train_log.csv", "train-encoder"),
         ("eval", "curation_report.json", "curate"),
+        ("train-encoder", "corpus/pins.jsonl", "gen-corpus"),
+        ("agent-run", "corpus/queries.jsonl", "gen-corpus"),
+        ("build-collections", "corpus/engagement.jsonl", "gen-corpus"),
     ])
     def test_always_written_input_is_required(
         self, pipeline_run, tmp_path, stage, missing, producer
@@ -104,6 +107,12 @@ class TestStageGraph:
         assert not ok and result["error_type"] == "DependencyError"
         assert str(tmp_path / missing) in result["error"]
         assert f"(produced by stage {producer!r})" in result["error"]
+
+    def test_gen_corpus_writes_its_declared_outputs(self, pipeline_run):
+        ws = pipeline_run["ws"]
+        declared = {ARTIFACTS[name][1] for name in STAGE_OUTPUTS["gen-corpus"]}
+        assert {str(p.relative_to(ws.out)) for p in ws.corpus_dir.iterdir()} == declared
+        assert declared <= set(pipeline_run["report"]["checksums"])
 
     def test_eval_reads_pin_vectors_from_the_index(self, pipeline_run, tmp_path):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
@@ -348,6 +357,7 @@ class TestStageGraph:
     @pytest.mark.parametrize("field, value", [
         ("n_pins", 0), ("n_pins", -5), ("d_v", 0), ("d_t", 0), ("queries_per_cluster", 0),
         ("n_clusters", 0), ("n_clusters", len(synth.CLUSTER_TERMS) + 1),
+        ("engagement_per_pin", -1), ("noise", float("nan")), ("noise", float("inf")),
     ])
     def test_synth_config_rejects_sizes_it_cannot_generate(self, field, value):
         with pytest.raises(CorpusError, match=rf"^{field} must be .*, got {value}$"):
@@ -489,6 +499,9 @@ class TestCorpusLoad:
         monkeypatch.setattr(
             ranker, "correct_rank", counted(ranker.correct_rank, lambda *_: "correct_rank")
         )
+        monkeypatch.setattr(
+            curation, "dedup_queries", counted(curation.dedup_queries, lambda *_: "dedup_queries")
+        )
         config = PipelineConfig(
             out_dir=tmp_path, n_pins=40, n_clusters=4, encoder_steps=20, ranker_steps=50
         )
@@ -497,6 +510,8 @@ class TestCorpusLoad:
         assert calls == Counter([
             "corpus", "navboost.jsonl", "encoder_img.bin", "encoder_txt.bin", "index.bin",
             "labeled_pairs.jsonl", "annotations.jsonl", "collections.jsonl", "correct_rank",
+            # curate's own, then the workspace's for train-ranker and eval
+            "dedup_queries", "dedup_queries",
         ])
         assert "correct_rank" not in report["stages"]["train-ranker"]["metrics"]
         # a fresh run of one stage reads its inputs from disk again
