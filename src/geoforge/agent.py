@@ -163,7 +163,7 @@ def make_content_lookup(
 ):
     """Probe the index with the closest known query embedding for the text
     (token-overlap match), count hits above the relevance floor."""
-    query_tokens = [(q, set(q.text.lower().split())) for q in corpus.queries if q.embedding is not None]
+    query_tokens = [(q, set(q.text.lower().split())) for q in corpus.queries]
 
     def content_lookup(text: str) -> tuple[int, float, bool]:
         tokens = set(text.lower().split())

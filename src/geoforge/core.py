@@ -15,8 +15,9 @@ import os
 import reprlib
 import types
 import typing
+import zlib
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
@@ -24,8 +25,12 @@ import numpy as np
 
 QUERY_CATEGORIES = ("Description", "StyleDetail", "UseCase")
 PAIR_SOURCES = ("SearchConsole", "Synthetic", "HardNegative")
-# The corpus files in a corpus directory, each under its artifact name.
-CORPUS_FILES = {"pins": "pins.jsonl", "queries": "queries.jsonl", "engagement": "engagement.jsonl"}
+# The corpus files in a corpus directory, each under its artifact name: the
+# records' other fields as JSONL, and their vectors as the VECTOR_ARRAYS.
+CORPUS_FILES = {"pins": "pins.jsonl", "queries": "queries.jsonl",
+                "engagement": "engagement.jsonl", "vectors": "vectors.bin"}
+VECTORS_MAGIC = b"GEOVEC01"
+VECTOR_ARRAYS = ("visual", "text", "query_embeddings")
 T = TypeVar("T")
 
 # Fixed offsets off the corpus-wide seed, one per stage, so every module
@@ -48,7 +53,7 @@ class CorpusError(ValueError):
 
 
 class ZeroNormError(ValueError):
-    """L2 normalization requested for a zero vector."""
+    """L2 normalization requested where no unit vector exists."""
 
 
 def subseed(seed: int, stage: str) -> int:
@@ -63,13 +68,14 @@ def rng_for(seed: int, stage: str) -> np.random.Generator:
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale v to unit L2 norm. Raises ZeroNormError when the float64 norm
-    is zero: a zero vector, or one whose squares all underflow."""
+    """Scale v to unit L2 norm. Raises ZeroNormError when no unit vector
+    exists: v holds a NaN or an infinity, or its float64 norm is zero (a
+    zero vector, or one whose squares all underflow)."""
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ZeroNormError("cannot normalize a zero vector")
     if not 1e-150 < norm < 1e150:
+        if norm == 0.0 or not np.isfinite(v).all():
+            raise ZeroNormError(f"no unit vector exists for {reprlib.repr(v.tolist())}")
         # the squares lost bits to subnormals or overflowed: rescale first
         v = v / np.max(np.abs(v))
         norm = float(np.linalg.norm(v))
@@ -81,32 +87,38 @@ def f32(values: Iterable[float]) -> list[float]:
     return [float(x) for x in np.asarray(list(values), dtype=np.float32)]
 
 
+def read_only(values, dtype: type = np.float64) -> np.ndarray:
+    """``values`` as an array of ``dtype`` with writing switched off, so no
+    view taken of it later can write either."""
+    array = np.asarray(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _json_value(value):
+    """A field's value for JSON: arrays and floats rounded through float32."""
+    if isinstance(value, np.ndarray):
+        return f32(value)
+    return float(np.float32(value)) if isinstance(value, float) else value
+
+
 class _Record:
     __slots__ = ()  # so that a slotted record keeps no __dict__
 
     def to_json(self) -> dict:
-        """Every field in declaration order, arrays and floats rounded
-        through float32 for persistence."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = f32(value)
-            elif isinstance(value, float):
-                value = float(np.float32(value))
-            out[f.name] = value
-        return out
+        """Every field in declaration order (see `_json_value`)."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def from_json(cls, obj: dict):
-        """The record from a JSON object of its fields, each of the kind its
-        annotation names (see `check_json`); a defaulted field may be
-        absent. An int in a float field reads as a float, and a list (a
-        vector) as a float64 array."""
+    def from_json(cls, obj: dict, **rows: np.ndarray):
+        """The record from a JSON object of its fields but the vectors given
+        as ``rows``, each of the kind its annotation names (see
+        `check_json`); a defaulted field may be absent. An int in a float
+        field reads as a float, and a list (a vector) as a float64 array."""
         kinds, defaulted = _record_kinds(cls)
-        check_json(obj, kinds, defaulted)
-        return cls(**{k: float(v) if kinds[k] is float else np.asarray(v, dtype=np.float64)
-                      if type(v) is list else v for k, v in obj.items()})
+        check_json(obj, {k: kind for k, kind in kinds.items() if k not in rows}, defaulted)
+        return cls(**rows, **{k: float(v) if kinds[k] is float else np.asarray(v, dtype=np.float64)
+                              if type(v) is list else v for k, v in obj.items()})
 
 
 @functools.cache
@@ -137,17 +149,7 @@ class PinRecord(_Record):
     category: str = ""
     language: str = "en"
 
-    def validate(self, d_v: int, d_t: int) -> None:
-        if self.visual_embedding.shape != (d_v,):
-            raise CorpusError(
-                f"pin {self.signature}: visual_embedding has dim "
-                f"{self.visual_embedding.shape[0]}, expected {d_v}"
-            )
-        if self.text_embedding.shape != (d_t,):
-            raise CorpusError(
-                f"pin {self.signature}: text_embedding has dim "
-                f"{self.text_embedding.shape[0]}, expected {d_t}"
-            )
+    def validate(self) -> None:
         if not 0.0 <= self.perception_score <= 1.0:
             raise CorpusError(
                 f"pin {self.signature}: perception_score {self.perception_score} "
@@ -162,7 +164,7 @@ class QueryRecord(_Record):
     language: str = "en"
     embedding: np.ndarray | None = None
 
-    def validate(self, d_t: int | None = None) -> None:
+    def validate(self) -> None:
         if not self.text.strip():
             raise CorpusError("query text is empty")
         if self.category not in QUERY_CATEGORIES:
@@ -170,12 +172,6 @@ class QueryRecord(_Record):
                 f"query {self.text!r}: category {self.category!r} not one of "
                 f"{QUERY_CATEGORIES}"
             )
-        if d_t is not None and self.embedding is not None:
-            if self.embedding.shape != (d_t,):
-                raise CorpusError(
-                    f"query {self.text!r}: embedding has dim "
-                    f"{self.embedding.shape[0]}, expected {d_t}"
-                )
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,11 +245,25 @@ class LabeledPair:
 
 @dataclass
 class Corpus:
+    """Pins by signature, in ascending order, queries and engagement, with
+    each vector a read-only view of a row of a read-only float64 matrix:
+    pin i's (in signature order) of row i of ``visual`` and ``text``, query
+    j's of row j of ``query_embeddings``. ``signatures`` holds the pins'
+    signatures in the same order."""
+
     pins: dict[int, PinRecord]
     queries: list[QueryRecord]
     engagement: list[EngagementRecord]
-    d_v: int
-    d_t: int
+    visual: np.ndarray
+    text: np.ndarray
+    query_embeddings: np.ndarray
+    signatures: np.ndarray = field(init=False, repr=False)
+    d_v: int = field(init=False)  # the widths of visual and text
+    d_t: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.signatures = read_only(list(self.pins), np.int64)
+        self.d_v, self.d_t = self.visual.shape[1], self.text.shape[1]
 
     def pin(self, signature: int) -> PinRecord:
         try:
@@ -403,15 +413,17 @@ def save_arrays(
 ) -> None:
     """Write arrays of ARRAY_DTYPES atomically: ``magic``, the header length
     (uint64 LE), a sorted-key JSON header of ``meta`` and each array's name,
-    dtype and shape, then the arrays' bytes in that order."""
+    dtype and shape, the arrays' bytes in that order, then the CRC-32 of all
+    those bytes (uint32 LE)."""
     specs = [{"dtype": a.dtype.str, "name": n, "shape": list(a.shape)} for n, a in arrays.items()]
     header = json.dumps(
         {"arrays": specs, "meta": meta}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
+    body = b"".join([magic, len(header).to_bytes(8, "little"), header,
+                     *(a.tobytes() for a in arrays.values())])
     with _atomic_open(path, "wb") as fh:
-        fh.write(magic + len(header).to_bytes(8, "little") + header)
-        for a in arrays.values():
-            fh.write(a.tobytes())
+        fh.write(body)
+        fh.write(zlib.crc32(body).to_bytes(4, "little"))
 
 
 def _json_is(value, kind) -> bool:
@@ -438,14 +450,18 @@ def _json_is(value, kind) -> bool:
 def load_arrays(
     path: str | Path, magic: bytes, error: type[Exception], meta_types: dict
 ) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a `save_arrays` file as (meta, read-only arrays by name); any
-    damage, or a meta not of ``meta_types`` (see `_json_is`), raises ``error``."""
+    """Read a `save_arrays` file as (meta, read-only arrays by name). Another
+    magic, then a CRC-32 that does not match, then any other damage, or a
+    meta not of ``meta_types`` (see `_json_is`), raises ``error``."""
     data = Path(path).read_bytes()
     if data[: len(magic)] != magic:
         raise error(f"bad magic in {path}")
+    size = len(data) - 4  # the bytes before the CRC-32
+    if zlib.crc32(memoryview(data)[:size]) != int.from_bytes(data[size:], "little"):
+        raise error(f"truncated or damaged {path}: its CRC-32 does not match")
     pos = len(magic) + 8
     end = pos + int.from_bytes(data[len(magic) : pos], "little")
-    if len(data) < pos or end > len(data):
+    if size < pos or end > size:
         raise error(f"truncated header in {path}")
     try:
         header = json.loads(data[pos:end].decode("utf-8"))
@@ -460,7 +476,7 @@ def load_arrays(
             raise error(f"array {name!r} in {path}: repeated, negative shape {shape} "
                         f"or dtype {dtype!r} not in {ARRAY_DTYPES}")
         count = math.prod(shape)
-        if end + count * np.dtype(dtype).itemsize > len(data):
+        if end + count * np.dtype(dtype).itemsize > size:
             raise error(f"truncated array {name!r} in {path}")
         try:
             arrays[name] = np.frombuffer(data, dtype, count, end).reshape(shape)
@@ -469,37 +485,41 @@ def load_arrays(
         end += arrays[name].nbytes
         if arrays[name].dtype.kind == "f" and not np.isfinite(arrays[name]).all():
             raise error(f"array {name!r} has non-finite values in {path}")
-    if end != len(data):
-        raise error(f"{len(data) - end} trailing bytes in {path}")
+    if end != size:
+        raise error(f"{size - end} trailing bytes in {path}")
     return header["meta"], arrays
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Load and validate the CORPUS_FILES in ``directory``. The first pin's
-    vectors set d_v and d_t. A bad record, an empty embedding, a vector of
-    another length, a repeated pin signature or a repeated query text raises
+    """Load and validate the CORPUS_FILES in ``directory``. A bad record, a
+    repeated query text or a pin signature that does not ascend raises
     CorpusError naming path:line, and a file with no record CorpusError
-    naming the path."""
+    naming the path. So does a damaged vector file, or one whose
+    VECTOR_ARRAYS are not float32 matrices of one row per pin (visual and
+    text) and per query (query_embeddings, as wide as text)."""
     directory = Path(directory)
-    dims: list[int] = []  # d_v and d_t, once the first pin is read
-    signatures: set[int] = set()
+    path = directory / CORPUS_FILES["vectors"]
+    _, arrays = load_arrays(path, VECTORS_MAGIC, CorpusError, {})
+    if {n: (a.dtype.str, a.ndim) for n, a in arrays.items()} != dict.fromkeys(VECTOR_ARRAYS, ("<f4", 2)):
+        raise CorpusError(f"{path}: expected the float32 matrices {VECTOR_ARRAYS}")
+    visual, text, query_embeddings = (read_only(arrays[name]) for name in VECTOR_ARRAYS)
+    # a record past the last row takes None, and the row count check fails
+    pin_rows, query_rows = iter(zip(visual, text)), iter(query_embeddings)
+    signatures: list[int] = []
     texts: set[str] = set()
 
     def pin(obj: dict) -> PinRecord:
-        record = PinRecord.from_json(obj)
-        if not dims:
-            dims.extend((record.visual_embedding.size, record.text_embedding.size))
-            if not all(dims):
-                raise CorpusError(f"pin {record.signature}: empty embedding")
-        record.validate(*dims)
-        if record.signature in signatures:
-            raise CorpusError(f"duplicate signature {record.signature}")
-        signatures.add(record.signature)
+        visual_row, text_row = next(pin_rows, (None, None))
+        record = PinRecord.from_json(obj, visual_embedding=visual_row, text_embedding=text_row)
+        record.validate()
+        if signatures and record.signature <= signatures[-1]:
+            raise CorpusError(f"pin signature {record.signature} does not ascend from {signatures[-1]}")
+        signatures.append(record.signature)
         return record
 
     def query(obj: dict) -> QueryRecord:
-        record = QueryRecord.from_json(obj)
-        record.validate(dims[1])
+        record = QueryRecord.from_json(obj, embedding=next(query_rows, None))
+        record.validate()
         if record.text in texts:
             raise CorpusError(f"duplicate query text {record.text!r}")
         texts.add(record.text)
@@ -511,22 +531,28 @@ def load_corpus(directory: str | Path) -> Corpus:
         return record
 
     pins = read_records(directory / CORPUS_FILES["pins"], pin, CorpusError, "pin")
-    return Corpus(
-        pins={p.signature: p for p in pins},
-        queries=read_records(directory / CORPUS_FILES["queries"], query, CorpusError, "query"),
-        engagement=read_records(
-            directory / CORPUS_FILES["engagement"], engagement, CorpusError, "engagement"
-        ),
-        d_v=dims[0],
-        d_t=dims[1],
-    )
+    queries = read_records(directory / CORPUS_FILES["queries"], query, CorpusError, "query")
+    shapes = [a.shape for a in (visual, text, query_embeddings)]
+    d_v, d_t = visual.shape[1], text.shape[1]
+    if shapes != [(len(pins), d_v), (len(pins), d_t), (len(queries), d_t)] or not d_v * d_t:
+        raise CorpusError(f"{path}: shapes {shapes} do not fit {len(pins)} pins and "
+                          f"{len(queries)} queries, as (pins, d_v), (pins, d_t), (queries, d_t)")
+    engaged = read_records(directory / CORPUS_FILES["engagement"], engagement, CorpusError, "engagement")
+    return Corpus({p.signature: p for p in pins}, queries, engaged, visual, text, query_embeddings)
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
+    """Write the CORPUS_FILES: each record's fields but its vectors as JSONL,
+    and the corpus's VECTOR_ARRAYS as float32."""
+    directory = Path(directory)
     records = {"pins": corpus.pins.values(), "queries": corpus.queries,
                "engagement": corpus.engagement}
-    for name, file in CORPUS_FILES.items():
-        write_jsonl(Path(directory) / file, (r.to_json() for r in records[name]))
+    for name, rows in records.items():
+        write_jsonl(directory / CORPUS_FILES[name], (
+            {f.name: _json_value(v) for f in fields(r)
+             if not isinstance(v := getattr(r, f.name), np.ndarray)} for r in rows))
+    save_arrays(directory / CORPUS_FILES["vectors"], VECTORS_MAGIC, {},
+                {name: getattr(corpus, name).astype("<f4") for name in VECTOR_ARRAYS})
 
 
 def hashed_bag_of_tokens(text: str, dim: int) -> np.ndarray:

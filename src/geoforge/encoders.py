@@ -166,18 +166,15 @@ def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainR
     img = Mlp.init([corpus.d_v, *config.hidden_dims, config.output_dim], rng)
     txt = Mlp.init([corpus.d_t, *config.hidden_dims, config.output_dim], rng)
     encoders = {"img": EncoderModel(img), "txt": EncoderModel(txt)}
-    signatures = sorted(corpus.pins)
     coboard = _coboard_pairs(corpus)
     if not coboard:
         raise EncoderError("pinclip training needs board co-save pairs")
-    visual = np.stack([corpus.pins[s].visual_embedding for s in signatures])
-    text = np.stack([corpus.pins[s].text_embedding for s in signatures])
-    row = {sig: i for i, sig in enumerate(signatures)}
-    pair_rows = np.array([[row[a], row[b]] for a, b in coboard])
+    visual, text = corpus.visual, corpus.text
+    pair_rows = np.searchsorted(corpus.signatures, coboard)
 
     log: list[tuple[int, float, float]] = []
     for step in range(config.steps):
-        idx = rng.choice(len(signatures), size=min(config.batch_size, len(signatures)), replace=False)
+        idx = rng.choice(len(visual), size=min(config.batch_size, len(visual)), replace=False)
         pp_idx = rng.choice(len(coboard), size=min(config.batch_size, len(coboard)), replace=False)
         rows_a, rows_b = pair_rows[pp_idx].T
         (enc_vis, enc_a, enc_b, enc_txt), cache = forward_blocks(

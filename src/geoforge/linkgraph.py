@@ -108,6 +108,8 @@ def pagerank(
         raise LinkGraphError("pagerank needs a non-empty graph")
     if not 0.0 < damping < 1.0:
         raise LinkGraphError(f"damping must lie in (0, 1), got {damping}")
+    if max_iter < 1:
+        raise LinkGraphError(f"max_iter must be at least 1, got {max_iter}")
     nodes = sorted(graph.nodes)
     idx = {n: i for i, n in enumerate(nodes)}
     n = len(nodes)
@@ -119,8 +121,6 @@ def pagerank(
     out_deg = np.bincount(sources, minlength=n).astype(np.float64)
     dangling = out_deg == 0
     rank = np.full(n, 1.0 / n)
-    residual = 0.0
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         base = (1.0 - damping) / n + damping * rank[dangling].sum() / n
         contrib = np.divide(rank, out_deg, out=np.zeros_like(rank), where=~dangling)

@@ -54,17 +54,12 @@ class PipelineConfig:
     d_v: int = 64
     d_t: int = 48
     encoder_steps: int = 200
-    encoder_batch: int = 64
-    encoder_dim: int = 48
-    encoder_lr: float = 0.05
     temperature: float = 0.07
     ef_construction: int = 200
     ef_search: int = 100
     hnsw_m: int = 16
     ranker_steps: int = 1500
-    ranker_batch: int = 64
     ranker_lr: float = 0.1
-    ranker_width_mult: float = 0.125
     margin: float = 0.95
     neg_per_pos: int = 2
     annotations_per_pin: int = 3
@@ -73,7 +68,6 @@ class PipelineConfig:
     judge_threshold: float = 0.5
     base_url: str = "https://example.com"
     agent_min_count: int = 25
-    agent_velocity_floor: float = 0.2
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "PipelineConfig":
@@ -121,6 +115,10 @@ class Workspace:
         return curation.dedup_queries(self.corpus.queries)
 
     @cached_property
+    def pin_features(self) -> np.ndarray:
+        return ranker.pin_features(self.corpus)
+
+    @cached_property
     def index(self) -> hnsw.HnswIndex:
         return hnsw.HnswIndex.load(self.index_file)
 
@@ -142,7 +140,7 @@ class Workspace:
 
     @cached_property
     def triplets(self) -> ranker.Triplets:
-        triplets = _triplets_from_labels(self.corpus, _load_labeled(self, self.corpus))
+        triplets = _triplets_from_labels(self.corpus, self.pin_features, _load_labeled(self, self.corpus))
         if not len(triplets):
             raise PipelineError(f"{self.labeled_pairs}: no ranker triplets derivable from its pairs")
         return triplets
@@ -278,11 +276,8 @@ def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
         ws.corpus,
         "pinclip",
         encoders.TrainConfig(
-            hidden_dims=[],
-            output_dim=config.encoder_dim,
             steps=config.encoder_steps,
-            batch_size=config.encoder_batch,
-            learning_rate=config.encoder_lr,
+            batch_size=64,
             temperature=config.temperature,
             seed=subseed(config.seed, "encoder"),
         ),
@@ -299,34 +294,32 @@ def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
 
 def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
     """Build the ANN index over encoded pins."""
-    signatures = sorted(ws.corpus.pins)
-    matrix = ws.img_encoder.encode_batch(
-        np.stack([ws.corpus.pins[s].visual_embedding for s in signatures])
-    )
+    matrix = ws.img_encoder.encode_batch(ws.corpus.visual)
     params = hnsw.HnswParams(
         M=config.hnsw_m, ef_construction=config.ef_construction, ef_search=config.ef_search
     )
-    index = hnsw.build(dict(zip(signatures, matrix)), params, seed=subseed(config.seed, "index"))
+    index = hnsw.build(dict(zip(ws.corpus.pins, matrix)), params, seed=subseed(config.seed, "index"))
     index.check_invariants()
     index.save(ws.index_file)
     return {"elements": len(index), "layers": index.max_level + 1}
 
 
-def _triplets_from_labels(corpus: Corpus, labeled: list[LabeledPair]) -> ranker.Triplets:
+def _triplets_from_labels(corpus: Corpus, pins: np.ndarray, labeled: list[LabeledPair]) -> ranker.Triplets:
     """Each pin's i-th positive and i-th negative as one triplet, pins in
-    signature order, over one feature row per labeled pin, in signature
-    order, and one per query text, in order of first use."""
+    signature order, over ``pins``, the corpus's `ranker.pin_features`
+    rows, and one feature row per query text, in order of first use."""
     by_pin: dict[int, tuple[list[QueryRecord], list[QueryRecord]]] = {}
     for pair in labeled:
         pos, neg = by_pin.setdefault(pair.pin_signature, ([], []))
         (pos if pair.label == 1 else neg).append(pair.query)
     signatures = sorted(by_pin)
-    pairs = [(row, p, n) for row, s in enumerate(signatures) for p, n in zip(*by_pin[s])]
+    pin_rows = np.searchsorted(corpus.signatures, signatures).tolist()
+    pairs = [(row, p, n) for row, s in zip(pin_rows, signatures) for p, n in zip(*by_pin[s])]
     queries = {q.text: q for _, p, n in pairs for q in (p, n)}
     rows = {text: row for row, text in enumerate(queries)}
     index = np.array([(row, rows[p.text], rows[n.text]) for row, p, n in pairs], dtype=np.intp)
     return ranker.Triplets(
-        np.array([ranker.pin_features(corpus.pins[s]) for s in signatures]),
+        pins,
         np.array([ranker.query_features(q) for q in queries.values()]),
         *index.reshape(-1, 3).T,
     )
@@ -358,22 +351,18 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     corpus, triplets = ws.corpus, ws.triplets
     model, log = ranker.train_ranker(
         triplets,
-        ranker.TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t, margin=config.margin,
-                           width_mult=config.ranker_width_mult),
-        ranker.RankerTrainConfig(steps=config.ranker_steps, batch_size=config.ranker_batch,
-                                 learning_rate=config.ranker_lr, seed=subseed(config.seed, "ranker")),
+        ranker.TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t, margin=config.margin, width_mult=0.125),
+        ranker.RankerTrainConfig(steps=config.ranker_steps, learning_rate=config.ranker_lr,
+                                 seed=subseed(config.seed, "ranker")),
     )
     ranker.save_ranker(model, ws.ranker_file)
     write_train_log(ws.ranker_log, ("step", "loss"), log)
 
     # annotate every pin with its top-scoring deduped queries
     deduped = ws.deduped_queries
-    signatures = sorted(corpus.pins)
-    e_pins = ranker.in_blocks(len(signatures), lambda block: model.embed_pin(
-        np.stack([ranker.pin_features(corpus.pins[s]) for s in signatures[block]])
-    ))
+    e_pins = ranker.in_blocks(len(corpus.pins), lambda block: model.embed_pin(ws.pin_features[block]))
     annotations = annotate_pins(
-        dict(zip(signatures, e_pins)),
+        dict(zip(corpus.pins, e_pins)),
         deduped,
         model.embed_query(np.stack([ranker.query_features(q) for q in deduped])),
         config.annotations_per_pin,
@@ -401,15 +390,15 @@ def build_collections(
     published: Iterable[coll_mod.Collection] = (),
 ) -> list[coll_mod.Collection]:
     """One collection per distinct slug, in sorted topic-text order: the
-    first text wins each slug. Texts that are not corpus queries with an
-    embedding are skipped. A text with a collection in `published` takes it
-    as published; the others are built in one `build_collections` batch."""
+    first text wins each slug. Texts that are not corpus queries are
+    skipped. A text with a collection in `published` takes it as
+    published; the others are built in one `build_collections` batch."""
     by_text = {q.text: q for q in ws.corpus.queries}
     reuse = {c.topic.text: c for c in published}
     winners: dict[str, QueryRecord] = {}
     for text in sorted(topic_texts):
         topic = by_text.get(text)
-        if topic is not None and topic.embedding is not None:
+        if topic is not None:
             winners.setdefault(coll_mod.slugify(text), topic)
     built = iter(coll_mod.build_collections(
         [t for t in winners.values() if t.text not in reuse],
@@ -448,10 +437,7 @@ def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
 def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
     """Run one trend-mining agent episode."""
     taxonomy = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[: config.n_clusters]
-    agent_config = agent_mod.AgentConfig(
-        min_count=config.agent_min_count,
-        velocity_floor=config.agent_velocity_floor,
-    )
+    agent_config = agent_mod.AgentConfig(min_count=config.agent_min_count)
     tools = agent_mod.default_tools(
         ws.corpus, ws.index, ws.txt_encoder, taxonomy, ws.trends, agent_config
     )
@@ -473,12 +459,13 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
     takes its collection from `ws.published_collections`, not a rebuild.
     """
     records, deduped = ws.annotation_records, ws.deduped_queries
+    row = {q.text: i for i, q in enumerate(ws.corpus.queries)}
 
     # control annotations: raw cross-tower cosine, same threshold and budget
     control_records = annotate_pins(
         ws.index.stored_vectors(),
         deduped,
-        ws.txt_encoder.encode_batch(np.stack([q.embedding for q in deduped])),
+        ws.txt_encoder.encode_batch(ws.corpus.query_embeddings[[row[q.text] for q in deduped]]),
         max(r.rank for r in records),
     )
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PinRecord, QueryRecord, load_arrays, save_arrays
+from .core import Corpus, QueryRecord, load_arrays, save_arrays
 from .mlp import Mlp, backward_blocks, forward_blocks
 
 RANKER_MAGIC = b"GEORNK02"
@@ -65,10 +65,10 @@ class TowerConfig:
         return max(2, int(round(self.output_dim * self.width_mult)))
 
 
-def pin_features(pin: PinRecord) -> np.ndarray:
-    return np.concatenate(
-        [pin.visual_embedding, pin.text_embedding, [pin.perception_score]]
-    )
+def pin_features(corpus: Corpus) -> np.ndarray:
+    """Pin tower inputs, one row per pin in signature order: its visual and
+    text vectors and its perception score."""
+    return np.hstack([corpus.visual, corpus.text, [[p.perception_score] for p in corpus.pins.values()]])
 
 
 def query_features(query: QueryRecord) -> np.ndarray:

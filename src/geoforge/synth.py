@@ -20,6 +20,7 @@ from .core import (
     PinRecord,
     QueryRecord,
     l2_normalize,
+    read_only,
     rng_for,
     save_corpus,
     write_jsonl,
@@ -112,26 +113,27 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
         l2_normalize(rng.standard_normal(config.d_t)) for _ in range(config.n_clusters)
     ]
 
-    pins: dict[int, PinRecord] = {}
+    visual = np.empty((config.n_pins, config.d_v))
+    pin_text = np.empty((config.n_pins, config.d_t))
+    pin_fields: list[dict] = []  # each pin's other fields
     pin_cluster: dict[int, int] = {}
     for i in range(config.n_pins):
         cluster = i % config.n_clusters
         term = CLUSTER_TERMS[cluster]
         signature = 1_000_000 + i
-        pins[signature] = PinRecord(
-            signature=signature,
-            visual_embedding=_jitter(centroids_v[cluster], config.noise, rng),
-            text_embedding=_jitter(centroids_t[cluster], config.noise, rng),
-            perception_score=float(rng.uniform(0.3, 1.0)),
-            title=f"{term} look {i}",
-            description=f"inspiration for {term}",
-            board_id=int(cluster * 10 + rng.integers(0, 3)),
-            category=CLUSTER_CATEGORIES[cluster],
-            language="en",
-        )
+        visual[i] = _jitter(centroids_v[cluster], config.noise, rng)
+        pin_text[i] = _jitter(centroids_t[cluster], config.noise, rng)
+        pin_fields.append(dict(
+            signature=signature, perception_score=float(rng.uniform(0.3, 1.0)),
+            title=f"{term} look {i}", description=f"inspiration for {term}",
+            board_id=int(cluster * 10 + rng.integers(0, 3)), category=CLUSTER_CATEGORIES[cluster],
+        ))
         pin_cluster[signature] = cluster
+    visual, pin_text = read_only(visual), read_only(pin_text)
+    pins = {f["signature"]: PinRecord(visual_embedding=v, text_embedding=t, **f)
+            for f, v, t in zip(pin_fields, visual, pin_text)}
 
-    queries: list[QueryRecord] = []
+    query_texts: list[tuple[str, str]] = []  # (text, category)
     query_cluster: dict[str, int] = {}
     for cluster in range(config.n_clusters):
         term = CLUSTER_TERMS[cluster]
@@ -148,16 +150,14 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
                 if text in query_cluster:
                     emitted += 1
                     continue
-                queries.append(
-                    QueryRecord(
-                        text=text,
-                        category=category,
-                        embedding=_jitter(centroids_t[cluster], config.noise, rng),
-                    )
-                )
+                query_texts.append((text, category))
                 query_cluster[text] = cluster
                 emitted += 1
             variant += 1
+    query_embeddings = read_only(
+        [_jitter(centroids_t[query_cluster[t]], config.noise, rng) for t, _ in query_texts]
+    )
+    queries = [QueryRecord(t, c, embedding=e) for (t, c), e in zip(query_texts, query_embeddings)]
 
     # Engagement covers every branch of the retention filter plus records
     # that fail it, and a sprinkling of cross-cluster noise pairs.
@@ -215,13 +215,8 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
             )
         )
 
-    corpus = Corpus(
-        pins=pins,
-        queries=queries,
-        engagement=engagement,
-        d_v=config.d_v,
-        d_t=config.d_t,
-    )
+    corpus = Corpus(pins=pins, queries=queries, engagement=engagement, visual=visual,
+                    text=pin_text, query_embeddings=query_embeddings)
     sidecar = {
         "pin_cluster": pin_cluster,
         "query_cluster": query_cluster,

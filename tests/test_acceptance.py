@@ -304,7 +304,7 @@ def test_criterion_07_ranker_training(announce):
     labeled, _ = curation.curate(
         corpus.queries, corpus.engagement, sidecar["navboost"], seed=0
     )
-    triplets = _triplets_from_labels(corpus, labeled)
+    triplets = _triplets_from_labels(corpus, ranker.pin_features(corpus), labeled)
     perm = np.random.default_rng(3).permutation(len(triplets))
     half = len(triplets) // 2
     train_set, eval_set = triplets[perm[:half]], triplets[perm[half:]]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import json
+import re
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,8 @@ import geoforge
 from geoforge.core import (
     CORPUS_FILES,
     SEED_OFFSETS,
+    VECTOR_ARRAYS,
+    VECTORS_MAGIC,
     CorpusError,
     EngagementRecord,
     LabeledPair,
@@ -57,6 +61,11 @@ class TestVectorMath:
         v = l2_normalize(np.array(values))
         assert abs(float(np.linalg.norm(v)) - 1.0) <= 1e-15
         assert np.allclose(v, np.array(direction) / np.linalg.norm(direction), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_l2_normalize_non_finite(self, bad):
+        with pytest.raises(ZeroNormError, match="no unit vector exists"):
+            l2_normalize(np.array([bad, 1.0]))
 
     def test_l2_normalize_underflowing_squares_count_as_zero(self):
         # its float64 norm is 0.0, which test_l2_normalize_property treats
@@ -116,15 +125,9 @@ class TestRecordValidation:
         defaults.update(overrides)
         return PinRecord(**defaults)
 
-    def test_pin_dim_mismatch(self):
-        with pytest.raises(CorpusError, match="visual_embedding"):
-            self._pin().validate(8, 3)
-        with pytest.raises(CorpusError, match="text_embedding"):
-            self._pin().validate(4, 8)
-
     def test_pin_perception_range(self):
         with pytest.raises(CorpusError, match="perception_score"):
-            self._pin(perception_score=1.5).validate(4, 3)
+            self._pin(perception_score=1.5).validate()
 
     def test_query_category(self):
         with pytest.raises(CorpusError, match="category"):
@@ -163,71 +166,114 @@ def _save_edited(corpus, directory, name, index, edit):
     (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _save_vectors(corpus, directory, edit):
+    """Save ``corpus`` to ``directory``, then rewrite its vector file with
+    the arrays that ``edit`` returns from a dict of the float32 arrays."""
+    save_corpus(corpus, directory)
+    path = directory / CORPUS_FILES["vectors"]
+    _, arrays = load_arrays(path, VECTORS_MAGIC, CorpusError, {})
+    save_arrays(path, VECTORS_MAGIC, {}, edit({n: a.copy() for n, a in arrays.items()}))
+    return path
+
+
 class TestCorpusIO:
-    def test_roundtrip(self, small_synth, tmp_path):
+    def test_roundtrip_is_float32_rounding(self, small_synth, tmp_path):
         corpus, _, config = small_synth
         save_corpus(corpus, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(CORPUS_FILES.values())
         loaded = load_corpus(tmp_path)
-        assert sorted(loaded.pins) == sorted(corpus.pins)
-        assert len(loaded.queries) == len(corpus.queries)
+        assert list(loaded.pins) == list(corpus.pins)
+        assert [q.text for q in loaded.queries] == [q.text for q in corpus.queries]
         assert len(loaded.engagement) == len(corpus.engagement)
         # the dimensions come from the vectors
         assert (loaded.d_v, loaded.d_t) == (config.d_v, config.d_t)
-        # persistence rounds through f32
-        sig = sorted(corpus.pins)[0]
-        assert np.allclose(
-            loaded.pins[sig].visual_embedding,
-            corpus.pins[sig].visual_embedding,
-            atol=1e-6,
-        )
+        for name in VECTOR_ARRAYS:
+            rounded = getattr(corpus, name).astype(np.float32).astype(np.float64)
+            assert getattr(loaded, name).tobytes() == rounded.tobytes()
+        assert [p.perception_score for p in loaded.pins.values()] == [
+            float(np.float32(p.perception_score)) for p in corpus.pins.values()
+        ]
+        np.testing.assert_array_equal(loaded.signatures, sorted(corpus.pins))
+        # each record's vectors are views of its rows
+        for i, pin in enumerate(loaded.pins.values()):
+            assert np.shares_memory(pin.visual_embedding, loaded.visual[i])
+            assert np.shares_memory(pin.text_embedding, loaded.text[i])
+        for j, query in enumerate(loaded.queries):
+            assert np.shares_memory(query.embedding, loaded.query_embeddings[j])
+
+    def test_vectors_are_read_only(self, small_synth, tmp_path):
+        save_corpus(small_synth[0], tmp_path)
+        for corpus in (small_synth[0], load_corpus(tmp_path)):
+            pin, query = next(iter(corpus.pins.values())), corpus.queries[0]
+            for vector in (pin.visual_embedding, pin.text_embedding, query.embedding,
+                           corpus.visual[0], corpus.signatures):
+                with pytest.raises(ValueError, match="read-only"):
+                    vector[0] = 0.5
+
+    def test_jsonl_holds_no_vectors(self, small_synth, tmp_path):
+        save_corpus(small_synth[0], tmp_path)
+        first = {name: json.loads((tmp_path / name).read_text().splitlines()[0])
+                 for name in ("pins.jsonl", "queries.jsonl")}
+        assert list(first["pins.jsonl"]) == [
+            "signature", "perception_score", "title", "description", "board_id", "category",
+            "language",
+        ]
+        assert list(first["queries.jsonl"]) == ["text", "category", "language"]
 
     @pytest.mark.parametrize("name, edit, match", [
         ("pins.jsonl", {"signature": None}, "missing key 'signature'"),
         ("pins.jsonl", {"colour": "red"}, "unknown key 'colour'"),
         ("queries.jsonl", {"category": None}, "missing key 'category'"),
         ("engagement.jsonl", {"clicks": "many"}, "key 'clicks' has ill-typed value 'many'"),
-        # a vector whose length differs from the first pin's
-        ("pins.jsonl", {"visual_embedding": [0.5] * 17}, "visual_embedding has dim 17, expected 16"),
-        ("pins.jsonl", {"text_embedding": [0.5] * 11}, "text_embedding has dim 11, expected 12"),
-        ("queries.jsonl", {"embedding": [0.5] * 16}, "embedding has dim 16, expected 12"),
+        # the vectors live in the vector file alone
+        ("pins.jsonl", {"visual_embedding": [0.5] * 16}, "unknown key 'visual_embedding'"),
+        ("queries.jsonl", {"embedding": [0.5] * 12}, "unknown key 'embedding'"),
+        # pins ascend by signature, so a repeated one fails too
+        ("pins.jsonl", {"signature": 1000000}, "pin signature 1000000 does not ascend from 1000000"),
+        ("pins.jsonl", {"signature": 999999}, "pin signature 999999 does not ascend from 1000000"),
+        ("queries.jsonl", {"text": "sage green decor"}, "duplicate query text 'sage green decor'"),
     ])
     def test_bad_record_names_path_and_line(self, small_synth, tmp_path, name, edit, match):
         _save_edited(small_synth[0], tmp_path, name, 1, edit)
         with pytest.raises(CorpusError, match=rf"{name}:2: .*{match}"):
             load_corpus(tmp_path)
 
-    @pytest.mark.parametrize("name, index, key, match", [
-        ("pins.jsonl", 0, "visual_embedding", "pin 1000000: empty embedding"),
-        ("pins.jsonl", 0, "text_embedding", "pin 1000000: empty embedding"),
-        ("pins.jsonl", 1, "text_embedding", "text_embedding has dim 0, expected 12"),
-        ("queries.jsonl", 0, "embedding", "embedding has dim 0, expected 12"),
+    @pytest.mark.parametrize("edit, match", [
+        # a row count that does not match the records
+        (lambda a: {**a, "visual": a["visual"][:-1]}, r"\(119, 16\), \(120, 12\)"),
+        (lambda a: {**a, "text": np.vstack([a["text"], a["text"][:1]])}, r"\(121, 12\)"),
+        (lambda a: {**a, "query_embeddings": a["query_embeddings"][1:]}, r"\(47, 12\)"),
+        # a width that does not match, and an empty one
+        (lambda a: {**a, "query_embeddings": a["query_embeddings"][:, :11]}, r"\(48, 11\)"),
+        (lambda a: {**a, "visual": a["visual"][:, :0]}, r"\(120, 0\)"),
+        (lambda a: {**a, "text": a["text"][:, :0], "query_embeddings": a["query_embeddings"][:, :0]},
+         r"\(120, 0\)"),
+        # a missing, extra, flat or integer matrix
+        (lambda a: {n: a[n] for n in ("visual", "text")}, "expected the float32 matrices"),
+        (lambda a: {**a, "extra": a["text"]}, "expected the float32 matrices"),
+        (lambda a: {**a, "visual": a["visual"].ravel()}, "expected the float32 matrices"),
+        (lambda a: {**a, "text": a["text"].astype("<i4")}, "expected the float32 matrices"),
+        (lambda a: {**a, "text": np.full_like(a["text"], np.nan)}, "non-finite"),
     ])
-    def test_empty_embedding_fails_typed(self, small_synth, tmp_path, name, index, key, match):
-        _save_edited(small_synth[0], tmp_path, name, index, {key: []})
-        with pytest.raises(CorpusError, match=rf"{name}:{index + 1}: .*{match}"):
+    def test_bad_vector_file_names_it(self, small_synth, tmp_path, edit, match):
+        path = _save_vectors(small_synth[0], tmp_path, edit)
+        with pytest.raises(CorpusError, match=match) as info:
             load_corpus(tmp_path)
+        assert str(path) in str(info.value)
 
-    def test_duplicate_signature(self, tmp_path):
-        pin = PinRecord(
-            signature=1,
-            visual_embedding=np.ones(2),
-            text_embedding=np.ones(2),
-            perception_score=0.5,
-        )
-        write_jsonl(tmp_path / "pins.jsonl", [pin.to_json(), pin.to_json()])
-        with pytest.raises(CorpusError, match=r"pins\.jsonl:2: duplicate signature"):
-            load_corpus(tmp_path)
-
-    def test_duplicate_query_text(self, tmp_path):
-        query = QueryRecord(text="sage green", category="Description", embedding=np.ones(2))
-        other = QueryRecord(text="fall nails", category="UseCase", embedding=np.ones(2))
-        write_jsonl(tmp_path / "queries.jsonl", [q.to_json() for q in (query, other, query)])
-        pin = PinRecord(signature=1, visual_embedding=np.ones(2), text_embedding=np.ones(2),
-                        perception_score=0.5)
-        write_jsonl(tmp_path / "pins.jsonl", [pin.to_json()])
-        with pytest.raises(CorpusError, match=r"queries\.jsonl:3: duplicate query text 'sage green'"):
-            load_corpus(tmp_path)
+    def test_damaged_vector_file_names_it(self, small_synth, tmp_path):
+        """A cut, emptied or bit-flipped vector file fails typed."""
+        save_corpus(small_synth[0], tmp_path)
+        path = tmp_path / CORPUS_FILES["vectors"]
+        data = path.read_bytes()
+        rng = np.random.default_rng(0)
+        damaged = [data[:cut] for cut in (0, 7, 20, len(data) // 2, len(data) - 4, len(data) - 1)]
+        for pos, bit in zip(rng.integers(0, len(data), 40).tolist(), rng.integers(0, 8, 40).tolist()):
+            damaged.append(data[:pos] + bytes([data[pos] ^ 1 << bit]) + data[pos + 1:])
+        for bad in damaged:
+            path.write_bytes(bad)
+            with pytest.raises(CorpusError, match=re.escape(str(path))):
+                load_corpus(tmp_path)
 
     def test_read_jsonl_skips_blank_lines_and_names_bad_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -288,10 +334,15 @@ class BoxError(ValueError):
     pass
 
 
+def _sealed(data: bytes) -> bytes:
+    """``data`` and its CRC-32 trailer, as `save_arrays` ends a file."""
+    return data + zlib.crc32(data).to_bytes(4, "little")
+
+
 def _box(header, payload: bytes = b"", magic: bytes = MAGIC) -> bytes:
     """A container file assembled by hand, so a test can damage any part."""
     blob = json.dumps(header).encode("utf-8")
-    return magic + len(blob).to_bytes(8, "little") + blob + payload
+    return _sealed(magic + len(blob).to_bytes(8, "little") + blob + payload)
 
 
 def _spec(name="a", dtype="<f4", shape=(2,)):
@@ -324,9 +375,13 @@ class TestArrayContainer:
         "data, match",
         [
             (_box({"arrays": [], "meta": {"n": 1}}, magic=b"OTHERBOX"), "magic"),
-            (MAGIC + b"\x05\x00", "truncated"),
-            (MAGIC + (999).to_bytes(8, "little") + b"{}", "truncated"),
-            (MAGIC + (9).to_bytes(8, "little") + b"{not json", "corrupt"),
+            (_sealed(MAGIC + b"\x05\x00"), "truncated"),
+            (_sealed(MAGIC + (999).to_bytes(8, "little") + b"{}"), "truncated"),
+            (_sealed(MAGIC + (9).to_bytes(8, "little") + b"{not json"), "corrupt"),
+            # a trailer that does not match, or none
+            (_box({"arrays": [], "meta": {"n": 1}})[:-1] + b"\x00", "CRC-32 does not match"),
+            (_box({"arrays": [], "meta": {"n": 1}})[:-4], "CRC-32 does not match"),
+            (MAGIC + b"\x00", "CRC-32 does not match"),
             (_box({"arrays": []}), "missing or ill-typed"),
             (_box({"arrays": [], "meta": {"n": "1"}}), "missing or ill-typed"),
             (_box({"arrays": [], "meta": {"n": True}}), "missing or ill-typed"),

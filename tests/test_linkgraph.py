@@ -69,6 +69,9 @@ class TestPagerank:
         graph.add_edge("a", "b")
         with pytest.raises(LinkGraphError, match="damping"):
             pagerank(graph, damping=1.0)
+        # no iteration would leave the uniform start reported as converged
+        with pytest.raises(LinkGraphError, match="max_iter"):
+            pagerank(graph, max_iter=0)
 
     def test_ring_uniform(self):
         graph = LinkGraph()

@@ -95,6 +95,11 @@ class TestStageGraph:
         ("train-encoder", "corpus/pins.jsonl", "gen-corpus"),
         ("agent-run", "corpus/queries.jsonl", "gen-corpus"),
         ("build-collections", "corpus/engagement.jsonl", "gen-corpus"),
+        # every stage that reads the corpus needs its vector file
+        *[(stage, "corpus/vectors.bin", "gen-corpus") for stage in (
+            "curate", "train-encoder", "build-index", "train-ranker", "build-collections",
+            "agent-run", "eval",
+        )],
     ])
     def test_always_written_input_is_required(
         self, pipeline_run, tmp_path, stage, missing, producer
@@ -163,24 +168,22 @@ class TestStageGraph:
         ("link", "collections.jsonl", "{not json", "CollectionError", "malformed JSON: .+"),
         ("agent-run", "corpus/trends.jsonl", "[1, 2", "AgentError", "malformed JSON: .+"),
         # every JSONL input: an unknown key, a missing key, and where the
-        # record has such a field, true or a float for an int, a string for
-        # a float, a vector that is no list or holds NaN
+        # record has such a field, true or a float for an int and a string
+        # for a float; corpus vectors live in corpus/vectors.bin alone, so a
+        # vector key in pins or queries is unknown
         *[("curate", "corpus/pins.jsonl", edit, "CorpusError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
             ({"signature": None}, "missing key 'signature'"),
             ({"signature": True}, "key 'signature' has ill-typed value True"),
             ({"signature": 1000001.7}, "key 'signature' has ill-typed value 1000001.7"),
             ({"perception_score": "0.5"}, "key 'perception_score' has ill-typed value '0.5'"),
-            ({"visual_embedding": 5}, "key 'visual_embedding' has ill-typed value 5"),
-            ({"text_embedding": [0.5, float("nan")]},
-             r"key 'text_embedding' has ill-typed value \[0.5, nan\]"),
+            ({"visual_embedding": [0.5]}, "unknown key 'visual_embedding'"),
         ]],
         *[("curate", "corpus/queries.jsonl", edit, "CorpusError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
             ({"text": None}, "missing key 'text'"),
             ({"text": 5}, "key 'text' has ill-typed value 5"),
-            ({"embedding": "x"}, "key 'embedding' has ill-typed value 'x'"),
-            ({"embedding": [float("nan")]}, r"key 'embedding' has ill-typed value \[nan\]"),
+            ({"embedding": [0.5]}, "unknown key 'embedding'"),
         ]],
         *[("curate", "corpus/engagement.jsonl", edit, "CorpusError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
@@ -218,6 +221,11 @@ class TestStageGraph:
             ({"members": [{"signature": 1, "similarity": "0.5"}]},
              "key 'members' has ill-typed value .+"),
             ({"topic": {"text": "t"}}, "missing key 'category'"),
+            # a topic's embedding is a JSON vector: a list of finite floats
+            ({"topic": {"text": "t", "category": "Description", "embedding": "x"}},
+             "key 'embedding' has ill-typed value 'x'"),
+            ({"topic": {"text": "t", "category": "Description", "embedding": [0.5, float("nan")]}},
+             r"key 'embedding' has ill-typed value \[0.5, nan\]"),
         ]],
         *[("agent-run", "corpus/trends.jsonl", edit, "AgentError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
@@ -443,18 +451,17 @@ class TestLabeledPairs:
     def test_triplets_share_one_row_per_pin_and_query_text(self, pipeline_run):
         ws = pipeline_run["ws"]
         labeled = pipeline._load_labeled(ws, ws.corpus)
-        triplets = pipeline._triplets_from_labels(ws.corpus, labeled)
+        triplets = pipeline._triplets_from_labels(ws.corpus, ws.pin_features, labeled)
         by_pin: dict[int, tuple[list, list]] = {}
         for pair in labeled:
             by_pin.setdefault(pair.pin_signature, ([], []))[pair.label == -1].append(pair.query)
         named = [(s, pos, neg) for s in sorted(by_pin) for pos, neg in zip(*by_pin[s])]
         assert len(named) == len(triplets)
-        # one row per labeled pin, in signature order, and one per query text
-        signatures = sorted(by_pin)
-        np.testing.assert_array_equal(
-            triplets.pins, [ranker.pin_features(ws.corpus.pins[s]) for s in signatures]
-        )
-        pin_rows = {signature: row for row, signature in enumerate(signatures)}
+        # the corpus's pin feature rows, in signature order, and one row per
+        # query text
+        assert triplets.pins is ws.pin_features
+        np.testing.assert_array_equal(triplets.pins, ranker.pin_features(ws.corpus))
+        pin_rows = {signature: row for row, signature in enumerate(ws.corpus.pins)}
         query_rows: dict[str, int] = {}
         for i, (signature, pos, neg) in enumerate(named):
             assert triplets.pin[i] == pin_rows[signature]
