@@ -187,26 +187,22 @@ def make_content_lookup(
     return content_lookup
 
 
-def make_expand_query():
+def expand_query(
+    trend: TrendSignal, long_memory: dict[str, dict], n: int
+) -> list[tuple[QueryRecord, str]]:
     """Deterministic template expander; reuses accepted patterns from long
     memory as few-shot exemplars when available."""
-
-    def expand_query(
-        trend: TrendSignal, long_memory: dict[str, dict], n: int
-    ) -> list[tuple[QueryRecord, str]]:
-        exemplars = long_memory.get(trend.term, {}).get("patterns", [])
-        # remembered patterns first, in memory order; the rest keep theirs
-        templates = sorted(
-            EXPANSION_TEMPLATES,
-            key=lambda t: exemplars.index(t[1]) if t[1] in exemplars else len(exemplars),
-        )
-        # each template's fixed text differs, so no two variants collide
-        return [
-            (QueryRecord(text=pattern.format(term=trend.term), category=category), pattern)
-            for category, pattern in templates[: max(0, n)]
-        ]
-
-    return expand_query
+    exemplars = long_memory.get(trend.term, {}).get("patterns", [])
+    # remembered patterns first, in memory order; the rest keep theirs
+    templates = sorted(
+        EXPANSION_TEMPLATES,
+        key=lambda t: exemplars.index(t[1]) if t[1] in exemplars else len(exemplars),
+    )
+    # each template's fixed text differs, so no two variants collide
+    return [
+        (QueryRecord(text=pattern.format(term=trend.term), category=category), pattern)
+        for category, pattern in templates[: max(0, n)]
+    ]
 
 
 def make_fetch_trends(trends_path: str | Path):
@@ -243,7 +239,7 @@ def default_tools(
         content_lookup=make_content_lookup(
             corpus, index, text_encoder, config.min_count, config.relevance_floor
         ),
-        expand_query=make_expand_query(),
+        expand_query=expand_query,
     )
 
 

@@ -109,16 +109,21 @@ class _Record:
         """Every field in declaration order (see `_json_value`)."""
         return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
+    def validate(self) -> None:
+        """Raise CorpusError if the record breaks an invariant of its kind."""
+
     @classmethod
     def from_json(cls, obj: dict, **rows: np.ndarray):
-        """The record from a JSON object of its fields but the vectors given
-        as ``rows``, each of the kind its annotation names (see
+        """The validated record from a JSON object of its fields but the
+        vectors given as ``rows``, each of the kind its annotation names (see
         `check_json`); a defaulted field may be absent. An int in a float
         field reads as a float, and a list (a vector) as a float64 array."""
         kinds, defaulted = _record_kinds(cls)
         check_json(obj, {k: kind for k, kind in kinds.items() if k not in rows}, defaulted)
-        return cls(**rows, **{k: float(v) if kinds[k] is float else np.asarray(v, dtype=np.float64)
-                              if type(v) is list else v for k, v in obj.items()})
+        record = cls(**rows, **{k: float(v) if kinds[k] is float else np.asarray(v, dtype=np.float64)
+                                if type(v) is list else v for k, v in obj.items()})
+        record.validate()
+        return record
 
 
 @functools.cache
@@ -228,17 +233,13 @@ class LabeledPair:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, queries: dict[str, QueryRecord]) -> "LabeledPair":
-        """A validated pair of the JSON kinds `to_json` writes, whose query is
-        ``queries[obj["query_text"]]``; a text not in ``queries`` raises
-        CorpusError."""
+    def from_json(cls, obj: dict, corpus: Corpus) -> "LabeledPair":
+        """A validated pair of the JSON kinds `to_json` writes, with its query
+        and pin looked up in ``corpus``; one it lacks raises CorpusError."""
         check_json(obj, {"pin_signature": int, "query_text": str, "label": int,
                          "navboost_coverage": float, "source": str})
-        query = queries.get(obj["query_text"])
-        if query is None:
-            raise CorpusError(f"unknown query text {obj['query_text']!r}")
-        pair = cls(obj["pin_signature"], query, obj["label"],
-                   float(obj["navboost_coverage"]), obj["source"])
+        pair = cls(corpus.pin(obj["pin_signature"]).signature, corpus.query(obj["query_text"]),
+                   obj["label"], float(obj["navboost_coverage"]), obj["source"])
         pair.validate()
         return pair
 
@@ -249,7 +250,7 @@ class Corpus:
     each vector a read-only view of a row of a read-only float64 matrix:
     pin i's (in signature order) of row i of ``visual`` and ``text``, query
     j's of row j of ``query_embeddings``. ``signatures`` holds the pins'
-    signatures in the same order."""
+    signatures in the same order, and ``query_row`` each query text's row."""
 
     pins: dict[int, PinRecord]
     queries: list[QueryRecord]
@@ -258,11 +259,13 @@ class Corpus:
     text: np.ndarray
     query_embeddings: np.ndarray
     signatures: np.ndarray = field(init=False, repr=False)
+    query_row: dict[str, int] = field(init=False, repr=False)
     d_v: int = field(init=False)  # the widths of visual and text
     d_t: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.signatures = read_only(list(self.pins), np.int64)
+        self.query_row = {q.text: row for row, q in enumerate(self.queries)}
         self.d_v, self.d_t = self.visual.shape[1], self.text.shape[1]
 
     def pin(self, signature: int) -> PinRecord:
@@ -270,6 +273,12 @@ class Corpus:
             return self.pins[signature]
         except KeyError:
             raise CorpusError(f"unknown pin signature {signature}") from None
+
+    def query(self, text: str) -> QueryRecord:
+        try:
+            return self.queries[self.query_row[text]]
+        except KeyError:
+            raise CorpusError(f"unknown query text {text!r}") from None
 
 
 def read_key_values(
@@ -493,11 +502,14 @@ def load_arrays(
 def load_corpus(directory: str | Path) -> Corpus:
     """Load and validate the CORPUS_FILES in ``directory``. A bad record, a
     repeated query text or a pin signature that does not ascend raises
-    CorpusError naming path:line, and a file with no record CorpusError
-    naming the path. So does a damaged vector file, or one whose
+    CorpusError naming path:line, and a missing file or one with no record
+    CorpusError naming the path. So does a damaged vector file, or one whose
     VECTOR_ARRAYS are not float32 matrices of one row per pin (visual and
     text) and per query (query_embeddings, as wide as text)."""
     directory = Path(directory)
+    for path in (directory / file for file in CORPUS_FILES.values()):
+        if not path.is_file():
+            raise CorpusError(f"missing corpus file {path}")
     path = directory / CORPUS_FILES["vectors"]
     _, arrays = load_arrays(path, VECTORS_MAGIC, CorpusError, {})
     if {n: (a.dtype.str, a.ndim) for n, a in arrays.items()} != dict.fromkeys(VECTOR_ARRAYS, ("<f4", 2)):
@@ -511,7 +523,6 @@ def load_corpus(directory: str | Path) -> Corpus:
     def pin(obj: dict) -> PinRecord:
         visual_row, text_row = next(pin_rows, (None, None))
         record = PinRecord.from_json(obj, visual_embedding=visual_row, text_embedding=text_row)
-        record.validate()
         if signatures and record.signature <= signatures[-1]:
             raise CorpusError(f"pin signature {record.signature} does not ascend from {signatures[-1]}")
         signatures.append(record.signature)
@@ -519,15 +530,9 @@ def load_corpus(directory: str | Path) -> Corpus:
 
     def query(obj: dict) -> QueryRecord:
         record = QueryRecord.from_json(obj, embedding=next(query_rows, None))
-        record.validate()
         if record.text in texts:
             raise CorpusError(f"duplicate query text {record.text!r}")
         texts.add(record.text)
-        return record
-
-    def engagement(obj: dict) -> EngagementRecord:
-        record = EngagementRecord.from_json(obj)
-        record.validate()
         return record
 
     pins = read_records(directory / CORPUS_FILES["pins"], pin, CorpusError, "pin")
@@ -537,7 +542,8 @@ def load_corpus(directory: str | Path) -> Corpus:
     if shapes != [(len(pins), d_v), (len(pins), d_t), (len(queries), d_t)] or not d_v * d_t:
         raise CorpusError(f"{path}: shapes {shapes} do not fit {len(pins)} pins and "
                           f"{len(queries)} queries, as (pins, d_v), (pins, d_t), (queries, d_t)")
-    engaged = read_records(directory / CORPUS_FILES["engagement"], engagement, CorpusError, "engagement")
+    engaged = read_records(directory / CORPUS_FILES["engagement"], EngagementRecord.from_json,
+                           CorpusError, "engagement")
     return Corpus({p.signature: p for p in pins}, queries, engaged, visual, text, query_embeddings)
 
 

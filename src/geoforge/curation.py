@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EngagementRecord, LabeledPair, QueryRecord
+from .core import Corpus, EngagementRecord, LabeledPair, QueryRecord
 
 NAVBOOST_PROMOTION = 0.54  # strictly-greater promotion threshold
 RELATEDNESS_CEILING = 0.5  # hard negatives must be below this cosine
@@ -240,20 +240,18 @@ def dedup_queries(
 
 
 def curate(
-    corpus_queries: list[QueryRecord],
-    engagement: list[EngagementRecord],
+    corpus: Corpus,
+    deduped: list[QueryRecord],
     navboost: dict[tuple[str, int], float],
     neg_per_pos: int = 2,
     seed: int = 0,
 ) -> tuple[list[LabeledPair], dict]:
-    """Full curation pass: filter engagement, pick top queries per pin,
-    label with hard negatives, and report per-branch counts."""
-    by_query = {q.text: q for q in corpus_queries}
-    deduped = dedup_queries(corpus_queries)
-
+    """Full curation pass: filter the corpus's engagement, pick top queries
+    per pin, label with hard negatives drawn from ``deduped``, the corpus
+    queries' `dedup_queries`, and report per-branch counts."""
     branch_counts = {"impressions": 0, "ctr": 0, "position": 0, "rejected": 0}
     by_pin: dict[int, list[EngagementRecord]] = {}
-    for record in engagement:
+    for record in corpus.engagement:
         branches = retention_branches(record)
         if branches:
             for b in branches:
@@ -265,13 +263,12 @@ def curate(
     positives: list[LabeledPair] = []
     for signature in sorted(by_pin):
         for record in select_top_queries(by_pin[signature]):
-            query = by_query.get(record.query_text)
-            if query is None:
+            if record.query_text not in corpus.query_row:
                 continue
             positives.append(
                 LabeledPair(
                     pin_signature=signature,
-                    query=query,
+                    query=corpus.query(record.query_text),
                     label=+1,
                     navboost_coverage=navboost.get((record.query_text, signature), 0.0),
                     source="SearchConsole",
@@ -287,7 +284,7 @@ def curate(
     report = {
         "retention_branches": branch_counts,
         "category_histogram": histogram,
-        "dedup_merged": len(corpus_queries) - len(deduped),
+        "dedup_merged": len(corpus.queries) - len(deduped),
         "positives": sum(1 for p in labeled if p.label == +1),
         "negatives": sum(1 for p in labeled if p.label == -1),
     }

@@ -111,11 +111,12 @@ class HnswIndex:
     def _vectors(self) -> np.ndarray:
         return self._store[: len(self._ids)]
 
-    def stored_vectors(self) -> dict[int, np.ndarray]:
-        """Each id's stored row as a read-only view; float32-rounded after `load`."""
+    def stored_vectors(self) -> tuple[list[int], np.ndarray]:
+        """The ids in insertion order (ascending under `build`) and their
+        stored rows as a read-only view; float32-rounded after `load`."""
         rows = self._vectors.view()
         rows.flags.writeable = False
-        return dict(zip(self._ids, rows))
+        return list(self._ids), rows
 
     @property
     def max_level(self) -> int:

@@ -115,8 +115,17 @@ class Workspace:
         return curation.dedup_queries(self.corpus.queries)
 
     @cached_property
+    def deduped_rows(self) -> list[int]:
+        """The corpus rows of `deduped_queries`."""
+        return [self.corpus.query_row[q.text] for q in self.deduped_queries]
+
+    @cached_property
     def pin_features(self) -> np.ndarray:
         return ranker.pin_features(self.corpus)
+
+    @cached_property
+    def query_features(self) -> np.ndarray:
+        return ranker.query_features(self.corpus)
 
     @cached_property
     def index(self) -> hnsw.HnswIndex:
@@ -140,7 +149,9 @@ class Workspace:
 
     @cached_property
     def triplets(self) -> ranker.Triplets:
-        triplets = _triplets_from_labels(self.corpus, self.pin_features, _load_labeled(self, self.corpus))
+        labeled = read_records(self.labeled_pairs, partial(LabeledPair.from_json, corpus=self.corpus),
+                               CorpusError)
+        triplets = _triplets_from_labels(self.corpus, self.pin_features, self.query_features, labeled)
         if not len(triplets):
             raise PipelineError(f"{self.labeled_pairs}: no ranker triplets derivable from its pairs")
         return triplets
@@ -225,19 +236,6 @@ def _check_inputs(stage: str, ws: Workspace) -> None:
             )
 
 
-def _load_labeled(ws: Workspace, corpus: Corpus) -> list[LabeledPair]:
-    """The labeled pairs; an unknown query or pin raises CorpusError naming path:line."""
-    by_text = {q.text: q for q in corpus.queries}
-
-    def parse(obj: dict) -> LabeledPair:
-        pair = LabeledPair.from_json(obj, by_text)
-        if pair.pin_signature not in corpus.pins:
-            raise CorpusError(f"unknown pin signature {pair.pin_signature}")
-        return pair
-
-    return read_records(ws.labeled_pairs, parse, CorpusError)
-
-
 def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
     """Generate the bundled synthetic corpus."""
     synth.write_corpus_bundle(ws.corpus_dir, synth.SynthConfig(
@@ -259,8 +257,8 @@ def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
         ws.navboost, partial(check_json, kinds=NAVBOOST_KINDS), CorpusError, "navboost"
     )
     labeled, report = curation.curate(
-        corpus.queries,
-        corpus.engagement,
+        corpus,
+        ws.deduped_queries,
         {(o["query_text"], o["pin_signature"]): float(o["coverage"]) for o in navboost},
         neg_per_pos=config.neg_per_pos,
         seed=subseed(config.seed, "curation"),
@@ -304,39 +302,37 @@ def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
     return {"elements": len(index), "layers": index.max_level + 1}
 
 
-def _triplets_from_labels(corpus: Corpus, pins: np.ndarray, labeled: list[LabeledPair]) -> ranker.Triplets:
+def _triplets_from_labels(
+    corpus: Corpus, pins: np.ndarray, queries: np.ndarray, labeled: list[LabeledPair]
+) -> ranker.Triplets:
     """Each pin's i-th positive and i-th negative as one triplet, pins in
-    signature order, over ``pins``, the corpus's `ranker.pin_features`
-    rows, and one feature row per query text, in order of first use."""
-    by_pin: dict[int, tuple[list[QueryRecord], list[QueryRecord]]] = {}
+    signature order, over ``pins`` and ``queries``, the corpus's
+    `ranker.pin_features` and `ranker.query_features` rows."""
+    by_pin: dict[int, tuple[list[int], list[int]]] = {}
     for pair in labeled:
         pos, neg = by_pin.setdefault(pair.pin_signature, ([], []))
-        (pos if pair.label == 1 else neg).append(pair.query)
+        (pos if pair.label == 1 else neg).append(corpus.query_row[pair.query.text])
     signatures = sorted(by_pin)
     pin_rows = np.searchsorted(corpus.signatures, signatures).tolist()
-    pairs = [(row, p, n) for row, s in zip(pin_rows, signatures) for p, n in zip(*by_pin[s])]
-    queries = {q.text: q for _, p, n in pairs for q in (p, n)}
-    rows = {text: row for row, text in enumerate(queries)}
-    index = np.array([(row, rows[p.text], rows[n.text]) for row, p, n in pairs], dtype=np.intp)
-    return ranker.Triplets(
-        pins,
-        np.array([ranker.query_features(q) for q in queries.values()]),
-        *index.reshape(-1, 3).T,
-    )
+    index = np.array([(row, p, n) for row, s in zip(pin_rows, signatures) for p, n in zip(*by_pin[s])],
+                     dtype=np.intp)
+    return ranker.Triplets(pins, queries, *index.reshape(-1, 3).T)
 
 
 def annotate_pins(
-    pin_embeddings: dict[int, np.ndarray],
+    signatures: Iterable[int],
+    e_pins: np.ndarray,
     queries: list[QueryRecord],
     e_queries: np.ndarray,
     per_pin: int,
 ) -> list[Annotation]:
-    """Annotations of the top-per_pin queries of every pin, in signature
-    order. A query scores e_queries @ e_pin; ties break on text."""
+    """Annotations of the top-per_pin queries of each pin, in the order of
+    ``signatures``, whose embeddings are the rows of ``e_pins``. A query
+    scores e_queries @ e_pin; ties break on text."""
     text_rank = np.argsort(sorted(range(len(queries)), key=lambda i: queries[i].text))
     records = []
-    for signature in sorted(pin_embeddings):
-        scores = e_queries @ pin_embeddings[signature]
+    for signature, e_pin in zip(signatures, e_pins):
+        scores = e_queries @ e_pin
         order = np.lexsort((text_rank, -scores))[:per_pin].tolist()
         records += [Annotation(signature, queries[i].text, float(scores[i]), rank)
                     for rank, i in enumerate(order, 1)]
@@ -359,12 +355,12 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     write_train_log(ws.ranker_log, ("step", "loss"), log)
 
     # annotate every pin with its top-scoring deduped queries
-    deduped = ws.deduped_queries
     e_pins = ranker.in_blocks(len(corpus.pins), lambda block: model.embed_pin(ws.pin_features[block]))
     annotations = annotate_pins(
-        dict(zip(corpus.pins, e_pins)),
-        deduped,
-        model.embed_query(np.stack([ranker.query_features(q) for q in deduped])),
+        corpus.signatures.tolist(),
+        e_pins,
+        ws.deduped_queries,
+        model.embed_query(ws.query_features[ws.deduped_rows]),
         config.annotations_per_pin,
     )
     write_jsonl(ws.annotations, (a.to_json() for a in annotations))
@@ -393,13 +389,11 @@ def build_collections(
     first text wins each slug. Texts that are not corpus queries are
     skipped. A text with a collection in `published` takes it as
     published; the others are built in one `build_collections` batch."""
-    by_text = {q.text: q for q in ws.corpus.queries}
     reuse = {c.topic.text: c for c in published}
     winners: dict[str, QueryRecord] = {}
     for text in sorted(topic_texts):
-        topic = by_text.get(text)
-        if topic is not None:
-            winners.setdefault(coll_mod.slugify(text), topic)
+        if text in ws.corpus.query_row:
+            winners.setdefault(coll_mod.slugify(text), ws.corpus.query(text))
     built = iter(coll_mod.build_collections(
         [t for t in winners.values() if t.text not in reuse],
         ws.txt_encoder, ws.index, config.collection_k, config.ef_search))
@@ -458,14 +452,13 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
     collections only, no pin links). A topic build-collections published
     takes its collection from `ws.published_collections`, not a rebuild.
     """
-    records, deduped = ws.annotation_records, ws.deduped_queries
-    row = {q.text: i for i, q in enumerate(ws.corpus.queries)}
+    records = ws.annotation_records
 
     # control annotations: raw cross-tower cosine, same threshold and budget
     control_records = annotate_pins(
-        ws.index.stored_vectors(),
-        deduped,
-        ws.txt_encoder.encode_batch(ws.corpus.query_embeddings[[row[q.text] for q in deduped]]),
+        *ws.index.stored_vectors(),
+        ws.deduped_queries,
+        ws.txt_encoder.encode_batch(ws.corpus.query_embeddings[ws.deduped_rows]),
         max(r.rank for r in records),
     )
 
@@ -514,14 +507,13 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     try:
         encoder_loss = {"initial": float(rows[0].split(",")[1]),
                         "final": float(rows[-1].split(",")[1])}
+        check_json(encoder_loss, {str: float})  # a non-finite loss fails
     except (IndexError, ValueError):
-        raise PipelineError(f"{ws.encoder_log}: no readable training rows") from None
+        raise PipelineError(f"{ws.encoder_log}: no readable training rows with finite losses") from None
     model = ranker.load_ranker(ws.ranker_file)
 
     # recall@10 of the index's search against brute force over its own rows
-    stored = ws.index.stored_vectors()
-    signatures = sorted(stored)
-    matrix = np.array([stored[s] for s in signatures])
+    signatures, matrix = ws.index.stored_vectors()
     rng = np.random.default_rng(subseed(config.seed, "eval"))
     probes = rng.choice(len(signatures), size=min(50, len(signatures)), replace=False)
     recalls = []

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Corpus, QueryRecord, load_arrays, save_arrays
+from .core import Corpus, load_arrays, save_arrays
 from .mlp import Mlp, backward_blocks, forward_blocks
 
 RANKER_MAGIC = b"GEORNK02"
@@ -71,11 +71,11 @@ def pin_features(corpus: Corpus) -> np.ndarray:
     return np.hstack([corpus.visual, corpus.text, [[p.perception_score] for p in corpus.pins.values()]])
 
 
-def query_features(query: QueryRecord) -> np.ndarray:
-    if query.embedding is None:
-        raise RankerError(f"query {query.text!r} lacks an embedding")
-    length_score = min(len(query.text.split()), 16) / 16.0
-    return np.concatenate([query.embedding, [length_score]])
+def query_features(corpus: Corpus) -> np.ndarray:
+    """Query tower inputs, one row per corpus query in order: its embedding
+    and its word count over 16, capped at 1."""
+    lengths = [[min(len(q.text.split()), 16) / 16.0] for q in corpus.queries]
+    return np.hstack([corpus.query_embeddings, lengths])
 
 
 @dataclass

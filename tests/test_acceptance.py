@@ -302,9 +302,11 @@ def test_criterion_07_ranker_training(announce):
     )
     corpus, sidecar = synth.generate_corpus(config)
     labeled, _ = curation.curate(
-        corpus.queries, corpus.engagement, sidecar["navboost"], seed=0
+        corpus, curation.dedup_queries(corpus.queries), sidecar["navboost"], seed=0
     )
-    triplets = _triplets_from_labels(corpus, ranker.pin_features(corpus), labeled)
+    triplets = _triplets_from_labels(
+        corpus, ranker.pin_features(corpus), ranker.query_features(corpus), labeled
+    )
     perm = np.random.default_rng(3).permutation(len(triplets))
     half = len(triplets) // 2
     train_set, eval_set = triplets[perm[:half]], triplets[perm[half:]]

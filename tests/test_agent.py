@@ -17,8 +17,8 @@ from geoforge.agent import (
     AgentState,
     TrendSignal,
     default_tools,
+    expand_query,
     load_long_memory,
-    make_expand_query,
     make_fetch_trends,
     make_semantic_filter,
     replay_trace,
@@ -107,15 +107,13 @@ class TestTools:
             semantic_filter(TrendSignal(term="x"), 1.5)
 
     def test_expand_query_deduplicates_and_bounds(self):
-        expand = make_expand_query()
-        variants = expand(TrendSignal(term="fall nails"), {}, 3)
+        variants = expand_query(TrendSignal(term="fall nails"), {}, 3)
         texts = [q.text for q, _ in variants]
         assert len(texts) == 3 and len(set(texts)) == 3
 
     def test_expand_query_prefers_remembered_patterns(self):
-        expand = make_expand_query()
         memory = {"fall nails": {"patterns": ["{term} color palette"]}}
-        variants = expand(TrendSignal(term="fall nails"), memory, 2)
+        variants = expand_query(TrendSignal(term="fall nails"), memory, 2)
         assert variants[0][1] == "{term} color palette"
 
     def test_expand_query_empty_taxonomy(self, small_synth, tmp_path):

@@ -155,6 +155,23 @@ class TestRecordValidation:
         with pytest.raises(CorpusError, match="source"):
             LabeledPair(1, query, label=1, source="Mystery").validate()
 
+    def test_labeled_pair_resolves_through_the_corpus(self, small_synth):
+        corpus = small_synth[0]
+        pair = LabeledPair(int(corpus.signatures[5]), corpus.queries[3], +1)
+        loaded = LabeledPair.from_json(pair.to_json(), corpus)
+        assert loaded.query is corpus.queries[3] and loaded.to_json() == pair.to_json()
+        for edit, match in [({"query_text": "absent"}, "unknown query text 'absent'"),
+                            ({"pin_signature": -1}, "unknown pin signature -1")]:
+            with pytest.raises(CorpusError, match=match):
+                LabeledPair.from_json({**pair.to_json(), **edit}, corpus)
+
+    def test_query_lookup_by_text_and_row(self, small_synth):
+        corpus = small_synth[0]
+        for row, query in enumerate(corpus.queries):
+            assert corpus.query_row[query.text] == row and corpus.query(query.text) is query
+        with pytest.raises(CorpusError, match="unknown query text 'absent'"):
+            corpus.query("absent")
+
 
 def _save_edited(corpus, directory, name, index, edit):
     """Save ``corpus`` to ``directory`` with ``edit`` merged into record
@@ -232,10 +249,21 @@ class TestCorpusIO:
         ("pins.jsonl", {"signature": 1000000}, "pin signature 1000000 does not ascend from 1000000"),
         ("pins.jsonl", {"signature": 999999}, "pin signature 999999 does not ascend from 1000000"),
         ("queries.jsonl", {"text": "sage green decor"}, "duplicate query text 'sage green decor'"),
+        # the decoder validates each record
+        ("pins.jsonl", {"perception_score": 1.5}, "perception_score 1.5 outside"),
+        ("queries.jsonl", {"category": "Bogus"}, "category 'Bogus' not one of"),
+        ("engagement.jsonl", {"clicks": 10**9}, "clicks 1000000000 exceed"),
     ])
     def test_bad_record_names_path_and_line(self, small_synth, tmp_path, name, edit, match):
         _save_edited(small_synth[0], tmp_path, name, 1, edit)
         with pytest.raises(CorpusError, match=rf"{name}:2: .*{match}"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("name", CORPUS_FILES.values())
+    def test_missing_file_names_it(self, small_synth, tmp_path, name):
+        save_corpus(small_synth[0], tmp_path)
+        (tmp_path / name).unlink()
+        with pytest.raises(CorpusError, match=rf"^missing corpus file {re.escape(str(tmp_path / name))}$"):
             load_corpus(tmp_path)
 
     @pytest.mark.parametrize("edit, match", [

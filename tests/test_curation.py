@@ -362,7 +362,7 @@ class TestCurate:
     def test_end_to_end_report(self, small_synth):
         corpus, sidecar, _ = small_synth
         labeled, report = curate(
-            corpus.queries, corpus.engagement, sidecar["navboost"], seed=0
+            corpus, dedup_queries(corpus.queries), sidecar["navboost"], seed=0
         )
         assert labeled
         assert report["positives"] + report["negatives"] == len(labeled)
@@ -374,6 +374,7 @@ class TestCurate:
 
     def test_deterministic(self, small_synth):
         corpus, sidecar, _ = small_synth
-        first, _ = curate(corpus.queries, corpus.engagement, sidecar["navboost"], seed=5)
-        second, _ = curate(corpus.queries, corpus.engagement, sidecar["navboost"], seed=5)
+        deduped = dedup_queries(corpus.queries)
+        first, _ = curate(corpus, deduped, sidecar["navboost"], seed=5)
+        second, _ = curate(corpus, deduped, sidecar["navboost"], seed=5)
         assert [p.to_json() for p in first] == [p.to_json() for p in second]

@@ -8,13 +8,14 @@ import json
 import re
 import shutil
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geoforge import collections_, curation, encoders, hnsw, pipeline, ranker, synth
-from geoforge.core import CorpusError, QueryRecord, write_jsonl
+from geoforge.core import CorpusError, LabeledPair, QueryRecord, read_records, write_jsonl
 from geoforge.pipeline import (
     ARTIFACTS,
     PRODUCERS,
@@ -221,6 +222,9 @@ class TestStageGraph:
             ({"members": [{"signature": 1, "similarity": "0.5"}]},
              "key 'members' has ill-typed value .+"),
             ({"topic": {"text": "t"}}, "missing key 'category'"),
+            # a topic is a valid query
+            ({"topic": {"text": "t", "category": "Bogus"}}, "query 't': category 'Bogus' not one of .+"),
+            ({"topic": {"text": " ", "category": "Description"}}, "query text is empty"),
             # a topic's embedding is a JSON vector: a list of finite floats
             ({"topic": {"text": "t", "category": "Description", "embedding": "x"}},
              "key 'embedding' has ill-typed value 'x'"),
@@ -278,6 +282,22 @@ class TestStageGraph:
         result = report["stages"]["eval"]
         assert not ok and result["error_type"] == "PipelineError"
         assert result["error"].startswith(f"{tmp_path / artifact}: {match}")
+
+    @pytest.mark.parametrize("loss", ["nan", "inf"])
+    def test_non_finite_encoder_loss_fails_eval_naming_the_log(self, pipeline_run, tmp_path, loss):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "encoder_train_log.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        step, _, grad_norm = lines[-1].split(",")
+        path.write_text("\n".join([*lines[:-1], f"{step},{loss},{grad_norm}"]) + "\n", encoding="utf-8")
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["eval"])
+        result = report["stages"]["eval"]
+        assert not ok and result["error_type"] == "PipelineError"
+        assert result["error"].startswith(f"{path}: ")
+        # the report from before stays as it was
+        assert (tmp_path / "eval_report.json").read_bytes() == (
+            pipeline_run["ws"].out / "eval_report.json").read_bytes()
 
     @pytest.mark.parametrize("stage", ["train-ranker", "eval"])
     def test_no_triplets_fails_naming_labeled_pairs(self, pipeline_run, tmp_path, stage):
@@ -423,7 +443,7 @@ class TestAnnotatePins:
     def test_ordering_and_tie_break(self):
         e_queries = np.stack([q.embedding for q in self.QUERIES])
         pin = np.array([1.0, 0.0, 0.0])
-        records = annotate_pins({2: pin, 1: pin}, self.QUERIES, e_queries, per_pin=3)
+        records = annotate_pins([1, 2], np.stack([pin, pin]), self.QUERIES, e_queries, per_pin=3)
         assert [r.pin_signature for r in records] == [1, 1, 1, 2, 2, 2]
         scores = [r.score for r in records[:3]]
         assert scores == sorted(scores, reverse=True)
@@ -433,42 +453,43 @@ class TestAnnotatePins:
 
     def test_budget_and_empty_candidates(self):
         e_queries = np.stack([q.embedding for q in self.QUERIES])
-        records = annotate_pins({1: np.ones(3)}, self.QUERIES, e_queries, per_pin=1)
+        records = annotate_pins([1], np.ones((1, 3)), self.QUERIES, e_queries, per_pin=1)
         assert [r.query_text for r in records] == ["a query"]
-        assert annotate_pins({1: np.ones(3)}, [], np.zeros((0, 3)), per_pin=5) == []
+        assert annotate_pins([1], np.ones((1, 3)), [], np.zeros((0, 3)), per_pin=5) == []
 
 
 class TestLabeledPairs:
     def test_round_trip(self, small_synth, tmp_path):
         corpus, sidecar, _ = small_synth
-        labeled, _ = curation.curate(corpus.queries, corpus.engagement, sidecar["navboost"])
+        labeled, _ = curation.curate(
+            corpus, curation.dedup_queries(corpus.queries), sidecar["navboost"]
+        )
         ws = Workspace(tmp_path)
         write_jsonl(ws.labeled_pairs, (p.to_json() for p in labeled))
-        loaded = pipeline._load_labeled(ws, corpus)
+        loaded = read_records(ws.labeled_pairs, partial(LabeledPair.from_json, corpus=corpus), CorpusError)
         assert [p.to_json() for p in loaded] == [p.to_json() for p in labeled]
         assert all(a.query is b.query for a, b in zip(loaded, labeled))
 
     def test_triplets_share_one_row_per_pin_and_query_text(self, pipeline_run):
-        ws = pipeline_run["ws"]
-        labeled = pipeline._load_labeled(ws, ws.corpus)
-        triplets = pipeline._triplets_from_labels(ws.corpus, ws.pin_features, labeled)
+        ws = Workspace(pipeline_run["ws"].out)
+        labeled = read_records(ws.labeled_pairs, partial(LabeledPair.from_json, corpus=ws.corpus),
+                               CorpusError)
+        triplets = ws.triplets
         by_pin: dict[int, tuple[list, list]] = {}
         for pair in labeled:
             by_pin.setdefault(pair.pin_signature, ([], []))[pair.label == -1].append(pair.query)
         named = [(s, pos, neg) for s in sorted(by_pin) for pos, neg in zip(*by_pin[s])]
         assert len(named) == len(triplets)
-        # the corpus's pin feature rows, in signature order, and one row per
-        # query text
+        # the corpus's pin and query feature matrices, indexed by corpus row
         assert triplets.pins is ws.pin_features
+        assert triplets.queries is ws.query_features
         np.testing.assert_array_equal(triplets.pins, ranker.pin_features(ws.corpus))
+        np.testing.assert_array_equal(triplets.queries, ranker.query_features(ws.corpus))
         pin_rows = {signature: row for row, signature in enumerate(ws.corpus.pins)}
-        query_rows: dict[str, int] = {}
         for i, (signature, pos, neg) in enumerate(named):
             assert triplets.pin[i] == pin_rows[signature]
-            for query, row in [(pos, triplets.pos[i]), (neg, triplets.neg[i])]:
-                assert query_rows.setdefault(query.text, row) == row
-                np.testing.assert_array_equal(triplets.queries[row], ranker.query_features(query))
-        assert sorted(query_rows.values()) == list(range(len(triplets.queries)))
+            assert ws.corpus.queries[triplets.pos[i]] is pos
+            assert ws.corpus.queries[triplets.neg[i]] is neg
         assert len(triplets.pins) + len(triplets.queries) < len(triplets)
 
     def test_written_by_query_text(self, pipeline_run):
@@ -509,6 +530,9 @@ class TestCorpusLoad:
         monkeypatch.setattr(
             curation, "dedup_queries", counted(curation.dedup_queries, lambda *_: "dedup_queries")
         )
+        monkeypatch.setattr(
+            ranker, "query_features", counted(ranker.query_features, lambda *_: "query_features")
+        )
         config = PipelineConfig(
             out_dir=tmp_path, n_pins=40, n_clusters=4, encoder_steps=20, ranker_steps=50
         )
@@ -517,8 +541,8 @@ class TestCorpusLoad:
         assert calls == Counter([
             "corpus", "navboost.jsonl", "encoder_img.bin", "encoder_txt.bin", "index.bin",
             "labeled_pairs.jsonl", "annotations.jsonl", "collections.jsonl", "correct_rank",
-            # curate's own, then the workspace's for train-ranker and eval
-            "dedup_queries", "dedup_queries",
+            # the workspace's, for curate, train-ranker and eval alike
+            "dedup_queries", "query_features",
         ])
         assert "correct_rank" not in report["stages"]["train-ranker"]["metrics"]
         # a fresh run of one stage reads its inputs from disk again

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoforge.core import QueryRecord
+from geoforge.core import Corpus, QueryRecord
 from geoforge.mlp import Mlp, backward_blocks, forward_blocks
 from geoforge.ranker import (
     RankerError,
@@ -61,15 +61,16 @@ class TestFeatures:
         for row, pin in zip(feats, corpus.pins.values()):
             assert row.tolist() == [*pin.visual_embedding, *pin.text_embedding, pin.perception_score]
 
-    def test_query_features_length_score(self):
-        query = QueryRecord("one two three", "UseCase", embedding=np.zeros(3))
-        feats = query_features(query)
-        assert feats.shape == (4,)
-        assert feats[-1] == 3 / 16
+    def test_query_features_layout(self, small_synth):
+        corpus, _, config = small_synth
+        feats = query_features(corpus)
+        assert feats.shape == (len(corpus.queries), config.d_t + 1)
+        np.testing.assert_array_equal(feats[:, :-1], corpus.query_embeddings)
 
-    def test_query_features_missing_embedding(self):
-        with pytest.raises(RankerError, match="lacks an embedding"):
-            query_features(QueryRecord("q", "UseCase"))
+    def test_query_features_length_score_caps_at_16_words(self):
+        queries = [QueryRecord("one two three", "UseCase"), QueryRecord("w " * 20, "UseCase")]
+        corpus = Corpus({}, queries, [], np.zeros((0, 1)), np.zeros((0, 3)), np.zeros((2, 3)))
+        assert query_features(corpus)[:, -1].tolist() == [3 / 16, 1.0]
 
 
 class TestMarginLoss:
