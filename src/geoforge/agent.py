@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .core import (
-    Corpus, QueryRecord, _Record, hashed_bag_of_tokens, read_json, read_records, write_jsonl,
-    write_text,
+    Corpus, QueryRecord, _Record, check_json, hashed_bag_of_tokens, read_json, read_records,
+    write_jsonl, write_text,
 )
 from .encoders import EncoderModel
 from .hnsw import HnswIndex
@@ -34,6 +34,19 @@ PERMITTED_ACTIONS = {
     "validation": {"content_lookup", "validate"},
 }
 LOW_FIT_CATEGORIES = {"news", "sports", "politics"}
+# The plan: keep the trends of REGIONS over TIMESPAN that score FILTER_THRESHOLD,
+# expand each into EXPANSIONS_PER_TREND queries, and accept a query with enough
+# hits at RELEVANCE_FLOOR whose trend moves at VELOCITY_FLOOR or faster.
+REGIONS = ("US",)
+TIMESPAN = "7d"
+FILTER_THRESHOLD = 0.5
+EXPANSIONS_PER_TREND = 3
+RELEVANCE_FLOOR = 0.4
+VELOCITY_FLOOR = 0.2
+# a validate step's observation and each outcome in it; a trace record's keys
+VALIDATE_KINDS = {"outcomes": [dict], "emitted": [dict]}
+OUTCOME_KINDS = {"term": str, "query": str, "pattern": str, "velocity": float, "accepted": bool}
+TRACE_KINDS = {"node": str, "action": dict, "observation": dict}
 # one long-memory record, per term
 MEMORY_KINDS = {"accepted": int, "rejected": int, "last_velocity": float, "patterns": [str]}
 
@@ -75,28 +88,35 @@ class AgentState:
 
 def transition(state: AgentState, action: dict, observation: dict) -> AgentState:
     """Pure state transition: append the (action, observation) pair, advance
-    the cursor on moves, and fold validation outcomes into long memory."""
-    new = AgentState(
-        cursor=state.cursor,
-        short_memory=list(state.short_memory),
-        long_memory=copy.deepcopy(state.long_memory),
-        emitted=list(state.emitted),
-    )
+    the cursor on moves, and fold validation outcomes into long memory. An
+    action the plan forbids, or a validate observation not of VALIDATE_KINDS
+    and OUTCOME_KINDS, raises AgentError naming the step."""
+    step = len(state.short_memory)
+    if type(action) is not dict or type(observation) is not dict:
+        raise AgentError(f"step {step}: action and observation must be objects")
+    new = replace(state, short_memory=list(state.short_memory),
+                  long_memory=copy.deepcopy(state.long_memory), emitted=list(state.emitted))
     kind = action.get("kind")
     if kind == "move":
         target = action.get("to")
         if DAG_EDGES.get(state.cursor) != target:
-            raise AgentError(f"no plan edge {state.cursor} -> {target}")
+            raise AgentError(f"step {step}: no plan edge {state.cursor} -> {target}")
         new.cursor = target
     elif kind == "tool":
         tool = action.get("tool")
-        if tool not in PERMITTED_ACTIONS[state.cursor]:
+        if type(tool) is not str or tool not in PERMITTED_ACTIONS[state.cursor]:
             raise AgentError(
-                f"action {tool!r} not permitted at node {state.cursor!r} "
+                f"step {step}: action {tool!r} not permitted at node {state.cursor!r} "
                 f"(allowed: {sorted(PERMITTED_ACTIONS[state.cursor])})"
             )
         if state.cursor == "validation" and tool == "validate":
-            for outcome in observation.get("outcomes", []):
+            try:
+                check_json(observation, VALIDATE_KINDS)
+                outcomes = [check_json(outcome, OUTCOME_KINDS) for outcome in observation["outcomes"]]
+                new.emitted += map(QueryRecord.from_json, observation["emitted"])
+            except ValueError as exc:
+                raise AgentError(f"step {step}: bad validate observation: {exc}") from exc
+            for outcome in outcomes:
                 record = new.long_memory.setdefault(
                     outcome["term"],
                     {"accepted": 0, "rejected": 0, "last_velocity": 0.0, "patterns": []},
@@ -105,10 +125,8 @@ def transition(state: AgentState, action: dict, observation: dict) -> AgentState
                 record["last_velocity"] = outcome["velocity"]
                 if outcome["accepted"] and outcome["pattern"] not in record["patterns"]:
                     record["patterns"].append(outcome["pattern"])
-            for query in observation.get("emitted", []):
-                new.emitted.append(QueryRecord.from_json(query))
     else:
-        raise AgentError(f"unknown action kind {kind!r}")
+        raise AgentError(f"step {step}: unknown action kind {kind!r}")
     new.short_memory.append(
         {"node": state.cursor, "action": action, "observation": observation}
     )
@@ -121,17 +139,6 @@ class ToolSuite:
     semantic_filter: Callable[[TrendSignal, float], tuple[float, bool]]
     content_lookup: Callable[[str], tuple[int, float, bool]]
     expand_query: Callable[[TrendSignal, dict[str, dict], int], list[tuple[QueryRecord, str]]]
-
-
-@dataclass
-class AgentConfig:
-    regions: list[str] = field(default_factory=lambda: ["US"])
-    timespan: str = "7d"
-    filter_threshold: float = 0.5
-    min_count: int = 25
-    relevance_floor: float = 0.4
-    velocity_floor: float = 0.2
-    expansions_per_trend: int = 3
 
 
 def make_semantic_filter(taxonomy: list[tuple[str, str]]):
@@ -154,15 +161,9 @@ def make_semantic_filter(taxonomy: list[tuple[str, str]]):
     return semantic_filter
 
 
-def make_content_lookup(
-    corpus: Corpus,
-    index: HnswIndex,
-    text_encoder: EncoderModel,
-    min_count: int,
-    relevance_floor: float,
-):
+def make_content_lookup(corpus: Corpus, index: HnswIndex, text_encoder: EncoderModel, min_count: int):
     """Probe the index with the closest known query embedding for the text
-    (token-overlap match), count hits above the relevance floor."""
+    (token-overlap match), count hits at RELEVANCE_FLOOR or above."""
     query_tokens = [(q, set(q.text.lower().split())) for q in corpus.queries]
 
     def content_lookup(text: str) -> tuple[int, float, bool]:
@@ -176,7 +177,7 @@ def make_content_lookup(
             return 0, 0.0, min_count <= 0
         probe = text_encoder.encode(best_query.embedding)
         hits = index.search(probe, k=max(4 * min_count, 100))
-        counted = [sig for sig, sim in hits if sim >= relevance_floor]
+        counted = [sig for sig, sim in hits if sim >= RELEVANCE_FLOOR]
         if not counted:
             return 0, 0.0, min_count <= 0
         mean_quality = float(
@@ -222,31 +223,24 @@ def make_fetch_trends(trends_path: str | Path):
 
 
 def default_tools(
-    corpus: Corpus,
-    index: HnswIndex,
-    text_encoder: EncoderModel,
-    taxonomy: list[tuple[str, str]],
-    trends_path: str | Path,
-    config: AgentConfig,
+    corpus: Corpus, index: HnswIndex, text_encoder: EncoderModel,
+    taxonomy: list[tuple[str, str]], trends_path: str | Path, min_count: int,
 ) -> ToolSuite:
-    """The four tools over one corpus, index and taxonomy; an empty taxonomy
-    raises AgentError before any tool is built."""
+    """The four tools over one corpus, index and taxonomy, where content
+    lookup wants more than ``min_count`` hits; an empty taxonomy raises
+    AgentError before any tool is built."""
     if not taxonomy:
         raise AgentError("taxonomy is empty")
     return ToolSuite(
         fetch_trends=make_fetch_trends(trends_path),
         semantic_filter=make_semantic_filter(taxonomy),
-        content_lookup=make_content_lookup(
-            corpus, index, text_encoder, config.min_count, config.relevance_floor
-        ),
+        content_lookup=make_content_lookup(corpus, index, text_encoder, min_count),
         expand_query=expand_query,
     )
 
 
 def run_episode(
-    config: AgentConfig,
-    tools: ToolSuite,
-    long_memory: dict[str, dict] | None = None,
+    tools: ToolSuite, long_memory: dict[str, dict] | None = None
 ) -> tuple[list[QueryRecord], list[dict], AgentState]:
     """One pass through the five-node plan. Returns the validated queries,
     a replayable trace (the final state's short memory), and the final state."""
@@ -268,8 +262,8 @@ def run_episode(
         step({"kind": "tool", "tool": tool, key: value}, observation)
         return result
 
-    # planning: fixed strategy over configured regions (fatal on failure)
-    plan = {"regions": sorted(config.regions), "timespan": config.timespan, "nodes": list(NODES)}
+    # planning: fixed strategy over the plan's regions (fatal on failure)
+    plan = {"regions": sorted(REGIONS), "timespan": TIMESPAN, "nodes": list(NODES)}
     step({"kind": "tool", "tool": "plan"}, {"plan": plan})
     step({"kind": "move", "to": "retrieval"}, {})
 
@@ -278,7 +272,7 @@ def run_episode(
     for region in plan["regions"]:
         trends += tool_step(
             "fetch_trends", "region", region, lambda r: {"trends": [asdict(t) for t in r]},
-            region, config.timespan,
+            region, TIMESPAN,
         ) or []
     step({"kind": "move", "to": "filtering"}, {})
 
@@ -286,7 +280,7 @@ def run_episode(
     for trend in trends:
         verdict = tool_step(
             "semantic_filter", "term", trend.term,
-            lambda r: dict(zip(("p", "keep"), r, strict=True)), trend, config.filter_threshold,
+            lambda r: dict(zip(("p", "keep"), r, strict=True)), trend, FILTER_THRESHOLD,
         )
         if verdict and verdict[1]:
             kept.append(trend)
@@ -297,7 +291,7 @@ def run_episode(
         variants = tool_step(
             "expand_query", "term", trend.term,
             lambda r: {"variants": [{"query": q.to_json(), "pattern": p} for q, p in r]},
-            trend, state.long_memory, config.expansions_per_trend,
+            trend, state.long_memory, EXPANSIONS_PER_TREND,
         )
         expansions += [(trend, q, pattern) for q, pattern in variants or []]
     step({"kind": "move", "to": "validation"}, {})
@@ -310,7 +304,7 @@ def run_episode(
             lambda r: dict(zip(("count", "mean_quality", "sufficient"), r, strict=True)),
             query.text,
         )
-        accepted = bool(found and found[2] and trend.velocity >= config.velocity_floor)
+        accepted = bool(found and found[2] and trend.velocity >= VELOCITY_FLOOR)
         outcomes.append({"term": trend.term, "query": query.text, "pattern": pattern,
                          "velocity": trend.velocity, "accepted": accepted})
         if accepted:
@@ -321,12 +315,19 @@ def run_episode(
 
 def replay_trace(trace: list[dict], long_memory: dict[str, dict] | None = None) -> AgentState:
     """Re-apply every traced transition from the initial state. Other record
-    keys, such as the ``step`` that `write_trace` adds, are ignored."""
+    keys, such as the ``step`` that `write_trace` adds, are ignored; a record
+    whose TRACE_KINDS keys are missing or ill-typed raises AgentError naming
+    the step."""
     state = AgentState(long_memory=copy.deepcopy(long_memory or {}))
-    for record in trace:
+    for step, record in enumerate(trace):
+        try:
+            check_json({k: v for k, v in record.items() if k in TRACE_KINDS}
+                       if type(record) is dict else record, TRACE_KINDS)
+        except ValueError as exc:
+            raise AgentError(f"step {step}: bad trace record: {exc}") from exc
         if record["node"] != state.cursor:
             raise AgentError(
-                f"trace node {record['node']!r} diverges from cursor {state.cursor!r}"
+                f"step {step}: trace node {record['node']!r} diverges from cursor {state.cursor!r}"
             )
         state = transition(state, record["action"], record["observation"])
     return state

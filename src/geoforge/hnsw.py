@@ -49,6 +49,8 @@ class HnswParams:
     ef_search: int = 100
 
     def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            setattr(self, name, _int64(name, value))
         if self.M < 2:
             raise HnswError(f"M must be >= 2, got {self.M}")
         if self.ef_construction < self.M:
@@ -59,6 +61,14 @@ class HnswParams:
     @property
     def level_mult(self) -> float:
         return 1.0 / math.log(self.M)
+
+
+def _int64(name: str, value) -> int:
+    """``value``, an int or numpy integer within int64 (no bool), as an int."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and -(2**63) <= int(value) < 2**63):
+        return int(value)
+    raise HnswError(f"{name} must be an int64 integer, got {value!r}")
 
 
 class _Layer:
@@ -236,6 +246,7 @@ class HnswIndex:
             layer.set_neighbors(owner, [self._nodes[row[pos]] for pos in kept])
 
     def insert(self, element_id: int, vector: np.ndarray) -> None:
+        element_id = _int64("id", element_id)
         if element_id in self._id_to_idx:
             raise HnswError(f"duplicate id {element_id}")
         vector = self._check_vector(vector)
@@ -293,9 +304,9 @@ class HnswIndex:
         self, query: np.ndarray, k: int, ef_search: int | None = None
     ) -> list[tuple[int, float]]:
         """Top-k by descending cosine similarity."""
-        if k < 1:
+        if _int64("k", k) < 1:
             raise HnswError(f"k must be >= 1, got {k}")
-        if ef_search is not None and ef_search < 1:
+        if ef_search is not None and _int64("ef_search", ef_search) < 1:
             raise HnswError(f"ef_search must be >= 1, got {ef_search}")
         if self._entry is None:
             return []
@@ -456,15 +467,15 @@ def exact_top_k(
 ) -> list[tuple[int, float]]:
     """Exact top-k of ``matrix @ query`` for rows stacked once in ascending
     id order (row r holds ids[r]): a stable sort breaks ties toward the lower id."""
-    if k < 1:
+    if _int64("k", k) < 1:
         raise HnswError(f"k must be >= 1, got {k}")
     if not ids:
         return []
+    if matrix.ndim != 2 or len(matrix) != len(ids):
+        raise HnswError(f"matrix of shape {matrix.shape} is not {len(ids)} stacked rows")
     query = np.asarray(query, dtype=np.float64)
-    if matrix.shape[1] != query.shape[0]:
-        raise HnswError(
-            f"query dim {query.shape[0]} does not match vectors dim {matrix.shape[1]}"
-        )
+    if query.shape != matrix.shape[1:]:
+        raise HnswError(f"query of shape {query.shape} does not match vectors of dim {matrix.shape[1]}")
     sims = matrix @ query
     order = np.argsort(-sims, kind="stable")[:k]
     return [(ids[i], float(sims[i])) for i in order.tolist()]

@@ -347,7 +347,7 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     corpus, triplets = ws.corpus, ws.triplets
     model, log = ranker.train_ranker(
         triplets,
-        ranker.TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t, margin=config.margin, width_mult=0.125),
+        ranker.TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t, margin=config.margin),
         ranker.RankerTrainConfig(steps=config.ranker_steps, learning_rate=config.ranker_lr,
                                  seed=subseed(config.seed, "ranker")),
     )
@@ -431,12 +431,11 @@ def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
 def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
     """Run one trend-mining agent episode."""
     taxonomy = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[: config.n_clusters]
-    agent_config = agent_mod.AgentConfig(min_count=config.agent_min_count)
     tools = agent_mod.default_tools(
-        ws.corpus, ws.index, ws.txt_encoder, taxonomy, ws.trends, agent_config
+        ws.corpus, ws.index, ws.txt_encoder, taxonomy, ws.trends, config.agent_min_count
     )
     memory = agent_mod.load_long_memory(ws.long_memory)
-    queries, trace, state = agent_mod.run_episode(agent_config, tools, memory)
+    queries, trace, state = agent_mod.run_episode(tools, memory)
     agent_mod.write_trace(trace, ws.trace)
     write_jsonl(ws.trend_queries, (q.to_json() for q in queries))
     agent_mod.save_long_memory(state.long_memory, ws.long_memory)

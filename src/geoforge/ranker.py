@@ -19,7 +19,7 @@ from .mlp import Mlp, backward_blocks, forward_blocks
 
 RANKER_MAGIC = b"GEORNK02"
 RANKER_META = {"d_v": int, "d_t": int, "hidden": [int], "output_dim": int,
-               "dropout_rate": float, "margin": float, "width_mult": float}
+               "dropout_rate": float, "margin": float}
 
 
 # Rows per tower pass in `in_blocks`. A pass over 128 rows or more gives each
@@ -34,13 +34,13 @@ class RankerError(ValueError):
 
 @dataclass
 class TowerConfig:
-    d_v: int = 1028
-    d_t: int = 768
-    hidden: list[int] = field(default_factory=lambda: [512, 384, 256])
-    output_dim: int = 128
+    d_v: int
+    d_t: int
+    # one eighth of the 512-384-256 -> 128 towers
+    hidden: list[int] = field(default_factory=lambda: [64, 48, 32])
+    output_dim: int = 16
     dropout_rate: float = 0.1
     margin: float = 0.95
-    width_mult: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.hidden:
@@ -57,12 +57,6 @@ class TowerConfig:
     @property
     def query_input_dim(self) -> int:
         return self.d_t + 1
-
-    def scaled_hidden(self) -> list[int]:
-        return [max(2, int(round(h * self.width_mult))) for h in self.hidden]
-
-    def scaled_output(self) -> int:
-        return max(2, int(round(self.output_dim * self.width_mult)))
 
 
 def pin_features(corpus: Corpus) -> np.ndarray:
@@ -105,8 +99,8 @@ class RankerModel:
 
 def _tower_dims(config: TowerConfig) -> list[list[int]]:
     """Layer sizes of the pin tower and of the query tower."""
-    hidden, out = config.scaled_hidden(), config.scaled_output()
-    return [[config.pin_input_dim, *hidden, out], [config.query_input_dim, *hidden, out]]
+    return [[dim, *config.hidden, config.output_dim]
+            for dim in (config.pin_input_dim, config.query_input_dim)]
 
 
 def margin_loss(

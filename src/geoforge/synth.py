@@ -63,6 +63,9 @@ QUERY_TEMPLATES = {
     ],
 }
 
+# the expected norm of the jitter around a cluster centroid: 0.45 puts
+# within-cluster cosine near 0.83
+NOISE = 0.45
 TRENDS_PER_CLUSTER = 2
 OFF_TOPIC_TRENDS = [
     ("election results", "news"),
@@ -77,7 +80,6 @@ class SynthConfig:
     n_clusters: int = 8
     d_v: int = 64
     d_t: int = 48
-    noise: float = 0.45
     queries_per_cluster: int = 24
     engagement_per_pin: int = 4
     seed: int = 0
@@ -90,14 +92,11 @@ class SynthConfig:
             raise CorpusError(f"n_clusters must be in [1, {len(CLUSTER_TERMS)}], got {self.n_clusters}")
         if self.engagement_per_pin < 0:
             raise CorpusError(f"engagement_per_pin must be at least 0, got {self.engagement_per_pin}")
-        if not np.isfinite(self.noise):
-            raise CorpusError(f"noise must be finite, got {self.noise}")
 
 
-def _jitter(centroid: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
-    # scale per-dimension so the expected noise norm equals `noise` regardless
-    # of dimensionality; noise=0.45 puts within-cluster cosine near 0.83
-    scale = noise / np.sqrt(centroid.shape[0])
+def _jitter(centroid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # scale per-dimension so the jitter's expected norm is NOISE at any dimension
+    scale = NOISE / np.sqrt(centroid.shape[0])
     return l2_normalize(centroid + scale * rng.standard_normal(centroid.shape))
 
 
@@ -121,8 +120,8 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
         cluster = i % config.n_clusters
         term = CLUSTER_TERMS[cluster]
         signature = 1_000_000 + i
-        visual[i] = _jitter(centroids_v[cluster], config.noise, rng)
-        pin_text[i] = _jitter(centroids_t[cluster], config.noise, rng)
+        visual[i] = _jitter(centroids_v[cluster], rng)
+        pin_text[i] = _jitter(centroids_t[cluster], rng)
         pin_fields.append(dict(
             signature=signature, perception_score=float(rng.uniform(0.3, 1.0)),
             title=f"{term} look {i}", description=f"inspiration for {term}",
@@ -155,7 +154,7 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
                 emitted += 1
             variant += 1
     query_embeddings = read_only(
-        [_jitter(centroids_t[query_cluster[t]], config.noise, rng) for t, _ in query_texts]
+        [_jitter(centroids_t[query_cluster[t]], rng) for t, _ in query_texts]
     )
     queries = [QueryRecord(t, c, embedding=e) for (t, c), e in zip(query_texts, query_embeddings)]
 
@@ -227,32 +226,14 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
 
 def generate_trends(config: SynthConfig) -> list[dict]:
     """Trend feed mixing on-taxonomy terms, TRENDS_PER_CLUSTER each, with
-    always-rejected categories."""
+    always-rejected categories, whose velocities start higher."""
     rng = rng_for(config.seed, "agent")
-    trends: list[dict] = []
-    for cluster in range(config.n_clusters):
-        term = CLUSTER_TERMS[cluster]
-        for k in range(TRENDS_PER_CLUSTER):
-            trends.append(
-                {
-                    "term": term if k == 0 else f"{term} trend {k}",
-                    "region": "US",
-                    "timespan": "7d",
-                    "velocity": float(np.round(rng.uniform(0.25, 3.0), 4)),
-                    "category": CLUSTER_CATEGORIES[cluster],
-                }
-            )
-    for term, category in OFF_TOPIC_TRENDS:
-        trends.append(
-            {
-                "term": term,
-                "region": "US",
-                "timespan": "7d",
-                "velocity": float(np.round(rng.uniform(0.5, 3.0), 4)),
-                "category": category,
-            }
-        )
-    return trends
+    on_topic = [(term if k == 0 else f"{term} trend {k}", category, 0.25)
+                for term, category in zip(CLUSTER_TERMS[: config.n_clusters], CLUSTER_CATEGORIES)
+                for k in range(TRENDS_PER_CLUSTER)]
+    return [{"term": term, "region": "US", "timespan": "7d",
+             "velocity": float(np.round(rng.uniform(low, 3.0), 4)), "category": category}
+            for term, category, low in on_topic + [(*trend, 0.5) for trend in OFF_TOPIC_TRENDS]]
 
 
 def write_corpus_bundle(out_dir: str | Path, config: SynthConfig) -> None:

@@ -14,8 +14,9 @@ import numpy as np
 
 from geoforge import curation, encoders, hnsw, ranker, synth
 from geoforge.agent import (
+    FILTER_THRESHOLD,
     LOW_FIT_CATEGORIES,
-    AgentConfig,
+    VELOCITY_FLOOR,
     default_tools,
     replay_trace,
     run_episode,
@@ -312,7 +313,7 @@ def test_criterion_07_ranker_training(announce):
     train_set, eval_set = triplets[perm[:half]], triplets[perm[half:]]
     assert len(eval_set) >= 2000, f"only {len(eval_set)} eval triplets"
 
-    tower = ranker.TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t, width_mult=0.125)
+    tower = ranker.TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t)
     untrained = ranker.correct_rank(ranker.RankerModel.init(tower, seed=5), eval_set)
     model, _ = ranker.train_ranker(
         train_set, tower,
@@ -482,12 +483,12 @@ def test_criterion_12_agent_determinism(announce, pipeline_run, tmp_path):
     taxonomy = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[
         : pipeline_run["config"].n_clusters
     ]
-    agent_config = AgentConfig()
+    min_count = pipeline_run["config"].agent_min_count
     trends_path = ws.trends
-    tools = default_tools(corpus, index, txt_encoder, taxonomy, trends_path, agent_config)
+    tools = default_tools(corpus, index, txt_encoder, taxonomy, trends_path, min_count)
 
-    emitted_1, trace_1, state_1 = run_episode(agent_config, tools, {})
-    emitted_2, trace_2, _ = run_episode(agent_config, tools, {})
+    emitted_1, trace_1, state_1 = run_episode(tools, {})
+    emitted_2, trace_2, _ = run_episode(tools, {})
     bytes_1 = json.dumps(trace_1, sort_keys=True).encode()
     bytes_2 = json.dumps(trace_2, sort_keys=True).encode()
     deterministic = bytes_1 == bytes_2 and [q.to_json() for q in emitted_1] == [
@@ -501,7 +502,7 @@ def test_criterion_12_agent_determinism(announce, pipeline_run, tmp_path):
             obj = json.loads(line)
             term_category[obj["term"]] = obj["category"]
     filter_ok = all(
-        step["observation"]["p"] >= agent_config.filter_threshold
+        step["observation"]["p"] >= FILTER_THRESHOLD
         for step in trace_1
         if step["node"] == "filtering"
         and step["action"].get("tool") == "semantic_filter"
@@ -527,9 +528,9 @@ def test_criterion_12_agent_determinism(announce, pipeline_run, tmp_path):
         if step["action"].get("tool") == "validate"
     )
     constraints_ok = emitted_1 and all(
-        outcome["velocity"] >= agent_config.velocity_floor
+        outcome["velocity"] >= VELOCITY_FLOOR
         and lookups[outcome["query"]]["sufficient"]
-        and lookups[outcome["query"]]["count"] > agent_config.min_count
+        and lookups[outcome["query"]]["count"] > min_count
         for outcome in outcomes
         if outcome["accepted"]
     )

@@ -12,7 +12,7 @@ import pytest
 from geoforge import hnsw, synth
 from geoforge.agent import (
     LOW_FIT_CATEGORIES,
-    AgentConfig,
+    VELOCITY_FLOOR,
     AgentError,
     AgentState,
     TrendSignal,
@@ -45,6 +45,10 @@ class TestTrendSignal:
             TrendSignal(term="x", velocity=float("nan"))
 
 
+OUTCOME = {"term": "fall nails", "query": "fall nails ideas", "pattern": "{term} ideas",
+           "velocity": 1.5, "accepted": True}
+
+
 class TestTransition:
     def test_illegal_move_rejected(self):
         state = AgentState()
@@ -60,6 +64,15 @@ class TestTransition:
         with pytest.raises(AgentError, match="unknown action kind"):
             transition(AgentState(), {"kind": "think"}, {})
 
+    @pytest.mark.parametrize("action, observation", [("move", {}), ({"kind": "move"}, None)])
+    def test_non_object_action_or_observation_rejected(self, action, observation):
+        with pytest.raises(AgentError, match="^step 0: action and observation must be objects$"):
+            transition(AgentState(), action, observation)
+
+    def test_unhashable_tool_rejected(self):
+        with pytest.raises(AgentError, match=r"^step 0: action \['plan'\] not permitted"):
+            transition(AgentState(), {"kind": "tool", "tool": ["plan"]}, {})
+
     def test_original_state_untouched(self):
         state = AgentState()
         new = transition(state, {"kind": "tool", "tool": "plan"}, {"plan": {}})
@@ -67,24 +80,35 @@ class TestTransition:
 
     def test_validation_folds_into_long_memory(self):
         state = AgentState(cursor="validation")
-        outcome = {
-            "term": "fall nails",
-            "query": "fall nails ideas",
-            "pattern": "{term} ideas",
-            "velocity": 1.5,
-            "accepted": True,
-        }
         emitted = [{"text": "fall nails ideas", "category": "Description",
                     "language": "en", "embedding": None}]
         new = transition(
             state,
             {"kind": "tool", "tool": "validate"},
-            {"outcomes": [outcome], "emitted": emitted},
+            {"outcomes": [OUTCOME], "emitted": emitted},
         )
         record = new.long_memory["fall nails"]
         assert record["accepted"] == 1
         assert record["patterns"] == ["{term} ideas"]
         assert [q.text for q in new.emitted] == ["fall nails ideas"]
+
+    @pytest.mark.parametrize("observation, message", [
+        ({"outcomes": [{k: v for k, v in OUTCOME.items() if k != "accepted"}], "emitted": []},
+         "missing key 'accepted'"),
+        ({"outcomes": [{**OUTCOME, "accepted": 1}], "emitted": []},
+         "key 'accepted' has ill-typed value 1"),
+        ({"outcomes": [{**OUTCOME, "velocity": "fast"}], "emitted": []},
+         "key 'velocity' has ill-typed value 'fast'"),
+        ({"outcomes": {}, "emitted": []}, "key 'outcomes' has ill-typed value {}"),
+        ({"outcomes": []}, "missing key 'emitted'"),
+        ({"outcomes": [], "emitted": [{"text": "x", "category": "Bogus"}]}, "category 'Bogus'"),
+        ({"outcomes": [], "emitted": [{"text": 5, "category": "UseCase"}]},
+         "key 'text' has ill-typed value 5"),
+    ])
+    def test_bad_validate_observation_names_the_step(self, observation, message):
+        state = AgentState(cursor="validation", short_memory=[{}] * 7)
+        with pytest.raises(AgentError, match=rf"^step 7: bad validate observation: .*{message}"):
+            transition(state, {"kind": "tool", "tool": "validate"}, observation)
 
 
 class TestTools:
@@ -124,7 +148,7 @@ class TestTools:
         with pytest.raises(AgentError, match="taxonomy is empty"):
             default_tools(
                 corpus, hnsw.HnswIndex(dim=config.d_t), encoder, [],
-                tmp_path / "absent.jsonl", AgentConfig(),
+                tmp_path / "absent.jsonl", 25,
             )
 
     def test_fetch_trends_filters_and_sorts(self, tmp_path):
@@ -178,7 +202,7 @@ class TestTools:
 
 
 @pytest.fixture(scope="module")
-def episode_setup(request, tmp_path_factory):
+def episode_tools(request, tmp_path_factory):
     corpus, _, config = request.getfixturevalue("small_synth")
     encoder = EncoderModel(Mlp([(np.eye(config.d_t), np.zeros(config.d_t))]))
     vectors = {
@@ -197,15 +221,12 @@ def episode_setup(request, tmp_path_factory):
          "velocity": 3.0, "category": "sports"},
     ]
     trends_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    agent_config = AgentConfig(min_count=5, expansions_per_trend=2)
-    tools = default_tools(corpus, index, encoder, TAXONOMY, trends_path, agent_config)
-    return agent_config, tools
+    return default_tools(corpus, index, encoder, TAXONOMY, trends_path, 5)
 
 
 class TestEpisode:
-    def test_emits_only_validated_queries(self, episode_setup):
-        agent_config, tools = episode_setup
-        emitted, trace, state = run_episode(agent_config, tools, {})
+    def test_emits_only_validated_queries(self, episode_tools):
+        emitted, trace, state = run_episode(episode_tools, {})
         assert emitted, "expected at least one validated query"
         outcomes = next(
             step["observation"]["outcomes"]
@@ -215,12 +236,11 @@ class TestEpisode:
         accepted = [o["query"] for o in outcomes if o["accepted"]]
         assert [q.text for q in emitted] == accepted
         # the below-floor trend never produces an accepted outcome
-        assert all(o["velocity"] >= agent_config.velocity_floor
+        assert all(o["velocity"] >= VELOCITY_FLOOR
                    for o in outcomes if o["accepted"])
 
-    def test_low_fit_never_reaches_expansion(self, episode_setup):
-        agent_config, tools = episode_setup
-        _, trace, _ = run_episode(agent_config, tools, {})
+    def test_low_fit_never_reaches_expansion(self, episode_tools):
+        _, trace, _ = run_episode(episode_tools, {})
         expanded = {
             step["action"]["term"]
             for step in trace
@@ -229,10 +249,9 @@ class TestEpisode:
         }
         assert expanded.isdisjoint({"election results", "playoff scores"})
 
-    def test_deterministic_and_replayable(self, episode_setup):
-        agent_config, tools = episode_setup
-        emitted_a, trace_a, state_a = run_episode(agent_config, tools, {})
-        emitted_b, trace_b, _ = run_episode(agent_config, tools, {})
+    def test_deterministic_and_replayable(self, episode_tools):
+        emitted_a, trace_a, state_a = run_episode(episode_tools, {})
+        emitted_b, trace_b, _ = run_episode(episode_tools, {})
         assert json.dumps(trace_a, sort_keys=True) == json.dumps(trace_b, sort_keys=True)
         replayed = replay_trace(trace_a, {})
         assert replayed.cursor == state_a.cursor
@@ -241,11 +260,31 @@ class TestEpisode:
             q.to_json() for q in state_a.emitted
         ]
 
-    def test_replay_rejects_diverged_trace(self, episode_setup):
-        agent_config, tools = episode_setup
-        _, trace, _ = run_episode(agent_config, tools, {})
+    def test_replay_rejects_diverged_trace(self, episode_tools):
+        _, trace, _ = run_episode(episode_tools, {})
         trace[0]["node"] = "validation"
         with pytest.raises(AgentError, match="diverges"):
+            replay_trace(trace, {})
+
+    @pytest.mark.parametrize("step, record, message", [
+        (0, {"action": {}}, "missing key 'node'"),
+        (0, "planning", "expected a JSON object, got str"),
+        (1, {"node": "planning", "action": {"kind": "move", "to": "retrieval"}},
+         "missing key 'observation'"),
+        (1, {"node": 1, "action": {}, "observation": {}}, "key 'node' has ill-typed value 1"),
+        (1, {"node": "planning", "action": [], "observation": {}},
+         "key 'action' has ill-typed value \\[\\]"),
+    ])
+    def test_replay_rejects_damaged_record_naming_the_step(self, episode_tools, step, record, message):
+        _, trace, _ = run_episode(episode_tools, {})
+        trace[step] = record
+        with pytest.raises(AgentError, match=rf"^step {step}: bad trace record: {message}$"):
+            replay_trace(trace, {})
+
+    def test_replay_rejects_damaged_validate_step(self, episode_tools):
+        _, trace, _ = run_episode(episode_tools, {})
+        del trace[-1]["observation"]["outcomes"][0]["accepted"]
+        with pytest.raises(AgentError, match=rf"^step {len(trace) - 1}: .*missing key 'accepted'$"):
             replay_trace(trace, {})
 
     @pytest.mark.parametrize("tool, key", [
@@ -254,13 +293,12 @@ class TestEpisode:
         ("expand_query", "term"),
         ("content_lookup", "query"),
     ])
-    def test_failing_tool_is_recorded_and_the_episode_goes_on(self, episode_setup, tool, key):
-        agent_config, tools = episode_setup
+    def test_failing_tool_is_recorded_and_the_episode_goes_on(self, episode_tools, tool, key):
 
         def broken(*args):
             raise RuntimeError(f"{tool} is down")
 
-        _, trace, state = run_episode(agent_config, dataclasses.replace(tools, **{tool: broken}), {})
+        _, trace, state = run_episode(dataclasses.replace(episode_tools, **{tool: broken}), {})
         calls = [step for step in trace if step["action"].get("tool") == tool]
         assert calls
         for step in calls:
@@ -273,18 +311,16 @@ class TestEpisode:
             assert outcomes and not any(o["accepted"] for o in outcomes)
             assert state.emitted == []
 
-    def test_long_memory_feeds_next_episode(self, episode_setup):
-        agent_config, tools = episode_setup
-        _, _, state = run_episode(agent_config, tools, {})
-        _, _, second = run_episode(agent_config, tools, state.long_memory)
+    def test_long_memory_feeds_next_episode(self, episode_tools):
+        _, _, state = run_episode(episode_tools, {})
+        _, _, second = run_episode(episode_tools, state.long_memory)
         term = TAXONOMY[0][0]
         assert second.long_memory[term]["accepted"] >= state.long_memory[term]["accepted"]
 
 
 class TestPersistence:
-    def test_trace_roundtrip(self, episode_setup, tmp_path):
-        agent_config, tools = episode_setup
-        _, trace, state = run_episode(agent_config, tools, {})
+    def test_trace_roundtrip(self, episode_tools, tmp_path):
+        _, trace, state = run_episode(episode_tools, {})
         path = tmp_path / "agent_trace.jsonl"
         write_trace(trace, path)
         replayed = replay_trace([obj for _, obj in read_jsonl(path)], {})

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import json
 import re
 import zlib
@@ -666,3 +668,44 @@ def test_public_code_backs_the_program_or_a_criterion():
             if all(m == module and id(n) in inside for m, n in uses.get(node.name, [])):
                 unused.add(f"{module}.{node.name}")
     assert sorted(unused) == sorted(TEST_ONLY_PUBLIC)
+
+
+# module-config fields that no program code sets, each kept for the tests
+# that set it
+TEST_FIXTURE_FIELDS = {
+    "SynthConfig.queries_per_cluster": "the corpora of conftest and of criterion 07",
+    "SynthConfig.engagement_per_pin": "the corpora of conftest and of criterion 07",
+    "TowerConfig.hidden": "the small towers of the finite-difference checks",
+    "TowerConfig.output_dim": "the small towers of the finite-difference checks",
+    "TowerConfig.dropout_rate": "the small towers of the finite-difference checks",
+    "RankerTrainConfig.batch_size": "five-step training runs at batch 8",
+}
+
+
+def test_every_config_field_has_a_caller():
+    """Each init field of a package dataclass named `*Config` or `*Params`,
+    but PipelineConfig, whose fields are all config-file keys, is passed by
+    name or position in some call in the package or in perfbench, or backs a
+    test fixture. A ``**`` call, as from file metadata, sets nothing."""
+    package = Path(geoforge.__file__).parent
+    configs: dict[str, list[str]] = {}
+    for path in package.glob("*.py"):
+        module = importlib.import_module(f"geoforge.{path.stem}")
+        for name, obj in vars(module).items():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__
+                    and name.endswith(("Config", "Params")) and name != "PipelineConfig"):
+                configs[name] = [f.name for f in dataclasses.fields(obj) if f.init]
+    set_fields = set()
+    callers = [*package.glob("*.py"), *(Path(__file__).parents[1] / "perfbench").glob("*.py")]
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in configs:
+                set_fields |= {f"{name}.{f}" for f in configs[name][: len(node.args)]}
+                set_fields |= {f"{name}.{kw.arg}" for kw in node.keywords if kw.arg}
+    fields = {f"{name}.{f}" for name, names in configs.items() for f in names}
+    assert {"HnswParams.M", "TrainConfig.seed"} <= fields  # the scan found the configs
+    assert sorted(fields - set_fields) == sorted(TEST_FIXTURE_FIELDS)

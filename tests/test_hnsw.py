@@ -21,6 +21,7 @@ from geoforge.hnsw import (
     _bit_rows,
     brute_force_search,
     build,
+    exact_top_k,
 )
 
 from _oracles import diversity_select, hnsw_reference_links, hnsw_reference_search, unit_rows
@@ -68,6 +69,21 @@ class TestParams:
         with pytest.raises(HnswError, match="ef_search"):
             HnswParams(ef_search=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("M", 2.5), ("M", True), ("ef_construction", "200"), ("ef_search", float("nan")),
+        ("ef_search", 2**63),
+    ])
+    def test_sizes_are_int64_integers(self, field, value):
+        with pytest.raises(HnswError, match=f"^{field} must be an int64 integer, got "):
+            HnswParams(**{field: value})
+
+    def test_numpy_integer_sizes_save_as_ints(self, tmp_path):
+        index = HnswIndex(dim=2, params=HnswParams(np.int64(4), np.int32(8), np.uint8(3)))
+        index.insert(1, np.array([1.0, 0.0]))
+        index.save(tmp_path / "index.bin")
+        params = HnswIndex.load(tmp_path / "index.bin").params
+        assert params == HnswParams(4, 8, 3) and type(params.M) is int
+
 
 class TestSearch:
     def test_empty_index(self):
@@ -92,6 +108,31 @@ class TestSearch:
         for index in (HnswIndex(dim=16), build(vectors, HnswParams(ef_search=8), seed=1)):
             with pytest.raises(HnswError, match=f"ef_search must be >= 1, got {ef_search}"):
                 index.search(queries[0], 2, ef_search=ef_search)
+
+    @pytest.mark.parametrize("k, ef_search", [(2.5, None), (True, None), (2, 2.5), (2, False)])
+    def test_k_and_ef_search_are_integers(self, corpus_300, k, ef_search):
+        vectors, queries = corpus_300
+        for index in (HnswIndex(dim=16), build(vectors, HnswParams(ef_search=8), seed=1)):
+            with pytest.raises(HnswError, match=r"^(k|ef_search) must be an int64 integer"):
+                index.search(queries[0], k, ef_search=ef_search)
+
+    @pytest.mark.parametrize("element_id", [1.5, "a", True, np.bool_(True), 2**70, -(2**63) - 1,
+                                            np.uint64(2**64 - 1)])
+    def test_ids_are_int64_integers(self, element_id):
+        index = HnswIndex(dim=2)
+        with pytest.raises(HnswError, match=r"^id must be an int64 integer, got "):
+            index.insert(element_id, np.array([1.0, 0.0]))
+        assert len(index) == 0
+
+    def test_numpy_integer_ids_are_kept_as_ints(self, tmp_path):
+        index = HnswIndex(dim=2)
+        for element_id in (np.int64(2**63 - 1), np.int32(-3), -(2**63)):
+            index.insert(element_id, np.array([1.0, 0.0]))
+        index.save(tmp_path / "index.bin")
+        for ids in (index.stored_vectors()[0], HnswIndex.load(tmp_path / "index.bin").stored_vectors()[0]):
+            assert ids == [2**63 - 1, -3, -(2**63)] and {type(i) for i in ids} == {int}
+        with pytest.raises(HnswError, match="duplicate id -3"):
+            index.insert(-3, np.array([0.0, 1.0]))
 
     def test_non_unit_vector_rejected(self):
         index = HnswIndex(dim=2)
@@ -483,3 +524,17 @@ class TestBruteForce:
         for vectors in ({}, {1: v, 2: v}):
             with pytest.raises(HnswError, match=f"k must be >= 1, got {k}"):
                 brute_force_search(vectors, v, k)
+
+    @pytest.mark.parametrize("matrix", [np.eye(4), np.ones(4), np.ones((1, 4, 1))])
+    def test_exact_top_k_needs_one_row_per_id(self, matrix):
+        with pytest.raises(HnswError, match=r"is not 1 stacked rows"):
+            exact_top_k([1], matrix, np.array([1.0, 0.0, 0.0, 0.0]), 3)
+
+    @pytest.mark.parametrize("query", [np.ones((4, 1)), np.float64(1.0)])
+    def test_exact_top_k_needs_a_vector_query(self, query):
+        with pytest.raises(HnswError, match=r"query of shape .* does not match vectors of dim 4"):
+            exact_top_k([1, 2], np.eye(4)[:2], query, 1)
+
+    def test_exact_top_k_k_is_an_integer(self):
+        with pytest.raises(HnswError, match=r"^k must be an int64 integer, got 2\.5$"):
+            exact_top_k([1], np.eye(2)[:1], np.array([1.0, 0.0]), 2.5)

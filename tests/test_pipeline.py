@@ -385,7 +385,7 @@ class TestStageGraph:
     @pytest.mark.parametrize("field, value", [
         ("n_pins", 0), ("n_pins", -5), ("d_v", 0), ("d_t", 0), ("queries_per_cluster", 0),
         ("n_clusters", 0), ("n_clusters", len(synth.CLUSTER_TERMS) + 1),
-        ("engagement_per_pin", -1), ("noise", float("nan")), ("noise", float("inf")),
+        ("engagement_per_pin", -1),
     ])
     def test_synth_config_rejects_sizes_it_cannot_generate(self, field, value):
         with pytest.raises(CorpusError, match=rf"^{field} must be .*, got {value}$"):

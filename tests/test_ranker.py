@@ -35,22 +35,23 @@ from _oracles import (
 
 SMALL = TowerConfig(d_v=4, d_t=3, hidden=[5], output_dim=3, dropout_rate=0.0)
 # the towers of a default pipeline run
-PIPELINE_TOWERS = TowerConfig(d_v=64, d_t=48, width_mult=0.125)
+PIPELINE_TOWERS = TowerConfig(d_v=64, d_t=48)
 
 
 class TestConfig:
     def test_validation(self):
         with pytest.raises(RankerError, match="hidden"):
-            TowerConfig(hidden=[])
+            TowerConfig(4, 3, hidden=[])
         with pytest.raises(RankerError, match="dropout_rate"):
-            TowerConfig(dropout_rate=1.0)
+            TowerConfig(4, 3, dropout_rate=1.0)
         with pytest.raises(RankerError, match="margin"):
-            TowerConfig(margin=0.0)
+            TowerConfig(4, 3, margin=0.0)
 
-    def test_width_multiplier_floor(self):
-        config = TowerConfig(hidden=[512, 8], output_dim=128, width_mult=0.01)
-        assert config.scaled_hidden() == [5, 2]
-        assert config.scaled_output() == 2
+    def test_default_towers_run_at_their_declared_widths(self):
+        model = RankerModel.init(PIPELINE_TOWERS)
+        for tower, d_in in ((model.pin_tower, 64 + 48 + 1), (model.query_tower, 48 + 1)):
+            assert [layer[0].shape for layer in tower.layers] == [
+                (64, d_in), (48, 64), (32, 48), (16, 32)]
 
 
 class TestFeatures:
