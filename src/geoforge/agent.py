@@ -89,8 +89,9 @@ class AgentState:
 def transition(state: AgentState, action: dict, observation: dict) -> AgentState:
     """Pure state transition: append the (action, observation) pair, advance
     the cursor on moves, and fold validation outcomes into long memory. An
-    action the plan forbids, or a validate observation not of VALIDATE_KINDS
-    and OUTCOME_KINDS, raises AgentError naming the step."""
+    action the plan forbids, a validate observation not of VALIDATE_KINDS
+    and OUTCOME_KINDS, or a long memory it folds into that is not of
+    MEMORY_KINDS records by term, raises AgentError naming the step."""
     step = len(state.short_memory)
     if type(action) is not dict or type(observation) is not dict:
         raise AgentError(f"step {step}: action and observation must be objects")
@@ -116,6 +117,10 @@ def transition(state: AgentState, action: dict, observation: dict) -> AgentState
                 new.emitted += map(QueryRecord.from_json, observation["emitted"])
             except ValueError as exc:
                 raise AgentError(f"step {step}: bad validate observation: {exc}") from exc
+            try:
+                check_json(new.long_memory, {str: MEMORY_KINDS})
+            except ValueError as exc:
+                raise AgentError(f"step {step}: bad long memory: {exc}") from exc
             for outcome in outcomes:
                 record = new.long_memory.setdefault(
                     outcome["term"],
@@ -163,7 +168,8 @@ def make_semantic_filter(taxonomy: list[tuple[str, str]]):
 
 def make_content_lookup(corpus: Corpus, index: HnswIndex, text_encoder: EncoderModel, min_count: int):
     """Probe the index with the closest known query embedding for the text
-    (token-overlap match), count hits at RELEVANCE_FLOOR or above."""
+    (token-overlap match), count hits at RELEVANCE_FLOOR or above that are
+    corpus pins."""
     query_tokens = [(q, set(q.text.lower().split())) for q in corpus.queries]
 
     def content_lookup(text: str) -> tuple[int, float, bool]:
@@ -177,12 +183,10 @@ def make_content_lookup(corpus: Corpus, index: HnswIndex, text_encoder: EncoderM
             return 0, 0.0, min_count <= 0
         probe = text_encoder.encode(best_query.embedding)
         hits = index.search(probe, k=max(4 * min_count, 100))
-        counted = [sig for sig, sim in hits if sim >= RELEVANCE_FLOOR]
+        counted = [corpus.pins[s] for s, sim in hits if sim >= RELEVANCE_FLOOR and s in corpus.pins]
         if not counted:
             return 0, 0.0, min_count <= 0
-        mean_quality = float(
-            np.mean([corpus.pins[s].perception_score for s in counted if s in corpus.pins])
-        )
+        mean_quality = float(np.mean([pin.perception_score for pin in counted]))
         return len(counted), mean_quality, len(counted) > min_count
 
     return content_lookup

@@ -33,7 +33,7 @@ def slugify(text: str) -> str:
 class Collection:
     topic: QueryRecord
     slug: str
-    embedding_kind: str  # "pinclip" | "searchsage"
+    embedding_kind: str  # always "pinclip"; kept because perfbench/tests builds Collections with it
     members: list[tuple[int, float]] = field(default_factory=list)  # (signature, similarity)
 
     def to_json(self) -> dict:

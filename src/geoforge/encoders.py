@@ -38,12 +38,10 @@ class EncoderModel:
         return self.net.output_dim
 
     def encode(self, vector: np.ndarray) -> np.ndarray:
-        out, _ = self.net.forward(vector, EncoderError)
-        return out[0]
+        return self.net.forward(vector, EncoderError)[0]
 
     def encode_batch(self, matrix: np.ndarray) -> np.ndarray:
-        out, _ = self.net.forward(matrix, EncoderError)
-        return out
+        return self.net.forward(matrix, EncoderError)
 
 
 @dataclass

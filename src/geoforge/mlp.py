@@ -10,11 +10,12 @@ One pass runs over blocks ``(net, rows)`` of nets with equal hidden and
 output widths: each block's matmuls and per-feature steps (bias, LayerNorm
 affine) write into its row slice of one stacked buffer, and ReLU,
 LayerNorm, dropout and the output L2 norm run once over all rows.
-`Mlp.forward` and `Mlp.backward` are the one-block case.
+`Mlp.forward` is inference: one block without dropout, output rows only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,19 +97,10 @@ class Mlp:
     def parameters(self) -> list[np.ndarray]:
         return [param for layer in self.layers for param in layer]
 
-    def forward(
-        self, inputs: np.ndarray, error: type[Exception],
-        dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
-    ) -> tuple[np.ndarray, dict]:
-        """Unit-norm output rows (one per input row) and the cache `backward`
-        reads: `forward_blocks` over the one block ``(self, inputs)``."""
-        (out,), cache = forward_blocks([(self, inputs)], error, dropout_rate, rng)
-        return out, cache
-
-    def backward(self, cache: dict, d_out: np.ndarray) -> list[np.ndarray]:
-        """Gradients of the loss w.r.t. `parameters`, in that order, given
-        d(loss)/d(output rows): views of one buffer laid out like `flat`."""
-        return [g for layer in self.layered(backward_blocks(cache, [d_out])[0]) for g in layer]
+    def forward(self, inputs: np.ndarray, error: type[Exception]) -> np.ndarray:
+        """Unit-norm output rows, one per input row: `forward_blocks` over
+        the one block ``(self, inputs)``, without dropout."""
+        return forward_blocks([(self, inputs)], error)[0][0]
 
 
 def forward_blocks(
@@ -184,9 +176,13 @@ def forward_blocks(
     return [unit[sl] for sl in slices], cache
 
 
+@functools.cache
 def _mean_column(width: int) -> np.ndarray:
-    """A (width, 1) column of 1/width: a matrix times it is its row means."""
-    return np.full((width, 1), 1.0 / width)
+    """A read-only (width, 1) column of 1/width, built once per width: a
+    matrix times it is its row means."""
+    column = np.full((width, 1), 1.0 / width)
+    column.flags.writeable = False
+    return column
 
 
 def backward_blocks(cache: dict, d_outs: list[np.ndarray]) -> list[np.ndarray]:

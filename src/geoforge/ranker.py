@@ -89,12 +89,10 @@ class RankerModel:
         return cls(pin_tower=pin, query_tower=query, config=config)
 
     def embed_pin(self, features: np.ndarray) -> np.ndarray:
-        out, _ = self.pin_tower.forward(features, RankerError)
-        return out
+        return self.pin_tower.forward(features, RankerError)
 
     def embed_query(self, features: np.ndarray) -> np.ndarray:
-        out, _ = self.query_tower.forward(features, RankerError)
-        return out
+        return self.query_tower.forward(features, RankerError)
 
 
 def _tower_dims(config: TowerConfig) -> list[list[int]]:
@@ -103,25 +101,23 @@ def _tower_dims(config: TowerConfig) -> list[list[int]]:
             for dim in (config.pin_input_dim, config.query_input_dim)]
 
 
-def margin_loss(
-    e_pin: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray, m: float = 0.95
-) -> float:
-    """Hinge on the similarity gap: max(0, pin.neg - pin.pos + m)."""
-    return float(max(0.0, float(np.dot(e_pin, e_neg) - np.dot(e_pin, e_pos)) + m))
-
-
 def margin_loss_batch(
-    e_pin: np.ndarray, e_pos: np.ndarray, e_neg: np.ndarray, m: float
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean hinge over rows plus gradients w.r.t. the three embeddings."""
+    e_pin: np.ndarray, e_query: np.ndarray, m: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean over rows of the hinge max(0, pin.neg - pin.pos + m), where
+    ``e_query`` holds the positive rows over the negative rows, as a
+    `mlp.forward_blocks` block lays them out; plus its gradients w.r.t.
+    ``e_pin`` and ``e_query``."""
+    n = len(e_pin)
+    if e_query.shape != (2 * n, e_pin.shape[1]):
+        raise RankerError(f"query rows {e_query.shape} are not two stacks of pin rows {e_pin.shape}")
+    e_pos, e_neg = e_query[:n], e_query[n:]
     gap = np.sum(e_pin * e_neg, axis=1) - np.sum(e_pin * e_pos, axis=1) + m
     active = (gap > 0.0).astype(np.float64)[:, None]
-    n = e_pin.shape[0]
     loss = float(np.maximum(gap, 0.0).mean())
     d_pin = active * (e_neg - e_pos) / n
-    d_pos = active * -e_pin / n
     d_neg = active * e_pin / n
-    return loss, d_pin, d_pos, d_neg
+    return loss, d_pin, np.concatenate([-d_neg, d_neg])
 
 
 @dataclass
@@ -187,11 +183,10 @@ def train_ranker(
             [(model.pin_tower, triplets.pins[triplets.pin[idx]]), (model.query_tower, queries)],
             RankerError, config.dropout_rate, rng,
         )
-        e_pos, e_neg = np.split(e_query, 2)
-        loss, d_pin, d_pos, d_neg = margin_loss_batch(e_pin, e_pos, e_neg, config.margin)
+        loss, d_pin, d_query = margin_loss_batch(e_pin, e_query, config.margin)
         if not np.isfinite(loss):
             raise RankerError(f"non-finite loss at step {step}")
-        g_pin, g_query = backward_blocks(cache, [d_pin, np.concatenate([d_pos, d_neg])])
+        g_pin, g_query = backward_blocks(cache, [d_pin, d_query])
         model.pin_tower.flat -= train.learning_rate * g_pin
         model.query_tower.flat -= train.learning_rate * g_query
         log.append((step, loss))

@@ -12,7 +12,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from geoforge import curation, encoders, hnsw, ranker, synth
+from geoforge import curation, encoders, hnsw, mlp, ranker, synth
 from geoforge.agent import (
     FILTER_THRESHOLD,
     LOW_FIT_CATEGORIES,
@@ -132,45 +132,36 @@ def _ranker_end_to_end_errors(seed: int) -> list[float] | None:
     b_pos = rng.standard_normal((3, config.query_input_dim))
     b_neg = rng.standard_normal((3, config.query_input_dim))
 
-    def forward():
-        e_pin, c_pin = model.pin_tower.forward(b_pin, ranker.RankerError)
-        e_pos, c_pos = model.query_tower.forward(b_pos, ranker.RankerError)
-        e_neg, c_neg = model.query_tower.forward(b_neg, ranker.RankerError)
-        return e_pin, e_pos, e_neg, c_pin, c_pos, c_neg
-
+    # the training pass: the pin rows, and the positive rows over the negative rows
+    blocks = [(model.pin_tower, b_pin), (model.query_tower, np.concatenate([b_pos, b_neg]))]
     try:
-        e_pin, e_pos, e_neg, c_pin, c_pos, c_neg = forward()
+        (e_pin, e_query), cache = mlp.forward_blocks(blocks, ranker.RankerError)
     except ranker.RankerError:
         # a fully dead ReLU layer zeroes the tower output; normalization is
         # undefined there, so the probe is rejected like any other kink
         return None
+    e_pos, e_neg = np.split(e_query, 2)
     gaps = np.sum(e_pin * e_neg, axis=1) - np.sum(e_pin * e_pos, axis=1) + config.margin
-    for cache in (c_pin, c_pos, c_neg):
-        for layer in cache["layers"][:-1]:
-            if float(np.min(np.abs(layer["z"]))) < 1e-4:
-                return None
+    for layer in cache["layers"][:-1]:
+        if float(np.min(np.abs(layer["z"]))) < 1e-4:
+            return None
     if float(np.min(np.abs(gaps))) < 1e-4:
         return None
 
-    _, d_pin, d_pos, d_neg = ranker.margin_loss_batch(e_pin, e_pos, e_neg, config.margin)
-    g_pin = model.pin_tower.backward(c_pin, d_pin)
-    g_pos = model.query_tower.backward(c_pos, d_pos)
-    g_neg = model.query_tower.backward(c_neg, d_neg)
-    g_query = [gp + gn for gp, gn in zip(g_pos, g_neg)]
+    _, d_pin, d_query = ranker.margin_loss_batch(e_pin, e_query, config.margin)
+    grads = mlp.backward_blocks(cache, [d_pin, d_query])
 
     params = model.pin_tower.parameters() + model.query_tower.parameters()
 
     def loss():
-        e1, _ = model.pin_tower.forward(b_pin, ranker.RankerError)
-        e2, _ = model.query_tower.forward(b_pos, ranker.RankerError)
-        e3, _ = model.query_tower.forward(b_neg, ranker.RankerError)
-        return ranker.margin_loss_batch(e1, e2, e3, config.margin)[0]
+        (e1, e2), _ = mlp.forward_blocks(blocks, ranker.RankerError)
+        return ranker.margin_loss_batch(e1, e2, config.margin)[0]
 
     try:
         numeric = finite_difference(loss, params)
     except ranker.RankerError:
         return None
-    analytic = g_pin + g_query
+    analytic = [g for (net, _), grad in zip(blocks, grads) for layer in net.layered(grad) for g in layer]
     return [rel_error(a, n) for a, n in zip(analytic, numeric)]
 
 
@@ -280,8 +271,9 @@ def test_criterion_06_margin_hinge(announce):
     counterexamples = 0
     for _ in range(10_000):
         pin, pos, neg = unit_rows(rng, 3, 8)
-        loss = ranker.margin_loss(pin, pos, neg, m=margin)
-        separation = float(np.dot(pin, pos) - np.dot(pin, neg))
+        # the training hinge on a one-row batch: the positive over the negative
+        loss, _, _ = ranker.margin_loss_batch(pin[None], np.stack([pos, neg]), margin)
+        separation = float(np.sum(pin * pos) - np.sum(pin * neg))
         if (loss == 0.0) != (separation >= margin):
             counterexamples += 1
     ok = counterexamples == 0

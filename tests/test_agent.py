@@ -19,6 +19,7 @@ from geoforge.agent import (
     default_tools,
     expand_query,
     load_long_memory,
+    make_content_lookup,
     make_fetch_trends,
     make_semantic_filter,
     replay_trace,
@@ -109,6 +110,18 @@ class TestTransition:
         state = AgentState(cursor="validation", short_memory=[{}] * 7)
         with pytest.raises(AgentError, match=rf"^step 7: bad validate observation: .*{message}"):
             transition(state, {"kind": "tool", "tool": "validate"}, observation)
+
+    @pytest.mark.parametrize("memory", [
+        {"fall nails": {}},
+        {"fall nails": {"accepted": "1", "rejected": 0, "last_velocity": 0.0, "patterns": []}},
+        {"other": {"accepted": 0, "rejected": 0, "last_velocity": 0.0}},
+    ])
+    def test_bad_long_memory_names_the_step(self, memory):
+        """A validate step folds only into long memory of MEMORY_KINDS records."""
+        state = AgentState(cursor="validation", short_memory=[{}] * 7, long_memory=memory)
+        with pytest.raises(AgentError, match=r"^step 7: bad long memory: "):
+            transition(state, {"kind": "tool", "tool": "validate"},
+                       {"outcomes": [OUTCOME], "emitted": []})
 
 
 class TestTools:
@@ -311,11 +324,54 @@ class TestEpisode:
             assert outcomes and not any(o["accepted"] for o in outcomes)
             assert state.emitted == []
 
+    def test_bad_long_memory_fails_the_episode_and_its_replay(self, episode_tools):
+        _, trace, _ = run_episode(episode_tools, {})
+        memory = {TAXONOMY[0][0]: {"accepted": 1}}
+        with pytest.raises(AgentError, match=rf"^step {len(trace) - 1}: bad long memory: "):
+            run_episode(episode_tools, memory)
+        with pytest.raises(AgentError, match=rf"^step {len(trace) - 1}: bad long memory: "):
+            replay_trace(trace, memory)
+
     def test_long_memory_feeds_next_episode(self, episode_tools):
         _, _, state = run_episode(episode_tools, {})
         _, _, second = run_episode(episode_tools, state.long_memory)
         term = TAXONOMY[0][0]
         assert second.long_memory[term]["accepted"] >= state.long_memory[term]["accepted"]
+
+
+@pytest.fixture(scope="module")
+def forty_pins():
+    """A 40-pin corpus, the identity text encoder, and each pin's encoded
+    text vector by signature."""
+    corpus, _ = synth.generate_corpus(synth.SynthConfig(
+        n_pins=40, n_clusters=4, d_v=8, d_t=8, queries_per_cluster=4, engagement_per_pin=1, seed=3))
+    encoder = EncoderModel(Mlp([(np.eye(8), np.zeros(8))]))
+    return corpus, encoder, {sig: encoder.encode(pin.text_embedding) for sig, pin in corpus.pins.items()}
+
+
+class TestContentLookup:
+    FOREIGN = 10**6  # added to a signature, an id no corpus pin has
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_index_of_other_ids_finds_nothing(self, forty_pins):
+        """Hits on an index over other ids count as no hits: a finite
+        (0, 0.0, min_count <= 0), never a mean over nothing."""
+        corpus, encoder, vectors = forty_pins
+        index = hnsw.build({sig + self.FOREIGN: v for sig, v in vectors.items()}, seed=1)
+        assert not set(index.stored_vectors()[0]) & set(corpus.pins)
+        text = corpus.queries[0].text
+        assert make_content_lookup(corpus, index, encoder, 5)(text) == (0, 0.0, False)
+        assert make_content_lookup(corpus, index, encoder, 0)(text) == (0, 0.0, True)
+
+    def test_only_corpus_pins_count(self, forty_pins):
+        """Adding other ids to the index changes no lookup."""
+        corpus, encoder, vectors = forty_pins
+        foreign = {sig + self.FOREIGN: v for sig, v in vectors.items()}
+        own = make_content_lookup(corpus, hnsw.build(vectors, seed=1), encoder, 5)
+        mixed = make_content_lookup(corpus, hnsw.build({**vectors, **foreign}, seed=1), encoder, 5)
+        for query in corpus.queries:
+            assert mixed(query.text) == own(query.text)
+        assert any(own(query.text)[0] for query in corpus.queries)
 
 
 class TestPersistence:

@@ -20,7 +20,7 @@ from geoforge.encoders import (
     softmax_contrastive_loss,
     train_encoder,
 )
-from geoforge.mlp import Mlp
+from geoforge.mlp import Mlp, backward_blocks, forward_blocks
 
 from _oracles import finite_difference, rel_error
 
@@ -56,7 +56,7 @@ class TestEncoderModel:
     def test_dropout_requires_rng(self):
         net = Mlp.init([6, 4], np.random.default_rng(0))
         with pytest.raises(EncoderError, match="RNG"):
-            net.forward(np.ones((2, 6)), EncoderError, dropout_rate=0.5)
+            forward_blocks([(net, np.ones((2, 6)))], EncoderError, dropout_rate=0.5)
 
     def test_backward_matches_finite_differences(self):
         # end-to-end through ReLU hidden layer and L2 normalization,
@@ -71,14 +71,14 @@ class TestEncoderModel:
             target = rng.standard_normal((3, 3))
 
             def loss():
-                out, _ = net.forward(x, EncoderError)
-                return float(np.sum(out * target))
+                return float(np.sum(net.forward(x, EncoderError) * target))
 
-            out, cache = net.forward(x, EncoderError)
+            _, cache = forward_blocks([(net, x)], EncoderError)
             if float(np.min(np.abs(cache["layers"][0]["z"]))) < 1e-4:
                 continue
             numeric = finite_difference(loss, net.parameters())
-            analytic = net.backward(cache, target)
+            (grad,) = backward_blocks(cache, [target])
+            analytic = [g for layer in net.layered(grad) for g in layer]
             assert max(
                 rel_error(a, n) for a, n in zip(analytic, numeric)
             ) <= 1e-3

@@ -20,7 +20,6 @@ from geoforge.ranker import (
     correct_rank,
     in_blocks,
     load_ranker,
-    margin_loss,
     margin_loss_batch,
     pin_features,
     query_features,
@@ -78,25 +77,57 @@ class TestMarginLoss:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100)
     def test_hinge_equivalence(self, seed):
+        """On a one-row batch (the positive row over the negative row), the
+        training hinge is zero exactly when the pin separates them by m."""
         rng = np.random.default_rng(seed)
         pin, pos, neg = unit_rows(rng, 3, 6)
-        loss = margin_loss(pin, pos, neg, m=0.95)
-        separation = float(np.dot(pin, pos) - np.dot(pin, neg))
+        loss, _, _ = margin_loss_batch(pin[None], np.stack([pos, neg]), 0.95)
+        separation = float(np.sum(pin * pos) - np.sum(pin * neg))
         assert (loss == 0.0) == (separation >= 0.95)
         assert loss >= 0.0
 
     def test_batch_mean_matches_scalar(self):
+        """The batch loss is the mean of the hinge written out per row."""
         rng = np.random.default_rng(3)
         e_pin, e_pos, e_neg = (unit_rows(rng, 4, 5) for _ in range(3))
-        batch_loss, _, _, _ = margin_loss_batch(e_pin, e_pos, e_neg, 0.95)
-        scalar_mean = np.mean(
-            [margin_loss(e_pin[i], e_pos[i], e_neg[i], 0.95) for i in range(4)]
-        )
+        batch_loss, _, _ = margin_loss_batch(e_pin, np.concatenate([e_pos, e_neg]), 0.95)
+        scalar_mean = np.mean([
+            max(0.0, float(e_pin[i] @ e_neg[i]) - float(e_pin[i] @ e_pos[i]) + 0.95) for i in range(4)
+        ])
         assert abs(batch_loss - scalar_mean) <= 1e-12
+
+    def test_gradients_are_laid_out_like_the_query_rows(self):
+        """d_query holds the positive rows' gradient over the negative rows',
+        matching central differences of the loss in ``e_query``."""
+        rng = np.random.default_rng(5)
+        e_pin, e_query = unit_rows(rng, 3, 4), unit_rows(rng, 6, 4)
+        _, d_pin, d_query = margin_loss_batch(e_pin, e_query, 0.95)
+        numeric = finite_difference(lambda: margin_loss_batch(e_pin, e_query, 0.95)[0], [e_pin, e_query])
+        assert rel_error(d_pin, numeric[0]) <= 1e-6
+        assert rel_error(d_query, numeric[1]) <= 1e-6
+
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    def test_query_rows_must_stack_two_batches(self, rows):
+        rng = np.random.default_rng(0)
+        with pytest.raises(RankerError, match="two stacks"):
+            margin_loss_batch(unit_rows(rng, 2, 4), unit_rows(rng, rows, 4), 0.95)
 
 
 def _tower(dims: list[int], rng: np.random.Generator) -> Mlp:
     return Mlp.init(dims, rng, layer_norm=True, last_gain=1.0)
+
+
+def _one_block(net: Mlp, x: np.ndarray, dropout_rate: float = 0.0, rng=None):
+    """The output rows and cache of `forward_blocks` over one block."""
+    (out,), cache = forward_blocks([(net, x)], RankerError, dropout_rate, rng)
+    return out, cache
+
+
+def _gradients(net: Mlp, cache: dict, d_out: np.ndarray) -> list[np.ndarray]:
+    """`backward_blocks` of a one-block cache, regrouped per parameter in
+    `Mlp.parameters` order."""
+    (grad,) = backward_blocks(cache, [d_out])
+    return [g for layer in net.layered(grad) for g in layer]
 
 
 class TestTowerGradients:
@@ -111,7 +142,7 @@ class TestTowerGradients:
             x = rng.standard_normal((3, 6))
             target = rng.standard_normal((3, 3))
 
-            out, cache = tower.forward(x, RankerError)
+            out, cache = _one_block(tower, x)
             if any(
                 float(np.min(np.abs(layer["z"]))) < 1e-4
                 for layer in cache["layers"][:-1]
@@ -119,10 +150,9 @@ class TestTowerGradients:
                 continue
 
             def loss():
-                o, _ = tower.forward(x, RankerError)
-                return float(np.sum(o * target))
+                return float(np.sum(tower.forward(x, RankerError) * target))
 
-            analytic = tower.backward(cache, target)
+            analytic = _gradients(tower, cache, target)
             numeric = finite_difference(loss, tower.parameters())
             assert max(
                 rel_error(a, n) for a, n in zip(analytic, numeric)
@@ -143,7 +173,7 @@ class TestTowerGradients:
             target = rng.standard_normal((3, 3))
 
             def forward():
-                return tower.forward(x, RankerError, 0.5, np.random.default_rng(seed))
+                return _one_block(tower, x, 0.5, np.random.default_rng(seed))
 
             try:
                 out, cache = forward()
@@ -160,7 +190,7 @@ class TestTowerGradients:
                 o, _ = forward()
                 return float(np.sum(o * target))
 
-            analytic = tower.backward(cache, target)
+            analytic = _gradients(tower, cache, target)
             numeric = finite_difference(loss, tower.parameters())
             assert max(
                 rel_error(a, n) for a, n in zip(analytic, numeric)
@@ -170,7 +200,7 @@ class TestTowerGradients:
     def test_dropout_requires_rng(self):
         tower = _tower([4, 3, 2], np.random.default_rng(0))
         with pytest.raises(RankerError, match="RNG"):
-            tower.forward(np.ones((1, 4)), RankerError, dropout_rate=0.5)
+            _one_block(tower, np.ones((1, 4)), dropout_rate=0.5)
 
     def test_input_dim_mismatch(self):
         tower = _tower([4, 3, 2], np.random.default_rng(0))
@@ -212,7 +242,7 @@ class TestBlockKernel:
 
         one_block_rng, reference, start = np.random.default_rng(1), np.random.default_rng(1), 0
         for net, x, d_out, out, grad in zip(nets, inputs, d_outs, outs, grads):
-            single_out, single = net.forward(x, RankerError, 0.3, one_block_rng)
+            single_out, single = _one_block(net, x, 0.3, one_block_rng)
             rows = slice(start, start + len(x))
             start += len(x)
             np.testing.assert_array_equal(out, single_out)
@@ -222,7 +252,7 @@ class TestBlockKernel:
                 drawn = (reference.random(layer["z"].shape) >= 0.3) / 0.7
                 np.testing.assert_array_equal(layer["mask"], drawn)
                 np.testing.assert_array_equal(cache["layers"][i]["mask"][rows], drawn)
-            single_grad = net.backward(single, d_out)
+            single_grad = _gradients(net, single, d_out)
             views = [g for layer in net.layered(grad) for g in layer]
             assert len(views) == len(single_grad) == len(net.parameters())
             for got, want in zip(views, single_grad):
@@ -230,18 +260,18 @@ class TestBlockKernel:
 
     def test_gradient_is_laid_out_like_flat(self):
         """Each block's gradient has the shape of its net's `flat`, and its
-        `layered` views are exactly `Mlp.backward`'s per-parameter list."""
+        `layered` views take its values in `Mlp.parameters` order, with the
+        parameters' shapes."""
         rng = np.random.default_rng(2)
         net = _tower([6, 8, 8, 3], rng)
         x, d_out = rng.standard_normal((4, 6)), rng.standard_normal((4, 3))
-        _, cache = net.forward(x, RankerError, 0.3, np.random.default_rng(3))
+        _, cache = _one_block(net, x, 0.3, np.random.default_rng(3))
         (grad,) = backward_blocks(cache, [d_out])
         assert grad.shape == net.flat.shape and grad.dtype == net.flat.dtype
-        want = net.backward(cache, d_out)
         got = [g for layer in net.layered(grad) for g in layer]
         assert [g.shape for g in got] == [p.shape for p in net.parameters()]
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+        assert all(np.shares_memory(g, grad) for g in got)
+        np.testing.assert_array_equal(np.concatenate([g.ravel() for g in got]), grad)
 
     def test_gradients_share_no_memory(self):
         """Two blocks of one net, and two calls on one cache, each get a
@@ -332,13 +362,14 @@ class TestTraining:
         )
         for _ in range(train.steps):
             idx = rng.choice(len(triplets), size=train.batch_size, replace=False)
-            e_pin, c_pin = model.pin_tower.forward(pins[idx], RankerError)
-            e_pos, c_pos = model.query_tower.forward(pos[idx], RankerError)
-            e_neg, c_neg = model.query_tower.forward(neg[idx], RankerError)
-            _, d_pin, d_pos, d_neg = margin_loss_batch(e_pin, e_pos, e_neg, SMALL.margin)
-            g_pin = model.pin_tower.backward(c_pin, d_pin)
-            g_pos = model.query_tower.backward(c_pos, d_pos)
-            g_neg = model.query_tower.backward(c_neg, d_neg)
+            e_pin, c_pin = _one_block(model.pin_tower, pins[idx])
+            e_pos, c_pos = _one_block(model.query_tower, pos[idx])
+            e_neg, c_neg = _one_block(model.query_tower, neg[idx])
+            _, d_pin, d_query = margin_loss_batch(e_pin, np.concatenate([e_pos, e_neg]), SMALL.margin)
+            d_pos, d_neg = np.split(d_query, 2)
+            g_pin = _gradients(model.pin_tower, c_pin, d_pin)
+            g_pos = _gradients(model.query_tower, c_pos, d_pos)
+            g_neg = _gradients(model.query_tower, c_neg, d_neg)
             for param, grad in zip(model.pin_tower.parameters(), g_pin):
                 param -= train.learning_rate * grad
             for param, gp, gn in zip(model.query_tower.parameters(), g_pos, g_neg):
@@ -366,14 +397,13 @@ class TestTraining:
         )
         for step in range(train.steps):
             idx = rng.choice(len(triplets), size=train.batch_size, replace=False)
-            e_pin, c_pin = model.pin_tower.forward(pins[idx], RankerError, 0.2, rng)
-            e_query, c_query = model.query_tower.forward(
-                np.concatenate([pos[idx], neg[idx]]), RankerError, 0.2, rng
-            )
-            loss, d_pin, d_pos, d_neg = margin_loss_batch(e_pin, *np.split(e_query, 2), config.margin)
+            e_pin, c_pin = _one_block(model.pin_tower, pins[idx], 0.2, rng)
+            queries = np.concatenate([pos[idx], neg[idx]])
+            e_query, c_query = _one_block(model.query_tower, queries, 0.2, rng)
+            loss, d_pin, d_query = margin_loss_batch(e_pin, e_query, config.margin)
             assert log[step][1] == pytest.approx(loss, rel=0, abs=1e-12)
-            g_pin = model.pin_tower.backward(c_pin, d_pin)
-            g_query = model.query_tower.backward(c_query, np.concatenate([d_pos, d_neg]))
+            g_pin = _gradients(model.pin_tower, c_pin, d_pin)
+            g_query = _gradients(model.query_tower, c_query, d_query)
             for param, grad in zip(model.pin_tower.parameters(), g_pin):
                 param -= train.learning_rate * grad
             for param, grad in zip(model.query_tower.parameters(), g_query):
