@@ -28,10 +28,9 @@ STAGE_FLAGS = {
 }
 
 
-def _config(config_path: str | None, out: str, **overrides) -> PipelineConfig:
+def _config(config_path: str | None, **overrides) -> PipelineConfig:
     """The config file's values (defaults without one), then every flag given."""
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    overrides["out_dir"] = Path(out)
     if config_path:
         return PipelineConfig.from_file(config_path, **overrides)
     return PipelineConfig(**overrides)
@@ -43,8 +42,8 @@ def common_options(fn):
         "--config", "config_path", type=click.Path(exists=True), default=None,
         help="key=value config file.",
     )(fn)
-    fn = click.option("--out", default="geo-out", show_default=True,
-                      help="Output directory.")(fn)
+    fn = click.option("--out", "out_dir", type=click.Path(path_type=Path), default=None,
+                      help="Output directory; by default the config file's out_dir, else geo-out.")(fn)
     return fn
 
 
@@ -56,8 +55,8 @@ def main() -> None:
 def _stage_command(stage: str) -> None:
     """Register the command that runs `stage` alone and prints its metrics."""
 
-    def run(config_path, out, **overrides):
-        report, _ = run_pipeline(_config(config_path, out, **overrides), stages=[stage])
+    def run(config_path, **overrides):
+        report, _ = run_pipeline(_config(config_path, **overrides), stages=[stage])
         result = report["stages"][stage]
         if result["status"] != "ok":
             click.echo(f"{stage}: {result['status']}: {result.get('error', '')}", err=True)
@@ -83,10 +82,10 @@ for _stage in STAGE_ORDER:
     "--stages", default=None,
     help=f"Comma-separated subset of: {','.join(STAGE_ORDER)}",
 )
-def pipeline(config_path, out, seed, stages):
+def pipeline(config_path, out_dir, seed, stages):
     """Run all stages (or a subset) in dependency order. A stage whose
     input artifact is missing fails with DependencyError."""
-    config = _config(config_path, out, seed=seed)
+    config = _config(config_path, out_dir=out_dir, seed=seed)
     stage_list = stages.split(",") if stages else None
     for stage in stage_list or []:
         if stage not in STAGE_ORDER:

@@ -501,9 +501,10 @@ def load_arrays(
 
 def load_corpus(directory: str | Path) -> Corpus:
     """Load and validate the CORPUS_FILES in ``directory``. A bad record, a
-    repeated query text or a pin signature that does not ascend raises
-    CorpusError naming path:line, and a missing file or one with no record
-    CorpusError naming the path. So does a damaged vector file, or one whose
+    repeated query text, a pin signature that does not ascend or an
+    engagement record for an unknown pin raises CorpusError naming
+    path:line, and a missing file or one with no record CorpusError naming
+    the path. So does a damaged vector file, or one whose
     VECTOR_ARRAYS are not float32 matrices of one row per pin (visual and
     text) and per query (query_embeddings, as wide as text)."""
     directory = Path(directory)
@@ -542,9 +543,16 @@ def load_corpus(directory: str | Path) -> Corpus:
     if shapes != [(len(pins), d_v), (len(pins), d_t), (len(queries), d_t)] or not d_v * d_t:
         raise CorpusError(f"{path}: shapes {shapes} do not fit {len(pins)} pins and "
                           f"{len(queries)} queries, as (pins, d_v), (pins, d_t), (queries, d_t)")
-    engaged = read_records(directory / CORPUS_FILES["engagement"], EngagementRecord.from_json,
-                           CorpusError, "engagement")
-    return Corpus({p.signature: p for p in pins}, queries, engaged, visual, text, query_embeddings)
+    by_signature = {p.signature: p for p in pins}
+
+    def engagement(obj: dict) -> EngagementRecord:
+        record = EngagementRecord.from_json(obj)
+        if record.pin_signature not in by_signature:
+            raise CorpusError(f"unknown pin signature {record.pin_signature}")
+        return record
+
+    engaged = read_records(directory / CORPUS_FILES["engagement"], engagement, CorpusError, "engagement")
+    return Corpus(by_signature, queries, engaged, visual, text, query_embeddings)
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:

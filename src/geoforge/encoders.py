@@ -44,40 +44,23 @@ class EncoderModel:
         return self.net.forward(matrix, EncoderError)
 
 
-@dataclass
-class ContrastiveBatch:
-    anchors: np.ndarray
-    positives: np.ndarray
-    temperature: float = DEFAULT_TEMPERATURE
-
-    def validate(self) -> None:
-        if self.temperature <= 0:
-            raise EncoderError(f"temperature must be positive, got {self.temperature}")
-        if self.anchors.shape != self.positives.shape:
-            raise EncoderError(
-                f"anchor/positive shape mismatch: {self.anchors.shape} vs "
-                f"{self.positives.shape}"
-            )
-        if self.anchors.shape[0] < 2:
-            raise EncoderError("in-batch negatives require at least 2 rows")
-
-
 def softmax_contrastive_loss(
-    batch: ContrastiveBatch,
+    x: np.ndarray, y: np.ndarray, temperature: float = DEFAULT_TEMPERATURE,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """In-batch softmax loss with temperature scaling.
 
-    Row i's positive is positives[i]; all other rows' positives act as its
-    negatives. Returns (mean loss, d/d anchors, d/d positives).
+    Row i's positive is y[i]; all other rows of y act as its negatives.
+    Returns (mean loss, d/d x, d/d y).
     """
-    batch.validate()
-    x, y, tau = (
-        np.asarray(batch.anchors, dtype=np.float64),
-        np.asarray(batch.positives, dtype=np.float64),
-        batch.temperature,
-    )
+    if temperature <= 0:
+        raise EncoderError(f"temperature must be positive, got {temperature}")
+    if x.shape != y.shape:
+        raise EncoderError(f"anchor/positive shape mismatch: {x.shape} vs {y.shape}")
+    if x.shape[0] < 2:
+        raise EncoderError("in-batch negatives require at least 2 rows")
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     n = x.shape[0]
-    logits = (x @ y.T) / tau
+    logits = (x @ y.T) / temperature
     # row-wise stable log-softmax
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -85,36 +68,34 @@ def softmax_contrastive_loss(
     loss = -float(np.mean(np.diag(log_probs)))
     probs = np.exp(log_probs)
     d_logits = (probs - np.eye(n)) / n
-    d_x = (d_logits @ y) / tau
-    d_y = (d_logits.T @ x) / tau
+    d_x = (d_logits @ y) / temperature
+    d_y = (d_logits.T @ x) / temperature
     return loss, d_x, d_y
 
 
 def pinclip_loss(
-    img_txt: ContrastiveBatch, pin_pin: ContrastiveBatch
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Sum of the image-text loss and the board-co-save pin-pin loss."""
-    loss_it, d_it_x, d_it_y = softmax_contrastive_loss(img_txt)
-    loss_pp, d_pp_x, d_pp_y = softmax_contrastive_loss(pin_pin)
-    grads = {
-        "img_txt_anchors": d_it_x,
-        "img_txt_positives": d_it_y,
-        "pin_pin_anchors": d_pp_x,
-        "pin_pin_positives": d_pp_y,
-    }
-    return loss_it + loss_pp, grads
+    outputs: list[np.ndarray], temperature: float = DEFAULT_TEMPERATURE,
+) -> tuple[float, list[np.ndarray]]:
+    """The image-text loss plus the board-co-save pin-pin loss over the
+    block outputs ``(vis, a, b, txt)`` in `forward_blocks` order: image
+    rows against their text rows, and co-board pins a against b. The
+    gradients come back in that same order."""
+    vis, a, b, txt = outputs
+    loss_it, d_vis, d_txt = softmax_contrastive_loss(vis, txt, temperature)
+    loss_pp, d_a, d_b = softmax_contrastive_loss(a, b, temperature)
+    return loss_it + loss_pp, [d_vis, d_a, d_b, d_txt]
 
 
 def searchsage_loss(
-    tasks: dict[str, ContrastiveBatch],
+    tasks: dict[str, tuple[np.ndarray, np.ndarray]], temperature: float = DEFAULT_TEMPERATURE,
 ) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Per-task softmax losses summed over all task types."""
+    """Per-task softmax losses over ``(x, y)`` pairs, summed over all task types."""
     if not tasks:
         raise EncoderError("task set is empty")
     total = 0.0
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, batch in tasks.items():
-        loss, d_x, d_y = softmax_contrastive_loss(batch)
+    for name, (x, y) in tasks.items():
+        loss, d_x, d_y = softmax_contrastive_loss(x, y, temperature)
         total += loss
         grads[name] = (d_x, d_y)
     return total, grads
@@ -131,6 +112,10 @@ class TrainConfig:
     learning_rate: float = 0.05
     temperature: float = DEFAULT_TEMPERATURE
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.steps < 1:
+            raise EncoderError(f"TrainConfig.steps must be at least 1, got {self.steps}")
 
 
 def _coboard_pairs(corpus: Corpus) -> list[tuple[int, int]]:
@@ -175,36 +160,20 @@ def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainR
         idx = rng.choice(len(visual), size=min(config.batch_size, len(visual)), replace=False)
         pp_idx = rng.choice(len(coboard), size=min(config.batch_size, len(coboard)), replace=False)
         rows_a, rows_b = pair_rows[pp_idx].T
-        (enc_vis, enc_a, enc_b, enc_txt), cache = forward_blocks(
+        outputs, cache = forward_blocks(
             [(img, visual[idx]), (img, visual[rows_a]), (img, visual[rows_b]), (txt, text[idx])],
             EncoderError,
         )
-        loss, grads = pinclip_loss(
-            ContrastiveBatch(enc_vis, enc_txt, config.temperature),
-            ContrastiveBatch(enc_a, enc_b, config.temperature),
-        )
-        g_img, g_a, g_b, g_txt = backward_blocks(
-            cache,
-            [grads[k] for k in ("img_txt_anchors", "pin_pin_anchors", "pin_pin_positives", "img_txt_positives")],
-        )
+        loss, grads = pinclip_loss(outputs, config.temperature)
+        g_img, g_a, g_b, g_txt = backward_blocks(cache, grads)
         g_img += g_a + g_b
         img.flat -= config.learning_rate * g_img
         txt.flat -= config.learning_rate * g_txt
-        # all weights, then all biases: the order the logged norm has always summed in
-        (w_img, b_img), (w_txt, b_txt) = zip(*img.layered(g_img)), zip(*txt.layered(g_txt))
-        _log_step(log, step, loss, [*w_img, *w_txt, *b_img, *b_txt], encoders)
+        if not np.isfinite(loss):
+            norms = {k: float(np.linalg.norm(m.net.layers[0][0])) for k, m in encoders.items()}
+            raise EncoderError(f"NaN loss at step {step}; parameter norms {norms}")
+        log.append((step, loss, float(np.sqrt(g_img @ g_img + g_txt @ g_txt))))
     return TrainResult(encoders=encoders, log=log)
-
-
-def _log_step(
-    log: list[tuple[int, float, float]], step: int, loss: float,
-    grads: list[np.ndarray], encoders: dict[str, EncoderModel],
-) -> None:
-    """Append (step, loss, gradient norm) to the log; a non-finite loss raises."""
-    if not np.isfinite(loss):
-        norms = {k: float(np.linalg.norm(m.net.layers[0][0])) for k, m in encoders.items()}
-        raise EncoderError(f"NaN loss at step {step}; parameter norms {norms}")
-    log.append((step, float(loss), float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))))
 
 
 def save_model(model: EncoderModel, path: str | Path) -> None:

@@ -34,22 +34,20 @@ class Mlp:
     # every parameter is a float64 view of this one buffer, so that an SGD
     # step is one update
     flat: np.ndarray = field(init=False, repr=False)
+    # per layer, each parameter's (start, stop, shape) in `flat`
+    spans: list[list[tuple[int, int, tuple[int, ...]]]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        start, self.spans = 0, []
+        for layer in self.layers:
+            self.spans.append([(start, start := start + p.size, p.shape) for p in layer])
         self.flat = np.concatenate([p.ravel() for p in self.parameters()], dtype=np.float64)
         self.layers = self.layered(self.flat)
 
     def layered(self, buffer: np.ndarray) -> list[tuple[np.ndarray, ...]]:
         """Views of a buffer laid out like `flat` (the parameters, or a
         gradient from `backward_blocks`), grouped and shaped as `layers`."""
-        start, layers = 0, []
-        for layer in self.layers:
-            views = []
-            for p in layer:
-                views.append(buffer[start:start + p.size].reshape(p.shape))
-                start += p.size
-            layers.append(tuple(views))
-        return layers
+        return [tuple(buffer[a:b].reshape(shape) for a, b, shape in spans) for spans in self.spans]
 
     @property
     def input_dim(self) -> int:

@@ -127,6 +127,10 @@ class RankerTrainConfig:
     learning_rate: float = 0.01
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.steps < 1:
+            raise RankerError(f"RankerTrainConfig.steps must be at least 1, got {self.steps}")
+
 
 @dataclass(frozen=True, eq=False)
 class Triplets:

@@ -23,7 +23,7 @@ from geoforge.agent import (
 )
 from geoforge.collections_ import build_collection, embedding_judge, intent_satisfying_rate, load_collections
 from geoforge.core import EngagementRecord, LabeledPair, QueryRecord, load_corpus
-from geoforge.encoders import ContrastiveBatch, pinclip_loss, searchsage_loss, softmax_contrastive_loss
+from geoforge.encoders import pinclip_loss, searchsage_loss, softmax_contrastive_loss
 from geoforge.hnsw import HnswIndex
 from geoforge.linkgraph import LinkGraph, pagerank
 from geoforge.pipeline import _triplets_from_labels, run_pipeline
@@ -77,40 +77,21 @@ def _contrastive_errors(seed: int) -> list[float]:
     # single softmax contrastive batch
     x = rng.standard_normal((5, 7))
     y = rng.standard_normal((5, 7))
-    _, d_x, d_y = softmax_contrastive_loss(ContrastiveBatch(x, y, 0.07))
-    fd = finite_difference(lambda: softmax_contrastive_loss(ContrastiveBatch(x, y, 0.07))[0], [x, y])
+    _, d_x, d_y = softmax_contrastive_loss(x, y, 0.07)
+    fd = finite_difference(lambda: softmax_contrastive_loss(x, y, 0.07)[0], [x, y])
     errors += [rel_error(d_x, fd[0]), rel_error(d_y, fd[1])]
 
-    # PinCLIP two-term sum
+    # PinCLIP two-term sum over the block outputs (vis, a, b, txt)
     arrays = [rng.standard_normal((4, 6)) for _ in range(4)]
-
-    def pinclip():
-        return pinclip_loss(
-            ContrastiveBatch(arrays[0], arrays[1], 0.07),
-            ContrastiveBatch(arrays[2], arrays[3], 0.07),
-        )[0]
-
-    _, grads = pinclip_loss(
-        ContrastiveBatch(arrays[0], arrays[1], 0.07),
-        ContrastiveBatch(arrays[2], arrays[3], 0.07),
-    )
-    fd = finite_difference(pinclip, arrays)
-    for key, numeric in zip(
-        ("img_txt_anchors", "img_txt_positives", "pin_pin_anchors", "pin_pin_positives"), fd
-    ):
-        errors.append(rel_error(grads[key], numeric))
+    _, grads = pinclip_loss(arrays, 0.07)
+    fd = finite_difference(lambda: pinclip_loss(arrays, 0.07)[0], arrays)
+    errors += [rel_error(g, numeric) for g, numeric in zip(grads, fd)]
 
     # SearchSAGE multi-task sum
     tasks_arrays = [rng.standard_normal((3, 5)) for _ in range(4)]
-
-    def tasks():
-        return {
-            "QueryPin": ContrastiveBatch(tasks_arrays[0], tasks_arrays[1], 0.07),
-            "QueryBoard": ContrastiveBatch(tasks_arrays[2], tasks_arrays[3], 0.07),
-        }
-
-    _, grads = searchsage_loss(tasks())
-    fd = finite_difference(lambda: searchsage_loss(tasks())[0], tasks_arrays)
+    tasks = {"QueryPin": (tasks_arrays[0], tasks_arrays[1]), "QueryBoard": (tasks_arrays[2], tasks_arrays[3])}
+    _, grads = searchsage_loss(tasks, 0.07)
+    fd = finite_difference(lambda: searchsage_loss(tasks, 0.07)[0], tasks_arrays)
     errors += [
         rel_error(grads["QueryPin"][0], fd[0]),
         rel_error(grads["QueryPin"][1], fd[1]),
@@ -200,10 +181,9 @@ def test_criterion_03_uniform_logit_identity(announce):
     positive = unit_rows(rng, 1, 16)[0]
     worst = 0.0
     for batch_size in (2, 4, 8, 128):
-        batch = ContrastiveBatch(
+        loss, _, _ = softmax_contrastive_loss(
             np.tile(anchor, (batch_size, 1)), np.tile(positive, (batch_size, 1)), 0.07
         )
-        loss, _, _ = softmax_contrastive_loss(batch)
         worst = max(worst, abs(loss - math.log(batch_size)))
     ok = worst <= 1e-12
     _verdict(

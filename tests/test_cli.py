@@ -38,6 +38,20 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture()
+def recorded_runs(monkeypatch):
+    """The (config, stages) of each `run_pipeline` call the CLI makes,
+    with every stage reported ok and nothing run."""
+    calls = []
+
+    def fake_run_pipeline(config, stages=None):
+        calls.append((config, stages))
+        return {"stages": {s: {"status": "ok", "seconds": 0.0, "metrics": {}} for s in STAGE_ORDER}}, True
+
+    monkeypatch.setattr(cli, "run_pipeline", fake_run_pipeline)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def tiny_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "config.txt"
@@ -81,20 +95,22 @@ class TestFlags:
         assert re.search(rf"^\s+{re.escape(flag)}\s", result.output, re.M), result.output
 
     @pytest.mark.parametrize("command,flag,field", FLAG_SURFACE)
-    def test_flag_reaches_config(self, runner, monkeypatch, tmp_path, command, flag, field):
-        calls = []
-
-        def fake_run_pipeline(config, stages=None):
-            calls.append((config, stages))
-            return {"stages": {command: {"status": "ok", "seconds": 0.0, "metrics": {}}}}, True
-
-        monkeypatch.setattr(cli, "run_pipeline", fake_run_pipeline)
+    def test_flag_reaches_config(self, runner, recorded_runs, tmp_path, command, flag, field):
         kind = type(getattr(PipelineConfig(), field))
         result = runner.invoke(main, [command, "--out", str(tmp_path), flag, FLAG_VALUES[kind]])
         assert result.exit_code == 0, result.output
-        [(config, stages)] = calls
+        [(config, stages)] = recorded_runs
         assert stages == [command]
         assert getattr(config, field) == kind(FLAG_VALUES[kind])
+
+    @pytest.mark.parametrize("command", ["gen-corpus", "pipeline"])
+    def test_out_dir_from_config_file_unless_out_given(self, runner, recorded_runs, tmp_path, command):
+        config = tmp_path / "config.txt"
+        config.write_text(f"out_dir = {tmp_path / 'wanted'}\n")
+        for flags, want in (([], "wanted"), (["--out", str(tmp_path / "flag")], "flag")):
+            result = runner.invoke(main, [command, "--config", str(config), *flags])
+            assert result.exit_code == 0, result.output
+            assert recorded_runs.pop()[0].out_dir == tmp_path / want
 
 
 class TestExitCodes:

@@ -255,6 +255,7 @@ class TestCorpusIO:
         ("pins.jsonl", {"perception_score": 1.5}, "perception_score 1.5 outside"),
         ("queries.jsonl", {"category": "Bogus"}, "category 'Bogus' not one of"),
         ("engagement.jsonl", {"clicks": 10**9}, "clicks 1000000000 exceed"),
+        ("engagement.jsonl", {"pin_signature": 5}, "unknown pin signature 5"),
     ])
     def test_bad_record_names_path_and_line(self, small_synth, tmp_path, name, edit, match):
         _save_edited(small_synth[0], tmp_path, name, 1, edit)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from geoforge.encoders import (
-    ContrastiveBatch,
     EncoderError,
     EncoderModel,
     TrainConfig,
@@ -90,37 +89,32 @@ class TestContrastiveLoss:
         for batch_size in (2, 4, 8):
             x = np.tile(np.array([1.0, 0.0]), (batch_size, 1))
             y = np.tile(np.array([0.0, 1.0]), (batch_size, 1))
-            loss, _, _ = softmax_contrastive_loss(ContrastiveBatch(x, y))
+            loss, _, _ = softmax_contrastive_loss(x, y)
             assert abs(loss - math.log(batch_size)) <= 1e-12
 
     def test_validation_errors(self):
         x = np.ones((2, 3))
         with pytest.raises(EncoderError, match="temperature"):
-            ContrastiveBatch(x, x, temperature=0.0).validate()
+            softmax_contrastive_loss(x, x, temperature=0.0)
         with pytest.raises(EncoderError, match="mismatch"):
-            ContrastiveBatch(x, np.ones((2, 4))).validate()
+            softmax_contrastive_loss(x, np.ones((2, 4)))
         with pytest.raises(EncoderError, match="at least 2"):
-            ContrastiveBatch(np.ones((1, 3)), np.ones((1, 3))).validate()
+            softmax_contrastive_loss(np.ones((1, 3)), np.ones((1, 3)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 5))
         y = rng.standard_normal((4, 5))
-        _, d_x, d_y = softmax_contrastive_loss(ContrastiveBatch(x, y, 0.1))
-        numeric = finite_difference(
-            lambda: softmax_contrastive_loss(ContrastiveBatch(x, y, 0.1))[0], [x, y]
-        )
+        _, d_x, d_y = softmax_contrastive_loss(x, y, 0.1)
+        numeric = finite_difference(lambda: softmax_contrastive_loss(x, y, 0.1)[0], [x, y])
         assert rel_error(d_x, numeric[0]) <= 1e-4
         assert rel_error(d_y, numeric[1]) <= 1e-4
 
     def test_pinclip_is_sum_of_terms(self):
         rng = np.random.default_rng(9)
-        batches = [
-            ContrastiveBatch(rng.standard_normal((3, 4)), rng.standard_normal((3, 4)))
-            for _ in range(2)
-        ]
-        total, _ = pinclip_loss(*batches)
-        parts = [softmax_contrastive_loss(b)[0] for b in batches]
+        vis, a, b, txt = (rng.standard_normal((3, 4)) for _ in range(4))
+        total, _ = pinclip_loss([vis, a, b, txt])
+        parts = [softmax_contrastive_loss(x, y)[0] for x, y in ((vis, txt), (a, b))]
         assert abs(total - sum(parts)) <= 1e-12
 
     def test_searchsage_empty_tasks(self):
@@ -139,6 +133,11 @@ class TestTraining:
         assert set(result.encoders) == towers
         assert len(result.log) == config.steps
         assert result.log[-1][1] < result.log[0][1]
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(EncoderError, match=rf"^TrainConfig\.steps must be at least 1, got {steps}$"):
+            TrainConfig(steps=steps)
 
     def test_unknown_loss_kind(self, small_synth):
         corpus, _, _ = small_synth

@@ -342,6 +342,20 @@ class TestStageGraph:
         assert not ok and result["error_type"] == "PipelineError"
         assert result["error"] == "annotations_per_pin must be at least 1, got 0"
 
+    @pytest.mark.parametrize("stage, key, error_type, field", [
+        ("train-encoder", "encoder_steps", "EncoderError", "TrainConfig.steps"),
+        ("train-ranker", "ranker_steps", "RankerError", "RankerTrainConfig.steps"),
+    ])
+    def test_zero_training_steps_fail_naming_the_field(
+        self, pipeline_run, tmp_path, stage, key, error_type, field
+    ):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path, **{key: 0})
+        report, ok = run_pipeline(config, stages=[stage])
+        result = report["stages"][stage]
+        assert not ok and result["error_type"] == error_type
+        assert result["error"] == f"{field} must be at least 1, got 0"
+
     @pytest.mark.parametrize("per_pin", [0, 1])
     def test_annotation_budget_is_train_rankers_alone(self, pipeline_run, tmp_path, per_pin):
         """Link and eval read the budget from annotations.jsonl, not the config."""

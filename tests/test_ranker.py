@@ -330,6 +330,11 @@ class TestTraining:
         with pytest.raises(RankerError, match="at least one"):
             train_ranker(_triplets(*np.empty((3, 0, SMALL.pin_input_dim))), SMALL)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(RankerError, match=rf"^RankerTrainConfig\.steps must be at least 1, got {steps}$"):
+            RankerTrainConfig(steps=steps)
+
     def test_training_improves_correct_rank(self):
         triplets = _separable_triplets(200, seed=5)
         untrained = correct_rank(RankerModel.init(SMALL, seed=2), triplets)
