@@ -53,7 +53,12 @@ class CorpusError(ValueError):
 
 
 class ZeroNormError(ValueError):
-    """L2 normalization requested where no unit vector exists."""
+    """L2 normalization requested where no unit vector exists; ``row`` is
+    the matrix row that has none, when `l2_normalize_rows` raised it."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 def subseed(seed: int, stage: str) -> int:
@@ -80,6 +85,18 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
         v = v / np.max(np.abs(v))
         norm = float(np.linalg.norm(v))
     return v / norm
+
+
+def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Scale each row of a writable float64 matrix to unit L2 norm in place
+    and return the matrix. A row whose float64 norm is zero or not finite
+    raises ZeroNormError naming the first such row."""
+    norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1, keepdims=True))
+    bad = np.flatnonzero(~((norms[:, 0] > 0.0) & (norms[:, 0] < np.inf)))
+    if bad.size:
+        raise ZeroNormError(f"row {bad[0]} has no unit vector", row=int(bad[0]))
+    matrix /= norms
+    return matrix
 
 
 def f32(values: Iterable[float]) -> list[float]:
@@ -570,18 +587,15 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
 
 
 def hashed_bag_of_tokens(text: str, dim: int) -> np.ndarray:
-    """Deterministic text featurizer: hash tokens into a fixed-dim bag, unit norm."""
+    """Deterministic text featurizer: hash tokens into a fixed-dim bag, unit
+    norm, or zero when there are no tokens or their signs cancel."""
     vec = np.zeros(dim, dtype=np.float64)
-    tokens = text.lower().split()
-    if not tokens:
-        return vec
-    for token in tokens:
+    for token in text.lower().split():
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
         bucket = int.from_bytes(digest[:4], "little") % dim
         sign = 1.0 if digest[4] % 2 == 0 else -1.0
         vec[bucket] += sign
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else vec
+    return l2_normalize(vec) if vec.any() else vec
 
 
 def file_checksum(path: str | Path) -> str:

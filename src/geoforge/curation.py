@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Corpus, EngagementRecord, LabeledPair, QueryRecord
+from .core import (
+    Corpus, EngagementRecord, LabeledPair, QueryRecord, ZeroNormError, l2_normalize_rows,
+)
 
 NAVBOOST_PROMOTION = 0.54  # strictly-greater promotion threshold
 RELATEDNESS_CEILING = 0.5  # hard negatives must be below this cosine
@@ -130,14 +132,13 @@ def stratify_sample(
     return out, report
 
 
-def _unit_rows(queries: list[QueryRecord]) -> np.ndarray:
-    """Embeddings as a matrix of unit rows; a zero-norm embedding is fatal."""
-    matrix = np.array([q.embedding for q in queries], dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    zero = np.flatnonzero(norms[:, 0] == 0.0)
-    if zero.size:
-        raise CurationError(f"query {queries[zero[0]].text!r} has a zero-norm embedding")
-    return matrix / norms
+def _embedding_units(queries: list[QueryRecord]) -> np.ndarray:
+    """The queries' embeddings as a matrix of unit rows (`l2_normalize_rows`);
+    an embedding with no unit vector is fatal."""
+    try:
+        return l2_normalize_rows(np.array([q.embedding for q in queries], dtype=np.float64))
+    except ZeroNormError as exc:
+        raise CurationError(f"query {queries[exc.row].text!r} has a zero-norm embedding") from exc
 
 
 def label_pairs(
@@ -160,9 +161,11 @@ def label_pairs(
     for each pair alone unless a cosine lies within rounding (about 1e-15) of the
     ceiling, where the two roundings may disagree.
     """
+    if neg_per_pos < 0:
+        raise CurationError(f"neg_per_pos must be at least 0, got {neg_per_pos}")
     rng = np.random.default_rng(seed)
     embedded = [q for q in pool if q.embedding is not None]
-    pool_units = _unit_rows(embedded) if embedded else None
+    pool_units = _embedding_units(embedded) if embedded else None
     unrelated_by_text: dict[str, list[QueryRecord]] = {}
     out: list[LabeledPair] = []
     starved: list[str] = []
@@ -187,7 +190,7 @@ def label_pairs(
         if unrelated is None:
             unrelated = []
             if pool_units is not None:
-                sims = np.clip(pool_units @ _unit_rows([positive.query])[0], -1.0, 1.0)
+                sims = np.clip(pool_units @ _embedding_units([positive.query])[0], -1.0, 1.0)
                 unrelated = [
                     q for q, sim in zip(embedded, sims.tolist())
                     if q.text != text and sim < RELATEDNESS_CEILING
@@ -230,7 +233,7 @@ def dedup_queries(
             raise CurationError(f"query {query.text!r} lacks an embedding")
     if not queries:
         return []
-    units = _unit_rows(queries)
+    units = _embedding_units(queries)
     gram = np.clip(units @ units.T, -1.0, 1.0)
     kept: list[int] = []
     for i in range(len(queries)):

@@ -130,6 +130,12 @@ class RankerTrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise RankerError(f"RankerTrainConfig.steps must be at least 1, got {self.steps}")
+        if self.batch_size < 1:
+            raise RankerError(f"RankerTrainConfig.batch_size must be at least 1, got {self.batch_size}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise RankerError(
+                f"RankerTrainConfig.learning_rate must be positive and finite, got {self.learning_rate}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

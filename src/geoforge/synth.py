@@ -8,6 +8,7 @@ and collection quality are all measurable against known cluster membership.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .core import (
     EngagementRecord,
     PinRecord,
     QueryRecord,
-    l2_normalize,
+    l2_normalize_rows,
     read_only,
     rng_for,
     save_corpus,
@@ -94,131 +95,121 @@ class SynthConfig:
             raise CorpusError(f"engagement_per_pin must be at least 0, got {self.engagement_per_pin}")
 
 
-def _jitter(centroid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    # scale per-dimension so the jitter's expected norm is NOISE at any dimension
-    scale = NOISE / np.sqrt(centroid.shape[0])
-    return l2_normalize(centroid + scale * rng.standard_normal(centroid.shape))
+# The engagement record kinds, one row each: impressions in [low, high),
+# clicks in 0..impressions // divisor, and avg_position in [low, high). The
+# high-CTR kind takes its clicks from a click-through rate in [0.8, 1)
+# instead; the cross-cluster kind's fewer than 10 impressions give no clicks.
+# The first four are the branches of the retention filter, drawn uniformly.
+RECORD_KINDS = np.array([
+    # impressions  divisor  position
+    [1001, 50000, 10, 1, 40],  # high impressions
+    [11, 1000, 1, 11, 40],  # high CTR
+    [11, 1000, 2, 1, 10],  # strong position
+    [0, 10, 1, 11, 60],  # fails retention
+    [0, 10, 10, 20, 80],  # one weak cross-cluster record per pin
+])
+HIGH_CTR, CROSS_CLUSTER = 1, 4
+
+
+def _query_texts(term: str, count: int) -> list[tuple[str, str]]:
+    """A cluster's first ``count`` (text, category) queries: each variant
+    takes one template per category, in QUERY_TEMPLATES order, and a variant
+    past a category's templates reuses them with its number appended."""
+    queries: list[tuple[str, str]] = []
+    for variant in itertools.count():
+        for category, templates in QUERY_TEMPLATES.items():
+            if len(queries) == count:
+                return queries
+            text = templates[variant % len(templates)].format(term=term)
+            queries.append((f"{text} {variant}" if variant >= len(templates) else text, category))
+
+
+def _around(centroids: np.ndarray, clusters: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A read-only unit row around the centroid of each entry of
+    ``clusters``, its jitter scaled per dimension so that the jitter's
+    expected norm is NOISE at any width."""
+    rows = rng.standard_normal((len(clusters), centroids.shape[1]))
+    rows *= NOISE / np.sqrt(centroids.shape[1])
+    rows += centroids[clusters]
+    return read_only(l2_normalize_rows(rows))
+
+
+def _engagement_fields(kinds: np.ndarray, rng: np.random.Generator) -> list[list]:
+    """Impressions, clicks and avg_position for records of RECORD_KINDS
+    ``kinds``, each as a list in row order."""
+    low, high, divisor, first, last = RECORD_KINDS[kinds].transpose(2, 0, 1)
+    impressions = rng.integers(low, high)
+    clicks = rng.integers(0, impressions // divisor + 1)
+    high_ctr = kinds == HIGH_CTR
+    ctr = rng.uniform(0.8, 1.0, np.count_nonzero(high_ctr))
+    clicks[high_ctr] = np.ceil(impressions[high_ctr] * ctr)
+    return [impressions.ravel().tolist(), clicks.ravel().tolist(),
+            rng.uniform(first, last).ravel().tolist()]
 
 
 def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
     """Build a clustered corpus plus sidecar data: the pin and query cluster
-    maps and the navboost coverage of (query text, pin signature) pairs."""
+    maps and the navboost coverage of (query text, pin signature) pairs.
+
+    Each random field is one array draw from the corpus stream. Pin i has
+    signature 1_000_000 + i and cluster i % n_clusters; its vectors, and
+    each query's, lie around the cluster's centroids. A pin's engagement is
+    ``min(engagement_per_pin, queries_per_cluster)`` distinct own-cluster
+    queries in random order, each of a RECORD_KINDS branch drawn uniformly
+    (the first of them with a navboost coverage), then one weak record for
+    a query of the next cluster."""
     rng = rng_for(config.seed, "corpus")
+    n_pins, n_clusters, per_cluster = config.n_pins, config.n_clusters, config.queries_per_cluster
+    centroids_v = l2_normalize_rows(rng.standard_normal((n_clusters, config.d_v)))
+    centroids_t = l2_normalize_rows(rng.standard_normal((n_clusters, config.d_t)))
 
-    centroids_v = [
-        l2_normalize(rng.standard_normal(config.d_v)) for _ in range(config.n_clusters)
-    ]
-    centroids_t = [
-        l2_normalize(rng.standard_normal(config.d_t)) for _ in range(config.n_clusters)
-    ]
-
-    visual = np.empty((config.n_pins, config.d_v))
-    pin_text = np.empty((config.n_pins, config.d_t))
-    pin_fields: list[dict] = []  # each pin's other fields
-    pin_cluster: dict[int, int] = {}
-    for i in range(config.n_pins):
-        cluster = i % config.n_clusters
-        term = CLUSTER_TERMS[cluster]
-        signature = 1_000_000 + i
-        visual[i] = _jitter(centroids_v[cluster], rng)
-        pin_text[i] = _jitter(centroids_t[cluster], rng)
-        pin_fields.append(dict(
-            signature=signature, perception_score=float(rng.uniform(0.3, 1.0)),
-            title=f"{term} look {i}", description=f"inspiration for {term}",
-            board_id=int(cluster * 10 + rng.integers(0, 3)), category=CLUSTER_CATEGORIES[cluster],
+    pin_clusters = np.arange(n_pins) % n_clusters
+    visual = _around(centroids_v, pin_clusters, rng)
+    pin_text = _around(centroids_t, pin_clusters, rng)
+    pins = {
+        signature: PinRecord(
+            signature=signature, visual_embedding=v, text_embedding=t, perception_score=score,
+            title=f"{CLUSTER_TERMS[cluster]} look {i}",
+            description=f"inspiration for {CLUSTER_TERMS[cluster]}", board_id=board,
+            category=CLUSTER_CATEGORIES[cluster],
+        )
+        for i, (signature, cluster, v, t, score, board) in enumerate(zip(
+            range(1_000_000, 1_000_000 + n_pins), pin_clusters.tolist(), visual, pin_text,
+            rng.uniform(0.3, 1.0, n_pins).tolist(),
+            (pin_clusters * 10 + rng.integers(0, 3, n_pins)).tolist(),
         ))
-        pin_cluster[signature] = cluster
-    visual, pin_text = read_only(visual), read_only(pin_text)
-    pins = {f["signature"]: PinRecord(visual_embedding=v, text_embedding=t, **f)
-            for f, v, t in zip(pin_fields, visual, pin_text)}
+    }
 
-    query_texts: list[tuple[str, str]] = []  # (text, category)
-    query_cluster: dict[str, int] = {}
-    for cluster in range(config.n_clusters):
-        term = CLUSTER_TERMS[cluster]
-        emitted = 0
-        variant = 0
-        while emitted < config.queries_per_cluster:
-            for category, templates in QUERY_TEMPLATES.items():
-                if emitted >= config.queries_per_cluster:
-                    break
-                template = templates[variant % len(templates)]
-                text = template.format(term=term)
-                if variant >= len(templates):
-                    text = f"{text} {variant}"
-                if text in query_cluster:
-                    emitted += 1
-                    continue
-                query_texts.append((text, category))
-                query_cluster[text] = cluster
-                emitted += 1
-            variant += 1
-    query_embeddings = read_only(
-        [_jitter(centroids_t[query_cluster[t]], rng) for t, _ in query_texts]
-    )
+    # queries come cluster by cluster, per_cluster each
+    query_texts = [query for term in CLUSTER_TERMS[:n_clusters]
+                   for query in _query_texts(term, per_cluster)]
+    query_embeddings = _around(centroids_t, np.arange(len(query_texts)) // per_cluster, rng)
     queries = [QueryRecord(t, c, embedding=e) for (t, c), e in zip(query_texts, query_embeddings)]
 
-    # Engagement covers every branch of the retention filter plus records
-    # that fail it, and a sprinkling of cross-cluster noise pairs.
-    engagement: list[EngagementRecord] = []
-    navboost: dict[tuple[str, int], float] = {}
-    cluster_queries: dict[int, list[QueryRecord]] = {}
-    for q in queries:
-        cluster_queries.setdefault(query_cluster[q.text], []).append(q)
-
-    for signature, pin in pins.items():
-        cluster = pin_cluster[signature]
-        own = cluster_queries[cluster]
-        picks = rng.choice(len(own), size=min(config.engagement_per_pin, len(own)), replace=False)
-        for j, qi in enumerate(picks):
-            query = own[int(qi)]
-            branch = int(rng.integers(0, 4))
-            if branch == 0:  # high impressions
-                impressions = int(rng.integers(1001, 50000))
-                clicks = int(rng.integers(0, impressions // 10 + 1))
-                position = float(rng.uniform(1, 40))
-            elif branch == 1:  # high CTR
-                impressions = int(rng.integers(11, 1000))
-                clicks = int(np.ceil(impressions * rng.uniform(0.8, 1.0)))
-                clicks = min(clicks, impressions)
-                position = float(rng.uniform(11, 40))
-            elif branch == 2:  # strong position
-                impressions = int(rng.integers(11, 1000))
-                clicks = int(rng.integers(0, impressions // 2 + 1))
-                position = float(rng.uniform(1, 10))
-            else:  # fails retention
-                impressions = int(rng.integers(0, 10))
-                clicks = int(rng.integers(0, impressions + 1)) if impressions else 0
-                position = float(rng.uniform(11, 60))
-            engagement.append(
-                EngagementRecord(
-                    query_text=query.text,
-                    pin_signature=signature,
-                    impressions=impressions,
-                    clicks=clicks,
-                    avg_position=position,
-                )
-            )
-            if j == 0:
-                navboost[(query.text, signature)] = float(rng.uniform(0.0, 1.0))
-        # one cross-cluster record per pin, always weak
-        other = cluster_queries[(cluster + 1) % config.n_clusters]
-        query = other[int(rng.integers(0, len(other)))]
-        engagement.append(
-            EngagementRecord(
-                query_text=query.text,
-                pin_signature=signature,
-                impressions=int(rng.integers(0, 10)),
-                clicks=0,
-                avg_position=float(rng.uniform(20, 80)),
-            )
-        )
+    # Row i holds pin i's records in order: its own-cluster picks, then the
+    # cross-cluster record.
+    per_pin = min(config.engagement_per_pin, per_cluster)
+    first_row = per_cluster * pin_clusters[:, None]  # of the pin's cluster's queries
+    query_rows = np.hstack([
+        first_row + rng.random((n_pins, per_cluster)).argsort(axis=1)[:, :per_pin],
+        (first_row + per_cluster) % len(queries) + rng.integers(0, per_cluster, (n_pins, 1)),
+    ])
+    kinds = np.full((n_pins, per_pin + 1), CROSS_CLUSTER)
+    kinds[:, :per_pin] = rng.integers(0, CROSS_CLUSTER, (n_pins, per_pin))
+    records = zip(query_rows.ravel().tolist(),
+                  [signature for signature in pins for _ in range(per_pin + 1)],
+                  *_engagement_fields(kinds, rng))
+    engagement = [EngagementRecord(query_texts[row][0], signature, shown, clicked, position)
+                  for row, signature, shown, clicked, position in records]
+    coverage = rng.uniform(0.0, 1.0, n_pins if per_pin else 0)  # of each first pick
+    navboost = {(query_texts[row][0], signature): c for row, signature, c in zip(
+        query_rows[:, 0].tolist(), pins, coverage.tolist())}
 
     corpus = Corpus(pins=pins, queries=queries, engagement=engagement, visual=visual,
                     text=pin_text, query_embeddings=query_embeddings)
     sidecar = {
-        "pin_cluster": pin_cluster,
-        "query_cluster": query_cluster,
+        "pin_cluster": dict(zip(pins, pin_clusters.tolist())),
+        "query_cluster": {text: row // per_cluster for row, (text, _) in enumerate(query_texts)},
         "navboost": navboost,
     }
     return corpus, sidecar

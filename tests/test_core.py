@@ -29,6 +29,7 @@ from geoforge.core import (
     file_checksum,
     hashed_bag_of_tokens,
     l2_normalize,
+    l2_normalize_rows,
     load_arrays,
     load_corpus,
     read_jsonl,
@@ -84,6 +85,20 @@ class TestVectorMath:
                 l2_normalize(v)
         else:
             assert abs(float(np.linalg.norm(l2_normalize(v))) - 1.0) <= 1e-6
+
+    def test_l2_normalize_rows_in_place_with_the_bits_of_a_norm_division(self):
+        matrix = np.random.default_rng(0).standard_normal((50, 7)) * 3.0
+        want = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+        out = l2_normalize_rows(matrix)
+        assert out is matrix and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_l2_normalize_rows_names_a_row_without_a_unit_vector(self, bad):
+        matrix = np.ones((4, 3))
+        matrix[2] = [bad, 0.0, 0.0]
+        with pytest.raises(ZeroNormError, match=r"^row 2 has no unit vector$") as caught:
+            l2_normalize_rows(matrix)
+        assert caught.value.row == 2
 
     def test_cosine_symmetric_and_clipped(self):
         a = np.array([1.0, 0.0])

@@ -185,6 +185,12 @@ class TestLabeling:
         with pytest.raises(CurationError, match="lacks an embedding"):
             label_pairs(positives, [], {}, neg_per_pos=0, seed=0)
 
+    def test_negative_neg_per_pos_fatal_naming_it(self):
+        base = self._query("pos", [1.0, 0.0])
+        positives = [LabeledPair(pin_signature=1, query=base, label=+1)]
+        with pytest.raises(CurationError, match=r"^neg_per_pos must be at least 0, got -1$"):
+            label_pairs(positives, [self._query("neg", [0.0, 1.0])], {}, neg_per_pos=-1, seed=0)
+
 
 class TestDedup:
     def test_near_duplicates_merged_input_order(self):
@@ -202,6 +208,13 @@ class TestDedup:
         zero = QueryRecord("z", "UseCase", embedding=np.zeros(2))
         with pytest.raises(CurationError, match="zero-norm"):
             dedup_queries([zero])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_embedding_fatal_naming_the_query(self, bad):
+        ok = QueryRecord("ok", "UseCase", embedding=np.array([1.0, 0.0]))
+        broken = QueryRecord("broken", "UseCase", embedding=np.array([bad, 1.0]))
+        with pytest.raises(CurationError, match=r"^query 'broken' has a zero-norm embedding$"):
+            dedup_queries([ok, broken])
 
     def test_empty(self):
         assert dedup_queries([]) == []

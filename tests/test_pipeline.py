@@ -342,19 +342,24 @@ class TestStageGraph:
         assert not ok and result["error_type"] == "PipelineError"
         assert result["error"] == "annotations_per_pin must be at least 1, got 0"
 
-    @pytest.mark.parametrize("stage, key, error_type, field", [
-        ("train-encoder", "encoder_steps", "EncoderError", "TrainConfig.steps"),
-        ("train-ranker", "ranker_steps", "RankerError", "RankerTrainConfig.steps"),
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("stage, key, value, error_type, message", [
+        ("train-encoder", "encoder_steps", 0, "EncoderError", "TrainConfig.steps must be at least 1, got 0"),
+        ("train-ranker", "ranker_steps", 0, "RankerError", "RankerTrainConfig.steps must be at least 1, got 0"),
+        *[("train-ranker", "ranker_lr", rate, "RankerError",
+           f"RankerTrainConfig.learning_rate must be positive and finite, got {rate}")
+          for rate in (-0.1, 0.0, float("inf"))],
+        ("curate", "neg_per_pos", -1, "CurationError", "neg_per_pos must be at least 0, got -1"),
     ])
-    def test_zero_training_steps_fail_naming_the_field(
-        self, pipeline_run, tmp_path, stage, key, error_type, field
+    def test_bad_training_values_fail_typed_before_any_warning(
+        self, pipeline_run, tmp_path, stage, key, value, error_type, message
     ):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path, **{key: 0})
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path, **{key: value})
         report, ok = run_pipeline(config, stages=[stage])
         result = report["stages"][stage]
         assert not ok and result["error_type"] == error_type
-        assert result["error"] == f"{field} must be at least 1, got 0"
+        assert result["error"] == message
 
     @pytest.mark.parametrize("per_pin", [0, 1])
     def test_annotation_budget_is_train_rankers_alone(self, pipeline_run, tmp_path, per_pin):

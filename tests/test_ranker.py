@@ -335,6 +335,16 @@ class TestTraining:
         with pytest.raises(RankerError, match=rf"^RankerTrainConfig\.steps must be at least 1, got {steps}$"):
             RankerTrainConfig(steps=steps)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(RankerError, match=rf"^RankerTrainConfig\.batch_size must be at least 1, got {batch_size}$"):
+            RankerTrainConfig(batch_size=batch_size)
+
+    @pytest.mark.parametrize("rate", [-0.1, 0.0, np.inf, np.nan])
+    def test_learning_rate_not_positive_and_finite_rejected(self, rate):
+        with pytest.raises(RankerError, match=rf"^RankerTrainConfig\.learning_rate must be positive and finite, got {rate}$"):
+            RankerTrainConfig(learning_rate=rate)
+
     def test_training_improves_correct_rank(self):
         triplets = _separable_triplets(200, seed=5)
         untrained = correct_rank(RankerModel.init(SMALL, seed=2), triplets)
