@@ -415,14 +415,6 @@ def write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def write_train_log(path: str | Path, columns: tuple[str, ...], rows: Iterable[tuple]) -> None:
-    """A training log as CSV: the column names, then per row the step and
-    each later value to 10 significant digits."""
-    lines = [",".join(columns)]
-    lines += [",".join([str(step), *(f"{v:.10g}" for v in values)]) for step, *values in rows]
-    write_text(path, "\n".join(lines) + "\n")
-
-
 def write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
     with _atomic_open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
@@ -519,7 +511,7 @@ def load_arrays(
 def load_corpus(directory: str | Path) -> Corpus:
     """Load and validate the CORPUS_FILES in ``directory``. A bad record, a
     repeated query text, a pin signature that does not ascend or an
-    engagement record for an unknown pin raises CorpusError naming
+    engagement record for an unknown pin or query raises CorpusError naming
     path:line, and a missing file or one with no record CorpusError naming
     the path. So does a damaged vector file, or one whose
     VECTOR_ARRAYS are not float32 matrices of one row per pin (visual and
@@ -566,6 +558,8 @@ def load_corpus(directory: str | Path) -> Corpus:
         record = EngagementRecord.from_json(obj)
         if record.pin_signature not in by_signature:
             raise CorpusError(f"unknown pin signature {record.pin_signature}")
+        if record.query_text not in texts:
+            raise CorpusError(f"unknown query text {record.query_text!r}")
         return record
 
     engaged = read_records(directory / CORPUS_FILES["engagement"], engagement, CorpusError, "engagement")

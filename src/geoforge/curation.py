@@ -134,7 +134,11 @@ def stratify_sample(
 
 def _embedding_units(queries: list[QueryRecord]) -> np.ndarray:
     """The queries' embeddings as a matrix of unit rows (`l2_normalize_rows`);
-    an embedding with no unit vector is fatal."""
+    a query without an embedding, or with one that has no unit vector, is
+    fatal."""
+    for query in queries:
+        if query.embedding is None:
+            raise CurationError(f"query {query.text!r} lacks an embedding")
     try:
         return l2_normalize_rows(np.array([q.embedding for q in queries], dtype=np.float64))
     except ZeroNormError as exc:
@@ -151,21 +155,20 @@ def label_pairs(
     """Assign ranker labels: positives stay +1 (navboost > 0.54 promotes),
     and each positive draws `neg_per_pos` unrelated hard negatives.
 
-    A pool query with an embedding and another text qualifies as a negative
-    when its cosine to the positive, clipped to [-1, 1],
-    is strictly below RELATEDNESS_CEILING. The pool is fixed, so the
-    qualifying list depends only on the positive's text: it is built once per
-    distinct text from one product of unit-normalised pool rows against the
-    unit positive, and keeps pool order. The RNG draws one index set per
-    positive in input order. The output equals that of a cosine computed
-    for each pair alone unless a cosine lies within rounding (about 1e-15) of the
-    ceiling, where the two roundings may disagree.
+    Every positive and pool query needs an embedding. A pool query with
+    another text qualifies as a negative when its cosine to the positive,
+    clipped to [-1, 1], is strictly below RELATEDNESS_CEILING. The pool is
+    fixed, so the qualifying list depends only on the positive's text: it is
+    built once per distinct text from one product of unit-normalised pool
+    rows against the unit positive, and keeps pool order. The RNG draws one
+    index set per positive in input order. The output equals that of a
+    cosine computed for each pair alone unless a cosine lies within rounding
+    (about 1e-15) of the ceiling, where the two roundings may disagree.
     """
     if neg_per_pos < 0:
         raise CurationError(f"neg_per_pos must be at least 0, got {neg_per_pos}")
     rng = np.random.default_rng(seed)
-    embedded = [q for q in pool if q.embedding is not None]
-    pool_units = _embedding_units(embedded) if embedded else None
+    pool_units = _embedding_units(pool) if pool else None
     unrelated_by_text: dict[str, list[QueryRecord]] = {}
     out: list[LabeledPair] = []
     starved: list[str] = []
@@ -183,19 +186,14 @@ def label_pairs(
                 source=positive.source,
             )
         )
-        if positive.query.embedding is None:
-            raise CurationError(f"positive {positive.query.text!r} lacks an embedding")
         text = positive.query.text
         unrelated = unrelated_by_text.get(text)
         if unrelated is None:
-            unrelated = []
-            if pool_units is not None:
-                sims = np.clip(pool_units @ _embedding_units([positive.query])[0], -1.0, 1.0)
-                unrelated = [
-                    q for q, sim in zip(embedded, sims.tolist())
-                    if q.text != text and sim < RELATEDNESS_CEILING
-                ]
-            unrelated_by_text[text] = unrelated
+            unit = _embedding_units([positive.query])[0]
+            sims = np.clip(pool_units @ unit, -1.0, 1.0).tolist() if pool else []
+            unrelated_by_text[text] = unrelated = [
+                q for q, sim in zip(pool, sims) if q.text != text and sim < RELATEDNESS_CEILING
+            ]
         if len(unrelated) < neg_per_pos:
             starved.append(text)
             continue
@@ -228,9 +226,6 @@ def dedup_queries(
     neighbour. The cosines come from one Gram matrix of unit rows, which
     matches per-pair cosines up to rounding (about 1e-15); the greedy pass
     reads its rows in input order. Retained order is input order."""
-    for query in queries:
-        if query.embedding is None:
-            raise CurationError(f"query {query.text!r} lacks an embedding")
     if not queries:
         return []
     units = _embedding_units(queries)
@@ -266,8 +261,6 @@ def curate(
     positives: list[LabeledPair] = []
     for signature in sorted(by_pin):
         for record in select_top_queries(by_pin[signature]):
-            if record.query_text not in corpus.query_row:
-                continue
             positives.append(
                 LabeledPair(
                     pin_signature=signature,

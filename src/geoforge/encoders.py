@@ -15,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Corpus, load_arrays, save_arrays
-from .mlp import Mlp, backward_blocks, forward_blocks
+from .core import Corpus
+from .mlp import Mlp, backward_blocks, forward_blocks, load_nets, save_nets
 
-ENCODER_MAGIC = b"GEOENC02"
+ENCODER_MAGIC = b"GEOENC03"
+# the towers `train_encoder` trains, by name in its result and its checkpoint
+ENCODER_NETS = ("img", "txt")
 DEFAULT_TEMPERATURE = 0.07
 
 
@@ -52,8 +54,8 @@ def softmax_contrastive_loss(
     Row i's positive is y[i]; all other rows of y act as its negatives.
     Returns (mean loss, d/d x, d/d y).
     """
-    if temperature <= 0:
-        raise EncoderError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < temperature < np.inf:
+        raise EncoderError(f"temperature must be positive and finite, got {temperature}")
     if x.shape != y.shape:
         raise EncoderError(f"anchor/positive shape mismatch: {x.shape} vs {y.shape}")
     if x.shape[0] < 2:
@@ -116,6 +118,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise EncoderError(f"TrainConfig.steps must be at least 1, got {self.steps}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise EncoderError(
+                f"TrainConfig.learning_rate must be positive and finite, got {self.learning_rate}"
+            )
 
 
 def _coboard_pairs(corpus: Corpus) -> list[tuple[int, int]]:
@@ -176,23 +182,12 @@ def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainR
     return TrainResult(encoders=encoders, log=log)
 
 
-def save_model(model: EncoderModel, path: str | Path) -> None:
-    """Save each layer's weights and biases as float32 ``w{i}`` and ``b{i}``."""
-    arrays = {}
-    for i, (w, b) in enumerate(model.net.layers):
-        arrays[f"w{i}"] = w.astype("<f4")
-        arrays[f"b{i}"] = b.astype("<f4")
-    save_arrays(path, ENCODER_MAGIC, {}, arrays)
+def save_encoders(encoders: dict[str, EncoderModel], path: str | Path) -> None:
+    """Save the ENCODER_NETS towers in one `mlp.save_nets` file."""
+    save_nets(path, ENCODER_MAGIC, {}, {name: encoders[name].net for name in ENCODER_NETS})
 
 
-def load_model(path: str | Path) -> EncoderModel:
-    """Read a `save_model` checkpoint; damage or unchained shapes raise EncoderError."""
-    _, arrays = load_arrays(path, ENCODER_MAGIC, EncoderError, {})
-    n_layers = len(arrays) // 2
-    names = [f"{kind}{i}" for i in range(n_layers) for kind in "wb"]
-    if n_layers == 0 or {n: a.dtype.str for n, a in arrays.items()} != dict.fromkeys(names, "<f4"):
-        raise EncoderError(f"unexpected array names or dtypes in {path}")
-    params = [arrays[name] for name in names]
-    # layer sizes: the first weight's fan-in, then each bias's length
-    dims = [*params[0].shape[1:2], *(b.size for b in params[1::2])]
-    return EncoderModel(Mlp.from_parameters(params, dims, False, EncoderError, path))
+def load_encoders(path: str | Path) -> dict[str, EncoderModel]:
+    """Read a `save_encoders` file; damage or unchained shapes raise EncoderError."""
+    _, nets = load_nets(path, ENCODER_MAGIC, EncoderError, {}, ENCODER_NETS)
+    return {name: EncoderModel(net) for name, net in nets.items()}

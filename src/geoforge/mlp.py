@@ -11,14 +11,21 @@ output widths: each block's matmuls and per-feature steps (bias, LayerNorm
 affine) write into its row slice of one stacked buffer, and ReLU,
 LayerNorm, dropout and the output L2 norm run once over all rows.
 `Mlp.forward` is inference: one block without dropout, output rows only.
+
+`save_nets` and `load_nets` are the one checkpoint layout of named nets:
+net ``name``'s `Mlp.parameters` as float32 arrays ``{name}0``, ``{name}1``,
+… in one `core.save_arrays` file.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from .core import load_arrays, save_arrays
 
 LN_EPS = 1e-5
 
@@ -75,21 +82,19 @@ class Mlp:
         return cls(layers)
 
     @classmethod
-    def from_parameters(
-        cls, params: list[np.ndarray], dims: list[int], layer_norm: bool,
-        error: type[Exception], source: object,
-    ) -> "Mlp":
-        """Regroup a flat `parameters` list laid out for ``dims`` into
-        layers; a missing, extra or misshapen array raises ``error``."""
-        layers, rest = [], list(params)
-        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-            n = 4 if layer_norm and i < len(dims) - 2 else 2
-            layer, rest = rest[:n], rest[n:]
-            if [p.shape for p in layer] != [(fan_out, fan_in)] + [(fan_out,)] * (n - 1):
-                raise error(f"parameter shapes do not chain as layers {dims} in {source}")
-            layers.append(tuple(layer))
-        if rest:
-            raise error(f"parameter shapes do not chain as layers {dims} in {source}")
+    def from_parameters(cls, params: list[np.ndarray], error: type[Exception], source: object) -> "Mlp":
+        """Regroup a flat `parameters` list into layers: each matrix opens a
+        layer, and the vectors after it are its bias, or its bias, gamma and
+        beta. Parameters that do not lie so, or layers whose widths do not
+        chain, raise ``error``."""
+        starts = [i for i, p in enumerate(params) if p.ndim == 2]
+        layers = [tuple(params[a:b]) for a, b in zip(starts, [*starts[1:], len(params)])]
+        dims = [layers[0][0].shape[1], *(layer[0].shape[0] for layer in layers)] if layers else []
+        shapes = [[(fan_out, fan_in)] + [(fan_out,)] * (len(layer) - 1)
+                  for fan_in, fan_out, layer in zip(dims, dims[1:], layers)]
+        if (starts[:1] != [0] or [[p.shape for p in layer] for layer in layers] != shapes
+                or any(len(layer) not in (2, 4) for layer in layers) or len(layers[-1]) != 2):
+            raise error(f"parameters in {source} do not lie as chained layers")
         return cls(layers)
 
     def parameters(self) -> list[np.ndarray]:
@@ -225,3 +230,29 @@ def backward_blocks(cache: dict, d_outs: list[np.ndarray]) -> list[np.ndarray]:
                 np.matmul(g, net.layers[i][0], out=below[sl])
         grad = below
     return flats
+
+
+def save_nets(path: str | Path, magic: bytes, meta: dict, nets: dict[str, Mlp]) -> None:
+    """Write ``meta`` and each net's `Mlp.parameters` as float32 arrays
+    ``{name}0``, ``{name}1``, … through `core.save_arrays`."""
+    save_arrays(path, magic, meta, {f"{name}{i}": param.astype("<f4")
+                                    for name, net in nets.items()
+                                    for i, param in enumerate(net.parameters())})
+
+
+def load_nets(
+    path: str | Path, magic: bytes, error: type[Exception], meta_kinds: dict,
+    names: tuple[str, ...],
+) -> tuple[dict, dict[str, Mlp]]:
+    """Read a `save_nets` file as (meta, each of ``names``' nets). Damage
+    (see `core.load_arrays`), an array that is not float32 or not the next
+    ``{name}{i}`` of one of ``names``, or parameters that `Mlp.from_parameters`
+    rejects raise ``error``."""
+    meta, arrays = load_arrays(path, magic, error, meta_kinds)
+    params: dict[str, list[np.ndarray]] = {name: [] for name in names}
+    for key, array in arrays.items():
+        name = key.rstrip("0123456789")
+        if name not in params or key != f"{name}{len(params[name])}" or array.dtype.str != "<f4":
+            raise error(f"unexpected array {key!r} of dtype {array.dtype.str} in {path}")
+        params[name].append(array)
+    return meta, {name: Mlp.from_parameters(p, error, path) for name, p in params.items()}

@@ -33,7 +33,6 @@ from .core import (
     subseed,
     write_jsonl,
     write_text,
-    write_train_log,
 )
 
 
@@ -132,12 +131,9 @@ class Workspace:
         return hnsw.HnswIndex.load(self.index_file)
 
     @cached_property
-    def txt_encoder(self) -> encoders.EncoderModel:
-        return encoders.load_model(self.encoder_txt)
-
-    @cached_property
-    def img_encoder(self) -> encoders.EncoderModel:
-        return encoders.load_model(self.encoder_img)
+    def encoders(self) -> dict[str, encoders.EncoderModel]:
+        """The `encoders.ENCODER_NETS` towers by name."""
+        return encoders.load_encoders(self.encoder_file)
 
     @cached_property
     def annotation_records(self) -> list[Annotation]:
@@ -168,12 +164,11 @@ ARTIFACTS = {
     "navboost": ("gen-corpus", "corpus/navboost.jsonl"),
     "labeled_pairs": ("curate", "labeled_pairs.jsonl"),
     "curation_report": ("curate", "curation_report.json"),
-    "encoder_img": ("train-encoder", "encoder_img.bin"),
-    "encoder_txt": ("train-encoder", "encoder_txt.bin"),
-    "encoder_log": ("train-encoder", "encoder_train_log.csv"),
+    "encoder_file": ("train-encoder", "encoders.bin"),
+    "encoder_log": ("train-encoder", "encoder_train_log.jsonl"),
     "index_file": ("build-index", "index.bin"),
     "ranker_file": ("train-ranker", "ranker.bin"),
-    "ranker_log": ("train-ranker", "ranker_train_log.csv"),
+    "ranker_log": ("train-ranker", "ranker_train_log.jsonl"),
     "annotations": ("train-ranker", "annotations.jsonl"),
     "collections": ("build-collections", "collections.jsonl"),
     "pages_dir": (None, "pages"),
@@ -195,12 +190,12 @@ STAGE_INPUTS = {
     "gen-corpus": [],
     "curate": [*CORPUS_FILES, "navboost"],
     "train-encoder": [*CORPUS_FILES],
-    "build-index": [*CORPUS_FILES, "encoder_img"],
+    "build-index": [*CORPUS_FILES, "encoder_file"],
     "train-ranker": [*CORPUS_FILES, "labeled_pairs"],
-    "build-collections": [*CORPUS_FILES, "index_file", "encoder_txt", "annotations"],
+    "build-collections": [*CORPUS_FILES, "index_file", "encoder_file", "annotations"],
     "link": ["collections", "annotations"],
-    "agent-run": [*CORPUS_FILES, "index_file", "encoder_txt", "trends"],
-    "eval": [*CORPUS_FILES, "curation_report", "encoder_txt", "encoder_log", "index_file",
+    "agent-run": [*CORPUS_FILES, "index_file", "encoder_file", "trends"],
+    "eval": [*CORPUS_FILES, "curation_report", "encoder_file", "encoder_log", "index_file",
              "ranker_file", "collections", "link_report", "labeled_pairs", "annotations"],
 }
 STAGE_OUTPUTS = {
@@ -210,6 +205,8 @@ STAGE_OUTPUTS = {
 PRODUCERS = {name: stage for name, (stage, _) in ARTIFACTS.items() if stage}
 
 NAVBOOST_KINDS = {"query_text": str, "pin_signature": int, "coverage": float}
+# one line of encoder_train_log.jsonl, keys in the order of TrainResult.log rows
+ENCODER_LOG_KINDS = {"step": int, "loss": float, "grad_norm": float}
 # The JSON files read whole, as stage_link, curate and run_pipeline write
 # them; the keys eval copies come first, so a file lacking them names them.
 REPORT_KINDS = {
@@ -280,9 +277,8 @@ def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
             seed=subseed(config.seed, "encoder"),
         ),
     )
-    encoders.save_model(result.encoders["img"], ws.encoder_img)
-    encoders.save_model(result.encoders["txt"], ws.encoder_txt)
-    write_train_log(ws.encoder_log, ("step", "loss", "grad_norm"), result.log)
+    encoders.save_encoders(result.encoders, ws.encoder_file)
+    write_jsonl(ws.encoder_log, (dict(zip(ENCODER_LOG_KINDS, row)) for row in result.log))
     return {
         "initial_loss": result.log[0][1],
         "final_loss": result.log[-1][1],
@@ -292,7 +288,7 @@ def stage_train_encoder(config: PipelineConfig, ws: Workspace) -> dict:
 
 def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
     """Build the ANN index over encoded pins."""
-    matrix = ws.img_encoder.encode_batch(ws.corpus.visual)
+    matrix = ws.encoders["img"].encode_batch(ws.corpus.visual)
     params = hnsw.HnswParams(
         M=config.hnsw_m, ef_construction=config.ef_construction, ef_search=config.ef_search
     )
@@ -352,7 +348,7 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
                                  seed=subseed(config.seed, "ranker")),
     )
     ranker.save_ranker(model, ws.ranker_file)
-    write_train_log(ws.ranker_log, ("step", "loss"), log)
+    write_jsonl(ws.ranker_log, ({"step": step, "loss": loss} for step, loss in log))
 
     # annotate every pin with its top-scoring deduped queries
     e_pins = ranker.in_blocks(len(corpus.pins), lambda block: model.embed_pin(ws.pin_features[block]))
@@ -396,7 +392,7 @@ def build_collections(
             winners.setdefault(coll_mod.slugify(text), ws.corpus.query(text))
     built = iter(coll_mod.build_collections(
         [t for t in winners.values() if t.text not in reuse],
-        ws.txt_encoder, ws.index, config.collection_k, config.ef_search))
+        ws.encoders["txt"], ws.index, config.collection_k, config.ef_search))
     return [reuse[t.text] if t.text in reuse else next(built) for t in winners.values()]
 
 
@@ -432,7 +428,7 @@ def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
     """Run one trend-mining agent episode."""
     taxonomy = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[: config.n_clusters]
     tools = agent_mod.default_tools(
-        ws.corpus, ws.index, ws.txt_encoder, taxonomy, ws.trends, config.agent_min_count
+        ws.corpus, ws.index, ws.encoders["txt"], taxonomy, ws.trends, config.agent_min_count
     )
     memory = agent_mod.load_long_memory(ws.long_memory)
     queries, trace, state = agent_mod.run_episode(tools, memory)
@@ -457,7 +453,7 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
     control_records = annotate_pins(
         *ws.index.stored_vectors(),
         ws.deduped_queries,
-        ws.txt_encoder.encode_batch(ws.corpus.query_embeddings[ws.deduped_rows]),
+        ws.encoders["txt"].encode_batch(ws.corpus.query_embeddings[ws.deduped_rows]),
         max(r.rank for r in records),
     )
 
@@ -502,13 +498,9 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
 
 def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     """Aggregate metrics across finished stages and write them as the eval report."""
-    rows = ws.encoder_log.read_text(encoding="utf-8").strip().splitlines()[1:]
-    try:
-        encoder_loss = {"initial": float(rows[0].split(",")[1]),
-                        "final": float(rows[-1].split(",")[1])}
-        check_json(encoder_loss, {str: float})  # a non-finite loss fails
-    except (IndexError, ValueError):
-        raise PipelineError(f"{ws.encoder_log}: no readable training rows with finite losses") from None
+    rows = read_records(ws.encoder_log, partial(check_json, kinds=ENCODER_LOG_KINDS),
+                        PipelineError, "training log")
+    encoder_loss = {"initial": float(rows[0]["loss"]), "final": float(rows[-1]["loss"])}
     model = ranker.load_ranker(ws.ranker_file)
 
     # recall@10 of the index's search against brute force over its own rows
@@ -522,7 +514,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         recalls.append(len(exact & approx) / len(exact))
     recall_at_10 = float(np.mean(recalls))
 
-    judge = coll_mod.embedding_judge(ws.txt_encoder, threshold=config.judge_threshold)
+    judge = coll_mod.embedding_judge(ws.encoders["txt"], threshold=config.judge_threshold)
     rates = [coll_mod.intent_satisfying_rate(c, ws.corpus, judge)[0]
              for c in ws.published_collections]
     link_summary = read_json(ws.link_report, PipelineError, REPORT_KINDS["link_report"])

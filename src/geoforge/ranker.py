@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Corpus, load_arrays, save_arrays
-from .mlp import Mlp, backward_blocks, forward_blocks
+from .core import Corpus
+from .mlp import Mlp, backward_blocks, forward_blocks, load_nets, save_nets
 
 RANKER_MAGIC = b"GEORNK02"
 RANKER_META = {"d_v": int, "d_t": int, "hidden": [int], "output_dim": int,
@@ -84,7 +84,8 @@ class RankerModel:
     def init(cls, config: TowerConfig, seed: int = 0) -> "RankerModel":
         rng = np.random.default_rng(seed)
         pin, query = (
-            Mlp.init(dims, rng, layer_norm=True, last_gain=1.0) for dims in _tower_dims(config)
+            Mlp.init([dim, *config.hidden, config.output_dim], rng, layer_norm=True, last_gain=1.0)
+            for dim in (config.pin_input_dim, config.query_input_dim)
         )
         return cls(pin_tower=pin, query_tower=query, config=config)
 
@@ -93,12 +94,6 @@ class RankerModel:
 
     def embed_query(self, features: np.ndarray) -> np.ndarray:
         return self.query_tower.forward(features, RankerError)
-
-
-def _tower_dims(config: TowerConfig) -> list[list[int]]:
-    """Layer sizes of the pin tower and of the query tower."""
-    return [[dim, *config.hidden, config.output_dim]
-            for dim in (config.pin_input_dim, config.query_input_dim)]
 
 
 def margin_loss_batch(
@@ -221,27 +216,20 @@ def correct_rank(model: RankerModel, triplets: Triplets) -> float:
 
 
 def save_ranker(model: RankerModel, path: str | Path) -> None:
-    """Save the TowerConfig as meta and each tower's `Mlp.parameters` as
-    float32 arrays ``pin{i}`` and ``query{i}``."""
-    arrays = {}
-    for prefix, tower in (("pin", model.pin_tower), ("query", model.query_tower)):
-        for i, param in enumerate(tower.parameters()):
-            arrays[f"{prefix}{i}"] = param.astype("<f4")
-    save_arrays(path, RANKER_MAGIC, asdict(model.config), arrays)
+    """Save the TowerConfig as meta and the towers as `mlp.save_nets`
+    nets ``pin`` and ``query``."""
+    save_nets(path, RANKER_MAGIC, asdict(model.config),
+              {"pin": model.pin_tower, "query": model.query_tower})
 
 
 def load_ranker(path: str | Path) -> RankerModel:
-    """Read a `save_ranker` checkpoint; damage or a shape misfit raises RankerError."""
-    meta, arrays = load_arrays(path, RANKER_MAGIC, RankerError, RANKER_META)
-    config = TowerConfig(**meta)
-    n_params = len(arrays) // 2
-    names = [f"{prefix}{i}" for prefix in ("pin", "query") for i in range(n_params)]
-    if {name: a.dtype.str for name, a in arrays.items()} != dict.fromkeys(names, "<f4"):
-        raise RankerError(f"unexpected array names or dtypes in {path}")
-    pin, query = (
-        Mlp.from_parameters(
-            [arrays[f"{prefix}{i}"] for i in range(n_params)], dims, True, RankerError, path
-        )
-        for prefix, dims in zip(("pin", "query"), _tower_dims(config))
-    )
-    return RankerModel(pin_tower=pin, query_tower=query, config=config)
+    """Read a `save_ranker` checkpoint; damage, or towers whose shapes are
+    not the ones its TowerConfig declares, raise RankerError."""
+    meta, towers = load_nets(path, RANKER_MAGIC, RankerError, RANKER_META, ("pin", "query"))
+    model = RankerModel(towers["pin"], towers["query"], TowerConfig(**meta))
+    # equal spans are equal parameter shapes, layer by layer
+    declared = RankerModel.init(model.config)
+    if [t.spans for t in (model.pin_tower, model.query_tower)] != [
+            t.spans for t in (declared.pin_tower, declared.query_tower)]:
+        raise RankerError(f"tower shapes in {path} do not fit its config {meta}")
+    return model

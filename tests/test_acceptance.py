@@ -414,7 +414,7 @@ def test_criterion_11_intent_satisfying_rate(announce, pipeline_run):
     config = pipeline_run["config"]
     corpus = load_corpus(ws.corpus_dir)
     index = HnswIndex.load(ws.index_file)
-    txt_encoder = encoders.load_model(ws.encoder_txt)
+    txt_encoder = encoders.load_encoders(ws.encoder_file)["txt"]
     judge = embedding_judge(txt_encoder, threshold=config.judge_threshold)
 
     collections = load_collections(ws.collections)
@@ -451,7 +451,7 @@ def test_criterion_12_agent_determinism(announce, pipeline_run, tmp_path):
     ws = pipeline_run["ws"]
     corpus = load_corpus(ws.corpus_dir)
     index = HnswIndex.load(ws.index_file)
-    txt_encoder = encoders.load_model(ws.encoder_txt)
+    txt_encoder = encoders.load_encoders(ws.encoder_file)["txt"]
     taxonomy = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[
         : pipeline_run["config"].n_clusters
     ]

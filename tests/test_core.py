@@ -271,6 +271,7 @@ class TestCorpusIO:
         ("queries.jsonl", {"category": "Bogus"}, "category 'Bogus' not one of"),
         ("engagement.jsonl", {"clicks": 10**9}, "clicks 1000000000 exceed"),
         ("engagement.jsonl", {"pin_signature": 5}, "unknown pin signature 5"),
+        ("engagement.jsonl", {"query_text": "absent"}, "unknown query text 'absent'"),
     ])
     def test_bad_record_names_path_and_line(self, small_synth, tmp_path, name, edit, match):
         _save_edited(small_synth[0], tmp_path, name, 1, edit)
@@ -568,7 +569,7 @@ def test_every_import_is_used():
 def test_only_the_workspace_loads_stage_inputs():
     """In `pipeline`, the corpus, index and encoders are loaded only by
     `Workspace`, which keeps each for the rest of the run."""
-    loaders = {"load_corpus", "load_model", "HnswIndex.load"}
+    loaders = {"load_corpus", "load_encoders", "HnswIndex.load"}
 
     def loads(tree):
         for node in ast.walk(tree):
@@ -580,8 +581,21 @@ def test_only_the_workspace_loads_stage_inputs():
     tree = ast.parse((Path(geoforge.__file__).parent / "pipeline.py").read_text(encoding="utf-8"))
     (workspace,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Workspace"]
     inside = list(loads(workspace))
-    assert len(inside) == 4
+    assert len(inside) == 3
     assert set(map(id, loads(tree))) == set(map(id, inside))
+
+
+def test_only_mlp_lays_out_tower_checkpoints():
+    """`encoders` and `ranker` save and load their towers through
+    `mlp.save_nets` and `mlp.load_nets`: neither imports `save_arrays` or
+    `load_arrays`, so only `mlp` knows how a net lies in an array file."""
+    imported = {}
+    for stem in ("encoders", "ranker"):
+        tree = ast.parse((Path(geoforge.__file__).parent / f"{stem}.py").read_text(encoding="utf-8"))
+        imported[stem] = {alias.name for node in ast.walk(tree)
+                          if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert all(names.isdisjoint({"save_arrays", "load_arrays"}) for names in imported.values())
+    assert all({"save_nets", "load_nets"} <= names for names in imported.values())
 
 
 def test_artifact_paths_are_named_only_in_the_artifact_table():

@@ -349,8 +349,9 @@ class TestVectorisedEquivalence:
         positive = LabeledPair(1, QueryRecord("pos", "UseCase", embedding=np.array([1.0, 0.0])), +1)
         with pytest.raises(CurationError, match="not enough unrelated"):
             label_pairs([positive], [], {}, neg_per_pos=1, seed=0)
+        # a pool query without an embedding fails, as in dedup_queries
         bare = [QueryRecord("bare", "UseCase")]
-        with pytest.raises(CurationError, match="not enough unrelated"):
+        with pytest.raises(CurationError, match=r"^query 'bare' lacks an embedding$"):
             label_pairs([positive], bare, {}, neg_per_pos=1, seed=0)
         assert len(label_pairs([positive], [], {}, neg_per_pos=0, seed=0)) == 1
 

@@ -16,6 +16,7 @@ import pytest
 
 from geoforge import collections_, curation, encoders, hnsw, pipeline, ranker, synth
 from geoforge.core import CorpusError, LabeledPair, QueryRecord, read_records, write_jsonl
+from geoforge.mlp import Mlp
 from geoforge.pipeline import (
     ARTIFACTS,
     PRODUCERS,
@@ -89,9 +90,9 @@ class TestStageGraph:
 
     @pytest.mark.parametrize("stage, missing, producer", [
         ("curate", "corpus/navboost.jsonl", "gen-corpus"),
-        ("build-index", "encoder_img.bin", "train-encoder"),
-        ("eval", "encoder_txt.bin", "train-encoder"),
-        ("eval", "encoder_train_log.csv", "train-encoder"),
+        ("build-index", "encoders.bin", "train-encoder"),
+        ("eval", "encoders.bin", "train-encoder"),
+        ("eval", "encoder_train_log.jsonl", "train-encoder"),
         ("eval", "curation_report.json", "curate"),
         ("train-encoder", "corpus/pins.jsonl", "gen-corpus"),
         ("agent-run", "corpus/queries.jsonl", "gen-corpus"),
@@ -121,8 +122,14 @@ class TestStageGraph:
         assert declared <= set(pipeline_run["report"]["checksums"])
 
     def test_eval_reads_pin_vectors_from_the_index(self, pipeline_run, tmp_path):
+        """Eval's report does not move when the image tower is swapped for
+        an untrained one: it reads pin vectors from the index alone."""
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        (tmp_path / "encoder_img.bin").unlink()
+        towers = encoders.load_encoders(tmp_path / "encoders.bin")
+        img = towers["img"].net
+        towers["img"] = encoders.EncoderModel(
+            Mlp.init([img.input_dim, img.output_dim], np.random.default_rng(0)))
+        encoders.save_encoders(towers, tmp_path / "encoders.bin")
         config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
         report, ok = run_pipeline(config, stages=["eval"])
         assert ok and report["stages"]["eval"]["status"] == "ok"
@@ -236,6 +243,13 @@ class TestStageGraph:
             ({"term": None}, "missing key 'term'"),
             ({"velocity": "fast"}, "key 'velocity' has ill-typed value 'fast'"),
         ]],
+        *[("eval", "encoder_train_log.jsonl", edit, "PipelineError", match) for edit, match in [
+            ({"loss": None}, "missing key 'loss'"),
+            ({"epoch": 1}, "unknown key 'epoch'"),
+            ({"step": 1.5}, "key 'step' has ill-typed value 1.5"),
+            ({"grad_norm": float("inf")}, "key 'grad_norm' has ill-typed value inf"),
+            ("[1, 2]", r"expected a JSON object, got \[1, 2\]"),
+        ]],
     ])
     def test_bad_record_fails_its_reader_naming_path_and_line(
         self, pipeline_run, tmp_path, stage, artifact, edit, error_type, match
@@ -283,18 +297,18 @@ class TestStageGraph:
         assert not ok and result["error_type"] == "PipelineError"
         assert result["error"].startswith(f"{tmp_path / artifact}: {match}")
 
-    @pytest.mark.parametrize("loss", ["nan", "inf"])
+    @pytest.mark.parametrize("loss", [float("nan"), float("inf")])
     def test_non_finite_encoder_loss_fails_eval_naming_the_log(self, pipeline_run, tmp_path, loss):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        path = tmp_path / "encoder_train_log.csv"
+        path = tmp_path / "encoder_train_log.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines()
-        step, _, grad_norm = lines[-1].split(",")
-        path.write_text("\n".join([*lines[:-1], f"{step},{loss},{grad_norm}"]) + "\n", encoding="utf-8")
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "loss": loss})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
         report, ok = run_pipeline(config, stages=["eval"])
         result = report["stages"]["eval"]
         assert not ok and result["error_type"] == "PipelineError"
-        assert result["error"].startswith(f"{path}: ")
+        assert result["error"] == f"{path}:{len(lines)}: key 'loss' has ill-typed value {loss}"
         # the report from before stays as it was
         assert (tmp_path / "eval_report.json").read_bytes() == (
             pipeline_run["ws"].out / "eval_report.json").read_bytes()
@@ -322,6 +336,7 @@ class TestStageGraph:
         ("curate", "corpus/engagement.jsonl", "CorpusError", "no engagement records"),
         ("link", "collections.jsonl", "CollectionError", "no collection records"),
         ("eval", "collections.jsonl", "CollectionError", "no collection records"),
+        ("eval", "encoder_train_log.jsonl", "PipelineError", "no training log records"),
     ])
     def test_empty_input_fails_naming_it(
         self, pipeline_run, tmp_path, stage, artifact, error_type, match
@@ -350,6 +365,8 @@ class TestStageGraph:
            f"RankerTrainConfig.learning_rate must be positive and finite, got {rate}")
           for rate in (-0.1, 0.0, float("inf"))],
         ("curate", "neg_per_pos", -1, "CurationError", "neg_per_pos must be at least 0, got -1"),
+        ("train-encoder", "temperature", float("inf"), "EncoderError",
+         "temperature must be positive and finite, got inf"),
     ])
     def test_bad_training_values_fail_typed_before_any_warning(
         self, pipeline_run, tmp_path, stage, key, value, error_type, message
@@ -415,15 +432,6 @@ class TestStageGraph:
         result = report["stages"]["gen-corpus"]
         assert not ok and result["error_type"] == "CorpusError"
         assert result["error"] == "n_clusters must be in [1, 10], got 0"
-
-    def test_header_only_encoder_log_fails_eval(self, pipeline_run, tmp_path):
-        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        (tmp_path / "encoder_train_log.csv").write_text("step,loss,grad_norm\n")
-        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
-        report, ok = run_pipeline(config, stages=["eval"])
-        result = report["stages"]["eval"]
-        assert not ok and result["error_type"] == "PipelineError"
-        assert "encoder_train_log.csv" in result["error"]
 
     def test_stage_table(self):
         assert set(STAGE_INPUTS) == set(STAGE_OUTPUTS) == set(STAGE_ORDER)
@@ -538,7 +546,7 @@ class TestCorpusLoad:
         monkeypatch.setattr(hnsw.HnswIndex, "load", classmethod(
             counted(hnsw.HnswIndex.load.__func__, lambda _, path: name(path))
         ))
-        monkeypatch.setattr(encoders, "load_model", counted(encoders.load_model, name))
+        monkeypatch.setattr(encoders, "load_encoders", counted(encoders.load_encoders, name))
         monkeypatch.setattr(pipeline, "read_records", counted(pipeline.read_records, name))
         monkeypatch.setattr(
             collections_, "load_collections", counted(collections_.load_collections, name)
@@ -558,8 +566,9 @@ class TestCorpusLoad:
         report, ok = run_pipeline(config)
         assert ok, report["stages"]
         assert calls == Counter([
-            "corpus", "navboost.jsonl", "encoder_img.bin", "encoder_txt.bin", "index.bin",
+            "corpus", "navboost.jsonl", "encoders.bin", "index.bin",
             "labeled_pairs.jsonl", "annotations.jsonl", "collections.jsonl", "correct_rank",
+            "encoder_train_log.jsonl",
             # the workspace's, for curate, train-ranker and eval alike
             "dedup_queries", "query_features",
         ])
@@ -568,7 +577,7 @@ class TestCorpusLoad:
         calls.clear()
         rerun, ok = run_pipeline(config, stages=["build-collections"])
         assert ok and calls == Counter(
-            ["corpus", "encoder_txt.bin", "index.bin", "annotations.jsonl"]
+            ["corpus", "encoders.bin", "index.bin", "annotations.jsonl"]
         )
         assert rerun["checksums"]["collections.jsonl"] == report["checksums"]["collections.jsonl"]
 
@@ -700,7 +709,7 @@ class TestFullRun:
 
     def test_failed_stage_run_drops_only_its_own_checksums(self, pipeline_run, tmp_path):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        (tmp_path / "encoder_txt.bin").unlink()
+        (tmp_path / "encoders.bin").unlink()
         before = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
         report, ok = run_pipeline(config, stages=["eval"])

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geoforge.core import Corpus, QueryRecord
-from geoforge.mlp import Mlp, backward_blocks, forward_blocks
+from geoforge.mlp import Mlp, backward_blocks, forward_blocks, save_nets
 from geoforge.ranker import (
+    RANKER_MAGIC,
     RankerError,
     RankerModel,
     RankerTrainConfig,
@@ -529,6 +530,21 @@ class TestPersistence:
         save_ranker(model, first)
         save_ranker(load_ranker(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("towers", [
+        # wider hidden layers than the config declares
+        lambda rng: [Mlp.init([dim, 6, 3], rng, layer_norm=True) for dim in (8, 4)],
+        # the declared widths, without LayerNorm
+        lambda rng: [Mlp.init([dim, 5, 3], rng) for dim in (8, 4)],
+        # the towers swapped
+        lambda rng: [Mlp.init([dim, 5, 3], rng, layer_norm=True) for dim in (4, 8)],
+    ])
+    def test_towers_that_do_not_fit_the_config_rejected(self, tmp_path, towers):
+        path = tmp_path / "ranker.bin"
+        pin, query = towers(np.random.default_rng(0))
+        save_nets(path, RANKER_MAGIC, dataclasses.asdict(SMALL), {"pin": pin, "query": query})
+        with pytest.raises(RankerError, match=r"^tower shapes in .* do not fit its config"):
+            load_ranker(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "ranker.bin"
