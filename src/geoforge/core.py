@@ -26,11 +26,14 @@ import numpy as np
 QUERY_CATEGORIES = ("Description", "StyleDetail", "UseCase")
 PAIR_SOURCES = ("SearchConsole", "Synthetic", "HardNegative")
 # The corpus files in a corpus directory, each under its artifact name: the
-# records' other fields as JSONL, and their vectors as the VECTOR_ARRAYS.
-CORPUS_FILES = {"pins": "pins.jsonl", "queries": "queries.jsonl",
-                "engagement": "engagement.jsonl", "vectors": "vectors.bin"}
-VECTORS_MAGIC = b"GEOVEC01"
+# pin and query records' other fields as JSONL, and one array file of their
+# vectors, the VECTOR_ARRAYS, and of the engagement table's columns.
+CORPUS_FILES = {"pins": "pins.jsonl", "queries": "queries.jsonl", "arrays": "arrays.bin"}
+ARRAYS_MAGIC = b"GEOCOR01"
 VECTOR_ARRAYS = ("visual", "text", "query_embeddings")
+# The engagement columns (see `Engagement`) and their dtypes.
+ENGAGEMENT_ARRAYS = {"pin_row": "<i8", "query_row": "<i8", "impressions": "<i8",
+                     "clicks": "<i8", "avg_position": "<f4"}
 T = TypeVar("T")
 
 # Fixed offsets off the corpus-wide seed, one per stage, so every module
@@ -104,7 +107,7 @@ def f32(values: Iterable[float]) -> list[float]:
     return [float(x) for x in np.asarray(list(values), dtype=np.float32)]
 
 
-def read_only(values, dtype: type = np.float64) -> np.ndarray:
+def read_only(values, dtype: type | str = np.float64) -> np.ndarray:
     """``values`` as an array of ``dtype`` with writing switched off, so no
     view taken of it later can write either."""
     array = np.asarray(values, dtype=dtype)
@@ -196,29 +199,25 @@ class QueryRecord(_Record):
             )
 
 
-@dataclass(frozen=True, slots=True)
-class EngagementRecord(_Record):
-    query_text: str
-    pin_signature: int
-    impressions: int
-    clicks: int
-    avg_position: float
+@dataclass(slots=True)
+class Engagement:
+    """Search engagement as read-only columns of the ENGAGEMENT_ARRAYS
+    dtypes, row k one (query, pin) record: the pin's row in signature order,
+    the query's row in `Corpus.queries`, its impressions and clicks, and its
+    average position."""
 
-    def validate(self) -> None:
-        if self.impressions < 0 or self.clicks < 0:
-            raise CorpusError("impressions and clicks must be non-negative")
-        if self.clicks > self.impressions:
-            raise CorpusError(
-                f"clicks {self.clicks} exceed impressions {self.impressions} "
-                f"for query {self.query_text!r}"
-            )
-        if self.avg_position < 1.0:
-            raise CorpusError(f"avg_position {self.avg_position} below 1")
+    pin_row: np.ndarray
+    query_row: np.ndarray
+    impressions: np.ndarray
+    clicks: np.ndarray
+    avg_position: np.ndarray
 
-    def ctr(self) -> float:
-        if self.impressions == 0:
-            raise ValueError("ctr undefined with zero impressions")
-        return self.clicks / self.impressions
+    def __post_init__(self) -> None:
+        for name, dtype in ENGAGEMENT_ARRAYS.items():
+            setattr(self, name, read_only(getattr(self, name), dtype))
+
+    def __len__(self) -> int:
+        return len(self.pin_row)
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,15 +262,16 @@ class LabeledPair:
 
 @dataclass
 class Corpus:
-    """Pins by signature, in ascending order, queries and engagement, with
-    each vector a read-only view of a row of a read-only float64 matrix:
+    """Pins by signature, in ascending order, queries and the engagement
+    columns, with each vector a read-only view of a row of a read-only
+    float64 matrix:
     pin i's (in signature order) of row i of ``visual`` and ``text``, query
     j's of row j of ``query_embeddings``. ``signatures`` holds the pins'
     signatures in the same order, and ``query_row`` each query text's row."""
 
     pins: dict[int, PinRecord]
     queries: list[QueryRecord]
-    engagement: list[EngagementRecord]
+    engagement: Engagement
     visual: np.ndarray
     text: np.ndarray
     query_embeddings: np.ndarray
@@ -510,20 +510,24 @@ def load_arrays(
 
 def load_corpus(directory: str | Path) -> Corpus:
     """Load and validate the CORPUS_FILES in ``directory``. A bad record, a
-    repeated query text, a pin signature that does not ascend or an
-    engagement record for an unknown pin or query raises CorpusError naming
-    path:line, and a missing file or one with no record CorpusError naming
-    the path. So does a damaged vector file, or one whose
+    repeated query text or a pin signature that does not ascend raises
+    CorpusError naming path:line, and a missing file or one with no record
+    CorpusError naming the path. So does a damaged array file, or one whose
     VECTOR_ARRAYS are not float32 matrices of one row per pin (visual and
-    text) and per query (query_embeddings, as wide as text)."""
+    text) and per query (query_embeddings, as wide as text), or whose
+    ENGAGEMENT_ARRAYS are not columns of their dtypes that pass
+    `_check_engagement`."""
     directory = Path(directory)
     for path in (directory / file for file in CORPUS_FILES.values()):
         if not path.is_file():
             raise CorpusError(f"missing corpus file {path}")
-    path = directory / CORPUS_FILES["vectors"]
-    _, arrays = load_arrays(path, VECTORS_MAGIC, CorpusError, {})
-    if {n: (a.dtype.str, a.ndim) for n, a in arrays.items()} != dict.fromkeys(VECTOR_ARRAYS, ("<f4", 2)):
-        raise CorpusError(f"{path}: expected the float32 matrices {VECTOR_ARRAYS}")
+    path = directory / CORPUS_FILES["arrays"]
+    _, arrays = load_arrays(path, ARRAYS_MAGIC, CorpusError, {})
+    if {n: (a.dtype.str, a.ndim) for n, a in arrays.items()} != {
+            **dict.fromkeys(VECTOR_ARRAYS, ("<f4", 2)),
+            **{name: (dtype, 1) for name, dtype in ENGAGEMENT_ARRAYS.items()}}:
+        raise CorpusError(f"{path}: expected the float32 matrices {VECTOR_ARRAYS} and the "
+                          f"engagement columns {ENGAGEMENT_ARRAYS}")
     visual, text, query_embeddings = (read_only(arrays[name]) for name in VECTOR_ARRAYS)
     # a record past the last row takes None, and the row count check fails
     pin_rows, query_rows = iter(zip(visual, text)), iter(query_embeddings)
@@ -552,32 +556,48 @@ def load_corpus(directory: str | Path) -> Corpus:
     if shapes != [(len(pins), d_v), (len(pins), d_t), (len(queries), d_t)] or not d_v * d_t:
         raise CorpusError(f"{path}: shapes {shapes} do not fit {len(pins)} pins and "
                           f"{len(queries)} queries, as (pins, d_v), (pins, d_t), (queries, d_t)")
-    by_signature = {p.signature: p for p in pins}
+    engagement = {name: arrays[name] for name in ENGAGEMENT_ARRAYS}
+    _check_engagement(path, engagement, len(pins), len(queries))
+    return Corpus({p.signature: p for p in pins}, queries, Engagement(**engagement),
+                  visual, text, query_embeddings)
 
-    def engagement(obj: dict) -> EngagementRecord:
-        record = EngagementRecord.from_json(obj)
-        if record.pin_signature not in by_signature:
-            raise CorpusError(f"unknown pin signature {record.pin_signature}")
-        if record.query_text not in texts:
-            raise CorpusError(f"unknown query text {record.query_text!r}")
-        return record
 
-    engaged = read_records(directory / CORPUS_FILES["engagement"], engagement, CorpusError, "engagement")
-    return Corpus(by_signature, queries, engaged, visual, text, query_embeddings)
+def _check_engagement(path: Path, columns: dict[str, np.ndarray], n_pins: int, n_queries: int) -> None:
+    """Raise CorpusError naming ``path`` unless the engagement ``columns``
+    are of one length, at least 1, with pin rows of the ``n_pins``, query
+    rows of the ``n_queries``, impressions >= 0, clicks in [0, impressions]
+    and avg_position >= 1: the first rule broken, in that order, names the
+    first row that breaks it."""
+    lengths = [len(column) for column in columns.values()]
+    if len(set(lengths)) > 1:
+        raise CorpusError(f"{path}: engagement columns {list(columns)} have unequal lengths {lengths}")
+    if not lengths[0]:
+        raise CorpusError(f"{path}: no engagement records")
+    pin, query, shown, clicks, position = columns.values()
+    for name, ok, rule in [
+        ("pin_row", (pin >= 0) & (pin < n_pins), f"is no row of the {n_pins} pins"),
+        ("query_row", (query >= 0) & (query < n_queries), f"is no row of the {n_queries} queries"),
+        ("impressions", shown >= 0, "is negative"),
+        ("clicks", (clicks >= 0) & (clicks <= shown), "is negative or exceeds impressions"),
+        ("avg_position", position >= 1.0, "is below 1"),
+    ]:
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise CorpusError(f"{path}: engagement row {bad[0]}: {name} {columns[name][bad[0]]} {rule}")
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
-    """Write the CORPUS_FILES: each record's fields but its vectors as JSONL,
-    and the corpus's VECTOR_ARRAYS as float32."""
+    """Write the CORPUS_FILES: each pin and query record's fields but its
+    vectors as JSONL, and the corpus's VECTOR_ARRAYS as float32 and its
+    engagement columns in the array file."""
     directory = Path(directory)
-    records = {"pins": corpus.pins.values(), "queries": corpus.queries,
-               "engagement": corpus.engagement}
-    for name, rows in records.items():
+    for name, rows in {"pins": corpus.pins.values(), "queries": corpus.queries}.items():
         write_jsonl(directory / CORPUS_FILES[name], (
             {f.name: _json_value(v) for f in fields(r)
              if not isinstance(v := getattr(r, f.name), np.ndarray)} for r in rows))
-    save_arrays(directory / CORPUS_FILES["vectors"], VECTORS_MAGIC, {},
-                {name: getattr(corpus, name).astype("<f4") for name in VECTOR_ARRAYS})
+    save_arrays(directory / CORPUS_FILES["arrays"], ARRAYS_MAGIC, {}, {
+        **{name: getattr(corpus, name).astype("<f4") for name in VECTOR_ARRAYS},
+        **{name: getattr(corpus.engagement, name) for name in ENGAGEMENT_ARRAYS}})
 
 
 def hashed_bag_of_tokens(text: str, dim: int) -> np.ndarray:

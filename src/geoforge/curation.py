@@ -9,56 +9,38 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Corpus, EngagementRecord, LabeledPair, QueryRecord, ZeroNormError, l2_normalize_rows,
+    Corpus, Engagement, LabeledPair, QueryRecord, ZeroNormError, l2_normalize_rows,
 )
 
 NAVBOOST_PROMOTION = 0.54  # strictly-greater promotion threshold
 RELATEDNESS_CEILING = 0.5  # hard negatives must be below this cosine
 DEDUP_THRESHOLD = 0.9
+TOP_QUERIES = 30  # retained queries kept per pin
 
 
 class CurationError(ValueError):
     pass
 
 
-def retain(record: EngagementRecord) -> bool:
-    """Retention filter for demonstrated search performance.
+def retain(engagement: Engagement) -> np.ndarray:
+    """Retention filter for demonstrated search performance, as a boolean
+    mask over the engagement rows.
 
-    True iff impressions > 1000, or impressions > 10 with CTR >= 0.8, or
-    impressions > 10 with average position <= 10. CTR is never evaluated
-    for zero-impression records (the impressions gate fails first).
+    A row is kept iff impressions > 1000, or impressions > 10 with CTR >=
+    0.8, or impressions > 10 with average position <= 10. CTR is never
+    evaluated for rows of 10 impressions or fewer, zero among them.
     """
-    return bool(retention_branches(record))
+    return np.logical_or.reduce(list(retention_branches(engagement).values()))
 
 
-def retention_branches(record: EngagementRecord) -> list[str]:
-    """Which filter branches a record satisfies; used for curation reports."""
-    branches = []
-    if record.impressions > 1000:
-        branches.append("impressions")
-    if record.impressions > 10 and record.ctr() >= 0.8:
-        branches.append("ctr")
-    if record.impressions > 10 and record.avg_position <= 10:
-        branches.append("position")
-    return branches
-
-
-def select_top_queries(
-    records: list[EngagementRecord], n: int = 30
-) -> list[EngagementRecord]:
-    """Top-n retained queries for one pin, by impressions then position.
-
-    Ties break on impressions desc, then avg_position asc, then query text,
-    so the ordering is fully deterministic.
-    """
-    if n < 1:
-        raise CurationError(f"n must be >= 1, got {n}")
-    signatures = {r.pin_signature for r in records}
-    if len(signatures) > 1:
-        raise CurationError(f"records span multiple pins: {sorted(signatures)}")
-    kept = [r for r in records if retain(r)]
-    kept.sort(key=lambda r: (-r.impressions, r.avg_position, r.query_text))
-    return kept[:n]
+def retention_branches(engagement: Engagement) -> dict[str, np.ndarray]:
+    """Which filter branches each engagement row satisfies, as one boolean
+    mask per branch; used for curation reports."""
+    shown = engagement.impressions
+    seen = shown > 10
+    ctr = np.divide(engagement.clicks, shown, out=np.zeros(len(shown)), where=seen)
+    return {"impressions": shown > 1000, "ctr": seen & (ctr >= 0.8),
+            "position": seen & (engagement.avg_position <= 10)}
 
 
 @dataclass(frozen=True)
@@ -244,32 +226,30 @@ def curate(
     neg_per_pos: int = 2,
     seed: int = 0,
 ) -> tuple[list[LabeledPair], dict]:
-    """Full curation pass: filter the corpus's engagement, pick top queries
-    per pin, label with hard negatives drawn from ``deduped``, the corpus
-    queries' `dedup_queries`, and report per-branch counts."""
-    branch_counts = {"impressions": 0, "ctr": 0, "position": 0, "rejected": 0}
-    by_pin: dict[int, list[EngagementRecord]] = {}
-    for record in corpus.engagement:
-        branches = retention_branches(record)
-        if branches:
-            for b in branches:
-                branch_counts[b] += 1
-            by_pin.setdefault(record.pin_signature, []).append(record)
-        else:
-            branch_counts["rejected"] += 1
+    """Full curation pass: filter the corpus's engagement, pick each pin's
+    TOP_QUERIES retained queries (by impressions descending, then average
+    position ascending, then query text), label with hard negatives drawn
+    from ``deduped``, the corpus queries' `dedup_queries`, and report
+    per-branch counts."""
+    engagement = corpus.engagement
+    kept = retain(engagement)
+    branch_counts = {name: int(np.count_nonzero(mask))
+                     for name, mask in retention_branches(engagement).items()}
+    branch_counts["rejected"] = len(kept) - int(np.count_nonzero(kept))
 
-    positives: list[LabeledPair] = []
-    for signature in sorted(by_pin):
-        for record in select_top_queries(by_pin[signature]):
-            positives.append(
-                LabeledPair(
-                    pin_signature=signature,
-                    query=corpus.query(record.query_text),
-                    label=+1,
-                    navboost_coverage=navboost.get((record.query_text, signature), 0.0),
-                    source="SearchConsole",
-                )
-            )
+    queries, pin_row, query_row = corpus.queries, engagement.pin_row, engagement.query_row
+    text_rank = np.empty(len(queries), dtype=np.int64)
+    text_rank[sorted(range(len(queries)), key=lambda row: queries[row].text)] = np.arange(len(queries))
+    # one stable sort of the kept rows: by pin, then by the pin's preference
+    rows = np.flatnonzero(kept)
+    rows = rows[np.lexsort((text_rank[query_row[rows]], engagement.avg_position[rows],
+                            -engagement.impressions[rows], pin_row[rows]))]
+    # a row's place among its pin's is its place less that of the pin's first
+    top = rows[np.arange(len(rows)) - np.searchsorted(pin_row[rows], pin_row[rows]) < TOP_QUERIES]
+    positives = [  # each a SearchConsole pair
+        LabeledPair(signature, queries[row], +1, navboost.get((queries[row].text, signature), 0.0))
+        for signature, row in zip(corpus.signatures[pin_row[top]].tolist(), query_row[top].tolist())
+    ]
 
     labeled = label_pairs(
         positives, deduped, navboost, neg_per_pos=neg_per_pos, seed=seed

@@ -54,8 +54,8 @@ def softmax_contrastive_loss(
     Row i's positive is y[i]; all other rows of y act as its negatives.
     Returns (mean loss, d/d x, d/d y).
     """
-    if not 0.0 < temperature < np.inf:
-        raise EncoderError(f"temperature must be positive and finite, got {temperature}")
+    if not (0.0 < temperature < np.inf and 1.0 / float(temperature) < np.inf):
+        raise EncoderError(f"temperature and its reciprocal must be positive and finite, got {temperature}")
     if x.shape != y.shape:
         raise EncoderError(f"anchor/positive shape mismatch: {x.shape} vs {y.shape}")
     if x.shape[0] < 2:

@@ -17,7 +17,7 @@ import numpy as np
 from .core import (
     Corpus,
     CorpusError,
-    EngagementRecord,
+    Engagement,
     PinRecord,
     QueryRecord,
     l2_normalize_rows,
@@ -134,17 +134,16 @@ def _around(centroids: np.ndarray, clusters: np.ndarray, rng: np.random.Generato
     return read_only(l2_normalize_rows(rows))
 
 
-def _engagement_fields(kinds: np.ndarray, rng: np.random.Generator) -> list[list]:
+def _engagement_fields(kinds: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
     """Impressions, clicks and avg_position for records of RECORD_KINDS
-    ``kinds``, each as a list in row order."""
+    ``kinds``, each a flat array in row order."""
     low, high, divisor, first, last = RECORD_KINDS[kinds].transpose(2, 0, 1)
     impressions = rng.integers(low, high)
     clicks = rng.integers(0, impressions // divisor + 1)
     high_ctr = kinds == HIGH_CTR
     ctr = rng.uniform(0.8, 1.0, np.count_nonzero(high_ctr))
     clicks[high_ctr] = np.ceil(impressions[high_ctr] * ctr)
-    return [impressions.ravel().tolist(), clicks.ravel().tolist(),
-            rng.uniform(first, last).ravel().tolist()]
+    return [impressions.ravel(), clicks.ravel(), rng.uniform(first, last).ravel()]
 
 
 def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
@@ -196,11 +195,8 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
     ])
     kinds = np.full((n_pins, per_pin + 1), CROSS_CLUSTER)
     kinds[:, :per_pin] = rng.integers(0, CROSS_CLUSTER, (n_pins, per_pin))
-    records = zip(query_rows.ravel().tolist(),
-                  [signature for signature in pins for _ in range(per_pin + 1)],
-                  *_engagement_fields(kinds, rng))
-    engagement = [EngagementRecord(query_texts[row][0], signature, shown, clicked, position)
-                  for row, signature, shown, clicked, position in records]
+    engagement = Engagement(np.repeat(np.arange(n_pins), per_pin + 1), query_rows.ravel(),
+                            *_engagement_fields(kinds, rng))
     coverage = rng.uniform(0.0, 1.0, n_pins if per_pin else 0)  # of each first pick
     navboost = {(query_texts[row][0], signature): c for row, signature, c in zip(
         query_rows[:, 0].tolist(), pins, coverage.tolist())}

@@ -22,7 +22,7 @@ from geoforge.agent import (
     run_episode,
 )
 from geoforge.collections_ import build_collection, embedding_judge, intent_satisfying_rate, load_collections
-from geoforge.core import EngagementRecord, LabeledPair, QueryRecord, load_corpus
+from geoforge.core import Engagement, LabeledPair, QueryRecord, load_corpus
 from geoforge.encoders import pinclip_loss, searchsage_loss, softmax_contrastive_loss
 from geoforge.hnsw import HnswIndex
 from geoforge.linkgraph import LinkGraph, pagerank
@@ -42,27 +42,25 @@ def _verdict(announce, number: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_retention_truth_table(announce):
     start = time.perf_counter()
-    mismatches = []
-    for impressions in (0, 5, 10, 11, 50, 1000, 1001):
-        for ctr in (0.0, 0.5, 0.79, 0.8, 1.0):
-            for position in (1.0, 10.0, 10.5, 50.0):
-                clicks = min(impressions, int(round(ctr * impressions)))
-                record = EngagementRecord(
-                    query_text="grid",
-                    pin_signature=1,
-                    impressions=impressions,
-                    clicks=clicks,
-                    avg_position=position,
-                )
-                got = curation.retain(record)
-                want = retention_oracle(impressions, clicks, position)
-                if got != want:
-                    mismatches.append((impressions, ctr, position, got, want))
+    cells = [
+        (impressions, ctr, min(impressions, int(round(ctr * impressions))), position)
+        for impressions in (0, 5, 10, 11, 50, 1000, 1001)
+        for ctr in (0.0, 0.5, 0.79, 0.8, 1.0)
+        for position in (1.0, 10.0, 10.5, 50.0)
+    ]
+    impressions, _, clicks, positions = (list(column) for column in zip(*cells))
+    rows = np.zeros(len(cells), dtype=np.int64)  # one pin and one query
+    kept = curation.retain(Engagement(rows, rows, impressions, clicks, positions)).tolist()
+    mismatches = [
+        (shown, ctr, position, got, want)
+        for (shown, ctr, clicked, position), got in zip(cells, kept)
+        if got != (want := retention_oracle(shown, clicked, position))
+    ]
     elapsed = time.perf_counter() - start
     ok = not mismatches and elapsed < 1.0
     _verdict(
         announce, 1, "retention-filter-truth-table", ok,
-        f"140 cells, {len(mismatches)} mismatches, {elapsed:.3f}s",
+        f"{len(cells)} cells, {len(mismatches)} mismatches, {elapsed:.3f}s",
     )
 
 

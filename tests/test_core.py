@@ -16,12 +16,12 @@ from hypothesis import given, strategies as st
 
 import geoforge
 from geoforge.core import (
+    ARRAYS_MAGIC,
     CORPUS_FILES,
+    ENGAGEMENT_ARRAYS,
     SEED_OFFSETS,
     VECTOR_ARRAYS,
-    VECTORS_MAGIC,
     CorpusError,
-    EngagementRecord,
     LabeledPair,
     PinRecord,
     QueryRecord,
@@ -155,16 +155,6 @@ class TestRecordValidation:
         with pytest.raises(CorpusError, match="empty"):
             QueryRecord(text="  ", category="UseCase").validate()
 
-    def test_engagement_clicks_exceed_impressions(self):
-        record = EngagementRecord("q", 1, impressions=5, clicks=6, avg_position=2.0)
-        with pytest.raises(CorpusError, match="exceed"):
-            record.validate()
-
-    def test_engagement_ctr_zero_impressions(self):
-        record = EngagementRecord("q", 1, impressions=0, clicks=0, avg_position=2.0)
-        with pytest.raises(ValueError, match="zero impressions"):
-            record.ctr()
-
     def test_labeled_pair_label_and_source(self):
         query = QueryRecord(text="x", category="UseCase")
         with pytest.raises(CorpusError, match="label"):
@@ -200,14 +190,26 @@ def _save_edited(corpus, directory, name, index, edit):
     (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _save_vectors(corpus, directory, edit):
-    """Save ``corpus`` to ``directory``, then rewrite its vector file with
-    the arrays that ``edit`` returns from a dict of the float32 arrays."""
+def _save_arrays_edited(corpus, directory, edit):
+    """Save ``corpus`` to ``directory``, then rewrite its array file with
+    the arrays that ``edit`` returns from a dict of writable copies of its
+    arrays."""
     save_corpus(corpus, directory)
-    path = directory / CORPUS_FILES["vectors"]
-    _, arrays = load_arrays(path, VECTORS_MAGIC, CorpusError, {})
-    save_arrays(path, VECTORS_MAGIC, {}, edit({n: a.copy() for n, a in arrays.items()}))
+    path = directory / CORPUS_FILES["arrays"]
+    _, arrays = load_arrays(path, ARRAYS_MAGIC, CorpusError, {})
+    save_arrays(path, ARRAYS_MAGIC, {}, edit({n: a.copy() for n, a in arrays.items()}))
     return path
+
+
+def _set(name, row, value):
+    """An array-file edit that sets ``row`` of array ``name`` to ``value``,
+    or to ``value(arrays)`` when it is callable."""
+
+    def edit(arrays):
+        arrays[name][row] = value(arrays) if callable(value) else value
+        return arrays
+
+    return edit
 
 
 class TestCorpusIO:
@@ -218,7 +220,9 @@ class TestCorpusIO:
         loaded = load_corpus(tmp_path)
         assert list(loaded.pins) == list(corpus.pins)
         assert [q.text for q in loaded.queries] == [q.text for q in corpus.queries]
-        assert len(loaded.engagement) == len(corpus.engagement)
+        for name, dtype in ENGAGEMENT_ARRAYS.items():
+            column = getattr(loaded.engagement, name)
+            assert column.dtype.str == dtype and column.tobytes() == getattr(corpus.engagement, name).tobytes()
         # the dimensions come from the vectors
         assert (loaded.d_v, loaded.d_t) == (config.d_v, config.d_t)
         for name in VECTOR_ARRAYS:
@@ -240,7 +244,7 @@ class TestCorpusIO:
         for corpus in (small_synth[0], load_corpus(tmp_path)):
             pin, query = next(iter(corpus.pins.values())), corpus.queries[0]
             for vector in (pin.visual_embedding, pin.text_embedding, query.embedding,
-                           corpus.visual[0], corpus.signatures):
+                           corpus.visual[0], corpus.signatures, corpus.engagement.clicks):
                 with pytest.raises(ValueError, match="read-only"):
                     vector[0] = 0.5
 
@@ -258,8 +262,7 @@ class TestCorpusIO:
         ("pins.jsonl", {"signature": None}, "missing key 'signature'"),
         ("pins.jsonl", {"colour": "red"}, "unknown key 'colour'"),
         ("queries.jsonl", {"category": None}, "missing key 'category'"),
-        ("engagement.jsonl", {"clicks": "many"}, "key 'clicks' has ill-typed value 'many'"),
-        # the vectors live in the vector file alone
+        # the vectors live in the array file alone
         ("pins.jsonl", {"visual_embedding": [0.5] * 16}, "unknown key 'visual_embedding'"),
         ("queries.jsonl", {"embedding": [0.5] * 12}, "unknown key 'embedding'"),
         # pins ascend by signature, so a repeated one fails too
@@ -269,9 +272,6 @@ class TestCorpusIO:
         # the decoder validates each record
         ("pins.jsonl", {"perception_score": 1.5}, "perception_score 1.5 outside"),
         ("queries.jsonl", {"category": "Bogus"}, "category 'Bogus' not one of"),
-        ("engagement.jsonl", {"clicks": 10**9}, "clicks 1000000000 exceed"),
-        ("engagement.jsonl", {"pin_signature": 5}, "unknown pin signature 5"),
-        ("engagement.jsonl", {"query_text": "absent"}, "unknown query text 'absent'"),
     ])
     def test_bad_record_names_path_and_line(self, small_synth, tmp_path, name, edit, match):
         _save_edited(small_synth[0], tmp_path, name, 1, edit)
@@ -303,19 +303,51 @@ class TestCorpusIO:
         (lambda a: {**a, "text": np.full_like(a["text"], np.nan)}, "non-finite"),
     ])
     def test_bad_vector_file_names_it(self, small_synth, tmp_path, edit, match):
-        path = _save_vectors(small_synth[0], tmp_path, edit)
+        path = _save_arrays_edited(small_synth[0], tmp_path, edit)
+        with pytest.raises(CorpusError, match=match) as info:
+            load_corpus(tmp_path)
+        assert str(path) in str(info.value)
+
+    # small_synth has 120 pins, 48 queries and 600 engagement rows
+    @pytest.mark.parametrize("edit, match", [
+        (lambda a: {**a, "clicks": a["clicks"][:-1]},
+         r"engagement columns \['pin_row', 'query_row', 'impressions', 'clicks', 'avg_position'\] "
+         r"have unequal lengths \[600, 600, 600, 599, 600\]"),
+        (lambda a: {**a, **{n: a[n][:0] for n in ENGAGEMENT_ARRAYS}}, "no engagement records"),
+        (_set("pin_row", 3, 120), "engagement row 3: pin_row 120 is no row of the 120 pins"),
+        (_set("pin_row", 3, -1), "engagement row 3: pin_row -1 is no row of the 120 pins"),
+        (_set("query_row", 3, 48), "engagement row 3: query_row 48 is no row of the 48 queries"),
+        (_set("query_row", 3, -1), "engagement row 3: query_row -1 is no row of the 48 queries"),
+        (_set("impressions", 3, -1), "engagement row 3: impressions -1 is negative"),
+        (_set("clicks", 3, lambda a: a["impressions"][3] + 1),
+         "engagement row 3: clicks [0-9]+ is negative or exceeds impressions"),
+        (_set("clicks", 3, -1), "engagement row 3: clicks -1 is negative or exceeds impressions"),
+        (_set("avg_position", 3, 0.5), "engagement row 3: avg_position 0.5 is below 1"),
+        (_set("avg_position", 3, np.nan), "array 'avg_position' has non-finite values"),
+        # a column of the other kind, or a column of two dimensions
+        (lambda a: {**a, "impressions": a["impressions"].astype("<f4")}, "engagement columns"),
+        (lambda a: {**a, "avg_position": a["avg_position"].astype("<i8")}, "engagement columns"),
+        (lambda a: {**a, "pin_row": a["pin_row"].astype("<i4")}, "engagement columns"),
+        (lambda a: {**a, "clicks": a["clicks"][:, None]}, "engagement columns"),
+    ])
+    def test_bad_engagement_column_names_it_and_its_row(self, small_synth, tmp_path, edit, match):
+        path = _save_arrays_edited(small_synth[0], tmp_path, edit)
         with pytest.raises(CorpusError, match=match) as info:
             load_corpus(tmp_path)
         assert str(path) in str(info.value)
 
     def test_damaged_vector_file_names_it(self, small_synth, tmp_path):
-        """A cut, emptied or bit-flipped vector file fails typed."""
+        """A cut, emptied or bit-flipped array file fails typed, with half
+        the flips and two cuts in the engagement columns at its end."""
         save_corpus(small_synth[0], tmp_path)
-        path = tmp_path / CORPUS_FILES["vectors"]
+        path = tmp_path / CORPUS_FILES["arrays"]
         data = path.read_bytes()
+        columns = len(data) - 4 - sum(getattr(small_synth[0].engagement, n).nbytes for n in ENGAGEMENT_ARRAYS)
         rng = np.random.default_rng(0)
-        damaged = [data[:cut] for cut in (0, 7, 20, len(data) // 2, len(data) - 4, len(data) - 1)]
-        for pos, bit in zip(rng.integers(0, len(data), 40).tolist(), rng.integers(0, 8, 40).tolist()):
+        damaged = [data[:cut] for cut in (0, 7, 20, len(data) // 2, columns, columns + 999,
+                                          len(data) - 4, len(data) - 1)]
+        positions = [*rng.integers(0, len(data), 20).tolist(), *rng.integers(columns, len(data), 20).tolist()]
+        for pos, bit in zip(positions, rng.integers(0, 8, 40).tolist()):
             damaged.append(data[:pos] + bytes([data[pos] ^ 1 << bit]) + data[pos + 1:])
         for bad in damaged:
             path.write_bytes(bad)

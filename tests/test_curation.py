@@ -3,14 +3,18 @@ and query dedup."""
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoforge.core import EngagementRecord, LabeledPair, QueryRecord
+from geoforge.core import ENGAGEMENT_ARRAYS, Engagement, LabeledPair, QueryRecord
 from geoforge.curation import (
     DEDUP_THRESHOLD,
     RELATEDNESS_CEILING,
+    TOP_QUERIES,
     CategoryMix,
     CurationError,
     category_counts,
@@ -19,71 +23,89 @@ from geoforge.curation import (
     label_pairs,
     retain,
     retention_branches,
-    select_top_queries,
     stratify_sample,
 )
 
-from _oracles import cosine, retention_oracle
+from _oracles import cosine, curation_oracle, retention_oracle
 
 
-def _record(impressions: int, clicks: int, position: float, pin: int = 1, query: str = "q"):
-    return EngagementRecord(
-        query_text=query,
-        pin_signature=pin,
-        impressions=impressions,
-        clicks=clicks,
-        avg_position=position,
-    )
+def _engagement(impressions, clicks, positions, pins=None, queries=None) -> Engagement:
+    """Engagement columns; each row is of pin row 0 and query row 0 unless
+    ``pins`` and ``queries`` say otherwise."""
+    zeros = np.zeros(len(impressions), dtype=np.int64)
+    return Engagement(zeros if pins is None else pins, zeros if queries is None else queries,
+                      impressions, clicks, positions)
 
 
 class TestRetention:
-    @given(
-        impressions=st.integers(0, 5000),
-        clicks_frac=st.floats(0.0, 1.0),
-        position=st.floats(1.0, 100.0),
-    )
-    @settings(max_examples=300)
-    def test_matches_independent_oracle(self, impressions, clicks_frac, position):
-        clicks = min(impressions, int(clicks_frac * impressions))
-        record = _record(impressions, clicks, position)
-        assert retain(record) == retention_oracle(impressions, clicks, position)
+    @given(st.lists(st.tuples(st.integers(0, 5000), st.floats(0.0, 1.0), st.floats(1.0, 100.0)),
+                    max_size=40))
+    @settings(max_examples=150)
+    def test_matches_independent_oracle(self, rows):
+        impressions = [n for n, _, _ in rows]
+        clicks = [min(n, int(frac * n)) for n, frac, _ in rows]
+        positions = [float(np.float32(p)) for _, _, p in rows]  # as the column holds them
+        kept = retain(_engagement(impressions, clicks, positions))
+        assert kept.dtype == bool and kept.tolist() == [
+            retention_oracle(*row) for row in zip(impressions, clicks, positions)]
 
-    def test_ctr_not_evaluated_at_zero_impressions(self):
-        # would raise inside ctr() if the impressions gate did not fail first
-        assert retain(_record(0, 0, 1.0)) is False
+    @pytest.mark.filterwarnings("error")
+    def test_ctr_not_evaluated_at_or_below_ten_impressions(self):
+        # a division by zero impressions would warn, and the warning fail
+        assert retain(_engagement([0, 10], [0, 10], [50.0, 50.0])).tolist() == [False, False]
 
     def test_branches_consistent_with_retain(self):
-        cases = [
-            _record(2000, 0, 50.0),
-            _record(100, 90, 30.0),
-            _record(100, 0, 5.0),
-            _record(5, 5, 1.0),
-        ]
-        for record in cases:
-            assert bool(retention_branches(record)) == retain(record)
-        assert retention_branches(_record(2000, 1900, 5.0)) == [
-            "impressions", "ctr", "position",
-        ]
+        engagement = _engagement([2000, 100, 100, 5, 2000], [0, 90, 0, 5, 1900],
+                                 [50.0, 30.0, 5.0, 1.0, 5.0])
+        branches = retention_branches(engagement)
+        assert np.array_equal(np.logical_or.reduce(list(branches.values())), retain(engagement))
+        assert {name: mask.tolist() for name, mask in branches.items()} == {
+            "impressions": [True, False, False, False, True],
+            "ctr": [False, True, False, False, True],
+            "position": [False, False, True, False, True],
+        }
+
+
+def _random_engagement(rng: np.random.Generator, n: int) -> Engagement:
+    """80 + ``n`` engagement rows over a corpus's first 12 pins and first 8
+    queries, of few distinct values so that impressions, positions and
+    texts tie, with pin row 0 retained in every one of its 60 rows and pin
+    row 1 in none of them."""
+    pins = np.concatenate([np.zeros(60, np.int64), np.ones(20, np.int64), rng.integers(2, 12, n)])
+    impressions = np.concatenate([np.full(60, 2000), np.full(20, 5), rng.choice([0, 5, 11, 50, 1001, 2000], n)])
+    clicks = (impressions * rng.choice([0.0, 0.5, 0.79, 0.8, 1.0], len(pins))).astype(np.int64)
+    return Engagement(pins, rng.integers(0, 8, len(pins)), impressions, clicks,
+                      rng.choice([1.0, 5.0, 10.0, 10.5, 40.0], len(pins)))
 
 
 class TestTopQueries:
-    def test_multi_pin_rejected(self):
-        with pytest.raises(CurationError, match="multiple pins"):
-            select_top_queries([_record(20, 0, 5.0, pin=1), _record(20, 0, 5.0, pin=2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_curate_matches_the_record_at_a_time_oracle(self, small_synth, seed):
+        corpus, _, _ = small_synth
+        rng = np.random.default_rng(seed)
+        engagement = _random_engagement(rng, 400)
+        tied = dataclasses.replace(corpus, engagement=engagement)
+        signatures, texts = corpus.signatures.tolist(), [q.text for q in corpus.queries]
+        columns = (getattr(engagement, name).tolist() for name in ENGAGEMENT_ARRAYS)
+        records = [(signatures[pin], texts[query], *fields) for pin, query, *fields in zip(*columns)]
+        pairs, counts = curation_oracle(records, TOP_QUERIES)
+        navboost = {pair[::-1]: c for pair, c in zip(pairs[::3], rng.uniform(0, 1, len(pairs)).tolist())}
+        labeled, report = curate(tied, [], navboost, neg_per_pos=0)
+        assert [(p.pin_signature, p.query.text) for p in labeled] == pairs
+        assert [p.navboost_coverage for p in labeled] == [navboost.get((t, s), 0.0) for s, t in pairs]
+        assert report["retention_branches"] == counts
+        # the oracle saw the cases the table is built for
+        per_pin = Counter(signature for signature, _ in pairs)
+        assert per_pin[signatures[0]] == TOP_QUERIES and signatures[1] not in per_pin
 
-    def test_bad_n(self):
-        with pytest.raises(CurationError, match="n must be"):
-            select_top_queries([], n=0)
-
-    def test_ordering_deterministic(self):
-        records = [
-            _record(100, 0, 5.0, query="b"),
-            _record(100, 0, 5.0, query="a"),
-            _record(200, 0, 5.0, query="c"),
-            _record(5, 0, 50.0, query="rejected"),
-        ]
-        top = select_top_queries(records, n=3)
-        assert [r.query_text for r in top] == ["c", "a", "b"]
+    def test_order_breaks_ties_on_position_then_text(self, small_synth):
+        corpus, _, _ = small_synth
+        texts = [q.text for q in corpus.queries[:3]]
+        a, b, c = sorted(range(3), key=texts.__getitem__)
+        engagement = _engagement([100, 100, 200, 100, 5], [0] * 5, [5.0, 5.0, 5.0, 4.0, 50.0],
+                                 queries=[b, a, c, c, a])
+        labeled, _ = curate(dataclasses.replace(corpus, engagement=engagement), [], {}, neg_per_pos=0)
+        assert [p.query.text for p in labeled] == [texts[c], texts[c], texts[a], texts[b]]
 
 
 class TestStratification:

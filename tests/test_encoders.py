@@ -94,12 +94,13 @@ class TestContrastiveLoss:
             loss, _, _ = softmax_contrastive_loss(x, y)
             assert abs(loss - math.log(batch_size)) <= 1e-12
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("inf"), float("nan")])
+    # a subnormal temperature's reciprocal overflows
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("inf"), float("nan"), 1e-310])
     def test_temperature_must_be_positive_and_finite(self, temperature):
         x = np.ones((2, 3))
-        with pytest.raises(
-            EncoderError, match=rf"^temperature must be positive and finite, got {temperature}$"
-        ):
+        with pytest.raises(EncoderError, match=(
+            rf"^temperature and its reciprocal must be positive and finite, got {temperature}$"
+        )):
             softmax_contrastive_loss(x, x, temperature=temperature)
 
     def test_validation_errors(self):

@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 from geoforge import collections_, curation, encoders, hnsw, pipeline, ranker, synth
-from geoforge.core import CorpusError, LabeledPair, QueryRecord, read_records, write_jsonl
+from geoforge.core import (
+    ARRAYS_MAGIC, ENGAGEMENT_ARRAYS, CorpusError, LabeledPair, QueryRecord, load_arrays, read_records,
+    save_arrays, write_jsonl,
+)
 from geoforge.mlp import Mlp
 from geoforge.pipeline import (
     ARTIFACTS,
@@ -96,9 +99,8 @@ class TestStageGraph:
         ("eval", "curation_report.json", "curate"),
         ("train-encoder", "corpus/pins.jsonl", "gen-corpus"),
         ("agent-run", "corpus/queries.jsonl", "gen-corpus"),
-        ("build-collections", "corpus/engagement.jsonl", "gen-corpus"),
-        # every stage that reads the corpus needs its vector file
-        *[(stage, "corpus/vectors.bin", "gen-corpus") for stage in (
+        # every stage that reads the corpus needs its array file
+        *[(stage, "corpus/arrays.bin", "gen-corpus") for stage in (
             "curate", "train-encoder", "build-index", "train-ranker", "build-collections",
             "agent-run", "eval",
         )],
@@ -177,7 +179,7 @@ class TestStageGraph:
         ("agent-run", "corpus/trends.jsonl", "[1, 2", "AgentError", "malformed JSON: .+"),
         # every JSONL input: an unknown key, a missing key, and where the
         # record has such a field, true or a float for an int and a string
-        # for a float; corpus vectors live in corpus/vectors.bin alone, so a
+        # for a float; corpus vectors live in corpus/arrays.bin alone, so a
         # vector key in pins or queries is unknown
         *[("curate", "corpus/pins.jsonl", edit, "CorpusError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
@@ -192,13 +194,6 @@ class TestStageGraph:
             ({"text": None}, "missing key 'text'"),
             ({"text": 5}, "key 'text' has ill-typed value 5"),
             ({"embedding": [0.5]}, "unknown key 'embedding'"),
-        ]],
-        *[("curate", "corpus/engagement.jsonl", edit, "CorpusError", match) for edit, match in [
-            ({"colour": "red"}, "unknown key 'colour'"),
-            ({"clicks": None}, "missing key 'clicks'"),
-            ({"pin_signature": True}, "key 'pin_signature' has ill-typed value True"),
-            ({"impressions": 2.5}, "key 'impressions' has ill-typed value 2.5"),
-            ({"avg_position": "2"}, "key 'avg_position' has ill-typed value '2'"),
         ]],
         *[("curate", "corpus/navboost.jsonl", edit, "CorpusError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
@@ -271,6 +266,31 @@ class TestStageGraph:
         assert not ok and result["error_type"] == error_type
         assert re.match(rf"{re.escape(str(path))}:2: {match}$", result["error"])
 
+    @pytest.mark.parametrize("edit, match", [
+        # an unknown, missing or ill-typed column
+        (lambda a: {**a, "colour": a["clicks"]}, "expected the float32 matrices .+"),
+        (lambda a: {n: c for n, c in a.items() if n != "clicks"}, "expected the float32 matrices .+"),
+        (lambda a: {**a, "pin_row": a["pin_row"].astype("<f4")}, "expected the float32 matrices .+"),
+        (lambda a: {**a, "impressions": a["impressions"].astype("<f4") + 0.5}, "expected the float32 matrices .+"),
+        (lambda a: {**a, "avg_position": a["avg_position"].astype("<i8")}, "expected the float32 matrices .+"),
+        # a bad value names its row
+        (lambda a: {**a, "pin_row": np.where(np.arange(len(a["pin_row"])) == 1, 1000, a["pin_row"])},
+         "engagement row 1: pin_row 1000 is no row of the 1000 pins"),
+        (lambda a: {**a, "clicks": np.full_like(a["clicks"], 10**9)},
+         "engagement row 0: clicks 1000000000 is negative or exceeds impressions"),
+        (lambda a: {**a, **{name: a[name][:0] for name in ENGAGEMENT_ARRAYS}}, "no engagement records"),
+    ])
+    def test_bad_engagement_fails_curate_naming_the_array_file(self, pipeline_run, tmp_path, edit, match):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "corpus" / "arrays.bin"
+        _, arrays = load_arrays(path, ARRAYS_MAGIC, CorpusError, {})
+        save_arrays(path, ARRAYS_MAGIC, {}, edit(dict(arrays)))
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["curate"])
+        result = report["stages"]["curate"]
+        assert not ok and result["error_type"] == "CorpusError"
+        assert re.match(rf"{re.escape(str(path))}: {match}$", result["error"])
+
     @pytest.mark.parametrize("artifact, text, match", [
         ("link_report.json", {"orphan_pins": "x"}, "key 'orphan_pins' has ill-typed value 'x'"),
         ("link_report.json", {"pagerank": {"damping": 0.85}}, "key 'pagerank' has ill-typed value"),
@@ -333,7 +353,6 @@ class TestStageGraph:
         ("curate", "corpus/pins.jsonl", "CorpusError", "no pin records"),
         ("build-index", "corpus/pins.jsonl", "CorpusError", "no pin records"),
         ("curate", "corpus/queries.jsonl", "CorpusError", "no query records"),
-        ("curate", "corpus/engagement.jsonl", "CorpusError", "no engagement records"),
         ("link", "collections.jsonl", "CollectionError", "no collection records"),
         ("eval", "collections.jsonl", "CollectionError", "no collection records"),
         ("eval", "encoder_train_log.jsonl", "PipelineError", "no training log records"),
@@ -365,8 +384,9 @@ class TestStageGraph:
            f"RankerTrainConfig.learning_rate must be positive and finite, got {rate}")
           for rate in (-0.1, 0.0, float("inf"))],
         ("curate", "neg_per_pos", -1, "CurationError", "neg_per_pos must be at least 0, got -1"),
-        ("train-encoder", "temperature", float("inf"), "EncoderError",
-         "temperature must be positive and finite, got inf"),
+        *[("train-encoder", "temperature", value, "EncoderError",
+           f"temperature and its reciprocal must be positive and finite, got {value}")
+          for value in (float("inf"), 1e-310)],
     ])
     def test_bad_training_values_fail_typed_before_any_warning(
         self, pipeline_run, tmp_path, stage, key, value, error_type, message

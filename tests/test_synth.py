@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from geoforge import synth
-from geoforge.core import rng_for
+from geoforge.core import ENGAGEMENT_ARRAYS, rng_for
 
 # tracemalloc peak of generate_corpus(SynthConfig(n_pins=2000, seed=3)) when
 # it drew per pin (CPython 3.11, numpy 2.4); whole-array draws may not add
@@ -31,22 +31,24 @@ def corpus_1200():
     return corpus, sidecar, config
 
 
-def _per_pin(corpus, per_pin: int) -> list[list]:
-    """Engagement grouped by pin, asserting each pin's records are adjacent."""
-    rows = [corpus.engagement[i:i + per_pin + 1]
-            for i in range(0, len(corpus.engagement), per_pin + 1)]
-    assert [r[0].pin_signature for r in rows] == corpus.signatures.tolist()
-    assert all({e.pin_signature for e in r} == {r[0].pin_signature} for r in rows)
-    return rows
+def _per_pin(corpus, per_pin: int) -> list[list[tuple]]:
+    """Engagement as (query text, impressions, clicks, avg_position) rows
+    grouped by pin, asserting each pin's rows are adjacent, pins in order."""
+    columns = [getattr(corpus.engagement, name).tolist() for name in ENGAGEMENT_ARRAYS]
+    assert columns[0] == [pin for pin in range(len(corpus.pins)) for _ in range(per_pin + 1)]
+    texts = [q.text for q in corpus.queries]
+    rows = [(texts[query], *fields) for query, *fields in zip(*columns[1:])]
+    return [rows[i:i + per_pin + 1] for i in range(0, len(rows), per_pin + 1)]
 
 
-def _branch(record) -> int:
-    """The retention branch a record was drawn in, from its ranges."""
-    if record.impressions > 1000:
+def _branch(row) -> int:
+    """The retention branch a row was drawn in, from its ranges."""
+    _, impressions, _, position = row
+    if impressions > 1000:
         return 0
-    if record.impressions < 10:
+    if impressions < 10:
         return 3
-    return 2 if record.avg_position < 10 else 1
+    return 2 if position < 10 else 1
 
 
 class TestModel:
@@ -67,14 +69,14 @@ class TestModel:
     def test_records_per_pin_and_distinct_own_cluster_picks(self, corpus_1200):
         corpus, sidecar, config = corpus_1200
         clusters = sidecar["query_cluster"]
-        for records in _per_pin(corpus, config.engagement_per_pin):
-            own = sidecar["pin_cluster"][records[0].pin_signature]
-            picks = [e.query_text for e in records[:-1]]
+        for signature, records in zip(corpus.pins, _per_pin(corpus, config.engagement_per_pin)):
+            own = sidecar["pin_cluster"][signature]
+            picks = [text for text, *_ in records[:-1]]
             assert len(set(picks)) == config.engagement_per_pin
             assert {clusters[text] for text in picks} == {own}
-            assert clusters[records[-1].query_text] == (own + 1) % config.n_clusters
+            assert clusters[records[-1][0]] == (own + 1) % config.n_clusters
         # in random order, 4 picks ascend by corpus row for 1 pin in 24
-        rows = [[corpus.query_row[e.query_text] for e in records[:-1]]
+        rows = [[corpus.query_row[text] for text, *_ in records[:-1]]
                 for records in _per_pin(corpus, config.engagement_per_pin)]
         assert sum(r == sorted(r) for r in rows) / len(rows) < 0.1
 
@@ -90,11 +92,11 @@ class TestModel:
         corpus, _, config = corpus_1200
         seen = {b: [] for b in range(4)}
         for records in _per_pin(corpus, config.engagement_per_pin):
-            for e in records[:-1]:
-                seen[_branch(e)].append((e.impressions, e.clicks, e.avg_position))
-            cross = records[-1]
-            assert 0 <= cross.impressions <= 9 and cross.clicks == 0
-            assert 20 <= cross.avg_position < 80
+            for row in records[:-1]:
+                seen[_branch(row)].append(row[1:])
+            _, impressions, clicks, position = records[-1]  # the cross-cluster record
+            assert 0 <= impressions <= 9 and clicks == 0
+            assert 20 <= position < 80
         ranges = {  # impressions, clicks as a function of them, position
             0: ((1001, 49999), lambda n: (0, n // 10), (1, 40)),
             1: ((11, 999), lambda n: (np.ceil(0.8 * n), n), (11, 40)),
@@ -112,8 +114,8 @@ class TestModel:
 
     def test_navboost_on_each_pins_first_pick(self, corpus_1200):
         corpus, sidecar, config = corpus_1200
-        firsts = [(r[0].query_text, r[0].pin_signature)
-                  for r in _per_pin(corpus, config.engagement_per_pin)]
+        firsts = [(records[0][0], signature)
+                  for signature, records in zip(corpus.pins, _per_pin(corpus, config.engagement_per_pin))]
         assert list(sidecar["navboost"]) == firsts
         coverage = np.array(list(sidecar["navboost"].values()))
         assert coverage.min() >= 0.0 and coverage.max() < 1.0
@@ -141,7 +143,8 @@ class TestDeterminism:
         pins = [(p.signature, p.perception_score, p.title, p.description, p.board_id, p.category)
                 for p in corpus.pins.values()]
         arrays = [corpus.visual.tobytes(), corpus.text.tobytes(), corpus.query_embeddings.tobytes()]
-        return pins, arrays, corpus.engagement, [(q.text, q.category) for q in corpus.queries], sidecar
+        engagement = [getattr(corpus.engagement, name).tobytes() for name in ENGAGEMENT_ARRAYS]
+        return pins, arrays, engagement, [(q.text, q.category) for q in corpus.queries], sidecar
 
     def test_same_seed_same_corpus_other_seed_another(self):
         first = self._state(*_generate(n_pins=200, seed=4))
@@ -155,10 +158,9 @@ class TestDeterminism:
 class TestEdgeSizes:
     def test_no_engagement_per_pin_leaves_cross_cluster_records_only(self):
         corpus, sidecar = _generate(n_pins=30, n_clusters=3, engagement_per_pin=0, seed=2)
-        assert [e.pin_signature for e in corpus.engagement] == corpus.signatures.tolist()
-        for e in corpus.engagement:
-            own = sidecar["pin_cluster"][e.pin_signature]
-            assert sidecar["query_cluster"][e.query_text] == (own + 1) % 3 and e.clicks == 0
+        for signature, [(text, _, clicks, _)] in zip(corpus.pins, _per_pin(corpus, 0)):
+            own = sidecar["pin_cluster"][signature]
+            assert sidecar["query_cluster"][text] == (own + 1) % 3 and clicks == 0
         assert sidecar["navboost"] == {}
 
     def test_fewer_pins_than_clusters(self):
@@ -170,9 +172,9 @@ class TestEdgeSizes:
     def test_more_engagement_than_own_queries_picks_each_once(self):
         corpus, sidecar = _generate(n_pins=20, n_clusters=2, queries_per_cluster=3,
                                     engagement_per_pin=5, seed=2)
-        for records in _per_pin(corpus, 3):
-            own = sidecar["pin_cluster"][records[0].pin_signature]
-            assert sorted(e.query_text for e in records[:-1]) == sorted(
+        for signature, records in zip(corpus.pins, _per_pin(corpus, 3)):
+            own = sidecar["pin_cluster"][signature]
+            assert sorted(text for text, *_ in records[:-1]) == sorted(
                 t for t, c in sidecar["query_cluster"].items() if c == own)
 
 
