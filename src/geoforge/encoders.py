@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Corpus
-from .mlp import Mlp, backward_blocks, forward_blocks, load_nets, save_nets
+from .mlp import Mlp, backward_blocks, forward_blocks, load_nets, save_nets, sgd_step
 
 ENCODER_MAGIC = b"GEOENC03"
 # the towers `train_encoder` trains, by name in its result and its checkpoint
@@ -173,11 +173,11 @@ def train_encoder(corpus: Corpus, loss_kind: str, config: TrainConfig) -> TrainR
         loss, grads = pinclip_loss(outputs, config.temperature)
         g_img, g_a, g_b, g_txt = backward_blocks(cache, grads)
         g_img += g_a + g_b
-        img.flat -= config.learning_rate * g_img
-        txt.flat -= config.learning_rate * g_txt
         if not np.isfinite(loss):
             norms = {k: float(np.linalg.norm(m.net.layers[0][0])) for k, m in encoders.items()}
             raise EncoderError(f"NaN loss at step {step}; parameter norms {norms}")
+        sgd_step(img, g_img, config.learning_rate, EncoderError, step)
+        sgd_step(txt, g_txt, config.learning_rate, EncoderError, step)
         log.append((step, loss, float(np.sqrt(g_img @ g_img + g_txt @ g_txt))))
     return TrainResult(encoders=encoders, log=log)
 

@@ -4,7 +4,10 @@ Hidden layers are linear -> ReLU, followed by LayerNorm and inverted
 dropout when the layer carries ``(gamma, beta)``. The last layer is linear
 and its output rows are L2-normalised. Gradients are analytic and come
 back laid out like `Mlp.flat`, so an SGD step is one subtraction; bad input
-raises the caller's error type.
+raises the caller's error type. Passes run with numpy's overflow and
+invalid warnings off: an overflow shows as the pass's own non-finite
+error, and `sgd_step` rejects an update that overflows, so an oversized
+learning rate fails typed, never through a numpy warning first.
 
 One pass runs over blocks ``(net, rows)`` of nets with equal hidden and
 output widths: each block's matmuls and per-feature steps (bias, LayerNorm
@@ -106,6 +109,7 @@ class Mlp:
         return forward_blocks([(self, inputs)], error)[0][0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def forward_blocks(
     blocks: list[tuple[Mlp, np.ndarray]], error: type[Exception],
     dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
@@ -188,6 +192,7 @@ def _mean_column(width: int) -> np.ndarray:
     return column
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def backward_blocks(cache: dict, d_outs: list[np.ndarray]) -> list[np.ndarray]:
     """Per block, the gradient of the loss w.r.t. that block's net's
     parameters, given each block's d(loss)/d(output rows). Each is one
@@ -230,6 +235,18 @@ def backward_blocks(cache: dict, d_outs: list[np.ndarray]) -> list[np.ndarray]:
                 np.matmul(g, net.layers[i][0], out=below[sl])
         grad = below
     return flats
+
+
+def sgd_step(net: Mlp, grad: np.ndarray, rate: float, error: type[Exception], step: int) -> None:
+    """``net.flat -= rate * grad``. An update with a non-finite entry, or
+    whose squared norm overflows, raises ``error`` naming ``step`` before
+    the net moves."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        update = rate * grad
+        size = update @ update
+    if not np.isfinite(size):
+        raise error(f"SGD update at step {step} overflows at learning rate {rate}")
+    net.flat -= update
 
 
 def save_nets(path: str | Path, magic: bytes, meta: dict, nets: dict[str, Mlp]) -> None:

@@ -57,8 +57,8 @@ class PipelineConfig:
     ef_construction: int = 200
     ef_search: int = 100
     hnsw_m: int = 16
-    ranker_steps: int = 1500
-    ranker_lr: float = 0.1
+    ranker_steps: int = ranker.RankerTrainConfig.steps
+    ranker_lr: float = ranker.RankerTrainConfig.learning_rate
     margin: float = 0.95
     neg_per_pos: int = 2
     annotations_per_pin: int = 3
@@ -155,8 +155,9 @@ class Workspace:
 
 # Every artifact a workspace names: its producing stage and its path under
 # the output directory. A stage's outputs are the artifacts it produces, and
-# run_pipeline checksums them after the stage; corpus_dir, pages_dir and
-# report have no producer and are never checksummed.
+# run_pipeline checksums them after the stage, a directory (pages_dir) file
+# by file, each under its own path; corpus_dir and report have no producer
+# and are never checksummed.
 ARTIFACTS = {
     "corpus_dir": (None, "corpus"),
     **{name: ("gen-corpus", f"corpus/{file}") for name, file in CORPUS_FILES.items()},
@@ -171,7 +172,7 @@ ARTIFACTS = {
     "ranker_log": ("train-ranker", "ranker_train_log.jsonl"),
     "annotations": ("train-ranker", "annotations.jsonl"),
     "collections": ("build-collections", "collections.jsonl"),
-    "pages_dir": (None, "pages"),
+    "pages_dir": ("build-collections", "pages"),
     "graph_file": ("link", "graph.jsonl"),
     "link_report": ("link", "link_report.json"),
     "sitemap": ("link", "sitemap.xml"),
@@ -196,7 +197,8 @@ STAGE_INPUTS = {
     "link": ["collections", "annotations"],
     "agent-run": [*CORPUS_FILES, "index_file", "encoder_file", "trends"],
     "eval": [*CORPUS_FILES, "curation_report", "encoder_file", "encoder_log", "index_file",
-             "ranker_file", "collections", "link_report", "labeled_pairs", "annotations"],
+             "ranker_file", "ranker_log", "collections", "link_report", "labeled_pairs",
+             "annotations"],
 }
 STAGE_OUTPUTS = {
     stage: [name for name, (producer, _) in ARTIFACTS.items() if producer == stage]
@@ -207,6 +209,8 @@ PRODUCERS = {name: stage for name, (stage, _) in ARTIFACTS.items() if stage}
 NAVBOOST_KINDS = {"query_text": str, "pin_signature": int, "coverage": float}
 # one line of encoder_train_log.jsonl, keys in the order of TrainResult.log rows
 ENCODER_LOG_KINDS = {"step": int, "loss": float, "grad_norm": float}
+# one line of ranker_train_log.jsonl, keys in the order of train_ranker's log rows
+RANKER_LOG_KINDS = {"step": int, "loss": float}
 # The JSON files read whole, as stage_link, curate and run_pipeline write
 # them; the keys eval copies come first, so a file lacking them names them.
 REPORT_KINDS = {
@@ -348,7 +352,7 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
                                  seed=subseed(config.seed, "ranker")),
     )
     ranker.save_ranker(model, ws.ranker_file)
-    write_jsonl(ws.ranker_log, ({"step": step, "loss": loss} for step, loss in log))
+    write_jsonl(ws.ranker_log, (dict(zip(RANKER_LOG_KINDS, row)) for row in log))
 
     # annotate every pin with its top-scoring deduped queries
     e_pins = ranker.in_blocks(len(corpus.pins), lambda block: model.embed_pin(ws.pin_features[block]))
@@ -496,11 +500,16 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
     }
 
 
+def _loss_ends(path: Path, kinds: dict) -> dict:
+    """The first and last loss of a training log whose lines are ``kinds``."""
+    rows = read_records(path, partial(check_json, kinds=kinds), PipelineError, "training log")
+    return {"initial": float(rows[0]["loss"]), "final": float(rows[-1]["loss"])}
+
+
 def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     """Aggregate metrics across finished stages and write them as the eval report."""
-    rows = read_records(ws.encoder_log, partial(check_json, kinds=ENCODER_LOG_KINDS),
-                        PipelineError, "training log")
-    encoder_loss = {"initial": float(rows[0]["loss"]), "final": float(rows[-1]["loss"])}
+    encoder_loss = _loss_ends(ws.encoder_log, ENCODER_LOG_KINDS)
+    ranker_loss = _loss_ends(ws.ranker_log, RANKER_LOG_KINDS)
     model = ranker.load_ranker(ws.ranker_file)
 
     # recall@10 of the index's search against brute force over its own rows
@@ -525,6 +534,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         "intent_satisfying_rate_mean": float(np.mean(rates)) if rates else None,
         "retention_branches": curation_summary["retention_branches"],
         "encoder_loss": encoder_loss,
+        "ranker_loss": ranker_loss,
         "pagerank": link_summary["pagerank"],
         "orphan_pins": link_summary["orphan_pins"],
         "ablation": ablation_study(config, ws),
@@ -576,8 +586,10 @@ def run_pipeline(
     failed: set[str] = set()
     ok = True
     for stage in requested:
-        for name in STAGE_OUTPUTS[stage]:
-            report["checksums"].pop(ARTIFACTS[name][1], None)
+        # drop the checksums of the stage's outputs and of the files in its directories
+        outputs = {ARTIFACTS[name][1] for name in STAGE_OUTPUTS[stage]}
+        report["checksums"] = {key: value for key, value in report["checksums"].items()
+                               if not {key, key.rpartition("/")[0]} & outputs}
         producers = {PRODUCERS[name] for name in STAGE_INPUTS[stage]}
         blocked = [s for s in STAGE_ORDER if s in failed & producers]
         if blocked:
@@ -611,8 +623,8 @@ def run_pipeline(
         }
         for name in STAGE_OUTPUTS[stage]:
             artifact = getattr(ws, name)
-            if artifact.exists():
-                key = str(artifact.relative_to(ws.out))
-                report["checksums"][key] = file_checksum(artifact)
+            for path in sorted(artifact.iterdir()) if artifact.is_dir() else [artifact]:
+                if path.is_file():
+                    report["checksums"][str(path.relative_to(ws.out))] = file_checksum(path)
     write_text(ws.report, json.dumps(report, indent=2, sort_keys=True))
     return report, ok

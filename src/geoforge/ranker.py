@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Corpus
-from .mlp import Mlp, backward_blocks, forward_blocks, load_nets, save_nets
+from .mlp import Mlp, backward_blocks, forward_blocks, load_nets, save_nets, sgd_step
 
 RANKER_MAGIC = b"GEORNK02"
 RANKER_META = {"d_v": int, "d_t": int, "hidden": [int], "output_dim": int,
@@ -117,9 +117,12 @@ def margin_loss_batch(
 
 @dataclass
 class RankerTrainConfig:
-    steps: int = 300
+    # the pipeline's budget (PipelineConfig takes these defaults), chosen by
+    # held-out top-1 cluster and correct_rank over corpus, split and ranker
+    # seeds: see README, "The ranker's budget"
+    steps: int = 500
     batch_size: int = 64
-    learning_rate: float = 0.01
+    learning_rate: float = 0.2
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -192,8 +195,8 @@ def train_ranker(
         if not np.isfinite(loss):
             raise RankerError(f"non-finite loss at step {step}")
         g_pin, g_query = backward_blocks(cache, [d_pin, d_query])
-        model.pin_tower.flat -= train.learning_rate * g_pin
-        model.query_tower.flat -= train.learning_rate * g_query
+        sgd_step(model.pin_tower, g_pin, train.learning_rate, RankerError, step)
+        sgd_step(model.query_tower, g_query, train.learning_rate, RankerError, step)
         log.append((step, loss))
     return model, log
 

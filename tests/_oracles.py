@@ -5,7 +5,9 @@ principles (central finite differences, dense power iteration) so the
 library implementations are checked against code that shares none of
 their structure.  The one exception is `hnsw_reference_search`: it keeps
 the index's beam loop but computes each hop's distances as a numpy vector,
-so a change to how a hop computes them is checked bit for bit.
+so a change to how a hop computes them is checked bit for bit. The
+held-out split and its top-1 cluster measure serve the ranker's held-out
+guard: they use no library code but the towers they score.
 """
 
 from __future__ import annotations
@@ -143,6 +145,20 @@ def whole_batch_correct_rank(model, triplets) -> float:
     pos_scores = np.sum(e_pin * model.embed_query(positives), axis=1)
     neg_scores = np.sum(e_pin * model.embed_query(negatives), axis=1)
     return float(np.mean(pos_scores > neg_scores))
+
+
+def held_out_pins(n_pins: int, share: float, seed: int) -> np.ndarray:
+    """The rows of a seeded ``share`` of ``n_pins`` pins, to hold out of
+    ranker training."""
+    return np.random.default_rng(seed).permutation(n_pins)[: int(n_pins * share)]
+
+
+def top1_cluster(model, pins: np.ndarray, queries: np.ndarray,
+                 pin_clusters: np.ndarray, query_clusters: np.ndarray) -> float:
+    """The share of ``pins`` rows whose best-scored ``queries`` row lies in
+    the pin's own cluster, from one pass of each tower."""
+    scores = model.embed_pin(pins) @ model.embed_query(queries).T
+    return float(np.mean(query_clusters[np.argmax(scores, axis=1)] == pin_clusters))
 
 
 def whole_batch_embeddings(embed, rows: np.ndarray) -> np.ndarray:

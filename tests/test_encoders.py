@@ -155,6 +155,12 @@ class TestTraining:
         ):
             TrainConfig(learning_rate=rate)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_learning_rate_fails_typed_before_any_warning(self, small_synth):
+        corpus, _, _ = small_synth
+        with pytest.raises(EncoderError, match=r"^SGD update at step 0 overflows at learning rate 1e\+300$"):
+            train_encoder(corpus, "pinclip", TrainConfig(output_dim=8, steps=5, learning_rate=1e300))
+
     def test_unknown_loss_kind(self, small_synth):
         corpus, _, _ = small_synth
         with pytest.raises(EncoderError, match="unknown loss kind"):

@@ -16,8 +16,8 @@ import pytest
 
 from geoforge import collections_, curation, encoders, hnsw, pipeline, ranker, synth
 from geoforge.core import (
-    ARRAYS_MAGIC, ENGAGEMENT_ARRAYS, CorpusError, LabeledPair, QueryRecord, load_arrays, read_records,
-    save_arrays, write_jsonl,
+    ARRAYS_MAGIC, ENGAGEMENT_ARRAYS, CorpusError, LabeledPair, QueryRecord, file_checksum, load_arrays,
+    read_records, save_arrays, write_jsonl,
 )
 from geoforge.mlp import Mlp
 from geoforge.pipeline import (
@@ -96,6 +96,7 @@ class TestStageGraph:
         ("build-index", "encoders.bin", "train-encoder"),
         ("eval", "encoders.bin", "train-encoder"),
         ("eval", "encoder_train_log.jsonl", "train-encoder"),
+        ("eval", "ranker_train_log.jsonl", "train-ranker"),
         ("eval", "curation_report.json", "curate"),
         ("train-encoder", "corpus/pins.jsonl", "gen-corpus"),
         ("agent-run", "corpus/queries.jsonl", "gen-corpus"),
@@ -245,6 +246,11 @@ class TestStageGraph:
             ({"grad_norm": float("inf")}, "key 'grad_norm' has ill-typed value inf"),
             ("[1, 2]", r"expected a JSON object, got \[1, 2\]"),
         ]],
+        *[("eval", "ranker_train_log.jsonl", edit, "PipelineError", match) for edit, match in [
+            ({"loss": None}, "missing key 'loss'"),
+            ({"grad_norm": 1.0}, "unknown key 'grad_norm'"),
+            ({"loss": float("nan")}, "key 'loss' has ill-typed value nan"),
+        ]],
     ])
     def test_bad_record_fails_its_reader_naming_path_and_line(
         self, pipeline_run, tmp_path, stage, artifact, edit, error_type, match
@@ -356,6 +362,7 @@ class TestStageGraph:
         ("link", "collections.jsonl", "CollectionError", "no collection records"),
         ("eval", "collections.jsonl", "CollectionError", "no collection records"),
         ("eval", "encoder_train_log.jsonl", "PipelineError", "no training log records"),
+        ("eval", "ranker_train_log.jsonl", "PipelineError", "no training log records"),
     ])
     def test_empty_input_fails_naming_it(
         self, pipeline_run, tmp_path, stage, artifact, error_type, match
@@ -380,6 +387,8 @@ class TestStageGraph:
     @pytest.mark.parametrize("stage, key, value, error_type, message", [
         ("train-encoder", "encoder_steps", 0, "EncoderError", "TrainConfig.steps must be at least 1, got 0"),
         ("train-ranker", "ranker_steps", 0, "RankerError", "RankerTrainConfig.steps must be at least 1, got 0"),
+        ("train-ranker", "ranker_lr", 1e300, "RankerError",
+         "SGD update at step 0 overflows at learning rate 1e+300"),
         *[("train-ranker", "ranker_lr", rate, "RankerError",
            f"RankerTrainConfig.learning_rate must be positive and finite, got {rate}")
           for rate in (-0.1, 0.0, float("inf"))],
@@ -588,7 +597,7 @@ class TestCorpusLoad:
         assert calls == Counter([
             "corpus", "navboost.jsonl", "encoders.bin", "index.bin",
             "labeled_pairs.jsonl", "annotations.jsonl", "collections.jsonl", "correct_rank",
-            "encoder_train_log.jsonl",
+            "encoder_train_log.jsonl", "ranker_train_log.jsonl",
             # the workspace's, for curate, train-ranker and eval alike
             "dedup_queries", "query_features",
         ])
@@ -655,6 +664,23 @@ class TestCollections:
             original = pipeline_run["ws"].out / "pages" / name
             assert (tmp_path / "pages" / name).read_bytes() == original.read_bytes()
 
+    def test_build_collections_checksums_its_pages_and_drops_stale_keys(self, pipeline_run, tmp_path):
+        """Each page has its own checksum key; a rerun drops a stale page's
+        key with the page and gives the same checksums as the first run."""
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        stale = tmp_path / "pages" / "stale-topic.html"
+        stale.write_text("old", encoding="utf-8")
+        saved = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        saved["checksums"]["pages/stale-topic.html"] = file_checksum(stale)
+        (tmp_path / "report.json").write_text(json.dumps(saved), encoding="utf-8")
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["build-collections"])
+        assert ok and not stale.exists()
+        pages = {f"pages/{p.name}": file_checksum(p) for p in (tmp_path / "pages").iterdir()}
+        assert len(pages) == report["stages"]["build-collections"]["metrics"]["collections"]
+        assert {k: v for k, v in report["checksums"].items() if k.startswith("pages/")} == pages
+        assert report["checksums"] == pipeline_run["report"]["checksums"]
+
 
 class TestFullRun:
     def test_all_stages_ok_and_artifacts_present(self, pipeline_run):
@@ -667,8 +693,10 @@ class TestFullRun:
             for name in STAGE_OUTPUTS[stage]:
                 artifact = getattr(ws, name)
                 assert artifact.exists(), f"{stage} artifact missing: {artifact}"
-                key = str(artifact.relative_to(ws.out))
-                assert key in report["checksums"]
+                files = list(artifact.iterdir()) if artifact.is_dir() else [artifact]
+                assert files, f"{stage} wrote no file into {artifact}"
+                for path in files:
+                    assert str(path.relative_to(ws.out)) in report["checksums"]
         assert ws.report.exists()
 
     def test_each_stage_records_the_high_water_mark(self, pipeline_run):
@@ -686,20 +714,30 @@ class TestFullRun:
         assert ok, report["stages"]
         ws = Workspace(tmp_path)
         written = {
-            str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
-            if p.is_file() and p != ws.report and ws.pages_dir not in p.parents
+            str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file() and p != ws.report
         }
-        declared = {
-            str(getattr(ws, name).relative_to(tmp_path))
-            for names in STAGE_OUTPUTS.values() for name in names
-        }
-        assert written == declared
+        outputs = [getattr(ws, name) for names in STAGE_OUTPUTS.values() for name in names]
+        declared = {str(p.relative_to(tmp_path)) for p in outputs if not p.is_dir()}
+        pages = {str(p.relative_to(tmp_path)) for p in ws.pages_dir.iterdir()}
+        assert pages and written == declared | pages
         assert set(report["checksums"]) == written
+        assert all(report["checksums"][key] == file_checksum(tmp_path / key) for key in written)
 
     def test_eval_report_holds_the_eval_metrics(self, pipeline_run):
         metrics = pipeline_run["report"]["stages"]["eval"]["metrics"]
         text = pipeline_run["ws"].eval_report.read_text(encoding="utf-8")
         assert text == json.dumps(metrics, indent=2, sort_keys=True)
+
+    def test_eval_reports_the_ranker_loss_from_its_log(self, pipeline_run):
+        """ranker_loss is the first and last loss of ranker_train_log.jsonl,
+        whose last loss is train-ranker's final_loss."""
+        report = pipeline_run["report"]
+        lines = pipeline_run["ws"].ranker_log.read_text(encoding="utf-8").splitlines()
+        first, last = json.loads(lines[0]), json.loads(lines[-1])
+        assert len(lines) == pipeline_run["config"].ranker_steps
+        assert report["stages"]["eval"]["metrics"]["ranker_loss"] == {
+            "initial": first["loss"], "final": last["loss"]}
+        assert last["loss"] == report["stages"]["train-ranker"]["metrics"]["final_loss"]
 
     def test_eval_metrics_sane(self, pipeline_run):
         metrics = pipeline_run["report"]["stages"]["eval"]["metrics"]

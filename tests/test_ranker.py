@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoforge.core import Corpus, QueryRecord
-from geoforge.mlp import Mlp, backward_blocks, forward_blocks, save_nets
+from geoforge import curation, synth
+from geoforge.core import Corpus, QueryRecord, subseed
+from geoforge.mlp import Mlp, backward_blocks, forward_blocks, save_nets, sgd_step
+from geoforge.pipeline import PipelineConfig, _triplets_from_labels
 from geoforge.ranker import (
     RANKER_MAGIC,
     RankerError,
@@ -29,7 +32,8 @@ from geoforge.ranker import (
 )
 
 from _oracles import (
-    finite_difference, rel_error, unit_rows, whole_batch_correct_rank, whole_batch_embeddings,
+    finite_difference, held_out_pins, rel_error, top1_cluster, unit_rows, whole_batch_correct_rank,
+    whole_batch_embeddings,
 )
 
 
@@ -291,6 +295,26 @@ class TestBlockKernel:
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
 
+    def test_sgd_step_subtracts_the_scaled_gradient_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        net = _tower([4, 5, 3], rng)
+        grad = rng.standard_normal(net.flat.shape)
+        want = net.flat - 0.4 * grad
+        sgd_step(net, grad, 0.4, RankerError, 7)
+        np.testing.assert_array_equal(net.flat, want)
+        assert all(np.shares_memory(p, net.flat) for p in net.parameters())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate, entry", [(1e160, 1.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_sgd_step_rejects_an_overflowing_update_and_leaves_the_net(self, rate, entry):
+        net = _tower([4, 5, 3], np.random.default_rng(5))
+        before = net.flat.copy()
+        grad = np.full_like(before, 1e-3)
+        grad[2] = entry
+        with pytest.raises(RankerError, match=rf"^SGD update at step 7 overflows at learning rate {re.escape(str(rate))}$"):
+            sgd_step(net, grad, rate, RankerError, 7)
+        np.testing.assert_array_equal(net.flat, before)
+
     def test_blocks_need_equal_widths(self):
         rng = np.random.default_rng(0)
         blocks = [(_tower([4, 5, 3], rng), np.ones((2, 4))), (_tower([4, 6, 3], rng), np.ones((2, 4)))]
@@ -345,6 +369,18 @@ class TestTraining:
     def test_learning_rate_not_positive_and_finite_rejected(self, rate):
         with pytest.raises(RankerError, match=rf"^RankerTrainConfig\.learning_rate must be positive and finite, got {rate}$"):
             RankerTrainConfig(learning_rate=rate)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate, match", [
+        # an update too large to square fails the step that makes it
+        (1e300, r"SGD update at step 0 overflows at learning rate 1e\+300"),
+        # finite updates whose activations overflow fail the next pass
+        (1e100, "non-finite activations in forward pass"),
+    ])
+    def test_overflowing_learning_rate_fails_typed_before_any_warning(self, rate, match):
+        triplets = _separable_triplets(50, seed=5)
+        with pytest.raises(RankerError, match=rf"^{match}$"):
+            train_ranker(triplets, SMALL, RankerTrainConfig(steps=20, learning_rate=rate))
 
     def test_training_improves_correct_rank(self):
         triplets = _separable_triplets(200, seed=5)
@@ -502,6 +538,55 @@ class TestTraining:
             np.testing.assert_array_equal(
                 in_blocks(n, lambda block: embed(rows[block])), whole_batch_embeddings(embed, rows)
             )
+
+
+class TestHeldOut:
+    """The pipeline's ranker budget scored on pins it never trained on: the
+    seed-11 corpus, built and curated as criterion 07 builds its own, with
+    a seeded 20% of its pins held out. On seed 11 the former budget (1,500
+    steps at rate 0.1) wandered most; README, "The ranker's budget", has the
+    curve over seeds, splits and rates."""
+
+    SEED = 11
+    # the former budget reads top-1 cluster 0.98 and correct_rank 0.995 on
+    # this split; a bar is that less the spread over 13 corpus seeds, 4
+    # splits and 2 ranker seeds (0.02 and 0.005)
+    TOP1_BAR = 0.96
+    CORRECT_RANK_BAR = 0.99
+
+    @pytest.fixture(scope="class")
+    def held_out(self):
+        """(steps, rate) -> held-out (top-1 cluster, correct_rank)."""
+        corpus, sidecar = synth.generate_corpus(synth.SynthConfig(seed=self.SEED))
+        queries = curation.dedup_queries(corpus.queries)
+        labeled, _ = curation.curate(
+            corpus, queries, sidecar["navboost"], seed=subseed(self.SEED, "curation"))
+        pins, query_rows = pin_features(corpus), query_features(corpus)
+        triplets = _triplets_from_labels(corpus, pins, query_rows, labeled)
+        held = held_out_pins(len(corpus.pins), 0.2, seed=12345)
+        in_held = np.isin(triplets.pin, held)
+        train_set, eval_set = triplets[np.flatnonzero(~in_held)], triplets[np.flatnonzero(in_held)]
+        deduped = query_rows[[corpus.query_row[q.text] for q in queries]]
+        pin_clusters = np.array([sidecar["pin_cluster"][s] for s in corpus.signatures[held].tolist()])
+        query_clusters = np.array([sidecar["query_cluster"][q.text] for q in queries])
+        tower = TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t)
+
+        def measure(steps: int, rate: float) -> tuple[float, float]:
+            model, _ = train_ranker(train_set, tower, RankerTrainConfig(
+                steps=steps, learning_rate=rate, seed=subseed(self.SEED, "ranker")))
+            return (top1_cluster(model, pins[held], deduped, pin_clusters, query_clusters),
+                    correct_rank(model, eval_set))
+
+        return measure
+
+    def test_default_budget_holds_the_bar(self, held_out):
+        config = PipelineConfig()
+        top1, rank = held_out(config.ranker_steps, config.ranker_lr)
+        assert top1 >= self.TOP1_BAR and rank >= self.CORRECT_RANK_BAR, (top1, rank)
+
+    def test_a_weakened_budget_falls_below_the_bar(self, held_out):
+        top1, rank = held_out(25, 0.1)
+        assert top1 < self.TOP1_BAR and rank < self.CORRECT_RANK_BAR, (top1, rank)
 
 
 class TestPersistence:
