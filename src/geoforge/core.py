@@ -33,7 +33,7 @@ ARRAYS_MAGIC = b"GEOCOR01"
 VECTOR_ARRAYS = ("visual", "text", "query_embeddings")
 # The engagement columns (see `Engagement`) and their dtypes.
 ENGAGEMENT_ARRAYS = {"pin_row": "<i8", "query_row": "<i8", "impressions": "<i8",
-                     "clicks": "<i8", "avg_position": "<f4"}
+                     "clicks": "<i8", "avg_position": "<f4", "navboost": "<f4"}
 T = TypeVar("T")
 
 # Fixed offsets off the corpus-wide seed, one per stage, so every module
@@ -203,14 +203,15 @@ class QueryRecord(_Record):
 class Engagement:
     """Search engagement as read-only columns of the ENGAGEMENT_ARRAYS
     dtypes, row k one (query, pin) record: the pin's row in signature order,
-    the query's row in `Corpus.queries`, its impressions and clicks, and its
-    average position."""
+    the query's row in `Corpus.queries`, its impressions and clicks, its
+    average position and its navboost coverage."""
 
     pin_row: np.ndarray
     query_row: np.ndarray
     impressions: np.ndarray
     clicks: np.ndarray
     avg_position: np.ndarray
+    navboost: np.ndarray
 
     def __post_init__(self) -> None:
         for name, dtype in ENGAGEMENT_ARRAYS.items():
@@ -565,21 +566,22 @@ def load_corpus(directory: str | Path) -> Corpus:
 def _check_engagement(path: Path, columns: dict[str, np.ndarray], n_pins: int, n_queries: int) -> None:
     """Raise CorpusError naming ``path`` unless the engagement ``columns``
     are of one length, at least 1, with pin rows of the ``n_pins``, query
-    rows of the ``n_queries``, impressions >= 0, clicks in [0, impressions]
-    and avg_position >= 1: the first rule broken, in that order, names the
-    first row that breaks it."""
+    rows of the ``n_queries``, impressions >= 0, clicks in [0, impressions],
+    avg_position >= 1 and navboost in [0, 1]: the first rule broken, in that
+    order, names the first row that breaks it."""
     lengths = [len(column) for column in columns.values()]
     if len(set(lengths)) > 1:
         raise CorpusError(f"{path}: engagement columns {list(columns)} have unequal lengths {lengths}")
     if not lengths[0]:
         raise CorpusError(f"{path}: no engagement records")
-    pin, query, shown, clicks, position = columns.values()
+    pin, query, shown, clicks, position, navboost = columns.values()
     for name, ok, rule in [
         ("pin_row", (pin >= 0) & (pin < n_pins), f"is no row of the {n_pins} pins"),
         ("query_row", (query >= 0) & (query < n_queries), f"is no row of the {n_queries} queries"),
         ("impressions", shown >= 0, "is negative"),
         ("clicks", (clicks >= 0) & (clicks <= shown), "is negative or exceeds impressions"),
         ("avg_position", position >= 1.0, "is below 1"),
+        ("navboost", (navboost >= 0.0) & (navboost <= 1.0), "is outside [0, 1]"),
     ]:
         bad = np.flatnonzero(~ok)
         if bad.size:

@@ -4,7 +4,7 @@ query merging."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class CategoryMix:
 
     def __post_init__(self) -> None:
         fracs = (self.description_frac, self.style_frac, self.usecase_frac)
-        if any(f < 0 or f > 1 for f in fracs):
+        if not all(0 <= f <= 1 for f in fracs):  # NaN too
             raise CurationError(f"fractions must lie in [0, 1]: {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise CurationError(f"fractions must sum to 1: {fracs}")
@@ -92,6 +92,8 @@ def stratify_sample(
     Sampling is without replacement per category when the pool suffices,
     with replacement otherwise (flagged in the report).
     """
+    if total < 0:
+        raise CurationError(f"total must be at least 0, got {total}")
     pools: dict[str, list[LabeledPair]] = {}
     for pair in pairs:
         pools.setdefault(pair.query.category, []).append(pair)
@@ -128,14 +130,11 @@ def _embedding_units(queries: list[QueryRecord]) -> np.ndarray:
 
 
 def label_pairs(
-    positives: list[LabeledPair],
-    pool: list[QueryRecord],
-    navboost: dict[tuple[str, int], float],
-    neg_per_pos: int,
-    seed: int,
+    positives: list[LabeledPair], pool: list[QueryRecord], neg_per_pos: int, seed: int
 ) -> list[LabeledPair]:
-    """Assign ranker labels: positives stay +1 (navboost > 0.54 promotes),
-    and each positive draws `neg_per_pos` unrelated hard negatives.
+    """Assign ranker labels: positives stay +1 (a navboost coverage above
+    NAVBOOST_PROMOTION promotes), and each positive draws `neg_per_pos`
+    unrelated hard negatives.
 
     Every positive and pool query needs an embedding. A pool query with
     another text qualifies as a negative when its cosine to the positive,
@@ -155,19 +154,9 @@ def label_pairs(
     out: list[LabeledPair] = []
     starved: list[str] = []
     for positive in positives:
-        coverage = navboost.get(
-            (positive.query.text, positive.pin_signature), positive.navboost_coverage
-        )
-        label = +1 if (positive.label == +1 or coverage > NAVBOOST_PROMOTION) else positive.label
-        out.append(
-            LabeledPair(
-                pin_signature=positive.pin_signature,
-                query=positive.query,
-                label=label,
-                navboost_coverage=coverage,
-                source=positive.source,
-            )
-        )
+        if positive.navboost_coverage > NAVBOOST_PROMOTION:
+            positive = replace(positive, label=+1)
+        out.append(positive)
         text = positive.query.text
         unrelated = unrelated_by_text.get(text)
         if unrelated is None:
@@ -220,17 +209,13 @@ def dedup_queries(
 
 
 def curate(
-    corpus: Corpus,
-    deduped: list[QueryRecord],
-    navboost: dict[tuple[str, int], float],
-    neg_per_pos: int = 2,
-    seed: int = 0,
+    corpus: Corpus, deduped: list[QueryRecord], neg_per_pos: int = 2, seed: int = 0
 ) -> tuple[list[LabeledPair], dict]:
     """Full curation pass: filter the corpus's engagement, pick each pin's
     TOP_QUERIES retained queries (by impressions descending, then average
-    position ascending, then query text), label with hard negatives drawn
-    from ``deduped``, the corpus queries' `dedup_queries`, and report
-    per-branch counts."""
+    position ascending, then query text) as positives with their rows'
+    navboost coverage, label with hard negatives drawn from ``deduped``, the
+    corpus queries' `dedup_queries`, and report per-branch counts."""
     engagement = corpus.engagement
     kept = retain(engagement)
     branch_counts = {name: int(np.count_nonzero(mask))
@@ -247,13 +232,12 @@ def curate(
     # a row's place among its pin's is its place less that of the pin's first
     top = rows[np.arange(len(rows)) - np.searchsorted(pin_row[rows], pin_row[rows]) < TOP_QUERIES]
     positives = [  # each a SearchConsole pair
-        LabeledPair(signature, queries[row], +1, navboost.get((queries[row].text, signature), 0.0))
-        for signature, row in zip(corpus.signatures[pin_row[top]].tolist(), query_row[top].tolist())
+        LabeledPair(signature, queries[row], +1, coverage) for signature, row, coverage in zip(
+            corpus.signatures[pin_row[top]].tolist(), query_row[top].tolist(),
+            engagement.navboost[top].tolist())
     ]
 
-    labeled = label_pairs(
-        positives, deduped, navboost, neg_per_pos=neg_per_pos, seed=seed
-    )
+    labeled = label_pairs(positives, deduped, neg_per_pos=neg_per_pos, seed=seed)
     histogram: dict[str, int] = {}
     for pair in labeled:
         histogram[pair.query.category] = histogram.get(pair.query.category, 0) + 1

@@ -118,6 +118,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise EncoderError(f"TrainConfig.steps must be at least 1, got {self.steps}")
+        if self.batch_size < 2:  # in-batch negatives need a second row
+            raise EncoderError(f"TrainConfig.batch_size must be at least 2, got {self.batch_size}")
+        if self.output_dim < 1:
+            raise EncoderError(f"TrainConfig.output_dim must be at least 1, got {self.output_dim}")
+        if any(width < 1 for width in self.hidden_dims):
+            raise EncoderError(
+                f"TrainConfig.hidden_dims widths must be at least 1, got {self.hidden_dims}"
+            )
         if not 0.0 < self.learning_rate < np.inf:
             raise EncoderError(
                 f"TrainConfig.learning_rate must be positive and finite, got {self.learning_rate}"

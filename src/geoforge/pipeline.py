@@ -162,7 +162,6 @@ ARTIFACTS = {
     "corpus_dir": (None, "corpus"),
     **{name: ("gen-corpus", f"corpus/{file}") for name, file in CORPUS_FILES.items()},
     "trends": ("gen-corpus", "corpus/trends.jsonl"),
-    "navboost": ("gen-corpus", "corpus/navboost.jsonl"),
     "labeled_pairs": ("curate", "labeled_pairs.jsonl"),
     "curation_report": ("curate", "curation_report.json"),
     "encoder_file": ("train-encoder", "encoders.bin"),
@@ -189,7 +188,7 @@ for _name, (_, _relpath) in ARTIFACTS.items():
 # inputs before it calls the stage.
 STAGE_INPUTS = {
     "gen-corpus": [],
-    "curate": [*CORPUS_FILES, "navboost"],
+    "curate": [*CORPUS_FILES],
     "train-encoder": [*CORPUS_FILES],
     "build-index": [*CORPUS_FILES, "encoder_file"],
     "train-ranker": [*CORPUS_FILES, "labeled_pairs"],
@@ -206,7 +205,6 @@ STAGE_OUTPUTS = {
 }
 PRODUCERS = {name: stage for name, (stage, _) in ARTIFACTS.items() if stage}
 
-NAVBOOST_KINDS = {"query_text": str, "pin_signature": int, "coverage": float}
 # one line of encoder_train_log.jsonl, keys in the order of TrainResult.log rows
 ENCODER_LOG_KINDS = {"step": int, "loss": float, "grad_norm": float}
 # one line of ranker_train_log.jsonl, keys in the order of train_ranker's log rows
@@ -253,14 +251,9 @@ def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
 
 def stage_curate(config: PipelineConfig, ws: Workspace) -> dict:
     """Filter engagement, label pairs, and deduplicate queries."""
-    corpus = ws.corpus
-    navboost = read_records(
-        ws.navboost, partial(check_json, kinds=NAVBOOST_KINDS), CorpusError, "navboost"
-    )
     labeled, report = curation.curate(
-        corpus,
+        ws.corpus,
         ws.deduped_queries,
-        {(o["query_text"], o["pin_signature"]): float(o["coverage"]) for o in navboost},
         neg_per_pos=config.neg_per_pos,
         seed=subseed(config.seed, "curation"),
     )
@@ -531,7 +524,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
     report = {
         "recall_at_10": recall_at_10,
         "correct_rank": ranker.correct_rank(model, ws.triplets),
-        "intent_satisfying_rate_mean": float(np.mean(rates)) if rates else None,
+        "intent_satisfying_rate_mean": float(np.mean(rates)),
         "retention_branches": curation_summary["retention_branches"],
         "encoder_loss": encoder_loss,
         "ranker_loss": ranker_loss,

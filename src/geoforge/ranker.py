@@ -45,10 +45,15 @@ class TowerConfig:
     def __post_init__(self) -> None:
         if not self.hidden:
             raise RankerError("hidden layer list must be non-empty")
+        for name in ("d_v", "d_t", "output_dim"):
+            if getattr(self, name) < 1:
+                raise RankerError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden):
+            raise RankerError(f"hidden widths must be at least 1, got {self.hidden}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise RankerError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
-        if self.margin <= 0:
-            raise RankerError(f"margin must be positive, got {self.margin}")
+        if not 0 < self.margin < np.inf:
+            raise RankerError(f"margin must be positive and finite, got {self.margin}")
 
     @property
     def pin_input_dim(self) -> int:

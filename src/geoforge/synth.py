@@ -1,6 +1,6 @@
 """Synthetic clustered corpus generator.
 
-Emits pins, queries, engagement, navboost scores, and a trend feed so the
+Emits pins, queries, engagement with navboost coverage, and a trend feed so the
 whole pipeline is runnable without proprietary data. Pins and queries are
 drawn around per-topic centroids in embedding space, so retrieval, ranking,
 and collection quality are all measurable against known cluster membership.
@@ -147,16 +147,15 @@ def _engagement_fields(kinds: np.ndarray, rng: np.random.Generator) -> list[np.n
 
 
 def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
-    """Build a clustered corpus plus sidecar data: the pin and query cluster
-    maps and the navboost coverage of (query text, pin signature) pairs.
+    """Build a clustered corpus plus sidecar data, the pin and query cluster maps.
 
     Each random field is one array draw from the corpus stream. Pin i has
     signature 1_000_000 + i and cluster i % n_clusters; its vectors, and
     each query's, lie around the cluster's centroids. A pin's engagement is
     ``min(engagement_per_pin, queries_per_cluster)`` distinct own-cluster
     queries in random order, each of a RECORD_KINDS branch drawn uniformly
-    (the first of them with a navboost coverage), then one weak record for
-    a query of the next cluster."""
+    (the first of them with a navboost coverage, the rest with 0), then one
+    weak record for a query of the next cluster."""
     rng = rng_for(config.seed, "corpus")
     n_pins, n_clusters, per_cluster = config.n_pins, config.n_clusters, config.queries_per_cluster
     centroids_v = l2_normalize_rows(rng.standard_normal((n_clusters, config.d_v)))
@@ -195,18 +194,18 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
     ])
     kinds = np.full((n_pins, per_pin + 1), CROSS_CLUSTER)
     kinds[:, :per_pin] = rng.integers(0, CROSS_CLUSTER, (n_pins, per_pin))
+    impressions, clicks, positions = _engagement_fields(kinds, rng)
+    navboost = np.zeros((n_pins, per_pin + 1))  # 0 but on each first pick
+    if per_pin:
+        navboost[:, 0] = rng.uniform(0.0, 1.0, n_pins)
     engagement = Engagement(np.repeat(np.arange(n_pins), per_pin + 1), query_rows.ravel(),
-                            *_engagement_fields(kinds, rng))
-    coverage = rng.uniform(0.0, 1.0, n_pins if per_pin else 0)  # of each first pick
-    navboost = {(query_texts[row][0], signature): c for row, signature, c in zip(
-        query_rows[:, 0].tolist(), pins, coverage.tolist())}
+                            impressions, clicks, positions, navboost.ravel())
 
     corpus = Corpus(pins=pins, queries=queries, engagement=engagement, visual=visual,
                     text=pin_text, query_embeddings=query_embeddings)
     sidecar = {
         "pin_cluster": dict(zip(pins, pin_clusters.tolist())),
         "query_cluster": {text: row // per_cluster for row, (text, _) in enumerate(query_texts)},
-        "navboost": navboost,
     }
     return corpus, sidecar
 
@@ -227,13 +226,6 @@ def write_corpus_bundle(out_dir: str | Path, config: SynthConfig) -> None:
     """Generate the full synthetic bundle and write it to ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    corpus, sidecar = generate_corpus(config)
+    corpus, _ = generate_corpus(config)
     save_corpus(corpus, out)
-    write_jsonl(
-        out / "navboost.jsonl",
-        (
-            {"query_text": q, "pin_signature": s, "coverage": c}
-            for (q, s), c in sidecar["navboost"].items()
-        ),
-    )
     write_jsonl(out / "trends.jsonl", generate_trends(config))

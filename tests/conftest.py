@@ -17,7 +17,7 @@ from _oracles import unit_rows
 
 @pytest.fixture(scope="session")
 def small_synth():
-    """Clustered 120-pin corpus plus its sidecar (cluster maps, navboost)."""
+    """Clustered 120-pin corpus plus its sidecar (cluster maps)."""
     config = synth.SynthConfig(
         n_pins=120,
         n_clusters=4,

@@ -50,7 +50,7 @@ def test_criterion_01_retention_truth_table(announce):
     ]
     impressions, _, clicks, positions = (list(column) for column in zip(*cells))
     rows = np.zeros(len(cells), dtype=np.int64)  # one pin and one query
-    kept = curation.retain(Engagement(rows, rows, impressions, clicks, positions)).tolist()
+    kept = curation.retain(Engagement(rows, rows, impressions, clicks, positions, rows)).tolist()
     mismatches = [
         (shown, ctr, position, got, want)
         for (shown, ctr, clicked, position), got in zip(cells, kept)
@@ -271,10 +271,8 @@ def test_criterion_07_ranker_training(announce):
     config = synth.SynthConfig(
         seed=7, n_pins=1200, queries_per_cluster=30, engagement_per_pin=6
     )
-    corpus, sidecar = synth.generate_corpus(config)
-    labeled, _ = curation.curate(
-        corpus, curation.dedup_queries(corpus.queries), sidecar["navboost"], seed=0
-    )
+    corpus, _ = synth.generate_corpus(config)
+    labeled, _ = curation.curate(corpus, curation.dedup_queries(corpus.queries), seed=0)
     triplets = _triplets_from_labels(
         corpus, ranker.pin_features(corpus), ranker.query_features(corpus), labeled
     )

@@ -311,8 +311,8 @@ class TestCorpusIO:
     # small_synth has 120 pins, 48 queries and 600 engagement rows
     @pytest.mark.parametrize("edit, match", [
         (lambda a: {**a, "clicks": a["clicks"][:-1]},
-         r"engagement columns \['pin_row', 'query_row', 'impressions', 'clicks', 'avg_position'\] "
-         r"have unequal lengths \[600, 600, 600, 599, 600\]"),
+         r"engagement columns \['pin_row', 'query_row', 'impressions', 'clicks', 'avg_position', "
+         r"'navboost'\] have unequal lengths \[600, 600, 600, 599, 600, 600\]"),
         (lambda a: {**a, **{n: a[n][:0] for n in ENGAGEMENT_ARRAYS}}, "no engagement records"),
         (_set("pin_row", 3, 120), "engagement row 3: pin_row 120 is no row of the 120 pins"),
         (_set("pin_row", 3, -1), "engagement row 3: pin_row -1 is no row of the 120 pins"),
@@ -324,9 +324,13 @@ class TestCorpusIO:
         (_set("clicks", 3, -1), "engagement row 3: clicks -1 is negative or exceeds impressions"),
         (_set("avg_position", 3, 0.5), "engagement row 3: avg_position 0.5 is below 1"),
         (_set("avg_position", 3, np.nan), "array 'avg_position' has non-finite values"),
+        (_set("navboost", 3, 1.5), r"engagement row 3: navboost 1.5 is outside \[0, 1\]"),
+        (_set("navboost", 3, -0.25), r"engagement row 3: navboost -0.25 is outside \[0, 1\]"),
+        (_set("navboost", 3, np.inf), "array 'navboost' has non-finite values"),
         # a column of the other kind, or a column of two dimensions
         (lambda a: {**a, "impressions": a["impressions"].astype("<f4")}, "engagement columns"),
         (lambda a: {**a, "avg_position": a["avg_position"].astype("<i8")}, "engagement columns"),
+        (lambda a: {**a, "navboost": a["navboost"].astype("<i8")}, "engagement columns"),
         (lambda a: {**a, "pin_row": a["pin_row"].astype("<i4")}, "engagement columns"),
         (lambda a: {**a, "clicks": a["clicks"][:, None]}, "engagement columns"),
     ])

@@ -31,10 +31,10 @@ from _oracles import cosine, curation_oracle, retention_oracle
 
 def _engagement(impressions, clicks, positions, pins=None, queries=None) -> Engagement:
     """Engagement columns; each row is of pin row 0 and query row 0 unless
-    ``pins`` and ``queries`` say otherwise."""
+    ``pins`` and ``queries`` say otherwise, and of navboost 0."""
     zeros = np.zeros(len(impressions), dtype=np.int64)
     return Engagement(zeros if pins is None else pins, zeros if queries is None else queries,
-                      impressions, clicks, positions)
+                      impressions, clicks, positions, zeros)
 
 
 class TestRetention:
@@ -70,12 +70,14 @@ def _random_engagement(rng: np.random.Generator, n: int) -> Engagement:
     """80 + ``n`` engagement rows over a corpus's first 12 pins and first 8
     queries, of few distinct values so that impressions, positions and
     texts tie, with pin row 0 retained in every one of its 60 rows and pin
-    row 1 in none of them."""
+    row 1 in none of them, and a navboost coverage on about a third of the
+    rows."""
     pins = np.concatenate([np.zeros(60, np.int64), np.ones(20, np.int64), rng.integers(2, 12, n)])
     impressions = np.concatenate([np.full(60, 2000), np.full(20, 5), rng.choice([0, 5, 11, 50, 1001, 2000], n)])
     clicks = (impressions * rng.choice([0.0, 0.5, 0.79, 0.8, 1.0], len(pins))).astype(np.int64)
     return Engagement(pins, rng.integers(0, 8, len(pins)), impressions, clicks,
-                      rng.choice([1.0, 5.0, 10.0, 10.5, 40.0], len(pins)))
+                      rng.choice([1.0, 5.0, 10.0, 10.5, 40.0], len(pins)),
+                      rng.uniform(0, 1, len(pins)) * (rng.random(len(pins)) < 1 / 3))
 
 
 class TestTopQueries:
@@ -88,14 +90,13 @@ class TestTopQueries:
         signatures, texts = corpus.signatures.tolist(), [q.text for q in corpus.queries]
         columns = (getattr(engagement, name).tolist() for name in ENGAGEMENT_ARRAYS)
         records = [(signatures[pin], texts[query], *fields) for pin, query, *fields in zip(*columns)]
-        pairs, counts = curation_oracle(records, TOP_QUERIES)
-        navboost = {pair[::-1]: c for pair, c in zip(pairs[::3], rng.uniform(0, 1, len(pairs)).tolist())}
-        labeled, report = curate(tied, [], navboost, neg_per_pos=0)
-        assert [(p.pin_signature, p.query.text) for p in labeled] == pairs
-        assert [p.navboost_coverage for p in labeled] == [navboost.get((t, s), 0.0) for s, t in pairs]
+        positives, counts = curation_oracle(records, TOP_QUERIES)
+        labeled, report = curate(tied, [], neg_per_pos=0)
+        assert [(p.pin_signature, p.query.text, p.navboost_coverage) for p in labeled] == positives
         assert report["retention_branches"] == counts
         # the oracle saw the cases the table is built for
-        per_pin = Counter(signature for signature, _ in pairs)
+        assert 0 < sum(coverage > 0 for *_, coverage in positives) < len(positives)
+        per_pin = Counter(signature for signature, *_ in positives)
         assert per_pin[signatures[0]] == TOP_QUERIES and signatures[1] not in per_pin
 
     def test_order_breaks_ties_on_position_then_text(self, small_synth):
@@ -104,7 +105,7 @@ class TestTopQueries:
         a, b, c = sorted(range(3), key=texts.__getitem__)
         engagement = _engagement([100, 100, 200, 100, 5], [0] * 5, [5.0, 5.0, 5.0, 4.0, 50.0],
                                  queries=[b, a, c, c, a])
-        labeled, _ = curate(dataclasses.replace(corpus, engagement=engagement), [], {}, neg_per_pos=0)
+        labeled, _ = curate(dataclasses.replace(corpus, engagement=engagement), [], neg_per_pos=0)
         assert [p.query.text for p in labeled] == [texts[c], texts[c], texts[a], texts[b]]
 
 
@@ -114,6 +115,13 @@ class TestStratification:
             CategoryMix(0.5, 0.5, 0.5)
         with pytest.raises(CurationError, match="lie in"):
             CategoryMix(-0.1, 0.5, 0.6)
+        for fracs in [(float("nan"), 0.5, 0.5), (0.3, 0.3, float("nan")), (float("inf"), 0.0, 0.0)]:
+            with pytest.raises(CurationError, match="lie in"):
+                CategoryMix(*fracs)
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(CurationError, match="^total must be at least 0, got -1$"):
+            stratify_sample(self._pool(10), CategoryMix(), -1, seed=0)
 
     @given(total=st.integers(0, 5000))
     def test_counts_sum_to_total(self, total):
@@ -163,24 +171,23 @@ class TestLabeling:
     def test_navboost_promotion_strictly_greater(self):
         base = self._query("pos", [1.0, 0.0])
         unrelated = [self._query(f"neg {i}", [0.0, 1.0]) for i in range(3)]
-        positives = [
-            LabeledPair(pin_signature=1, query=base, label=-1, navboost_coverage=0.0)
-        ]
         promoted = label_pairs(
-            positives, unrelated + [base], {("pos", 1): 0.55}, neg_per_pos=2, seed=0
+            [LabeledPair(pin_signature=1, query=base, label=-1, navboost_coverage=0.55)],
+            unrelated + [base], neg_per_pos=2, seed=0,
         )
-        assert promoted[0].label == +1
+        assert promoted[0].label == +1 and promoted[0].navboost_coverage == 0.55
         at_threshold = label_pairs(
-            positives, unrelated + [base], {("pos", 1): 0.54}, neg_per_pos=2, seed=0
+            [LabeledPair(pin_signature=1, query=base, label=-1, navboost_coverage=0.54)],
+            unrelated + [base], neg_per_pos=2, seed=0,
         )
-        assert at_threshold[0].label == -1
+        assert at_threshold[0].label == -1 and at_threshold[0].navboost_coverage == 0.54
 
     def test_negatives_unrelated_and_labeled(self):
         base = self._query("pos", [1.0, 0.0])
         related = self._query("related", [0.9, 0.1])
         unrelated = [self._query(f"neg {i}", [0.0, 1.0]) for i in range(4)]
         positives = [LabeledPair(pin_signature=1, query=base, label=+1)]
-        out = label_pairs(positives, [base, related] + unrelated, {}, neg_per_pos=2, seed=3)
+        out = label_pairs(positives, [base, related] + unrelated, neg_per_pos=2, seed=3)
         negatives = [p for p in out if p.label == -1]
         assert len(negatives) == 2
         assert all(p.source == "HardNegative" for p in negatives)
@@ -192,26 +199,26 @@ class TestLabeling:
         others = [self._query(f"neg {i}", [0.0, 1.0]) for i in range(2)]
         positives = [LabeledPair(pin_signature=1, query=base, label=+1)]
         for seed in range(5):
-            out = label_pairs(positives, [same_text] + others, {}, neg_per_pos=2, seed=seed)
+            out = label_pairs(positives, [same_text] + others, neg_per_pos=2, seed=seed)
             assert sorted(p.query.text for p in out[1:]) == ["neg 0", "neg 1"]
 
     def test_starved_negatives_fatal(self):
         base = self._query("pos", [1.0, 0.0])
         positives = [LabeledPair(pin_signature=1, query=base, label=+1)]
         with pytest.raises(CurationError, match="not enough unrelated"):
-            label_pairs(positives, [base], {}, neg_per_pos=2, seed=0)
+            label_pairs(positives, [base], neg_per_pos=2, seed=0)
 
     def test_missing_embedding_fatal(self):
         bare = QueryRecord(text="pos", category="UseCase")
         positives = [LabeledPair(pin_signature=1, query=bare, label=+1)]
         with pytest.raises(CurationError, match="lacks an embedding"):
-            label_pairs(positives, [], {}, neg_per_pos=0, seed=0)
+            label_pairs(positives, [], neg_per_pos=0, seed=0)
 
     def test_negative_neg_per_pos_fatal_naming_it(self):
         base = self._query("pos", [1.0, 0.0])
         positives = [LabeledPair(pin_signature=1, query=base, label=+1)]
         with pytest.raises(CurationError, match=r"^neg_per_pos must be at least 0, got -1$"):
-            label_pairs(positives, [self._query("neg", [0.0, 1.0])], {}, neg_per_pos=-1, seed=0)
+            label_pairs(positives, [self._query("neg", [0.0, 1.0])], neg_per_pos=-1, seed=0)
 
 
 class TestDedup:
@@ -298,14 +305,12 @@ def query_lists(draw, threshold, min_size=1):
     return [QueryRecord(f"q{i}", "UseCase", embedding=r) for i, r in enumerate(rows)]
 
 
-def _scalar_label_pairs(positives, pool, navboost, neg_per_pos, seed):
+def _scalar_label_pairs(positives, pool, neg_per_pos, seed):
     """Per-pair reference: one oracle `cosine` call per (positive, pool) pair."""
     rng = np.random.default_rng(seed)
     out = []
     for positive in positives:
-        coverage = navboost.get(
-            (positive.query.text, positive.pin_signature), positive.navboost_coverage
-        )
+        coverage = positive.navboost_coverage
         label = +1 if (positive.label == +1 or coverage > 0.54) else positive.label
         out.append(LabeledPair(positive.pin_signature, positive.query, label, coverage, positive.source))
         unrelated = [
@@ -338,7 +343,7 @@ class TestVectorisedEquivalence:
         candidate = QueryRecord("cand", "UseCase", embedding=b)
         related = not cosine(b, a) < RELATEDNESS_CEILING
         try:
-            out = label_pairs([positive], [candidate], {}, neg_per_pos=1, seed=0)
+            out = label_pairs([positive], [candidate], neg_per_pos=1, seed=0)
         except CurationError:
             kept = False
         else:
@@ -353,29 +358,29 @@ class TestVectorisedEquivalence:
     def test_label_pairs_output_matches_scalar_reference(self, pool, data):
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
         positives = [
-            LabeledPair(pin_signature=k, query=pool[i], label=data.draw(st.sampled_from([1, -1])))
+            LabeledPair(pin_signature=k, query=pool[i], label=data.draw(st.sampled_from([1, -1])),
+                        navboost_coverage=data.draw(st.sampled_from([0.0, 0.54, 0.6])))
             for k, i in enumerate(picks)
         ]
-        navboost = {(positives[0].query.text, 0): 0.6}
         neg_per_pos = data.draw(st.integers(0, 2))
         seed = data.draw(st.integers(0, 1000))
         try:
-            want = _scalar_label_pairs(positives, pool, navboost, neg_per_pos, seed)
+            want = _scalar_label_pairs(positives, pool, neg_per_pos, seed)
         except CurationError:
             with pytest.raises(CurationError, match="not enough unrelated"):
-                label_pairs(positives, pool, navboost, neg_per_pos, seed)
+                label_pairs(positives, pool, neg_per_pos, seed)
             return
-        assert label_pairs(positives, pool, navboost, neg_per_pos, seed) == want
+        assert label_pairs(positives, pool, neg_per_pos, seed) == want
 
     def test_label_pairs_empty_pool_starves(self):
         positive = LabeledPair(1, QueryRecord("pos", "UseCase", embedding=np.array([1.0, 0.0])), +1)
         with pytest.raises(CurationError, match="not enough unrelated"):
-            label_pairs([positive], [], {}, neg_per_pos=1, seed=0)
+            label_pairs([positive], [], neg_per_pos=1, seed=0)
         # a pool query without an embedding fails, as in dedup_queries
         bare = [QueryRecord("bare", "UseCase")]
         with pytest.raises(CurationError, match=r"^query 'bare' lacks an embedding$"):
-            label_pairs([positive], bare, {}, neg_per_pos=1, seed=0)
-        assert len(label_pairs([positive], [], {}, neg_per_pos=0, seed=0)) == 1
+            label_pairs([positive], bare, neg_per_pos=1, seed=0)
+        assert len(label_pairs([positive], [], neg_per_pos=0, seed=0)) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(pairs(DEDUP_THRESHOLD))
@@ -396,10 +401,8 @@ class TestVectorisedEquivalence:
 
 class TestCurate:
     def test_end_to_end_report(self, small_synth):
-        corpus, sidecar, _ = small_synth
-        labeled, report = curate(
-            corpus, dedup_queries(corpus.queries), sidecar["navboost"], seed=0
-        )
+        corpus, _, _ = small_synth
+        labeled, report = curate(corpus, dedup_queries(corpus.queries), seed=0)
         assert labeled
         assert report["positives"] + report["negatives"] == len(labeled)
         assert report["negatives"] == 2 * report["positives"]
@@ -409,8 +412,8 @@ class TestCurate:
         assert sum(report["category_histogram"].values()) == len(labeled)
 
     def test_deterministic(self, small_synth):
-        corpus, sidecar, _ = small_synth
+        corpus, _, _ = small_synth
         deduped = dedup_queries(corpus.queries)
-        first, _ = curate(corpus, deduped, sidecar["navboost"], seed=5)
-        second, _ = curate(corpus, deduped, sidecar["navboost"], seed=5)
+        first, _ = curate(corpus, deduped, seed=5)
+        second, _ = curate(corpus, deduped, seed=5)
         assert [p.to_json() for p in first] == [p.to_json() for p in second]

@@ -148,6 +148,20 @@ class TestTraining:
         with pytest.raises(EncoderError, match=rf"^TrainConfig\.steps must be at least 1, got {steps}$"):
             TrainConfig(steps=steps)
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"batch_size": -1}, r"TrainConfig\.batch_size must be at least 2, got -1"),
+        ({"batch_size": 1}, r"TrainConfig\.batch_size must be at least 2, got 1"),
+        ({"output_dim": -1}, r"TrainConfig\.output_dim must be at least 1, got -1"),
+        ({"output_dim": 0}, r"TrainConfig\.output_dim must be at least 1, got 0"),
+        ({"hidden_dims": [0]}, r"TrainConfig\.hidden_dims widths must be at least 1, got \[0\]"),
+        ({"hidden_dims": [8, -3]}, r"TrainConfig\.hidden_dims widths must be at least 1, got \[8, -3\]"),
+    ])
+    def test_bad_widths_rejected_naming_the_field(self, fields, match):
+        with pytest.raises(EncoderError, match=rf"^{match}$"):
+            TrainConfig(**fields)
+        # the pipeline's widths stay valid
+        TrainConfig(batch_size=64, output_dim=48, hidden_dims=[])
+
     @pytest.mark.parametrize("rate", [-0.1, 0.0, float("inf"), float("nan")])
     def test_learning_rate_must_be_positive_and_finite(self, rate):
         with pytest.raises(

@@ -92,7 +92,6 @@ class TestStageGraph:
         assert saved["stages"]["build-index"] == result
 
     @pytest.mark.parametrize("stage, missing, producer", [
-        ("curate", "corpus/navboost.jsonl", "gen-corpus"),
         ("build-index", "encoders.bin", "train-encoder"),
         ("eval", "encoders.bin", "train-encoder"),
         ("eval", "encoder_train_log.jsonl", "train-encoder"),
@@ -152,21 +151,21 @@ class TestStageGraph:
 
     def test_failed_stage_blocks_every_reader_of_its_outputs(self, pipeline_run, tmp_path):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        navboost = tmp_path / "corpus" / "navboost.jsonl"
-        lines = navboost.read_text(encoding="utf-8").splitlines(keepends=True)
-        navboost.write_text("".join([*lines[:3], '{"query_text": \n', *lines[3:]]))
+        path = tmp_path / "corpus" / "arrays.bin"
+        _, arrays = load_arrays(path, ARRAYS_MAGIC, CorpusError, {})
+        navboost = arrays["navboost"].copy()
+        navboost[3] = 1.5
+        save_arrays(path, ARRAYS_MAGIC, {}, {**arrays, "navboost": navboost})
         config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
         report, ok = run_pipeline(config, stages=["curate", "eval"])
         assert not ok
         curate = report["stages"]["curate"]
         assert curate["status"] == "failed" and curate["error_type"] == "CorpusError"
-        assert "navboost.jsonl:4" in curate["error"]
+        assert curate["error"] == f"{path}: engagement row 3: navboost 1.5 is outside [0, 1]"
         assert "stage_curate" in curate["traceback"]
         assert report["stages"]["eval"] == {"status": "skipped", "blocked_by": ["curate"]}
 
     @pytest.mark.parametrize("stage, artifact, edit, error_type, match", [
-        ("curate", "corpus/navboost.jsonl", {"coverage": None},
-         "CorpusError", "missing key 'coverage'"),
         ("train-ranker", "labeled_pairs.jsonl", {"query_text": "no such query"},
          "CorpusError", "unknown query text 'no such query'"),
         ("train-ranker", "labeled_pairs.jsonl", {"label": 7},
@@ -195,12 +194,6 @@ class TestStageGraph:
             ({"text": None}, "missing key 'text'"),
             ({"text": 5}, "key 'text' has ill-typed value 5"),
             ({"embedding": [0.5]}, "unknown key 'embedding'"),
-        ]],
-        *[("curate", "corpus/navboost.jsonl", edit, "CorpusError", match) for edit, match in [
-            ({"colour": "red"}, "unknown key 'colour'"),
-            ({"pin_signature": True}, "key 'pin_signature' has ill-typed value True"),
-            ({"pin_signature": 2.5}, "key 'pin_signature' has ill-typed value 2.5"),
-            ({"coverage": "0.5"}, "key 'coverage' has ill-typed value '0.5'"),
         ]],
         *[("train-ranker", "labeled_pairs.jsonl", edit, "CorpusError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
@@ -279,11 +272,19 @@ class TestStageGraph:
         (lambda a: {**a, "pin_row": a["pin_row"].astype("<f4")}, "expected the float32 matrices .+"),
         (lambda a: {**a, "impressions": a["impressions"].astype("<f4") + 0.5}, "expected the float32 matrices .+"),
         (lambda a: {**a, "avg_position": a["avg_position"].astype("<i8")}, "expected the float32 matrices .+"),
+        (lambda a: {**a, "coverage": a["navboost"]}, "expected the float32 matrices .+"),
+        (lambda a: {n: c for n, c in a.items() if n != "navboost"}, "expected the float32 matrices .+"),
+        (lambda a: {**a, "navboost": a["navboost"].astype("<i8")}, "expected the float32 matrices .+"),
+        (lambda a: {**a, "navboost": a["navboost"][:, None]}, "expected the float32 matrices .+"),
         # a bad value names its row
         (lambda a: {**a, "pin_row": np.where(np.arange(len(a["pin_row"])) == 1, 1000, a["pin_row"])},
          "engagement row 1: pin_row 1000 is no row of the 1000 pins"),
         (lambda a: {**a, "clicks": np.full_like(a["clicks"], 10**9)},
          "engagement row 0: clicks 1000000000 is negative or exceeds impressions"),
+        (lambda a: {**a, "navboost": np.where(np.arange(len(a["navboost"])) == 2, -0.5, a["navboost"])},
+         r"engagement row 2: navboost -0.5 is outside \[0, 1\]"),
+        (lambda a: {**a, "navboost": np.full_like(a["navboost"], 2.0)},
+         r"engagement row 0: navboost 2.0 is outside \[0, 1\]"),
         (lambda a: {**a, **{name: a[name][:0] for name in ENGAGEMENT_ARRAYS}}, "no engagement records"),
     ])
     def test_bad_engagement_fails_curate_naming_the_array_file(self, pipeline_run, tmp_path, edit, match):
@@ -355,7 +356,6 @@ class TestStageGraph:
         ("build-collections", "annotations.jsonl", "PipelineError", "no annotation records"),
         ("link", "annotations.jsonl", "PipelineError", "no annotation records"),
         ("eval", "annotations.jsonl", "PipelineError", "no annotation records"),
-        ("curate", "corpus/navboost.jsonl", "CorpusError", "no navboost records"),
         ("curate", "corpus/pins.jsonl", "CorpusError", "no pin records"),
         ("build-index", "corpus/pins.jsonl", "CorpusError", "no pin records"),
         ("curate", "corpus/queries.jsonl", "CorpusError", "no query records"),
@@ -516,10 +516,8 @@ class TestAnnotatePins:
 
 class TestLabeledPairs:
     def test_round_trip(self, small_synth, tmp_path):
-        corpus, sidecar, _ = small_synth
-        labeled, _ = curation.curate(
-            corpus, curation.dedup_queries(corpus.queries), sidecar["navboost"]
-        )
+        corpus, _, _ = small_synth
+        labeled, _ = curation.curate(corpus, curation.dedup_queries(corpus.queries))
         ws = Workspace(tmp_path)
         write_jsonl(ws.labeled_pairs, (p.to_json() for p in labeled))
         loaded = read_records(ws.labeled_pairs, partial(LabeledPair.from_json, corpus=corpus), CorpusError)
@@ -595,7 +593,7 @@ class TestCorpusLoad:
         report, ok = run_pipeline(config)
         assert ok, report["stages"]
         assert calls == Counter([
-            "corpus", "navboost.jsonl", "encoders.bin", "index.bin",
+            "corpus", "encoders.bin", "index.bin",
             "labeled_pairs.jsonl", "annotations.jsonl", "collections.jsonl", "correct_rank",
             "encoder_train_log.jsonl", "ranker_train_log.jsonl",
             # the workspace's, for curate, train-ranker and eval alike

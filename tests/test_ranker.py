@@ -51,6 +51,19 @@ class TestConfig:
         with pytest.raises(RankerError, match="margin"):
             TowerConfig(4, 3, margin=0.0)
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"d_v": -10}, "d_v must be at least 1, got -10"),
+        ({"d_t": 0}, "d_t must be at least 1, got 0"),
+        ({"hidden": [-4]}, r"hidden widths must be at least 1, got \[-4\]"),
+        ({"hidden": [8, 0]}, r"hidden widths must be at least 1, got \[8, 0\]"),
+        ({"output_dim": 0}, "output_dim must be at least 1, got 0"),
+        ({"margin": float("nan")}, "margin must be positive and finite, got nan"),
+        ({"margin": float("inf")}, "margin must be positive and finite, got inf"),
+    ])
+    def test_bad_widths_and_margins_rejected(self, fields, match):
+        with pytest.raises(RankerError, match=rf"^{match}$"):
+            TowerConfig(**{"d_v": 4, "d_t": 3, **fields})
+
     def test_default_towers_run_at_their_declared_widths(self):
         model = RankerModel.init(PIPELINE_TOWERS)
         for tower, d_in in ((model.pin_tower, 64 + 48 + 1), (model.query_tower, 48 + 1)):
@@ -560,7 +573,7 @@ class TestHeldOut:
         corpus, sidecar = synth.generate_corpus(synth.SynthConfig(seed=self.SEED))
         queries = curation.dedup_queries(corpus.queries)
         labeled, _ = curation.curate(
-            corpus, queries, sidecar["navboost"], seed=subseed(self.SEED, "curation"))
+            corpus, queries, seed=subseed(self.SEED, "curation"))
         pins, query_rows = pin_features(corpus), query_features(corpus)
         triplets = _triplets_from_labels(corpus, pins, query_rows, labeled)
         held = held_out_pins(len(corpus.pins), 0.2, seed=12345)
@@ -629,6 +642,16 @@ class TestPersistence:
         pin, query = towers(np.random.default_rng(0))
         save_nets(path, RANKER_MAGIC, dataclasses.asdict(SMALL), {"pin": pin, "query": query})
         with pytest.raises(RankerError, match=r"^tower shapes in .* do not fit its config"):
+            load_ranker(path)
+
+    def test_bad_config_in_meta_rejected(self, tmp_path):
+        """A checkpoint with a valid CRC whose meta declares a negative
+        hidden width fails typed, before any tower is built from it."""
+        path = tmp_path / "ranker.bin"
+        model = RankerModel.init(SMALL, seed=0)
+        save_nets(path, RANKER_MAGIC, {**dataclasses.asdict(SMALL), "hidden": [-4]},
+                  {"pin": model.pin_tower, "query": model.query_tower})
+        with pytest.raises(RankerError, match=r"^hidden widths must be at least 1, got \[-4\]$"):
             load_ranker(path)
 
     def test_bad_magic(self, tmp_path):
