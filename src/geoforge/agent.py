@@ -146,20 +146,20 @@ class ToolSuite:
     expand_query: Callable[[TrendSignal, dict[str, dict], int], list[tuple[QueryRecord, str]]]
 
 
-def make_semantic_filter(taxonomy: list[tuple[str, str]]):
+def make_semantic_filter(taxonomy: list[str]):
     """Rule-based relevance scorer: zero for low-fit categories, else the
     best token-bag cosine against the taxonomy terms (exact match scores 1)."""
-    term_vecs = [(term, hashed_bag_of_tokens(term, 256)) for term, _ in taxonomy]
+    term_vecs = [hashed_bag_of_tokens(term, 256) for term in taxonomy]
 
     def semantic_filter(trend: TrendSignal, threshold: float) -> tuple[float, bool]:
         if not 0.0 <= threshold <= 1.0:
             raise AgentError(f"threshold {threshold} outside [0, 1]")
         if trend.category.lower() in LOW_FIT_CATEGORIES:
             return 0.0, False
-        if any(trend.term == term for term, _ in taxonomy):
+        if trend.term in taxonomy:
             return 1.0, True
         vec = hashed_bag_of_tokens(trend.term, 256)
-        best = max((float(vec @ tv) for _, tv in term_vecs), default=0.0)
+        best = max((float(vec @ tv) for tv in term_vecs), default=0.0)
         p = float(np.clip(best, 0.0, 1.0))
         return p, p >= threshold
 
@@ -228,7 +228,7 @@ def make_fetch_trends(trends_path: str | Path):
 
 def default_tools(
     corpus: Corpus, index: HnswIndex, text_encoder: EncoderModel,
-    taxonomy: list[tuple[str, str]], trends_path: str | Path, min_count: int,
+    taxonomy: list[str], trends_path: str | Path, min_count: int,
 ) -> ToolSuite:
     """The four tools over one corpus, index and taxonomy, where content
     lookup wants more than ``min_count`` hits; an empty taxonomy raises

@@ -71,11 +71,11 @@ Judge = Callable[[list[PinRecord], QueryRecord], list[JudgeVerdict]]
 
 
 def build_collections(
-    topics: list[QueryRecord], text_encoder: EncoderModel, index: HnswIndex,
-    k: int = 10, ef_search: int | None = None,
+    topics: list[QueryRecord], text_encoder: EncoderModel, index: HnswIndex, k: int = 10
 ) -> list[Collection]:
     """Encode the topics through the text pathway as one batch and take each
-    topic's index top-k, one collection per topic in order."""
+    topic's index top-k, at the index's own ef_search, one collection per
+    topic in order."""
     if not topics:
         return []
     if len(index) == 0:
@@ -85,24 +85,26 @@ def build_collections(
             raise CollectionError(f"topic {topic.text!r} lacks an embedding")
     probes = text_encoder.encode_batch(np.stack([topic.embedding for topic in topics]))
     return [
-        Collection(topic, slugify(topic.text), "pinclip", index.search(probe, k, ef_search))
+        Collection(topic, slugify(topic.text), "pinclip", index.search(probe, k))
         for topic, probe in zip(topics, probes)
     ]
 
 
 def build_collection(
-    topic: QueryRecord, text_encoder: EncoderModel, index: HnswIndex,
-    k: int = 10, ef_search: int | None = None,
+    topic: QueryRecord, text_encoder: EncoderModel, index: HnswIndex, k: int = 10
 ) -> Collection:
     """The one-topic case of `build_collections`."""
-    return build_collections([topic], text_encoder, index, k, ef_search)[0]
+    return build_collections([topic], text_encoder, index, k)[0]
 
 
 def embedding_judge(
     text_encoder: EncoderModel, threshold: float = 0.5
 ) -> Judge:
     """Default judge: cosine of each encoded pin text vs the encoded topic
-    text, as one product of the batch-encoded unit pin rows with the topic."""
+    text, as one product of the batch-encoded unit pin rows with the topic;
+    a threshold outside the clipped cosine's [-1, 1] raises CollectionError."""
+    if not -1.0 <= threshold <= 1.0:  # NaN too
+        raise CollectionError(f"judge threshold {threshold} is not a number in [-1, 1]")
 
     def judge(pins: list[PinRecord], topic: QueryRecord) -> list[JudgeVerdict]:
         if topic.embedding is None:

@@ -375,13 +375,13 @@ def annotation_map(records: list[Annotation], threshold: float) -> dict[int, lis
 
 
 def build_collections(
-    config: PipelineConfig, ws: Workspace, topic_texts: Iterable[str],
+    ws: Workspace, topic_texts: Iterable[str], k: int,
     published: Iterable[coll_mod.Collection] = (),
 ) -> list[coll_mod.Collection]:
     """One collection per distinct slug, in sorted topic-text order: the
     first text wins each slug. Texts that are not corpus queries are
     skipped. A text with a collection in `published` takes it as
-    published; the others are built in one `build_collections` batch."""
+    published; the others are built as top-k in one `build_collections` batch."""
     reuse = {c.topic.text: c for c in published}
     winners: dict[str, QueryRecord] = {}
     for text in sorted(topic_texts):
@@ -389,15 +389,15 @@ def build_collections(
             winners.setdefault(coll_mod.slugify(text), ws.corpus.query(text))
     built = iter(coll_mod.build_collections(
         [t for t in winners.values() if t.text not in reuse],
-        ws.encoders["txt"], ws.index, config.collection_k, config.ef_search))
+        ws.encoders["txt"], ws.index, k))
     return [reuse[t.text] if t.text in reuse else next(built) for t in winners.values()]
 
 
 def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
     """Build topic collection pages from annotations and the index; no
     collection fails the stage before it writes."""
-    topics = annotation_map(ws.annotation_records, config.annotation_threshold)
-    collections = build_collections(config, ws, {t for texts in topics.values() for t in texts})
+    topics = annotation_map(ws.annotation_records, config.annotation_threshold).values()
+    collections = build_collections(ws, {t for texts in topics for t in texts}, config.collection_k)
     if not collections:
         raise PipelineError(f"{ws.annotations}: no annotated corpus query scores at least "
                             f"annotation_threshold {config.annotation_threshold}")
@@ -422,8 +422,8 @@ def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
 
 
 def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
-    """Run one trend-mining agent episode."""
-    taxonomy = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[: config.n_clusters]
+    """Run one trend-mining agent episode over the cluster terms the corpus queries."""
+    taxonomy = [term for term in synth.CLUSTER_TERMS if term in ws.corpus.query_row]
     tools = agent_mod.default_tools(
         ws.corpus, ws.index, ws.encoders["txt"], taxonomy, ws.trends, config.agent_min_count
     )
@@ -442,7 +442,8 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
     raw cosine between the index's pin vectors (image tower) and text-tower
     query outputs; ablation drops annotations entirely (base-topic
     collections only, no pin links). A topic build-collections published
-    takes its collection from `ws.published_collections`, not a rebuild.
+    takes its collection from `ws.published_collections`, not a rebuild,
+    and the rest are built at the size of its largest collection.
     """
     records = ws.annotation_records
 
@@ -472,20 +473,14 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
             "orphan_pins": report["orphan_pins"],
         }
 
+    k = max(len(c.members) for c in ws.published_collections)
     enabled_map = annotation_map(records, config.annotation_threshold)
     control_map = annotation_map(control_records, config.annotation_threshold)
     # enabled and control share one collection universe so mean authority
     # compares linking quality, not collection counts
-    shared = build_collections(
-        config,
-        ws,
-        {t for texts in enabled_map.values() for t in texts}
-        | {t for texts in control_map.values() for t in texts},
-        ws.published_collections,
-    )
-    base = build_collections(
-        config, ws, synth.CLUSTER_TERMS[: config.n_clusters], ws.published_collections
-    )
+    topic_texts = {t for by_pin in (enabled_map, control_map) for texts in by_pin.values() for t in texts}
+    shared = build_collections(ws, topic_texts, k, ws.published_collections)
+    base = build_collections(ws, synth.CLUSTER_TERMS, k, ws.published_collections)
     return {
         "enabled": build_mode(enabled_map, shared),
         "control": build_mode(control_map, shared),

@@ -425,10 +425,7 @@ def test_criterion_11_intent_satisfying_rate(announce, pipeline_run):
         topic = QueryRecord(
             text=f"off cluster topic {i}", category="Description", embedding=embedding
         )
-        collection = build_collection(
-            topic, txt_encoder, index, k=config.collection_k,
-            ef_search=config.ef_search,
-        )
+        collection = build_collection(topic, txt_encoder, index, k=config.collection_k)
         off_rates.append(intent_satisfying_rate(collection, corpus, judge)[0])
     off_mean = float(np.mean(off_rates))
     ok = in_mean >= 0.85 and off_mean <= 0.3
@@ -448,9 +445,7 @@ def test_criterion_12_agent_determinism(announce, pipeline_run, tmp_path):
     corpus = load_corpus(ws.corpus_dir)
     index = HnswIndex.load(ws.index_file)
     txt_encoder = encoders.load_encoders(ws.encoder_file)["txt"]
-    taxonomy = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[
-        : pipeline_run["config"].n_clusters
-    ]
+    taxonomy = synth.CLUSTER_TERMS[: pipeline_run["config"].n_clusters]
     min_count = pipeline_run["config"].agent_min_count
     trends_path = ws.trends
     tools = default_tools(corpus, index, txt_encoder, taxonomy, trends_path, min_count)

@@ -33,7 +33,7 @@ from geoforge.encoders import EncoderModel
 from geoforge.mlp import Mlp
 
 
-TAXONOMY = list(zip(synth.CLUSTER_TERMS, synth.CLUSTER_CATEGORIES))[:4]
+TAXONOMY = synth.CLUSTER_TERMS[:4]
 
 
 class TestTrendSignal:
@@ -135,7 +135,7 @@ class TestTools:
 
     def test_semantic_filter_exact_match(self):
         semantic_filter = make_semantic_filter(TAXONOMY)
-        p, keep = semantic_filter(TrendSignal(term=TAXONOMY[0][0]), 0.9)
+        p, keep = semantic_filter(TrendSignal(term=TAXONOMY[0]), 0.9)
         assert p == 1.0 and keep is True
 
     def test_semantic_filter_threshold_range(self):
@@ -224,10 +224,10 @@ def episode_tools(request, tmp_path_factory):
     index = hnsw.build(vectors, seed=6)
     trends_path = tmp_path_factory.mktemp("agent") / "trends.jsonl"
     rows = [
-        {"term": TAXONOMY[0][0], "region": "US", "timespan": "7d",
-         "velocity": 2.0, "category": TAXONOMY[0][1]},
-        {"term": TAXONOMY[1][0], "region": "US", "timespan": "7d",
-         "velocity": 0.05, "category": TAXONOMY[1][1]},  # below velocity floor
+        {"term": TAXONOMY[0], "region": "US", "timespan": "7d",
+         "velocity": 2.0, "category": synth.CLUSTER_CATEGORIES[0]},
+        {"term": TAXONOMY[1], "region": "US", "timespan": "7d",
+         "velocity": 0.05, "category": synth.CLUSTER_CATEGORIES[1]},  # below velocity floor
         {"term": "election results", "region": "US", "timespan": "7d",
          "velocity": 3.0, "category": "news"},
         {"term": "playoff scores", "region": "US", "timespan": "7d",
@@ -326,7 +326,7 @@ class TestEpisode:
 
     def test_bad_long_memory_fails_the_episode_and_its_replay(self, episode_tools):
         _, trace, _ = run_episode(episode_tools, {})
-        memory = {TAXONOMY[0][0]: {"accepted": 1}}
+        memory = {TAXONOMY[0]: {"accepted": 1}}
         with pytest.raises(AgentError, match=rf"^step {len(trace) - 1}: bad long memory: "):
             run_episode(episode_tools, memory)
         with pytest.raises(AgentError, match=rf"^step {len(trace) - 1}: bad long memory: "):
@@ -335,7 +335,7 @@ class TestEpisode:
     def test_long_memory_feeds_next_episode(self, episode_tools):
         _, _, state = run_episode(episode_tools, {})
         _, _, second = run_episode(episode_tools, state.long_memory)
-        term = TAXONOMY[0][0]
+        term = TAXONOMY[0]
         assert second.long_memory[term]["accepted"] >= state.long_memory[term]["accepted"]
 
 

@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from geoforge import cli
 from geoforge.cli import main
-from geoforge.pipeline import STAGE_ORDER, PipelineConfig
+from geoforge.pipeline import CONFIG_KINDS, STAGE_ORDER, PipelineConfig
 
 # Every stage command's own flags, as (command, flag, PipelineConfig field).
 FLAG_SURFACE = [
@@ -31,6 +33,29 @@ FLAG_SURFACE = [
 ]
 # a command-line value for each field type, unequal to every field's default
 FLAG_VALUES = {int: "7", float: "0.25", str: "https://geo.test"}
+# Each stage command's flags, set to values unlike their defaults, in STAGE_ORDER.
+STAGED_FLAGS = [
+    ("gen-corpus", ["--n-pins", "150", "--n-clusters", "4"]),
+    ("curate", ["--neg-per-pos", "1"]),
+    ("train-encoder", ["--steps", "30", "--temperature", "0.1"]),
+    ("build-index", ["--ef-search", "12", "--ef-construction", "40", "--m", "8"]),
+    ("train-ranker", ["--steps", "40", "--margin", "0.5"]),
+    ("build-collections", ["--k", "6"]),
+    ("link", ["--base-url", "https://geo.example.org"]),
+    ("agent-run", ["--min-count", "3"]),
+    ("eval", []),
+]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of every `geoforge` line in README.md's sh blocks."""
+    lines, in_sh = [], False
+    for line in (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("geoforge "):
+            lines.append(shlex.split(line)[1:])
+    return lines
 
 
 @pytest.fixture()
@@ -102,6 +127,14 @@ class TestFlags:
         [(config, stages)] = recorded_runs
         assert stages == [command]
         assert getattr(config, field) == kind(FLAG_VALUES[kind])
+
+    @pytest.mark.parametrize("args", _readme_commands(), ids=" ".join)
+    def test_readme_command_and_its_flags_exist(self, runner, args):
+        result = runner.invoke(main, [*args, "--help"])
+        assert result.exit_code == 0, result.output
+
+    def test_readme_has_commands(self):
+        assert len(_readme_commands()) >= len(STAGE_ORDER)
 
     @pytest.mark.parametrize("command", ["gen-corpus", "pipeline"])
     def test_out_dir_from_config_file_unless_out_given(self, runner, recorded_runs, tmp_path, command):
@@ -177,6 +210,30 @@ class TestStages:
         )
         assert result.exit_code == 0, result.output
         assert (out / "annotations.jsonl").exists()
+
+    def test_stage_by_stage_run_equals_a_whole_run(self, runner, tmp_path):
+        """A flag given to its own stage alone reaches every later stage
+        through the artifacts that stage writes: each checksum equals that of
+        one pipeline run whose config file holds every flag's value."""
+        assert [c for c, _ in STAGED_FLAGS] == STAGE_ORDER
+        lines = ["seed=5"]
+        for command, args in STAGED_FLAGS:
+            fields = dict(cli.STAGE_FLAGS[command])
+            assert args[::2] == list(fields), command
+            for flag, value in zip(args[::2], args[1::2]):
+                field = fields[flag]
+                assert CONFIG_KINDS[field](value) != getattr(PipelineConfig(), field)
+                lines.append(f"{field}={value}")
+            result = runner.invoke(main, [command, "--out", str(tmp_path / "staged"), "--seed", "5", *args])
+            assert result.exit_code == 0, result.output
+        config = tmp_path / "config.txt"
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["pipeline", "--config", str(config), "--out", str(tmp_path / "whole")])
+        assert result.exit_code == 0, result.output
+        staged, whole = (json.loads((tmp_path / run / "report.json").read_text(encoding="utf-8"))["checksums"]
+                         for run in ("staged", "whole"))
+        assert len(staged) > len(STAGE_ORDER)
+        assert staged == whole
 
     def test_eval_prints_table_and_writes_json(self, runner, pipeline_run):
         out = str(pipeline_run["ws"].out)

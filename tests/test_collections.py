@@ -88,8 +88,8 @@ class TestBuildCollections:
         similarities that building it alone gives."""
         corpus, encoder, index = corpus_and_index
         topics = corpus.queries[:12]
-        batch = build_collections(topics, encoder, index, k=10, ef_search=40)
-        single = [build_collection(t, encoder, index, k=10, ef_search=40) for t in topics]
+        batch = build_collections(topics, encoder, index, k=10)
+        single = [build_collection(t, encoder, index, k=10) for t in topics]
         assert [c.topic for c in batch] == topics
         assert [c.to_json() for c in batch] == [c.to_json() for c in single]
 
@@ -116,9 +116,17 @@ class TestJudges:
         topic = corpus.queries[0]
         pin = corpus.pins[sorted(corpus.pins)[0]]
         always = embedding_judge(encoder, threshold=-1.0)([pin], topic)[0]
-        never = embedding_judge(encoder, threshold=1.01)([pin], topic)[0]
+        never = embedding_judge(encoder, threshold=1.0)([pin], topic)[0]
         assert always.satisfied and not never.satisfied
-        assert always.score == never.score
+        assert always.score == never.score < 1.0
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 2.0, 1.01, -1.01])
+    def test_embedding_judge_rejects_a_threshold_outside_the_cosine_range(
+        self, corpus_and_index, threshold
+    ):
+        _, encoder, _ = corpus_and_index
+        with pytest.raises(CollectionError, match=rf"judge threshold {threshold} is not"):
+            embedding_judge(encoder, threshold=threshold)
 
     def test_embedding_judge_missing_topic_embedding(self, corpus_and_index):
         corpus, encoder, _ = corpus_and_index

@@ -435,6 +435,28 @@ class TestStageGraph:
         assert {p: p.read_bytes() for p in [tmp_path / "collections.jsonl",
                                             *(tmp_path / "pages").iterdir()]} == before
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 2.0])
+    def test_judge_threshold_outside_the_cosine_range_fails_eval(self, pipeline_run, tmp_path, threshold):
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path, judge_threshold=threshold)
+        report, ok = run_pipeline(config, stages=["eval"])
+        result = report["stages"]["eval"]
+        assert not ok and result["error_type"] == "CollectionError"
+        assert result["error"] == f"judge threshold {threshold} is not a number in [-1, 1]"
+
+    def test_corpus_without_a_cluster_term_fails_agent_run(self, pipeline_run, tmp_path):
+        """The taxonomy is the cluster terms that are corpus queries, so a
+        corpus whose query texts are none of them leaves it empty."""
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        queries = tmp_path / "corpus" / "queries.jsonl"
+        write_jsonl(queries, [{**obj, "text": f"not {obj['text']}"}
+                              for obj in map(json.loads, queries.read_text(encoding="utf-8").splitlines())])
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
+        report, ok = run_pipeline(config, stages=["agent-run"])
+        result = report["stages"]["agent-run"]
+        assert not ok and result["error_type"] == "AgentError"
+        assert result["error"] == "taxonomy is empty"
+
     def test_attribute_error_of_an_input_keeps_its_cause(self, pipeline_run, tmp_path, monkeypatch):
         def broken_load(manifest):
             raise AttributeError("boom")
@@ -614,13 +636,14 @@ class TestCollections:
         ws = Workspace(pipeline_run["ws"].out)
         config = pipeline_run["config"]
         texts = sorted(q.text for q in ws.corpus.queries)[:5]
-        fresh = pipeline.build_collections(config, ws, texts)
+        fresh = pipeline.build_collections(ws, texts, config.collection_k)
         assert [c.topic.text for c in fresh] == texts
         # an upper-case twin sorts first and takes the slug of texts[1]
         twin = dataclasses.replace(ws.corpus.queries[-1], text=texts[1].upper())
         ws.corpus = dataclasses.replace(ws.corpus, queries=[*ws.corpus.queries, twin])
         marker = dataclasses.replace(fresh[2], members=[(-1, 0.0)])
-        built = pipeline.build_collections(config, ws, [*texts, twin.text, "no such query"], [marker])
+        built = pipeline.build_collections(
+            ws, [*texts, twin.text, "no such query"], config.collection_k, [marker])
         assert [c.topic.text for c in built] == [twin.text, texts[0], texts[2], texts[3], texts[4]]
         assert built[2] is marker
         assert built[1].to_json() == fresh[0].to_json()
@@ -629,7 +652,8 @@ class TestCollections:
         self, pipeline_run, monkeypatch
     ):
         """The ablation takes every collection build-collections published
-        instead of rebuilding it, and its figures do not move."""
+        instead of rebuilding it, and its figures do not move when all but
+        one are rebuilt at the size that one carries."""
         ws = Workspace(pipeline_run["ws"].out)
         config = pipeline_run["config"]
         built = []
@@ -644,11 +668,11 @@ class TestCollections:
         reused_topics = sum(built)
         built.clear()
         bare = Workspace(ws.out)
-        bare.published_collections = []
+        bare.published_collections = ws.published_collections[:1]
         rebuilt = pipeline.ablation_study(config, bare)
         assert reused == rebuilt
         assert reused == pipeline_run["report"]["stages"]["eval"]["metrics"]["ablation"]
-        assert sum(built) - reused_topics >= len(ws.published_collections) > 0
+        assert sum(built) - reused_topics >= len(ws.published_collections) - 1 > 0
 
     def test_build_collections_replaces_stale_pages(self, pipeline_run, tmp_path):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 import tracemalloc
 
@@ -554,51 +555,57 @@ class TestTraining:
 
 
 class TestHeldOut:
-    """The pipeline's ranker budget scored on pins it never trained on: the
-    seed-11 corpus, built and curated as criterion 07 builds its own, with
-    a seeded 20% of its pins held out. On seed 11 the former budget (1,500
-    steps at rate 0.1) wandered most; README, "The ranker's budget", has the
-    curve over seeds, splits and rates."""
+    """The pipeline's ranker budget scored on pins it never trained on: a
+    corpus seed's default corpus, built and curated as criterion 07 builds
+    its own, with a seeded 20% of its pins held out. On seed 11 the former
+    budget (1,500 steps at rate 0.1) wandered most; seed 6 with split 1 is
+    the cell where the default budget reads closest to the bars. README,
+    "The ranker's budget", has the curve over seeds, splits and rates."""
 
-    SEED = 11
     # the former budget reads top-1 cluster 0.98 and correct_rank 0.995 on
-    # this split; a bar is that less the spread over 13 corpus seeds, 4
-    # splits and 2 ranker seeds (0.02 and 0.005)
+    # seed 11, split 12345; a bar is that less the spread over 13 corpus
+    # seeds, 4 splits and 2 ranker seeds (0.02 and 0.005)
     TOP1_BAR = 0.96
     CORRECT_RANK_BAR = 0.99
 
     @pytest.fixture(scope="class")
     def held_out(self):
-        """(steps, rate) -> held-out (top-1 cluster, correct_rank)."""
-        corpus, sidecar = synth.generate_corpus(synth.SynthConfig(seed=self.SEED))
-        queries = curation.dedup_queries(corpus.queries)
-        labeled, _ = curation.curate(
-            corpus, queries, seed=subseed(self.SEED, "curation"))
-        pins, query_rows = pin_features(corpus), query_features(corpus)
-        triplets = _triplets_from_labels(corpus, pins, query_rows, labeled)
-        held = held_out_pins(len(corpus.pins), 0.2, seed=12345)
-        in_held = np.isin(triplets.pin, held)
-        train_set, eval_set = triplets[np.flatnonzero(~in_held)], triplets[np.flatnonzero(in_held)]
-        deduped = query_rows[[corpus.query_row[q.text] for q in queries]]
-        pin_clusters = np.array([sidecar["pin_cluster"][s] for s in corpus.signatures[held].tolist()])
-        query_clusters = np.array([sidecar["query_cluster"][q.text] for q in queries])
-        tower = TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t)
+        """(corpus seed, split seed) -> ((steps, rate) -> held-out (top-1
+        cluster, correct_rank)), each corpus built once."""
 
-        def measure(steps: int, rate: float) -> tuple[float, float]:
-            model, _ = train_ranker(train_set, tower, RankerTrainConfig(
-                steps=steps, learning_rate=rate, seed=subseed(self.SEED, "ranker")))
-            return (top1_cluster(model, pins[held], deduped, pin_clusters, query_clusters),
-                    correct_rank(model, eval_set))
+        @functools.cache
+        def corpus_split(seed: int, split: int):
+            corpus, sidecar = synth.generate_corpus(synth.SynthConfig(seed=seed))
+            queries = curation.dedup_queries(corpus.queries)
+            labeled, _ = curation.curate(corpus, queries, seed=subseed(seed, "curation"))
+            pins, query_rows = pin_features(corpus), query_features(corpus)
+            triplets = _triplets_from_labels(corpus, pins, query_rows, labeled)
+            held = held_out_pins(len(corpus.pins), 0.2, seed=split)
+            in_held = np.isin(triplets.pin, held)
+            train_set, eval_set = triplets[np.flatnonzero(~in_held)], triplets[np.flatnonzero(in_held)]
+            deduped = query_rows[[corpus.query_row[q.text] for q in queries]]
+            pin_clusters = np.array([sidecar["pin_cluster"][s] for s in corpus.signatures[held].tolist()])
+            query_clusters = np.array([sidecar["query_cluster"][q.text] for q in queries])
+            tower = TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t)
 
-        return measure
+            def measure(steps: int, rate: float) -> tuple[float, float]:
+                model, _ = train_ranker(train_set, tower, RankerTrainConfig(
+                    steps=steps, learning_rate=rate, seed=subseed(seed, "ranker")))
+                return (top1_cluster(model, pins[held], deduped, pin_clusters, query_clusters),
+                        correct_rank(model, eval_set))
 
-    def test_default_budget_holds_the_bar(self, held_out):
+            return measure
+
+        return corpus_split
+
+    @pytest.mark.parametrize("seed, split", [(11, 12345), (6, 1)])
+    def test_default_budget_holds_the_bar(self, held_out, seed, split):
         config = PipelineConfig()
-        top1, rank = held_out(config.ranker_steps, config.ranker_lr)
+        top1, rank = held_out(seed, split)(config.ranker_steps, config.ranker_lr)
         assert top1 >= self.TOP1_BAR and rank >= self.CORRECT_RANK_BAR, (top1, rank)
 
     def test_a_weakened_budget_falls_below_the_bar(self, held_out):
-        top1, rank = held_out(25, 0.1)
+        top1, rank = held_out(11, 12345)(25, 0.1)
         assert top1 < self.TOP1_BAR and rank < self.CORRECT_RANK_BAR, (top1, rank)
 
 
