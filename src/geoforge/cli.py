@@ -86,7 +86,7 @@ def pipeline(config_path, out_dir, seed, stages):
     """Run all stages (or a subset) in dependency order. A stage whose
     input artifact is missing fails with DependencyError."""
     config = _config(config_path, out_dir=out_dir, seed=seed)
-    stage_list = stages.split(",") if stages else None
+    stage_list = None if stages is None else stages.split(",")
     for stage in stage_list or []:
         if stage not in STAGE_ORDER:
             raise click.UsageError(f"unknown stage {stage!r}")

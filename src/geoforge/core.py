@@ -24,7 +24,6 @@ from typing import IO, Callable, Iterable, Iterator, TypeVar
 import numpy as np
 
 QUERY_CATEGORIES = ("Description", "StyleDetail", "UseCase")
-PAIR_SOURCES = ("SearchConsole", "Synthetic", "HardNegative")
 # The corpus files in a corpus directory, each under its artifact name: the
 # pin and query records' other fields as JSONL, and one array file of their
 # vectors, the VECTOR_ARRAYS, and of the engagement table's columns.
@@ -33,7 +32,7 @@ ARRAYS_MAGIC = b"GEOCOR01"
 VECTOR_ARRAYS = ("visual", "text", "query_embeddings")
 # The engagement columns (see `Engagement`) and their dtypes.
 ENGAGEMENT_ARRAYS = {"pin_row": "<i8", "query_row": "<i8", "impressions": "<i8",
-                     "clicks": "<i8", "avg_position": "<f4", "navboost": "<f4"}
+                     "clicks": "<i8", "avg_position": "<f4"}
 T = TypeVar("T")
 
 # Fixed offsets off the corpus-wide seed, one per stage, so every module
@@ -203,15 +202,14 @@ class QueryRecord(_Record):
 class Engagement:
     """Search engagement as read-only columns of the ENGAGEMENT_ARRAYS
     dtypes, row k one (query, pin) record: the pin's row in signature order,
-    the query's row in `Corpus.queries`, its impressions and clicks, its
-    average position and its navboost coverage."""
+    the query's row in `Corpus.queries`, its impressions and clicks and its
+    average position."""
 
     pin_row: np.ndarray
     query_row: np.ndarray
     impressions: np.ndarray
     clicks: np.ndarray
     avg_position: np.ndarray
-    navboost: np.ndarray
 
     def __post_init__(self) -> None:
         for name, dtype in ENGAGEMENT_ARRAYS.items():
@@ -226,18 +224,10 @@ class LabeledPair:
     pin_signature: int
     query: QueryRecord
     label: int
-    navboost_coverage: float = 0.0
-    source: str = "SearchConsole"
 
     def validate(self) -> None:
         if self.label not in (+1, -1):
             raise CorpusError(f"label must be +1 or -1, got {self.label}")
-        if not 0.0 <= self.navboost_coverage <= 1.0:
-            raise CorpusError(
-                f"navboost_coverage {self.navboost_coverage} outside [0, 1]"
-            )
-        if self.source not in PAIR_SOURCES:
-            raise CorpusError(f"unknown pair source {self.source!r}")
 
     def to_json(self) -> dict:
         """The pair with its query by text; `from_json` joins it back."""
@@ -245,18 +235,15 @@ class LabeledPair:
             "pin_signature": self.pin_signature,
             "query_text": self.query.text,
             "label": self.label,
-            "navboost_coverage": float(np.float32(self.navboost_coverage)),
-            "source": self.source,
         }
 
     @classmethod
     def from_json(cls, obj: dict, corpus: Corpus) -> "LabeledPair":
         """A validated pair of the JSON kinds `to_json` writes, with its query
         and pin looked up in ``corpus``; one it lacks raises CorpusError."""
-        check_json(obj, {"pin_signature": int, "query_text": str, "label": int,
-                         "navboost_coverage": float, "source": str})
+        check_json(obj, {"pin_signature": int, "query_text": str, "label": int})
         pair = cls(corpus.pin(obj["pin_signature"]).signature, corpus.query(obj["query_text"]),
-                   obj["label"], float(obj["navboost_coverage"]), obj["source"])
+                   obj["label"])
         pair.validate()
         return pair
 
@@ -566,22 +553,21 @@ def load_corpus(directory: str | Path) -> Corpus:
 def _check_engagement(path: Path, columns: dict[str, np.ndarray], n_pins: int, n_queries: int) -> None:
     """Raise CorpusError naming ``path`` unless the engagement ``columns``
     are of one length, at least 1, with pin rows of the ``n_pins``, query
-    rows of the ``n_queries``, impressions >= 0, clicks in [0, impressions],
-    avg_position >= 1 and navboost in [0, 1]: the first rule broken, in that
-    order, names the first row that breaks it."""
+    rows of the ``n_queries``, impressions >= 0, clicks in [0, impressions]
+    and avg_position >= 1: the first rule broken, in that order, names the
+    first row that breaks it."""
     lengths = [len(column) for column in columns.values()]
     if len(set(lengths)) > 1:
         raise CorpusError(f"{path}: engagement columns {list(columns)} have unequal lengths {lengths}")
     if not lengths[0]:
         raise CorpusError(f"{path}: no engagement records")
-    pin, query, shown, clicks, position, navboost = columns.values()
+    pin, query, shown, clicks, position = columns.values()
     for name, ok, rule in [
         ("pin_row", (pin >= 0) & (pin < n_pins), f"is no row of the {n_pins} pins"),
         ("query_row", (query >= 0) & (query < n_queries), f"is no row of the {n_queries} queries"),
         ("impressions", shown >= 0, "is negative"),
         ("clicks", (clicks >= 0) & (clicks <= shown), "is negative or exceeds impressions"),
         ("avg_position", position >= 1.0, "is below 1"),
-        ("navboost", (navboost >= 0.0) & (navboost <= 1.0), "is outside [0, 1]"),
     ]:
         bad = np.flatnonzero(~ok)
         if bad.size:

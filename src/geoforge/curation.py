@@ -1,10 +1,9 @@
 """Training-data curation: retention filter, top-query selection, stratified
-sampling, label assignment with navboost promotion, and near-duplicate
-query merging."""
+sampling, hard-negative labelling, and near-duplicate query merging."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,7 +11,6 @@ from .core import (
     Corpus, Engagement, LabeledPair, QueryRecord, ZeroNormError, l2_normalize_rows,
 )
 
-NAVBOOST_PROMOTION = 0.54  # strictly-greater promotion threshold
 RELATEDNESS_CEILING = 0.5  # hard negatives must be below this cosine
 DEDUP_THRESHOLD = 0.9
 TOP_QUERIES = 30  # retained queries kept per pin
@@ -132,9 +130,8 @@ def _embedding_units(queries: list[QueryRecord]) -> np.ndarray:
 def label_pairs(
     positives: list[LabeledPair], pool: list[QueryRecord], neg_per_pos: int, seed: int
 ) -> list[LabeledPair]:
-    """Assign ranker labels: positives stay +1 (a navboost coverage above
-    NAVBOOST_PROMOTION promotes), and each positive draws `neg_per_pos`
-    unrelated hard negatives.
+    """Label each positive, which must carry label +1, with `neg_per_pos`
+    unrelated hard negatives of label -1, each after its positive.
 
     Every positive and pool query needs an embedding. A pool query with
     another text qualifies as a negative when its cosine to the positive,
@@ -154,10 +151,10 @@ def label_pairs(
     out: list[LabeledPair] = []
     starved: list[str] = []
     for positive in positives:
-        if positive.navboost_coverage > NAVBOOST_PROMOTION:
-            positive = replace(positive, label=+1)
-        out.append(positive)
         text = positive.query.text
+        if positive.label != +1:
+            raise CurationError(f"positive {text!r} has label {positive.label}, not +1")
+        out.append(positive)
         unrelated = unrelated_by_text.get(text)
         if unrelated is None:
             unit = _embedding_units([positive.query])[0]
@@ -169,17 +166,7 @@ def label_pairs(
             starved.append(text)
             continue
         idx = rng.choice(len(unrelated), size=neg_per_pos, replace=False)
-        for i in idx:
-            negative = unrelated[int(i)]
-            out.append(
-                LabeledPair(
-                    pin_signature=positive.pin_signature,
-                    query=negative,
-                    label=-1,
-                    navboost_coverage=0.0,
-                    source="HardNegative",
-                )
-            )
+        out.extend(LabeledPair(positive.pin_signature, unrelated[i], -1) for i in idx.tolist())
     if starved:
         raise CurationError(
             f"not enough unrelated negatives for {len(starved)} positives: "
@@ -213,9 +200,9 @@ def curate(
 ) -> tuple[list[LabeledPair], dict]:
     """Full curation pass: filter the corpus's engagement, pick each pin's
     TOP_QUERIES retained queries (by impressions descending, then average
-    position ascending, then query text) as positives with their rows'
-    navboost coverage, label with hard negatives drawn from ``deduped``, the
-    corpus queries' `dedup_queries`, and report per-branch counts."""
+    position ascending, then query text) as positives, label with hard
+    negatives drawn from ``deduped``, the corpus queries' `dedup_queries`,
+    and report per-branch counts."""
     engagement = corpus.engagement
     kept = retain(engagement)
     branch_counts = {name: int(np.count_nonzero(mask))
@@ -231,11 +218,8 @@ def curate(
                             -engagement.impressions[rows], pin_row[rows]))]
     # a row's place among its pin's is its place less that of the pin's first
     top = rows[np.arange(len(rows)) - np.searchsorted(pin_row[rows], pin_row[rows]) < TOP_QUERIES]
-    positives = [  # each a SearchConsole pair
-        LabeledPair(signature, queries[row], +1, coverage) for signature, row, coverage in zip(
-            corpus.signatures[pin_row[top]].tolist(), query_row[top].tolist(),
-            engagement.navboost[top].tolist())
-    ]
+    positives = [LabeledPair(signature, queries[row], +1) for signature, row in zip(
+        corpus.signatures[pin_row[top]].tolist(), query_row[top].tolist())]
 
     labeled = label_pairs(positives, deduped, neg_per_pos=neg_per_pos, seed=seed)
     histogram: dict[str, int] = {}

@@ -92,6 +92,10 @@ class Annotation(_Record):
     def to_json(self) -> dict:  # the score at full precision, not through float32
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def validate(self) -> None:
+        if self.rank < 1:
+            raise CorpusError(f"pin {self.pin_signature}: rank {self.rank} is below 1")
+
 
 @dataclass
 class Workspace:
@@ -549,7 +553,8 @@ STAGE_ORDER = list(STAGE_FUNCS)
 def run_pipeline(
     config: PipelineConfig, stages: list[str] | None = None
 ) -> tuple[dict, bool]:
-    """Run the requested stages in STAGE_ORDER.
+    """Run the requested stages, every stage when ``stages`` is None, in
+    STAGE_ORDER; an empty list raises PipelineError.
 
     A stage is skipped when a producer of one of its inputs failed or was
     skipped, and fails with DependencyError when an input is missing; other
@@ -559,7 +564,9 @@ def run_pipeline(
     PipelineError naming its path.
     Returns (report, ok), where ok covers this run's stages.
     """
-    requested = stages or STAGE_ORDER
+    requested = STAGE_ORDER if stages is None else stages
+    if not requested:
+        raise PipelineError("no stages requested")
     for stage in requested:
         if stage not in STAGE_FUNCS:
             raise PipelineError(f"unknown stage {stage!r}")

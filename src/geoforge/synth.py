@@ -1,9 +1,9 @@
 """Synthetic clustered corpus generator.
 
-Emits pins, queries, engagement with navboost coverage, and a trend feed so the
-whole pipeline is runnable without proprietary data. Pins and queries are
-drawn around per-topic centroids in embedding space, so retrieval, ranking,
-and collection quality are all measurable against known cluster membership.
+Emits pins, queries, engagement, and a trend feed so the whole pipeline is
+runnable without proprietary data. Pins and queries are drawn around
+per-topic centroids in embedding space, so retrieval, ranking, and
+collection quality are all measurable against known cluster membership.
 """
 
 from __future__ import annotations
@@ -153,9 +153,8 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
     signature 1_000_000 + i and cluster i % n_clusters; its vectors, and
     each query's, lie around the cluster's centroids. A pin's engagement is
     ``min(engagement_per_pin, queries_per_cluster)`` distinct own-cluster
-    queries in random order, each of a RECORD_KINDS branch drawn uniformly
-    (the first of them with a navboost coverage, the rest with 0), then one
-    weak record for a query of the next cluster."""
+    queries in random order, each of a RECORD_KINDS branch drawn uniformly,
+    then one weak record for a query of the next cluster."""
     rng = rng_for(config.seed, "corpus")
     n_pins, n_clusters, per_cluster = config.n_pins, config.n_clusters, config.queries_per_cluster
     centroids_v = l2_normalize_rows(rng.standard_normal((n_clusters, config.d_v)))
@@ -195,11 +194,8 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
     kinds = np.full((n_pins, per_pin + 1), CROSS_CLUSTER)
     kinds[:, :per_pin] = rng.integers(0, CROSS_CLUSTER, (n_pins, per_pin))
     impressions, clicks, positions = _engagement_fields(kinds, rng)
-    navboost = np.zeros((n_pins, per_pin + 1))  # 0 but on each first pick
-    if per_pin:
-        navboost[:, 0] = rng.uniform(0.0, 1.0, n_pins)
     engagement = Engagement(np.repeat(np.arange(n_pins), per_pin + 1), query_rows.ravel(),
-                            impressions, clicks, positions, navboost.ravel())
+                            impressions, clicks, positions)
 
     corpus = Corpus(pins=pins, queries=queries, engagement=engagement, visual=visual,
                     text=pin_text, query_embeddings=query_embeddings)

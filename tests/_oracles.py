@@ -108,17 +108,17 @@ def retention_oracle(impressions: int, clicks: int, avg_position: float) -> bool
     return high_ctr or good_position
 
 
-def curation_oracle(records: list[tuple], n: int) -> tuple[list[tuple[int, str, float]], dict[str, int]]:
+def curation_oracle(records: list[tuple], n: int) -> tuple[list[tuple[int, str]], dict[str, int]]:
     """Record-at-a-time retention and top-query selection over ``records``
-    of (pin signature, query text, impressions, clicks, avg_position,
-    navboost): each pin's top ``n`` retained (signature, text, navboost)
-    positives, pins ascending and each pin's by impressions descending, then
-    position, then text, with ties in input order; and the records that meet
-    each retention branch, and that meet none as "rejected"."""
+    of (pin signature, query text, impressions, clicks, avg_position): each
+    pin's top ``n`` retained (signature, text) positives, pins ascending and
+    each pin's by impressions descending, then position, then text, with
+    ties in input order; and the records that meet each retention branch,
+    and that meet none as "rejected"."""
     counts = {"impressions": 0, "ctr": 0, "position": 0, "rejected": 0}
     by_pin: dict[int, list[tuple]] = {}
     for record in records:
-        signature, _, impressions, clicks, position, _ = record
+        signature, _, impressions, clicks, position = record
         branches = [name for name, met in [
             ("impressions", impressions > 1000),
             ("ctr", impressions > 10 and clicks / impressions >= 0.8),
@@ -131,7 +131,7 @@ def curation_oracle(records: list[tuple], n: int) -> tuple[list[tuple[int, str, 
     pairs = []
     for signature in sorted(by_pin):
         ranked = sorted(by_pin[signature], key=lambda r: (-r[2], r[4], r[1]))
-        pairs += [(signature, text, navboost) for _, text, *_, navboost in ranked[:n]]
+        pairs += [(signature, text) for _, text, *_ in ranked[:n]]
     return pairs, counts
 
 

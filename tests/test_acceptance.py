@@ -50,7 +50,7 @@ def test_criterion_01_retention_truth_table(announce):
     ]
     impressions, _, clicks, positions = (list(column) for column in zip(*cells))
     rows = np.zeros(len(cells), dtype=np.int64)  # one pin and one query
-    kept = curation.retain(Engagement(rows, rows, impressions, clicks, positions, rows)).tolist()
+    kept = curation.retain(Engagement(rows, rows, impressions, clicks, positions)).tolist()
     mismatches = [
         (shown, ctr, position, got, want)
         for (shown, ctr, clicked, position), got in zip(cells, kept)

@@ -151,12 +151,13 @@ class TestExitCodes:
         result = runner.invoke(main, ["gen-corpus", "--no-such-flag"])
         assert result.exit_code == 2
 
-    def test_unknown_stage_usage_error(self, runner, tmp_path):
+    @pytest.mark.parametrize("stages", ["polish", ""])
+    def test_unknown_stage_usage_error(self, runner, tmp_path, stages):
         result = runner.invoke(
-            main, ["pipeline", "--out", str(tmp_path), "--stages", "polish"]
+            main, ["pipeline", "--out", str(tmp_path), "--stages", stages]
         )
         assert result.exit_code == 2
-        assert "unknown stage" in result.output
+        assert "unknown stage" in result.output and not any(tmp_path.iterdir())
 
     def test_failed_stage_exits_nonzero(self, runner, tmp_path):
         result = runner.invoke(main, ["curate", "--out", str(tmp_path)])

@@ -155,12 +155,11 @@ class TestRecordValidation:
         with pytest.raises(CorpusError, match="empty"):
             QueryRecord(text="  ", category="UseCase").validate()
 
-    def test_labeled_pair_label_and_source(self):
+    def test_labeled_pair_label(self):
         query = QueryRecord(text="x", category="UseCase")
         with pytest.raises(CorpusError, match="label"):
             LabeledPair(1, query, label=0).validate()
-        with pytest.raises(CorpusError, match="source"):
-            LabeledPair(1, query, label=1, source="Mystery").validate()
+        assert [f.name for f in dataclasses.fields(LabeledPair)] == ["pin_signature", "query", "label"]
 
     def test_labeled_pair_resolves_through_the_corpus(self, small_synth):
         corpus = small_synth[0]
@@ -311,8 +310,8 @@ class TestCorpusIO:
     # small_synth has 120 pins, 48 queries and 600 engagement rows
     @pytest.mark.parametrize("edit, match", [
         (lambda a: {**a, "clicks": a["clicks"][:-1]},
-         r"engagement columns \['pin_row', 'query_row', 'impressions', 'clicks', 'avg_position', "
-         r"'navboost'\] have unequal lengths \[600, 600, 600, 599, 600, 600\]"),
+         r"engagement columns \['pin_row', 'query_row', 'impressions', 'clicks', 'avg_position'\] "
+         r"have unequal lengths \[600, 600, 600, 599, 600\]"),
         (lambda a: {**a, **{n: a[n][:0] for n in ENGAGEMENT_ARRAYS}}, "no engagement records"),
         (_set("pin_row", 3, 120), "engagement row 3: pin_row 120 is no row of the 120 pins"),
         (_set("pin_row", 3, -1), "engagement row 3: pin_row -1 is no row of the 120 pins"),
@@ -324,15 +323,16 @@ class TestCorpusIO:
         (_set("clicks", 3, -1), "engagement row 3: clicks -1 is negative or exceeds impressions"),
         (_set("avg_position", 3, 0.5), "engagement row 3: avg_position 0.5 is below 1"),
         (_set("avg_position", 3, np.nan), "array 'avg_position' has non-finite values"),
-        (_set("navboost", 3, 1.5), r"engagement row 3: navboost 1.5 is outside \[0, 1\]"),
-        (_set("navboost", 3, -0.25), r"engagement row 3: navboost -0.25 is outside \[0, 1\]"),
-        (_set("navboost", 3, np.inf), "array 'navboost' has non-finite values"),
+        (_set("avg_position", 3, np.inf), "array 'avg_position' has non-finite values"),
         # a column of the other kind, or a column of two dimensions
         (lambda a: {**a, "impressions": a["impressions"].astype("<f4")}, "engagement columns"),
         (lambda a: {**a, "avg_position": a["avg_position"].astype("<i8")}, "engagement columns"),
-        (lambda a: {**a, "navboost": a["navboost"].astype("<i8")}, "engagement columns"),
         (lambda a: {**a, "pin_row": a["pin_row"].astype("<i4")}, "engagement columns"),
+        (lambda a: {**a, "query_row": a["query_row"].astype("<f4")}, "engagement columns"),
         (lambda a: {**a, "clicks": a["clicks"][:, None]}, "engagement columns"),
+        # a column missing, or a sixth one, as the array files that carried navboost had
+        (lambda a: {n: c for n, c in a.items() if n != "impressions"}, "engagement columns"),
+        (lambda a: {**a, "navboost": np.zeros(len(a["pin_row"]), "<f4")}, "engagement columns"),
     ])
     def test_bad_engagement_column_names_it_and_its_row(self, small_synth, tmp_path, edit, match):
         path = _save_arrays_edited(small_synth[0], tmp_path, edit)

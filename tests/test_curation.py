@@ -31,10 +31,10 @@ from _oracles import cosine, curation_oracle, retention_oracle
 
 def _engagement(impressions, clicks, positions, pins=None, queries=None) -> Engagement:
     """Engagement columns; each row is of pin row 0 and query row 0 unless
-    ``pins`` and ``queries`` say otherwise, and of navboost 0."""
+    ``pins`` and ``queries`` say otherwise."""
     zeros = np.zeros(len(impressions), dtype=np.int64)
     return Engagement(zeros if pins is None else pins, zeros if queries is None else queries,
-                      impressions, clicks, positions, zeros)
+                      impressions, clicks, positions)
 
 
 class TestRetention:
@@ -70,14 +70,12 @@ def _random_engagement(rng: np.random.Generator, n: int) -> Engagement:
     """80 + ``n`` engagement rows over a corpus's first 12 pins and first 8
     queries, of few distinct values so that impressions, positions and
     texts tie, with pin row 0 retained in every one of its 60 rows and pin
-    row 1 in none of them, and a navboost coverage on about a third of the
-    rows."""
+    row 1 in none of them."""
     pins = np.concatenate([np.zeros(60, np.int64), np.ones(20, np.int64), rng.integers(2, 12, n)])
     impressions = np.concatenate([np.full(60, 2000), np.full(20, 5), rng.choice([0, 5, 11, 50, 1001, 2000], n)])
     clicks = (impressions * rng.choice([0.0, 0.5, 0.79, 0.8, 1.0], len(pins))).astype(np.int64)
     return Engagement(pins, rng.integers(0, 8, len(pins)), impressions, clicks,
-                      rng.choice([1.0, 5.0, 10.0, 10.5, 40.0], len(pins)),
-                      rng.uniform(0, 1, len(pins)) * (rng.random(len(pins)) < 1 / 3))
+                      rng.choice([1.0, 5.0, 10.0, 10.5, 40.0], len(pins)))
 
 
 class TestTopQueries:
@@ -92,10 +90,10 @@ class TestTopQueries:
         records = [(signatures[pin], texts[query], *fields) for pin, query, *fields in zip(*columns)]
         positives, counts = curation_oracle(records, TOP_QUERIES)
         labeled, report = curate(tied, [], neg_per_pos=0)
-        assert [(p.pin_signature, p.query.text, p.navboost_coverage) for p in labeled] == positives
+        assert [(p.pin_signature, p.query.text) for p in labeled] == positives
+        assert all(p.label == +1 for p in labeled)
         assert report["retention_branches"] == counts
         # the oracle saw the cases the table is built for
-        assert 0 < sum(coverage > 0 for *_, coverage in positives) < len(positives)
         per_pin = Counter(signature for signature, *_ in positives)
         assert per_pin[signatures[0]] == TOP_QUERIES and signatures[1] not in per_pin
 
@@ -168,30 +166,14 @@ class TestLabeling:
     def _query(self, text, direction):
         return QueryRecord(text=text, category="UseCase", embedding=np.array(direction, dtype=float))
 
-    def test_navboost_promotion_strictly_greater(self):
-        base = self._query("pos", [1.0, 0.0])
-        unrelated = [self._query(f"neg {i}", [0.0, 1.0]) for i in range(3)]
-        promoted = label_pairs(
-            [LabeledPair(pin_signature=1, query=base, label=-1, navboost_coverage=0.55)],
-            unrelated + [base], neg_per_pos=2, seed=0,
-        )
-        assert promoted[0].label == +1 and promoted[0].navboost_coverage == 0.55
-        at_threshold = label_pairs(
-            [LabeledPair(pin_signature=1, query=base, label=-1, navboost_coverage=0.54)],
-            unrelated + [base], neg_per_pos=2, seed=0,
-        )
-        assert at_threshold[0].label == -1 and at_threshold[0].navboost_coverage == 0.54
-
     def test_negatives_unrelated_and_labeled(self):
         base = self._query("pos", [1.0, 0.0])
         related = self._query("related", [0.9, 0.1])
         unrelated = [self._query(f"neg {i}", [0.0, 1.0]) for i in range(4)]
         positives = [LabeledPair(pin_signature=1, query=base, label=+1)]
         out = label_pairs(positives, [base, related] + unrelated, neg_per_pos=2, seed=3)
-        negatives = [p for p in out if p.label == -1]
-        assert len(negatives) == 2
-        assert all(p.source == "HardNegative" for p in negatives)
-        assert all(p.query.text.startswith("neg") for p in negatives)
+        assert out[0] == positives[0] and [p.label for p in out] == [+1, -1, -1]
+        assert all(p.pin_signature == 1 and p.query.text.startswith("neg") for p in out[1:])
 
     def test_positive_text_never_its_own_negative(self):
         base = self._query("pos", [1.0, 0.0])
@@ -213,6 +195,13 @@ class TestLabeling:
         positives = [LabeledPair(pin_signature=1, query=bare, label=+1)]
         with pytest.raises(CurationError, match="lacks an embedding"):
             label_pairs(positives, [], neg_per_pos=0, seed=0)
+
+    def test_positive_not_labelled_plus_one_fatal_naming_it(self):
+        base = self._query("pos", [1.0, 0.0])
+        unrelated = [self._query(f"neg {i}", [0.0, 1.0]) for i in range(3)]
+        positives = [LabeledPair(1, base, +1), LabeledPair(2, base, -1)]
+        with pytest.raises(CurationError, match=r"^positive 'pos' has label -1, not \+1$"):
+            label_pairs(positives, unrelated, neg_per_pos=2, seed=0)
 
     def test_negative_neg_per_pos_fatal_naming_it(self):
         base = self._query("pos", [1.0, 0.0])
@@ -310,9 +299,7 @@ def _scalar_label_pairs(positives, pool, neg_per_pos, seed):
     rng = np.random.default_rng(seed)
     out = []
     for positive in positives:
-        coverage = positive.navboost_coverage
-        label = +1 if (positive.label == +1 or coverage > 0.54) else positive.label
-        out.append(LabeledPair(positive.pin_signature, positive.query, label, coverage, positive.source))
+        out.append(positive)
         unrelated = [
             q for q in pool
             if q.embedding is not None
@@ -322,7 +309,7 @@ def _scalar_label_pairs(positives, pool, neg_per_pos, seed):
         if len(unrelated) < neg_per_pos:
             raise CurationError("starved")
         for i in rng.choice(len(unrelated), size=neg_per_pos, replace=False):
-            out.append(LabeledPair(positive.pin_signature, unrelated[int(i)], -1, 0.0, "HardNegative"))
+            out.append(LabeledPair(positive.pin_signature, unrelated[int(i)], -1))
     return out
 
 
@@ -357,11 +344,7 @@ class TestVectorisedEquivalence:
     )
     def test_label_pairs_output_matches_scalar_reference(self, pool, data):
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
-        positives = [
-            LabeledPair(pin_signature=k, query=pool[i], label=data.draw(st.sampled_from([1, -1])),
-                        navboost_coverage=data.draw(st.sampled_from([0.0, 0.54, 0.6])))
-            for k, i in enumerate(picks)
-        ]
+        positives = [LabeledPair(pin_signature=k, query=pool[i], label=+1) for k, i in enumerate(picks)]
         neg_per_pos = data.draw(st.integers(0, 2))
         seed = data.draw(st.integers(0, 1000))
         try:

@@ -75,6 +75,9 @@ class TestStageGraph:
         config = PipelineConfig(out_dir=tmp_path)
         with pytest.raises(PipelineError, match="unknown stage"):
             run_pipeline(config, stages=["polish"])
+        with pytest.raises(PipelineError, match="^no stages requested$"):
+            run_pipeline(config, stages=[])
+        assert not any(tmp_path.iterdir())
 
     def test_missing_artifact_fails_with_producer_named(self, tmp_path):
         config = PipelineConfig(out_dir=tmp_path)
@@ -153,15 +156,15 @@ class TestStageGraph:
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
         path = tmp_path / "corpus" / "arrays.bin"
         _, arrays = load_arrays(path, ARRAYS_MAGIC, CorpusError, {})
-        navboost = arrays["navboost"].copy()
-        navboost[3] = 1.5
-        save_arrays(path, ARRAYS_MAGIC, {}, {**arrays, "navboost": navboost})
+        position = arrays["avg_position"].copy()
+        position[3] = 0.5
+        save_arrays(path, ARRAYS_MAGIC, {}, {**arrays, "avg_position": position})
         config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
         report, ok = run_pipeline(config, stages=["curate", "eval"])
         assert not ok
         curate = report["stages"]["curate"]
         assert curate["status"] == "failed" and curate["error_type"] == "CorpusError"
-        assert curate["error"] == f"{path}: engagement row 3: navboost 1.5 is outside [0, 1]"
+        assert curate["error"] == f"{path}: engagement row 3: avg_position 0.5 is below 1"
         assert "stage_curate" in curate["traceback"]
         assert report["stages"]["eval"] == {"status": "skipped", "blocked_by": ["curate"]}
 
@@ -197,15 +200,19 @@ class TestStageGraph:
         ]],
         *[("train-ranker", "labeled_pairs.jsonl", edit, "CorpusError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
-            ({"source": None}, "missing key 'source'"),
+            ({"label": None}, "missing key 'label'"),
             ({"label": True}, "key 'label' has ill-typed value True"),
             ({"pin_signature": 1.5}, "key 'pin_signature' has ill-typed value 1.5"),
-            ({"navboost_coverage": "x"}, "key 'navboost_coverage' has ill-typed value 'x'"),
+            # a pair in the format that also carried navboost coverage and source
+            ({"navboost_coverage": 0.25}, "unknown key 'navboost_coverage'"),
+            ({"source": "SearchConsole"}, "unknown key 'source'"),
         ]],
         *[("link", "annotations.jsonl", edit, "PipelineError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
             ({"rank": True}, "key 'rank' has ill-typed value True"),
             ({"rank": 1.5}, "key 'rank' has ill-typed value 1.5"),
+            ({"rank": 0}, r"pin \d+: rank 0 is below 1"),
+            ({"rank": -1}, r"pin \d+: rank -1 is below 1"),
             ({"score": "0.5"}, "key 'score' has ill-typed value '0.5'"),
         ]],
         *[("link", "collections.jsonl", edit, "CollectionError", match) for edit, match in [
@@ -272,19 +279,20 @@ class TestStageGraph:
         (lambda a: {**a, "pin_row": a["pin_row"].astype("<f4")}, "expected the float32 matrices .+"),
         (lambda a: {**a, "impressions": a["impressions"].astype("<f4") + 0.5}, "expected the float32 matrices .+"),
         (lambda a: {**a, "avg_position": a["avg_position"].astype("<i8")}, "expected the float32 matrices .+"),
-        (lambda a: {**a, "coverage": a["navboost"]}, "expected the float32 matrices .+"),
-        (lambda a: {n: c for n, c in a.items() if n != "navboost"}, "expected the float32 matrices .+"),
-        (lambda a: {**a, "navboost": a["navboost"].astype("<i8")}, "expected the float32 matrices .+"),
-        (lambda a: {**a, "navboost": a["navboost"][:, None]}, "expected the float32 matrices .+"),
+        (lambda a: {**a, "navboost": a["avg_position"]}, "expected the float32 matrices .+"),
+        (lambda a: {n: c for n, c in a.items() if n != "avg_position"}, "expected the float32 matrices .+"),
+        (lambda a: {**a, "avg_position": a["avg_position"][:, None]}, "expected the float32 matrices .+"),
         # a bad value names its row
         (lambda a: {**a, "pin_row": np.where(np.arange(len(a["pin_row"])) == 1, 1000, a["pin_row"])},
          "engagement row 1: pin_row 1000 is no row of the 1000 pins"),
         (lambda a: {**a, "clicks": np.full_like(a["clicks"], 10**9)},
          "engagement row 0: clicks 1000000000 is negative or exceeds impressions"),
-        (lambda a: {**a, "navboost": np.where(np.arange(len(a["navboost"])) == 2, -0.5, a["navboost"])},
-         r"engagement row 2: navboost -0.5 is outside \[0, 1\]"),
-        (lambda a: {**a, "navboost": np.full_like(a["navboost"], 2.0)},
-         r"engagement row 0: navboost 2.0 is outside \[0, 1\]"),
+        (lambda a: {**a, "avg_position": np.where(np.arange(len(a["avg_position"])) == 2, 0.5, a["avg_position"])},
+         "engagement row 2: avg_position 0.5 is below 1"),
+        (lambda a: {**a, "query_row": np.where(np.arange(len(a["query_row"])) == 4, -1, a["query_row"])},
+         r"engagement row 4: query_row -1 is no row of the \d+ queries"),
+        (lambda a: {**a, "impressions": np.full_like(a["impressions"], -1)},
+         "engagement row 0: impressions -1 is negative"),
         (lambda a: {**a, **{name: a[name][:0] for name in ENGAGEMENT_ARRAYS}}, "no engagement records"),
     ])
     def test_bad_engagement_fails_curate_naming_the_array_file(self, pipeline_run, tmp_path, edit, match):
@@ -571,9 +579,7 @@ class TestLabeledPairs:
     def test_written_by_query_text(self, pipeline_run):
         ws = pipeline_run["ws"]
         line = ws.labeled_pairs.read_text(encoding="utf-8").splitlines()[0]
-        assert list(json.loads(line)) == [
-            "pin_signature", "query_text", "label", "navboost_coverage", "source"
-        ]
+        assert list(json.loads(line)) == ["pin_signature", "query_text", "label"]
 
 
 class TestCorpusLoad:

@@ -32,7 +32,7 @@ def corpus_1200():
 
 
 def _per_pin(corpus, per_pin: int) -> list[list[tuple]]:
-    """Engagement as (query text, impressions, clicks, avg_position, navboost) rows
+    """Engagement as (query text, impressions, clicks, avg_position) rows
     grouped by pin, asserting each pin's rows are adjacent, pins in order."""
     columns = [getattr(corpus.engagement, name).tolist() for name in ENGAGEMENT_ARRAYS]
     assert columns[0] == [pin for pin in range(len(corpus.pins)) for _ in range(per_pin + 1)]
@@ -43,7 +43,7 @@ def _per_pin(corpus, per_pin: int) -> list[list[tuple]]:
 
 def _branch(row) -> int:
     """The retention branch a row was drawn in, from its ranges."""
-    _, impressions, _, position, _ = row
+    _, impressions, _, position = row
     if impressions > 1000:
         return 0
     if impressions < 10:
@@ -94,8 +94,8 @@ class TestModel:
         for records in _per_pin(corpus, config.engagement_per_pin):
             for row in records[:-1]:
                 seen[_branch(row)].append(row[1:4])
-            _, impressions, clicks, position, navboost = records[-1]  # the cross-cluster record
-            assert 0 <= impressions <= 9 and clicks == 0 and navboost == 0
+            _, impressions, clicks, position = records[-1]  # the cross-cluster record
+            assert 0 <= impressions <= 9 and clicks == 0
             assert 20 <= position < 80
         ranges = {  # impressions, clicks as a function of them, position
             0: ((1001, 49999), lambda n: (0, n // 10), (1, 40)),
@@ -111,15 +111,6 @@ class TestModel:
                 assert first <= position < last, (branch, position)
         assert {n for n, _, _ in seen[3]} == set(range(10))
         assert all(c == 0 for n, c, _ in seen[3] if n == 0)
-
-    def test_navboost_on_each_pins_first_pick(self, corpus_1200):
-        corpus, _, config = corpus_1200
-        navboost = np.array([[row[-1] for row in records]
-                             for records in _per_pin(corpus, config.engagement_per_pin)])
-        assert not navboost[:, 1:].any()
-        coverage = navboost[:, 0]
-        assert coverage.min() >= 0.0 and coverage.max() < 1.0
-        assert abs(coverage.mean() - 0.5) < 0.03
 
     def test_within_cluster_cosine_near_the_noise_promise(self, corpus_1200):
         """NOISE = 0.45 puts within-cluster cosine near 1 / (1 + 0.45**2) = 0.83."""
@@ -158,16 +149,15 @@ class TestDeterminism:
 class TestEdgeSizes:
     def test_no_engagement_per_pin_leaves_cross_cluster_records_only(self):
         corpus, sidecar = _generate(n_pins=30, n_clusters=3, engagement_per_pin=0, seed=2)
-        for signature, [(text, _, clicks, _, navboost)] in zip(corpus.pins, _per_pin(corpus, 0)):
+        for signature, [(text, _, clicks, _)] in zip(corpus.pins, _per_pin(corpus, 0)):
             own = sidecar["pin_cluster"][signature]
-            assert sidecar["query_cluster"][text] == (own + 1) % 3 and clicks == navboost == 0
+            assert sidecar["query_cluster"][text] == (own + 1) % 3 and clicks == 0
 
     def test_fewer_pins_than_clusters(self):
         corpus, sidecar = _generate(n_pins=3, n_clusters=8, seed=2)
         assert list(sidecar["pin_cluster"].values()) == [0, 1, 2]
         assert len(corpus.queries) == 8 * 24 and corpus.visual.shape == (3, 64)
         assert len(corpus.engagement) == 3 * 5
-        assert np.flatnonzero(corpus.engagement.navboost).tolist() == [0, 5, 10]
 
     def test_more_engagement_than_own_queries_picks_each_once(self):
         corpus, sidecar = _generate(n_pins=20, n_clusters=2, queries_per_cluster=3,
