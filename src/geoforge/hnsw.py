@@ -5,10 +5,14 @@ selection, and for search a greedy descent then an ef-bounded beam at
 layer 0.  An insert needs no search: one product gives its distance to
 every stored node, and each layer's ``ef_construction`` nearest members in
 that row are its exact construction candidates (Malkov & Yashunin,
-arXiv:1603.09320, take them from a beam search instead).  Neighbor
-selection makes one product per selected neighbor, against the candidates
-after it.  Neighbors whose rows overflow are pruned together, each row
-sorted before one stacked product gives every gram matrix.
+arXiv:1603.09320, take them from a beam search instead).  One greedy walk,
+`_diversity_walk`, applies their diversity heuristic both when a node picks
+its neighbors and when a neighbor's overflowing row is cut back, and visits
+only the candidates it keeps.  Selection gives it one product per kept
+neighbor, against the candidates after it; overflowing rows are sorted and
+pruned together, one stacked product giving every gram matrix.  The walk
+charges ``distance_count`` the pairs the heuristic compares one candidate
+at a time.
 Similarity is the dot product on unit vectors (distance = 1 - cosine).
 A brute-force scan is kept alongside as the recall oracle.
 
@@ -26,7 +30,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -195,39 +201,26 @@ class HnswIndex:
         the query: prefer one closer to the query than to every selected
         neighbor, up to ``m`` of them.  The closest unselected candidates
         then fill the slots left up to ``backfill_to`` (default ``m``), so a
-        node never gets fewer than min(len(near), m) links.  The walk goes
-        by selection: ``first[pos]`` is the number of the first selected
-        neighbor that candidate pos conflicts with, or -1, marked from one
-        product per selection with the candidates after it."""
-        target = m if backfill_to is None else backfill_to
+        node never gets fewer than min(len(near), m) links.  The walk asks
+        for one product per selected neighbor but the m-th, with the
+        candidates after it."""
         order = np.lexsort((near, dists))  # by (distance, index)
-        count, cands = order.size, near[order]
+        cands = near[order]
         vecs, thresholds = self._vectors.take(cands, 0), 1.0 - dists[order]
-        first = np.full(count, -1)
-        selected: list[int] = []
-        pos = 0  # where the walk stands; it stops after the m-th selection
-        while pos < count and len(selected) < m:
-            pos += int(first[pos:].argmin())
-            if first[pos] >= 0:  # every candidate left conflicts
-                pos = count
-                break
-            selected.append(pos)
-            pos += 1
-            if len(selected) < m:
-                tail = first[pos:]
-                hit = vecs[pos:].dot(vecs[pos - 1]) > thresholds[pos:]
-                tail[hit & (tail < 0)] = len(selected) - 1
-        # selection j met the j before it; a discard met those up to its first conflict
-        n = len(selected)
-        self.distance_count += n * (n - 1) // 2 + int(first[:pos].sum()) + pos
-        spare = np.delete(np.arange(count), selected)[: max(0, target - n)].tolist()
-        return cands[selected + spare].tolist()
+
+        def conflicts(pos: int) -> int:
+            hit = vecs[pos + 1 :].dot(vecs[pos]) > thresholds[pos + 1 :]
+            return _bit_rows(hit[None])[0] << pos + 1
+
+        kept, checks = _diversity_walk(conflicts, cands.size, m, m if backfill_to is None else backfill_to)
+        self.distance_count += checks
+        return cands[kept].tolist()
 
     def _prune(self, layer: _Layer, owners: list[int], idx: int, keep: int) -> None:
         """Cut the row of each of ``owners``, full before ``idx`` joins it, back
         to ``keep`` links with the diversity heuristic.  Rows are sorted by
         distance to their owner before one stacked product gives every gram
-        matrix; only the greedy walk runs row by row."""
+        matrix, packed by column for the walk, which alone runs row by row."""
         grid = np.array([[owner, *layer.links[owner], idx] for owner in owners])
         cands = grid[:, 1:]  # column 0 of a row is its owner
         take = self._vectors.take
@@ -238,10 +231,12 @@ class HnswIndex:
         sims = np.matmul(walk_vecs, walk_vecs.transpose(0, 2, 1))
         thresholds = 1.0 - np.take_along_axis(dists, order, axis=1)
         n_rows, width = walk.shape
-        bits = _bit_rows((sims > thresholds[:, :, None]).reshape(n_rows * width, width))
+        # [r, j, q]: in row r, candidate q is closer to candidate j than to the
+        # owner; bits j * width on of a row's int are then column j
+        ruled_out = (sims > thresholds[:, :, None]).transpose(0, 2, 1)
         self.distance_count += n_rows * width
-        for r, (owner, row) in enumerate(zip(owners, walk.tolist())):
-            kept, checks = _diversity_walk(bits[r * width : (r + 1) * width], keep)
+        for owner, row, grid_bits in zip(owners, walk.tolist(), _bit_rows(ruled_out.reshape(n_rows, -1))):
+            kept, checks = _diversity_walk(lambda pos: grid_bits >> pos * width, width, keep, keep)
             self.distance_count += checks
             layer.set_neighbors(owner, [self._nodes[row[pos]] for pos in kept])
 
@@ -386,39 +381,45 @@ class HnswIndex:
 
 
 def _bit_rows(mask: np.ndarray) -> list[int]:
-    """Each row of a 2-d boolean array as an int whose bit j is ``mask[row, j]``."""
-    rows, cols = mask.shape
-    packed = np.zeros((rows, -(-cols // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-cols // 8)] = np.packbits(mask, axis=1, bitorder="little")
-    words = packed.view("<u8").T.tolist()  # one list of row words per 64 columns
-    out = words[0]
-    for k, word in enumerate(words[1:], 1):
-        out = [low | high << 64 * k for low, high in zip(out, word)]
-    return out
+    """Each row of a 2-d boolean array as an int whose bit j is ``mask[row, j]``
+    (0 for a row with no columns)."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    data, step = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[r * step : (r + 1) * step], "little") for r in range(len(packed))]
 
 
-def _diversity_walk(conflicts: list[int], keep: int) -> tuple[list[int], int]:
-    """The diversity heuristic's greedy walk over candidates in (distance,
-    index) order, as in `_select_neighbors` with ``m = keep``.  Bit s of
-    ``conflicts[pos]`` is set when candidate s is closer to candidate pos
-    than the query is.  Returns the kept positions and pair comparisons."""
-    checks = n_selected = sel_mask = 0  # sel_mask has bit pos set once pos is selected
-    selected: list[int] = []
-    discarded: list[int] = []
-    for pos, row in enumerate(conflicts):
-        hit = row & sel_mask
-        if hit:
-            # selected neighbours are checked in order up to the first conflict
-            checks += (sel_mask & ((hit & -hit) - 1)).bit_count() + 1
-            discarded.append(pos)
-        else:
-            checks += n_selected
-            n_selected += 1
-            selected.append(pos)
-            if n_selected == keep:
-                break
-            sel_mask |= 1 << pos
-    return selected + discarded[: keep - n_selected], checks
+def _diversity_walk(
+    conflicts: Callable[[int], int], count: int, m: int, target: int
+) -> tuple[list[int], int]:
+    """The diversity heuristic's greedy walk over ``count`` candidates in
+    (distance, index) order.  Bit q of ``conflicts(pos)`` is set when a later
+    candidate q is closer to candidate pos than to the query (bits at or
+    below pos or from ``count`` on are ignored).  The walk takes the first
+    candidate still free, rules out those its column marks, and stops at the
+    ``m``-th taken, whose column it never asks for.  Returns the n taken
+    positions followed by the first ``target - n`` others, and the pair
+    comparisons made one at a time: each taken candidate meets those taken
+    before it, and each ruled-out one the walk passes meets those taken up
+    to the first that rules it out."""
+    free, checks = (1 << count) - 1, 0
+    taken: list[int] = []
+    ruled: list[int] = []  # ruled[k]: the candidates taken[k] is the first to rule out
+    while free:
+        pos = (free & -free).bit_length() - 1
+        taken.append(pos)
+        free &= free - 1
+        if len(taken) == m:  # the walk passes none of the candidates after its m-th
+            checks -= sum(k * (mask >> pos).bit_count() for k, mask in enumerate(ruled, 1))
+            break
+        ruled.append(conflicts(pos) & free)
+        free ^= ruled[-1]
+        checks += len(taken) * ruled[-1].bit_count()
+    n = len(taken)
+    untaken = [True] * count
+    for pos in taken:
+        untaken[pos] = False
+    others = list(compress(range(target), untaken))[: target - n]
+    return taken + others, checks + n * (n - 1) // 2
 
 
 def _check_rows(

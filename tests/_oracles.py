@@ -200,6 +200,30 @@ def diversity_select(
     return kept + discarded[: max(0, target - len(kept))], comparisons
 
 
+def diversity_walk_reference(
+    rules: np.ndarray, m: int, target: int
+) -> tuple[list[int], list[int], int]:
+    """The diversity heuristic's walk one candidate at a time over a square
+    boolean matrix, ``rules[p, q]`` when candidate p rules out candidate q:
+    each candidate in order meets the kept ones in order and is dropped at
+    the first that rules it out, and the walk ends once ``m`` are kept.
+    Returns the n kept positions, the first ``target - n`` others in order,
+    and the number of pairs met."""
+    kept: list[int] = []
+    comparisons = 0
+    for q in range(len(rules)):
+        if len(kept) == m:
+            break
+        for p in kept:
+            comparisons += 1
+            if rules[p, q]:
+                break
+        else:
+            kept.append(q)
+    others = [q for q in range(len(rules)) if q not in kept]
+    return kept, others[: max(0, target - len(kept))], comparisons
+
+
 def hnsw_reference_links(
     vectors: np.ndarray, levels: list[int], M: int, ef_construction: int
 ) -> tuple[list[list[list[int]]], int, int]:

@@ -19,12 +19,19 @@ from geoforge.hnsw import (
     HnswIndex,
     HnswParams,
     _bit_rows,
+    _diversity_walk,
     brute_force_search,
     build,
     exact_top_k,
 )
 
-from _oracles import diversity_select, hnsw_reference_links, hnsw_reference_search, unit_rows
+from _oracles import (
+    diversity_select,
+    diversity_walk_reference,
+    hnsw_reference_links,
+    hnsw_reference_search,
+    unit_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -254,14 +261,15 @@ class TestConstruction:
         if kind == "last":
             assert selected[m - 1] == len(vectors) - 1
 
-    @pytest.mark.parametrize("M, ef_construction", [(3, 6), (4, 400)])
-    def test_build_matches_pairwise_reference(self, M, ef_construction):
+    @pytest.mark.parametrize("M, ef_construction, dim", [(3, 6, 12), (4, 400, 12), (16, 200, 48)])
+    def test_build_matches_pairwise_reference(self, M, ef_construction, dim):
         """Every link row and the dot-product count equal a build made one
         pair at a time.  Clusters of 30 keep rows overflowing; with ef 400
-        every layer has no more than ef members."""
+        every layer has no more than ef members.  M 16 and ef 200 are the
+        `HnswParams` defaults the pipeline builds with, at its 48 dims."""
         rng = np.random.default_rng(81)
-        centers = unit_rows(rng, 10, 12)
-        rows = np.repeat(centers, 30, axis=0) + 0.15 * rng.standard_normal((300, 12))
+        centers = unit_rows(rng, 10, dim)
+        rows = np.repeat(centers, 30, axis=0) + 0.15 * rng.standard_normal((300, dim))
         vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         index = build(dict(enumerate(vectors)), HnswParams(M, ef_construction, 10), seed=2)
         links, count, prunes = hnsw_reference_links(
@@ -300,10 +308,39 @@ class TestConstruction:
         assert index.distance_count == count
         assert prunes > 900
 
-    def test_bit_rows_packs_every_word(self):
-        mask = np.random.default_rng(5).random((20, 129)) < 0.5
+    # a row with no columns packs to 0: the last candidate a selection
+    # takes has no candidates after it
+    @pytest.mark.parametrize("shape", [(20, 129), (3, 0)])
+    def test_bit_rows_packs_every_word(self, shape):
+        mask = np.random.default_rng(5).random(shape) < 0.5
         expected = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in mask]
         assert _bit_rows(mask) == expected
+
+    @pytest.mark.parametrize("count", [1, 33, 65, 129])
+    def test_diversity_walk_matches_one_at_a_time_reference(self, count):
+        """Seeded random conflicts, asymmetric and with bits at or below each
+        column's own position set too, against the one-at-a-time walk over
+        the same booleans: the positions, the pairs met, and the columns the
+        walk asks for, which are those of the taken candidates but the m-th."""
+        rng = np.random.default_rng(count)
+        seen = set()
+        for density in (0.0, 0.03, 0.1, 0.3, 0.7):
+            rules = rng.random((count, count)) < density
+            columns = [sum(1 << q for q in np.flatnonzero(row).tolist()) for row in rules]
+            for m, target in [(1, 1), (2, 2), (2, count + 5), (4, 8), (16, 32),
+                              (count, count), (count + 3, count + 7)]:
+                asked: list[int] = []
+                walk = _diversity_walk(lambda pos: asked.append(pos) or columns[pos], count, m, target)
+                kept, spare, comparisons = diversity_walk_reference(rules, m, target)
+                assert walk == (kept + spare, comparisons)
+                assert asked == (kept[:-1] if len(kept) == m else kept)
+                if len(kept) == m and kept[-1] < count - 1:
+                    seen.add("stopped before the last candidate")
+                if count - 1 in asked:
+                    seen.add("took the last candidate and asked for its empty tail")
+        assert "took the last candidate and asked for its empty tail" in seen
+        if count > 1:
+            assert "stopped before the last candidate" in seen
 
     def test_link_rows_share_one_int_per_node(self, corpus_300, tmp_path):
         index = build(corpus_300[0], seed=1)
