@@ -1,11 +1,19 @@
 """Stage orchestration: every stage reads file artifacts, writes file
 artifacts plus checksums, and can be re-run in isolation. Within one
-run_pipeline call each input that several stages read is parsed once."""
+run_pipeline call a process parses each input that several of its stages
+read once. A run of both BRANCHES forks after gen-corpus: the child
+inherits the corpus parsed before the fork, and the labeled pairs are
+parsed in both processes, by train-ranker in the child and by eval in the
+parent."""
 
 from __future__ import annotations
 
 import json
+import os
 import resource
+import signal
+import sys
+import threading
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
@@ -548,6 +556,202 @@ STAGE_FUNCS = {
 }
 
 STAGE_ORDER = list(STAGE_FUNCS)
+# The two stage branches between gen-corpus and build-collections: neither
+# reads an output of the other. A run that requests stages of both runs the
+# first in a forked child (see _BranchProcess) beside the second.
+BRANCHES = (["curate", "train-ranker"], ["train-encoder", "build-index"])
+
+
+def _peak_rss_mb() -> float:
+    """The larger high-water mark of this process and of the largest child
+    it has reaped, in MB (ru_maxrss is in KiB)."""
+    return max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
+
+
+def _failure(exc: BaseException) -> dict:
+    import traceback  # only a failed run pays for this import
+
+    return {"status": "failed", "error": str(exc), "error_type": type(exc).__name__,
+            "traceback": "".join(traceback.format_exception(exc))}
+
+
+def _blocked_by(stage: str, failed: set[str]) -> list[str]:
+    """The producers of the stage's inputs that failed or were skipped."""
+    producers = {PRODUCERS[name] for name in STAGE_INPUTS[stage]}
+    return [s for s in STAGE_ORDER if s in failed & producers]
+
+
+def _run_stage(stage: str, config: PipelineConfig, ws: Workspace, failed: set[str]) -> tuple[dict, dict]:
+    """Run one stage unless it is blocked by ``failed``: its report entry
+    and the checksums of the files it wrote."""
+    blocked = _blocked_by(stage, failed)
+    if blocked:
+        return {"status": "skipped", "blocked_by": blocked}, {}
+    start = time.perf_counter()
+    try:
+        _check_inputs(stage, ws)
+        metrics = STAGE_FUNCS[stage](config, ws)
+    except Exception as exc:
+        return _failure(exc), {}
+    entry = {"status": "ok", "seconds": round(time.perf_counter() - start, 3),
+             "peak_rss_mb": _peak_rss_mb(), "metrics": metrics}
+    checksums = {}
+    for name in STAGE_OUTPUTS[stage]:
+        artifact = getattr(ws, name)
+        for path in sorted(artifact.iterdir()) if artifact.is_dir() else [artifact]:
+            if path.is_file():
+                checksums[str(path.relative_to(ws.out))] = file_checksum(path)
+    return entry, checksums
+
+
+def _record(report: dict, failed: set[str], stage: str, entry: dict, checksums: dict) -> None:
+    """Put a stage's entry and checksums in the report in place of the
+    checksums of its earlier outputs and of the files in its directories."""
+    outputs = {ARTIFACTS[name][1] for name in STAGE_OUTPUTS[stage]}
+    report["checksums"] = {key: value for key, value in report["checksums"].items()
+                           if not {key, key.rpartition("/")[0]} & outputs}
+    report["checksums"].update(checksums)
+    report["stages"][stage] = entry
+    if entry["status"] != "ok":
+        failed.add(stage)
+
+
+def _write_report(ws: Workspace, report: dict) -> None:
+    write_text(ws.report, json.dumps(report, indent=2, sort_keys=True))
+
+
+def _openblas_threads():
+    """numpy's OpenBLAS (get, set) thread-count functions, or None where
+    numpy links no OpenBLAS that exports them."""
+    import ctypes  # here, not at module import: only a forked run needs it
+
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:  # dlsym on the extension's handle also searches the libraries it links
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas{}64_", "scipy_openblas{}", "openblas{}64_", "openblas{}"):
+        get, set_ = (getattr(lib, name.format(f"_{verb}_num_threads"), None) for verb in ("get", "set"))
+        if get and set_:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _cap_blas_threads():
+    """Cap numpy's OpenBLAS at one thread; returns the function that
+    restores its count."""
+    functions = _openblas_threads()
+    if functions is None:
+        return lambda: None
+    get, set_ = functions
+    threads = get()
+    set_(1)
+    return partial(set_, threads)
+
+
+class _BranchProcess:
+    """``stages`` run in a forked child beside the parent's stages.
+
+    The child inherits the workspace and what it has parsed, runs each stage
+    through `_run_stage`, streams its entry and checksums as one JSON line
+    over a pipe, and ends in os._exit: no caller code (a finally block, an
+    atexit hook) runs in it, and it never writes report.json. numpy's
+    OpenBLAS runs one thread in both processes from the fork until the
+    parent joins or closes the child: two processes of threaded BLAS
+    oversubscribe the cores."""
+
+    def __init__(self, stages: list[str], config: PipelineConfig, ws: Workspace, failed: set[str]):
+        self.stages = stages
+        self.beside: list[str] = []  # the parent's stages run while the child runs
+        sys.stdout.flush()
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            self._child(config, ws, failed, read_fd, write_fd)
+        os.close(write_fd)
+        self._stream = os.fdopen(read_fd, encoding="utf-8")
+        self._restore = _cap_blas_threads()
+
+    def _child(self, config: PipelineConfig, ws: Workspace, failed: set[str],
+               read_fd: int, write_fd: int):
+        """The child's body; it exits with status 0 after its last stage,
+        1 on any exception, and never returns."""
+        status = 1
+        try:
+            os.close(read_fd)
+            _cap_blas_threads()
+            with os.fdopen(write_fd, "w", encoding="utf-8") as stream:
+                for stage in self.stages:
+                    entry, checksums = _run_stage(stage, config, ws, failed)
+                    if entry["status"] != "ok":
+                        failed.add(stage)
+                    stream.write(json.dumps([stage, entry, checksums]) + "\n")
+                    stream.flush()
+            status = 0
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+
+    @property
+    def running(self) -> bool:
+        return self.pid is not None
+
+    def reads_from(self, stage: str) -> bool:
+        return any(PRODUCERS[name] in self.stages for name in STAGE_INPUTS[stage])
+
+    def join(self, report: dict, failed: set[str]) -> None:
+        """Wait for the child and record its stages. A stage it did not
+        finish fails with PipelineError naming how the child ended, and each
+        later one is skipped when that blocks it. Every ok entry of the
+        overlap then holds the high-water mark of both processes."""
+        lines = self._stream.readlines()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        self.close()
+        received = set()
+        for line in lines:
+            if line.endswith("\n"):  # a child killed mid-write leaves a partial line
+                stage, entry, checksums = json.loads(line)
+                _record(report, failed, stage, entry, checksums)
+                received.add(stage)
+        code = os.waitstatus_to_exitcode(status)
+        ended = f"was killed by signal {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+        for stage in self.stages:
+            if stage not in received:
+                blocked = _blocked_by(stage, failed)
+                entry = {"status": "skipped", "blocked_by": blocked} if blocked else _failure(
+                    PipelineError(f"stage {stage!r} did not finish: its branch process {ended}"))
+                _record(report, failed, stage, entry, {})
+        peak = _peak_rss_mb()
+        for stage in [*self.stages, *self.beside]:
+            if report["stages"][stage]["status"] == "ok":
+                report["stages"][stage]["peak_rss_mb"] = peak
+
+    def close(self) -> None:
+        """Kill and reap a child that was not joined, and restore numpy's
+        OpenBLAS thread count."""
+        if self.running:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self._stream.close()
+        self._restore()
 
 
 def run_pipeline(
@@ -561,7 +765,14 @@ def run_pipeline(
     stages continue. The report records a failure's message, exception type
     and traceback. A report.json of the same seed keeps the entries and
     checksums of the stages this run does not run; an unreadable one raises
-    PipelineError naming its path.
+    PipelineError naming its path. report.json is rewritten, atomically,
+    after every stage the calling process records.
+
+    When the run requests stages of both BRANCHES and the calling process
+    has one thread, the first branch runs in a forked child from its first
+    stage on, and the parent joins it before the first stage that reads its
+    outputs (or at the end); an exception leaving the run kills and reaps
+    the child first.
     Returns (report, ok), where ok covers this run's stages.
     """
     requested = STAGE_ORDER if stages is None else stages
@@ -578,48 +789,27 @@ def run_pipeline(
         earlier = read_json(ws.report, PipelineError, REPORT_KINDS["report"])
         if earlier["seed"] == config.seed:
             report = earlier
+    side, other = ([s for s in branch if s in requested] for branch in BRANCHES)
+    if not other or threading.active_count() > 1:
+        side = []
     failed: set[str] = set()
-    ok = True
-    for stage in requested:
-        # drop the checksums of the stage's outputs and of the files in its directories
-        outputs = {ARTIFACTS[name][1] for name in STAGE_OUTPUTS[stage]}
-        report["checksums"] = {key: value for key, value in report["checksums"].items()
-                               if not {key, key.rpartition("/")[0]} & outputs}
-        producers = {PRODUCERS[name] for name in STAGE_INPUTS[stage]}
-        blocked = [s for s in STAGE_ORDER if s in failed & producers]
-        if blocked:
-            report["stages"][stage] = {"status": "skipped", "blocked_by": blocked}
-            failed.add(stage)
-            ok = False
-            continue
-        start = time.perf_counter()
-        try:
-            _check_inputs(stage, ws)
-            metrics = STAGE_FUNCS[stage](config, ws)
-        except Exception as exc:
-            import traceback  # only a failed run pays for this import
-
-            report["stages"][stage] = {
-                "status": "failed",
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-                "traceback": traceback.format_exc(),
-            }
-            failed.add(stage)
-            ok = False
-            continue
-        elapsed = time.perf_counter() - start
-        report["stages"][stage] = {
-            "status": "ok",
-            "seconds": round(elapsed, 3),
-            # the process's high-water mark so far (ru_maxrss is in KiB)
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "metrics": metrics,
-        }
-        for name in STAGE_OUTPUTS[stage]:
-            artifact = getattr(ws, name)
-            for path in sorted(artifact.iterdir()) if artifact.is_dir() else [artifact]:
-                if path.is_file():
-                    report["checksums"][str(path.relative_to(ws.out))] = file_checksum(path)
-    write_text(ws.report, json.dumps(report, indent=2, sort_keys=True))
-    return report, ok
+    child: _BranchProcess | None = None
+    try:
+        for stage in requested:
+            if stage in side:
+                child = child or _BranchProcess(side, config, ws, failed)
+                continue
+            if child and child.running and child.reads_from(stage):
+                child.join(report, failed)
+                _write_report(ws, report)
+            _record(report, failed, stage, *_run_stage(stage, config, ws, failed))
+            if child and child.running:
+                child.beside.append(stage)
+            _write_report(ws, report)
+        if child and child.running:
+            child.join(report, failed)
+            _write_report(ws, report)
+    finally:
+        if child and child.running:
+            child.close()
+    return report, all(report["stages"][s]["status"] == "ok" for s in requested)

@@ -5,8 +5,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -22,6 +28,7 @@ from geoforge.core import (
 from geoforge.mlp import Mlp
 from geoforge.pipeline import (
     ARTIFACTS,
+    BRANCHES,
     PRODUCERS,
     STAGE_INPUTS,
     STAGE_ORDER,
@@ -823,3 +830,175 @@ class TestFullRun:
         path = re.escape(str(tmp_path / "report.json"))
         with pytest.raises(PipelineError, match=rf"{path}: .*{match}"):
             run_pipeline(config, stages=["gen-corpus"])
+
+
+def _small(out: Path) -> PipelineConfig:
+    return PipelineConfig(out_dir=out, n_pins=40, n_clusters=4, encoder_steps=20, ranker_steps=50)
+
+
+def _wait_for(paths: list[Path], proc: subprocess.Popen | None = None, seconds: float = 60) -> None:
+    """Wait until every path exists, while ``proc`` runs."""
+    deadline = time.monotonic() + seconds
+    while not all(p.exists() for p in paths):
+        assert proc is None or proc.poll() is None, f"exited with {proc.returncode} before {paths}"
+        assert time.monotonic() < deadline, f"waited {seconds} s for {paths}"
+        time.sleep(0.01)
+
+
+class TestBranches:
+    """A run of both BRANCHES runs the first in a forked child."""
+
+    def test_branches_read_nothing_of_each_other(self):
+        first, second = BRANCHES
+        assert not {PRODUCERS[n] for s in first for n in STAGE_INPUTS[s]} & set(second)
+        assert not {PRODUCERS[n] for s in second for n in STAGE_INPUTS[s]} & set(first)
+
+    def test_a_killed_child_is_a_typed_stage_failure(self, tmp_path, monkeypatch):
+        caller = os.getpid()
+
+        def kill_child(config, ws):
+            if os.getpid() == caller:  # never kill the test run itself
+                raise RuntimeError("train-ranker ran in the calling process")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setitem(pipeline.STAGE_FUNCS, "train-ranker", kill_child)
+        report, ok = run_pipeline(_small(tmp_path))
+        assert not ok
+        stages = report["stages"]
+        assert stages["train-ranker"]["status"] == "failed"
+        assert stages["train-ranker"]["error_type"] == "PipelineError"
+        assert stages["train-ranker"]["error"] == (
+            "stage 'train-ranker' did not finish: its branch process was killed by signal SIGKILL")
+        assert stages["curate"]["status"] == "ok"
+        assert report["checksums"]["labeled_pairs.jsonl"] == file_checksum(tmp_path / "labeled_pairs.jsonl")
+        assert stages["build-collections"] == {"status": "skipped", "blocked_by": ["train-ranker"]}
+        assert stages["link"] == {"status": "skipped", "blocked_by": ["train-ranker", "build-collections"]}
+        assert stages["eval"] == {"status": "skipped",
+                                  "blocked_by": ["train-ranker", "build-collections", "link"]}
+        assert stages["agent-run"]["status"] == "ok"
+        assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8")) == report
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupted_parent_kills_and_reaps_the_child(self, tmp_path, monkeypatch):
+        held = tmp_path / "held"
+
+        def hold(config, ws):
+            held.write_text(str(os.getpid()))
+            time.sleep(60)
+
+        def interrupt(config, ws):
+            _wait_for([held])
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(pipeline.STAGE_FUNCS, "train-ranker", hold)
+        monkeypatch.setitem(pipeline.STAGE_FUNCS, "build-index", interrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(_small(tmp_path / "out"))
+        assert time.monotonic() - start < 30
+        child = int(held.read_text())
+        assert child != os.getpid()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+
+    def test_the_child_never_returns_into_its_caller(self, tmp_path, monkeypatch):
+        """A BaseException in the child ends it in os._exit: no finally
+        block of run_pipeline's caller runs there."""
+        def interrupt(config, ws):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(pipeline.STAGE_FUNCS, "train-ranker", interrupt)
+        callers = tmp_path / "callers"
+        try:
+            report, ok = run_pipeline(_small(tmp_path / "out"))
+        finally:
+            with open(callers, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+        assert callers.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+        assert not ok and report["stages"]["train-ranker"]["error"] == (
+            "stage 'train-ranker' did not finish: its branch process exited with status 1")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_blas_runs_one_thread_in_the_overlap_and_its_count_is_restored(self, tmp_path, monkeypatch):
+        functions = pipeline._openblas_threads()
+        if functions is None:
+            pytest.skip("numpy links no OpenBLAS that exports its thread count")
+        get, set_ = functions
+        seen = tmp_path / "seen"
+
+        def counted(stage):
+            original = pipeline.STAGE_FUNCS[stage]
+
+            def run(config, ws):
+                with open(seen, "a", encoding="utf-8") as fh:
+                    fh.write(f"{stage} {get()}\n")
+                return original(config, ws)
+            return run
+
+        for stage in ("gen-corpus", "train-ranker", "build-index", "eval"):
+            monkeypatch.setitem(pipeline.STAGE_FUNCS, stage, counted(stage))
+        before = get()
+        set_(2)  # a count the cap changes, whatever the host's
+        try:
+            report, ok = run_pipeline(_small(tmp_path / "out"))
+            after = get()
+        finally:
+            set_(before)
+        assert ok, report["stages"]
+        assert after == 2
+        assert sorted(seen.read_text(encoding="utf-8").splitlines()) == [
+            "build-index 1", "eval 2", "gen-corpus 2", "train-ranker 1"]
+
+    def test_one_branch_runs_in_one_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", None)
+        report, ok = run_pipeline(_small(tmp_path), stages=["gen-corpus", "curate", "train-ranker"])
+        assert ok, report["stages"]
+
+    @pytest.mark.parametrize("held, listed", [
+        (["train-ranker", "build-index"], ["gen-corpus", "train-encoder"]),
+        (["eval"], STAGE_ORDER[:-1]),
+    ], ids=["overlap", "eval"])
+    def test_a_killed_run_leaves_a_true_report(self, tmp_path, held, listed):
+        """SIGKILL to the whole process group while the named stages hold,
+        each after writing its outputs: report.json lists the stages
+        recorded so far, and each checksum and ok stage's outputs are on disk."""
+        out, marks = tmp_path / "out", tmp_path / "marks"
+        marks.mkdir()
+        script = textwrap.dedent(f"""
+            import time
+            from pathlib import Path
+            from geoforge import pipeline
+
+            def hold(stage, original):
+                def run(config, ws):
+                    metrics = original(config, ws)
+                    Path({str(marks)!r}, stage).touch()
+                    time.sleep(60)
+                    return metrics
+                return run
+
+            for stage in {held!r}:
+                pipeline.STAGE_FUNCS[stage] = hold(stage, pipeline.STAGE_FUNCS[stage])
+            pipeline.run_pipeline(pipeline.PipelineConfig(
+                out_dir={str(out)!r}, n_pins=40, n_clusters=4, encoder_steps=20, ranker_steps=50))
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", script], start_new_session=True,
+                                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        try:
+            _wait_for([marks / stage for stage in held], proc)
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert sorted(report["stages"]) == sorted(listed)
+        assert all(entry["status"] == "ok" for entry in report["stages"].values())
+        assert report["checksums"]
+        assert all(file_checksum(out / key) == value for key, value in report["checksums"].items())
+        ws = Workspace(out)
+        for stage in report["stages"]:
+            for name in STAGE_OUTPUTS[stage]:
+                assert getattr(ws, name).exists(), (stage, name)
