@@ -1,10 +1,13 @@
 """Topic collection pages: encode a topic, probe the index, and judge the
-result set's intent-satisfying rate with an embedding judge."""
+result set's intent-satisfying rate with an embedding judge.
+`collections.jsonl` names each topic by its text, and its reader joins the
+text back to the corpus query, as labeled pairs do."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from html import escape
 from pathlib import Path
 from typing import Callable
@@ -33,30 +36,22 @@ def slugify(text: str) -> str:
 class Collection:
     topic: QueryRecord
     slug: str
-    embedding_kind: str  # always "pinclip"; kept because perfbench/tests builds Collections with it
+    embedding_kind: str = "pinclip"  # never written; perfbench/tests passes it by position
     members: list[tuple[int, float]] = field(default_factory=list)  # (signature, similarity)
 
     def to_json(self) -> dict:
-        return {
-            "slug": self.slug,
-            "topic": self.topic.to_json(),
-            "embedding_kind": self.embedding_kind,
-            "members": [
-                {"signature": s, "similarity": f32([sim])[0]} for s, sim in self.members
-            ],
-        }
+        """The collection with its topic by text; `from_json` joins it back."""
+        return {"slug": self.slug, "topic_text": self.topic.text,
+                "members": [{"signature": s, "similarity": f32([sim])[0]} for s, sim in self.members]}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Collection":
-        """The collection `to_json` wrote, checked by `check_json`."""
-        check_json(obj, {"slug": str, "topic": dict, "embedding_kind": str,
+    def from_json(cls, obj: dict, corpus: Corpus) -> "Collection":
+        """The collection `to_json` wrote, checked by `check_json`, with its
+        topic looked up in ``corpus``; a text it lacks raises CorpusError."""
+        check_json(obj, {"slug": str, "topic_text": str,
                          "members": [{"signature": int, "similarity": float}]})
-        return cls(
-            topic=QueryRecord.from_json(obj["topic"]),
-            slug=obj["slug"],
-            embedding_kind=obj["embedding_kind"],
-            members=[(m["signature"], float(m["similarity"])) for m in obj["members"]],
-        )
+        return cls(corpus.query(obj["topic_text"]), obj["slug"],
+                   members=[(m["signature"], float(m["similarity"])) for m in obj["members"]])
 
 
 @dataclass
@@ -85,7 +80,7 @@ def build_collections(
             raise CollectionError(f"topic {topic.text!r} lacks an embedding")
     probes = text_encoder.encode_batch(np.stack([topic.embedding for topic in topics]))
     return [
-        Collection(topic, slugify(topic.text), "pinclip", index.search(probe, k))
+        Collection(topic, slugify(topic.text), members=index.search(probe, k))
         for topic, probe in zip(topics, probes)
     ]
 
@@ -135,8 +130,9 @@ def write_collections(collections: list[Collection], path: str | Path) -> None:
     write_jsonl(path, (coll.to_json() for coll in collections))
 
 
-def load_collections(path: str | Path) -> list[Collection]:
-    return read_records(path, Collection.from_json, CollectionError, "collection")
+def load_collections(path: str | Path, corpus: Corpus) -> list[Collection]:
+    return read_records(path, partial(Collection.from_json, corpus=corpus), CollectionError,
+                        "collection")
 
 
 def emit_pages(collections: list[Collection], corpus: Corpus, out_dir: str | Path) -> list[Path]:

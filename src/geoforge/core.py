@@ -168,10 +168,7 @@ class PinRecord(_Record):
     text_embedding: np.ndarray
     perception_score: float
     title: str = ""
-    description: str = ""
     board_id: int | None = None
-    category: str = ""
-    language: str = "en"
 
     def validate(self) -> None:
         if not 0.0 <= self.perception_score <= 1.0:
@@ -185,7 +182,6 @@ class PinRecord(_Record):
 class QueryRecord(_Record):
     text: str
     category: str
-    language: str = "en"
     embedding: np.ndarray | None = None
 
     def validate(self) -> None:

@@ -153,7 +153,7 @@ class Workspace:
 
     @cached_property
     def published_collections(self) -> list[coll_mod.Collection]:
-        return coll_mod.load_collections(self.collections)
+        return coll_mod.load_collections(self.collections, self.corpus)
 
     @cached_property
     def triplets(self) -> ranker.Triplets:
@@ -205,7 +205,7 @@ STAGE_INPUTS = {
     "build-index": [*CORPUS_FILES, "encoder_file"],
     "train-ranker": [*CORPUS_FILES, "labeled_pairs"],
     "build-collections": [*CORPUS_FILES, "index_file", "encoder_file", "annotations"],
-    "link": ["collections", "annotations"],
+    "link": [*CORPUS_FILES, "collections", "annotations"],
     "agent-run": [*CORPUS_FILES, "index_file", "encoder_file", "trends"],
     "eval": [*CORPUS_FILES, "curation_report", "encoder_file", "encoder_log", "index_file",
              "ranker_file", "ranker_log", "collections", "link_report", "labeled_pairs",
@@ -605,12 +605,23 @@ def _run_stage(stage: str, config: PipelineConfig, ws: Workspace, failed: set[st
     return entry, checksums
 
 
-def _record(report: dict, failed: set[str], stage: str, entry: dict, checksums: dict) -> None:
-    """Put a stage's entry and checksums in the report in place of the
-    checksums of its earlier outputs and of the files in its directories."""
-    outputs = {ARTIFACTS[name][1] for name in STAGE_OUTPUTS[stage]}
+def _drop_downstream(report: dict, stages: list[str]) -> None:
+    """Take the entries of ``stages`` and of every stage that reads an output
+    of one, transitively, out of the report, with the checksums of their
+    outputs and of the files in their directories."""
+    dropped: set[str] = set()
+    for stage in STAGE_ORDER:  # a producer comes before its readers
+        if stage in stages or _blocked_by(stage, dropped):
+            dropped.add(stage)
+    outputs = {ARTIFACTS[name][1] for stage in dropped for name in STAGE_OUTPUTS[stage]}
     report["checksums"] = {key: value for key, value in report["checksums"].items()
                            if not {key, key.rpartition("/")[0]} & outputs}
+    report["stages"] = {stage: entry for stage, entry in report["stages"].items() if stage not in dropped}
+
+
+def _record(report: dict, failed: set[str], stage: str, entry: dict, checksums: dict) -> None:
+    """Put the entry and checksums of a stage `_drop_downstream` dropped in
+    the report."""
     report["checksums"].update(checksums)
     report["stages"][stage] = entry
     if entry["status"] != "ok":
@@ -764,8 +775,9 @@ def run_pipeline(
     skipped, and fails with DependencyError when an input is missing; other
     stages continue. The report records a failure's message, exception type
     and traceback. A report.json of the same seed keeps the entries and
-    checksums of the stages this run does not run; an unreadable one raises
-    PipelineError naming its path. report.json is rewritten, atomically,
+    checksums of the stages this run neither runs nor feeds (see
+    `_drop_downstream`); an unreadable one raises PipelineError naming its
+    path. report.json is rewritten, atomically, before the first stage and
     after every stage the calling process records.
 
     When the run requests stages of both BRANCHES and the calling process
@@ -789,6 +801,8 @@ def run_pipeline(
         earlier = read_json(ws.report, PipelineError, REPORT_KINDS["report"])
         if earlier["seed"] == config.seed:
             report = earlier
+    _drop_downstream(report, requested)
+    _write_report(ws, report)
     side, other = ([s for s in branch if s in requested] for branch in BRANCHES)
     if not other or threading.active_count() > 1:
         side = []

@@ -40,18 +40,9 @@ CLUSTER_TERMS = [
     "cozy reading nook",
 ]
 
-CLUSTER_CATEGORIES = [
-    "home",
-    "beauty",
-    "fashion",
-    "fashion",
-    "garden",
-    "home",
-    "home",
-    "fashion",
-    "wedding",
-    "home",
-]
+# each cluster term's category in the trend feed (pins carry none)
+CLUSTER_CATEGORIES = ["home", "beauty", "fashion", "fashion", "garden", "home", "home", "fashion",
+                      "wedding", "home"]
 
 QUERY_TEMPLATES = {
     "Description": ["{term}", "{term} ideas", "{term} photos"],
@@ -166,9 +157,7 @@ def generate_corpus(config: SynthConfig) -> tuple[Corpus, dict]:
     pins = {
         signature: PinRecord(
             signature=signature, visual_embedding=v, text_embedding=t, perception_score=score,
-            title=f"{CLUSTER_TERMS[cluster]} look {i}",
-            description=f"inspiration for {CLUSTER_TERMS[cluster]}", board_id=board,
-            category=CLUSTER_CATEGORIES[cluster],
+            title=f"{CLUSTER_TERMS[cluster]} look {i}", board_id=board,
         )
         for i, (signature, cluster, v, t, score, board) in enumerate(zip(
             range(1_000_000, 1_000_000 + n_pins), pin_clusters.tolist(), visual, pin_text,

@@ -413,7 +413,7 @@ def test_criterion_11_intent_satisfying_rate(announce, pipeline_run):
     txt_encoder = encoders.load_encoders(ws.encoder_file)["txt"]
     judge = embedding_judge(txt_encoder, threshold=config.judge_threshold)
 
-    collections = load_collections(ws.collections)
+    collections = load_collections(ws.collections, corpus)
     in_rates = [
         intent_satisfying_rate(c, corpus, judge)[0] for c in collections
     ]

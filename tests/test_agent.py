@@ -81,8 +81,7 @@ class TestTransition:
 
     def test_validation_folds_into_long_memory(self):
         state = AgentState(cursor="validation")
-        emitted = [{"text": "fall nails ideas", "category": "Description",
-                    "language": "en", "embedding": None}]
+        emitted = [{"text": "fall nails ideas", "category": "Description", "embedding": None}]
         new = transition(
             state,
             {"kind": "tool", "tool": "validate"},

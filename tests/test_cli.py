@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,18 @@ class TestStages:
         )
         assert result.exit_code == 1
         assert "build-collections" in result.output
+
+    def test_link_needs_the_corpus(self, runner, pipeline_run, tmp_path):
+        """Link joins each collection's topic text to a corpus query."""
+        for name in ("collections.jsonl", "annotations.jsonl"):
+            shutil.copy(pipeline_run["ws"].out / name, tmp_path / name)
+        result = runner.invoke(main, ["link", "--out", str(tmp_path), "--seed", "7"])
+        assert result.exit_code == 1
+        entry = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["stages"]["link"]
+        assert entry["error_type"] == "DependencyError"
+        assert re.search(r"needs missing artifact \S+/corpus/\w+\.\w+ \(produced by stage 'gen-corpus'\)",
+                         entry["error"])
+        assert entry["error"] in result.output
 
     def test_pipeline_stage_needs_only_its_own_inputs(self, runner, tiny_config, tmp_path):
         out = tmp_path / "run"

@@ -190,8 +190,9 @@ class TestPersistenceAndPages:
         ]
         path = tmp_path / "collections.jsonl"
         write_collections(collections, path)
-        loaded = load_collections(path)
+        loaded = load_collections(path, corpus)
         assert [c.slug for c in loaded] == [c.slug for c in collections]
+        assert all(a.topic is b.topic for a, b in zip(loaded, collections, strict=True))
         assert [
             [sig for sig, _ in c.members] for c in loaded
         ] == [[sig for sig, _ in c.members] for c in collections]
@@ -203,7 +204,7 @@ class TestPersistenceAndPages:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{not json\n")
         with pytest.raises(CollectionError, match=r"collections\.jsonl:2: malformed JSON"):
-            load_collections(path)
+            load_collections(path, corpus)
 
     def test_emit_pages_links_members(self, corpus_and_index, tmp_path):
         corpus, encoder, index = corpus_and_index

@@ -251,11 +251,8 @@ class TestCorpusIO:
         save_corpus(small_synth[0], tmp_path)
         first = {name: json.loads((tmp_path / name).read_text().splitlines()[0])
                  for name in ("pins.jsonl", "queries.jsonl")}
-        assert list(first["pins.jsonl"]) == [
-            "signature", "perception_score", "title", "description", "board_id", "category",
-            "language",
-        ]
-        assert list(first["queries.jsonl"]) == ["text", "category", "language"]
+        assert list(first["pins.jsonl"]) == ["signature", "perception_score", "title", "board_id"]
+        assert list(first["queries.jsonl"]) == ["text", "category"]
 
     @pytest.mark.parametrize("name, edit, match", [
         ("pins.jsonl", {"signature": None}, "missing key 'signature'"),

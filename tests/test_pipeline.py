@@ -42,6 +42,13 @@ from geoforge.pipeline import (
     run_pipeline,
 )
 
+# (JSONL artifact, key): why the key holds one value on every line of a pass
+SINGLE_VALUED_KEYS = {
+    ("corpus/trends.jsonl", "region"): "the agent fetches the trends of agent.REGIONS alone",
+    ("corpus/trends.jsonl", "timespan"): "the agent fetches the trends of agent.TIMESPAN alone",
+    ("trend_queries.jsonl", "embedding"): "an emitted query is a QueryRecord no encoder has embedded",
+}
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, tmp_path):
@@ -112,7 +119,7 @@ class TestStageGraph:
         # every stage that reads the corpus needs its array file
         *[(stage, "corpus/arrays.bin", "gen-corpus") for stage in (
             "curate", "train-encoder", "build-index", "train-ranker", "build-collections",
-            "agent-run", "eval",
+            "link", "agent-run", "eval",
         )],
     ])
     def test_always_written_input_is_required(
@@ -198,12 +205,17 @@ class TestStageGraph:
             ({"signature": 1000001.7}, "key 'signature' has ill-typed value 1000001.7"),
             ({"perception_score": "0.5"}, "key 'perception_score' has ill-typed value '0.5'"),
             ({"visual_embedding": [0.5]}, "unknown key 'visual_embedding'"),
+            # a pin in the format that also carried these never-read fields
+            ({"language": "en"}, "unknown key 'language'"),
+            ({"description": "inspiration for fall nails"}, "unknown key 'description'"),
+            ({"category": "beauty"}, "unknown key 'category'"),
         ]],
         *[("curate", "corpus/queries.jsonl", edit, "CorpusError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
             ({"text": None}, "missing key 'text'"),
             ({"text": 5}, "key 'text' has ill-typed value 5"),
             ({"embedding": [0.5]}, "unknown key 'embedding'"),
+            ({"language": "en"}, "unknown key 'language'"),
         ]],
         *[("train-ranker", "labeled_pairs.jsonl", edit, "CorpusError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
@@ -231,15 +243,13 @@ class TestStageGraph:
              "key 'members' has ill-typed value .+"),
             ({"members": [{"signature": 1, "similarity": "0.5"}]},
              "key 'members' has ill-typed value .+"),
-            ({"topic": {"text": "t"}}, "missing key 'category'"),
-            # a topic is a valid query
-            ({"topic": {"text": "t", "category": "Bogus"}}, "query 't': category 'Bogus' not one of .+"),
-            ({"topic": {"text": " ", "category": "Description"}}, "query text is empty"),
-            # a topic's embedding is a JSON vector: a list of finite floats
-            ({"topic": {"text": "t", "category": "Description", "embedding": "x"}},
-             "key 'embedding' has ill-typed value 'x'"),
-            ({"topic": {"text": "t", "category": "Description", "embedding": [0.5, float("nan")]}},
-             r"key 'embedding' has ill-typed value \[0.5, nan\]"),
+            # a topic is a corpus query, named by its text
+            ({"topic_text": None}, "missing key 'topic_text'"),
+            ({"topic_text": 5}, "key 'topic_text' has ill-typed value 5"),
+            ({"topic_text": "no such query"}, "unknown query text 'no such query'"),
+            # a collection in the format that held its whole topic record
+            ({"topic": {"text": "fall nails", "category": "Description"}}, "unknown key 'topic'"),
+            ({"embedding_kind": "pinclip"}, "unknown key 'embedding_kind'"),
         ]],
         *[("agent-run", "corpus/trends.jsonl", edit, "AgentError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
@@ -714,7 +724,11 @@ class TestCollections:
         pages = {f"pages/{p.name}": file_checksum(p) for p in (tmp_path / "pages").iterdir()}
         assert len(pages) == report["stages"]["build-collections"]["metrics"]["collections"]
         assert {k: v for k, v in report["checksums"].items() if k.startswith("pages/")} == pages
-        assert report["checksums"] == pipeline_run["report"]["checksums"]
+        # link and eval read collections.jsonl, so their entries leave with its old one
+        assert set(report["stages"]) == set(STAGE_ORDER) - {"link", "eval"}
+        downstream = {"graph.jsonl", "link_report.json", "sitemap.xml", "eval_report.json"}
+        assert report["checksums"] == {k: v for k, v in pipeline_run["report"]["checksums"].items()
+                                       if k not in downstream}
 
 
 class TestFullRun:
@@ -740,6 +754,20 @@ class TestFullRun:
         peaks = [pipeline_run["report"]["stages"][s]["peak_rss_mb"] for s in STAGE_ORDER]
         assert all(type(p) is float and p > 0 for p in peaks)
         assert peaks == sorted(peaks)
+
+    def test_every_jsonl_key_takes_two_values(self, pipeline_run):
+        """A key with one value on every line of a default pass tells a
+        reader nothing, unless SINGLE_VALUED_KEYS gives the reason it stays."""
+        out = pipeline_run["ws"].out
+        single = set()
+        for path in sorted(out.rglob("*.jsonl")):
+            values: dict[str, set[str]] = {}
+            for line in path.read_text(encoding="utf-8").splitlines():
+                for key, value in json.loads(line).items():
+                    values.setdefault(key, set()).add(json.dumps(value, sort_keys=True))
+            assert values, f"{path} holds no record"
+            single |= {(str(path.relative_to(out)), key) for key, seen in values.items() if len(seen) < 2}
+        assert single == set(SINGLE_VALUED_KEYS)
 
     def test_every_written_file_is_a_checksummed_output(self, tmp_path):
         config = PipelineConfig(
@@ -781,12 +809,13 @@ class TestFullRun:
         assert metrics["intent_satisfying_rate_mean"] >= 0.8
         assert metrics["pagerank"]["converged"] is True
 
-    def test_stage_rerun_in_isolation_reuses_artifacts(self, pipeline_run):
+    def test_stage_rerun_in_isolation_reuses_artifacts(self, pipeline_run, tmp_path):
         # link re-runs from on-disk artifacts alone and reproduces its output
-        ws = pipeline_run["ws"]
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
         before = pipeline_run["report"]["checksums"]["link_report.json"]
-        report, ok = run_pipeline(pipeline_run["config"], stages=["link"])
-        assert ok
+        report, ok = run_pipeline(dataclasses.replace(pipeline_run["config"], out_dir=tmp_path),
+                                  stages=["link"])
+        assert ok and "eval" not in report["stages"]
         assert report["checksums"]["link_report.json"] == before
 
     def test_stage_run_merges_into_the_report(self, pipeline_run, tmp_path):
@@ -958,16 +987,24 @@ class TestBranches:
         report, ok = run_pipeline(_small(tmp_path), stages=["gen-corpus", "curate", "train-ranker"])
         assert ok, report["stages"]
 
-    @pytest.mark.parametrize("held, listed", [
-        (["train-ranker", "build-index"], ["gen-corpus", "train-encoder"]),
-        (["eval"], STAGE_ORDER[:-1]),
-    ], ids=["overlap", "eval"])
-    def test_a_killed_run_leaves_a_true_report(self, tmp_path, held, listed):
+    @pytest.mark.parametrize("earlier, held, listed", [
+        (None, ["train-ranker", "build-index"], ["gen-corpus", "train-encoder"]),
+        (None, ["eval"], STAGE_ORDER[:-1]),
+        # no entry of a whole pass at another size outlives a killed rerun
+        (80, ["train-ranker", "build-index"], ["gen-corpus", "train-encoder"]),
+        (80, ["gen-corpus"], []),
+    ], ids=["overlap", "eval", "rerun", "rerun-gen-corpus"])
+    def test_a_killed_run_leaves_a_true_report(self, tmp_path, earlier, held, listed):
         """SIGKILL to the whole process group while the named stages hold,
-        each after writing its outputs: report.json lists the stages
-        recorded so far, and each checksum and ok stage's outputs are on disk."""
+        each after writing its outputs, in a fresh directory or after an
+        ``earlier`` whole pass of that many pins: report.json lists the
+        stages recorded so far, and each checksum and ok stage's outputs are
+        on disk."""
         out, marks = tmp_path / "out", tmp_path / "marks"
         marks.mkdir()
+        if earlier:
+            report, ok = run_pipeline(dataclasses.replace(_small(out), n_pins=earlier))
+            assert ok, report["stages"]
         script = textwrap.dedent(f"""
             import time
             from pathlib import Path
@@ -996,7 +1033,7 @@ class TestBranches:
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert sorted(report["stages"]) == sorted(listed)
         assert all(entry["status"] == "ok" for entry in report["stages"].values())
-        assert report["checksums"]
+        assert bool(report["checksums"]) == bool(listed)
         assert all(file_checksum(out / key) == value for key, value in report["checksums"].items())
         ws = Workspace(out)
         for stage in report["stages"]:

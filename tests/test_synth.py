@@ -60,8 +60,7 @@ class TestModel:
             cluster = i % config.n_clusters
             term = synth.CLUSTER_TERMS[cluster]
             assert sidecar["pin_cluster"][pin.signature] == cluster
-            assert (pin.title, pin.description) == (f"{term} look {i}", f"inspiration for {term}")
-            assert pin.category == synth.CLUSTER_CATEGORIES[cluster]
+            assert pin.title == f"{term} look {i}"
             assert 0.3 <= pin.perception_score < 1.0
             boards[pin.board_id - cluster * 10] += 1
         assert sorted(boards) == [0, 1, 2] and min(boards.values()) > 300
@@ -131,8 +130,7 @@ class TestModel:
 class TestDeterminism:
     @staticmethod
     def _state(corpus, sidecar):
-        pins = [(p.signature, p.perception_score, p.title, p.description, p.board_id, p.category)
-                for p in corpus.pins.values()]
+        pins = [(p.signature, p.perception_score, p.title, p.board_id) for p in corpus.pins.values()]
         arrays = [corpus.visual.tobytes(), corpus.text.tobytes(), corpus.query_embeddings.tobytes()]
         engagement = [getattr(corpus.engagement, name).tobytes() for name in ENGAGEMENT_ARRAYS]
         return pins, arrays, engagement, [(q.text, q.category) for q in corpus.queries], sidecar
