@@ -1,4 +1,6 @@
-"""Command-line entry point: one command per pipeline stage, plus `pipeline`."""
+"""Command-line entry point: one command per pipeline stage, plus `pipeline`.
+A stage command takes one flag per config key of its `STAGE_CONFIG` row,
+spelled as the key with dashes, of the key's type."""
 
 from __future__ import annotations
 
@@ -9,23 +11,8 @@ from pathlib import Path
 import click
 
 from .pipeline import (
-    CONFIG_KINDS, STAGE_FUNCS, STAGE_ORDER, PipelineConfig, Workspace, run_pipeline,
+    CONFIG_KINDS, STAGE_CONFIG, STAGE_FUNCS, STAGE_ORDER, PipelineConfig, Workspace, run_pipeline,
 )
-
-# Each stage command's own flags, as (flag, PipelineConfig field); a flag's
-# type is its field's, from CONFIG_KINDS.
-STAGE_FLAGS = {
-    "gen-corpus": [("--n-pins", "n_pins"), ("--n-clusters", "n_clusters")],
-    "curate": [("--neg-per-pos", "neg_per_pos")],
-    "train-encoder": [("--steps", "encoder_steps"), ("--temperature", "temperature")],
-    "build-index": [("--ef-search", "ef_search"), ("--ef-construction", "ef_construction"),
-                    ("--m", "hnsw_m")],
-    "train-ranker": [("--steps", "ranker_steps"), ("--margin", "margin")],
-    "build-collections": [("--k", "collection_k")],
-    "link": [("--base-url", "base_url")],
-    "agent-run": [("--min-count", "agent_min_count")],
-    "eval": [],
-}
 
 
 def _config(config_path: str | None, **overrides) -> PipelineConfig:
@@ -66,8 +53,8 @@ def _stage_command(stage: str) -> None:
             click.echo(f"  {key}: {value}")
 
     # click lists options in the reverse of the order they are applied
-    for flag, name in reversed(STAGE_FLAGS[stage]):
-        run = click.option(flag, name, type=CONFIG_KINDS[name], default=None,
+    for name in reversed(STAGE_CONFIG[stage]):
+        run = click.option(f"--{name.replace('_', '-')}", name, type=CONFIG_KINDS[name], default=None,
                            help=f"Sets config key {name}.")(run)
     main.command(stage, help=inspect.getdoc(STAGE_FUNCS[stage]))(common_options(run))
 

@@ -35,22 +35,23 @@ def slugify(text: str) -> str:
 @dataclass
 class Collection:
     topic: QueryRecord
-    slug: str
+    slug: str  # never written; read back as slugify of the topic text
     embedding_kind: str = "pinclip"  # never written; perfbench/tests passes it by position
     members: list[tuple[int, float]] = field(default_factory=list)  # (signature, similarity)
 
     def to_json(self) -> dict:
-        """The collection with its topic by text; `from_json` joins it back."""
-        return {"slug": self.slug, "topic_text": self.topic.text,
+        """The collection with its topic by text; `from_json` joins it back
+        and derives the slug."""
+        return {"topic_text": self.topic.text,
                 "members": [{"signature": s, "similarity": f32([sim])[0]} for s, sim in self.members]}
 
     @classmethod
     def from_json(cls, obj: dict, corpus: Corpus) -> "Collection":
         """The collection `to_json` wrote, checked by `check_json`, with its
-        topic looked up in ``corpus``; a text it lacks raises CorpusError."""
-        check_json(obj, {"slug": str, "topic_text": str,
-                         "members": [{"signature": int, "similarity": float}]})
-        return cls(corpus.query(obj["topic_text"]), obj["slug"],
+        topic looked up in ``corpus`` (a text it lacks raises CorpusError)
+        and the slug of its text."""
+        check_json(obj, {"topic_text": str, "members": [{"signature": int, "similarity": float}]})
+        return cls(corpus.query(obj["topic_text"]), slugify(obj["topic_text"]),
                    members=[(m["signature"], float(m["similarity"])) for m in obj["members"]])
 
 

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import reprlib
-import types
 import typing
 import zlib
 from contextlib import contextmanager
@@ -115,9 +114,7 @@ def read_only(values, dtype: type | str = np.float64) -> np.ndarray:
 
 
 def _json_value(value):
-    """A field's value for JSON: arrays and floats rounded through float32."""
-    if isinstance(value, np.ndarray):
-        return f32(value)
+    """A field's value for JSON: floats rounded through float32."""
     return float(np.float32(value)) if isinstance(value, float) else value
 
 
@@ -125,8 +122,10 @@ class _Record:
     __slots__ = ()  # so that a slotted record keeps no __dict__
 
     def to_json(self) -> dict:
-        """Every field in declaration order (see `_json_value`)."""
-        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
+        """Every field but the vectors and those holding None, in declaration
+        order (see `_json_value`)."""
+        return {k: _json_value(v) for k in _record_kinds(type(self))[0]
+                if (v := getattr(self, k)) is not None}
 
     def validate(self) -> None:
         """Raise CorpusError if the record breaks an invariant of its kind."""
@@ -134,30 +133,24 @@ class _Record:
     @classmethod
     def from_json(cls, obj: dict, **rows: np.ndarray):
         """The validated record from a JSON object of its fields but the
-        vectors given as ``rows``, each of the kind its annotation names (see
-        `check_json`); a defaulted field may be absent. An int in a float
-        field reads as a float, and a list (a vector) as a float64 array."""
+        vectors, each of the kind its annotation names (see `check_json`),
+        and the vectors given as ``rows``; a defaulted field may be absent.
+        An int in a float field reads as a float."""
         kinds, defaulted = _record_kinds(cls)
-        check_json(obj, {k: kind for k, kind in kinds.items() if k not in rows}, defaulted)
-        record = cls(**rows, **{k: float(v) if kinds[k] is float else np.asarray(v, dtype=np.float64)
-                                if type(v) is list else v for k, v in obj.items()})
+        check_json(obj, kinds, defaulted)
+        record = cls(**rows, **{k: float(v) if kinds[k] is float else v for k, v in obj.items()})
         record.validate()
         return record
 
 
 @functools.cache
 def _record_kinds(cls: type) -> tuple[dict, set[str]]:
-    """A record class's JSON kind per field, from its annotation, and its
-    defaulted fields. ``np.ndarray`` is a list of floats and ``X | None``
-    the tuple of both kinds."""
+    """A record class's JSON kind per field but its vectors (``np.ndarray``
+    fields, None allowed or not), from its annotation, and its defaulted
+    fields. ``X | None`` is the tuple of both kinds."""
     hints = typing.get_type_hints(cls)
-
-    def kind(hint):
-        if isinstance(hint, types.UnionType):
-            return tuple(map(kind, hint.__args__))
-        return [float] if hint is np.ndarray else hint
-
-    return ({f.name: kind(hints[f.name]) for f in fields(cls)},
+    return ({f.name: typing.get_args(hints[f.name]) or hints[f.name] for f in fields(cls)
+             if np.ndarray not in (hints[f.name], *typing.get_args(hints[f.name]))},
             {f.name for f in fields(cls) if f.default is not MISSING})
 
 
@@ -444,8 +437,6 @@ def _json_is(value, kind) -> bool:
         except ValueError:
             return False
         return True
-    if type(value) is list and kind[0] is float and set(map(type, value)) <= {float}:
-        return all(map(math.isfinite, value))  # a vector, with no call per element
     return type(value) is list and all(_json_is(v, kind[0]) for v in value)
 
 
@@ -576,9 +567,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     engagement columns in the array file."""
     directory = Path(directory)
     for name, rows in {"pins": corpus.pins.values(), "queries": corpus.queries}.items():
-        write_jsonl(directory / CORPUS_FILES[name], (
-            {f.name: _json_value(v) for f in fields(r)
-             if not isinstance(v := getattr(r, f.name), np.ndarray)} for r in rows))
+        write_jsonl(directory / CORPUS_FILES[name], (r.to_json() for r in rows))
     save_arrays(directory / CORPUS_FILES["arrays"], ARRAYS_MAGIC, {}, {
         **{name: getattr(corpus, name).astype("<f4") for name in VECTOR_ARRAYS},
         **{name: getattr(corpus.engagement, name) for name in ENGAGEMENT_ARRAYS}})

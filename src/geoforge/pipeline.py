@@ -1,10 +1,10 @@
-"""Stage orchestration: every stage reads file artifacts, writes file
-artifacts plus checksums, and can be re-run in isolation. Within one
-run_pipeline call a process parses each input that several of its stages
-read once. A run of both BRANCHES forks after gen-corpus: the child
-inherits the corpus parsed before the fork, and the labeled pairs are
-parsed in both processes, by train-ranker in the child and by eval in the
-parent."""
+"""Stage orchestration: every stage reads file artifacts and the config
+keys of its STAGE_CONFIG row, writes file artifacts plus checksums, and can
+be re-run in isolation. Within one run_pipeline call a process parses each
+input that several of its stages read once. A run of both BRANCHES forks
+after gen-corpus: the child inherits the corpus parsed before the fork, and
+the labeled pairs are parsed in both processes, by train-ranker in the
+child and by eval in the parent."""
 
 from __future__ import annotations
 
@@ -58,21 +58,15 @@ class PipelineConfig:
     seed: int = 0
     n_pins: int = 1000
     n_clusters: int = 8
-    d_v: int = 64
-    d_t: int = 48
     encoder_steps: int = 200
     temperature: float = 0.07
     ef_construction: int = 200
     ef_search: int = 100
     hnsw_m: int = 16
     ranker_steps: int = ranker.RankerTrainConfig.steps
-    ranker_lr: float = ranker.RankerTrainConfig.learning_rate
     margin: float = 0.95
     neg_per_pos: int = 2
-    annotations_per_pin: int = 3
-    annotation_threshold: float = 0.6
     collection_k: int = 10
-    judge_threshold: float = 0.5
     base_url: str = "https://example.com"
     agent_min_count: int = 25
 
@@ -86,6 +80,25 @@ class PipelineConfig:
 
 # each config key's type, for the config file and the command-line flags
 CONFIG_KINDS = {f.name: type(f.default) for f in fields(PipelineConfig)}
+# The config keys each stage reads besides seed (out_dir names the
+# workspace); each key is one stage's. A stage's command spells each of its
+# keys as a flag, --{key with dashes}, as a config file may.
+STAGE_CONFIG = {
+    "gen-corpus": ["n_pins", "n_clusters"],
+    "curate": ["neg_per_pos"],
+    "train-encoder": ["encoder_steps", "temperature"],
+    "build-index": ["ef_search", "ef_construction", "hnsw_m"],
+    "train-ranker": ["ranker_steps", "margin"],
+    "build-collections": ["collection_k"],
+    "link": ["base_url"],
+    "agent-run": ["agent_min_count"],
+    "eval": [],
+}
+# train-ranker annotates each pin with its top ANNOTATIONS_PER_PIN queries;
+# build-collections, link and the ablation keep those scoring at least
+# ANNOTATION_THRESHOLD.
+ANNOTATIONS_PER_PIN = 3
+ANNOTATION_THRESHOLD = 0.6
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,8 +263,7 @@ def _check_inputs(stage: str, ws: Workspace) -> None:
 def stage_gen_corpus(config: PipelineConfig, ws: Workspace) -> dict:
     """Generate the bundled synthetic corpus."""
     synth.write_corpus_bundle(ws.corpus_dir, synth.SynthConfig(
-        n_pins=config.n_pins, n_clusters=config.n_clusters, d_v=config.d_v, d_t=config.d_t,
-        seed=config.seed,
+        n_pins=config.n_pins, n_clusters=config.n_clusters, seed=config.seed,
     ))
     corpus = ws.corpus
     return {
@@ -346,15 +358,12 @@ def annotate_pins(
 
 def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     """Train the two-tower annotation ranker and annotate every pin with
-    its top queries, at least one each."""
-    if config.annotations_per_pin < 1:
-        raise PipelineError(f"annotations_per_pin must be at least 1, got {config.annotations_per_pin}")
+    its top ANNOTATIONS_PER_PIN queries."""
     corpus, triplets = ws.corpus, ws.triplets
     model, log = ranker.train_ranker(
         triplets,
         ranker.TowerConfig(d_v=corpus.d_v, d_t=corpus.d_t, margin=config.margin),
-        ranker.RankerTrainConfig(steps=config.ranker_steps, learning_rate=config.ranker_lr,
-                                 seed=subseed(config.seed, "ranker")),
+        ranker.RankerTrainConfig(steps=config.ranker_steps, seed=subseed(config.seed, "ranker")),
     )
     ranker.save_ranker(model, ws.ranker_file)
     write_jsonl(ws.ranker_log, (dict(zip(RANKER_LOG_KINDS, row)) for row in log))
@@ -366,7 +375,7 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
         e_pins,
         ws.deduped_queries,
         model.embed_query(ws.query_features[ws.deduped_rows]),
-        config.annotations_per_pin,
+        ANNOTATIONS_PER_PIN,
     )
     write_jsonl(ws.annotations, (a.to_json() for a in annotations))
     return {
@@ -408,11 +417,11 @@ def build_collections(
 def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
     """Build topic collection pages from annotations and the index; no
     collection fails the stage before it writes."""
-    topics = annotation_map(ws.annotation_records, config.annotation_threshold).values()
+    topics = annotation_map(ws.annotation_records, ANNOTATION_THRESHOLD).values()
     collections = build_collections(ws, {t for texts in topics for t in texts}, config.collection_k)
     if not collections:
         raise PipelineError(f"{ws.annotations}: no annotated corpus query scores at least "
-                            f"annotation_threshold {config.annotation_threshold}")
+                            f"ANNOTATION_THRESHOLD {ANNOTATION_THRESHOLD}")
     coll_mod.write_collections(collections, ws.collections)
     for stale in ws.pages_dir.glob("*.html"):
         stale.unlink()
@@ -422,7 +431,7 @@ def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
 
 def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
     """Construct the link graph, PageRank scores, report, and sitemap."""
-    annotations = annotation_map(ws.annotation_records, config.annotation_threshold)
+    annotations = annotation_map(ws.annotation_records, ANNOTATION_THRESHOLD)
     graph, dangling = linkgraph.build_link_graph(annotations, ws.published_collections)
     scores = linkgraph.pagerank(graph)
     report = linkgraph.link_report(graph, scores)
@@ -447,7 +456,7 @@ def stage_agent_run(config: PipelineConfig, ws: Workspace) -> dict:
     return {"emitted_queries": len(queries), "trace_steps": len(trace)}
 
 
-def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
+def ablation_study(ws: Workspace) -> dict:
     """Directional link-equity comparison across the three linking modes.
 
     Enabled uses ranker-selected annotations; control selects annotations by
@@ -486,8 +495,8 @@ def ablation_study(config: PipelineConfig, ws: Workspace) -> dict:
         }
 
     k = max(len(c.members) for c in ws.published_collections)
-    enabled_map = annotation_map(records, config.annotation_threshold)
-    control_map = annotation_map(control_records, config.annotation_threshold)
+    enabled_map = annotation_map(records, ANNOTATION_THRESHOLD)
+    control_map = annotation_map(control_records, ANNOTATION_THRESHOLD)
     # enabled and control share one collection universe so mean authority
     # compares linking quality, not collection counts
     topic_texts = {t for by_pin in (enabled_map, control_map) for texts in by_pin.values() for t in texts}
@@ -523,7 +532,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         recalls.append(len(exact & approx) / len(exact))
     recall_at_10 = float(np.mean(recalls))
 
-    judge = coll_mod.embedding_judge(ws.encoders["txt"], threshold=config.judge_threshold)
+    judge = coll_mod.embedding_judge(ws.encoders["txt"])
     rates = [coll_mod.intent_satisfying_rate(c, ws.corpus, judge)[0]
              for c in ws.published_collections]
     link_summary = read_json(ws.link_report, PipelineError, REPORT_KINDS["link_report"])
@@ -537,7 +546,7 @@ def stage_eval(config: PipelineConfig, ws: Workspace) -> dict:
         "ranker_loss": ranker_loss,
         "pagerank": link_summary["pagerank"],
         "orphan_pins": link_summary["orphan_pins"],
-        "ablation": ablation_study(config, ws),
+        "ablation": ablation_study(ws),
     }
     write_text(ws.eval_report, json.dumps(report, indent=2, sort_keys=True))
     return report
@@ -583,8 +592,9 @@ def _blocked_by(stage: str, failed: set[str]) -> list[str]:
 
 
 def _run_stage(stage: str, config: PipelineConfig, ws: Workspace, failed: set[str]) -> tuple[dict, dict]:
-    """Run one stage unless it is blocked by ``failed``: its report entry
-    and the checksums of the files it wrote."""
+    """Run one stage unless it is blocked by ``failed``: its report entry,
+    which holds the values of its STAGE_CONFIG keys when it ran, and the
+    checksums of the files it wrote."""
     blocked = _blocked_by(stage, failed)
     if blocked:
         return {"status": "skipped", "blocked_by": blocked}, {}
@@ -595,7 +605,8 @@ def _run_stage(stage: str, config: PipelineConfig, ws: Workspace, failed: set[st
     except Exception as exc:
         return _failure(exc), {}
     entry = {"status": "ok", "seconds": round(time.perf_counter() - start, 3),
-             "peak_rss_mb": _peak_rss_mb(), "metrics": metrics}
+             "peak_rss_mb": _peak_rss_mb(), "metrics": metrics,
+             "config": {key: getattr(config, key) for key in STAGE_CONFIG[stage]}}
     checksums = {}
     for name in STAGE_OUTPUTS[stage]:
         artifact = getattr(ws, name)

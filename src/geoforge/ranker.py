@@ -122,7 +122,8 @@ def margin_loss_batch(
 
 @dataclass
 class RankerTrainConfig:
-    # the pipeline's budget (PipelineConfig takes these defaults), chosen by
+    # the pipeline's budget (train-ranker trains at learning_rate, and at
+    # steps unless PipelineConfig.ranker_steps says otherwise), chosen by
     # held-out top-1 cluster and correct_rank over corpus, split and ranker
     # seeds: see README, "The ranker's budget"
     steps: int = 500

@@ -411,7 +411,7 @@ def test_criterion_11_intent_satisfying_rate(announce, pipeline_run):
     corpus = load_corpus(ws.corpus_dir)
     index = HnswIndex.load(ws.index_file)
     txt_encoder = encoders.load_encoders(ws.encoder_file)["txt"]
-    judge = embedding_judge(txt_encoder, threshold=config.judge_threshold)
+    judge = embedding_judge(txt_encoder)  # eval's judge, at its default threshold
 
     collections = load_collections(ws.collections, corpus)
     in_rates = [

@@ -81,7 +81,7 @@ class TestTransition:
 
     def test_validation_folds_into_long_memory(self):
         state = AgentState(cursor="validation")
-        emitted = [{"text": "fall nails ideas", "category": "Description", "embedding": None}]
+        emitted = [{"text": "fall nails ideas", "category": "Description"}]
         new = transition(
             state,
             {"kind": "tool", "tool": "validate"},
@@ -104,6 +104,9 @@ class TestTransition:
         ({"outcomes": [], "emitted": [{"text": "x", "category": "Bogus"}]}, "category 'Bogus'"),
         ({"outcomes": [], "emitted": [{"text": 5, "category": "UseCase"}]},
          "key 'text' has ill-typed value 5"),
+        # a query emitted in the format that wrote its (absent) vector as null
+        ({"outcomes": [], "emitted": [{"text": "x", "category": "UseCase", "embedding": None}]},
+         "unknown key 'embedding'"),
     ])
     def test_bad_validate_observation_names_the_step(self, observation, message):
         state = AgentState(cursor="validation", short_memory=[{}] * 7)

@@ -14,23 +14,23 @@ from click.testing import CliRunner
 
 from geoforge import cli
 from geoforge.cli import main
-from geoforge.pipeline import CONFIG_KINDS, STAGE_ORDER, PipelineConfig
+from geoforge.pipeline import CONFIG_KINDS, STAGE_CONFIG, STAGE_ORDER, PipelineConfig
 
 # Every stage command's own flags, as (command, flag, PipelineConfig field).
 FLAG_SURFACE = [
     ("gen-corpus", "--n-pins", "n_pins"),
     ("gen-corpus", "--n-clusters", "n_clusters"),
     ("curate", "--neg-per-pos", "neg_per_pos"),
-    ("train-encoder", "--steps", "encoder_steps"),
+    ("train-encoder", "--encoder-steps", "encoder_steps"),
     ("train-encoder", "--temperature", "temperature"),
     ("build-index", "--ef-search", "ef_search"),
     ("build-index", "--ef-construction", "ef_construction"),
-    ("build-index", "--m", "hnsw_m"),
-    ("train-ranker", "--steps", "ranker_steps"),
+    ("build-index", "--hnsw-m", "hnsw_m"),
+    ("train-ranker", "--ranker-steps", "ranker_steps"),
     ("train-ranker", "--margin", "margin"),
-    ("build-collections", "--k", "collection_k"),
+    ("build-collections", "--collection-k", "collection_k"),
     ("link", "--base-url", "base_url"),
-    ("agent-run", "--min-count", "agent_min_count"),
+    ("agent-run", "--agent-min-count", "agent_min_count"),
 ]
 # a command-line value for each field type, unequal to every field's default
 FLAG_VALUES = {int: "7", float: "0.25", str: "https://geo.test"}
@@ -38,12 +38,12 @@ FLAG_VALUES = {int: "7", float: "0.25", str: "https://geo.test"}
 STAGED_FLAGS = [
     ("gen-corpus", ["--n-pins", "150", "--n-clusters", "4"]),
     ("curate", ["--neg-per-pos", "1"]),
-    ("train-encoder", ["--steps", "30", "--temperature", "0.1"]),
-    ("build-index", ["--ef-search", "12", "--ef-construction", "40", "--m", "8"]),
-    ("train-ranker", ["--steps", "40", "--margin", "0.5"]),
-    ("build-collections", ["--k", "6"]),
+    ("train-encoder", ["--encoder-steps", "30", "--temperature", "0.1"]),
+    ("build-index", ["--ef-search", "12", "--ef-construction", "40", "--hnsw-m", "8"]),
+    ("train-ranker", ["--ranker-steps", "40", "--margin", "0.5"]),
+    ("build-collections", ["--collection-k", "6"]),
     ("link", ["--base-url", "https://geo.example.org"]),
-    ("agent-run", ["--min-count", "3"]),
+    ("agent-run", ["--agent-min-count", "3"]),
     ("eval", []),
 ]
 
@@ -82,7 +82,7 @@ def recorded_runs(monkeypatch):
 def tiny_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "config.txt"
     path.write_text(
-        "n_pins=60\nn_clusters=4\nd_v=16\nd_t=12\n"
+        "n_pins=60\nn_clusters=4\n"
         "encoder_steps=20\nranker_steps=30\n"
     )
     return path
@@ -232,12 +232,11 @@ class TestStages:
         assert [c for c, _ in STAGED_FLAGS] == STAGE_ORDER
         lines = ["seed=5"]
         for command, args in STAGED_FLAGS:
-            fields = dict(cli.STAGE_FLAGS[command])
-            assert args[::2] == list(fields), command
-            for flag, value in zip(args[::2], args[1::2]):
-                field = fields[flag]
-                assert CONFIG_KINDS[field](value) != getattr(PipelineConfig(), field)
-                lines.append(f"{field}={value}")
+            keys = STAGE_CONFIG[command]
+            assert args[::2] == [f"--{key.replace('_', '-')}" for key in keys], command
+            for key, value in zip(keys, args[1::2]):
+                assert CONFIG_KINDS[key](value) != getattr(PipelineConfig(), key)
+                lines.append(f"{key}={value}")
             result = runner.invoke(main, [command, "--out", str(tmp_path / "staged"), "--seed", "5", *args])
             assert result.exit_code == 0, result.output
         config = tmp_path / "config.txt"
@@ -248,6 +247,22 @@ class TestStages:
                          for run in ("staged", "whole"))
         assert len(staged) > len(STAGE_ORDER)
         assert staged == whole
+
+    def test_report_holds_each_stages_config(self, runner, pipeline_run, tmp_path):
+        """Each ok entry holds the values of its stage's STAGE_CONFIG keys.
+        A rerun of link with a new --base-url holds the new value in link's
+        entry, drops eval's, which reads link's outputs, and keeps the rest."""
+        config, whole = pipeline_run["config"], pipeline_run["report"]["stages"]
+        for stage in STAGE_ORDER:
+            assert whole[stage]["config"] == {key: getattr(config, key) for key in STAGE_CONFIG[stage]}
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        result = runner.invoke(main, ["link", "--out", str(tmp_path), "--seed", str(config.seed),
+                                      "--base-url", "https://geo.test"])
+        assert result.exit_code == 0, result.output
+        stages = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["stages"]
+        assert stages["link"]["config"] == {"base_url": "https://geo.test"} != whole["link"]["config"]
+        assert set(stages) == set(STAGE_ORDER) - {"eval"}
+        assert all(stages[s]["config"] == whole[s]["config"] for s in stages if s != "link")
 
     def test_eval_prints_table_and_writes_json(self, runner, pipeline_run):
         out = str(pipeline_run["ws"].out)

@@ -151,6 +151,18 @@ class TestRecordValidation:
             QueryRecord(text="x", category="Bogus").validate()
         QueryRecord(text="x", category="UseCase").validate()
 
+    def test_json_leaves_out_vectors_and_none(self):
+        """A record's JSON holds no vector and no null; its reader takes the
+        vectors as rows and defaults the absent fields."""
+        pin = self._pin(title="t")
+        assert pin.to_json() == {"signature": 1, "perception_score": 0.5, "title": "t"}
+        loaded = PinRecord.from_json(pin.to_json(), visual_embedding=np.ones(4), text_embedding=np.ones(3))
+        assert loaded.board_id is None and loaded.to_json() == pin.to_json()
+        for embedding in (None, np.ones(3)):
+            query = QueryRecord("x", "UseCase", embedding=embedding)
+            assert query.to_json() == {"text": "x", "category": "UseCase"}
+            assert QueryRecord.from_json(query.to_json()).embedding is None
+
     def test_query_empty_text(self):
         with pytest.raises(CorpusError, match="empty"):
             QueryRecord(text="  ", category="UseCase").validate()
@@ -746,12 +758,16 @@ TEST_FIXTURE_FIELDS = {
     "TowerConfig.output_dim": "the small towers of the finite-difference checks",
     "TowerConfig.dropout_rate": "the small towers of the finite-difference checks",
     "RankerTrainConfig.batch_size": "five-step training runs at batch 8",
+    "RankerTrainConfig.learning_rate": "the ranker budget curve of TestHeldOut and the overflow checks",
+    "SynthConfig.d_v": "the narrow corpora of conftest and of the agent's forty_pins",
+    "SynthConfig.d_t": "the narrow corpora of conftest and of the agent's forty_pins",
 }
 
 
 def test_every_config_field_has_a_caller():
     """Each init field of a package dataclass named `*Config` or `*Params`,
-    but PipelineConfig, whose fields are all config-file keys, is passed by
+    but PipelineConfig, whose keys `test_each_config_key_is_one_stages`
+    gives each to the stage that reads it, is passed by
     name or position in some call in the package or in perfbench, or backs a
     test fixture. A ``**`` call, as from file metadata, sets nothing."""
     package = Path(geoforge.__file__).parent

@@ -29,7 +29,10 @@ from geoforge.mlp import Mlp
 from geoforge.pipeline import (
     ARTIFACTS,
     BRANCHES,
+    CONFIG_KINDS,
     PRODUCERS,
+    STAGE_CONFIG,
+    STAGE_FUNCS,
     STAGE_INPUTS,
     STAGE_ORDER,
     STAGE_OUTPUTS,
@@ -46,8 +49,10 @@ from geoforge.pipeline import (
 SINGLE_VALUED_KEYS = {
     ("corpus/trends.jsonl", "region"): "the agent fetches the trends of agent.REGIONS alone",
     ("corpus/trends.jsonl", "timespan"): "the agent fetches the trends of agent.TIMESPAN alone",
-    ("trend_queries.jsonl", "embedding"): "an emitted query is a QueryRecord no encoder has embedded",
 }
+# PipelineConfig keys that became constants or module defaults
+REMOVED_KEYS = ["d_v", "d_t", "ranker_lr", "annotations_per_pin", "annotation_threshold",
+                "judge_threshold"]
 
 
 class TestConfigFile:
@@ -59,11 +64,18 @@ class TestConfigFile:
 
     def test_values_parsed_and_dashes_normalized(self, tmp_path):
         path = tmp_path / "config.txt"
-        path.write_text("# comment\nn-pins=100\nranker_lr=0.2\nbase_url=https://x.test\n")
+        path.write_text("# comment\nn-pins=100\ntemperature=0.2\nbase_url=https://x.test\n")
         config = PipelineConfig.from_file(path)
         assert config.n_pins == 100
-        assert config.ranker_lr == 0.2
+        assert config.temperature == 0.2
         assert config.base_url == "https://x.test"
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_rejected_naming_its_line(self, tmp_path, key):
+        path = tmp_path / "config.txt"
+        path.write_text(f"n_pins=100\n{key}=1\n")
+        with pytest.raises(PipelineError, match=rf"^{re.escape(str(path))}:2: unknown config key '{key}'$"):
+            PipelineConfig.from_file(path)
 
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -190,7 +202,7 @@ class TestStageGraph:
         ("train-ranker", "labeled_pairs.jsonl", {"pin_signature": -1},
          "CorpusError", "unknown pin signature -1"),
         ("link", "annotations.jsonl", {"score": None}, "PipelineError", "missing key 'score'"),
-        ("link", "collections.jsonl", {"slug": None}, "CollectionError", "missing key 'slug'"),
+        ("link", "collections.jsonl", {"members": None}, "CollectionError", "missing key 'members'"),
         ("link", "annotations.jsonl", '{"pin_signature": ', "PipelineError", "malformed JSON: .+"),
         ("link", "collections.jsonl", "{not json", "CollectionError", "malformed JSON: .+"),
         ("agent-run", "corpus/trends.jsonl", "[1, 2", "AgentError", "malformed JSON: .+"),
@@ -236,7 +248,8 @@ class TestStageGraph:
         ]],
         *[("link", "collections.jsonl", edit, "CollectionError", match) for edit, match in [
             ({"colour": "red"}, "unknown key 'colour'"),
-            ({"slug": 5}, "key 'slug' has ill-typed value 5"),
+            # a collection in the format that also held the slug of its text
+            ({"slug": "fall-nails"}, "unknown key 'slug'"),
             ({"members": [{"signature": True, "similarity": 0.5}]},
              "key 'members' has ill-typed value .+"),
             ({"members": [{"signature": 1.5, "similarity": 0.5}]},
@@ -400,23 +413,10 @@ class TestStageGraph:
         assert not ok and result["error_type"] == error_type
         assert result["error"] == f"{tmp_path / artifact}: {match}"
 
-    def test_no_annotations_per_pin_fails_train_ranker(self, pipeline_run, tmp_path):
-        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path, annotations_per_pin=0)
-        report, ok = run_pipeline(config, stages=["train-ranker"])
-        result = report["stages"]["train-ranker"]
-        assert not ok and result["error_type"] == "PipelineError"
-        assert result["error"] == "annotations_per_pin must be at least 1, got 0"
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("stage, key, value, error_type, message", [
         ("train-encoder", "encoder_steps", 0, "EncoderError", "TrainConfig.steps must be at least 1, got 0"),
         ("train-ranker", "ranker_steps", 0, "RankerError", "RankerTrainConfig.steps must be at least 1, got 0"),
-        ("train-ranker", "ranker_lr", 1e300, "RankerError",
-         "SGD update at step 0 overflows at learning rate 1e+300"),
-        *[("train-ranker", "ranker_lr", rate, "RankerError",
-           f"RankerTrainConfig.learning_rate must be positive and finite, got {rate}")
-          for rate in (-0.1, 0.0, float("inf"))],
         ("curate", "neg_per_pos", -1, "CurationError", "neg_per_pos must be at least 0, got -1"),
         *[("train-encoder", "temperature", value, "EncoderError",
            f"temperature and its reciprocal must be positive and finite, got {value}")
@@ -432,42 +432,24 @@ class TestStageGraph:
         assert not ok and result["error_type"] == error_type
         assert result["error"] == message
 
-    @pytest.mark.parametrize("per_pin", [0, 1])
-    def test_annotation_budget_is_train_rankers_alone(self, pipeline_run, tmp_path, per_pin):
-        """Link and eval read the budget from annotations.jsonl, not the config."""
-        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        config = dataclasses.replace(
-            pipeline_run["config"], out_dir=tmp_path, annotations_per_pin=per_pin
-        )
-        report, ok = run_pipeline(config, stages=["link", "eval"])
-        assert ok, report["stages"]
-        for name in ["graph.jsonl", "link_report.json", "sitemap.xml", "eval_report.json"]:
-            assert (tmp_path / name).read_bytes() == (pipeline_run["ws"].out / name).read_bytes()
-
     def test_no_collection_fails_build_collections_before_it_writes(self, pipeline_run, tmp_path):
         shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
         before = {p: p.read_bytes() for p in [tmp_path / "collections.jsonl",
                                                *(tmp_path / "pages").iterdir()]}
-        config = dataclasses.replace(
-            pipeline_run["config"], out_dir=tmp_path, annotation_threshold=2.0
-        )
+        # every annotation scores just below the threshold
+        annotations = tmp_path / "annotations.jsonl"
+        below = float(np.nextafter(pipeline.ANNOTATION_THRESHOLD, 0.0))
+        write_jsonl(annotations, [{**obj, "score": below} for obj in
+                                  map(json.loads, annotations.read_text(encoding="utf-8").splitlines())])
+        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path)
         report, ok = run_pipeline(config, stages=["build-collections", "link"])
         result = report["stages"]["build-collections"]
         assert not ok and result["error_type"] == "PipelineError"
-        assert result["error"] == (f"{tmp_path / 'annotations.jsonl'}: no annotated corpus query "
-                                   "scores at least annotation_threshold 2.0")
+        assert result["error"] == (f"{annotations}: no annotated corpus query scores at least "
+                                   f"ANNOTATION_THRESHOLD {pipeline.ANNOTATION_THRESHOLD}")
         assert report["stages"]["link"] == {"status": "skipped", "blocked_by": ["build-collections"]}
         assert {p: p.read_bytes() for p in [tmp_path / "collections.jsonl",
                                             *(tmp_path / "pages").iterdir()]} == before
-
-    @pytest.mark.parametrize("threshold", [float("nan"), 2.0])
-    def test_judge_threshold_outside_the_cosine_range_fails_eval(self, pipeline_run, tmp_path, threshold):
-        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
-        config = dataclasses.replace(pipeline_run["config"], out_dir=tmp_path, judge_threshold=threshold)
-        report, ok = run_pipeline(config, stages=["eval"])
-        result = report["stages"]["eval"]
-        assert not ok and result["error_type"] == "CollectionError"
-        assert result["error"] == f"judge threshold {threshold} is not a number in [-1, 1]"
 
     def test_corpus_without_a_cluster_term_fails_agent_run(self, pipeline_run, tmp_path):
         """The taxonomy is the cluster terms that are corpus queries, so a
@@ -519,6 +501,47 @@ class TestStageGraph:
                 assert name in ARTIFACTS
                 assert name in PRODUCERS, f"{stage} reads {name}, which no stage writes"
                 assert STAGE_ORDER.index(PRODUCERS[name]) < STAGE_ORDER.index(stage)
+
+
+class TestStageConfig:
+    def test_each_config_key_is_one_stages(self):
+        """The STAGE_CONFIG rows are disjoint, and they hold every config key
+        but out_dir and seed, which run_pipeline reads for every stage."""
+        assert list(STAGE_CONFIG) == STAGE_ORDER
+        keys = [key for row in STAGE_CONFIG.values() for key in row]
+        assert len(keys) == len(set(keys)), "a config key has two stages"
+        assert set(keys) == set(CONFIG_KINDS) - {"out_dir", "seed"}
+
+    @pytest.mark.parametrize("stage", STAGE_ORDER)
+    def test_a_stage_reads_its_row_and_nothing_else(self, pipeline_run, tmp_path, monkeypatch, stage):
+        """A config that records each key read: the stage, run alone so that
+        no branch process forks, reads its whole row and at most seed or
+        out_dir besides, and the run reads nothing else."""
+        shutil.copytree(pipeline_run["ws"].out, tmp_path, dirs_exist_ok=True)
+        reads: dict[str, set[str]] = {"stage": set(), "run": set()}
+        reader = ["run"]  # whose reads a read adds to
+
+        class RecordingConfig(PipelineConfig):
+            def __getattribute__(self, name):
+                if name in CONFIG_KINDS:
+                    reads[reader[0]].add(name)
+                return super().__getattribute__(name)
+
+        def recorded(config, ws, func=STAGE_FUNCS[stage]):
+            reader[0] = "stage"
+            try:
+                return func(config, ws)
+            finally:
+                reader[0] = "run"
+
+        monkeypatch.setitem(STAGE_FUNCS, stage, recorded)
+        config = RecordingConfig(out_dir=tmp_path, seed=pipeline_run["config"].seed)
+        report, ok = run_pipeline(config, stages=[stage])
+        assert ok, report["stages"][stage]
+        row = set(STAGE_CONFIG[stage])
+        assert row <= reads["stage"] <= row | {"seed", "out_dir"}
+        assert reads["stage"] | reads["run"] == row | {"seed", "out_dir"}
+        assert report["stages"][stage]["config"] == {key: getattr(pipeline_run["config"], key) for key in row}
 
 
 class TestAnnotationMap:
@@ -678,7 +701,6 @@ class TestCollections:
         instead of rebuilding it, and its figures do not move when all but
         one are rebuilt at the size that one carries."""
         ws = Workspace(pipeline_run["ws"].out)
-        config = pipeline_run["config"]
         built = []
         batch = collections_.build_collections
 
@@ -687,12 +709,12 @@ class TestCollections:
             return batch(topics, *args)
 
         monkeypatch.setattr(collections_, "build_collections", counted)
-        reused = pipeline.ablation_study(config, ws)
+        reused = pipeline.ablation_study(ws)
         reused_topics = sum(built)
         built.clear()
         bare = Workspace(ws.out)
         bare.published_collections = ws.published_collections[:1]
-        rebuilt = pipeline.ablation_study(config, bare)
+        rebuilt = pipeline.ablation_study(bare)
         assert reused == rebuilt
         assert reused == pipeline_run["report"]["stages"]["eval"]["metrics"]["ablation"]
         assert sum(built) - reused_topics >= len(ws.published_collections) - 1 > 0

@@ -600,8 +600,7 @@ class TestHeldOut:
 
     @pytest.mark.parametrize("seed, split", [(11, 12345), (6, 1)])
     def test_default_budget_holds_the_bar(self, held_out, seed, split):
-        config = PipelineConfig()
-        top1, rank = held_out(seed, split)(config.ranker_steps, config.ranker_lr)
+        top1, rank = held_out(seed, split)(PipelineConfig().ranker_steps, RankerTrainConfig.learning_rate)
         assert top1 >= self.TOP1_BAR and rank >= self.CORRECT_RANK_BAR, (top1, rank)
 
     def test_a_weakened_budget_falls_below_the_bar(self, held_out):
