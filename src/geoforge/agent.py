@@ -34,11 +34,9 @@ PERMITTED_ACTIONS = {
     "validation": {"content_lookup", "validate"},
 }
 LOW_FIT_CATEGORIES = {"news", "sports", "politics"}
-# The plan: keep the trends of REGIONS over TIMESPAN that score FILTER_THRESHOLD,
-# expand each into EXPANSIONS_PER_TREND queries, and accept a query with enough
-# hits at RELEVANCE_FLOOR whose trend moves at VELOCITY_FLOOR or faster.
-REGIONS = ("US",)
-TIMESPAN = "7d"
+# The plan: keep the trends that score FILTER_THRESHOLD, expand each into
+# EXPANSIONS_PER_TREND queries, and accept a query with enough hits at
+# RELEVANCE_FLOOR whose trend moves at VELOCITY_FLOOR or faster.
 FILTER_THRESHOLD = 0.5
 EXPANSIONS_PER_TREND = 3
 RELEVANCE_FLOOR = 0.4
@@ -66,10 +64,8 @@ class AgentError(ValueError):
 @dataclass(frozen=True, slots=True)
 class TrendSignal(_Record):
     term: str
-    region: str = "US"
-    timespan: str = "7d"
-    velocity: float = 0.0
-    category: str = ""
+    velocity: float
+    category: str
 
     def __post_init__(self) -> None:
         if not self.term.strip():
@@ -140,20 +136,19 @@ def transition(state: AgentState, action: dict, observation: dict) -> AgentState
 
 @dataclass
 class ToolSuite:
-    fetch_trends: Callable[[str, str], list[TrendSignal]]
-    semantic_filter: Callable[[TrendSignal, float], tuple[float, bool]]
+    fetch_trends: Callable[[], list[TrendSignal]]
+    semantic_filter: Callable[[TrendSignal], tuple[float, bool]]
     content_lookup: Callable[[str], tuple[int, float, bool]]
-    expand_query: Callable[[TrendSignal, dict[str, dict], int], list[tuple[QueryRecord, str]]]
+    expand_query: Callable[[TrendSignal, dict[str, dict]], list[tuple[QueryRecord, str]]]
 
 
 def make_semantic_filter(taxonomy: list[str]):
     """Rule-based relevance scorer: zero for low-fit categories, else the
-    best token-bag cosine against the taxonomy terms (exact match scores 1)."""
+    best token-bag cosine against the taxonomy terms (exact match scores 1);
+    a trend is kept at FILTER_THRESHOLD or above."""
     term_vecs = [hashed_bag_of_tokens(term, 256) for term in taxonomy]
 
-    def semantic_filter(trend: TrendSignal, threshold: float) -> tuple[float, bool]:
-        if not 0.0 <= threshold <= 1.0:
-            raise AgentError(f"threshold {threshold} outside [0, 1]")
+    def semantic_filter(trend: TrendSignal) -> tuple[float, bool]:
         if trend.category.lower() in LOW_FIT_CATEGORIES:
             return 0.0, False
         if trend.term in taxonomy:
@@ -161,7 +156,7 @@ def make_semantic_filter(taxonomy: list[str]):
         vec = hashed_bag_of_tokens(trend.term, 256)
         best = max((float(vec @ tv) for tv in term_vecs), default=0.0)
         p = float(np.clip(best, 0.0, 1.0))
-        return p, p >= threshold
+        return p, p >= FILTER_THRESHOLD
 
     return semantic_filter
 
@@ -169,7 +164,8 @@ def make_semantic_filter(taxonomy: list[str]):
 def make_content_lookup(corpus: Corpus, index: HnswIndex, text_encoder: EncoderModel, min_count: int):
     """Probe the index with the closest known query embedding for the text
     (token-overlap match), count hits at RELEVANCE_FLOOR or above that are
-    corpus pins."""
+    corpus pins. The answer is (hits, their mean perception score or 0.0,
+    whether hits > ``min_count``)."""
     query_tokens = [(q, set(q.text.lower().split())) for q in corpus.queries]
 
     def content_lookup(text: str) -> tuple[int, float, bool]:
@@ -179,24 +175,19 @@ def make_content_lookup(corpus: Corpus, index: HnswIndex, text_encoder: EncoderM
             overlap = len(tokens & qtok) / max(1, len(tokens | qtok))
             if overlap > best_overlap:
                 best_query, best_overlap = query, overlap
-        if best_query is None or best_overlap < 0.2 or len(index) == 0:
-            return 0, 0.0, min_count <= 0
-        probe = text_encoder.encode(best_query.embedding)
-        hits = index.search(probe, k=max(4 * min_count, 100))
-        counted = [corpus.pins[s] for s, sim in hits if sim >= RELEVANCE_FLOOR and s in corpus.pins]
-        if not counted:
-            return 0, 0.0, min_count <= 0
-        mean_quality = float(np.mean([pin.perception_score for pin in counted]))
+        counted = []
+        if best_query is not None and best_overlap >= 0.2 and len(index):
+            hits = index.search(text_encoder.encode(best_query.embedding), k=max(4 * min_count, 100))
+            counted = [corpus.pins[s] for s, sim in hits if sim >= RELEVANCE_FLOOR and s in corpus.pins]
+        mean_quality = float(np.mean([pin.perception_score for pin in counted])) if counted else 0.0
         return len(counted), mean_quality, len(counted) > min_count
 
     return content_lookup
 
 
-def expand_query(
-    trend: TrendSignal, long_memory: dict[str, dict], n: int
-) -> list[tuple[QueryRecord, str]]:
-    """Deterministic template expander; reuses accepted patterns from long
-    memory as few-shot exemplars when available."""
+def expand_query(trend: TrendSignal, long_memory: dict[str, dict]) -> list[tuple[QueryRecord, str]]:
+    """Deterministic template expander into EXPANSIONS_PER_TREND queries;
+    reuses accepted patterns from long memory as few-shot exemplars."""
     exemplars = long_memory.get(trend.term, {}).get("patterns", [])
     # remembered patterns first, in memory order; the rest keep theirs
     templates = sorted(
@@ -206,22 +197,19 @@ def expand_query(
     # each template's fixed text differs, so no two variants collide
     return [
         (QueryRecord(text=pattern.format(term=trend.term), category=category), pattern)
-        for category, pattern in templates[: max(0, n)]
+        for category, pattern in templates[:EXPANSIONS_PER_TREND]
     ]
 
 
 def make_fetch_trends(trends_path: str | Path):
-    """The trends of one region and timespan from a JSONL file of TrendSignal
-    fields, by term. The file is parsed here, once: a bad record raises
-    AgentError naming path:line, and a file with no record AgentError naming
-    the path, when the tools are built."""
-    signals = read_records(trends_path, TrendSignal.from_json, AgentError, "trend")
+    """Every trend of a JSONL file of TrendSignal fields, by term, parsed
+    here once: a bad record raises AgentError naming path:line, and a file
+    with no record AgentError naming the path, when the tools are built."""
+    signals = sorted(read_records(trends_path, TrendSignal.from_json, AgentError, "trend"),
+                     key=lambda s: s.term)
 
-    def fetch_trends(region: str, timespan: str) -> list[TrendSignal]:
-        return sorted(
-            (s for s in signals if s.region == region and s.timespan == timespan),
-            key=lambda s: s.term,
-        )
+    def fetch_trends() -> list[TrendSignal]:
+        return list(signals)
 
     return fetch_trends
 
@@ -254,37 +242,30 @@ def run_episode(
         nonlocal state
         state = transition(state, action, observation)
 
-    def tool_step(tool: str, key: str, value, observe: Callable[[object], dict], *args):
-        """Call one tool fail-soft and record it, keyed by ``key: value``: the
-        observation is ``observe(result)``, or the error when the tool raises.
-        Returns the result, or None after an error."""
+    def tool_step(tool: str, label: dict, observe: Callable[[object], dict], *args):
+        """Call one tool fail-soft and record it with ``label`` in its action
+        and observation; the observation is ``observe(result)``, or the error
+        when the tool raises. Returns the result, or None after an error."""
         try:
             result = getattr(tools, tool)(*args)
-            observation = {key: value, **observe(result)}
+            observation = {**label, **observe(result)}
         except Exception as exc:
-            result, observation = None, {key: value, "error": str(exc)}
-        step({"kind": "tool", "tool": tool, key: value}, observation)
+            result, observation = None, {**label, "error": str(exc)}
+        step({"kind": "tool", "tool": tool, **label}, observation)
         return result
 
-    # planning: fixed strategy over the plan's regions (fatal on failure)
-    plan = {"regions": sorted(REGIONS), "timespan": TIMESPAN, "nodes": list(NODES)}
-    step({"kind": "tool", "tool": "plan"}, {"plan": plan})
+    # planning: the fixed node sequence (fatal on failure)
+    step({"kind": "tool", "tool": "plan"}, {"nodes": list(NODES)})
     step({"kind": "move", "to": "retrieval"}, {})
 
-    # retrieval: one fetch per region; observations merge in sorted key order
-    trends: list[TrendSignal] = []
-    for region in plan["regions"]:
-        trends += tool_step(
-            "fetch_trends", "region", region, lambda r: {"trends": [asdict(t) for t in r]},
-            region, TIMESPAN,
-        ) or []
+    trends = tool_step("fetch_trends", {}, lambda r: {"trends": [asdict(t) for t in r]}) or []
     step({"kind": "move", "to": "filtering"}, {})
 
     kept: list[TrendSignal] = []
     for trend in trends:
         verdict = tool_step(
-            "semantic_filter", "term", trend.term,
-            lambda r: dict(zip(("p", "keep"), r, strict=True)), trend, FILTER_THRESHOLD,
+            "semantic_filter", {"term": trend.term},
+            lambda r: dict(zip(("p", "keep"), r, strict=True)), trend,
         )
         if verdict and verdict[1]:
             kept.append(trend)
@@ -293,9 +274,9 @@ def run_episode(
     expansions: list[tuple[TrendSignal, QueryRecord, str]] = []
     for trend in kept:
         variants = tool_step(
-            "expand_query", "term", trend.term,
+            "expand_query", {"term": trend.term},
             lambda r: {"variants": [{"query": q.to_json(), "pattern": p} for q, p in r]},
-            trend, state.long_memory, EXPANSIONS_PER_TREND,
+            trend, state.long_memory,
         )
         expansions += [(trend, q, pattern) for q, pattern in variants or []]
     step({"kind": "move", "to": "validation"}, {})
@@ -304,7 +285,7 @@ def run_episode(
     emitted: list[dict] = []
     for trend, query, pattern in expansions:
         found = tool_step(
-            "content_lookup", "query", query.text,
+            "content_lookup", {"query": query.text},
             lambda r: dict(zip(("count", "mean_quality", "sufficient"), r, strict=True)),
             query.text,
         )

@@ -43,7 +43,7 @@ class Collection:
         """The collection with its topic by text; `from_json` joins it back
         and derives the slug."""
         return {"topic_text": self.topic.text,
-                "members": [{"signature": s, "similarity": f32([sim])[0]} for s, sim in self.members]}
+                "members": [{"signature": s, "similarity": f32(sim)} for s, sim in self.members]}
 
     @classmethod
     def from_json(cls, obj: dict, corpus: Corpus) -> "Collection":

@@ -16,7 +16,7 @@ import reprlib
 import typing
 import zlib
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
@@ -100,9 +100,9 @@ def l2_normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def f32(values: Iterable[float]) -> list[float]:
-    """Round floats through 32-bit for persistence."""
-    return [float(x) for x in np.asarray(list(values), dtype=np.float32)]
+def f32(value: float) -> float:
+    """A float rounded through 32-bit for persistence."""
+    return float(np.float32(value))
 
 
 def read_only(values, dtype: type | str = np.float64) -> np.ndarray:
@@ -113,45 +113,38 @@ def read_only(values, dtype: type | str = np.float64) -> np.ndarray:
     return array
 
 
-def _json_value(value):
-    """A field's value for JSON: floats rounded through float32."""
-    return float(np.float32(value)) if isinstance(value, float) else value
-
-
 class _Record:
     __slots__ = ()  # so that a slotted record keeps no __dict__
 
     def to_json(self) -> dict:
-        """Every field but the vectors and those holding None, in declaration
-        order (see `_json_value`)."""
-        return {k: _json_value(v) for k in _record_kinds(type(self))[0]
-                if (v := getattr(self, k)) is not None}
+        """Every field but the vectors, in declaration order, with floats
+        rounded by `f32`."""
+        return {k: f32(v) if isinstance(v := getattr(self, k), float) else v
+                for k in _record_kinds(type(self))}
 
     def validate(self) -> None:
         """Raise CorpusError if the record breaks an invariant of its kind."""
 
     @classmethod
     def from_json(cls, obj: dict, **rows: np.ndarray):
-        """The validated record from a JSON object of its fields but the
+        """The validated record from a JSON object of all its fields but the
         vectors, each of the kind its annotation names (see `check_json`),
-        and the vectors given as ``rows``; a defaulted field may be absent.
-        An int in a float field reads as a float."""
-        kinds, defaulted = _record_kinds(cls)
-        check_json(obj, kinds, defaulted)
+        and the vectors given as ``rows``. An int in a float field reads as
+        a float."""
+        kinds = _record_kinds(cls)
+        check_json(obj, kinds)
         record = cls(**rows, **{k: float(v) if kinds[k] is float else v for k, v in obj.items()})
         record.validate()
         return record
 
 
 @functools.cache
-def _record_kinds(cls: type) -> tuple[dict, set[str]]:
+def _record_kinds(cls: type) -> dict:
     """A record class's JSON kind per field but its vectors (``np.ndarray``
-    fields, None allowed or not), from its annotation, and its defaulted
-    fields. ``X | None`` is the tuple of both kinds."""
+    fields, None allowed or not): the field's annotation."""
     hints = typing.get_type_hints(cls)
-    return ({f.name: typing.get_args(hints[f.name]) or hints[f.name] for f in fields(cls)
-             if np.ndarray not in (hints[f.name], *typing.get_args(hints[f.name]))},
-            {f.name for f in fields(cls) if f.default is not MISSING})
+    return {f.name: hints[f.name] for f in fields(cls)
+            if np.ndarray not in (hints[f.name], *typing.get_args(hints[f.name]))}
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,8 +153,8 @@ class PinRecord(_Record):
     visual_embedding: np.ndarray
     text_embedding: np.ndarray
     perception_score: float
-    title: str = ""
-    board_id: int | None = None
+    title: str
+    board_id: int
 
     def validate(self) -> None:
         if not 0.0 <= self.perception_score <= 1.0:
@@ -352,10 +345,10 @@ def read_json(path: str | Path, error: type[Exception], kinds: dict) -> dict:
         raise error(f"{path}: {exc}") from exc
 
 
-def check_json(obj, kinds: dict, optional: Iterable[str] = ()) -> dict:
+def check_json(obj, kinds: dict) -> dict:
     """``obj``, when it is a JSON object with the keys of ``kinds``, each
-    holding a value of its kind (see `_json_is`); a key in ``optional`` may
-    be absent. ``{str: kind}`` takes any keys, each with a value of kind.
+    holding a value of its kind (see `_json_is`). ``{str: kind}`` takes any
+    keys, each with a value of kind.
     Else raises ValueError naming an unknown key, else the first missing
     key, else the first key with an ill-typed value."""
     if type(obj) is not dict:
@@ -365,7 +358,7 @@ def check_json(obj, kinds: dict, optional: Iterable[str] = ()) -> dict:
     if not obj.keys() <= kinds.keys():
         raise ValueError(f"unknown key {min(obj.keys() - kinds.keys())!r}")
     for key in kinds if len(obj) < len(kinds) else ():
-        if key not in obj and key not in optional:
+        if key not in obj:
             raise ValueError(f"missing key {key!r}")
     for key, value in obj.items():
         if not _json_is(value, kinds[key]):
@@ -422,15 +415,13 @@ def save_arrays(
 
 
 def _json_is(value, kind) -> bool:
-    """JSON type test. A dict kind is an object that passes `check_json`,
-    ``[kind]`` a list of values of kind and a tuple any of its kinds. An int
-    fits int64 and is no bool; a float is finite, or an int."""
-    if type(kind) is type:  # int, float, str, bool, dict (any object) or NoneType
+    """JSON type test. A dict kind is an object that passes `check_json`
+    and ``[kind]`` a list of values of kind. An int fits int64 and is no
+    bool; a float is finite, or an int."""
+    if type(kind) is type:  # int, float, str, bool or dict (any object)
         if type(value) is int and kind in (int, float):
             return -(2**63) <= value < 2**63
         return type(value) is kind and (kind is not float or math.isfinite(value))
-    if isinstance(kind, tuple):
-        return any(_json_is(value, k) for k in kind)
     if isinstance(kind, dict):
         try:
             check_json(value, kind)

@@ -195,6 +195,12 @@ def dedup_queries(
     return [queries[i] for i in kept]
 
 
+def text_ranks(queries: list[QueryRecord]) -> np.ndarray:
+    """Each query's place in the order of the texts, the tie-break of every
+    ranking of queries."""
+    return np.argsort(sorted(range(len(queries)), key=lambda row: queries[row].text))
+
+
 def curate(
     corpus: Corpus, deduped: list[QueryRecord], neg_per_pos: int = 2, seed: int = 0
 ) -> tuple[list[LabeledPair], dict]:
@@ -210,8 +216,7 @@ def curate(
     branch_counts["rejected"] = len(kept) - int(np.count_nonzero(kept))
 
     queries, pin_row, query_row = corpus.queries, engagement.pin_row, engagement.query_row
-    text_rank = np.empty(len(queries), dtype=np.int64)
-    text_rank[sorted(range(len(queries)), key=lambda row: queries[row].text)] = np.arange(len(queries))
+    text_rank = text_ranks(queries)
     # one stable sort of the kept rows: by pin, then by the pin's preference
     rows = np.flatnonzero(kept)
     rows = rows[np.lexsort((text_rank[query_row[rows]], engagement.avg_position[rows],

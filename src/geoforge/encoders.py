@@ -135,8 +135,7 @@ class TrainConfig:
 def _coboard_pairs(corpus: Corpus) -> list[tuple[int, int]]:
     boards: dict[int, list[int]] = {}
     for sig, pin in corpus.pins.items():
-        if pin.board_id is not None:
-            boards.setdefault(pin.board_id, []).append(sig)
+        boards.setdefault(pin.board_id, []).append(sig)
     pairs = []
     for members in boards.values():
         members.sort()

@@ -346,7 +346,7 @@ def annotate_pins(
     """Annotations of the top-per_pin queries of each pin, in the order of
     ``signatures``, whose embeddings are the rows of ``e_pins``. A query
     scores e_queries @ e_pin; ties break on text."""
-    text_rank = np.argsort(sorted(range(len(queries)), key=lambda i: queries[i].text))
+    text_rank = curation.text_ranks(queries)
     records = []
     for signature, e_pin in zip(signatures, e_pins):
         scores = e_queries @ e_pin

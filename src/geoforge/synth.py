@@ -202,8 +202,7 @@ def generate_trends(config: SynthConfig) -> list[dict]:
     on_topic = [(term if k == 0 else f"{term} trend {k}", category, 0.25)
                 for term, category in zip(CLUSTER_TERMS[: config.n_clusters], CLUSTER_CATEGORIES)
                 for k in range(TRENDS_PER_CLUSTER)]
-    return [{"term": term, "region": "US", "timespan": "7d",
-             "velocity": float(np.round(rng.uniform(low, 3.0), 4)), "category": category}
+    return [{"term": term, "velocity": float(np.round(rng.uniform(low, 3.0), 4)), "category": category}
             for term, category, low in on_topic + [(*trend, 0.5) for trend in OFF_TOPIC_TRENDS]]
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from geoforge import hnsw, synth
 from geoforge.agent import (
+    EXPANSIONS_PER_TREND,
     LOW_FIT_CATEGORIES,
     VELOCITY_FLOOR,
     AgentError,
@@ -39,11 +40,11 @@ TAXONOMY = synth.CLUSTER_TERMS[:4]
 class TestTrendSignal:
     def test_empty_term_rejected(self):
         with pytest.raises(AgentError, match="empty"):
-            TrendSignal(term="  ")
+            TrendSignal(term="  ", velocity=1.0, category="")
 
     def test_non_finite_velocity_rejected(self):
         with pytest.raises(AgentError, match="not finite"):
-            TrendSignal(term="x", velocity=float("nan"))
+            TrendSignal(term="x", velocity=float("nan"), category="")
 
 
 OUTCOME = {"term": "fall nails", "query": "fall nails ideas", "pattern": "{term} ideas",
@@ -130,29 +131,22 @@ class TestTools:
     def test_semantic_filter_low_fit_zero(self):
         semantic_filter = make_semantic_filter(TAXONOMY)
         for category in sorted(LOW_FIT_CATEGORIES):
-            p, keep = semantic_filter(
-                TrendSignal(term="anything", category=category), 0.1
-            )
+            p, keep = semantic_filter(TrendSignal(term=TAXONOMY[0], velocity=1.0, category=category))
             assert p == 0.0 and keep is False
 
     def test_semantic_filter_exact_match(self):
         semantic_filter = make_semantic_filter(TAXONOMY)
-        p, keep = semantic_filter(TrendSignal(term=TAXONOMY[0]), 0.9)
+        p, keep = semantic_filter(TrendSignal(term=TAXONOMY[0], velocity=1.0, category=""))
         assert p == 1.0 and keep is True
 
-    def test_semantic_filter_threshold_range(self):
-        semantic_filter = make_semantic_filter(TAXONOMY)
-        with pytest.raises(AgentError, match="outside"):
-            semantic_filter(TrendSignal(term="x"), 1.5)
-
     def test_expand_query_deduplicates_and_bounds(self):
-        variants = expand_query(TrendSignal(term="fall nails"), {}, 3)
+        variants = expand_query(TrendSignal(term="fall nails", velocity=1.0, category=""), {})
         texts = [q.text for q, _ in variants]
-        assert len(texts) == 3 and len(set(texts)) == 3
+        assert len(texts) == EXPANSIONS_PER_TREND == len(set(texts))
 
     def test_expand_query_prefers_remembered_patterns(self):
         memory = {"fall nails": {"patterns": ["{term} color palette"]}}
-        variants = expand_query(TrendSignal(term="fall nails"), memory, 2)
+        variants = expand_query(TrendSignal(term="fall nails", velocity=1.0, category=""), memory)
         assert variants[0][1] == "{term} color palette"
 
     def test_expand_query_empty_taxonomy(self, small_synth, tmp_path):
@@ -166,39 +160,39 @@ class TestTools:
                 tmp_path / "absent.jsonl", 25,
             )
 
-    def test_fetch_trends_filters_and_sorts(self, tmp_path):
+    def test_fetch_trends_returns_every_trend_by_term(self, tmp_path):
         path = tmp_path / "trends.jsonl"
-        rows = [
-            {"term": "zzz", "region": "US", "timespan": "7d", "velocity": 1.0},
-            {"term": "aaa", "region": "US", "timespan": "7d", "velocity": 1.0},
-            {"term": "uk only", "region": "UK", "timespan": "7d", "velocity": 1.0},
-            {"term": "stale", "region": "US", "timespan": "30d", "velocity": 1.0},
-        ]
+        rows = [{"term": term, "velocity": 1.0, "category": ""} for term in ("zzz", "aaa", "mmm")]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        fetched = make_fetch_trends(path)("US", "7d")
-        assert [t.term for t in fetched] == ["aaa", "zzz"]
+        fetched = make_fetch_trends(path)()
+        assert [t.term for t in fetched] == ["aaa", "mmm", "zzz"]
 
     def test_fetch_trends_record_without_term_names_line(self, tmp_path):
         path = tmp_path / "trends.jsonl"
-        rows = [{"term": "aaa", "region": "US"}, {"region": "US", "velocity": 1.0}]
+        rows = [{"term": "aaa", "velocity": 1.0, "category": ""}, {"velocity": 1.0, "category": ""}]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         with pytest.raises(AgentError, match=r"trends\.jsonl:2: missing key 'term'$"):
-            make_fetch_trends(path)("US", "7d")
+            make_fetch_trends(path)
 
     @pytest.mark.parametrize(
-        "record, message",
+        "edit, message",
         [
             ({"term": 5}, r"key 'term' has ill-typed value 5"),
-            ({"term": "aaa", "region": None}, r"key 'region' has ill-typed value None"),
-            ({"term": "aaa", "velocity": "fast"}, r"key 'velocity' has ill-typed value 'fast'"),
-            ({"term": "aaa", "velocity": True}, r"key 'velocity' has ill-typed value True"),
-            ({"term": "aaa", "velocity": float("nan")}, r"key 'velocity' has ill-typed value nan"),
-            ({"term": "aaa", "speed": 1.0}, r"unknown key 'speed'"),
+            ({"category": None}, r"key 'category' has ill-typed value None"),
+            ({"velocity": "fast"}, r"key 'velocity' has ill-typed value 'fast'"),
+            ({"velocity": True}, r"key 'velocity' has ill-typed value True"),
+            ({"velocity": float("nan")}, r"key 'velocity' has ill-typed value nan"),
+            ({"speed": 1.0}, r"unknown key 'speed'"),
+            # the feed of one region and timespan stores neither
+            ({"region": "US"}, r"unknown key 'region'"),
+            ({"timespan": "7d"}, r"unknown key 'timespan'"),
         ],
     )
-    def test_fetch_trends_ill_typed_record_names_line(self, tmp_path, record, message):
+    def test_fetch_trends_ill_typed_record_names_line(self, tmp_path, edit, message):
+        """Every key is required; ``edit`` is merged into a good record."""
         path = tmp_path / "trends.jsonl"
-        rows = [{"term": "zzz", "velocity": 2}, record]
+        rows = [{"term": "zzz", "velocity": 2, "category": ""},
+                {"term": "aaa", "velocity": 1.0, "category": "", **edit}]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         with pytest.raises(AgentError, match=rf"trends\.jsonl:2: {message}$"):
             make_fetch_trends(path)
@@ -211,9 +205,9 @@ class TestTools:
 
     def test_fetch_trends_malformed_line_names_line(self, tmp_path):
         path = tmp_path / "trends.jsonl"
-        path.write_text('{"term": "aaa", "region": "US"}\n[1, 2\n')
+        path.write_text('{"term": "aaa", "velocity": 1.0, "category": ""}\n[1, 2\n')
         with pytest.raises(AgentError, match=r"trends\.jsonl:2: malformed JSON"):
-            make_fetch_trends(path)("US", "7d")
+            make_fetch_trends(path)
 
 
 @pytest.fixture(scope="module")
@@ -226,14 +220,11 @@ def episode_tools(request, tmp_path_factory):
     index = hnsw.build(vectors, seed=6)
     trends_path = tmp_path_factory.mktemp("agent") / "trends.jsonl"
     rows = [
-        {"term": TAXONOMY[0], "region": "US", "timespan": "7d",
-         "velocity": 2.0, "category": synth.CLUSTER_CATEGORIES[0]},
-        {"term": TAXONOMY[1], "region": "US", "timespan": "7d",
-         "velocity": 0.05, "category": synth.CLUSTER_CATEGORIES[1]},  # below velocity floor
-        {"term": "election results", "region": "US", "timespan": "7d",
-         "velocity": 3.0, "category": "news"},
-        {"term": "playoff scores", "region": "US", "timespan": "7d",
-         "velocity": 3.0, "category": "sports"},
+        {"term": TAXONOMY[0], "velocity": 2.0, "category": synth.CLUSTER_CATEGORIES[0]},
+        {"term": TAXONOMY[1], "velocity": 0.05,  # below velocity floor
+         "category": synth.CLUSTER_CATEGORIES[1]},
+        {"term": "election results", "velocity": 3.0, "category": "news"},
+        {"term": "playoff scores", "velocity": 3.0, "category": "sports"},
     ]
     trends_path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     return default_tools(corpus, index, encoder, TAXONOMY, trends_path, 5)
@@ -303,7 +294,7 @@ class TestEpisode:
             replay_trace(trace, {})
 
     @pytest.mark.parametrize("tool, key", [
-        ("fetch_trends", "region"),
+        ("fetch_trends", None),  # one fetch, labelled by nothing
         ("semantic_filter", "term"),
         ("expand_query", "term"),
         ("content_lookup", "query"),
@@ -317,8 +308,9 @@ class TestEpisode:
         calls = [step for step in trace if step["action"].get("tool") == tool]
         assert calls
         for step in calls:
-            assert step["action"] == {"kind": "tool", "tool": tool, key: step["action"][key]}
-            assert step["observation"] == {key: step["action"][key], "error": f"{tool} is down"}
+            label = {key: step["action"][key]} if key else {}
+            assert step["action"] == {"kind": "tool", "tool": tool, **label}
+            assert step["observation"] == {**label, "error": f"{tool} is down"}
         assert state.cursor == "validation"
         assert trace[-1]["action"] == {"kind": "tool", "tool": "validate"}
         if tool == "content_lookup":
@@ -357,13 +349,14 @@ class TestContentLookup:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_index_of_other_ids_finds_nothing(self, forty_pins):
         """Hits on an index over other ids count as no hits: a finite
-        (0, 0.0, min_count <= 0), never a mean over nothing."""
+        (0, 0.0, 0 > min_count), never a mean over nothing."""
         corpus, encoder, vectors = forty_pins
         index = hnsw.build({sig + self.FOREIGN: v for sig, v in vectors.items()}, seed=1)
         assert not set(index.stored_vectors()[0]) & set(corpus.pins)
         text = corpus.queries[0].text
         assert make_content_lookup(corpus, index, encoder, 5)(text) == (0, 0.0, False)
-        assert make_content_lookup(corpus, index, encoder, 0)(text) == (0, 0.0, True)
+        assert make_content_lookup(corpus, index, encoder, 0)(text) == (0, 0.0, False)
+        assert make_content_lookup(corpus, index, encoder, -1)(text) == (0, 0.0, True)
 
     def test_only_corpus_pins_count(self, forty_pins):
         """Adding other ids to the index changes no lookup."""

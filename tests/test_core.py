@@ -138,6 +138,8 @@ class TestRecordValidation:
             visual_embedding=np.ones(4),
             text_embedding=np.ones(3),
             perception_score=0.5,
+            title="t",
+            board_id=7,
         )
         defaults.update(overrides)
         return PinRecord(**defaults)
@@ -151,13 +153,13 @@ class TestRecordValidation:
             QueryRecord(text="x", category="Bogus").validate()
         QueryRecord(text="x", category="UseCase").validate()
 
-    def test_json_leaves_out_vectors_and_none(self):
-        """A record's JSON holds no vector and no null; its reader takes the
-        vectors as rows and defaults the absent fields."""
-        pin = self._pin(title="t")
-        assert pin.to_json() == {"signature": 1, "perception_score": 0.5, "title": "t"}
+    def test_json_leaves_out_vectors(self):
+        """A record's JSON holds every field but the vectors; its reader
+        takes the vectors as rows."""
+        pin = self._pin()
+        assert pin.to_json() == {"signature": 1, "perception_score": 0.5, "title": "t", "board_id": 7}
         loaded = PinRecord.from_json(pin.to_json(), visual_embedding=np.ones(4), text_embedding=np.ones(3))
-        assert loaded.board_id is None and loaded.to_json() == pin.to_json()
+        assert loaded.to_json() == pin.to_json()
         for embedding in (None, np.ones(3)):
             query = QueryRecord("x", "UseCase", embedding=embedding)
             assert query.to_json() == {"text": "x", "category": "UseCase"}
@@ -269,6 +271,9 @@ class TestCorpusIO:
     @pytest.mark.parametrize("name, edit, match", [
         ("pins.jsonl", {"signature": None}, "missing key 'signature'"),
         ("pins.jsonl", {"colour": "red"}, "unknown key 'colour'"),
+        # every key is required, so a pin keeps its board for the co-board pairs
+        ("pins.jsonl", {"title": None}, "missing key 'title'"),
+        ("pins.jsonl", {"board_id": None}, "missing key 'board_id'"),
         ("queries.jsonl", {"category": None}, "missing key 'category'"),
         # the vectors live in the array file alone
         ("pins.jsonl", {"visual_embedding": [0.5] * 16}, "unknown key 'visual_embedding'"),
@@ -792,3 +797,19 @@ def test_every_config_field_has_a_caller():
     fields = {f"{name}.{f}" for name, names in configs.items() for f in names}
     assert {"HnswParams.M", "TrainConfig.seed"} <= fields  # the scan found the configs
     assert sorted(fields - set_fields) == sorted(TEST_FIXTURE_FIELDS)
+
+
+def test_no_json_field_of_a_record_has_a_default():
+    """No field of a package `_Record` subclass that JSON carries (every
+    field but the ``np.ndarray`` vectors) has a default, so a JSONL line
+    that omits one fails its reader rather than loading a stand-in."""
+    records, defaulted = set(), []
+    for path in Path(geoforge.__file__).parent.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef) and "_Record" in map(ast.unparse, cls.bases):
+                records.add(cls.name)
+                defaulted += [f"{cls.name}.{node.target.id}" for node in cls.body
+                              if isinstance(node, ast.AnnAssign) and node.value is not None
+                              and "np.ndarray" not in ast.unparse(node.annotation)]
+    assert {"PinRecord", "QueryRecord", "TrendSignal", "Annotation"} <= records  # the scan found them
+    assert defaulted == []

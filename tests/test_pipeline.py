@@ -46,10 +46,7 @@ from geoforge.pipeline import (
 )
 
 # (JSONL artifact, key): why the key holds one value on every line of a pass
-SINGLE_VALUED_KEYS = {
-    ("corpus/trends.jsonl", "region"): "the agent fetches the trends of agent.REGIONS alone",
-    ("corpus/trends.jsonl", "timespan"): "the agent fetches the trends of agent.TIMESPAN alone",
-}
+SINGLE_VALUED_KEYS: dict[tuple[str, str], str] = {}
 # PipelineConfig keys that became constants or module defaults
 REMOVED_KEYS = ["d_v", "d_t", "ranker_lr", "annotations_per_pin", "annotation_threshold",
                 "judge_threshold"]
@@ -268,6 +265,8 @@ class TestStageGraph:
             ({"colour": "red"}, "unknown key 'colour'"),
             ({"term": None}, "missing key 'term'"),
             ({"velocity": "fast"}, "key 'velocity' has ill-typed value 'fast'"),
+            # a trend in the format that held the feed's one region
+            ({"region": "US"}, "unknown key 'region'"),
         ]],
         *[("eval", "encoder_train_log.jsonl", edit, "PipelineError", match) for edit, match in [
             ({"loss": None}, "missing key 'loss'"),
