@@ -16,19 +16,25 @@ at a time.
 Similarity is the dot product on unit vectors (distance = 1 - cosine).
 A brute-force scan is kept alongside as the recall oracle.
 
-Layer adjacency lives in plain Python lists, one per node: a row holds at
-most 2*M links, too few for numpy calls on it to pay for themselves.  Every
-row refers to a node by the same int object, so a search touches one object
-per node rather than one per link.  Rows become fixed-width int arrays
-(padded to the layer's degree cap) only to be checked or saved.  Likewise a
-search hop gathers its 1-32 unvisited rows with ``take``, multiplies with
-``dot`` and subtracts in Python floats: numpy's dispatch outweighs that
-arithmetic, and the bits equal those of ``1.0 - vectors[row] @ query``.
+Layer adjacency is one int32 array per layer, a row of ``m_max`` slots per
+member padded with PAD past its degree, plus the degrees: inserts append
+back-links by degree and prune rows in place, `save` and `check_invariants`
+slice the arrays and `load` takes the saved ones as they are.
+
+Search descends the upper layers greedily, one row per hop, then runs a
+batched beam at layer 0: each step expands the up to 2*M closest
+unexpanded beam members at once, as many as a layer-0 row holds links
+(CAGRA, Ootomo et al., arXiv:2308.15136, likewise expands several per
+step).  At one member per step this is Malkov & Yashunin's best-first
+beam; at 2*M a search makes about five numpy-sized steps instead of a
+hundred heap pops and thousands of one-at-a-time set lookups, and scores
+somewhat more nodes.  Each step scores its new nodes with one
+``take(...).dot(query)``, whose bits equal those of
+``1.0 - vectors[rows] @ query`` over the same rows.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
@@ -78,28 +84,44 @@ def _int64(name: str, value) -> int:
 
 
 class _Layer:
-    """Adjacency for one layer: a list of neighbor indices per row of the
-    vector store.  Nodes whose level is below the layer keep an empty list."""
+    """Adjacency for one layer: an int32 row of ``m_max`` slots per member,
+    in insertion order, PAD past the row's degree, and the degrees.  Layer 0
+    holds every node, so there a node's row is its index; above it
+    ``row_of`` maps each member to its row.  ``size`` rows are in use; the
+    arrays grow by doubling, as the vector store does."""
 
-    __slots__ = ("m_max", "links")
+    __slots__ = ("adj", "deg", "size", "row_of")
 
-    def __init__(self, m_max: int, size: int):
-        self.m_max = m_max
-        self.links: list[list[int]] = [[] for _ in range(size)]
+    def __init__(self, adj: np.ndarray, deg: np.ndarray, row_of: dict[int, int] | None):
+        self.adj, self.deg, self.size, self.row_of = adj, deg, len(deg), row_of
 
-    def set_neighbors(self, idx: int, neighbors: list[int]) -> None:
-        if len(neighbors) > self.m_max:
-            raise HnswError(f"degree {len(neighbors)} exceeds {self.m_max}")
-        self.links[idx] = neighbors
+    @classmethod
+    def empty(cls, m_max: int, layer: int) -> "_Layer":
+        return cls(np.full((0, m_max), PAD, np.int32), np.zeros(0, np.int32), {} if layer else None)
 
-    def padded(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of ``members`` as an (n, m_max) array with PAD past each
-        degree (links beyond m_max are cut), and the degrees themselves."""
-        rows = [self.links[i] for i in members.tolist()]
-        deg = np.array([len(row) for row in rows], dtype=np.int64)
-        adj = np.full((len(rows), self.m_max), PAD, dtype=np.int64)
-        adj[np.arange(self.m_max) < deg[:, None]] = [n for row in rows for n in row[: self.m_max]]
-        return adj, deg
+    def add(self, node: int) -> int:
+        """Give ``node``, the newest node, the next row, empty; returns it."""
+        if self.size == len(self.deg):
+            capacity = max(32, 2 * self.size)
+            self.adj, self.deg = _grown(self.adj, capacity, PAD), _grown(self.deg, capacity)
+        if self.row_of is not None:
+            self.row_of[node] = self.size
+        self.size += 1
+        return self.size - 1
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The rows of the member ``nodes``."""
+        if self.row_of is None:
+            return nodes
+        return np.array([self.row_of[n] for n in nodes.tolist()], dtype=np.intp)
+
+    def links(self, node: int) -> list[int]:
+        """The neighbors of ``node`` in row order; none when it is not a member."""
+        if self.row_of is not None:
+            if node not in self.row_of:
+                return []
+            node = self.row_of[node]
+        return self.adj[node, : self.deg[node]].tolist()
 
 
 class HnswIndex:
@@ -109,8 +131,6 @@ class HnswIndex:
         self._rng = np.random.default_rng(seed)
         self._store = np.empty((16, dim), dtype=np.float64)
         self._ids: list[int] = []
-        # _nodes[i] is i: every link row holds these shared int objects
-        self._nodes: list[int] = []
         self._levels: list[int] = []  # each node's top layer
         self._id_to_idx: dict[int, int] = {}
         self._layers: list[_Layer] = []
@@ -150,53 +170,78 @@ class HnswIndex:
             raise HnswError("vectors must be unit norm")
         return vector
 
-    def _search_layer(
-        self, query: np.ndarray, entries: list[tuple[float, int]], ef: int, layer: int
-    ) -> list[tuple[float, int]]:
-        """ef-bounded best-first search in one layer; returns (dist, idx) sorted.
-
-        Distances are computed lazily, one product per expanded row, so a
-        search's cost tracks the number of nodes it actually visits."""
-        push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
-        links = self._layers[layer].links
+    def _descend(self, query: np.ndarray, node: int, dist: float) -> tuple[int, float]:
+        """Greedy descent from the top layer to layer 1: from ``node``, at
+        ``dist`` from the query, move to its nearest unvisited neighbor (the
+        first in row order on a tie) while that is strictly closer.  Returns
+        the node reached and its distance, layer 0's entry."""
         vectors = self._vectors
-        visited = {idx for _, idx in entries}
-        candidates = list(entries)  # min-heap by distance
-        heapq.heapify(candidates)
-        results = [(-d, idx) for d, idx in entries]  # max-heap via negation
-        heapq.heapify(results)
-        worst = -results[0][0]
-        full = len(results) >= ef
         scanned = 0  # edges scanned, for benchmarks
-        while candidates:
-            dist, idx = pop(candidates)
-            if dist > worst:
-                break
-            row = links[idx]
-            scanned += len(row)
-            row = [n for n in row if n not in visited]
-            if not row:
-                continue
-            visited.update(row)
-            for s, n in zip(vectors.take(row, 0).dot(query).tolist(), row):
-                d = 1.0 - s
-                if full:
-                    # the beam's worst bound only tightens, so a node at or
-                    # beyond it now can never enter the beam later
-                    if d >= worst:
-                        continue
-                    replace(results, (-d, n))
-                else:
-                    push(results, (-d, n))
-                    full = len(results) >= ef
-                push(candidates, (d, n))
-                worst = -results[0][0]
+        for lay in reversed(self._layers[1:]):
+            visited = {node}
+            while True:
+                row = lay.links(node)
+                scanned += len(row)
+                row = [n for n in row if n not in visited]
+                if not row:
+                    break
+                visited.update(row)
+                dists = 1.0 - vectors.take(row, 0).dot(query)
+                best = int(dists.argmin())
+                if not dists[best] < dist:
+                    break
+                node, dist = row[best], float(dists[best])
         self.distance_count += scanned
-        return sorted((-nd, idx) for nd, idx in results)
+        return node, dist
+
+    def _beam(
+        self, query: np.ndarray, entry: int, entry_dist: float, ef: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ef-bounded beam at layer 0, kept as arrays of distances and
+        indices in (distance, index) order.  Each step expands the up to 2*M
+        closest unexpanded members at once, as many as a layer-0 row holds
+        links: one fancy index gathers their rows, a per-search boolean array
+        drops visited nodes (PAD slots count as visited), one product scores
+        the new nodes in ascending index order, and the beam is cut back to
+        ``ef`` by (distance, index).  The search ends when every member is
+        expanded.  Returns the beam's distances and indices."""
+        adj, deg = self._layers[0].adj, self._layers[0].deg
+        width = adj.shape[1]
+        vectors = self._vectors
+        visited = np.zeros(len(vectors) + 1, dtype=bool)
+        visited[[entry, PAD]] = True  # PAD reads the last slot
+        expanded = np.zeros(len(vectors), dtype=bool)
+        dist, idx = np.array([entry_dist]), np.array([entry])
+        steps = []
+        while True:
+            step = idx[~expanded[idx]][:width]
+            if not step.size:
+                break
+            expanded[step] = True
+            steps.append(step)
+            links = adj[step]
+            links = links[~visited[links]]
+            if not links.size:
+                continue
+            links.sort()
+            fresh = np.empty(links.size, dtype=bool)
+            fresh[0] = True
+            np.not_equal(links[1:], links[:-1], out=fresh[1:])
+            links = links[fresh]
+            visited[links] = True
+            dists = 1.0 - vectors.take(links, 0).dot(query)
+            if dist.size == ef:  # only nodes at or within the worst member can enter
+                near = dists <= dist[-1]
+                links, dists = links[near], dists[near]
+            dist, idx = np.concatenate((dist, dists)), np.concatenate((idx, links))
+            order = np.lexsort((idx, dist))[:ef]
+            dist, idx = dist[order], idx[order]
+        self.distance_count += int(deg[np.concatenate(steps)].sum())  # edges scanned
+        return dist, idx
 
     def _select_neighbors(
         self, dists: np.ndarray, near: np.ndarray, m: int, backfill_to: int | None = None
-    ) -> list[int]:
+    ) -> np.ndarray:
         """Diversity heuristic over the candidates ``near`` at ``dists`` from
         the query: prefer one closer to the query than to every selected
         neighbor, up to ``m`` of them.  The closest unselected candidates
@@ -214,14 +259,16 @@ class HnswIndex:
 
         kept, checks = _diversity_walk(conflicts, cands.size, m, m if backfill_to is None else backfill_to)
         self.distance_count += checks
-        return cands[kept].tolist()
+        return cands[kept]
 
-    def _prune(self, layer: _Layer, owners: list[int], idx: int, keep: int) -> None:
-        """Cut the row of each of ``owners``, full before ``idx`` joins it, back
-        to ``keep`` links with the diversity heuristic.  Rows are sorted by
-        distance to their owner before one stacked product gives every gram
-        matrix, packed by column for the walk, which alone runs row by row."""
-        grid = np.array([[owner, *layer.links[owner], idx] for owner in owners])
+    def _prune(self, lay: _Layer, owners: np.ndarray, rows: np.ndarray, idx: int, keep: int) -> None:
+        """Cut each full row ``rows`` of ``owners`` plus ``idx``, which joins
+        it, back to ``keep`` links with the diversity heuristic.  Rows are
+        sorted by distance to their owner before one stacked product gives
+        every gram matrix, packed by column for the walk, which alone runs
+        row by row."""
+        grid = np.empty((rows.size, lay.adj.shape[1] + 2), dtype=np.intp)
+        grid[:, 0], grid[:, 1:-1], grid[:, -1] = owners, lay.adj[rows], idx
         cands = grid[:, 1:]  # column 0 of a row is its owner
         take = self._vectors.take
         dists = 1.0 - np.matmul(take(cands, 0), take(grid[:, :1], 0).transpose(0, 2, 1))[:, :, 0]
@@ -235,10 +282,13 @@ class HnswIndex:
         # owner; bits j * width on of a row's int are then column j
         ruled_out = (sims > thresholds[:, :, None]).transpose(0, 2, 1)
         self.distance_count += n_rows * width
-        for owner, row, grid_bits in zip(owners, walk.tolist(), _bit_rows(ruled_out.reshape(n_rows, -1))):
+        pruned, pad = [], [PAD] * (lay.adj.shape[1] - keep)
+        for row, grid_bits in zip(walk.tolist(), _bit_rows(ruled_out.reshape(n_rows, -1))):
             kept, checks = _diversity_walk(lambda pos: grid_bits >> pos * width, width, keep, keep)
             self.distance_count += checks
-            layer.set_neighbors(owner, [self._nodes[row[pos]] for pos in kept])
+            pruned.append([row[pos] for pos in kept] + pad)
+        lay.adj[rows] = pruned
+        lay.deg[rows] = keep
 
     def insert(self, element_id: int, vector: np.ndarray) -> None:
         element_id = _int64("id", element_id)
@@ -252,15 +302,12 @@ class HnswIndex:
             self._store = _grown(self._store, max(32, 2 * idx))
         self._store[idx] = vector
         self._ids.append(element_id)
-        self._nodes.append(idx)
         self._levels.append(level)
         self._id_to_idx[element_id] = idx
-        for lay in self._layers:
-            lay.links.append([])
-
         old_max = self.max_level
         while self.max_level < level:
-            self._layers.append(_Layer(self._m_max(len(self._layers)), idx + 1))
+            self._layers.append(_Layer.empty(self._m_max(len(self._layers)), len(self._layers)))
+        own_rows = [lay.add(idx) for lay in self._layers[: level + 1]]
 
         if self._entry is None:
             self._entry = idx
@@ -278,27 +325,31 @@ class HnswIndex:
             if near.size > ef:
                 near = near[np.argpartition(dists[near], ef - 1)[:ef]]
             lay = self._layers[l]
+            m_max = lay.adj.shape[1]
             neighbors = self._select_neighbors(
-                dists[near], near, self.params.M, lay.m_max if l == 0 else None
+                dists[near], near, self.params.M, m_max if l == 0 else None
             )
-            lay.set_neighbors(idx, [self._nodes[n] for n in neighbors])
-            full = []
-            for nbr in neighbors:
-                links = lay.links[nbr]
-                if len(links) < lay.m_max:
-                    links.append(idx)
-                else:
-                    full.append(nbr)
-            if full:
+            lay.adj[own_rows[l], : neighbors.size] = neighbors
+            lay.deg[own_rows[l]] = neighbors.size
+            rows = lay.rows(neighbors)
+            degrees = lay.deg[rows]
+            if m_max in degrees.tolist():
                 # evict several links at once so overflow pruning stays rare
-                self._prune(lay, full, idx, lay.m_max - 2 if l == 0 else lay.m_max)
+                full = degrees == m_max
+                self._prune(lay, neighbors[full], rows[full], idx, m_max - 2 if l == 0 else m_max)
+                rows, degrees = rows[~full], degrees[~full]
+            # every other neighbor links back in its next free slot
+            lay.adj[rows, degrees] = idx
+            lay.deg[rows] = degrees + 1
         if level > old_max:
             self._entry = idx
 
     def search(
         self, query: np.ndarray, k: int, ef_search: int | None = None
     ) -> list[tuple[int, float]]:
-        """Top-k by descending cosine similarity."""
+        """Top-k by descending cosine similarity, ties toward the lower
+        insertion index: a greedy descent to layer 0, then the batched beam of
+        width ``max(ef_search, k)`` (``params.ef_search`` by default)."""
         if _int64("k", k) < 1:
             raise HnswError(f"k must be >= 1, got {k}")
         if ef_search is not None and _int64("ef_search", ef_search) < 1:
@@ -309,18 +360,17 @@ class HnswIndex:
         ef = max(ef_search or self.params.ef_search, k)
         self.distance_count += 1
         entry_dist = 1.0 - float(self._vectors[self._entry] @ query)
-        current = [(entry_dist, self._entry)]
-        for l in range(self.max_level, 0, -1):
-            current = self._search_layer(query, current, 1, l)[:1]
-        results = self._search_layer(query, current, ef, 0)
-        return [(self._ids[idx], 1.0 - dist) for dist, idx in results[:k]]
+        dist, idx = self._beam(query, *self._descend(query, self._entry, entry_dist), ef)
+        ids = self._ids
+        return [(ids[i], 1.0 - d) for d, i in zip(dist[:k].tolist(), idx[:k].tolist())]
 
     def check_invariants(self) -> None:
         """Full structural sweep, whole-array per layer: each degree within
-        [0, m_max], each neighbour a node of the layer, no edge twice."""
+        [0, m_max], PAD past it, each neighbour a node of the layer, no edge
+        twice."""
         levels = np.asarray(self._levels, dtype=np.int64)
         for l, lay in enumerate(self._layers):
-            _check_rows(l, lay.m_max, levels, *lay.padded(np.flatnonzero(levels >= l)))
+            _check_rows(l, lay.adj.shape[1], levels, lay.adj[: lay.size], lay.deg[: lay.size])
 
     def save(self, path: str | Path) -> None:
         """Save ids, float32 vectors, each node's top layer, and per layer l
@@ -332,9 +382,8 @@ class HnswIndex:
             "levels": levels,
         }
         for l, lay in enumerate(self._layers):
-            adj, deg = lay.padded(np.flatnonzero(levels >= l))
-            arrays[f"adj{l}"] = adj.astype("<i4")
-            arrays[f"deg{l}"] = deg.astype("<i4")
+            arrays[f"adj{l}"] = lay.adj[: lay.size].astype("<i4", copy=False)
+            arrays[f"deg{l}"] = lay.deg[: lay.size].astype("<i4", copy=False)
         entry = -1 if self._entry is None else self._entry
         meta = {"dim": self.dim, "entry": entry, "params": asdict(self.params)}
         save_arrays(path, INDEX_MAGIC, meta, arrays)
@@ -358,7 +407,6 @@ class HnswIndex:
         if (levels < 0).any() or int(levels.max(initial=-1)) + 1 != n_layers:
             raise HnswError(f"node level out of range for {n_layers} layers in {path}")
         index = cls(dim, HnswParams(**meta["params"]))
-        index._nodes = nodes = list(range(count))
         for l in range(n_layers):
             m_max = index._m_max(l)
             members = np.flatnonzero(levels >= l)
@@ -366,10 +414,8 @@ class HnswIndex:
             if adj.shape != (members.size, m_max) or deg.shape != (members.size,):
                 raise HnswError(f"layer {l} arrays do not match its members in {path}")
             _check_rows(l, m_max, levels, adj, deg)
-            lay = _Layer(m_max, count)
-            for idx, row, d in zip(members.tolist(), adj.tolist(), deg.tolist()):
-                lay.links[idx] = [nodes[n] for n in row[:d]]
-            index._layers.append(lay)
+            row_of = dict(zip(members.tolist(), range(members.size))) if l else None
+            index._layers.append(_Layer(np.array(adj, np.int32), np.array(deg, np.int32), row_of))
         if not (entry == -1 == count - 1 or 0 <= entry < count and levels[entry] == n_layers - 1):
             raise HnswError(f"entry point {entry} outside the top layer in {path}")
         index._levels = levels.tolist()
@@ -426,10 +472,13 @@ def _check_rows(
     layer: int, m_max: int, levels: np.ndarray, adj: np.ndarray, deg: np.ndarray
 ) -> None:
     """Raise HnswError unless each degree of a layer's padded rows is within
-    [0, m_max], each neighbor is a node of the layer, and no edge repeats."""
+    [0, m_max], every slot past it holds PAD, each neighbor is a node of the
+    layer, and no edge repeats."""
     if ((deg < 0) | (deg > m_max)).any():
         raise HnswError(f"degree outside [0, {m_max}] at layer {layer}")
     linked = np.arange(m_max) < deg[:, None]
+    if (adj[~linked] != PAD).any():
+        raise HnswError(f"link past a row's degree at layer {layer}")
     nbrs = adj[linked]
     if ((nbrs < 0) | (nbrs >= levels.size)).any() or (levels[nbrs] < layer).any():
         raise HnswError(f"edge to a node outside layer {layer}")
@@ -439,9 +488,9 @@ def _check_rows(
         raise HnswError(f"duplicate edges at layer {layer}")
 
 
-def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    """``a`` with zero rows appended up to ``rows``."""
-    return np.concatenate([a, np.zeros((rows - len(a), *a.shape[1:]), a.dtype)])
+def _grown(a: np.ndarray, rows: int, fill: int = 0) -> np.ndarray:
+    """``a`` with rows of ``fill`` appended up to ``rows``."""
+    return np.concatenate([a, np.full((rows - len(a), *a.shape[1:]), fill, a.dtype)])
 
 
 def build(

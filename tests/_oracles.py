@@ -3,9 +3,12 @@
 Everything in here recomputes the quantity under test from first
 principles (central finite differences, dense power iteration) so the
 library implementations are checked against code that shares none of
-their structure.  The one exception is `hnsw_reference_search`: it keeps
-the index's beam loop but computes each hop's distances as a numpy vector,
-so a change to how a hop computes them is checked bit for bit. The
+their structure.  The exceptions are the HNSW searches: they reread the
+index's link rows and take each step's distances as one numpy vector, the
+product whose bits the index must reproduce.  `hnsw_reference_search`
+restates the index's batched beam with sets and sorted lists;
+`sequential_reference_search` keeps the best-first beam, one row per
+step, as the baseline the batched beam's recall is held to. The
 held-out split and its top-1 cluster measure serve the ranker's held-out
 guard: they use no library code but the towers they score.
 """
@@ -266,20 +269,60 @@ def hnsw_reference_links(
 def hnsw_reference_search(
     index, query: np.ndarray, k: int, ef_search: int | None = None
 ) -> tuple[list[tuple[int, float]], int]:
-    """`HnswIndex.search` with each expanded row's distances taken as one
-    numpy vector, ``1.0 - vectors[row] @ query``: a greedy descent, then the
-    ef-bounded beam at layer 0.  Reads the index and changes nothing; returns
-    the top-k as (id, similarity) and the distances the search counts."""
+    """`HnswIndex.search` with sets and sorted lists: a best-first descent at
+    width 1 through the upper layers, then the batched beam at layer 0.  Each
+    step expands the up to 2*M closest unexpanded beam members, scores their
+    unvisited neighbors in ascending index order as one vector,
+    ``1.0 - vectors[new] @ query``, and keeps the ef best by (distance,
+    index); the search ends when every member is expanded.  Reads the index
+    and changes nothing; returns the top-k as (id, similarity) and the
+    distances the search counts: the entry and every edge scanned."""
     query = np.asarray(query, dtype=np.float64)
     ef = max(ef_search or index.params.ef_search, k)
-    count = 1
+    vectors = index._vectors
+    beam, count = _reference_descent(index, query)
+    layer0 = index._layers[0]
+    visited = {idx for _, idx in beam}
+    expanded: set[int] = set()
+    while True:
+        step = [idx for _, idx in beam if idx not in expanded][: 2 * index.params.M]
+        if not step:
+            break
+        expanded.update(step)
+        links = [n for idx in step for n in layer0.links(idx)]
+        count += len(links)
+        new = sorted(set(links) - visited)
+        visited.update(new)
+        if new:
+            dists = (1.0 - vectors[new] @ query).tolist()
+            beam = sorted(beam + list(zip(dists, new)))[:ef]
+    return [(index._ids[idx], 1.0 - dist) for dist, idx in beam[:k]], count
+
+
+def sequential_reference_search(
+    index, query: np.ndarray, k: int, ef_search: int | None = None
+) -> tuple[list[tuple[int, float]], int]:
+    """The best-first HNSW search, one expanded row per step at every layer
+    (Malkov & Yashunin, Algorithm 2), with each row's distances taken as one
+    numpy vector.  Reads the index and changes nothing; returns the top-k as
+    (id, similarity) and the distances the search counts."""
+    query = np.asarray(query, dtype=np.float64)
+    ef = max(ef_search or index.params.ef_search, k)
+    current, count = _reference_descent(index, query)
+    results, scanned = _reference_search_layer(index, query, current, ef, 0)
+    return [(index._ids[idx], 1.0 - dist) for dist, idx in results[:k]], count + scanned
+
+
+def _reference_descent(index, query: np.ndarray) -> tuple[list[tuple[float, int]], int]:
+    """The best-first beam at width 1 from the entry point down to layer 1:
+    the (distance, index) it reaches, as a one-member list, and the
+    distances counted on the way (the entry's and every edge scanned)."""
     entry_dist = 1.0 - float(index._vectors[index._entry] @ query)
-    current = [(entry_dist, index._entry)]
+    current, count = [(entry_dist, index._entry)], 1
     for layer in range(index.max_level, 0, -1):
         found, scanned = _reference_search_layer(index, query, current, 1, layer)
         current, count = found[:1], count + scanned
-    results, scanned = _reference_search_layer(index, query, current, ef, 0)
-    return [(index._ids[idx], 1.0 - dist) for dist, idx in results[:k]], count + scanned
+    return current, count
 
 
 def _reference_search_layer(
@@ -288,7 +331,7 @@ def _reference_search_layer(
     """One layer's best-first beam, one vector of distances per expanded
     row; returns (dist, idx) sorted and the edges scanned."""
     push, pop, replace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    links = index._layers[layer].links
+    lay = index._layers[layer]
     vectors = index._vectors
     visited = {idx for _, idx in entries}
     candidates = list(entries)  # min-heap by distance
@@ -302,7 +345,7 @@ def _reference_search_layer(
         dist, idx = pop(candidates)
         if dist > worst:
             break
-        row = links[idx]
+        row = lay.links(idx)
         scanned += len(row)
         row = [n for n in row if n not in visited]
         if not row:

@@ -30,6 +30,7 @@ from _oracles import (
     diversity_walk_reference,
     hnsw_reference_links,
     hnsw_reference_search,
+    sequential_reference_search,
     unit_rows,
 )
 
@@ -58,13 +59,20 @@ def clustered_2000():
     return index, around(200)
 
 
-def _recall(index: HnswIndex, vectors, queries, k=10, ef_search=None) -> float:
+def _recall(index: HnswIndex, vectors, queries, k=10, ef_search=None, search=None) -> float:
+    """Mean recall@k of ``search`` (default ``index.search``) against brute force."""
+    search = search or index.search
     hits = []
     for query in queries:
         exact = {i for i, _ in brute_force_search(vectors, query, k)}
-        approx = {i for i, _ in index.search(query, k, ef_search=ef_search)}
+        approx = {i for i, _ in search(query, k, ef_search=ef_search)}
         hits.append(len(exact & approx) / len(exact))
     return float(np.mean(hits))
+
+
+def _link_rows(index: HnswIndex) -> list[list[list[int]]]:
+    """Every node's link row at every layer, [] where it is not a member."""
+    return [[lay.links(n) for n in range(len(index))] for lay in index._layers]
 
 
 class TestParams:
@@ -168,17 +176,52 @@ class TestSearch:
 
     @pytest.mark.parametrize("dim", [4, 48, 128])
     def test_hop_distances_equal_vector_distances_bit_for_bit(self, dim):
-        # a hop takes its rows and dots them, then subtracts in Python floats
+        """A beam step gathers up to 2M * 2M = 1,024 new rows at M=16 by
+        their int32 indices, in ascending order, takes and dots them, then
+        subtracts from 1.0 as an array; the upper-layer descent does the
+        same over a list of up to M unvisited links."""
         rng = np.random.default_rng(dim)
-        store = np.zeros((96, dim))
-        store[:80] = unit_rows(rng, 80, dim)
-        vectors = store[:80]
-        for n in range(1, 66):
-            row = rng.choice(80, n, replace=False).tolist()
+        store = np.zeros((1200, dim))
+        store[:1100] = unit_rows(rng, 1100, dim)
+        vectors = store[:1100]
+        for n in [*range(1, 66), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1000, 1023, 1024]:
+            rows = np.sort(rng.choice(1100, n, replace=False)).astype(np.int32)
             query = unit_rows(rng, 1, dim)[0]
-            hop = [1.0 - s for s in vectors.take(row, 0).dot(query).tolist()]
-            reference = (1.0 - vectors[row] @ query).tolist()
-            assert [d.hex() for d in hop] == [d.hex() for d in reference]
+            step = 1.0 - vectors.take(rows, 0).dot(query)
+            hop = 1.0 - vectors.take(rows.tolist(), 0).dot(query)
+            reference = 1.0 - vectors[rows.tolist()] @ query
+            assert [d.hex() for d in step.tolist()] == [d.hex() for d in reference.tolist()]
+            assert [d.hex() for d in hop.tolist()] == [d.hex() for d in reference.tolist()]
+
+    @pytest.mark.parametrize("ef_search", [10, 50, 100])
+    def test_batched_beam_recall_at_least_sequential(self, clustered_2000, corpus_300, ef_search):
+        """Expanding up to 2M beam members per step never loses mean recall@10
+        to the best-first beam that expands one."""
+        index, queries = clustered_2000
+        ids, rows = index.stored_vectors()
+        vectors, corpus_queries = corpus_300
+        for index, vectors, queries in [(index, dict(zip(ids, rows)), queries),
+                                        (build(vectors, seed=1), vectors, corpus_queries)]:
+            def sequential(query, k, ef_search):
+                return sequential_reference_search(index, query, k, ef_search)[0]
+            assert (_recall(index, vectors, queries, ef_search=ef_search)
+                    >= _recall(index, vectors, queries, ef_search=ef_search, search=sequential))
+
+    @pytest.mark.parametrize("ef_search", [10, 40])
+    def test_ties_keep_the_lower_index(self, ef_search):
+        """Six directions, each stored 40 times with ids interleaved: the
+        query's 40 copies tie at distance 0, which every product gives
+        exactly, so the ef cut and the top-k keep the lowest ids among them,
+        as `exact_top_k` does."""
+        directions = np.zeros((6, 8))
+        directions[:, 0] = np.cos(0.1 * np.arange(6))
+        directions[np.arange(6), 1 + np.arange(6)] = np.sin(0.1 * np.arange(6))
+        vectors = {i: directions[i % 6] for i in range(240)}
+        index = build(vectors, HnswParams(M=8, ef_construction=40), seed=3)
+        query = np.eye(8)[0]
+        expected = brute_force_search(vectors, query, 10)
+        assert [i for i, _ in expected] == list(range(0, 60, 6))
+        assert index.search(query, 10, ef_search=ef_search) == expected
 
     def test_results_sorted_by_similarity(self, corpus_300):
         vectors, queries = corpus_300
@@ -254,7 +297,7 @@ class TestConstruction:
         candidates = [(1.0 - float(index._vectors[i] @ query), i) for i in range(len(vectors))]
         dists, near = (np.array(column) for column in zip(*candidates))
         before = index.distance_count
-        selected = index._select_neighbors(dists, near, m, backfill_to=backfill_to)
+        selected = index._select_neighbors(dists, near, m, backfill_to=backfill_to).tolist()
         expected, comparisons = diversity_select(index._vectors, candidates, m, backfill_to)
         assert selected == expected
         assert index.distance_count - before == comparisons
@@ -275,7 +318,7 @@ class TestConstruction:
         links, count, prunes = hnsw_reference_links(
             index._vectors, index._levels, M, ef_construction
         )
-        assert [lay.links for lay in index._layers] == links
+        assert _link_rows(index) == links
         assert index.distance_count == count
         assert prunes > 100 and index.max_level >= 2
 
@@ -290,7 +333,7 @@ class TestConstruction:
         vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         index = build(dict(enumerate(vectors)), HnswParams(32, 80, 10), seed=2)
         links, count, prunes = hnsw_reference_links(index._vectors, index._levels, 32, 80)
-        assert [lay.links for lay in index._layers] == links
+        assert _link_rows(index) == links
         assert index.distance_count == count
         assert prunes > 1000
         assert sum(level >= 1 for level in index._levels) <= 33
@@ -304,7 +347,7 @@ class TestConstruction:
         vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         index = build(dict(enumerate(vectors)), HnswParams(64, 150, 10), seed=2)
         links, count, prunes = hnsw_reference_links(index._vectors, index._levels, 64, 150)
-        assert [lay.links for lay in index._layers] == links
+        assert _link_rows(index) == links
         assert index.distance_count == count
         assert prunes > 900
 
@@ -342,13 +385,6 @@ class TestConstruction:
         if count > 1:
             assert "stopped before the last candidate" in seen
 
-    def test_link_rows_share_one_int_per_node(self, corpus_300, tmp_path):
-        index = build(corpus_300[0], seed=1)
-        index.save(tmp_path / "index.bin")
-        for built in (index, HnswIndex.load(tmp_path / "index.bin")):
-            nodes = built._nodes
-            assert all(n is nodes[n] for lay in built._layers for row in lay.links for n in row)
-
     def test_distance_count_increases(self, corpus_300):
         vectors, queries = corpus_300
         index = build(vectors, seed=1)
@@ -373,6 +409,17 @@ class TestPersistence:
             assert np.allclose(
                 [s for _, s in got], [s for _, s in want], atol=1e-6
             )
+
+    def test_loaded_index_takes_inserts(self, corpus_300, tmp_path):
+        """Inserts into a loaded index grow its link arrays like a built one's."""
+        vectors, queries = corpus_300
+        build({i: vectors[i] for i in range(200)}, seed=1).save(tmp_path / "index.bin")
+        loaded = HnswIndex.load(tmp_path / "index.bin")
+        for i in range(200, 300):
+            loaded.insert(i, vectors[i])
+        loaded.check_invariants()
+        ids, rows = loaded.stored_vectors()
+        assert _recall(loaded, dict(zip(ids, rows)), queries, ef_search=len(vectors)) == 1.0
 
     def test_save_load_save_identical_bytes(self, corpus_300, tmp_path):
         """A re-save writes the bytes it loaded."""
@@ -511,16 +558,21 @@ class TestBoundary:
         with pytest.raises(HnswError, match="ids repeat"):
             HnswIndex.load(path)
 
-    @pytest.mark.parametrize("damage, match", [("degree", "degree"), ("repeat", "duplicate edges")])
+    @pytest.mark.parametrize("damage, match", [("degree", "degree"), ("repeat", "duplicate edges"),
+                                               ("past", "past a row's degree")])
     def test_damaged_layer_rows(self, small, damage, match):
+        """A search gathers whole rows, so a link in a slot past the row's
+        degree is damage too."""
         _, path = small
         meta, arrays = self._arrays(path)
         adj, deg = arrays["adj0"], arrays["deg0"]
         node = int(np.flatnonzero(deg >= 2)[0])
         if damage == "degree":
             deg[node] = adj.shape[1] + 1
-        else:
+        elif damage == "repeat":
             adj[node, 1] = adj[node, 0]
+        else:
+            deg[node] -= 1
         save_arrays(path, INDEX_MAGIC, meta, arrays)
         with pytest.raises(HnswError, match=match):
             HnswIndex.load(path)
