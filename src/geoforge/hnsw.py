@@ -17,9 +17,10 @@ Similarity is the dot product on unit vectors (distance = 1 - cosine).
 A brute-force scan is kept alongside as the recall oracle.
 
 Layer adjacency is one int32 array per layer, a row of ``m_max`` slots per
-member padded with PAD past its degree, plus the degrees: inserts append
-back-links by degree and prune rows in place, `save` and `check_invariants`
-slice the arrays and `load` takes the saved ones as they are.
+node padded with PAD past its degree, plus the degrees; a node whose top
+layer is lower keeps an empty row.  Inserts append back-links by degree
+and prune rows in place, `save` writes the members' rows and `load`
+scatters them back by node.
 
 Search descends the upper layers greedily, one row per hop, then runs a
 batched beam at layer 0: each step expands the up to 2*M closest
@@ -84,43 +85,19 @@ def _int64(name: str, value) -> int:
 
 
 class _Layer:
-    """Adjacency for one layer: an int32 row of ``m_max`` slots per member,
-    in insertion order, PAD past the row's degree, and the degrees.  Layer 0
-    holds every node, so there a node's row is its index; above it
-    ``row_of`` maps each member to its row.  ``size`` rows are in use; the
-    arrays grow by doubling, as the vector store does."""
+    """Adjacency for one layer: an int32 row of ``m_max`` slots per node,
+    indexed by the node, PAD past the row's degree, and the degrees.  A node
+    whose top layer is lower keeps an empty row.  The arrays are as long as
+    the vector store and grow with it; a new layer's ``rows`` rows are
+    empty."""
 
-    __slots__ = ("adj", "deg", "size", "row_of")
+    __slots__ = ("adj", "deg")
 
-    def __init__(self, adj: np.ndarray, deg: np.ndarray, row_of: dict[int, int] | None):
-        self.adj, self.deg, self.size, self.row_of = adj, deg, len(deg), row_of
-
-    @classmethod
-    def empty(cls, m_max: int, layer: int) -> "_Layer":
-        return cls(np.full((0, m_max), PAD, np.int32), np.zeros(0, np.int32), {} if layer else None)
-
-    def add(self, node: int) -> int:
-        """Give ``node``, the newest node, the next row, empty; returns it."""
-        if self.size == len(self.deg):
-            capacity = max(32, 2 * self.size)
-            self.adj, self.deg = _grown(self.adj, capacity, PAD), _grown(self.deg, capacity)
-        if self.row_of is not None:
-            self.row_of[node] = self.size
-        self.size += 1
-        return self.size - 1
-
-    def rows(self, nodes: np.ndarray) -> np.ndarray:
-        """The rows of the member ``nodes``."""
-        if self.row_of is None:
-            return nodes
-        return np.array([self.row_of[n] for n in nodes.tolist()], dtype=np.intp)
+    def __init__(self, rows: int, m_max: int):
+        self.adj, self.deg = np.full((rows, m_max), PAD, np.int32), np.zeros(rows, np.int32)
 
     def links(self, node: int) -> list[int]:
         """The neighbors of ``node`` in row order; none when it is not a member."""
-        if self.row_of is not None:
-            if node not in self.row_of:
-                return []
-            node = self.row_of[node]
         return self.adj[node, : self.deg[node]].tolist()
 
 
@@ -261,14 +238,14 @@ class HnswIndex:
         self.distance_count += checks
         return cands[kept]
 
-    def _prune(self, lay: _Layer, owners: np.ndarray, rows: np.ndarray, idx: int, keep: int) -> None:
-        """Cut each full row ``rows`` of ``owners`` plus ``idx``, which joins
-        it, back to ``keep`` links with the diversity heuristic.  Rows are
-        sorted by distance to their owner before one stacked product gives
-        every gram matrix, packed by column for the walk, which alone runs
-        row by row."""
+    def _prune(self, lay: _Layer, rows: np.ndarray, idx: int, keep: int) -> None:
+        """Cut the full row of each node in ``rows``, plus ``idx``, which
+        joins it, back to ``keep`` links with the diversity heuristic.  Rows
+        are sorted by distance to their owner before one stacked product
+        gives every gram matrix, packed by column for the walk, which alone
+        runs row by row."""
         grid = np.empty((rows.size, lay.adj.shape[1] + 2), dtype=np.intp)
-        grid[:, 0], grid[:, 1:-1], grid[:, -1] = owners, lay.adj[rows], idx
+        grid[:, 0], grid[:, 1:-1], grid[:, -1] = rows, lay.adj[rows], idx
         cands = grid[:, 1:]  # column 0 of a row is its owner
         take = self._vectors.take
         dists = 1.0 - np.matmul(take(cands, 0), take(grid[:, :1], 0).transpose(0, 2, 1))[:, :, 0]
@@ -299,15 +276,17 @@ class HnswIndex:
 
         idx = len(self._ids)
         if idx >= self._store.shape[0]:
-            self._store = _grown(self._store, max(32, 2 * idx))
+            capacity = max(32, 2 * idx)
+            self._store = _grown(self._store, capacity)
+            for lay in self._layers:
+                lay.adj, lay.deg = _grown(lay.adj, capacity, PAD), _grown(lay.deg, capacity)
         self._store[idx] = vector
         self._ids.append(element_id)
         self._levels.append(level)
         self._id_to_idx[element_id] = idx
         old_max = self.max_level
         while self.max_level < level:
-            self._layers.append(_Layer.empty(self._m_max(len(self._layers)), len(self._layers)))
-        own_rows = [lay.add(idx) for lay in self._layers[: level + 1]]
+            self._layers.append(_Layer(self._store.shape[0], self._m_max(len(self._layers))))
 
         if self._entry is None:
             self._entry = idx
@@ -329,18 +308,17 @@ class HnswIndex:
             neighbors = self._select_neighbors(
                 dists[near], near, self.params.M, m_max if l == 0 else None
             )
-            lay.adj[own_rows[l], : neighbors.size] = neighbors
-            lay.deg[own_rows[l]] = neighbors.size
-            rows = lay.rows(neighbors)
-            degrees = lay.deg[rows]
+            lay.adj[idx, : neighbors.size] = neighbors
+            lay.deg[idx] = neighbors.size
+            degrees = lay.deg[neighbors]
             if m_max in degrees.tolist():
                 # evict several links at once so overflow pruning stays rare
                 full = degrees == m_max
-                self._prune(lay, neighbors[full], rows[full], idx, m_max - 2 if l == 0 else m_max)
-                rows, degrees = rows[~full], degrees[~full]
+                self._prune(lay, neighbors[full], idx, m_max - 2 if l == 0 else m_max)
+                neighbors, degrees = neighbors[~full], degrees[~full]
             # every other neighbor links back in its next free slot
-            lay.adj[rows, degrees] = idx
-            lay.deg[rows] = degrees + 1
+            lay.adj[neighbors, degrees] = idx
+            lay.deg[neighbors] = degrees + 1
         if level > old_max:
             self._entry = idx
 
@@ -366,11 +344,11 @@ class HnswIndex:
 
     def check_invariants(self) -> None:
         """Full structural sweep, whole-array per layer: each degree within
-        [0, m_max], PAD past it, each neighbour a node of the layer, no edge
-        twice."""
+        [0, m_max] and 0 for a node outside the layer, PAD past it, each
+        neighbour a node of the layer, no edge twice."""
         levels = np.asarray(self._levels, dtype=np.int64)
         for l, lay in enumerate(self._layers):
-            _check_rows(l, lay.adj.shape[1], levels, lay.adj[: lay.size], lay.deg[: lay.size])
+            _check_rows(l, lay.adj.shape[1], levels, lay.adj[: levels.size], lay.deg[: levels.size])
 
     def save(self, path: str | Path) -> None:
         """Save ids, float32 vectors, each node's top layer, and per layer l
@@ -382,8 +360,9 @@ class HnswIndex:
             "levels": levels,
         }
         for l, lay in enumerate(self._layers):
-            arrays[f"adj{l}"] = lay.adj[: lay.size].astype("<i4", copy=False)
-            arrays[f"deg{l}"] = lay.deg[: lay.size].astype("<i4", copy=False)
+            members = np.flatnonzero(levels >= l)
+            arrays[f"adj{l}"] = lay.adj[members].astype("<i4", copy=False)
+            arrays[f"deg{l}"] = lay.deg[members].astype("<i4", copy=False)
         entry = -1 if self._entry is None else self._entry
         meta = {"dim": self.dim, "entry": entry, "params": asdict(self.params)}
         save_arrays(path, INDEX_MAGIC, meta, arrays)
@@ -413,9 +392,10 @@ class HnswIndex:
             adj, deg = arrays[f"adj{l}"], arrays[f"deg{l}"]
             if adj.shape != (members.size, m_max) or deg.shape != (members.size,):
                 raise HnswError(f"layer {l} arrays do not match its members in {path}")
-            _check_rows(l, m_max, levels, adj, deg)
-            row_of = dict(zip(members.tolist(), range(members.size))) if l else None
-            index._layers.append(_Layer(np.array(adj, np.int32), np.array(deg, np.int32), row_of))
+            lay = _Layer(count, m_max)
+            lay.adj[members], lay.deg[members] = adj, deg
+            _check_rows(l, m_max, levels, lay.adj, lay.deg)
+            index._layers.append(lay)
         if not (entry == -1 == count - 1 or 0 <= entry < count and levels[entry] == n_layers - 1):
             raise HnswError(f"entry point {entry} outside the top layer in {path}")
         index._levels = levels.tolist()
@@ -471,11 +451,14 @@ def _diversity_walk(
 def _check_rows(
     layer: int, m_max: int, levels: np.ndarray, adj: np.ndarray, deg: np.ndarray
 ) -> None:
-    """Raise HnswError unless each degree of a layer's padded rows is within
-    [0, m_max], every slot past it holds PAD, each neighbor is a node of the
-    layer, and no edge repeats."""
+    """Raise HnswError unless, in a layer's padded rows indexed by node, each
+    degree is within [0, m_max] and 0 for a node outside the layer, every
+    slot past it holds PAD, each neighbor is a node of the layer, and no
+    edge repeats."""
     if ((deg < 0) | (deg > m_max)).any():
         raise HnswError(f"degree outside [0, {m_max}] at layer {layer}")
+    if deg[levels < layer].any():
+        raise HnswError(f"link from a node outside layer {layer}")
     linked = np.arange(m_max) < deg[:, None]
     if (adj[~linked] != PAD).any():
         raise HnswError(f"link past a row's degree at layer {layer}")

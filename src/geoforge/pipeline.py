@@ -162,7 +162,14 @@ class Workspace:
 
     @cached_property
     def annotation_records(self) -> list[Annotation]:
-        return read_records(self.annotations, Annotation.from_json, PipelineError, "annotation")
+        """Each record joined to the corpus, as `LabeledPair.from_json`
+        does: a pin or query text the corpus lacks fails its line."""
+        def joined(obj: dict) -> Annotation:
+            record = Annotation.from_json(obj)
+            self.corpus.pin(record.pin_signature), self.corpus.query(record.query_text)
+            return record
+
+        return read_records(self.annotations, joined, PipelineError, "annotation")
 
     @cached_property
     def published_collections(self) -> list[coll_mod.Collection]:
@@ -385,12 +392,13 @@ def stage_train_ranker(config: PipelineConfig, ws: Workspace) -> dict:
     }
 
 
-def annotation_map(records: list[Annotation], threshold: float) -> dict[int, list[str]]:
-    """Each pin's annotated query texts that score at least ``threshold``;
-    the records hold the budget train-ranker annotated with."""
+def annotation_map(records: list[Annotation]) -> dict[int, list[str]]:
+    """Each pin's annotated query texts that score at least
+    ANNOTATION_THRESHOLD; the records hold the budget train-ranker
+    annotated with."""
     by_pin: dict[int, list[str]] = {}
     for record in records:
-        if record.score >= threshold:
+        if record.score >= ANNOTATION_THRESHOLD:
             by_pin.setdefault(record.pin_signature, []).append(record.query_text)
     return by_pin
 
@@ -417,7 +425,7 @@ def build_collections(
 def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
     """Build topic collection pages from annotations and the index; no
     collection fails the stage before it writes."""
-    topics = annotation_map(ws.annotation_records, ANNOTATION_THRESHOLD).values()
+    topics = annotation_map(ws.annotation_records).values()
     collections = build_collections(ws, {t for texts in topics for t in texts}, config.collection_k)
     if not collections:
         raise PipelineError(f"{ws.annotations}: no annotated corpus query scores at least "
@@ -429,13 +437,25 @@ def stage_build_collections(config: PipelineConfig, ws: Workspace) -> dict:
     return {"collections": len(collections)}
 
 
-def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
-    """Construct the link graph, PageRank scores, report, and sitemap."""
-    annotations = annotation_map(ws.annotation_records, ANNOTATION_THRESHOLD)
-    graph, dangling = linkgraph.build_link_graph(annotations, ws.published_collections)
+def link_every_pin(
+    ws: Workspace, annotations: dict[int, list[str]], collections: list[coll_mod.Collection]
+) -> tuple[linkgraph.LinkGraph, linkgraph.AuthorityScores, dict]:
+    """The link graph over every corpus pin, linked or not, its PageRank
+    scores, and its link report, which counts the annotations that resolve
+    to no collection as ``dangling_annotations``."""
+    graph, dangling = linkgraph.build_link_graph(
+        {sig: annotations.get(sig, []) for sig in ws.corpus.pins}, collections
+    )
     scores = linkgraph.pagerank(graph)
     report = linkgraph.link_report(graph, scores)
     report["dangling_annotations"] = len(dangling)
+    return graph, scores, report
+
+
+def stage_link(config: PipelineConfig, ws: Workspace) -> dict:
+    """Construct the link graph, PageRank scores, report, and sitemap."""
+    annotations = annotation_map(ws.annotation_records)
+    graph, _, report = link_every_pin(ws, annotations, ws.published_collections)
     linkgraph.write_graph(graph, ws.graph_file)
     write_text(ws.link_report, json.dumps(report, indent=2))
     write_text(ws.sitemap, linkgraph.export_sitemap(graph, config.base_url))
@@ -479,15 +499,10 @@ def ablation_study(ws: Workspace) -> dict:
     def build_mode(
         annots: dict[int, list[str]], collections: list[coll_mod.Collection]
     ) -> dict:
-        # every pin participates even when unlinked
-        graph, _ = linkgraph.build_link_graph(
-            {sig: annots.get(sig, []) for sig in ws.corpus.pins}, collections
-        )
-        scores = linkgraph.pagerank(graph)
+        _, scores, report = link_every_pin(ws, annots, collections)
         coll_scores = [
             v for n, v in scores.scores.items() if n.startswith("collection:")
         ]
-        report = linkgraph.link_report(graph, scores)
         return {
             "collections": len(collections),
             "mean_collection_authority": float(np.mean(coll_scores)) if coll_scores else 0.0,
@@ -495,8 +510,8 @@ def ablation_study(ws: Workspace) -> dict:
         }
 
     k = max(len(c.members) for c in ws.published_collections)
-    enabled_map = annotation_map(records, ANNOTATION_THRESHOLD)
-    control_map = annotation_map(control_records, ANNOTATION_THRESHOLD)
+    enabled_map = annotation_map(records)
+    control_map = annotation_map(control_records)
     # enabled and control share one collection universe so mean authority
     # compares linking quality, not collection counts
     topic_texts = {t for by_pin in (enabled_map, control_map) for texts in by_pin.values() for t in texts}

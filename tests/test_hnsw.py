@@ -411,13 +411,20 @@ class TestPersistence:
             )
 
     def test_loaded_index_takes_inserts(self, corpus_300, tmp_path):
-        """Inserts into a loaded index grow its link arrays like a built one's."""
+        """Inserts into a loaded index grow its link arrays like a built
+        one's.  The first 200 rows are float32-exact, so the loaded rows are
+        the built ones and every link equals a build made one pair at a time."""
         vectors, queries = corpus_300
-        build({i: vectors[i] for i in range(200)}, seed=1).save(tmp_path / "index.bin")
+        exact = {i: vectors[i].astype(np.float32).astype(np.float64) for i in range(200)}
+        build(exact, seed=1).save(tmp_path / "index.bin")
         loaded = HnswIndex.load(tmp_path / "index.bin")
         for i in range(200, 300):
             loaded.insert(i, vectors[i])
         loaded.check_invariants()
+        M, ef_construction = loaded.params.M, loaded.params.ef_construction
+        links, _, _ = hnsw_reference_links(loaded._vectors, loaded._levels, M, ef_construction)
+        assert _link_rows(loaded) == links
+        assert loaded.max_level >= 1
         ids, rows = loaded.stored_vectors()
         assert _recall(loaded, dict(zip(ids, rows)), queries, ef_search=len(vectors)) == 1.0
 
@@ -576,6 +583,17 @@ class TestBoundary:
         save_arrays(path, INDEX_MAGIC, meta, arrays)
         with pytest.raises(HnswError, match=match):
             HnswIndex.load(path)
+
+    @pytest.mark.parametrize("degree, match", [(1, "from a node outside layer 1"),
+                                               (0, "past a row's degree")])
+    def test_link_in_a_non_members_row(self, small, degree, match):
+        """A node whose top layer is 0 keeps an empty row at layer 1."""
+        index, _ = small
+        outside = index._levels.index(0)
+        lay = index._layers[1]
+        lay.adj[outside, 0], lay.deg[outside] = index._levels.index(index.max_level), degree
+        with pytest.raises(HnswError, match=match):
+            index.check_invariants()
 
     def test_neighbour_id_out_of_range(self, small):
         _, path = small

@@ -199,6 +199,10 @@ class TestStageGraph:
         ("train-ranker", "labeled_pairs.jsonl", {"pin_signature": -1},
          "CorpusError", "unknown pin signature -1"),
         ("link", "annotations.jsonl", {"score": None}, "PipelineError", "missing key 'score'"),
+        # an annotation names a corpus pin and a corpus query
+        ("link", "annotations.jsonl", {"pin_signature": -1}, "PipelineError", "unknown pin signature -1"),
+        ("build-collections", "annotations.jsonl", {"query_text": "no such query"},
+         "PipelineError", "unknown query text 'no such query'"),
         ("link", "collections.jsonl", {"members": None}, "CollectionError", "missing key 'members'"),
         ("link", "annotations.jsonl", '{"pin_signature": ', "PipelineError", "malformed JSON: .+"),
         ("link", "collections.jsonl", "{not json", "CollectionError", "malformed JSON: .+"),
@@ -549,12 +553,8 @@ class TestAnnotationMap:
     def test_threshold_and_rank_filtering(self):
         """The threshold filters; the rank does not, since the records
         already hold the budget train-ranker annotated with."""
-        mapped = annotation_map(self.RECORDS, threshold=0.6)
+        mapped = annotation_map(self.RECORDS)
         assert mapped == {1: ["a"], 2: ["c"]}
-
-    def test_permissive_settings_keep_all(self):
-        mapped = annotation_map(self.RECORDS, threshold=0.0)
-        assert mapped == {1: ["a", "b"], 2: ["c"]}
 
 
 class TestAnnotatePins:
@@ -750,6 +750,27 @@ class TestCollections:
         downstream = {"graph.jsonl", "link_report.json", "sitemap.xml", "eval_report.json"}
         assert report["checksums"] == {k: v for k, v in pipeline_run["report"]["checksums"].items()
                                        if k not in downstream}
+
+
+class TestLink:
+    def test_graph_holds_every_pin_under_a_near_untrained_ranker(self, tmp_path):
+        """After one ranker step most pins hold no annotation at or above
+        ANNOTATION_THRESHOLD and sit in no collection; each is still a node,
+        so `orphan_pins` counts every corpus pin with no in-link and the
+        sitemap lists every pin."""
+        config = dataclasses.replace(_small(tmp_path), seed=2, ranker_steps=1)
+        stages = [stage for stage in STAGE_FUNCS if stage not in ("agent-run", "eval")]
+        report, ok = run_pipeline(config, stages=stages)
+        assert ok, report["stages"]
+        ws = Workspace(tmp_path)
+        graph = map(json.loads, ws.graph_file.read_text(encoding="utf-8").splitlines())
+        linked = {record["dst"] for record in graph if "dst" in record}
+        unlinked = [sig for sig in ws.corpus.pins if f"pin:{sig}" not in linked]
+        assert len(unlinked) > len(ws.corpus.pins) // 2
+        assert report["stages"]["link"]["metrics"]["orphan_pins"] == len(unlinked)
+        assert json.loads(ws.link_report.read_text(encoding="utf-8"))["orphan_pins"] == len(unlinked)
+        listed = re.findall(r"/pin/(\d+)</loc>", ws.sitemap.read_text(encoding="utf-8"))
+        assert listed == [str(sig) for sig in ws.corpus.pins]
 
 
 class TestFullRun:
