@@ -8,19 +8,23 @@ that row are its exact construction candidates (Malkov & Yashunin,
 arXiv:1603.09320, take them from a beam search instead).  One greedy walk,
 `_diversity_walk`, applies their diversity heuristic both when a node picks
 its neighbors and when a neighbor's overflowing row is cut back, and visits
-only the candidates it keeps.  Selection gives it one product per kept
-neighbor, against the candidates after it; overflowing rows are sorted and
-pruned together, one stacked product giving every gram matrix.  The walk
-charges ``distance_count`` the pairs the heuristic compares one candidate
-at a time.
+only the candidates it keeps.  A new node's selection is backfilled with
+the closest rejected candidates up to 2*M at layer 0; an overflowing row
+keeps the heuristic's picks alone, as in their Algorithm 1 without
+``keepPrunedConnections`` and as hnswlib does, so it has room for new
+back-links before it overflows again.  Selection gives the walk one
+product per kept neighbor, against the candidates after it; overflowing
+rows are sorted and pruned together, one stacked product giving every gram
+matrix.  The walk charges ``distance_count`` the pairs the heuristic
+compares one candidate at a time.
 Similarity is the dot product on unit vectors (distance = 1 - cosine).
 A brute-force scan is kept alongside as the recall oracle.
 
 Layer adjacency is one int32 array per layer, a row of ``m_max`` slots per
 node padded with PAD past its degree, plus the degrees; a node whose top
 layer is lower keeps an empty row.  Inserts append back-links by degree
-and prune rows in place, `save` writes the members' rows and `load`
-scatters them back by node.
+and prune rows in place to each row's own degree, `save` writes the
+members' rows and `load` scatters them back by node.
 
 Search descends the upper layers greedily, one row per hop, then runs a
 batched beam at layer 0: each step expands the up to 2*M closest
@@ -135,6 +139,11 @@ class HnswIndex:
     def max_level(self) -> int:
         return len(self._layers) - 1
 
+    @property
+    def layer0_links(self) -> int:
+        """The links at layer 0, the sum of its degrees: the graph's density."""
+        return int(self._layers[0].deg.sum()) if self._layers else 0
+
     def _m_max(self, layer: int) -> int:
         return self.params.M * 2 if layer == 0 else self.params.M
 
@@ -240,10 +249,11 @@ class HnswIndex:
 
     def _prune(self, lay: _Layer, rows: np.ndarray, idx: int, keep: int) -> None:
         """Cut the full row of each node in ``rows``, plus ``idx``, which
-        joins it, back to ``keep`` links with the diversity heuristic.  Rows
-        are sorted by distance to their owner before one stacked product
-        gives every gram matrix, packed by column for the walk, which alone
-        runs row by row."""
+        joins it, back to the diversity heuristic's picks, at most ``keep``
+        links with no backfill, so each row keeps its own degree and PAD
+        past it.  Rows are sorted by distance to their owner before one
+        stacked product gives every gram matrix, packed by column for the
+        walk, which alone runs row by row."""
         grid = np.empty((rows.size, lay.adj.shape[1] + 2), dtype=np.intp)
         grid[:, 0], grid[:, 1:-1], grid[:, -1] = rows, lay.adj[rows], idx
         cands = grid[:, 1:]  # column 0 of a row is its owner
@@ -259,13 +269,14 @@ class HnswIndex:
         # owner; bits j * width on of a row's int are then column j
         ruled_out = (sims > thresholds[:, :, None]).transpose(0, 2, 1)
         self.distance_count += n_rows * width
-        pruned, pad = [], [PAD] * (lay.adj.shape[1] - keep)
+        pruned, degrees, m_max = [], [], lay.adj.shape[1]
         for row, grid_bits in zip(walk.tolist(), _bit_rows(ruled_out.reshape(n_rows, -1))):
-            kept, checks = _diversity_walk(lambda pos: grid_bits >> pos * width, width, keep, keep)
+            kept, checks = _diversity_walk(lambda pos: grid_bits >> pos * width, width, keep, 0)
             self.distance_count += checks
-            pruned.append([row[pos] for pos in kept] + pad)
+            pruned.append([row[pos] for pos in kept] + [PAD] * (m_max - len(kept)))
+            degrees.append(len(kept))
         lay.adj[rows] = pruned
-        lay.deg[rows] = keep
+        lay.deg[rows] = degrees
 
     def insert(self, element_id: int, vector: np.ndarray) -> None:
         element_id = _int64("id", element_id)

@@ -234,8 +234,9 @@ def hnsw_reference_links(
     at the given levels.  Each layer's candidates are its ``ef_construction``
     nearest members by brute force; the new node keeps ``diversity_select``
     of them (backfilled to 2*M at layer 0), and a neighbour whose row then
-    overflows is cut back with ``diversity_select`` to 2*M - 2 links at layer
-    0 and M above.  Returns the link rows per layer, the dot products made
+    overflows is cut back to ``diversity_select``'s picks alone, with no
+    backfill (``backfill_to=0``): at most 2*M - 2 links at layer 0 and M
+    above.  Returns the link rows per layer, the dot products made
     (distance rows, selection and prune comparisons) and the prune count."""
     n_layers = max(levels) + 1
     links: list[list[list[int]]] = [[[] for _ in levels] for _ in range(n_layers)]
@@ -261,7 +262,7 @@ def hnsw_reference_links(
                 count += len(row)
                 scored = [(1.0 - float(vectors[j] @ vectors[nbr]), j) for j in row]
                 keep = m_max - 2 if layer == 0 else m_max
-                links[layer][nbr], comparisons = diversity_select(vectors, scored, keep, None)
+                links[layer][nbr], comparisons = diversity_select(vectors, scored, keep, 0)
                 count += comparisons
     return links, count, prunes
 

@@ -11,10 +11,12 @@ import textwrap
 import numpy as np
 import pytest
 
+from geoforge import hnsw
 from geoforge.core import load_arrays, save_arrays
 from geoforge.hnsw import (
     INDEX_MAGIC,
     INDEX_META,
+    PAD,
     HnswError,
     HnswIndex,
     HnswParams,
@@ -322,11 +324,29 @@ class TestConstruction:
         assert index.distance_count == count
         assert prunes > 100 and index.max_level >= 2
 
-    def test_build_with_wide_rows_matches_pairwise_reference(self):
+    @staticmethod
+    def _furthest_prune_picks(monkeypatch) -> list[int]:
+        """Wrap `hnsw._diversity_walk` to note, for each prune walk (the
+        calls with target 0), the furthest position it keeps."""
+        furthest: list[int] = []
+        walk = hnsw._diversity_walk
+
+        def noting(conflicts, count, m, target):
+            kept, checks = walk(conflicts, count, m, target)
+            if target == 0:
+                furthest.append(max(kept))
+            return kept, checks
+
+        monkeypatch.setattr(hnsw, "_diversity_walk", noting)
+        return furthest
+
+    def test_build_with_wide_rows_matches_pairwise_reference(self, monkeypatch):
         """At M=32 a layer-0 row holds 64 links, so a pruned row is 65 wide
-        and `_bit_rows` packs its conflict masks into two 64-bit words.  Only
+        and `_bit_rows` packs its conflict masks into two 64-bit words; some
+        prune walk keeps position 64, which the second word decides.  Only
         layer 0 can overflow here: layer 1 has too few members to fill a row
         of 32."""
+        furthest = self._furthest_prune_picks(monkeypatch)
         rng = np.random.default_rng(81)
         centers = unit_rows(rng, 5, 12)
         rows = np.repeat(centers, 30, axis=0) + 0.15 * rng.standard_normal((150, 12))
@@ -335,13 +355,15 @@ class TestConstruction:
         links, count, prunes = hnsw_reference_links(index._vectors, index._levels, 32, 80)
         assert _link_rows(index) == links
         assert index.distance_count == count
-        assert prunes > 1000
+        assert prunes > 100 and len(furthest) == prunes
+        assert max(furthest) >= 64
         assert sum(level >= 1 for level in index._levels) <= 33
 
-    def test_build_with_three_word_rows_matches_pairwise_reference(self):
+    def test_build_with_three_word_rows_matches_pairwise_reference(self, monkeypatch):
         """At M=64 a pruned layer-0 row is 129 wide, so its conflict masks
-        span three 64-bit words, and some walks select past position 64:
+        span three 64-bit words, and some prune walks keep past position 64:
         bits 64-127 decide their later discards."""
+        furthest = self._furthest_prune_picks(monkeypatch)
         rng = np.random.default_rng(81)
         rows = unit_rows(rng, 1, 4) + rng.standard_normal((150, 4))
         vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -349,7 +371,8 @@ class TestConstruction:
         links, count, prunes = hnsw_reference_links(index._vectors, index._levels, 64, 150)
         assert _link_rows(index) == links
         assert index.distance_count == count
-        assert prunes > 900
+        assert prunes > 100 and len(furthest) == prunes
+        assert max(furthest) >= 64
 
     # a row with no columns packs to 0: the last candidate a selection
     # takes has no candidates after it
@@ -364,14 +387,15 @@ class TestConstruction:
         """Seeded random conflicts, asymmetric and with bits at or below each
         column's own position set too, against the one-at-a-time walk over
         the same booleans: the positions, the pairs met, and the columns the
-        walk asks for, which are those of the taken candidates but the m-th."""
+        walk asks for, which are those of the taken candidates but the m-th.
+        Target 0, as a prune walks, returns the taken positions alone."""
         rng = np.random.default_rng(count)
         seen = set()
         for density in (0.0, 0.03, 0.1, 0.3, 0.7):
             rules = rng.random((count, count)) < density
             columns = [sum(1 << q for q in np.flatnonzero(row).tolist()) for row in rules]
             for m, target in [(1, 1), (2, 2), (2, count + 5), (4, 8), (16, 32),
-                              (count, count), (count + 3, count + 7)]:
+                              (count, count), (count + 3, count + 7), (4, 0), (count, 0)]:
                 asked: list[int] = []
                 walk = _diversity_walk(lambda pos: asked.append(pos) or columns[pos], count, m, target)
                 kept, spare, comparisons = diversity_walk_reference(rules, m, target)
@@ -384,6 +408,39 @@ class TestConstruction:
         assert "took the last candidate and asked for its empty tail" in seen
         if count > 1:
             assert "stopped before the last candidate" in seen
+
+    def test_prune_keeps_the_heuristics_picks_alone(self, tmp_path):
+        """`_prune` cuts full layer-0 rows, plus a node that joins them, back
+        to `diversity_select`'s picks with no backfill: each row its own
+        degree, PAD past it.  Rows of varied degree then save and load back
+        to the same bytes."""
+        rng = np.random.default_rng(91)
+        centers = unit_rows(rng, 4, 12)
+        rows = np.repeat(centers, 50, axis=0) + 0.15 * rng.standard_normal((200, 12))
+        vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        index = build(dict(enumerate(vectors)), HnswParams(M=4, ef_construction=40), seed=3)
+        lay, m_max = index._layers[0], index._m_max(0)
+        full = np.flatnonzero(lay.deg == m_max)[:12]
+        joiner = min(set(range(len(index))) - set(full.tolist()) - set(lay.adj[full].ravel().tolist()))
+        expected, count = {}, 0
+        for row in full.tolist():
+            cands = lay.links(row) + [joiner]
+            scored = [(1.0 - float(index._vectors[j] @ index._vectors[row]), j) for j in cands]
+            expected[row], comparisons = diversity_select(index._vectors, scored, m_max - 2, 0)
+            count += len(cands) + comparisons
+        before = index.distance_count
+        index._prune(lay, full, joiner, m_max - 2)
+        assert {row: lay.links(row) for row in full.tolist()} == expected
+        assert lay.deg[full].tolist() == [len(links) for links in expected.values()]
+        assert (lay.adj[full] == PAD).sum() == full.size * m_max - lay.deg[full].sum()
+        assert index.distance_count - before == count
+        # degrees vary, so some row keeps fewer than the old backfill's m_max - 2
+        assert full.size == 12 and len(set(lay.deg[full].tolist())) > 1
+        index.check_invariants()
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        index.save(first)
+        HnswIndex.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_distance_count_increases(self, corpus_300):
         vectors, queries = corpus_300

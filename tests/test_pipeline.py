@@ -790,6 +790,18 @@ class TestFullRun:
                     assert str(path.relative_to(ws.out)) in report["checksums"]
         assert ws.report.exists()
 
+    def test_build_index_reports_the_saved_graph(self, pipeline_run):
+        """``layer0_links``, the graph's density, counts the non-PAD slots
+        of the saved layer-0 rows."""
+        ws = pipeline_run["ws"]
+        _, arrays = load_arrays(ws.index_file, hnsw.INDEX_MAGIC, hnsw.HnswError, hnsw.INDEX_META)
+        layers = sum(name.startswith("adj") for name in arrays)
+        links = int((arrays["adj0"] != hnsw.PAD).sum())
+        assert pipeline_run["report"]["stages"]["build-index"]["metrics"] == {
+            "elements": arrays["ids"].size, "layers": layers, "layer0_links": links,
+        }
+        assert links == int(arrays["deg0"].sum()) == hnsw.HnswIndex.load(ws.index_file).layer0_links
+
     def test_each_stage_records_the_high_water_mark(self, pipeline_run):
         """peak_rss_mb is the process's peak RSS so far, so it never falls
         from one stage to the next."""
