@@ -219,10 +219,12 @@ def default_tools(
     taxonomy: list[str], trends_path: str | Path, min_count: int,
 ) -> ToolSuite:
     """The four tools over one corpus, index and taxonomy, where content
-    lookup wants more than ``min_count`` hits; an empty taxonomy raises
-    AgentError before any tool is built."""
+    lookup wants more than ``min_count`` hits; an empty taxonomy or a
+    negative ``min_count`` raises AgentError before any tool is built."""
     if not taxonomy:
         raise AgentError("taxonomy is empty")
+    if min_count < 0:
+        raise AgentError(f"min_count must be at least 0, got {min_count}")
     return ToolSuite(
         fetch_trends=make_fetch_trends(trends_path),
         semantic_filter=make_semantic_filter(taxonomy),

@@ -67,7 +67,7 @@ Judge = Callable[[list[PinRecord], QueryRecord], list[JudgeVerdict]]
 
 
 def build_collections(
-    topics: list[QueryRecord], text_encoder: EncoderModel, index: HnswIndex, k: int = 10
+    topics: list[QueryRecord], text_encoder: EncoderModel, index: HnswIndex, k: int
 ) -> list[Collection]:
     """Encode the topics through the text pathway as one batch and take each
     topic's index top-k, at the index's own ef_search, one collection per
@@ -87,7 +87,7 @@ def build_collections(
 
 
 def build_collection(
-    topic: QueryRecord, text_encoder: EncoderModel, index: HnswIndex, k: int = 10
+    topic: QueryRecord, text_encoder: EncoderModel, index: HnswIndex, k: int
 ) -> Collection:
     """The one-topic case of `build_collections`."""
     return build_collections([topic], text_encoder, index, k)[0]

@@ -34,16 +34,14 @@ ENGAGEMENT_ARRAYS = {"pin_row": "<i8", "query_row": "<i8", "impressions": "<i8",
                      "clicks": "<i8", "avg_position": "<f4"}
 T = TypeVar("T")
 
-# Fixed offsets off the corpus-wide seed, one per stage, so every module
-# draws from its own deterministic stream.
+# Fixed offsets off the corpus-wide seed, one per stage that draws random
+# numbers, so every such module draws from its own deterministic stream.
 SEED_OFFSETS = {
     "corpus": 0,
     "curation": 1,
     "encoder": 2,
     "index": 3,
     "ranker": 4,
-    "collections": 5,
-    "linkgraph": 6,
     "agent": 7,
     "eval": 8,
 }

@@ -3,17 +3,18 @@ sampling, hard-negative labelling, and near-duplicate query merging."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .core import (
-    Corpus, Engagement, LabeledPair, QueryRecord, ZeroNormError, l2_normalize_rows,
+    QUERY_CATEGORIES, Corpus, Engagement, LabeledPair, QueryRecord, ZeroNormError,
+    l2_normalize_rows,
 )
 
 RELATEDNESS_CEILING = 0.5  # hard negatives must be below this cosine
 DEDUP_THRESHOLD = 0.9
 TOP_QUERIES = 30  # retained queries kept per pin
+# the paper's mix of query categories in sampled training data
+CATEGORY_MIX = dict(zip(QUERY_CATEGORIES, (0.3, 0.3, 0.4)))
 
 
 class CurationError(ValueError):
@@ -41,31 +42,10 @@ def retention_branches(engagement: Engagement) -> dict[str, np.ndarray]:
             "position": seen & (engagement.avg_position <= 10)}
 
 
-@dataclass(frozen=True)
-class CategoryMix:
-    description_frac: float = 0.3
-    style_frac: float = 0.3
-    usecase_frac: float = 0.4
-
-    def __post_init__(self) -> None:
-        fracs = (self.description_frac, self.style_frac, self.usecase_frac)
-        if not all(0 <= f <= 1 for f in fracs):  # NaN too
-            raise CurationError(f"fractions must lie in [0, 1]: {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise CurationError(f"fractions must sum to 1: {fracs}")
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "Description": self.description_frac,
-            "StyleDetail": self.style_frac,
-            "UseCase": self.usecase_frac,
-        }
-
-
-def category_counts(mix: CategoryMix, total: int) -> dict[str, int]:
-    """Integer per-category counts: round each share, hand the remainder to
-    the largest fractional parts."""
-    exact = {cat: total * frac for cat, frac in mix.as_dict().items()}
+def category_counts(total: int) -> dict[str, int]:
+    """Integer per-category counts of CATEGORY_MIX: round each share down,
+    hand the remainder to the largest fractional parts."""
+    exact = {cat: total * frac for cat, frac in CATEGORY_MIX.items()}
     counts = {cat: int(np.floor(x)) for cat, x in exact.items()}
     remainder = total - sum(counts.values())
     by_fraction = sorted(
@@ -76,31 +56,25 @@ def category_counts(mix: CategoryMix, total: int) -> dict[str, int]:
     return counts
 
 
-@dataclass
-class SampleReport:
-    counts: dict[str, int] = field(default_factory=dict)
-    with_replacement: list[str] = field(default_factory=list)
-
-
 def stratify_sample(
-    pairs: list[LabeledPair], mix: CategoryMix, total: int, seed: int
-) -> tuple[list[LabeledPair], SampleReport]:
-    """Draw `total` pairs matching the category mix.
+    pairs: list[LabeledPair], total: int, seed: int
+) -> tuple[list[LabeledPair], list[str]]:
+    """Draw `total` pairs matching CATEGORY_MIX, category by category in the
+    table's order.
 
     Sampling is without replacement per category when the pool suffices,
-    with replacement otherwise (flagged in the report).
+    with replacement otherwise; the second result names the categories
+    drawn with replacement.
     """
     if total < 0:
         raise CurationError(f"total must be at least 0, got {total}")
     pools: dict[str, list[LabeledPair]] = {}
     for pair in pairs:
         pools.setdefault(pair.query.category, []).append(pair)
-    counts = category_counts(mix, total)
     rng = np.random.default_rng(seed)
     out: list[LabeledPair] = []
-    report = SampleReport(counts=dict(counts))
-    for cat in ("Description", "StyleDetail", "UseCase"):
-        want = counts[cat]
+    with_replacement: list[str] = []
+    for cat, want in category_counts(total).items():
         if want == 0:
             continue
         pool = pools.get(cat, [])
@@ -108,10 +82,10 @@ def stratify_sample(
             raise CurationError(f"empty pool for required category {cat}")
         replace = len(pool) < want
         if replace:
-            report.with_replacement.append(cat)
+            with_replacement.append(cat)
         idx = rng.choice(len(pool), size=want, replace=replace)
         out.extend(pool[int(i)] for i in idx)
-    return out, report
+    return out, with_replacement
 
 
 def _embedding_units(queries: list[QueryRecord]) -> np.ndarray:
@@ -175,22 +149,20 @@ def label_pairs(
     return out
 
 
-def dedup_queries(
-    queries: list[QueryRecord], threshold: float = DEDUP_THRESHOLD
-) -> list[QueryRecord]:
+def dedup_queries(queries: list[QueryRecord]) -> list[QueryRecord]:
     """Greedy single-pass merge over input order: a query is retained iff its
-    clipped cosine to every already retained query is strictly below the
-    threshold, so a query at or above it merges into the earliest retained
-    neighbour. The cosines come from one Gram matrix of unit rows, which
-    matches per-pair cosines up to rounding (about 1e-15); the greedy pass
-    reads its rows in input order. Retained order is input order."""
+    clipped cosine to every already retained query is strictly below
+    DEDUP_THRESHOLD, so a query at or above it merges into the earliest
+    retained neighbour. The cosines come from one Gram matrix of unit rows,
+    which matches per-pair cosines up to rounding (about 1e-15); the greedy
+    pass reads its rows in input order. Retained order is input order."""
     if not queries:
         return []
     units = _embedding_units(queries)
     gram = np.clip(units @ units.T, -1.0, 1.0)
     kept: list[int] = []
     for i in range(len(queries)):
-        if not kept or bool((gram[i, kept] < threshold).all()):
+        if not kept or bool((gram[i, kept] < DEDUP_THRESHOLD).all()):
             kept.append(i)
     return [queries[i] for i in kept]
 
@@ -202,7 +174,7 @@ def text_ranks(queries: list[QueryRecord]) -> np.ndarray:
 
 
 def curate(
-    corpus: Corpus, deduped: list[QueryRecord], neg_per_pos: int = 2, seed: int = 0
+    corpus: Corpus, deduped: list[QueryRecord], neg_per_pos: int, seed: int = 0
 ) -> tuple[list[LabeledPair], dict]:
     """Full curation pass: filter the corpus's engagement, pick each pin's
     TOP_QUERIES retained queries (by impressions descending, then average

@@ -226,13 +226,13 @@ class HnswIndex:
         return dist, idx
 
     def _select_neighbors(
-        self, dists: np.ndarray, near: np.ndarray, m: int, backfill_to: int | None = None
+        self, dists: np.ndarray, near: np.ndarray, m: int, backfill_to: int
     ) -> np.ndarray:
         """Diversity heuristic over the candidates ``near`` at ``dists`` from
         the query: prefer one closer to the query than to every selected
         neighbor, up to ``m`` of them.  The closest unselected candidates
-        then fill the slots left up to ``backfill_to`` (default ``m``), so a
-        node never gets fewer than min(len(near), m) links.  The walk asks
+        then fill the slots left up to ``backfill_to``, the row's width, so
+        a node never gets fewer than min(len(near), m) links.  The walk asks
         for one product per selected neighbor but the m-th, with the
         candidates after it."""
         order = np.lexsort((near, dists))  # by (distance, index)
@@ -241,9 +241,9 @@ class HnswIndex:
 
         def conflicts(pos: int) -> int:
             hit = vecs[pos + 1 :].dot(vecs[pos]) > thresholds[pos + 1 :]
-            return _bit_rows(hit[None])[0] << pos + 1
+            return int.from_bytes(np.packbits(hit, bitorder="little"), "little") << pos + 1
 
-        kept, checks = _diversity_walk(conflicts, cands.size, m, m if backfill_to is None else backfill_to)
+        kept, checks = _diversity_walk(conflicts, cands.size, m, backfill_to)
         self.distance_count += checks
         return cands[kept]
 
@@ -316,9 +316,7 @@ class HnswIndex:
                 near = near[np.argpartition(dists[near], ef - 1)[:ef]]
             lay = self._layers[l]
             m_max = lay.adj.shape[1]
-            neighbors = self._select_neighbors(
-                dists[near], near, self.params.M, m_max if l == 0 else None
-            )
+            neighbors = self._select_neighbors(dists[near], near, self.params.M, m_max)
             lay.adj[idx, : neighbors.size] = neighbors
             lay.deg[idx] = neighbors.size
             degrees = lay.deg[neighbors]

@@ -56,15 +56,15 @@ class DependencyError(PipelineError):
 class PipelineConfig:
     out_dir: Path = Path("geo-out")
     seed: int = 0
-    n_pins: int = 1000
-    n_clusters: int = 8
-    encoder_steps: int = 200
-    temperature: float = 0.07
-    ef_construction: int = 200
-    ef_search: int = 100
-    hnsw_m: int = 16
+    n_pins: int = synth.SynthConfig.n_pins
+    n_clusters: int = synth.SynthConfig.n_clusters
+    encoder_steps: int = encoders.TrainConfig.steps
+    temperature: float = encoders.TrainConfig.temperature
+    ef_construction: int = hnsw.HnswParams.ef_construction
+    ef_search: int = hnsw.HnswParams.ef_search
+    hnsw_m: int = hnsw.HnswParams.M
     ranker_steps: int = ranker.RankerTrainConfig.steps
-    margin: float = 0.95
+    margin: float = ranker.TowerConfig.margin
     neg_per_pos: int = 2
     collection_k: int = 10
     base_url: str = "https://example.com"
@@ -193,7 +193,7 @@ class Workspace:
 ARTIFACTS = {
     "corpus_dir": (None, "corpus"),
     **{name: ("gen-corpus", f"corpus/{file}") for name, file in CORPUS_FILES.items()},
-    "trends": ("gen-corpus", "corpus/trends.jsonl"),
+    "trends": ("gen-corpus", f"corpus/{synth.TRENDS_FILE}"),
     "labeled_pairs": ("curate", "labeled_pairs.jsonl"),
     "curation_report": ("curate", "curation_report.json"),
     "encoder_file": ("train-encoder", "encoders.bin"),

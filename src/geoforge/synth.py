@@ -59,6 +59,8 @@ QUERY_TEMPLATES = {
 # within-cluster cosine near 0.83
 NOISE = 0.45
 TRENDS_PER_CLUSTER = 2
+# the trend feed's file beside the CORPUS_FILES of a bundle
+TRENDS_FILE = "trends.jsonl"
 OFF_TOPIC_TRENDS = [
     ("election results", "news"),
     ("playoff scores", "sports"),
@@ -212,4 +214,4 @@ def write_corpus_bundle(out_dir: str | Path, config: SynthConfig) -> None:
     out.mkdir(parents=True, exist_ok=True)
     corpus, _ = generate_corpus(config)
     save_corpus(corpus, out)
-    write_jsonl(out / "trends.jsonl", generate_trends(config))
+    write_jsonl(out / TRENDS_FILE, generate_trends(config))

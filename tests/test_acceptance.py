@@ -272,7 +272,7 @@ def test_criterion_07_ranker_training(announce):
         seed=7, n_pins=1200, queries_per_cluster=30, engagement_per_pin=6
     )
     corpus, _ = synth.generate_corpus(config)
-    labeled, _ = curation.curate(corpus, curation.dedup_queries(corpus.queries), seed=0)
+    labeled, _ = curation.curate(corpus, curation.dedup_queries(corpus.queries), neg_per_pos=2, seed=0)
     triplets = _triplets_from_labels(
         corpus, ranker.pin_features(corpus), ranker.query_features(corpus), labeled
     )
@@ -314,17 +314,16 @@ def test_criterion_08_stratified_sampling(announce):
                 )
             )
     rng.shuffle(pool)
-    mix = curation.CategoryMix()
     total = 10_000
-    sampled, report = curation.stratify_sample(pool, mix, total, seed=31)
+    sampled, with_replacement = curation.stratify_sample(pool, total, seed=31)
     drawn = {c: 0 for c in ("Description", "StyleDetail", "UseCase")}
     for pair in sampled:
         drawn[pair.query.category] += 1
     exact = {
-        cat: int(round(total * frac)) for cat, frac in mix.as_dict().items()
+        cat: int(round(total * frac)) for cat, frac in curation.CATEGORY_MIX.items()
     }
     deviations = {cat: abs(drawn[cat] - exact[cat]) for cat in exact}
-    ok = len(sampled) == total and max(deviations.values()) <= 1 and not report.with_replacement
+    ok = len(sampled) == total and max(deviations.values()) <= 1 and not with_replacement
     _verdict(
         announce, 8, "stratified-sampling", ok,
         f"10k draw, counts {drawn} vs exact {exact}, max deviation "

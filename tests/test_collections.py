@@ -73,13 +73,13 @@ class TestBuildCollection:
         corpus, encoder, _ = corpus_and_index
         empty = HnswIndex(dim=corpus.d_t)
         with pytest.raises(CollectionError, match="empty index"):
-            build_collection(corpus.queries[0], encoder, empty)
+            build_collection(corpus.queries[0], encoder, empty, k=10)
 
     def test_topic_without_embedding_rejected(self, corpus_and_index):
         _, encoder, index = corpus_and_index
         bare = QueryRecord("bare topic", "UseCase")
         with pytest.raises(CollectionError, match="lacks an embedding"):
-            build_collection(bare, encoder, index)
+            build_collection(bare, encoder, index, k=10)
 
 
 class TestBuildCollections:
@@ -95,19 +95,19 @@ class TestBuildCollections:
 
     def test_empty_topic_list(self, corpus_and_index):
         corpus, encoder, index = corpus_and_index
-        assert build_collections([], encoder, index) == []
-        assert build_collections([], encoder, HnswIndex(dim=corpus.d_t)) == []
+        assert build_collections([], encoder, index, k=10) == []
+        assert build_collections([], encoder, HnswIndex(dim=corpus.d_t), k=10) == []
 
     def test_empty_index_rejected(self, corpus_and_index):
         corpus, encoder, _ = corpus_and_index
         with pytest.raises(CollectionError, match="empty index"):
-            build_collections(corpus.queries[:2], encoder, HnswIndex(dim=corpus.d_t))
+            build_collections(corpus.queries[:2], encoder, HnswIndex(dim=corpus.d_t), k=10)
 
     def test_topic_without_embedding_rejected(self, corpus_and_index):
         corpus, encoder, index = corpus_and_index
         topics = [corpus.queries[0], QueryRecord("bare topic", "UseCase")]
         with pytest.raises(CollectionError, match="'bare topic' lacks an embedding"):
-            build_collections(topics, encoder, index)
+            build_collections(topics, encoder, index, k=10)
 
 
 class TestJudges:

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geoforge.core import ENGAGEMENT_ARRAYS, Engagement, LabeledPair, QueryRecord
+from geoforge.core import ENGAGEMENT_ARRAYS, QUERY_CATEGORIES, Engagement, LabeledPair, QueryRecord
 from geoforge.curation import (
     DEDUP_THRESHOLD,
     RELATEDNESS_CEILING,
     TOP_QUERIES,
-    CategoryMix,
+    CATEGORY_MIX,
     CurationError,
     category_counts,
     curate,
@@ -108,22 +108,17 @@ class TestTopQueries:
 
 
 class TestStratification:
-    def test_mix_validation(self):
-        with pytest.raises(CurationError, match="sum to 1"):
-            CategoryMix(0.5, 0.5, 0.5)
-        with pytest.raises(CurationError, match="lie in"):
-            CategoryMix(-0.1, 0.5, 0.6)
-        for fracs in [(float("nan"), 0.5, 0.5), (0.3, 0.3, float("nan")), (float("inf"), 0.0, 0.0)]:
-            with pytest.raises(CurationError, match="lie in"):
-                CategoryMix(*fracs)
+    def test_mix_table_covers_each_category_in_order(self):
+        assert tuple(CATEGORY_MIX) == QUERY_CATEGORIES
+        assert sum(CATEGORY_MIX.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_total_rejected(self):
         with pytest.raises(CurationError, match="^total must be at least 0, got -1$"):
-            stratify_sample(self._pool(10), CategoryMix(), -1, seed=0)
+            stratify_sample(self._pool(10), -1, seed=0)
 
     @given(total=st.integers(0, 5000))
     def test_counts_sum_to_total(self, total):
-        counts = category_counts(CategoryMix(), total)
+        counts = category_counts(total)
         assert sum(counts.values()) == total
         assert all(v >= 0 for v in counts.values())
 
@@ -141,16 +136,16 @@ class TestStratification:
         return pool
 
     def test_exact_counts_without_replacement(self):
-        sampled, report = stratify_sample(self._pool(100), CategoryMix(), 100, seed=0)
+        sampled, with_replacement = stratify_sample(self._pool(100), 100, seed=0)
         drawn = {}
         for pair in sampled:
             drawn[pair.query.category] = drawn.get(pair.query.category, 0) + 1
         assert drawn == {"Description": 30, "StyleDetail": 30, "UseCase": 40}
-        assert report.with_replacement == []
+        assert with_replacement == []
 
     def test_replacement_flagged_when_pool_small(self):
-        _, report = stratify_sample(self._pool(10), CategoryMix(), 100, seed=0)
-        assert set(report.with_replacement) == {
+        _, with_replacement = stratify_sample(self._pool(10), 100, seed=0)
+        assert set(with_replacement) == {
             "Description", "StyleDetail", "UseCase",
         }
 
@@ -159,7 +154,7 @@ class TestStratification:
             p for p in self._pool(10) if p.query.category != "UseCase"
         ]
         with pytest.raises(CurationError, match="empty pool"):
-            stratify_sample(pool, CategoryMix(), 30, seed=0)
+            stratify_sample(pool, 30, seed=0)
 
 
 class TestLabeling:
@@ -215,7 +210,7 @@ class TestDedup:
         a = QueryRecord("a", "UseCase", embedding=np.array([1.0, 0.0]))
         dup = QueryRecord("a again", "UseCase", embedding=np.array([0.99, 0.01]))
         b = QueryRecord("b", "UseCase", embedding=np.array([0.0, 1.0]))
-        kept = dedup_queries([a, dup, b], threshold=0.9)
+        kept = dedup_queries([a, dup, b])
         assert [q.text for q in kept] == ["a", "b"]
 
     def test_missing_embedding_fatal(self):
@@ -385,7 +380,7 @@ class TestVectorisedEquivalence:
 class TestCurate:
     def test_end_to_end_report(self, small_synth):
         corpus, _, _ = small_synth
-        labeled, report = curate(corpus, dedup_queries(corpus.queries), seed=0)
+        labeled, report = curate(corpus, dedup_queries(corpus.queries), neg_per_pos=2, seed=0)
         assert labeled
         assert report["positives"] + report["negatives"] == len(labeled)
         assert report["negatives"] == 2 * report["positives"]
@@ -397,6 +392,6 @@ class TestCurate:
     def test_deterministic(self, small_synth):
         corpus, _, _ = small_synth
         deduped = dedup_queries(corpus.queries)
-        first, _ = curate(corpus, deduped, seed=5)
-        second, _ = curate(corpus, deduped, seed=5)
+        first, _ = curate(corpus, deduped, neg_per_pos=2, seed=5)
+        second, _ = curate(corpus, deduped, neg_per_pos=2, seed=5)
         assert [p.to_json() for p in first] == [p.to_json() for p in second]

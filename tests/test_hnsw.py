@@ -288,10 +288,10 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "kind, m, backfill_to",
-        [("random", 4, None), ("random", 30, None), ("random", 16, 32),
-         ("clusters", 30, None), ("clusters", 16, 32),
-         ("few", 16, None), ("few", 16, 32), ("single", 4, None), ("single", 4, 8),
-         ("last", 15, None), ("last", 15, 32)],
+        [("random", 4, 4), ("random", 30, 30), ("random", 16, 32),
+         ("clusters", 30, 30), ("clusters", 16, 32),
+         ("few", 16, 16), ("few", 16, 32), ("single", 4, 4), ("single", 4, 8),
+         ("last", 15, 15), ("last", 15, 32)],
     )
     def test_neighbor_selection_matches_pairwise_reference(self, kind, m, backfill_to):
         vectors, query = self._selection_inputs(kind)

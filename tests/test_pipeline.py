@@ -3,7 +3,9 @@ loading, shared builders, and artifact/report integrity of a full run."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -421,6 +423,7 @@ class TestStageGraph:
         ("train-encoder", "encoder_steps", 0, "EncoderError", "TrainConfig.steps must be at least 1, got 0"),
         ("train-ranker", "ranker_steps", 0, "RankerError", "RankerTrainConfig.steps must be at least 1, got 0"),
         ("curate", "neg_per_pos", -1, "CurationError", "neg_per_pos must be at least 0, got -1"),
+        ("agent-run", "agent_min_count", -5, "AgentError", "min_count must be at least 0, got -5"),
         *[("train-encoder", "temperature", value, "EncoderError",
            f"temperature and its reciprocal must be positive and finite, got {value}")
           for value in (float("inf"), 1e-310)],
@@ -515,6 +518,19 @@ class TestStageConfig:
         assert len(keys) == len(set(keys)), "a config key has two stages"
         assert set(keys) == set(CONFIG_KINDS) - {"out_dir", "seed"}
 
+    def test_each_default_is_spelled_once(self):
+        """A config key that a stage hands to a module config defaults to
+        that config's field; only the keys no module config holds spell
+        their default here, and the functions those keys reach take them
+        without a default of their own."""
+        config_class = ast.parse(inspect.getsource(PipelineConfig)).body[0]
+        literal = {node.target.id for node in config_class.body
+                   if isinstance(node, ast.AnnAssign) and not isinstance(node.value, ast.Attribute)}
+        assert literal == {"out_dir", "seed", "neg_per_pos", "collection_k", "base_url", "agent_min_count"}
+        for func, name in [(curation.curate, "neg_per_pos"), (collections_.build_collections, "k"),
+                           (collections_.build_collection, "k")]:
+            assert inspect.signature(func).parameters[name].default is inspect.Parameter.empty
+
     @pytest.mark.parametrize("stage", STAGE_ORDER)
     def test_a_stage_reads_its_row_and_nothing_else(self, pipeline_run, tmp_path, monkeypatch, stage):
         """A config that records each key read: the stage, run alone so that
@@ -586,7 +602,7 @@ class TestAnnotatePins:
 class TestLabeledPairs:
     def test_round_trip(self, small_synth, tmp_path):
         corpus, _, _ = small_synth
-        labeled, _ = curation.curate(corpus, curation.dedup_queries(corpus.queries))
+        labeled, _ = curation.curate(corpus, curation.dedup_queries(corpus.queries), neg_per_pos=2)
         ws = Workspace(tmp_path)
         write_jsonl(ws.labeled_pairs, (p.to_json() for p in labeled))
         loaded = read_records(ws.labeled_pairs, partial(LabeledPair.from_json, corpus=corpus), CorpusError)

@@ -577,7 +577,8 @@ class TestHeldOut:
         def corpus_split(seed: int, split: int):
             corpus, sidecar = synth.generate_corpus(synth.SynthConfig(seed=seed))
             queries = curation.dedup_queries(corpus.queries)
-            labeled, _ = curation.curate(corpus, queries, seed=subseed(seed, "curation"))
+            labeled, _ = curation.curate(corpus, queries, PipelineConfig.neg_per_pos,
+                                         seed=subseed(seed, "curation"))
             pins, query_rows = pin_features(corpus), query_features(corpus)
             triplets = _triplets_from_labels(corpus, pins, query_rows, labeled)
             held = held_out_pins(len(corpus.pins), 0.2, seed=split)
