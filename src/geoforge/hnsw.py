@@ -9,22 +9,25 @@ arXiv:1603.09320, take them from a beam search instead).  One greedy walk,
 `_diversity_walk`, applies their diversity heuristic both when a node picks
 its neighbors and when a neighbor's overflowing row is cut back, and visits
 only the candidates it keeps.  A new node's selection is backfilled with
-the closest rejected candidates up to 2*M at layer 0; an overflowing row
-keeps the heuristic's picks alone, as in their Algorithm 1 without
-``keepPrunedConnections`` and as hnswlib does, so it has room for new
-back-links before it overflows again.  Selection gives the walk one
-product per kept neighbor, against the candidates after it; overflowing
-rows are sorted and pruned together, one stacked product giving every gram
-matrix.  The walk charges ``distance_count`` the pairs the heuristic
-compares one candidate at a time.
+the closest rejected candidates up to 2*M at layer 0 only; above layer 0,
+and in an overflowing row, it keeps the heuristic's picks alone, as in
+their Algorithm 1 without ``keepPrunedConnections`` and as hnswlib does.
+A pruned row so has room for new back-links before it overflows again,
+and the rows of an upper layer, with its few members, seldom overflow.
+Selection gives the walk one product per kept neighbor, against the
+candidates after it; overflowing rows are sorted and pruned together, one
+stacked product giving every gram matrix.  The walk charges
+``distance_count`` the pairs the heuristic compares one candidate at a
+time.
 Similarity is the dot product on unit vectors (distance = 1 - cosine).
 A brute-force scan is kept alongside as the recall oracle.
 
 Layer adjacency is one int32 array per layer, a row of ``m_max`` slots per
 node padded with PAD past its degree, plus the degrees; a node whose top
-layer is lower keeps an empty row.  Inserts append back-links by degree
-and prune rows in place to each row's own degree, `save` writes the
-members' rows and `load` scatters them back by node.
+layer is lower keeps an empty row.  Each node's top layer is one int32
+array too.  All of them grow with the vector store.  Inserts append
+back-links by degree and prune rows in place to each row's own degree,
+`save` writes the members' rows and `load` scatters them back by node.
 
 Search descends the upper layers greedily, one row per hop, then runs a
 batched beam at layer 0: each step expands the up to 2*M closest
@@ -112,7 +115,7 @@ class HnswIndex:
         self._rng = np.random.default_rng(seed)
         self._store = np.empty((16, dim), dtype=np.float64)
         self._ids: list[int] = []
-        self._levels: list[int] = []  # each node's top layer
+        self._levels = np.zeros(16, dtype=np.int32)  # each node's top layer
         self._id_to_idx: dict[int, int] = {}
         self._layers: list[_Layer] = []
         self._entry: int | None = None
@@ -143,6 +146,11 @@ class HnswIndex:
     def layer0_links(self) -> int:
         """The links at layer 0, the sum of its degrees: the graph's density."""
         return int(self._layers[0].deg.sum()) if self._layers else 0
+
+    @property
+    def upper_links(self) -> int:
+        """The links above layer 0, the sum of those layers' degrees."""
+        return sum(int(lay.deg.sum()) for lay in self._layers[1:])
 
     def _m_max(self, layer: int) -> int:
         return self.params.M * 2 if layer == 0 else self.params.M
@@ -231,8 +239,9 @@ class HnswIndex:
         """Diversity heuristic over the candidates ``near`` at ``dists`` from
         the query: prefer one closer to the query than to every selected
         neighbor, up to ``m`` of them.  The closest unselected candidates
-        then fill the slots left up to ``backfill_to``, the row's width, so
-        a node never gets fewer than min(len(near), m) links.  The walk asks
+        then fill the slots left up to ``backfill_to``: the row's width at
+        layer 0, so a node there never gets fewer than min(len(near), m)
+        links, and 0 above it, which keeps the picks alone.  The walk asks
         for one product per selected neighbor but the m-th, with the
         candidates after it."""
         order = np.lexsort((near, dists))  # by (distance, index)
@@ -259,11 +268,11 @@ class HnswIndex:
         cands = grid[:, 1:]  # column 0 of a row is its owner
         take = self._vectors.take
         dists = 1.0 - np.matmul(take(cands, 0), take(grid[:, :1], 0).transpose(0, 2, 1))[:, :, 0]
-        order = np.lexsort((cands, dists))  # each row by (distance, index)
-        walk = np.take_along_axis(cands, order, axis=1)
+        # each row by (distance, index): a row-index column beside the order
+        order = np.arange(rows.size)[:, None], np.lexsort((cands, dists))
+        walk, thresholds = cands[order], 1.0 - dists[order]
         walk_vecs = take(walk, 0)
         sims = np.matmul(walk_vecs, walk_vecs.transpose(0, 2, 1))
-        thresholds = 1.0 - np.take_along_axis(dists, order, axis=1)
         n_rows, width = walk.shape
         # [r, j, q]: in row r, candidate q is closer to candidate j than to the
         # owner; bits j * width on of a row's int are then column j
@@ -289,11 +298,12 @@ class HnswIndex:
         if idx >= self._store.shape[0]:
             capacity = max(32, 2 * idx)
             self._store = _grown(self._store, capacity)
+            self._levels = _grown(self._levels, capacity)
             for lay in self._layers:
                 lay.adj, lay.deg = _grown(lay.adj, capacity, PAD), _grown(lay.deg, capacity)
         self._store[idx] = vector
         self._ids.append(element_id)
-        self._levels.append(level)
+        self._levels[idx] = level
         self._id_to_idx[element_id] = idx
         old_max = self.max_level
         while self.max_level < level:
@@ -308,7 +318,7 @@ class HnswIndex:
         dists = 1.0 - self._store[:idx].dot(vector)
         self.distance_count += idx
         top = min(level, old_max)
-        levels = np.asarray(self._levels[:idx]) if top else None
+        levels = self._levels[:idx]
         ef = self.params.ef_construction
         for l in range(top, -1, -1):
             near = np.flatnonzero(levels >= l) if l else np.arange(idx)
@@ -316,7 +326,8 @@ class HnswIndex:
                 near = near[np.argpartition(dists[near], ef - 1)[:ef]]
             lay = self._layers[l]
             m_max = lay.adj.shape[1]
-            neighbors = self._select_neighbors(dists[near], near, self.params.M, m_max)
+            backfill_to = m_max if l == 0 else 0
+            neighbors = self._select_neighbors(dists[near], near, self.params.M, backfill_to)
             lay.adj[idx, : neighbors.size] = neighbors
             lay.deg[idx] = neighbors.size
             degrees = lay.deg[neighbors]
@@ -355,14 +366,14 @@ class HnswIndex:
         """Full structural sweep, whole-array per layer: each degree within
         [0, m_max] and 0 for a node outside the layer, PAD past it, each
         neighbour a node of the layer, no edge twice."""
-        levels = np.asarray(self._levels, dtype=np.int64)
+        levels = self._levels[: len(self)]
         for l, lay in enumerate(self._layers):
             _check_rows(l, lay.adj.shape[1], levels, lay.adj[: levels.size], lay.deg[: levels.size])
 
     def save(self, path: str | Path) -> None:
         """Save ids, float32 vectors, each node's top layer, and per layer l
         the padded rows ``adj{l}`` and degrees ``deg{l}`` of its members."""
-        levels = np.asarray(self._levels, dtype="<i4")
+        levels = self._levels[: len(self)].astype("<i4", copy=False)
         arrays = {
             "ids": np.asarray(self._ids, dtype="<i8"),
             "vectors": self._vectors.astype("<f4"),
@@ -407,7 +418,7 @@ class HnswIndex:
             index._layers.append(lay)
         if not (entry == -1 == count - 1 or 0 <= entry < count and levels[entry] == n_layers - 1):
             raise HnswError(f"entry point {entry} outside the top layer in {path}")
-        index._levels = levels.tolist()
+        index._levels = levels.astype(np.int32)
         index._ids = ids.tolist()
         index._store = vectors.astype(np.float64)
         index._id_to_idx = {eid: i for i, eid in enumerate(index._ids)}
@@ -450,6 +461,8 @@ def _diversity_walk(
         free ^= ruled[-1]
         checks += len(taken) * ruled[-1].bit_count()
     n = len(taken)
+    if not target:
+        return taken, checks + n * (n - 1) // 2
     untaken = [True] * count
     for pos in taken:
         untaken[pos] = False

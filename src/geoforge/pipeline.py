@@ -323,7 +323,10 @@ def stage_build_index(config: PipelineConfig, ws: Workspace) -> dict:
     index = hnsw.build(dict(zip(ws.corpus.pins, matrix)), params, seed=subseed(config.seed, "index"))
     index.check_invariants()
     index.save(ws.index_file)
-    return {"elements": len(index), "layers": index.max_level + 1, "layer0_links": index.layer0_links}
+    return {
+        "elements": len(index), "layers": index.max_level + 1,
+        "layer0_links": index.layer0_links, "upper_links": index.upper_links,
+    }
 
 
 def _triplets_from_labels(

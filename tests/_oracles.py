@@ -176,20 +176,20 @@ def unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 
 
 def diversity_select(
-    vectors: np.ndarray, candidates: list[tuple[float, int]], m: int, backfill_to: int | None
+    vectors: np.ndarray, candidates: list[tuple[float, int]], m: int, backfill_to: int
 ) -> tuple[list[int], int]:
     """The HNSW neighbor heuristic one pair at a time: walk candidates by
     (distance, index) and keep one unless it is closer to an already kept
     candidate than to the query; keep at most ``m``, then fill up to
-    ``backfill_to`` (default ``m``) with the closest discarded ones.
-    Returns the kept indices and the number of pair comparisons made."""
-    target = m if backfill_to is None else backfill_to
+    ``backfill_to`` with the closest discarded ones (none when it is at
+    most ``m``).  Returns the kept indices and the number of pair
+    comparisons made."""
     kept: list[int] = []
     discarded: list[int] = []
     comparisons = 0
     for dist, idx in sorted(candidates):
         if len(kept) >= m:
-            if backfill_to is None or len(kept) + len(discarded) >= target:
+            if len(kept) + len(discarded) >= backfill_to:
                 break
             discarded.append(idx)
             continue
@@ -200,7 +200,7 @@ def diversity_select(
                 break
         else:
             kept.append(idx)
-    return kept + discarded[: max(0, target - len(kept))], comparisons
+    return kept + discarded[: max(0, backfill_to - len(kept))], comparisons
 
 
 def diversity_walk_reference(
@@ -228,16 +228,17 @@ def diversity_walk_reference(
 
 
 def hnsw_reference_links(
-    vectors: np.ndarray, levels: list[int], M: int, ef_construction: int
+    vectors: np.ndarray, levels: np.ndarray, M: int, ef_construction: int
 ) -> tuple[list[list[list[int]]], int, int]:
     """HNSW construction one pair at a time, for nodes inserted in row order
     at the given levels.  Each layer's candidates are its ``ef_construction``
     nearest members by brute force; the new node keeps ``diversity_select``
-    of them (backfilled to 2*M at layer 0), and a neighbour whose row then
-    overflows is cut back to ``diversity_select``'s picks alone, with no
-    backfill (``backfill_to=0``): at most 2*M - 2 links at layer 0 and M
-    above.  Returns the link rows per layer, the dot products made
-    (distance rows, selection and prune comparisons) and the prune count."""
+    of them, backfilled to 2*M at layer 0 and with no backfill above it
+    (``backfill_to=0``), and a neighbour whose row then overflows is cut
+    back to ``diversity_select``'s picks alone, also with no backfill: at
+    most 2*M - 2 links at layer 0 and M above.  Returns the link rows per
+    layer, the dot products made (distance rows, selection and prune
+    comparisons) and the prune count."""
     n_layers = max(levels) + 1
     links: list[list[list[int]]] = [[[] for _ in levels] for _ in range(n_layers)]
     count = prunes = 0
@@ -248,9 +249,7 @@ def hnsw_reference_links(
             m_max = 2 * M if layer == 0 else M
             members = [j for j in range(idx) if levels[j] >= layer]
             near = sorted((dists[j], j) for j in members)[:ef_construction]
-            kept, comparisons = diversity_select(
-                vectors, near, M, m_max if layer == 0 else None
-            )
+            kept, comparisons = diversity_select(vectors, near, M, m_max if layer == 0 else 0)
             count += comparisons
             links[layer][idx] = kept
             for nbr in kept:

@@ -288,10 +288,10 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "kind, m, backfill_to",
-        [("random", 4, 4), ("random", 30, 30), ("random", 16, 32),
-         ("clusters", 30, 30), ("clusters", 16, 32),
+        [("random", 4, 4), ("random", 30, 30), ("random", 16, 32), ("random", 16, 0),
+         ("clusters", 30, 30), ("clusters", 16, 32), ("clusters", 16, 0),
          ("few", 16, 16), ("few", 16, 32), ("single", 4, 4), ("single", 4, 8),
-         ("last", 15, 15), ("last", 15, 32)],
+         ("last", 15, 15), ("last", 15, 32), ("last", 15, 0)],
     )
     def test_neighbor_selection_matches_pairwise_reference(self, kind, m, backfill_to):
         vectors, query = self._selection_inputs(kind)
@@ -318,7 +318,7 @@ class TestConstruction:
         vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         index = build(dict(enumerate(vectors)), HnswParams(M, ef_construction, 10), seed=2)
         links, count, prunes = hnsw_reference_links(
-            index._vectors, index._levels, M, ef_construction
+            index._vectors, index._levels[: len(index)], M, ef_construction
         )
         assert _link_rows(index) == links
         assert index.distance_count == count
@@ -326,18 +326,29 @@ class TestConstruction:
 
     @staticmethod
     def _furthest_prune_picks(monkeypatch) -> list[int]:
-        """Wrap `hnsw._diversity_walk` to note, for each prune walk (the
-        calls with target 0), the furthest position it keeps."""
+        """Wrap `HnswIndex._prune` and `hnsw._diversity_walk` to note, for
+        each walk a prune makes, the furthest position it keeps.  Upper-layer
+        selections walk with target 0 too, so the target cannot tell them
+        apart."""
         furthest: list[int] = []
-        walk = hnsw._diversity_walk
+        pruning: list[bool] = []
+        walk, prune = hnsw._diversity_walk, HnswIndex._prune
 
         def noting(conflicts, count, m, target):
             kept, checks = walk(conflicts, count, m, target)
-            if target == 0:
+            if pruning:
                 furthest.append(max(kept))
             return kept, checks
 
+        def noting_prune(self, *args):
+            pruning.append(True)
+            try:
+                prune(self, *args)
+            finally:
+                pruning.pop()
+
         monkeypatch.setattr(hnsw, "_diversity_walk", noting)
+        monkeypatch.setattr(HnswIndex, "_prune", noting_prune)
         return furthest
 
     def test_build_with_wide_rows_matches_pairwise_reference(self, monkeypatch):
@@ -352,12 +363,13 @@ class TestConstruction:
         rows = np.repeat(centers, 30, axis=0) + 0.15 * rng.standard_normal((150, 12))
         vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         index = build(dict(enumerate(vectors)), HnswParams(32, 80, 10), seed=2)
-        links, count, prunes = hnsw_reference_links(index._vectors, index._levels, 32, 80)
+        levels = index._levels[: len(index)]
+        links, count, prunes = hnsw_reference_links(index._vectors, levels, 32, 80)
         assert _link_rows(index) == links
         assert index.distance_count == count
         assert prunes > 100 and len(furthest) == prunes
         assert max(furthest) >= 64
-        assert sum(level >= 1 for level in index._levels) <= 33
+        assert sum(level >= 1 for level in levels) <= 33
 
     def test_build_with_three_word_rows_matches_pairwise_reference(self, monkeypatch):
         """At M=64 a pruned layer-0 row is 129 wide, so its conflict masks
@@ -368,7 +380,9 @@ class TestConstruction:
         rows = unit_rows(rng, 1, 4) + rng.standard_normal((150, 4))
         vectors = rows / np.linalg.norm(rows, axis=1, keepdims=True)
         index = build(dict(enumerate(vectors)), HnswParams(64, 150, 10), seed=2)
-        links, count, prunes = hnsw_reference_links(index._vectors, index._levels, 64, 150)
+        links, count, prunes = hnsw_reference_links(
+            index._vectors, index._levels[: len(index)], 64, 150
+        )
         assert _link_rows(index) == links
         assert index.distance_count == count
         assert prunes > 100 and len(furthest) == prunes
@@ -479,7 +493,9 @@ class TestPersistence:
             loaded.insert(i, vectors[i])
         loaded.check_invariants()
         M, ef_construction = loaded.params.M, loaded.params.ef_construction
-        links, _, _ = hnsw_reference_links(loaded._vectors, loaded._levels, M, ef_construction)
+        links, _, _ = hnsw_reference_links(
+            loaded._vectors, loaded._levels[: len(loaded)], M, ef_construction
+        )
         assert _link_rows(loaded) == links
         assert loaded.max_level >= 1
         ids, rows = loaded.stored_vectors()
@@ -646,9 +662,10 @@ class TestBoundary:
     def test_link_in_a_non_members_row(self, small, degree, match):
         """A node whose top layer is 0 keeps an empty row at layer 1."""
         index, _ = small
-        outside = index._levels.index(0)
+        levels = index._levels[: len(index)].tolist()
+        outside = levels.index(0)
         lay = index._layers[1]
-        lay.adj[outside, 0], lay.deg[outside] = index._levels.index(index.max_level), degree
+        lay.adj[outside, 0], lay.deg[outside] = levels.index(index.max_level), degree
         with pytest.raises(HnswError, match=match):
             index.check_invariants()
 

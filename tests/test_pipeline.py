@@ -808,15 +808,22 @@ class TestFullRun:
 
     def test_build_index_reports_the_saved_graph(self, pipeline_run):
         """``layer0_links``, the graph's density, counts the non-PAD slots
-        of the saved layer-0 rows."""
+        of the saved layer-0 rows, and ``upper_links`` the links of the
+        saved rows above it, the sum of ``deg1`` on."""
         ws = pipeline_run["ws"]
         _, arrays = load_arrays(ws.index_file, hnsw.INDEX_MAGIC, hnsw.HnswError, hnsw.INDEX_META)
         layers = sum(name.startswith("adj") for name in arrays)
         links = int((arrays["adj0"] != hnsw.PAD).sum())
+        upper = sum(int(arrays[f"deg{l}"].sum()) for l in range(1, layers))
+        assert layers >= 2 and upper > 0
         assert pipeline_run["report"]["stages"]["build-index"]["metrics"] == {
-            "elements": arrays["ids"].size, "layers": layers, "layer0_links": links,
+            "elements": arrays["ids"].size, "layers": layers,
+            "layer0_links": links, "upper_links": upper,
         }
-        assert links == int(arrays["deg0"].sum()) == hnsw.HnswIndex.load(ws.index_file).layer0_links
+        loaded = hnsw.HnswIndex.load(ws.index_file)
+        assert links == int(arrays["deg0"].sum()) == loaded.layer0_links
+        assert upper == sum(int((arrays[f"adj{l}"] != hnsw.PAD).sum()) for l in range(1, layers))
+        assert upper == loaded.upper_links
 
     def test_each_stage_records_the_high_water_mark(self, pipeline_run):
         """peak_rss_mb is the process's peak RSS so far, so it never falls
