@@ -326,8 +326,7 @@ class HnswIndex:
                 near = near[np.argpartition(dists[near], ef - 1)[:ef]]
             lay = self._layers[l]
             m_max = lay.adj.shape[1]
-            backfill_to = m_max if l == 0 else 0
-            neighbors = self._select_neighbors(dists[near], near, self.params.M, backfill_to)
+            neighbors = self._select_neighbors(dists[near], near, self.params.M, m_max if l == 0 else 0)
             lay.adj[idx, : neighbors.size] = neighbors
             lay.deg[idx] = neighbors.size
             degrees = lay.deg[neighbors]
@@ -461,13 +460,14 @@ def _diversity_walk(
         free ^= ruled[-1]
         checks += len(taken) * ruled[-1].bit_count()
     n = len(taken)
+    checks += n * (n - 1) // 2
     if not target:
-        return taken, checks + n * (n - 1) // 2
+        return taken, checks
     untaken = [True] * count
     for pos in taken:
         untaken[pos] = False
     others = list(compress(range(target), untaken))[: target - n]
-    return taken + others, checks + n * (n - 1) // 2
+    return taken + others, checks
 
 
 def _check_rows(
